@@ -30,7 +30,7 @@ from .resolve import (
     theta_der,
 )
 from .suite import run_suite
-from .tensor import TensorComplex, balanced_tensor, tensor_over_algebra, tensor_over_ring
+from .tensor import TensorComplex, balanced_tensor
 
 __all__ = [
     "CorpusProfile",
@@ -61,8 +61,6 @@ __all__ = [
     "shift",
     "smart_truncate",
     "solve",
-    "tensor_over_algebra",
-    "tensor_over_ring",
     "theta",
     "theta_der",
     "validate_algebra",

@@ -153,7 +153,7 @@ def cmd_kunneth(args) -> int:
             w = theta(m, n)
             report.checks.extend(w.evidence)
             report.checks.append(check_representative_independence(w, samples=20))
-            report.checks.extend(check_exact_sequences(m, n))
+            report.checks.extend(check_exact_sequences(w))
             report.extra["theta"] = matrix_to_json(w.theta)
             report.extra["source_dim"] = w.source.dim
             report.extra["target_dim"] = w.target.dim
@@ -176,7 +176,7 @@ def cmd_derived_kunneth(args) -> int:
         try:
             w = theta_der(m, n, depth=args.depth)
             report.checks.extend(w.evidence)
-            report.checks.append(check_depth_stabilization(m, n))
+            report.checks.append(check_depth_stabilization(m, n, w))
             report.checks.append(check_resolution_independence(m, n))
             report.extra["theta_der"] = matrix_to_json(w.theta_der)
             report.extra["source_dim"] = w.source.dim

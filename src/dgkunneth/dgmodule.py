@@ -68,13 +68,6 @@ class DGModule:
     def total_dim(self) -> int:
         return sum(self.dims.values())
 
-    def top_degree(self):
-        """Largest degree with a nonzero component, or None for the zero module."""
-        for i in range(self.window[1], self.window[0] - 1, -1):
-            if self.dim(i):
-                return i
-        return None
-
     def diff_map(self, i: int) -> Matrix:
         m = self.diff.get(i)
         if m is None:
@@ -419,24 +412,6 @@ def direct_sum(m1: DGModule, m2: DGModule) -> DGModule:
                                 out.data[tgt1 + r][col] = v
             action[(i, j)] = out
     return DGModule(m1.side, a, (lo, hi), dims, diff, action)
-
-
-def inclusion_morphisms(m1: DGModule, m2: DGModule, total: DGModule):
-    f = m1.field
-    inc1, inc2, pr1, pr2 = {}, {}, {}, {}
-    for i in total.degrees():
-        d1, d2 = m1.dim(i), m2.dim(i)
-        a = Matrix.zeros(f, total.dim(i), d1)
-        b = Matrix.zeros(f, total.dim(i), d2)
-        for r in range(d1):
-            a.data[r][r] = f.one
-        for r in range(d2):
-            b.data[d1 + r][r] = f.one
-        inc1[i], inc2[i] = a, b
-        pr1[i] = a.transpose()
-        pr2[i] = b.transpose()
-    return (StrictMorphism(m1, total, inc1), StrictMorphism(m2, total, inc2),
-            StrictMorphism(total, m1, pr1), StrictMorphism(total, m2, pr2))
 
 
 def mapping_cone(fm: StrictMorphism) -> DGModule:

@@ -10,18 +10,31 @@ from fractions import Fraction
 
 RATIONALS = "rationals"
 PRIME = "prime"
+MODULUS_BOUND = 2 ** 64
+# Miller-Rabin with these bases is exact for every n below 3.3e24.
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin primality test for n < MODULUS_BOUND."""
     if n < 2:
         return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for q in _WITNESSES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _WITNESSES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -37,6 +50,8 @@ class Field:
             self.zero = Fraction(0)
             self.one = Fraction(1)
         elif kind == PRIME:
+            if p is not None and p >= MODULUS_BOUND:
+                raise ValueError(f"modulus must be below 2^64, got {p!r}")
             if p is None or p < 2 or not is_prime(p):
                 raise ValueError(f"modulus must be prime, got {p!r}")
             self.zero = 0
@@ -77,11 +92,14 @@ class Field:
             return pow(a, self.p - 2, self.p)
         return Fraction(1) / a
 
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
     def of_int(self, n: int):
         return n % self.p if self.p else Fraction(n)
+
+    def random_vector(self, rng, k: int) -> list:
+        """k seeded random scalars: uniform over F_p, integers in [-2, 2] over Q."""
+        if self.p:
+            return [rng.randrange(self.p) for _ in range(k)]
+        return [Fraction(rng.randint(-2, 2)) for _ in range(k)]
 
     def parse(self, s: str):
         """Parse the interchange form: "n" or "n/d" (rationals), "n" (F_p)."""

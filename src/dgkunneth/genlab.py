@@ -179,12 +179,6 @@ def make_koszul_like(field: Field, depth: int, side: str = RIGHT) -> DGModule:
 # Random free modules with repaired differentials
 
 
-def random_element(field: Field, rng: random.Random):
-    if field.is_prime_field:
-        return rng.randrange(field.p)
-    return field.of_int(rng.randint(-2, 2))
-
-
 def random_free_module(a: DGAlgebra, side: str, rng: random.Random,
                        max_dim: int, span: int, n_gens: int | None = None):
     """Free module on random generators; d(g) sampled from the cocycles of
@@ -202,7 +196,7 @@ def random_free_module(a: DGAlgebra, side: str, rng: random.Random,
             k = kernel_basis(partial.diff_map(e + 1))
             vec = [a.field.zero] * dim_at
             for row in k.data:
-                c = random_element(a.field, rng)
+                c = a.field.random_vector(rng, 1)[0]
                 if c != a.field.zero:
                     vec = [a.field.add(x, a.field.mul(c, y)) for x, y in zip(vec, row)]
         else:
@@ -326,7 +320,7 @@ def random_morphism(m: DGModule, mp: DGModule, rng: random.Random) -> StrictMorp
     basis = kernel_basis(constraint)
     sol = [f.zero] * total
     for row in basis.data:
-        c = random_element(f, rng)
+        c = f.random_vector(rng, 1)[0]
         if c != f.zero:
             sol = [f.add(x, f.mul(c, y)) for x, y in zip(sol, row)]
     maps = {}

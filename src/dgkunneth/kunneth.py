@@ -9,8 +9,12 @@ by j0, `theta` builds the map
 on deterministic bases via explicit cocycle lifts, certifies that it is well
 defined and bijective, and `check_exact_sequences` re-derives it along the
 four exact sequences of degreewise presentations that force it to be an
-isomorphism.  Verification failures are reported as counterexample bundles
-inside CheckResults, never raised.
+isomorphism.  Each instance's `KunnethWitness` is built once and handed to
+the checks that follow: they reuse its modules, cohomologies and tensor
+complex, and gain their independence from how they reach theta (the
+presentation route), not from recomputing the same objects.  Verification
+failures are reported as counterexample bundles inside CheckResults, never
+raised.
 """
 from __future__ import annotations
 
@@ -26,7 +30,7 @@ from .dgmodule import (
     shift,
     shift_morphism,
 )
-from .linalg import Matrix, hstack, rank
+from .linalg import Matrix, hstack, rank, solve
 from .tensor import (
     BalancedTensorSpace,
     CohomologySpace,
@@ -34,8 +38,10 @@ from .tensor import (
     balanced_tensor,
     cohomology_over_degree_zero,
     cohomology_ring_module,
+    degree0_iso_check,
     induced_balanced_map,
     module_degree_ring_module,
+    phi_summands,
     tensor_cohomology,
     tensor_map,
 )
@@ -128,29 +134,29 @@ def _relation_witness(img: Matrix, rel: Matrix) -> dict:
 # The exact sequences of the degreewise presentation
 
 
-def check_exact_sequences(m: DGModule, n: DGModule,
-                          i0: int | None = None, j0: int | None = None) -> list:
+def check_exact_sequences(w: KunnethWitness) -> list:
     """Exactness evidence for the sequences (phi -> pi), the replacement
     sequences over A^0, and the combined comparison sequence, plus the
-    degree-0 bijection and the degree -1 surjection."""
-    from .tensor import degree0_iso_check, phi_summands
-    i0 = m.window[1] if i0 is None else i0
-    j0 = n.window[1] if j0 is None else j0
-    mT, nT = shift(m, i0), shift(n, j0)
+    degree-0 bijection and the degree -1 surjection.
+
+    The translated modules, their H^0, the tensor complex, its H^0 and the
+    theta source are taken from the witness `theta` built: rebuilding them
+    with the same deterministic code would repeat the same numbers, not
+    add evidence.  What is checked here is new: the presentation maps
+    phi, pi and the replacements are derived from the degree-0 and -1
+    pieces alone, and theta is reached a second time through them.
+    """
+    mT, nT, hm, hn, tc, target = w.mT, w.nT, w.hm, w.hn, w.tc, w.target
+    f = mT.field
     out = []
 
-    deg0_mat, deg0_res = degree0_iso_check(mT, nT)
-    out.append(deg0_res)
-
     b1, b2, mid, phi1, phi2 = phi_summands(mT, nT)
+    deg0_mat, deg0_res = degree0_iso_check(tc, mid)
+    out.append(deg0_res)
     phi = hstack([phi1, phi2])
-    tc = TensorComplex(mT, nT)
-    target = tensor_cohomology(tc, 0)
-    hm, hn = cohomology(mT, 0), cohomology(nT, 0)
 
     # surjectivity of B1 (+) B2 -> (M (x)_A N)^{-1}
     sp1 = tc.space(-1)
-    f = m.field
     emb = []
     for bal, p in ((b1, -1), (b2, 0)):
         cols = bal.ambient_dim
@@ -191,7 +197,7 @@ def check_exact_sequences(m: DGModule, n: DGModule,
     out.append(_exactness("sequence_combined", phi, map_133_2))
 
     # the A^0- and H^0(A)-balanced tensors of the cohomologies coincide
-    src = balanced_tensor(cohomology_ring_module(hm), cohomology_ring_module(hn))
+    src = w.source
     if src.space.pivots == hh.space.pivots and src.dim == hh.dim:
         out.append(passed("balanced_ring_comparison", dim=src.dim))
     else:
@@ -201,7 +207,7 @@ def check_exact_sequences(m: DGModule, n: DGModule,
     # independent route to theta: both sequences present a cokernel of phi,
     # so pi factors uniquely through pi_M (x) pi_N; that factorization must
     # reproduce the lift-built matrix
-    out.append(_comparison_route(m, n, i0, j0, pi, map_133_2, hh))
+    out.append(_comparison_route(w, pi, map_133_2, hh))
 
     # the first replacement is derived from pi_M being surjective
     if rank(pi_m) == hm.dim:
@@ -211,21 +217,22 @@ def check_exact_sequences(m: DGModule, n: DGModule,
     return out
 
 
-def _comparison_route(m, n, i0, j0, pi: Matrix, pi_mn: Matrix, hh) -> CheckResult:
+def _comparison_route(w: KunnethWitness, pi: Matrix, pi_mn: Matrix, hh) -> CheckResult:
     """Re-derive theta by comparing the two presentations.
 
     pi and pi_mn are surjections off the same middle space with equal
     kernels (the image of phi), so kappa := pi o (any right inverse of
     pi_mn) is the unique map with kappa o pi_mn = pi; it must coincide with
-    the cocycle-lift construction on the shared quotient basis.
+    the cocycle-lift construction on the shared quotient basis.  kappa is
+    built from the presentation maps only, never from cocycle lifts, which
+    is what makes it independent of w.theta; the witness's theta is
+    compared as built, since rebuilding it would only repeat it.
     """
-    from .linalg import solve
     rinv = solve(pi_mn, Matrix.identity(pi_mn.field, pi_mn.rows))
     if rinv is None:
         return failed("comparison_route_matches_theta",
                       counterexample={"reason": "pi_mn_not_surjective"})
     kappa = pi @ rinv
-    w = theta(m, n, i0, j0)
     # hh and the theta source share the same quotient presentation
     if hh.space.pivots != w.source.space.pivots or hh.dim != w.source.dim:
         return failed("comparison_route_matches_theta",
@@ -265,11 +272,6 @@ def check_representative_independence(w: KunnethWitness, samples: int = 20,
     mT, nT = w.mT, w.nT
     dm, dn = mT.diff_map(-1), nT.diff_map(-1)
 
-    def rand_vec(k):
-        if f.is_prime_field:
-            return [rng.randrange(f.p) for _ in range(k)]
-        return [f.of_int(rng.randint(-2, 2)) for _ in range(k)]
-
     pairs = [(u, v) for u in range(w.hm.dim) for v in range(w.hn.dim)]
     if not pairs:
         return passed("representative_independence", samples=0, note="zero_source")
@@ -287,8 +289,8 @@ def check_representative_independence(w: KunnethWitness, samples: int = 20,
                           counterexample={"pair": (u, v), "reason": "defining_formula",
                                           "theta": [f.to_str(x) for x in via_theta],
                                           "direct": [f.to_str(x) for x in base]})
-        dwm = dm.apply(rand_vec(mT.dim(-1)))
-        dwn = dn.apply(rand_vec(nT.dim(-1)))
+        dwm = dm.apply(f.random_vector(rng, mT.dim(-1)))
+        dwn = dn.apply(f.random_vector(rng, nT.dim(-1)))
         zm2 = [f.add(x, y) for x, y in zip(zm, dwm)]
         zn2 = [f.add(x, y) for x, y in zip(zn, dwn)]
         got = w.target.class_map.apply(w.tc.project_pair(zm2, 0, zn2, 0))

@@ -50,12 +50,6 @@ class Matrix:
         return m
 
     @classmethod
-    def from_rows(cls, field: Field, rows) -> "Matrix":
-        rows = [list(r) for r in rows]
-        ncols = len(rows[0]) if rows else 0
-        return cls(field, len(rows), ncols, rows)
-
-    @classmethod
     def from_int_rows(cls, field: Field, rows, cols: int | None = None) -> "Matrix":
         data = [[field.of_int(x) for x in r] for r in rows]
         ncols = cols if cols is not None else (len(data[0]) if data else 0)
@@ -250,21 +244,6 @@ def vstack(ms) -> Matrix:
         raise ValueError("column count mismatch in vstack")
     data = [row for m in ms for row in m.data]
     return Matrix(f, len(data), cols, data)
-
-
-def block_diag(ms) -> Matrix:
-    ms = list(ms)
-    f = ms[0].field
-    rows = sum(m.rows for m in ms)
-    cols = sum(m.cols for m in ms)
-    out = Matrix.zeros(f, rows, cols)
-    r = c = 0
-    for m in ms:
-        for i in range(m.rows):
-            out.data[r + i][c:c + m.cols] = list(m.data[i])
-        r += m.rows
-        c += m.cols
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -475,9 +454,6 @@ class QuotientSpace:
 
     def project(self, vec):
         return self.projection.apply(vec)
-
-    def lift(self, vec):
-        return self.section.apply(vec)
 
 
 def quotient(field: Field, ambient_dim: int, relations: Matrix) -> QuotientSpace:

@@ -6,6 +6,7 @@ deterministic for a fixed profile and seed.
 """
 from __future__ import annotations
 
+import os
 import time
 from dataclasses import dataclass, field as dc_field
 from multiprocessing import Pool
@@ -116,7 +117,7 @@ def _plain_battery(inst: Instance, samples: int) -> list:
     w = theta(inst.m, inst.n)
     out.extend(w.evidence)
     out.append(check_representative_independence(w, samples=samples))
-    out.extend(check_exact_sequences(inst.m, inst.n))
+    out.extend(check_exact_sequences(w))
     return out
 
 
@@ -136,7 +137,7 @@ def _derived_battery(inst: Instance, stabilization: bool, independence: bool) ->
     w = theta_der(inst.m, inst.n)
     out.extend(w.evidence)
     if stabilization:
-        out.append(check_depth_stabilization(inst.m, inst.n))
+        out.append(check_depth_stabilization(inst.m, inst.n, w))
     if independence:
         out.append(check_resolution_independence(inst.m, inst.n))
     return out
@@ -232,9 +233,14 @@ def run_suite(profile: CorpusProfile, derived_count: int = 100,
 
     The plain battery runs on every instance; the derived battery on the first
     `derived_count`; functoriality on the first `functoriality_instances`
-    (4 morphism pairs each, both the plain and the derived square).
+    (4 morphism pairs each, both the plain and the derived square).  `jobs`
+    must be at least 1 and is capped at the number of CPUs.
     """
     from .serialize import profile_to_json
+
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
+    jobs = min(jobs, os.cpu_count() or 1)
 
     report = Report("suite", profile=profile_to_json(profile), seed=profile.seed)
     t0 = time.perf_counter()

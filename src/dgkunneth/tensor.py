@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .checks import DescentError
+from .checks import DescentError, failed, passed
 from .dgalgebra import DGAlgebra, StructureError, degree_zero_ring
 from .dgmodule import LEFT, RIGHT, CohomologyModule, DGModule
 from .field import Field
@@ -29,6 +29,7 @@ from .linalg import (
     kernel_basis,
     left_inverse,
     quotient,
+    rank,
     solve,
 )
 
@@ -364,32 +365,21 @@ def tensor_cohomology(tc: TensorComplex, t: int) -> CohomologySpace:
 
 
 # ---------------------------------------------------------------------------
-# Spec-level operations
+# Degree-level maps
 
 
-def tensor_over_algebra(m: DGModule, n: DGModule) -> TensorComplex:
-    return TensorComplex(m, n)
-
-
-def tensor_over_ring(x: RingModule, y: RingModule) -> BalancedTensorSpace:
-    return balanced_tensor(x, y)
-
-
-def degree0_iso_check(m: DGModule, n: DGModule):
+def degree0_iso_check(tc: TensorComplex, bal: BalancedTensorSpace):
     """Matrix and bijectivity evidence for M^0 (x)_{A^0} N^0 -> (M (x)_A N)^0.
 
-    Requires windows bounded above by 0.  Returns (matrix, CheckResult).
+    `tc` is M (x)_A N, with windows bounded above by 0, and `bal` is
+    M^0 (x)_{A^0} N^0 (the middle space of `phi_summands`).  Returns
+    (matrix, CheckResult).
     """
-    from .checks import failed, passed
-    if m.window[1] > 0 or n.window[1] > 0:
+    if tc.m.window[1] > 0 or tc.n.window[1] > 0:
         raise StructureError("degree-0 comparison needs windows <= 0")
-    bal = balanced_tensor(module_degree_ring_module(m, 0),
-                          module_degree_ring_module(n, 0))
-    tc = TensorComplex(m, n)
     sp = tc.space(0)
     # ambient spaces agree: the only block in degree 0 is (0, 0)
     mat = sp.projection @ bal.space.section
-    from .linalg import rank
     ok = bal.dim == sp.quotient_dim and rank(mat) == bal.dim
     if ok:
         return mat, passed("degree0_obvious_map_bijective",

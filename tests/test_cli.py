@@ -172,3 +172,23 @@ def test_suite_field_flag(tmp_path, monkeypatch):
     assert main(["gen", "--seed", "3", "--out", str(corpus_path)]) == 0
     corpus = json.loads(corpus_path.read_text())
     assert corpus["profile"]["field"] == {"kind": "prime", "p": 7}
+
+
+def test_oversized_modulus_is_structural_error():
+    assert main(["suite", "--field", f"F{2 ** 64 + 1}"]) == 2
+
+
+def test_derived_kunneth_depth_flag_keeps_stabilization(tmp_path):
+    # the stabilization check covers width+2..width+4 whatever --depth is
+    from dgkunneth.genlab import make_dual_numbers, simple_module_dual_numbers
+    a = make_dual_numbers(F101)
+    m = write_instance(tmp_path, "m", a, simple_module_dual_numbers(a, RIGHT))
+    n = write_instance(tmp_path, "n", a, simple_module_dual_numbers(a, LEFT))
+    found = []
+    for depth in ([], ["--depth", "3"], ["--depth", "7"]):
+        out = tmp_path / "report.json"
+        assert main(["derived-kunneth", m, n, "--out", str(out)] + depth) == 0
+        checks = json.loads(out.read_text())["checks"]
+        found.append([c for c in checks if c["name"] == "depth_stabilization"])
+    assert found[0] == found[1] == found[2]
+    assert found[0][0]["details"]["depths"] == [2, 3, 4]

@@ -77,13 +77,13 @@ def test_theta_on_random_instances(k):
 
 def test_exact_sequences_trivial(k):
     a = make_field_algebra(k)
-    res = check_exact_sequences(regular_module(a, RIGHT), regular_module(a, LEFT))
+    res = check_exact_sequences(theta(regular_module(a, RIGHT), regular_module(a, LEFT)))
     assert all_ok(res), [r for r in res if not r.ok]
 
 
 def test_exact_sequences_exterior(k):
     a = make_exterior(k)
-    res = check_exact_sequences(regular_module(a, RIGHT), regular_module(a, LEFT))
+    res = check_exact_sequences(theta(regular_module(a, RIGHT), regular_module(a, LEFT)))
     assert all_ok(res), [r for r in res if not r.ok]
     names = {r.name for r in res}
     assert {"sequence_phi_pi", "sequence_replaced_by_piM",
@@ -98,7 +98,7 @@ def test_exact_sequences_random(k):
             rng = instance_rng(103, idx)
             m = random_module(a, RIGHT, rng)
             n = random_module(a, LEFT, rng)
-            res = check_exact_sequences(m, n)
+            res = check_exact_sequences(theta(m, n))
             assert all_ok(res), (fam.__name__, idx, [r for r in res if not r.ok])
 
 

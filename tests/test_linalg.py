@@ -201,3 +201,13 @@ def test_field_parse_roundtrip():
         F101.parse("101")
     with pytest.raises(ValueError):
         Field.prime(10)
+
+
+def test_field_prime_large_moduli():
+    assert Field.prime(2 ** 61 - 1).p == 2 ** 61 - 1
+    # Carmichael number, strong pseudoprime to base 2, to bases 2..7, composite
+    for n in (561, 2047, 3215031751, 2 ** 61 + 1):
+        with pytest.raises(ValueError, match="prime"):
+            Field.prime(n)
+    with pytest.raises(ValueError, match="below 2\\^64"):
+        Field.prime(2 ** 64 + 1)

@@ -26,7 +26,6 @@ from dgkunneth.genlab import (
 from dgkunneth.resolve import (
     ResourceCapError,
     check_depth_stabilization,
-    check_diagram_ii,
     check_resolution_independence,
     check_theta_der_functoriality,
     cohomology_dim,
@@ -140,22 +139,23 @@ def test_diagram_ii_corpus(k):
         rng = instance_rng(302, idx)
         m = random_module(a, RIGHT, rng)
         n = random_module(a, LEFT, rng)
-        res = check_diagram_ii(m, n)
-        assert res.ok, res.counterexample
+        res = [r for r in theta_der(m, n).evidence
+               if r.name == "derived_diagram_commutes"]
+        assert len(res) == 1 and res[0].ok, res[0].counterexample
 
 
 def test_depth_stabilization(k):
     a = make_dual_numbers(k)
     m = simple_module_dual_numbers(a, RIGHT)
     n = simple_module_dual_numbers(a, LEFT)
-    res = check_depth_stabilization(m, n)
+    res = check_depth_stabilization(m, n, theta_der(m, n))
     assert res.ok
     assert res.details["dim"] == 1
 
     a2 = make_field_algebra(k)
     rng = instance_rng(303, 0)
-    res2 = check_depth_stabilization(random_module(a2, RIGHT, rng),
-                                     random_module(a2, LEFT, rng))
+    m2, n2 = random_module(a2, RIGHT, rng), random_module(a2, LEFT, rng)
+    res2 = check_depth_stabilization(m2, n2, theta_der(m2, n2))
     assert res2.ok
 
 
