@@ -19,7 +19,7 @@ raised.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 
 from .checks import CheckResult, DescentError, all_ok, failed, passed
 from .dgmodule import (
@@ -309,18 +309,22 @@ def cohomology_map(fm: StrictMorphism, src_coh: CohomologyModule,
     return dst_coh.class_map @ fm.map_at(i) @ src_coh.rep_map
 
 
-def check_functoriality(fm: StrictMorphism, gm: StrictMorphism) -> list:
-    """Naturality of theta in both arguments for a pair of strict morphisms."""
-    m, mp = fm.source, fm.target
-    n, np_ = gm.source, gm.target
-    i0 = max(m.window[1], mp.window[1])
-    j0 = max(n.window[1], np_.window[1])
-    w = theta(m, n, i0, j0)
-    wp = theta(mp, np_, i0, j0)
-    out = [r for r in w.evidence + wp.evidence if not r.ok]
+def check_functoriality(fm: StrictMorphism, gm: StrictMorphism,
+                        w: KunnethWitness, wp: KunnethWitness) -> list:
+    """Naturality of theta in both arguments for a pair of strict morphisms.
 
+    `w` and `wp` are the witnesses of the sources and of the targets, built
+    once by the caller (rebuilding them would repeat the same numbers); the
+    induced maps and both sides of the square are computed per pair.
+    Witnesses that do not match the morphisms raise ValueError."""
+    i0, j0 = w.i0, w.j0
+    if (wp.i0, wp.j0) != (i0, j0):
+        raise ValueError("functoriality witnesses have different bounds")
     fT = shift_morphism(fm, i0)
     gT = shift_morphism(gm, j0)
+    if (fT.source, fT.target, gT.source, gT.target) != (w.mT, wp.mT, w.nT, wp.nT):
+        raise ValueError("functoriality witnesses do not match the morphisms")
+    out = [replace(r) for r in w.evidence + wp.evidence if not r.ok]
     hf = cohomology_map(fT, w.hm, wp.hm)
     hg = cohomology_map(gT, w.hn, wp.hn)
     try:

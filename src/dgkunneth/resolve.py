@@ -19,7 +19,7 @@ deeper ones separately.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 
 from .checks import CheckResult, DescentError, all_ok, failed, passed
 from .dgalgebra import StructureError
@@ -115,21 +115,41 @@ def _module_generators(candidates, action: Matrix, ring_dim: int, f: Field):
             return True
         return False
 
+    def orbit(vec):
+        return [action.apply([a if t == u else f.zero for a in vec for t in range(ring_dim)])
+                for u in range(ring_dim)]
+
     chosen = []
     for cand in candidates:
-        stacked = Matrix(f, len(span_rows) + 1, dim, span_rows + [cand])
-        if rank(stacked) == span_rank:
+        if not try_add(cand):
             continue
         chosen.append(cand)
-        frontier = [cand]
+        frontier = orbit(cand)
         while frontier:
             v = frontier.pop()
             if try_add(v):
-                for u in range(ring_dim):
-                    eu = [f.one if t == u else f.zero for t in range(ring_dim)]
-                    kron = [f.mul(a, b) for a in v for b in eu]
-                    frontier.append(action.apply(kron))
+                frontier.extend(orbit(v))
     return chosen
+
+
+def _free_image(target: DGModule, e: int, b: int, i: int, img,
+                degree_shift: int) -> list:
+    """The image in target^{i+degree_shift} of the free basis element g.b
+    (g of degree e, b the b-th basis vector of A^{i-e}) under g |-> img:
+    the sum over u of img[u] * act.col(u * dim A^{i-e} + b)."""
+    f = target.field
+    vec = [f.zero] * target.dim(i + degree_shift)
+    if not any(x != f.zero for x in img):
+        return vec
+    act = target.action_map(e + degree_shift, i - e)
+    da = target.algebra.dim(i - e)
+    for u, x in enumerate(img):
+        if x == f.zero:
+            continue
+        for r, v in enumerate(act.col(u * da + b)):
+            if v != f.zero:
+                vec[r] = f.add(vec[r], f.mul(x, v))
+    return vec
 
 
 def morphism_from_generator_images(p: DGModule, lay: FreeLayout, target: DGModule,
@@ -139,27 +159,13 @@ def morphism_from_generator_images(p: DGModule, lay: FreeLayout, target: DGModul
     With degree_shift = -1 this builds homotopy components P^i -> target^{i-1}.
     """
     f = p.field
-    a = p.algebra
     maps = {}
     for i in p.degrees():
         if p.dim(i) == 0:
             continue
         out = Matrix.zeros(f, target.dim(i + degree_shift), p.dim(i))
         for pos, (g, b) in enumerate(lay.basis(i)):
-            e = lay.gen_degrees[g]
-            img = images[g]
-            if not any(x != f.zero for x in img):
-                continue
-            act = target.action_map(e + degree_shift, i - e)
-            da = a.dim(i - e)
-            vec = [f.zero] * target.dim(i + degree_shift)
-            for u, x in enumerate(img):
-                if x == f.zero:
-                    continue
-                col = act.col(u * da + b)
-                for r, v in enumerate(col):
-                    if v != f.zero:
-                        vec[r] = f.add(vec[r], f.mul(x, v))
+            vec = _free_image(target, lay.gen_degrees[g], b, i, images[g], degree_shift)
             for r, v in enumerate(vec):
                 out.data[r][pos] = v
         maps[i] = out
@@ -340,13 +346,15 @@ def derived_tensor_top(m: DGModule, n: DGModule, depth: int | None = None):
 
 @dataclass
 class DerivedKunnethWitness:
+    """theta_der with its evidence.  `mn` carries the bases it is stated on
+    (H^0 of mG and nG), which the naturality check reads, not recomputes."""
     setup: DerivedSetup
     plain: KunnethWitness            # theta for (P, N)
+    mn: KunnethWitness               # theta for (mG, nG)
     source: BalancedTensorSpace      # H^{i0}(M) (x)_{H0(A)} H^{j0}(N)
     target: CohomologySpace          # H^0(P (x) N)
     theta_der: Matrix
     eta_h0: Matrix                   # H^0(rho (x) id_N)
-    theta_plain: Matrix              # theta for (M, N) on the same bases
     evidence: list = dc_field(default_factory=list)
 
     @property
@@ -418,8 +426,8 @@ def theta_der(m: DGModule, n: DGModule, depth: int | None = None,
         evidence.append(failed("derived_diagram_commutes",
                                counterexample={"eta_theta_der": _strs(eta_h0 @ th_der),
                                                "theta": _strs(wMN.theta)}))
-    return DerivedKunnethWitness(setup, plain, source, plain.target, th_der,
-                                 eta_h0, wMN.theta, evidence)
+    return DerivedKunnethWitness(setup, plain, wMN, source, plain.target, th_der,
+                                 eta_h0, evidence)
 
 
 def _strs(mat: Matrix):
@@ -500,20 +508,7 @@ def lift_through_resolutions(res: SemiFreeResolution, resp: SemiFreeResolution,
             x = vec[pos]
             if x == f.zero:
                 continue
-            e = res.gen_degrees[g]
-            img = images[g]
-            if not any(v != f.zero for v in img):
-                continue
-            act = target.action_map(e + degree_shift, t - e)
-            da = p.algebra.dim(t - e)
-            col = [f.zero] * target.dim(t + degree_shift)
-            for u, xv in enumerate(img):
-                if xv == f.zero:
-                    continue
-                acol = act.col(u * da + b)
-                for r, v in enumerate(acol):
-                    if v != f.zero:
-                        col[r] = f.add(col[r], f.mul(xv, v))
+            col = _free_image(target, res.gen_degrees[g], b, t, images[g], degree_shift)
             for r, v in enumerate(col):
                 if v != f.zero:
                     out[r] = f.add(out[r], f.mul(x, v))
@@ -572,42 +567,36 @@ def lift_through_resolutions(res: SemiFreeResolution, resp: SemiFreeResolution,
     return ResolutionLift(phi, homotopy, evidence)
 
 
-def check_theta_der_functoriality(fm: StrictMorphism, gm: StrictMorphism) -> list:
+def check_theta_der_functoriality(fm: StrictMorphism, gm: StrictMorphism,
+                                  w: DerivedKunnethWitness,
+                                  wp: DerivedKunnethWitness) -> list:
     """Naturality of theta_der along strict morphisms, with the derived map
-    realized by a lift through the two resolutions."""
-    m, mp = fm.source, fm.target
-    n, np_ = gm.source, gm.target
-    i_m = sup_cohomology(m)
-    i_mp = sup_cohomology(mp)
-    i0 = max((x for x in (i_m, i_mp) if x is not None),
-             default=max(m.window[1], mp.window[1]))
-    j_n = sup_cohomology(n)
-    j_np = sup_cohomology(np_)
-    j0 = max((x for x in (j_n, j_np) if x is not None),
-             default=max(n.window[1], np_.window[1]))
+    realized by a lift through the two resolutions.
 
-    fG = truncate_morphism(shift_morphism(fm, i0), 0)
-    gG = truncate_morphism(shift_morphism(gm, j0), 0)
-    mG, mpG = fG.source, fG.target
-    nG, npG = gG.source, gG.target
+    `w` and `wp` are the witnesses of the sources and of the targets at one
+    depth, built once by the caller (rebuilding them would repeat the same
+    resolution); the lift, the induced maps and both sides of the square are
+    computed per pair.  Witnesses that do not match the morphisms raise
+    ValueError."""
+    s, sp = w.setup, wp.setup
+    if (sp.i0, sp.j0, sp.depth) != (s.i0, s.j0, s.depth):
+        raise ValueError("functoriality witnesses have different bounds or depths")
+    fG = truncate_morphism(shift_morphism(fm, s.i0), 0)
+    gG = truncate_morphism(shift_morphism(gm, s.j0), 0)
+    if (fG.source, fG.target, gG.source, gG.target) != (s.mG, sp.mG, s.nG, sp.nG):
+        raise ValueError("functoriality witnesses do not match the morphisms")
+    out = [replace(r) for r in w.evidence + wp.evidence if not r.ok]
 
-    out = []
-    # both witnesses at the common bounds and a common certified depth
-    d = max(0 - nG.window[0], 0 - npG.window[0]) + 2
-    w = theta_der(m, n, depth=d, i0=i0, j0=j0)
-    wp = theta_der(mp, np_, depth=d, i0=i0, j0=j0)
-    out.extend(r for r in w.evidence + wp.evidence if not r.ok)
-
-    lift = lift_through_resolutions(w.setup.resolution, wp.setup.resolution, fG)
+    lift = lift_through_resolutions(s.resolution, sp.resolution, fG)
     out.extend(lift.evidence)
     if not all_ok(lift.evidence):
         return out
 
-    hf = cohomology_map(fG, cohomology(mG, 0), cohomology(mpG, 0))
-    hg = cohomology_map(gG, cohomology(nG, 0), cohomology(npG, 0))
+    hf = cohomology_map(fG, w.mn.hm, wp.mn.hm)
+    hg = cohomology_map(gG, w.mn.hn, wp.mn.hn)
     try:
         src_map = induced_balanced_map(w.source, wp.source, hf, hg)
-        qmap = tensor_map(w.setup.tc, wp.setup.tc, lift.phi.map_at, gG.map_at, 0)
+        qmap = tensor_map(s.tc, sp.tc, lift.phi.map_at, gG.map_at, 0)
     except DescentError as exc:
         out.append(failed("theta_der_naturality", counterexample={"reason": str(exc)}))
         return out

@@ -156,7 +156,11 @@ def derived_kunneth_checks(inst: Instance, stabilization: bool = True,
 
 
 def functoriality_pair_checks(inst: Instance, pair_seed: int, derived: bool) -> list:
-    """Four morphism pairs per call: identity, zero, random, composite."""
+    """Four morphism pairs per call: identity, zero, random, composite.
+
+    All are endomorphisms of (M, N), so theta(M, N) and theta_der(M, N), at
+    their default bounds and depth, are built once and serve as source and
+    target witness of every square; the squares themselves are per pair."""
     def run():
         rng = instance_rng(pair_seed, 0)
         m, n = inst.m, inst.n
@@ -170,19 +174,17 @@ def functoriality_pair_checks(inst: Instance, pair_seed: int, derived: bool) -> 
         g2 = random_morphism(n, n, rng)
         pairs.append(("random", f1, g1))
         pairs.append(("composite", f2.compose(f1), g2.compose(g1)))
+        w = theta(m, n)
+        wd = theta_der(m, n) if derived else None
         out = []
         for label, fm, gm in pairs:
-            res = check_functoriality(fm, gm)
+            res = check_functoriality(fm, gm, w, w)
+            if derived:
+                res += check_theta_der_functoriality(fm, gm, wd, wd)
             for r in res:
                 r.details = dict(r.details)
                 r.details["pair"] = label
             out.extend(res)
-            if derived:
-                res = check_theta_der_functoriality(fm, gm)
-                for r in res:
-                    r.details = dict(r.details)
-                    r.details["pair"] = label
-                out.extend(res)
         return out
     return _tag(_guard(run, inst.name, "functoriality_battery"), inst.name)
 

@@ -1,7 +1,9 @@
+from dataclasses import replace
+
 import pytest
 
 from dgkunneth.checks import all_ok
-from dgkunneth.dgmodule import LEFT, RIGHT, StrictMorphism, free_module, shift
+from dgkunneth.dgmodule import LEFT, RIGHT, StrictMorphism, direct_sum, free_module, shift
 from dgkunneth.field import Field
 from dgkunneth.genlab import (
     instance_rng,
@@ -113,14 +115,22 @@ def test_representative_independence(k):
         assert res.ok, res.counterexample
 
 
+def _witnesses(f, g):
+    """theta for the sources and the targets at the common window tops."""
+    i0 = max(f.source.window[1], f.target.window[1])
+    j0 = max(g.source.window[1], g.target.window[1])
+    return theta(f.source, g.source, i0, j0), theta(f.target, g.target, i0, j0)
+
+
 def test_functoriality_identity_and_zero(k):
     a = make_koszul_dg(k)
     rng = instance_rng(105, 0)
     m = random_module(a, RIGHT, rng)
     n = random_module(a, LEFT, rng)
-    res = check_functoriality(StrictMorphism.identity(m), StrictMorphism.identity(n))
+    w = theta(m, n)
+    res = check_functoriality(StrictMorphism.identity(m), StrictMorphism.identity(n), w, w)
     assert all_ok(res), [r for r in res if not r.ok]
-    res = check_functoriality(StrictMorphism.zero(m, m), StrictMorphism.zero(n, n))
+    res = check_functoriality(StrictMorphism.zero(m, m), StrictMorphism.zero(n, n), w, w)
     assert all_ok(res)
 
 
@@ -135,7 +145,7 @@ def test_functoriality_random_morphisms(k):
             np_ = random_module(a, LEFT, rng)
             f = random_morphism(m, mp, rng)
             g = random_morphism(n, np_, rng)
-            res = check_functoriality(f, g)
+            res = check_functoriality(f, g, *_witnesses(f, g))
             assert all_ok(res), (fam.__name__, idx, [r for r in res if not r.ok])
 
 
@@ -148,8 +158,44 @@ def test_functoriality_composites(k):
     n = random_module(a, LEFT, rng)
     g1 = random_morphism(n, n, rng)
     g2 = random_morphism(n, n, rng)
-    res = check_functoriality(f2.compose(f1), g2.compose(g1))
+    f, g = f2.compose(f1), g2.compose(g1)
+    res = check_functoriality(f, g, *_witnesses(f, g))
     assert all_ok(res), [r for r in res if not r.ok]
+
+
+def _nonzero_instance(k):
+    """An instance whose theta is a nonzero matrix."""
+    a = make_koszul_dg(k)
+    for idx in range(20):
+        rng = instance_rng(109, idx)
+        m = random_module(a, RIGHT, rng)
+        n = random_module(a, LEFT, rng)
+        w = theta(m, n)
+        if not w.theta.is_zero():
+            return m, n, w
+    raise AssertionError("no instance with a nonzero theta")
+
+
+def test_functoriality_detects_a_wrong_theta(k):
+    m, n, w = _nonzero_instance(k)
+    ident = (StrictMorphism.identity(m), StrictMorphism.identity(n))
+    assert all_ok(check_functoriality(*ident, w, w))
+    doubled = replace(w, theta=w.theta.scale(k.of_int(2)))
+    res = check_functoriality(*ident, w, doubled)
+    assert [r.name for r in res if not r.ok] == ["theta_naturality"]
+
+
+def test_functoriality_rejects_mismatched_witnesses(k):
+    m, n, w = _nonzero_instance(k)
+    ident = (StrictMorphism.identity(m), StrictMorphism.identity(n))
+    higher = theta(m, n, m.window[1] + 1, n.window[1])
+    with pytest.raises(ValueError, match="bounds"):
+        check_functoriality(*ident, w, higher)
+    other = theta(direct_sum(m, m), n)
+    with pytest.raises(ValueError, match="match"):
+        check_functoriality(*ident, other, w)
+    with pytest.raises(ValueError, match="match"):
+        check_functoriality(*ident, w, other)
 
 
 def test_translation_invariance(k):

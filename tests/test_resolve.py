@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from dgkunneth.checks import all_ok
@@ -8,6 +10,7 @@ from dgkunneth.dgmodule import (
     direct_sum,
     mapping_cone,
     shift,
+    smart_truncate,
     validate_module,
     validate_morphism,
 )
@@ -118,8 +121,8 @@ def test_theta_der_semifree_input(k):
     n = regular_module(a, LEFT)
     w = theta_der(m, n)
     assert w.ok
-    assert w.theta_der == w.theta_plain
-    assert w.eta_h0 @ w.theta_der == w.theta_plain
+    assert w.theta_der == w.mn.theta
+    assert w.eta_h0 @ w.theta_der == w.mn.theta
 
 
 def test_theta_der_random_instances(k):
@@ -198,16 +201,30 @@ def test_lift_identity(k):
     assert validate_morphism(lift.phi) == []
 
 
+def _derived_witnesses(f, g):
+    """theta_der for the sources and the targets at the common bounds (the
+    larger sup of cohomology) and the common depth (the larger width + 2)."""
+    def top(a, b):
+        sups = [s for s in (sup_cohomology(a), sup_cohomology(b)) if s is not None]
+        return max(sups, default=max(a.window[1], b.window[1]))
+
+    i0, j0 = top(f.source, f.target), top(g.source, g.target)
+    d = max(-smart_truncate(shift(x, j0), 0).window[0] for x in (g.source, g.target)) + 2
+    return (theta_der(f.source, g.source, depth=d, i0=i0, j0=j0),
+            theta_der(f.target, g.target, depth=d, i0=i0, j0=j0))
+
+
 def test_theta_der_functoriality_identity_zero(k):
     a = make_koszul_dg(k)
     rng = instance_rng(306, 0)
     m = random_module(a, RIGHT, rng)
     n = random_module(a, LEFT, rng)
+    w = theta_der(m, n)
     res = check_theta_der_functoriality(StrictMorphism.identity(m),
-                                        StrictMorphism.identity(n))
+                                        StrictMorphism.identity(n), w, w)
     assert all_ok(res), [r for r in res if not r.ok]
     res = check_theta_der_functoriality(StrictMorphism.zero(m, m),
-                                        StrictMorphism.zero(n, n))
+                                        StrictMorphism.zero(n, n), w, w)
     assert all_ok(res), [r for r in res if not r.ok]
 
 
@@ -221,8 +238,41 @@ def test_theta_der_functoriality_random(k):
         np_ = random_module(a, LEFT, rng)
         f = random_morphism(m, mp, rng)
         g = random_morphism(n, np_, rng)
-        res = check_theta_der_functoriality(f, g)
+        res = check_theta_der_functoriality(f, g, *_derived_witnesses(f, g))
         assert all_ok(res), (idx, [r for r in res if not r.ok])
+
+
+def test_theta_der_functoriality_detects_a_wrong_theta_der(k):
+    a = make_dual_numbers(k)
+    m = simple_module_dual_numbers(a, RIGHT)
+    n = simple_module_dual_numbers(a, LEFT)
+    w = theta_der(m, n)
+    assert not w.theta_der.is_zero()
+    ident = (StrictMorphism.identity(m), StrictMorphism.identity(n))
+    assert all_ok(check_theta_der_functoriality(*ident, w, w))
+    doubled = replace(w, theta_der=w.theta_der.scale(k.of_int(2)))
+    res = check_theta_der_functoriality(*ident, w, doubled)
+    assert [r.name for r in res if not r.ok] == ["theta_der_naturality"]
+
+
+def test_theta_der_functoriality_rejects_mismatched_witnesses(k):
+    a = make_dual_numbers(k)
+    m = simple_module_dual_numbers(a, RIGHT)
+    n = simple_module_dual_numbers(a, LEFT)
+    w = theta_der(m, n)
+    ident = (StrictMorphism.identity(m), StrictMorphism.identity(n))
+    deeper = theta_der(m, n, depth=w.setup.depth + 1)
+    with pytest.raises(ValueError, match="bounds or depths"):
+        check_theta_der_functoriality(*ident, w, deeper)
+    higher = theta_der(m, n, i0=w.setup.i0 + 1)
+    with pytest.raises(ValueError, match="bounds or depths"):
+        check_theta_der_functoriality(*ident, higher, w)
+    other = theta_der(direct_sum(m, m), n)
+    assert other.setup.depth == w.setup.depth
+    with pytest.raises(ValueError, match="match"):
+        check_theta_der_functoriality(*ident, other, w)
+    with pytest.raises(ValueError, match="match"):
+        check_theta_der_functoriality(*ident, w, other)
 
 
 def test_generator_cap(k):

@@ -6,10 +6,12 @@ battery are measured by wrapping `theta` and `semifree_resolve` by name.
 """
 import hashlib
 import sys
+from dataclasses import replace
 
 import pytest
 
 from dgkunneth import kunneth, resolve, suite
+from dgkunneth.checks import failed
 from dgkunneth.cli import main
 from dgkunneth.field import Field
 from dgkunneth.genlab import CorpusProfile, generate_corpus
@@ -69,6 +71,45 @@ def test_batteries_build_each_witness_once(monkeypatch):
     assert passing > 0
     monkeypatch.undo()
     assert (suite.theta, resolve.semifree_resolve) == originals
+
+
+def test_functoriality_builds_each_witness_once(monkeypatch):
+    inst = generate_corpus(CorpusProfile(field=F101, instance_count=1))[0]
+    originals = (kunneth.theta, resolve.theta_der, resolve.semifree_resolve)
+    thetas = _count_calls(monkeypatch, kunneth, "theta")
+    derived = _count_calls(monkeypatch, resolve, "theta_der")
+    builds = _count_calls(monkeypatch, resolve, "semifree_resolve")
+    results = suite.functoriality_pair_checks(inst, 7919, True)
+    assert [r.name for r in results].count("theta_der_naturality") == 4
+    assert all(r.ok for r in results)
+    # one theta(M, N) and one theta_der(M, N) for the four pairs (each was
+    # built once per pair and side, 8 times); theta_der itself calls theta
+    # twice, for (P, N) and for the truncated (M, N)
+    assert (len(thetas), len(derived), len(builds)) == (1 + 2, 1, 1)
+    for log in (thetas, derived, builds):
+        log.clear()
+    results = suite.functoriality_pair_checks(inst, 7919, False)
+    assert len(results) == 4 and all(r.ok for r in results)
+    assert (len(thetas), len(derived), len(builds)) == (1, 0, 0)
+    monkeypatch.undo()
+    assert (suite.theta, suite.theta_der, resolve.semifree_resolve) == originals
+
+
+def test_functoriality_reports_witness_failures_per_pair_and_side(monkeypatch):
+    inst = generate_corpus(CorpusProfile(field=F101, instance_count=1))[0]
+    orig = suite.theta
+
+    def broken(m, n):
+        w = orig(m, n)
+        return replace(w, evidence=w.evidence + [failed("injected")])
+
+    monkeypatch.setattr(suite, "theta", broken)
+    results = suite.functoriality_pair_checks(inst, 7919, False)
+    injected = [r for r in results if r.name == "injected"]
+    assert [r.details["pair"] for r in injected] == \
+        ["identity", "identity", "zero", "zero", "random", "random",
+         "composite", "composite"]
+    assert len({id(r) for r in injected}) == 8
 
 
 def test_jobs_clamped_to_cpu_count(monkeypatch):
