@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 
+import numpy as np
+
 from .field import Field
 from .linalg import Matrix, quotient, QuotientSpace
 
@@ -28,11 +30,8 @@ class Violation:
 
 
 def _first_mismatch(lhs: Matrix, rhs: Matrix):
-    for r in range(lhs.rows):
-        for c in range(lhs.cols):
-            if lhs.data[r][c] != rhs.data[r][c]:
-                return r, c
-    return None
+    where = np.argwhere(lhs.arr != rhs.arr)
+    return (int(where[0, 0]), int(where[0, 1])) if len(where) else None
 
 
 class DGAlgebra:
@@ -229,8 +228,6 @@ def opposite_algebra(a: DGAlgebra) -> DGAlgebra:
 
 def perm_matrix(f: Field, d1: int, d2: int) -> Matrix:
     """The swap V1 (x) V2 -> V2 (x) V1 on Kronecker coordinates."""
-    m = Matrix.zeros(f, d2 * d1, d1 * d2)
-    for u in range(d1):
-        for v in range(d2):
-            m.data[v * d1 + u][u * d2 + v] = f.one
-    return m
+    # row v*d1 + u is the identity row u*d2 + v
+    order = np.arange(d1 * d2).reshape(d1, d2).T.ravel()
+    return Matrix(f, d2 * d1, d1 * d2, Matrix.identity(f, d1 * d2).arr[order])

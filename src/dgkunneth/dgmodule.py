@@ -14,10 +14,19 @@ Sign conventions (fixed once, validated by every d^2/Leibniz check):
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .dgalgebra import DGAlgebra, StructureError, Violation, _first_mismatch, perm_matrix
 from .field import Field
-from .linalg import Matrix, QuotientSpace, kernel_basis, left_inverse, quotient, solve
+from .linalg import (
+    Matrix,
+    QuotientSpace,
+    from_blocks,
+    kernel_basis,
+    left_inverse,
+    quotient,
+    solve,
+)
 
 LEFT = "left"
 RIGHT = "right"
@@ -370,47 +379,26 @@ def direct_sum(m1: DGModule, m2: DGModule) -> DGModule:
     diff = {}
     for i in range(lo, hi + 1):
         d1, d2 = m1.diff_map(i), m2.diff_map(i)
-        block = Matrix.zeros(f, dims.get(i + 1, 0), dims[i])
-        for r in range(d1.rows):
-            block.data[r][:d1.cols] = list(d1.data[r])
-        for r in range(d2.rows):
-            row = block.data[d1.rows + r]
-            row[d1.cols:] = list(d2.data[r])
-        diff[i] = block
+        diff[i] = from_blocks(f, dims.get(i + 1, 0), dims[i],
+                              [(0, 0, d1.arr), (d1.rows, d1.cols, d2.arr)])
     action = {}
     for i in range(lo, hi + 1):
         for j in a.degrees():
             dj = a.dim(j)
             if dj == 0 or dims[i] == 0 or not (lo <= i + j <= hi):
                 continue
-            a1, a2 = m1.action_map(i, j), m2.action_map(i, j)
-            tgt1 = m1.dim(i + j)
-            out = Matrix.zeros(f, dims[i + j], dims[i] * dj)
+            a1, a2 = m1.action_map(i, j).arr, m2.action_map(i, j).arr
+            tgt1, n1, n2 = m1.dim(i + j), m1.dim(i), m2.dim(i)
             if m1.side == RIGHT:
-                for u in range(dims[i]):
-                    for c in range(dj):
-                        col = u * dj + c
-                        if u < m1.dim(i):
-                            src = a1.col(u * dj + c)
-                            for r, v in enumerate(src):
-                                out.data[r][col] = v
-                        else:
-                            src = a2.col((u - m1.dim(i)) * dj + c)
-                            for r, v in enumerate(src):
-                                out.data[tgt1 + r][col] = v
+                # column u * dj + c: the summands' columns follow each other
+                blocks = [(0, 0, a1), (tgt1, n1 * dj, a2)]
             else:
+                # column c * dims[i] + u: interleaved per algebra basis vector c
+                blocks = []
                 for c in range(dj):
-                    for u in range(dims[i]):
-                        col = c * dims[i] + u
-                        if u < m1.dim(i):
-                            src = a1.col(c * m1.dim(i) + u)
-                            for r, v in enumerate(src):
-                                out.data[r][col] = v
-                        else:
-                            src = a2.col(c * m2.dim(i) + (u - m1.dim(i)))
-                            for r, v in enumerate(src):
-                                out.data[tgt1 + r][col] = v
-            action[(i, j)] = out
+                    blocks.append((0, c * dims[i], a1[:, c * n1:(c + 1) * n1]))
+                    blocks.append((tgt1, c * dims[i] + n1, a2[:, c * n2:(c + 1) * n2]))
+            action[(i, j)] = from_blocks(f, dims[i + j], dims[i] * dj, blocks)
     return DGModule(m1.side, a, (lo, hi), dims, diff, action)
 
 
@@ -426,14 +414,8 @@ def mapping_cone(fm: StrictMorphism) -> DGModule:
         block = diff.get(i)
         if block is None or block.rows == 0:
             continue
-        new = Matrix(cone.field, block.rows, block.cols,
-                     [list(r) for r in block.data])
-        off = fm.target.dim(i)
-        f = cone.field
-        for r in range(fmat.rows):
-            for c in range(fmat.cols):
-                new.data[r][off + c] = f.add(new.data[r][off + c], fmat.data[r][c])
-        diff[i] = new
+        diff[i] = from_blocks(cone.field, block.rows, block.cols,
+                              [(0, 0, block.arr), (0, fm.target.dim(i), fmat.arr)])
     return DGModule(cone.side, cone.algebra, cone.window, cone.dims, diff, cone.action)
 
 
@@ -520,102 +502,62 @@ def free_module(algebra: DGAlgebra, side: str, gen_degrees, gen_diffs=None):
     dims = {i: lay.dim(i) for i in range(lo, hi + 1)}
     gen_diffs = dict(enumerate(gen_diffs)) if gen_diffs is not None else {}
 
+    # offsets[i][g]: first position of generator g's block in degree i
+    offsets = {i: list(accumulate((algebra.dim(i - e) for e in lay.gen_degrees), initial=0))
+               for i in range(lo, hi + 1)}
+
     action = {}
     for i in range(lo, hi + 1):
         for j in algebra.degrees():
             dj = algebra.dim(j)
             if dj == 0 or dims[i] == 0 or not (lo <= i + j <= hi):
                 continue
-            act = Matrix.zeros(f, dims[i + j], dims[i] * dj)
-            for pos, (g, b) in enumerate(lay.basis(i)):
-                e = lay.gen_degrees[g]
-                off = lay.offset(i + j, g)
-                for c in range(dj):
-                    if side == RIGHT:
-                        # (g.e_b).e_c = g.(e_b e_c)
-                        col = pos * dj + c
-                        src = algebra.mult_map(i - e, j).col(b * dj + c)
-                    else:
-                        # e_c.(e_b.g) = (e_c e_b).g
-                        col = c * dims[i] + pos
-                        src = algebra.mult_map(j, i - e).col(c * algebra.dim(i - e) + b)
-                    for r, v in enumerate(src):
-                        act.data[off + r][col] = v
-            action[(i, j)] = act
-
-    def right_mult(vec, t, avec, j):
-        """(layout vector in degree t) . a for a in A^j."""
-        out = [f.zero] * dims.get(t + j, 0)
-        for pos, (g, b) in enumerate(lay.basis(t)):
-            x = vec[pos]
-            if x == f.zero:
-                continue
-            e = lay.gen_degrees[g]
-            da = algebra.dim(t - e)
-            kron = [f.zero] * (da * algebra.dim(j))
-            base = b * algebra.dim(j)
-            for c2, w in enumerate(avec):
-                kron[base + c2] = w
-            prod = algebra.mult_map(t - e, j).apply(kron)
-            off = lay.offset(t + j, g)
-            for r, v in enumerate(prod):
-                if v != f.zero:
-                    out[off + r] = f.add(out[off + r], f.mul(x, v))
-        return out
-
-    def left_mult(avec, j, vec, t):
-        """a . (layout vector in degree t) for a in A^j."""
-        out = [f.zero] * dims.get(t + j, 0)
-        for pos, (g, b) in enumerate(lay.basis(t)):
-            x = vec[pos]
-            if x == f.zero:
-                continue
-            e = lay.gen_degrees[g]
-            da = algebra.dim(t - e)
-            kron = [f.zero] * (algebra.dim(j) * da)
-            for c2, w in enumerate(avec):
-                kron[c2 * da + b] = w
-            prod = algebra.mult_map(j, t - e).apply(kron)
-            off = lay.offset(t + j, g)
-            for r, v in enumerate(prod):
-                if v != f.zero:
-                    out[off + r] = f.add(out[off + r], f.mul(x, v))
-        return out
+            blocks = []
+            for g, e in enumerate(lay.gen_degrees):
+                da = algebra.dim(i - e)
+                if da == 0:
+                    continue
+                r0, c0 = offsets[i + j][g], offsets[i][g]
+                if side == RIGHT:
+                    # (g.e_b).e_c = g.(e_b e_c), column (c0 + b) * dj + c
+                    blocks.append((r0, c0 * dj, algebra.mult_map(i - e, j).arr))
+                else:
+                    # e_c.(e_b.g) = (e_c e_b).g, column c * dims[i] + c0 + b
+                    mult = algebra.mult_map(j, i - e).arr
+                    blocks.extend((r0, c * dims[i] + c0, mult[:, c * da:(c + 1) * da])
+                                  for c in range(dj))
+            action[(i, j)] = from_blocks(f, dims[i + j], dims[i] * dj, blocks)
 
     diff = {}
     for i in range(lo, hi + 1):
         if dims[i] == 0:
             continue
-        d = Matrix.zeros(f, dims.get(i + 1, 0), dims[i])
-        for pos, (g, b) in enumerate(lay.basis(i)):
-            e = lay.gen_degrees[g]
-            col = [f.zero] * d.rows
+        rows = dims.get(i + 1, 0)
+        blocks = []
+        for g, e in enumerate(lay.gen_degrees):
+            da = algebra.dim(i - e)
+            if da == 0:
+                continue
+            c0 = offsets[i][g]
+            # d(g.a) = d(g).a + (-1)^{|g|} g.d(a) (right),
+            # d(a.g) = d(a).g + (-1)^{|a|} a.d(g) (left)
+            dalg = algebra.diff_map(i - e).arr
+            if dalg.shape[0]:
+                neg = side == RIGHT and e % 2 == 1
+                blocks.append((offsets[i + 1][g], c0, -dalg if neg else dalg))
             dg = gen_diffs.get(g)
-            has_dg = dg is not None and any(x != f.zero for x in dg)
-            ab = [f.one if t == b else f.zero for t in range(algebra.dim(i - e))]
-            da = algebra.diff_map(i - e).col(b)
-            off = lay.offset(i + 1, g)
-            if side == RIGHT:
-                # d(g.a) = d(g).a + (-1)^{|g|} g.d(a)
-                if has_dg:
-                    term = right_mult(dg, e + 1, ab, i - e)
-                    col = [f.add(x, y) for x, y in zip(col, term)]
-                for r, v in enumerate(da):
-                    col[off + r] = f.add(col[off + r], v) if e % 2 == 0 \
-                        else f.sub(col[off + r], v)
-            else:
-                # d(a.g) = d(a).g + (-1)^{|a|} a.d(g)
-                for r, v in enumerate(da):
-                    col[off + r] = f.add(col[off + r], v)
-                if has_dg:
-                    term = left_mult(ab, i - e, dg, e + 1)
-                    if (i - e) % 2 == 0:
-                        col = [f.add(x, y) for x, y in zip(col, term)]
-                    else:
-                        col = [f.sub(x, y) for x, y in zip(col, term)]
-            for r, v in enumerate(col):
-                d.data[r][pos] = v
-        diff[i] = d
+            if rows and dg is not None and any(x != f.zero for x in dg):
+                # the action on d(g) (x) e_b (right) or e_b (x) d(g) (left)
+                gcol, eye = Matrix.column(f, dg), Matrix.identity(f, da)
+                act = action[(e + 1, i - e)]
+                if side == RIGHT:
+                    term = act @ gcol.kron(eye)
+                else:
+                    term = act @ eye.kron(gcol)
+                    if (i - e) % 2:
+                        term = -term
+                blocks.append((0, c0, term.arr))
+        diff[i] = from_blocks(f, rows, dims[i], blocks)
     mod = DGModule(side, algebra, (lo, hi), dims, diff, action)
     return mod, lay
 
@@ -667,28 +609,12 @@ def cohomology(m: DGModule, i: int) -> CohomologyModule:
     class_map = space.projection @ li
     rep_map = incl @ space.section
     h0 = m.algebra.h0()
-    h = space.quotient_dim
-    q = h0.dim
+    # the class of rep_v . a_u (right) or a_u . rep_v (left), for all v, u at once
     if m.side == RIGHT:
-        act = Matrix.zeros(f, h, h * q)
-        for v in range(h):
-            rep = rep_map.col(v)
-            for u in range(q):
-                avec = h0.section.col(u)
-                res = m.act(rep, i, avec, 0)
-                cls = class_map.apply(res)
-                for r in range(h):
-                    act.data[r][v * q + u] = cls[r]
+        pairs = rep_map.kron(h0.section)
     else:
-        act = Matrix.zeros(f, h, q * h)
-        for u in range(q):
-            avec = h0.section.col(u)
-            for v in range(h):
-                rep = rep_map.col(v)
-                res = m.act(rep, i, avec, 0)
-                cls = class_map.apply(res)
-                for r in range(h):
-                    act.data[r][u * h + v] = cls[r]
+        pairs = h0.section.kron(rep_map)
+    act = class_map @ m.action_map(i, 0) @ pairs
     return CohomologyModule(m, i, incl, space, class_map, rep_map, act)
 
 

@@ -12,6 +12,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field as dc_field
 
+import numpy as np
+
 from .dgalgebra import DGAlgebra, StructureError, validate_algebra
 from .dgmodule import (
     LEFT,
@@ -25,7 +27,7 @@ from .dgmodule import (
     smart_truncate,
 )
 from .field import Field
-from .linalg import Matrix, kernel_basis
+from .linalg import Matrix, from_blocks, kernel_basis
 
 
 class GenerationError(Exception):
@@ -39,14 +41,11 @@ class GenerationError(Exception):
 def make_ordinary(field: Field, structure_constants, unit=None) -> DGAlgebra:
     """Degree-0 algebra from a table: structure_constants[u][v] = coords of e_u e_v."""
     n = len(structure_constants)
-    mult = Matrix.zeros(field, n, n * n)
-    for u in range(n):
-        if len(structure_constants[u]) != n:
-            raise StructureError("structure constant table is not square")
-        for v in range(n):
-            coords = structure_constants[u][v]
-            for r, x in enumerate(coords):
-                mult.data[r][u * n + v] = field.of_int(x) if isinstance(x, int) else x
+    if any(len(row) != n for row in structure_constants):
+        raise StructureError("structure constant table is not square")
+    # column u * n + v holds the coordinates of e_u e_v
+    mult = Matrix(field, n, n * n, [[_scalar(field, structure_constants[u][v][r])
+                                     for u in range(n) for v in range(n)] for r in range(n)])
     if unit is None:
         unit = [field.one] + [field.zero] * (n - 1)
     a = DGAlgebra(field, 0, {0: n}, {(0, 0): mult}, {}, unit)
@@ -54,6 +53,10 @@ def make_ordinary(field: Field, structure_constants, unit=None) -> DGAlgebra:
     if bad:
         raise StructureError(f"ordinary algebra axioms fail: {bad[0]}")
     return a
+
+
+def _scalar(field: Field, x):
+    return field.of_int(x) if isinstance(x, int) else x
 
 
 def make_field_algebra(field: Field) -> DGAlgebra:
@@ -194,11 +197,9 @@ def random_free_module(a: DGAlgebra, side: str, rng: random.Random,
             partial, lay = free_module(a, side, gen_degrees, gen_diffs)
             dim_at = partial.dim(e + 1)
             k = kernel_basis(partial.diff_map(e + 1))
-            vec = [a.field.zero] * dim_at
-            for row in k.data:
-                c = a.field.random_vector(rng, 1)[0]
-                if c != a.field.zero:
-                    vec = [a.field.add(x, a.field.mul(c, y)) for x, y in zip(vec, row)]
+            # a random combination of the cocycles, one draw per basis row
+            coeffs = Matrix(a.field, 1, k.rows, [a.field.random_vector(rng, k.rows)])
+            vec = (coeffs @ k).row(0)
         else:
             vec = []
         gen_degrees.append(e)
@@ -268,29 +269,22 @@ def random_morphism(m: DGModule, mp: DGModule, rng: random.Random) -> StrictMorp
     if total == 0:
         return StrictMorphism.zero(m, mp)
 
-    def var(i, r, s):
-        return offs[i] + r * m.dim(i) + s
+    # X_i is the (mp.dim(i) x m.dim(i)) component at offs[i], row-major.
+    # Each constraint X_t L = R X_i adds the rows (I (x) L^T) vec X_t - (R (x) I) vec X_i.
+    blocks = []
+    nrows = 0
 
-    rows = []
-
-    def add_row(row):
-        if any(x != f.zero for x in row):
-            rows.append(row)
+    def constrain(t, left, i, right):
+        nonlocal nrows
+        if mp.dim(t) == 0 or m.dim(i) == 0:
+            return
+        blocks.append((nrows, offs[t], Matrix.identity(f, mp.dim(t)).kron(left.transpose()).arr))
+        blocks.append((nrows, offs[i], -right.kron(Matrix.identity(f, m.dim(i))).arr))
+        nrows += mp.dim(t) * m.dim(i)
 
     for i in degs:
-        dm, dmp = m.diff_map(i), mp.diff_map(i)
-        for r in range(mp.dim(i + 1)):
-            for c in range(m.dim(i)):
-                row = [f.zero] * total
-                for s in range(m.dim(i + 1)):
-                    v = dm.data[s][c]
-                    if v != f.zero:
-                        row[var(i + 1, r, s)] = f.add(row[var(i + 1, r, s)], v)
-                for s in range(mp.dim(i)):
-                    v = dmp.data[r][s]
-                    if v != f.zero:
-                        row[var(i, s, c)] = f.sub(row[var(i, s, c)], v)
-                add_row(row)
+        # chain map: f_{i+1} d_i = d'_i f_i
+        constrain(i + 1, m.diff_map(i), i, mp.diff_map(i))
     for i in degs:
         if m.dim(i) == 0:
             continue
@@ -300,37 +294,25 @@ def random_morphism(m: DGModule, mp: DGModule, rng: random.Random) -> StrictMorp
             if dj == 0 or (m.dim(t) == 0 and mp.dim(t) == 0):
                 continue
             act, actp = m.action_map(i, j), mp.action_map(i, j)
-            for r in range(mp.dim(t)):
-                for cm in range(m.dim(i)):
-                    for ca in range(dj):
-                        row = [f.zero] * total
-                        src_col = cm * dj + ca if m.side == RIGHT else ca * m.dim(i) + cm
-                        for s in range(m.dim(t)):
-                            v = act.data[s][src_col]
-                            if v != f.zero:
-                                row[var(t, r, s)] = f.add(row[var(t, r, s)], v)
-                        for s in range(mp.dim(i)):
-                            tcol = s * dj + ca if m.side == RIGHT else ca * mp.dim(i) + s
-                            v = actp.data[r][tcol]
-                            if v != f.zero:
-                                row[var(i, s, cm)] = f.sub(row[var(i, s, cm)], v)
-                        add_row(row)
+            # equivariance per basis vector a_c of A^j: f_t (x.a_c) = f_i(x).a_c
+            for c in range(dj):
+                if m.side == RIGHT:
+                    cols, colsp = slice(c, None, dj), slice(c, None, dj)
+                else:
+                    cols = slice(c * m.dim(i), (c + 1) * m.dim(i))
+                    colsp = slice(c * mp.dim(i), (c + 1) * mp.dim(i))
+                constrain(t, act.columns(cols), i, actp.columns(colsp))
 
-    constraint = Matrix(f, len(rows), total, rows) if rows else Matrix.zeros(f, 0, total)
-    basis = kernel_basis(constraint)
-    sol = [f.zero] * total
-    for row in basis.data:
-        c = f.random_vector(rng, 1)[0]
-        if c != f.zero:
-            sol = [f.add(x, f.mul(c, y)) for x, y in zip(sol, row)]
+    basis = kernel_basis(from_blocks(f, nrows, total, blocks))
+    # a random point of the solution space, one draw per basis row
+    coeffs = Matrix(f, 1, basis.rows, [f.random_vector(rng, basis.rows)])
+    sol = (coeffs @ basis).arr[0]
     maps = {}
     for i in degs:
         if mp.dim(i) and m.dim(i):
-            block = Matrix.zeros(f, mp.dim(i), m.dim(i))
-            for r in range(mp.dim(i)):
-                for s in range(m.dim(i)):
-                    block.data[r][s] = sol[var(i, r, s)]
-            maps[i] = block
+            size = mp.dim(i) * m.dim(i)
+            maps[i] = Matrix(f, mp.dim(i), m.dim(i),
+                             sol[offs[i]:offs[i] + size].reshape(mp.dim(i), m.dim(i)))
     return StrictMorphism(m, mp, maps)
 
 
@@ -418,21 +400,16 @@ def _shrink_candidates(inst: Instance):
             table = getattr(mod, kind)
             for key in sorted(table, key=str):
                 mat = table[key]
-                for r in range(mat.rows):
-                    for c in range(mat.cols):
-                        if mat.data[r][c] == f.zero:
-                            continue
-                        from .linalg import Matrix
-                        new = Matrix(f, mat.rows, mat.cols,
-                                     [list(row) for row in mat.data])
-                        new.data[r][c] = f.zero
-                        patched = dict(table)
-                        patched[key] = new
-                        kwargs = {"diff": dict(mod.diff), "action": dict(mod.action)}
-                        kwargs[kind] = patched
-                        cand = DGModule(mod.side, mod.algebra, mod.window,
-                                        dict(mod.dims), kwargs["diff"], kwargs["action"])
-                        yield dataclasses.replace(inst, **{attr: cand})
+                for r, c in np.argwhere(mat.arr != f.zero).tolist():
+                    arr = mat.arr.copy()
+                    arr[r, c] = f.zero
+                    patched = dict(table)
+                    patched[key] = Matrix(f, mat.rows, mat.cols, arr)
+                    kwargs = {"diff": dict(mod.diff), "action": dict(mod.action)}
+                    kwargs[kind] = patched
+                    cand = DGModule(mod.side, mod.algebra, mod.window,
+                                    dict(mod.dims), kwargs["diff"], kwargs["action"])
+                    yield dataclasses.replace(inst, **{attr: cand})
 
 
 def _instance_size(inst: Instance):
@@ -441,7 +418,7 @@ def _instance_size(inst: Instance):
         z = mod.field.zero
         for table in (mod.diff, mod.action):
             for mat in table.values():
-                nnz += sum(1 for row in mat.data for x in row if x != z)
+                nnz += int(np.count_nonzero(mat.arr != z))
     return (inst.m.total_dim() + inst.n.total_dim(), nnz)
 
 

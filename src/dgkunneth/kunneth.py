@@ -31,6 +31,7 @@ from .dgmodule import (
     shift_morphism,
 )
 from .linalg import Matrix, hstack, rank, solve
+from .serialize import matrix_to_json
 from .tensor import (
     BalancedTensorSpace,
     CohomologySpace,
@@ -240,8 +241,8 @@ def _comparison_route(w: KunnethWitness, pi: Matrix, pi_mn: Matrix, hh) -> Check
     if kappa == w.theta:
         return passed("comparison_route_matches_theta", dim=hh.dim)
     return failed("comparison_route_matches_theta",
-                  counterexample={"kappa": _mat_strs(kappa),
-                                  "theta": _mat_strs(w.theta)})
+                  counterexample={"kappa": matrix_to_json(kappa),
+                                  "theta": matrix_to_json(w.theta)})
 
 
 def _exactness(name: str, first: Matrix, second: Matrix) -> CheckResult:
@@ -341,12 +342,8 @@ def check_functoriality(fm: StrictMorphism, gm: StrictMorphism,
                           target_dim=wp.target.dim))
     else:
         out.append(failed("theta_naturality",
-                          counterexample={"lhs": _mat_strs(lhs), "rhs": _mat_strs(rhs)}))
+                          counterexample={"lhs": matrix_to_json(lhs), "rhs": matrix_to_json(rhs)}))
     return out
-
-
-def _mat_strs(m: Matrix):
-    return [[m.field.to_str(x) for x in row] for row in m.data]
 
 
 def check_translation_invariance(m: DGModule, n: DGModule) -> CheckResult:
@@ -363,5 +360,5 @@ def check_translation_invariance(m: DGModule, n: DGModule) -> CheckResult:
     if th_direct == w.theta:
         return passed("construction_route_agreement", dim=w.source.dim)
     return failed("construction_route_agreement",
-                  counterexample={"translated": _mat_strs(w.theta),
-                                  "direct": _mat_strs(th_direct)})
+                  counterexample={"translated": matrix_to_json(w.theta),
+                                  "direct": matrix_to_json(th_direct)})

@@ -1,53 +1,102 @@
 """Exact dense linear algebra over Q or F_p.
 
-Matrices are dense, row-major, immutable by convention.  Linear maps use
-the column convention throughout: a map V -> W is a (dim W) x (dim V)
-matrix acting on column vectors, and bilinear maps are matrices on
-Kronecker-ordered tensor bases (index of e_u (x) e_v is u*dimV2 + v).
+A `Matrix` wraps one read-only 2-D numpy array, and every kernel here takes
+arrays and returns a new array: nothing is written in place after a matrix
+is built.  The dtype follows the field.  Over F_p the entries are the
+canonical residues in [0, p), stored as int64 when the product of two
+residues fits (`_fits_int64(p, 1)`, i.e. p <= 2^31), and as Python ints
+in an object array otherwise.  Over Q the array has object dtype and holds
+`Fraction`s.
 
-Row reduction over F_p is vectorized with numpy int64; over Q it runs on
-gcd-normalized integer rows so no Fraction arithmetic happens inside the
-elimination loop.  Results are canonical: the reduced row echelon form is
-unique, and every derived basis (kernels, quotient bases) is determined
-by its pivot columns.
+Linear maps use the column convention throughout: a map V -> W is a
+(dim W) x (dim V) matrix acting on column vectors, and bilinear maps are
+matrices on Kronecker-ordered tensor bases (index of e_u (x) e_v is
+u*dimV2 + v).
+
+Over F_p one Gauss-Jordan serves both dtypes; it only touches the rows
+that are nonzero in the pivot column.  Every int64 product is guarded by
+`_fits_int64` and is computed on Python ints when an accumulation could
+overflow.  Over Q elimination and products run on gcd-normalized integer
+rows, so no Fraction arithmetic happens inside the elimination loop.
+Results are canonical: the reduced row echelon form is unique, and every
+derived basis (kernels, quotient bases) is determined by its pivot columns.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from operator import attrgetter
 
 import numpy as np
 
 from .field import Field
 
 
-class Matrix:
-    """Dense matrix over an exact field; data is row-major lists."""
+def _fits_int64(p: int, inner: int) -> bool:
+    # products (p-1)^2 summed `inner` times must stay below 2^63
+    return (p - 1) ** 2 * max(inner, 1) < 2 ** 62
 
-    __slots__ = ("field", "rows", "cols", "data")
+
+def _dtype(f: Field):
+    return np.int64 if f.p and _fits_int64(f.p, 1) else object
+
+
+def _zeros(f: Field, rows: int, cols: int) -> np.ndarray:
+    if f.p and _fits_int64(f.p, 1):
+        return np.zeros((rows, cols), dtype=np.int64)
+    return np.full((rows, cols), f.zero, dtype=object)
+
+
+def _reduce(f: Field, arr: np.ndarray) -> np.ndarray:
+    """Canonical residues of integer-valued entries; the identity over Q."""
+    return arr % f.p if f.p else arr
+
+
+class Matrix:
+    """Dense matrix over an exact field, wrapping one read-only 2-D array.
+
+    `arr` is int64 over F_p for p <= 2^31 and object otherwise (Python ints
+    over larger F_p, Fractions over Q); its entries are canonical field
+    elements.  Writing into `arr` raises; operations return new matrices.
+    """
+
+    __slots__ = ("field", "rows", "cols", "arr")
 
     def __init__(self, field: Field, rows: int, cols: int, data):
         if rows < 0 or cols < 0:
             raise ValueError("negative dimensions")
-        if len(data) != rows or any(len(r) != cols for r in data):
+        arr = np.array(data, dtype=_dtype(field))
+        if arr.size == 0 and rows * cols == 0:
+            arr = arr.reshape(rows, cols)
+        if arr.shape != (rows, cols):
             raise ValueError(f"shape mismatch: want {rows}x{cols}")
+        self._set(field, _reduce(field, arr))
+
+    def _set(self, field: Field, arr: np.ndarray):
+        arr.setflags(write=False)
         self.field = field
-        self.rows = rows
-        self.cols = cols
-        self.data = data
+        self.rows, self.cols = arr.shape
+        self.arr = arr
+
+    @classmethod
+    def _of(cls, field: Field, arr: np.ndarray) -> "Matrix":
+        """Wrap a fresh array already holding canonical elements of the
+        field's dtype; the array becomes read-only."""
+        m = cls.__new__(cls)
+        m._set(field, arr)
+        return m
 
     @classmethod
     def zeros(cls, field: Field, rows: int, cols: int) -> "Matrix":
-        z = field.zero
-        return cls(field, rows, cols, [[z] * cols for _ in range(rows)])
+        return cls._of(field, _zeros(field, rows, cols))
 
     @classmethod
     def identity(cls, field: Field, n: int) -> "Matrix":
-        m = cls.zeros(field, n, n)
-        for i in range(n):
-            m.data[i][i] = field.one
-        return m
+        a = _zeros(field, n, n)
+        np.fill_diagonal(a, field.one)
+        return cls._of(field, a)
 
     @classmethod
     def from_int_rows(cls, field: Field, rows, cols: int | None = None) -> "Matrix":
@@ -57,56 +106,48 @@ class Matrix:
 
     @classmethod
     def column(cls, field: Field, vec) -> "Matrix":
-        return cls(field, len(vec), 1, [[x] for x in vec])
+        return cls(field, len(vec), 1, np.array(vec, dtype=_dtype(field)).reshape(-1, 1))
 
     def row(self, i):
-        return list(self.data[i])
+        return self.arr[i].tolist()
 
     def col(self, j):
-        return [self.data[i][j] for i in range(self.rows)]
+        return self.arr[:, j].tolist()
+
+    def columns(self, index) -> "Matrix":
+        """The columns picked by a slice or an index list, in that order."""
+        return Matrix._of(self.field, self.arr[:, index])
 
     def is_zero(self) -> bool:
-        z = self.field.zero
-        return all(x == z for row in self.data for x in row)
+        return not self.arr.any()
 
     def transpose(self) -> "Matrix":
-        return Matrix(self.field, self.cols, self.rows,
-                      [[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)])
+        return Matrix._of(self.field, self.arr.T)
 
     def __eq__(self, other):
         return (isinstance(other, Matrix) and self.field == other.field
-                and self.rows == other.rows and self.cols == other.cols
-                and self.data == other.data)
+                and self.arr.shape == other.arr.shape
+                and bool(np.array_equal(self.arr, other.arr)))
 
     def __hash__(self):
-        return hash((self.rows, self.cols, tuple(tuple(r) for r in self.data)))
+        return hash((self.rows, self.cols, tuple(self.arr.ravel().tolist())))
 
     def __repr__(self):
         return f"Matrix({self.rows}x{self.cols} over {self.field!r})"
 
     def __add__(self, other) -> "Matrix":
         self._check_same_shape(other)
-        f = self.field
-        return Matrix(f, self.rows, self.cols,
-                      [[f.add(a, b) for a, b in zip(ra, rb)]
-                       for ra, rb in zip(self.data, other.data)])
+        return Matrix._of(self.field, _reduce(self.field, self.arr + other.arr))
 
     def __sub__(self, other) -> "Matrix":
         self._check_same_shape(other)
-        f = self.field
-        return Matrix(f, self.rows, self.cols,
-                      [[f.sub(a, b) for a, b in zip(ra, rb)]
-                       for ra, rb in zip(self.data, other.data)])
+        return Matrix._of(self.field, _reduce(self.field, self.arr - other.arr))
 
     def __neg__(self) -> "Matrix":
-        f = self.field
-        return Matrix(f, self.rows, self.cols,
-                      [[f.neg(a) for a in row] for row in self.data])
+        return Matrix._of(self.field, _reduce(self.field, -self.arr))
 
     def scale(self, c) -> "Matrix":
-        f = self.field
-        return Matrix(f, self.rows, self.cols,
-                      [[f.mul(c, a) for a in row] for row in self.data])
+        return Matrix._of(self.field, _reduce(self.field, self.arr * c))
 
     def _check_same_shape(self, other):
         if self.field != other.field:
@@ -115,135 +156,117 @@ class Matrix:
             raise ValueError(f"shape mismatch {self.rows}x{self.cols} vs {other.rows}x{other.cols}")
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
-        if self.field != other.field:
+        f = self.field
+        if f is not other.field and f != other.field:
             raise ValueError("field mismatch")
         if self.cols != other.rows:
             raise ValueError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        f = self.field
-        if self.rows == 0 or other.cols == 0 or self.cols == 0:
-            return Matrix.zeros(f, self.rows, other.cols)
-        if f.is_prime_field:
-            if _fits_int64(f.p, self.cols):
-                prod = (_np(self) @ _np(other)) % f.p
-                return _from_np(f, prod)
-        else:
-            out = _matmul_q(self, other)
-            if out is not None:
-                return out
-        bt = other.transpose().data
-        out = [[_dot(f, ra, cb) for cb in bt] for ra in self.data]
-        return Matrix(f, self.rows, other.cols, out)
+        return Matrix._of(f, _matmul(f, self.arr, other.arr))
 
     def apply(self, vec):
-        """Apply to a column vector given as a list."""
+        """Apply to a column vector given as a list; returns a list."""
         if len(vec) != self.cols:
             raise ValueError("vector length mismatch")
-        f = self.field
-        return [_dot(f, row, vec) for row in self.data]
+        col = np.array(vec, dtype=self.arr.dtype).reshape(self.cols, 1)
+        return _matmul(self.field, self.arr, col)[:, 0].tolist()
 
     def kron(self, other: "Matrix") -> "Matrix":
         """Kronecker product; acts on x (x) y with index u*cols2 + v."""
-        if self.field != other.field:
-            raise ValueError("field mismatch")
         f = self.field
-        rows, cols = self.rows * other.rows, self.cols * other.cols
-        if rows == 0 or cols == 0:
-            return Matrix.zeros(f, rows, cols)
-        if f.is_prime_field and _fits_int64(f.p, 1):
-            return _from_np(f, np.kron(_np(self), _np(other)) % f.p)
-        if not f.is_prime_field:
-            ia, da = _scale_to_int(self)
-            ib, db = _scale_to_int(other)
-            ma = max((abs(x) for row in ia for x in row), default=0)
-            mb = max((abs(x) for row in ib for x in row), default=0)
-            if ma * mb < 2 ** 62:
-                prod = np.kron(np.array(ia, dtype=np.int64).reshape(self.rows, self.cols),
-                               np.array(ib, dtype=np.int64).reshape(other.rows, other.cols))
-                d = da * db
-                data = [[Fraction(int(x), d) for x in row] for row in prod]
-                return Matrix(f, rows, cols, data)
-        out = [[f.zero] * cols for _ in range(rows)]
-        for i in range(self.rows):
-            for j in range(self.cols):
-                a = self.data[i][j]
-                if a == f.zero:
-                    continue
-                for k in range(other.rows):
-                    orow = other.data[k]
-                    trow = out[i * other.rows + k]
-                    base = j * other.cols
-                    for l in range(other.cols):
-                        b = orow[l]
-                        if b != f.zero:
-                            trow[base + l] = f.mul(a, b)
-        return Matrix(f, rows, cols, out)
+        if f is not other.field and f != other.field:
+            raise ValueError("field mismatch")
+        (ra, ca), (rb, cb) = self.arr.shape, other.arr.shape
+        a4, b4 = self.arr[:, None, :, None], other.arr[None, :, None, :]
+        if a4.dtype == object:
+            # Python-level products only where both factors are nonzero
+            shape = (ra, rb, ca, cb)
+            prod = np.full(shape, f.zero, dtype=object)
+            nz = (a4 != 0) & (b4 != 0)
+            prod[nz] = np.broadcast_to(a4, shape)[nz] * np.broadcast_to(b4, shape)[nz]
+        else:
+            # a product of two residues fits int64 by the dtype rule
+            prod = a4 * b4
+        return Matrix._of(f, _reduce(f, prod.reshape(ra * rb, ca * cb)))
 
 
-def _dot(f: Field, xs, ys):
-    acc = f.zero
-    for a, b in zip(xs, ys):
-        if a != f.zero and b != f.zero:
-            acc = f.add(acc, f.mul(a, b))
-    return acc
+def _matmul(f: Field, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    rows, inner = a.shape
+    if rows == 0 or inner == 0 or b.shape[1] == 0:
+        return _zeros(f, rows, b.shape[1])
+    if not f.p:
+        return _matmul_q(a, b)
+    if a.dtype == object or not _fits_int64(f.p, inner):
+        prod = a.astype(object) @ b.astype(object) % f.p
+        return prod.astype(a.dtype)
+    return a @ b % f.p
 
 
-def _scale_to_int(m: Matrix):
-    """(integer matrix, common denominator) with m = ints / den."""
-    den = 1
-    for row in m.data:
-        for x in row:
-            den = lcm(den, x.denominator)
-    ints = [[int(x * den) for x in row] for row in m.data]
-    return ints, den
+_numerator = np.frompyfunc(attrgetter("numerator"), 1, 1)
+_denominator = np.frompyfunc(attrgetter("denominator"), 1, 1)
 
 
-def _matmul_q(a: Matrix, b: Matrix):
-    # rational product via integer matrices; None when int64 could overflow
+def _scale_to_int(a: np.ndarray):
+    """(integer object array, common denominator) with a = ints / den."""
+    dens = _denominator(a)
+    den = lcm(*set(dens.flat))
+    return _numerator(a) * (den // dens), den
+
+
+_fraction = np.frompyfunc(Fraction, 2, 1)
+
+
+def _fractions(num: np.ndarray, den) -> np.ndarray:
+    """Fraction(num, den) entrywise for integer object arrays, building
+    only the nonzero entries; `den` broadcasts against `num`."""
+    out = np.full(num.shape, Fraction(0), dtype=object)
+    nz = num != 0
+    out[nz] = _fraction(num[nz], np.broadcast_to(den, num.shape)[nz])
+    return out
+
+
+def _matmul_q(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # rational product via integer matrices: int64 when it cannot overflow
     ia, da = _scale_to_int(a)
     ib, db = _scale_to_int(b)
-    ma = max((abs(x) for row in ia for x in row), default=0)
-    mb = max((abs(x) for row in ib for x in row), default=0)
-    if ma * mb * max(a.cols, 1) >= 2 ** 62:
-        return None
-    prod = np.array(ia, dtype=np.int64).reshape(a.rows, a.cols) @ \
-        np.array(ib, dtype=np.int64).reshape(b.rows, b.cols)
-    d = da * db
-    data = [[Fraction(int(x), d) for x in row] for row in prod]
-    return Matrix(a.field, a.rows, b.cols, data)
-
-
-def _fits_int64(p: int, inner: int) -> bool:
-    # products (p-1)^2 summed `inner` times must stay below 2^63
-    return (p - 1) ** 2 * max(inner, 1) < 2 ** 62
-
-
-def _np(m: Matrix) -> np.ndarray:
-    return np.array(m.data, dtype=np.int64).reshape(m.rows, m.cols)
-
-
-def _from_np(field: Field, arr: np.ndarray) -> Matrix:
-    rows, cols = arr.shape
-    return Matrix(field, rows, cols, [[int(x) for x in row] for row in arr])
+    ma = np.abs(ia).max()
+    mb = np.abs(ib).max()
+    if ma * mb * a.shape[1] < 2 ** 62:
+        prod = ia.astype(np.int64) @ ib.astype(np.int64)
+    else:
+        prod = ia @ ib
+    return _fractions(prod.astype(object), da * db)
 
 
 def hstack(ms) -> Matrix:
     ms = list(ms)
-    f = ms[0].field
-    rows = ms[0].rows
-    if any(m.rows != rows for m in ms):
+    if any(m.rows != ms[0].rows for m in ms):
         raise ValueError("row count mismatch in hstack")
-    data = [sum((m.data[i] for m in ms), []) for i in range(rows)]
-    return Matrix(f, rows, sum(m.cols for m in ms), data)
+    return Matrix._of(ms[0].field, np.hstack([m.arr for m in ms]))
 
 
 def vstack(ms) -> Matrix:
     ms = list(ms)
-    f = ms[0].field
-    cols = ms[0].cols
-    if any(m.cols != cols for m in ms):
+    if any(m.cols != ms[0].cols for m in ms):
         raise ValueError("column count mismatch in vstack")
-    data = [row for m in ms for row in m.data]
-    return Matrix(f, len(data), cols, data)
+    return Matrix._of(ms[0].field, np.vstack([m.arr for m in ms]))
+
+
+def from_blocks(field: Field, rows: int, cols: int, blocks) -> Matrix:
+    """The rows x cols matrix that is the sum of the given blocks.
+
+    Each block is (r, c, array): a 2-D array of integer or field entries
+    (negated entries allowed) placed with its top-left corner at (r, c).
+    Overlapping blocks add up.
+    """
+    out = _zeros(field, rows, cols)
+    for r, c, blk in blocks:
+        h, w = blk.shape
+        region = out[r:r + h, c:c + w]
+        if out.dtype == object and not region.any():
+            region[...] = blk    # no Python-level additions of zeros
+        else:
+            region += blk
+    return Matrix._of(field, _reduce(field, out))
 
 
 # ---------------------------------------------------------------------------
@@ -257,153 +280,117 @@ def rref(m: Matrix):
     """
     if m.rows == 0 or m.cols == 0:
         return m, [], 0
-    if m.field.is_prime_field:
-        red, pivots = _rref_fp(m)
+    if m.field.p:
+        red, pivots = _rref_fp(m.arr, m.field.p)
     else:
-        red, pivots = _rref_q(m)
-    return red, pivots, len(pivots)
+        red, pivots = _rref_q(m.arr)
+    return Matrix._of(m.field, red), pivots, len(pivots)
 
 
-def _rref_fp(m: Matrix):
-    p = m.field.p
-    if not _fits_int64(p, 2):
-        return _rref_generic(m)
-    a = _np(m) % p
-    nrows, ncols = a.shape
+def _rref_fp(a: np.ndarray, p: int):
+    """Gauss-Jordan over F_p on a copy of `a`, for int64 and object arrays.
+
+    Entries stay in (-(p-1)^2, p) before each reduction, which int64 holds
+    whenever it is the storage dtype (`_fits_int64(p, 1)`).
+    """
+    work = a.copy()
+    nrows, ncols = work.shape
     pivots = []
     r = 0
     for c in range(ncols):
-        nz = np.nonzero(a[r:, c])[0]
-        if nz.size == 0:
+        nz = work[:, c].nonzero()[0].tolist()
+        k = bisect_left(nz, r)
+        if k == len(nz):
             continue
-        i = r + int(nz[0])
+        i = nz[k]
         if i != r:
-            a[[r, i]] = a[[i, r]]
-        a[r] = (a[r] * pow(int(a[r, c]), p - 2, p)) % p
-        col = a[:, c].copy()
-        col[r] = 0
-        a = (a - np.outer(col, a[r])) % p
+            # row i's old place now holds row r, which is zero in column c
+            work[[r, i]] = work[[i, r]]
+        others = nz[:k] + nz[k + 1:]
+        # columns left of c are zero in row r and in every row it updates
+        prow = work[r, c:] * pow(int(work[r, c]), p - 2, p) % p
+        work[r, c:] = prow
+        if others:
+            work[others, c:] = (work[others, c:] - np.outer(work[others, c], prow)) % p
         pivots.append(c)
         r += 1
         if r == nrows:
             break
-    return _from_np(m.field, a), pivots
+    return work, pivots
 
 
-def _rref_generic(m: Matrix):
-    # field-generic Gauss-Jordan, used only for very large primes
-    f = m.field
-    a = [list(row) for row in m.data]
-    pivots = []
-    r = 0
-    for c in range(m.cols):
-        piv = next((i for i in range(r, m.rows) if a[i][c] != f.zero), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        inv = f.inv(a[r][c])
-        a[r] = [f.mul(inv, x) for x in a[r]]
-        for i in range(m.rows):
-            if i != r and a[i][c] != f.zero:
-                factor = a[i][c]
-                a[i] = [f.sub(x, f.mul(factor, y)) for x, y in zip(a[i], a[r])]
-        pivots.append(c)
-        r += 1
-        if r == m.rows:
-            break
-    return Matrix(f, m.rows, m.cols, a), pivots
-
-
-def _int_rows(m: Matrix):
+def _int_rows(a: np.ndarray) -> np.ndarray:
     """Clear denominators and strip content: primitive integer rows."""
-    out = []
-    for row in m.data:
-        den = 1
-        for x in row:
-            den = lcm(den, x.denominator)
-        ints = [int(x * den) for x in row] if den != 1 else [x.numerator for x in row]
-        g = 0
-        for x in ints:
-            g = gcd(g, x)
-            if g == 1:
-                break
-        if g > 1:
-            ints = [x // g for x in ints]
-        out.append(ints)
+    out = np.empty(a.shape, dtype=object)
+    for i, row in enumerate(a):
+        den = lcm(*(x.denominator for x in row))
+        ints = [x.numerator * (den // x.denominator) for x in row]
+        g = gcd(*ints)
+        out[i] = [x // g for x in ints] if g > 1 else ints
     return out
 
 
-def _reduce_int_row(row):
-    g = 0
-    for x in row:
-        g = gcd(g, x)
-        if g == 1:
-            return row
-    if g > 1:
-        return [x // g for x in row]
-    return row
+def _eliminate_q(work: np.ndarray, r: int, c: int, rows: np.ndarray):
+    """Clear column c in `rows` with pivot row r, keeping rows primitive."""
+    a = work[r, c]
+    b = work[rows, c]
+    g = np.gcd(b, a)
+    new = (a // g)[:, None] * work[rows] - (b // g)[:, None] * work[r]
+    content = np.gcd.reduce(new, axis=1)
+    content[content == 0] = 1
+    work[rows] = new // content[:, None]
 
 
-def _rref_q(m: Matrix):
-    work = _int_rows(m)
-    nrows, ncols = m.rows, m.cols
+def _rref_q(a: np.ndarray):
+    work = _int_rows(a)
+    nrows, ncols = work.shape
     pivots = []
     r = 0
     for c in range(ncols):
-        piv = next((i for i in range(r, nrows) if work[i][c]), None)
-        if piv is None:
+        nz = np.flatnonzero(work[r:, c])
+        if nz.size == 0:
             continue
-        work[r], work[piv] = work[piv], work[r]
-        a = work[r][c]
-        for i in range(r + 1, nrows):
-            b = work[i][c]
-            if b:
-                g = gcd(a, b)
-                fa, fb = a // g, b // g
-                pr = work[r]
-                work[i] = _reduce_int_row([fa * x - fb * y for x, y in zip(work[i], pr)])
+        i = r + int(nz[0])
+        if i != r:
+            work[[r, i]] = work[[i, r]]
+        below = r + 1 + np.flatnonzero(work[r + 1:, c])
+        if below.size:
+            _eliminate_q(work, r, c, below)
         pivots.append(c)
         r += 1
         if r == nrows:
             break
     # back-substitution over the pivot rows
     for idx in range(len(pivots) - 1, -1, -1):
-        c = pivots[idx]
-        a = work[idx][c]
-        for i in range(idx):
-            b = work[i][c]
-            if b:
-                g = gcd(a, b)
-                fa, fb = a // g, b // g
-                pr = work[idx]
-                work[i] = _reduce_int_row([fa * x - fb * y for x, y in zip(work[i], pr)])
-    data = []
-    for idx in range(nrows):
-        if idx < len(pivots):
-            a = work[idx][pivots[idx]]
-            data.append([Fraction(x, a) for x in work[idx]])
-        else:
-            data.append([Fraction(0)] * ncols)
-    return Matrix(m.field, nrows, ncols, data), pivots
+        above = np.flatnonzero(work[:idx, pivots[idx]])
+        if above.size:
+            _eliminate_q(work, idx, pivots[idx], above)
+    # pivot rows divided by their pivot entries; the other rows are zero
+    lead = np.ones((nrows, 1), dtype=object)
+    lead[:r, 0] = work[range(r), pivots]
+    return _fractions(work, lead), pivots
 
 
 def rank(m: Matrix) -> int:
     return rref(m)[2]
 
 
+def _null_rows(f: Field, red: np.ndarray, pivots, n: int):
+    """(rows, free): for each non-pivot column j, in order, the row
+    e_j - sum_i red[i, j] e_{pivots[i]}; these span the kernel of `red`."""
+    pset = set(pivots)
+    free = [j for j in range(n) if j not in pset]
+    out = _zeros(f, len(free), n)
+    out[range(len(free)), free] = f.one
+    if pivots:
+        out[:, pivots] = _reduce(f, -red[:len(pivots)][:, free].T)
+    return out, free
+
+
 def kernel_basis(m: Matrix) -> Matrix:
     """Rows form the canonical basis of ker(m) acting on column vectors."""
-    red, pivots, r = rref(m)
-    f = m.field
-    free = [j for j in range(m.cols) if j not in set(pivots)]
-    rows = []
-    for jf in free:
-        v = [f.zero] * m.cols
-        v[jf] = f.one
-        for i, jp in enumerate(pivots):
-            v[jp] = f.neg(red.data[i][jf])
-        rows.append(v)
-    return Matrix(f, len(rows), m.cols, rows)
+    red, pivots, _ = rref(m)
+    return Matrix._of(m.field, _null_rows(m.field, red.arr, pivots, m.cols)[0])
 
 
 def solve(m: Matrix, rhs: Matrix):
@@ -411,25 +398,21 @@ def solve(m: Matrix, rhs: Matrix):
     if rhs.rows != m.rows:
         raise ValueError("rhs row count mismatch")
     aug = hstack([m, rhs]) if m.cols else rhs
-    red, pivots, _ = rref(aug)
-    f = m.field
-    if any(p >= m.cols for p in pivots):
+    red, pivots, r = rref(aug)
+    if pivots and pivots[-1] >= m.cols:
         return None
-    x = Matrix.zeros(f, m.cols, rhs.cols)
-    for i, p in enumerate(pivots):
-        x.data[p] = red.data[i][m.cols:]
-    return x
+    x = _zeros(m.field, m.cols, rhs.cols)
+    x[pivots] = red.arr[:r, m.cols:]
+    return Matrix._of(m.field, x)
 
 
 def left_inverse(m: Matrix) -> Matrix:
     """L with L @ m = I; requires full column rank."""
     aug = hstack([m, Matrix.identity(m.field, m.rows)])
-    red, pivots, r = rref(aug)
-    in_m = [p for p in pivots if p < m.cols]
-    if len(in_m) != m.cols:
+    red, pivots, _ = rref(aug)
+    if sum(1 for p in pivots if p < m.cols) != m.cols:
         raise ValueError("matrix does not have full column rank")
-    rows = [red.data[i][m.cols:] for i in range(m.cols)]
-    return Matrix(m.field, m.cols, m.rows, rows)
+    return Matrix._of(m.field, red.arr[:m.cols, m.cols:].copy())
 
 
 # ---------------------------------------------------------------------------
@@ -460,21 +443,14 @@ def quotient(field: Field, ambient_dim: int, relations: Matrix) -> QuotientSpace
     """Quotient of k^ambient_dim by the row span of `relations`."""
     if relations.cols != ambient_dim:
         raise ValueError(f"relations have {relations.cols} columns, ambient dim is {ambient_dim}")
-    red, pivots, r = rref(relations)
-    free = [j for j in range(ambient_dim) if j not in set(pivots)]
+    red, pivots, _ = rref(relations)
+    proj, free = _null_rows(field, red.arr, pivots, ambient_dim)
     q = len(free)
-    proj = Matrix.zeros(field, q, ambient_dim)
-    for k, jf in enumerate(free):
-        proj.data[k][jf] = field.one
-        for i, jp in enumerate(pivots):
-            proj.data[k][jp] = field.neg(red.data[i][jf])
-    sec = Matrix.zeros(field, ambient_dim, q)
-    for k, jf in enumerate(free):
-        sec.data[jf][k] = field.one
-    return QuotientSpace(field, ambient_dim, relations, q, proj, sec, tuple(pivots))
+    sec = _zeros(field, ambient_dim, q)
+    sec[free, range(q)] = field.one
+    return QuotientSpace(field, ambient_dim, relations, q, Matrix._of(field, proj),
+                         Matrix._of(field, sec), tuple(pivots))
 
 
 def drop_zero_rows(m: Matrix) -> Matrix:
-    z = m.field.zero
-    rows = [row for row in m.data if any(x != z for x in row)]
-    return Matrix(m.field, len(rows), m.cols, rows)
+    return Matrix._of(m.field, m.arr[(m.arr != 0).any(axis=1)])

@@ -39,7 +39,8 @@ from .dgmodule import (
 )
 from .field import Field
 from .kunneth import KunnethWitness, cohomology_map, theta
-from .linalg import Matrix, kernel_basis, rank, solve
+from .linalg import Matrix, from_blocks, kernel_basis, rank, solve, vstack
+from .serialize import matrix_to_json
 from .tensor import (
     BalancedTensorSpace,
     CohomologySpace,
@@ -99,25 +100,23 @@ def _module_generators(candidates, action: Matrix, ring_dim: int, f: Field):
     """
     if not candidates:
         return []
-    dim = len(candidates[0])
-    span_rows = []
-    span_rank = 0
+    span = Matrix.zeros(f, 0, len(candidates[0]))
+    eye = Matrix.identity(f, ring_dim)
 
     def try_add(vec):
-        nonlocal span_rank
+        nonlocal span
         if not any(x != f.zero for x in vec):
             return False
-        stacked = Matrix(f, len(span_rows) + 1, dim, span_rows + [vec])
-        r = rank(stacked)
-        if r > span_rank:
-            span_rows.append(vec)
-            span_rank = r
+        stacked = vstack([span, Matrix.column(f, vec).transpose()])
+        if rank(stacked) > span.rows:
+            span = stacked
             return True
         return False
 
     def orbit(vec):
-        return [action.apply([a if t == u else f.zero for a in vec for t in range(ring_dim)])
-                for u in range(ring_dim)]
+        # column u is vec . e_u
+        images = action @ Matrix.column(f, vec).kron(eye)
+        return [images.col(u) for u in range(ring_dim)]
 
     chosen = []
     for cand in candidates:
@@ -132,24 +131,25 @@ def _module_generators(candidates, action: Matrix, ring_dim: int, f: Field):
     return chosen
 
 
-def _free_image(target: DGModule, e: int, b: int, i: int, img,
-                degree_shift: int) -> list:
-    """The image in target^{i+degree_shift} of the free basis element g.b
-    (g of degree e, b the b-th basis vector of A^{i-e}) under g |-> img:
-    the sum over u of img[u] * act.col(u * dim A^{i-e} + b)."""
+def _free_map(lay: FreeLayout, target: DGModule, images, i: int,
+              degree_shift: int) -> Matrix:
+    """Degree-i matrix of the equivariant map g.a |-> images[g].a into
+    target^{i+degree_shift}; generators past len(images) map to zero.
+
+    For g of degree e its block holds images[g].e_b for the basis e_b of
+    A^{i-e}: the action on images[g] (x) e_b.
+    """
     f = target.field
-    vec = [f.zero] * target.dim(i + degree_shift)
-    if not any(x != f.zero for x in img):
-        return vec
-    act = target.action_map(e + degree_shift, i - e)
-    da = target.algebra.dim(i - e)
-    for u, x in enumerate(img):
-        if x == f.zero:
+    blocks = []
+    for g, img in enumerate(images):
+        e = lay.gen_degrees[g]
+        da = lay.algebra.dim(i - e)
+        if da == 0 or not any(x != f.zero for x in img):
             continue
-        for r, v in enumerate(act.col(u * da + b)):
-            if v != f.zero:
-                vec[r] = f.add(vec[r], f.mul(x, v))
-    return vec
+        act = target.action_map(e + degree_shift, i - e)
+        blk = act @ Matrix.column(f, img).kron(Matrix.identity(f, da))
+        blocks.append((0, lay.offset(i, g), blk.arr))
+    return from_blocks(f, target.dim(i + degree_shift), lay.dim(i), blocks)
 
 
 def morphism_from_generator_images(p: DGModule, lay: FreeLayout, target: DGModule,
@@ -158,18 +158,8 @@ def morphism_from_generator_images(p: DGModule, lay: FreeLayout, target: DGModul
 
     With degree_shift = -1 this builds homotopy components P^i -> target^{i-1}.
     """
-    f = p.field
-    maps = {}
-    for i in p.degrees():
-        if p.dim(i) == 0:
-            continue
-        out = Matrix.zeros(f, target.dim(i + degree_shift), p.dim(i))
-        for pos, (g, b) in enumerate(lay.basis(i)):
-            vec = _free_image(target, lay.gen_degrees[g], b, i, images[g], degree_shift)
-            for r, v in enumerate(vec):
-                out.data[r][pos] = v
-        maps[i] = out
-    return maps
+    return {i: _free_map(lay, target, images, i, degree_shift)
+            for i in p.degrees() if p.dim(i)}
 
 
 def _build_p_and_rho(algebra, target, gen_degrees, gen_diffs, gen_images):
@@ -254,7 +244,7 @@ def semifree_resolve(m: DGModule, depth: int, variant: int = 0,
             w = sol.col(0)
             if rng is not None:
                 kw = kernel_basis(m.diff_map(t - 1))
-                for krow in kw.data:
+                for krow in kw.arr.tolist():
                     c = f.random_vector(rng, 1)[0]
                     if c != f.zero:
                         w = [f.add(x, f.mul(c, y)) for x, y in zip(w, krow)]
@@ -424,14 +414,10 @@ def theta_der(m: DGModule, n: DGModule, depth: int | None = None,
         evidence.append(passed("derived_diagram_commutes", dim=source.dim))
     else:
         evidence.append(failed("derived_diagram_commutes",
-                               counterexample={"eta_theta_der": _strs(eta_h0 @ th_der),
-                                               "theta": _strs(wMN.theta)}))
+                               counterexample={"eta_theta_der": matrix_to_json(eta_h0 @ th_der),
+                                               "theta": matrix_to_json(wMN.theta)}))
     return DerivedKunnethWitness(setup, plain, wMN, source, plain.target, th_der,
                                  eta_h0, evidence)
-
-
-def _strs(mat: Matrix):
-    return [[mat.field.to_str(x) for x in row] for row in mat.data]
 
 
 def check_depth_stabilization(m: DGModule, n: DGModule,
@@ -477,7 +463,7 @@ def check_resolution_independence(m: DGModule, n: DGModule,
         return passed("resolution_independence", variants=list(variants))
     return failed("resolution_independence",
                   counterexample={"variants": list(variants),
-                                  "composites": [_strs(c) for c in composites]})
+                                  "composites": [matrix_to_json(c) for c in composites]})
 
 
 # ---------------------------------------------------------------------------
@@ -502,34 +488,20 @@ def lift_through_resolutions(res: SemiFreeResolution, resp: SemiFreeResolution,
     phi_imgs = []
     h_imgs = []
 
-    def apply_free(images, vec, t, target, degree_shift):
-        out = [f.zero] * target.dim(t + degree_shift)
-        for pos, (g, b) in enumerate(res.layout.basis(t)):
-            x = vec[pos]
-            if x == f.zero:
-                continue
-            col = _free_image(target, res.gen_degrees[g], b, t, images[g], degree_shift)
-            for r, v in enumerate(col):
-                if v != f.zero:
-                    out[r] = f.add(out[r], f.mul(x, v))
-        return out
-
     for g, e in enumerate(res.gen_degrees):
         z = res.gen_diffs[g] or [f.zero] * p.dim(e + 1)
-        y = apply_free(phi_imgs, z, e + 1, pp, 0)
+        # phi and h on d(g), from the generators already lifted
+        y = _free_map(res.layout, pp, phi_imgs, e + 1, 0).apply(z)
         u = fmor.map_at(e).apply(res.gen_images[g])
-        hz = apply_free(h_imgs, z, e + 1, mprime, -1)
+        hz = _free_map(res.layout, mprime, h_imgs, e + 1, -1).apply(z)
         rhs = y + [f.add(a, b) for a, b in zip(u, hz)]
         top = pp.diff_map(e)
         bot_l = resp.rho.map_at(e)
         bot_r = -mprime.diff_map(e - 1)
         n_x, n_h = pp.dim(e), mprime.dim(e - 1)
-        big = Matrix.zeros(f, top.rows + bot_l.rows, n_x + n_h)
-        for r in range(top.rows):
-            big.data[r][:n_x] = list(top.data[r])
-        for r in range(bot_l.rows):
-            big.data[top.rows + r][:n_x] = list(bot_l.data[r])
-            big.data[top.rows + r][n_x:] = list(bot_r.data[r])
+        big = from_blocks(f, top.rows + bot_l.rows, n_x + n_h,
+                          [(0, 0, top.arr), (top.rows, 0, bot_l.arr),
+                           (top.rows, n_x, bot_r.arr)])
         sol = solve(big, Matrix.column(f, rhs))
         if sol is None:
             evidence.append(failed("lift_solvable",
@@ -607,5 +579,5 @@ def check_theta_der_functoriality(fm: StrictMorphism, gm: StrictMorphism,
         out.append(passed("theta_der_naturality", source_dim=w.source.dim))
     else:
         out.append(failed("theta_der_naturality",
-                          counterexample={"lhs": _strs(lhs), "rhs": _strs(rhs)}))
+                          counterexample={"lhs": matrix_to_json(lhs), "rhs": matrix_to_json(rhs)}))
     return out

@@ -43,7 +43,7 @@ def field_from_json(d: dict) -> Field:
 
 def matrix_to_json(m: Matrix):
     f = m.field
-    return [[f.to_str(x) for x in row] for row in m.data]
+    return [[f.to_str(x) for x in row] for row in m.arr.tolist()]
 
 
 def matrix_from_json(field: Field, rows: int, cols: int, data) -> Matrix:

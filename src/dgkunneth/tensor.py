@@ -25,6 +25,7 @@ from .linalg import (
     Matrix,
     QuotientSpace,
     drop_zero_rows,
+    from_blocks,
     hstack,
     kernel_basis,
     left_inverse,
@@ -118,20 +119,15 @@ def balanced_tensor(x: RingModule, y: RingModule) -> BalancedTensorSpace:
         raise StructureError("balanced tensor needs (right, left) modules")
     f = x.ring.field
     dx, dy, dr = x.dim, y.dim, x.ring.dim(0)
-    rows = []
+    # rows c*dx*dy + u*dy + v: (x_u . r_c) (x) y_v - x_u (x) (r_c . y_v)
+    ix, iy = Matrix.identity(f, dx), Matrix.identity(f, dy)
+    blocks = []
     for c in range(dr):
-        for u in range(dx):
-            xr = x.action.col(u * dr + c)
-            for v in range(dy):
-                row = [f.zero] * (dx * dy)
-                for w, val in enumerate(xr):
-                    row[w * dy + v] = val
-                ry = y.action.col(c * dy + v)
-                for w, val in enumerate(ry):
-                    row[u * dy + w] = f.sub(row[u * dy + w], val)
-                rows.append(row)
-    rel = drop_zero_rows(Matrix(f, len(rows), dx * dy, rows)) if rows \
-        else Matrix.zeros(f, 0, dx * dy)
+        right_c = x.action.columns(slice(c, None, dr))         # x_u |-> x_u . r_c
+        left_c = y.action.columns(slice(c * dy, (c + 1) * dy))  # y_v |-> r_c . y_v
+        blocks.append((c * dx * dy, 0, right_c.kron(iy).arr.T))
+        blocks.append((c * dx * dy, 0, -ix.kron(left_c).arr.T))
+    rel = drop_zero_rows(from_blocks(f, dr * dx * dy, dx * dy, blocks))
     return BalancedTensorSpace(x.ring, x, y, quotient(f, dx * dy, rel))
 
 
@@ -209,9 +205,11 @@ class TensorComplex:
         if t in self._rels:
             return self._rels[t]
         f = self.field
-        amb = self.ambient_dim(t)
-        offsets = {p: (off, dmp, dnq) for p, q, off, dmp, dnq in self.blocks(t)}
-        rows = []
+        offsets = {p: off for p, q, off, dmp, dnq in self.blocks(t)}
+        # rows (j, p, u, c, v): (m_u . a_c) (x) n_v - m_u (x) (a_c . n_v) for
+        # m_u in M^p, a_c in A^j, n_v in N^{t-p-j}, in blocks (p+j, .) and (p, .)
+        blocks = []
+        nrows = 0
         a = self.algebra
         for j in a.degrees():
             dj = a.dim(j)
@@ -223,27 +221,16 @@ class TensorComplex:
                 dnq = self.n.dim(q)
                 if dmp == 0 or dnq == 0:
                     continue
-                act_m = self.m.action_map(p, j)           # M^p (x) A^j -> M^{p+j}
-                act_n = self.n.action_map(q, j)           # A^j (x) N^q -> N^{q+j}
-                left_block = offsets.get(p + j)
-                right_block = offsets.get(p)
-                for u in range(dmp):
-                    for c in range(dj):
-                        ma = act_m.col(u * dj + c)
-                        for v in range(dnq):
-                            row = [f.zero] * amb
-                            if left_block is not None:
-                                off, _, dn = left_block
-                                for w, val in enumerate(ma):
-                                    row[off + w * dn + v] = val
-                            if right_block is not None:
-                                off, _, dn = right_block
-                                an = act_n.col(c * dnq + v)
-                                for w, val in enumerate(an):
-                                    row[off + u * dn + w] = f.sub(row[off + u * dn + w], val)
-                            rows.append(row)
-        rel = drop_zero_rows(Matrix(f, len(rows), amb, rows)) if rows \
-            else Matrix.zeros(f, 0, amb)
+                if p + j in offsets:
+                    act_m = self.m.action_map(p, j)           # M^p (x) A^j -> M^{p+j}
+                    blocks.append((nrows, offsets[p + j],
+                                   act_m.kron(Matrix.identity(f, dnq)).arr.T))
+                if p in offsets:
+                    act_n = self.n.action_map(q, j)           # A^j (x) N^q -> N^{q+j}
+                    blocks.append((nrows, offsets[p],
+                                   -Matrix.identity(f, dmp).kron(act_n).arr.T))
+                nrows += dmp * dj * dnq
+        rel = drop_zero_rows(from_blocks(f, nrows, self.ambient_dim(t), blocks))
         self._rels[t] = rel
         return rel
 
@@ -257,36 +244,18 @@ class TensorComplex:
 
     def ambient_diff(self, t: int) -> Matrix:
         f = self.field
-        out = Matrix.zeros(f, self.ambient_dim(t + 1), self.ambient_dim(t))
-        tgt = {p: (off, dmp, dnq) for p, q, off, dmp, dnq in self.blocks(t + 1)}
+        tgt = {p: off for p, q, off, dmp, dnq in self.blocks(t + 1)}
+        blocks = []
         for p, q, off, dmp, dnq in self.blocks(t):
+            # d(x (x) y) = d(x) (x) y + (-1)^p x (x) d(y)
             dm = self.m.diff_map(p)
-            up = tgt.get(p + 1)
-            if up is not None and dm.rows:
-                toff, _, dn = up
-                for u in range(dmp):
-                    col_m = dm.col(u)
-                    for v in range(dnq):
-                        src = off + u * dnq + v
-                        for w, val in enumerate(col_m):
-                            if val != f.zero:
-                                out.data[toff + w * dn + v][src] = \
-                                    f.add(out.data[toff + w * dn + v][src], val)
+            if p + 1 in tgt and dm.rows:
+                blocks.append((tgt[p + 1], off, dm.kron(Matrix.identity(f, dnq)).arr))
             dn_map = self.n.diff_map(q)
-            same = tgt.get(p)
-            if same is not None and dn_map.rows:
-                toff, _, dn = same
-                neg = p % 2 == 1
-                for u in range(dmp):
-                    for v in range(dnq):
-                        src = off + u * dnq + v
-                        col_n = dn_map.col(v)
-                        for w, val in enumerate(col_n):
-                            if val != f.zero:
-                                cur = out.data[toff + u * dn + w][src]
-                                out.data[toff + u * dn + w][src] = \
-                                    f.sub(cur, val) if neg else f.add(cur, val)
-        return out
+            if p in tgt and dn_map.rows:
+                term = Matrix.identity(f, dmp).kron(dn_map).arr
+                blocks.append((tgt[p], off, -term if p % 2 else term))
+        return from_blocks(f, self.ambient_dim(t + 1), self.ambient_dim(t), blocks)
 
     def diff(self, t: int) -> Matrix:
         if t in self._diffs:
@@ -320,14 +289,12 @@ class TensorComplex:
 
     def embed_block(self, t: int, p: int, cols: int) -> Matrix:
         """Ambient embedding of the (p, t-p) block as a matrix."""
-        f = self.field
-        out = Matrix.zeros(f, self.ambient_dim(t), cols)
         blk = self._block_offset(t, p)
+        blocks = []
         if blk is not None:
             off, dmp, dnq = blk
-            for c in range(min(cols, dmp * dnq)):
-                out.data[off + c][c] = f.one
-        return out
+            blocks.append((off, 0, Matrix.identity(self.field, min(cols, dmp * dnq)).arr))
+        return from_blocks(self.field, self.ambient_dim(t), cols, blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -419,24 +386,11 @@ def tensor_map(src: TensorComplex, dst: TensorComplex, fmaps, gmaps, t: int,
     morphisms m_src -> m_dst and n_src -> n_dst.  With `check`, relation
     rows of the source are verified to map into the target relation span.
     """
-    f = src.field
-    amb = Matrix.zeros(f, dst.ambient_dim(t), src.ambient_dim(t))
-    tgt = {p: (off, dmp, dnq) for p, q, off, dmp, dnq in dst.blocks(t)}
-    for p, q, off, dmp, dnq in src.blocks(t):
-        blk = tgt.get(p)
-        if blk is None:
-            # target block has a zero factor, so f^p (x) g^q is empty
-            continue
-        toff, tdm, tdn = blk
-        fm, gm = fmaps(p), gmaps(q)
-        kr = fm.kron(gm)
-        for r in range(kr.rows):
-            row = amb.data[toff + r]
-            src_row = kr.data[r]
-            for c in range(kr.cols):
-                v = src_row[c]
-                if v != f.zero:
-                    row[off + c] = f.add(row[off + c], v)
+    tgt = {p: off for p, q, off, dmp, dnq in dst.blocks(t)}
+    # a source block whose target block has a zero factor maps to zero
+    blocks = [(tgt[p], off, fmaps(p).kron(gmaps(q)).arr)
+              for p, q, off, dmp, dnq in src.blocks(t) if p in tgt]
+    amb = from_blocks(src.field, dst.ambient_dim(t), src.ambient_dim(t), blocks)
     sp, dp = src.space(t), dst.space(t)
     if check and sp.relations.rows:
         img = dp.projection @ amb @ sp.relations.transpose()

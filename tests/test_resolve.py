@@ -2,6 +2,7 @@ from dataclasses import replace
 
 import pytest
 
+from dgkunneth import resolve
 from dgkunneth.checks import all_ok
 from dgkunneth.dgmodule import (
     LEFT,
@@ -170,6 +171,61 @@ def test_resolution_independence(k):
         n = random_module(a, LEFT, rng)
         res = check_resolution_independence(m, n)
         assert res.ok, res.counterexample
+
+
+def _dual_numbers_simple_pair(k):
+    a = make_dual_numbers(k)
+    return simple_module_dual_numbers(a, RIGHT), simple_module_dual_numbers(a, LEFT)
+
+
+def test_depth_stabilization_detects_a_wrong_theta_der(k):
+    m, n = _dual_numbers_simple_pair(k)
+    w = theta_der(m, n)
+    assert check_depth_stabilization(m, n, w).ok
+    assert not w.theta_der.is_zero()
+    # the witness at depth width + 2 with theta_der doubled; the ones built
+    # at width + 3 and width + 4 are untouched
+    doubled = replace(w, theta_der=w.theta_der.scale(k.of_int(2)))
+    assert doubled.ok
+    res = check_depth_stabilization(m, n, doubled)
+    assert (res.name, res.ok) == ("depth_stabilization", False)
+    assert res.counterexample["dims"] == [1, 1, 1]
+
+
+def test_resolution_independence_detects_a_wrong_theta_der(k, monkeypatch):
+    m, n = _dual_numbers_simple_pair(k)
+    assert check_resolution_independence(m, n).ok
+    orig = resolve.theta_der
+
+    def doubled_for_variant_2(*args, variant=0, **kwargs):
+        w = orig(*args, variant=variant, **kwargs)
+        assert not (w.eta_h0 @ w.theta_der).is_zero()
+        if variant != 2:
+            return w
+        return replace(w, theta_der=w.theta_der.scale(k.of_int(2)))
+
+    monkeypatch.setattr(resolve, "theta_der", doubled_for_variant_2)
+    res = check_resolution_independence(m, n)
+    assert (res.name, res.ok) == ("resolution_independence", False)
+    assert res.counterexample["variants"] == [1, 2]
+
+
+def test_derived_diagram_detects_a_wrong_theta(k, monkeypatch):
+    m, n = _dual_numbers_simple_pair(k)
+    assert theta_der(m, n).ok
+    orig = resolve.theta
+    built = []
+
+    def doubled_for_m_n(*args, **kwargs):
+        # theta_der builds theta(P, N) first, then theta(mG, nG) for the triangle
+        w = orig(*args, **kwargs)
+        built.append(w)
+        return replace(w, theta=w.theta.scale(k.of_int(2))) if len(built) == 2 else w
+
+    monkeypatch.setattr(resolve, "theta", doubled_for_m_n)
+    w = theta_der(m, n)
+    assert len(built) == 2 and not built[1].theta.is_zero()
+    assert [r.name for r in w.evidence if not r.ok] == ["derived_diagram_commutes"]
 
 
 def test_resolution_variant_still_valid(k):

@@ -18,12 +18,15 @@ from dgkunneth.genlab import CorpusProfile, generate_corpus
 from dgkunneth.serialize import dumps_canonical
 
 F101 = Field.prime(101)
-FIELDS = {"F101": F101, "Q": Field.rationals()}
+# F_(2^61-1) stores matrices as object arrays of Python ints
+FIELDS = {"F101": F101, "Q": Field.rationals(), "F2^61-1": Field.prime(2 ** 61 - 1)}
 # sha256 of the canonical run_suite report without `timing`, default seed,
-# 12 instances, 6 derived, 2 functoriality
+# 12 instances, 6 derived, 2 functoriality; recorded while matrices were
+# still lists of rows
 REPORT_SHA256 = {
     "F101": "0071c681277e5ef343f7255db81be7f733621accfdca81439a7c9b104fe053f4",
     "Q": "b5d3aed4dc890c396c609b2e27564782938e42d6cd8c5c51e570b3a1818b218c",
+    "F2^61-1": "11e0a54f554a1946ac3a7bccef2a37f3aaa9b84c09be054abdfbc8c628cd2111",
 }
 
 
