@@ -177,14 +177,14 @@ class Matrix:
             raise ValueError("field mismatch")
         (ra, ca), (rb, cb) = self.arr.shape, other.arr.shape
         a4, b4 = self.arr[:, None, :, None], other.arr[None, :, None, :]
-        if a4.dtype == object:
-            # Python-level products only where both factors are nonzero
+        if not f.p:
+            # Fraction products only where both factors are nonzero
             shape = (ra, rb, ca, cb)
             prod = np.full(shape, f.zero, dtype=object)
             nz = (a4 != 0) & (b4 != 0)
             prod[nz] = np.broadcast_to(a4, shape)[nz] * np.broadcast_to(b4, shape)[nz]
         else:
-            # a product of two residues fits int64 by the dtype rule
+            # the product of two residues fits int64 whenever that is the dtype
             prod = a4 * b4
         return Matrix._of(f, _reduce(f, prod.reshape(ra * rb, ca * cb)))
 
@@ -220,7 +220,9 @@ def _fractions(num: np.ndarray, den) -> np.ndarray:
     only the nonzero entries; `den` broadcasts against `num`."""
     out = np.full(num.shape, Fraction(0), dtype=object)
     nz = num != 0
-    out[nz] = _fraction(num[nz], np.broadcast_to(den, num.shape)[nz])
+    if np.ndim(den):
+        den = np.broadcast_to(den, num.shape)[nz]
+    out[nz] = _fraction(num[nz], den)
     return out
 
 
@@ -262,8 +264,9 @@ def from_blocks(field: Field, rows: int, cols: int, blocks) -> Matrix:
     for r, c, blk in blocks:
         h, w = blk.shape
         region = out[r:r + h, c:c + w]
-        if out.dtype == object and not region.any():
-            region[...] = blk    # no Python-level additions of zeros
+        if out.dtype == object:
+            nz = blk != 0    # Python-level additions only for nonzero entries
+            region[nz] += blk[nz]
         else:
             region += blk
     return Matrix._of(field, _reduce(field, out))
