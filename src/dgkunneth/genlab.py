@@ -194,8 +194,7 @@ def random_free_module(a: DGAlgebra, side: str, rng: random.Random,
     gen_diffs = []
     for e in degrees:
         if gen_degrees:
-            partial, lay = free_module(a, side, gen_degrees, gen_diffs)
-            dim_at = partial.dim(e + 1)
+            partial, _ = free_module(a, side, gen_degrees, gen_diffs)
             k = kernel_basis(partial.diff_map(e + 1))
             # a random combination of the cocycles, one draw per basis row
             coeffs = Matrix(a.field, 1, k.rows, [a.field.random_vector(rng, k.rows)])

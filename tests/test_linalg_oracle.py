@@ -207,10 +207,6 @@ def test_seeded_tall_rank_deficient_matrices(p):
 # Q against sympy
 
 
-def fractions_matrix(rows, cols, data):
-    return Matrix(Q, rows, cols, data)
-
-
 @st.composite
 def q_matrices(draw, max_dim=4):
     rows = draw(st.integers(0, max_dim))
@@ -238,7 +234,7 @@ def from_sympy(sm):
 def test_q_row_reduction_matches_sympy(case):
     sympy = pytest.importorskip("sympy")
     rows, cols, data = case
-    m = fractions_matrix(rows, cols, data)
+    m = Matrix(Q, rows, cols, data)
     sm = to_sympy(sympy, rows, cols, data)
     red, pivots, r = rref(m)
     sred, spiv = sm.rref()
@@ -256,12 +252,12 @@ def test_q_row_reduction_matches_sympy(case):
 def test_q_solve_products_and_left_inverse_match_sympy(case, data):
     sympy = pytest.importorskip("sympy")
     rows, cols, d = case
-    m = fractions_matrix(rows, cols, d)
+    m = Matrix(Q, rows, cols, d)
     sm = to_sympy(sympy, rows, cols, d)
     if rows and cols:
         rhs = data.draw(st.lists(st.fractions(min_value=-2, max_value=2, max_denominator=3),
                                  min_size=rows, max_size=rows))
-        x = solve(m, fractions_matrix(rows, 1, [[v] for v in rhs]))
+        x = solve(m, Matrix(Q, rows, 1, [[v] for v in rhs]))
         try:
             sol, params = sm.gauss_jordan_solve(to_sympy(sympy, rows, 1, [[v] for v in rhs]))
         except ValueError:
@@ -280,12 +276,12 @@ def test_q_solve_products_and_left_inverse_match_sympy(case, data):
     cb = data.draw(st.integers(0, 3))
     b = data.draw(st.lists(st.lists(st.fractions(min_value=-2, max_value=2, max_denominator=3),
                                     min_size=cb, max_size=cb), min_size=cols, max_size=cols))
-    prod = m @ fractions_matrix(cols, cb, b)
+    prod = m @ Matrix(Q, cols, cb, b)
     if rows and cb:
         assert as_lists(prod) == from_sympy(sm * to_sympy(sympy, cols, cb, b))
     else:
         assert prod.arr.shape == (rows, cb)
-    assert as_lists(m.kron(fractions_matrix(cols, cb, b))) == \
+    assert as_lists(m.kron(Matrix(Q, cols, cb, b))) == \
         ref_kron(d, b, (rows, cols), (cols, cb), Fraction(0))
 
 
