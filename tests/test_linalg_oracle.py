@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dgkunneth.field import Field
+from dgkunneth.genlab import CorpusProfile, generate_corpus
 from dgkunneth.linalg import (
     Matrix,
     drop_zero_rows,
@@ -25,6 +26,7 @@ from dgkunneth.linalg import (
     rref,
     solve,
 )
+from dgkunneth.tensor import TensorComplex
 
 PRIMES = (101, 2 ** 31 - 1, 2 ** 61 - 1, 2 ** 64 - 59)
 Q = Field.rationals()
@@ -310,3 +312,23 @@ def test_solve_and_left_inverse_do_not_alias_their_inputs():
         assert not np.shares_memory(out.arr, m.arr)
         assert not np.shares_memory(out.arr, rhs.arr)
     assert m @ x == rhs and li @ m == Matrix.identity(f, 2)
+
+
+def test_tensor_complex_caches_cannot_be_changed_through_results():
+    inst = generate_corpus(CorpusProfile(field=Field.prime(101), instance_count=4))[3]
+    tc = TensorComplex(inst.m, inst.n)
+    degrees = [t for t in range(tc.lo, tc.hi + 1) if tc.relations(t).rows]
+    assert degrees
+    for t in degrees:
+        rel, sp = tc.relations(t), tc.space(t)
+        for m in (rel, rel.transpose(), sp.projection, sp.section, tc.diff(t - 1)):
+            if m.rows and m.cols:
+                with pytest.raises(ValueError):
+                    m.arr[0, 0] = 1
+        # matrices computed from the cached ones are new arrays
+        assert not np.shares_memory((-rel).arr, rel.arr)
+        assert not np.shares_memory(drop_zero_rows(rel).arr, rel.arr)
+        fresh = TensorComplex(inst.m, inst.n)
+        assert tc.relations(t) is rel and rel == fresh.relations(t)
+        assert (sp.projection, sp.section) == \
+            (fresh.space(t).projection, fresh.space(t).section)
