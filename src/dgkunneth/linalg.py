@@ -44,9 +44,7 @@ def _dtype(f: Field):
 
 
 def _zeros(f: Field, rows: int, cols: int) -> np.ndarray:
-    if f.p and _fits_int64(f.p, 1):
-        return np.zeros((rows, cols), dtype=np.int64)
-    return np.full((rows, cols), f.zero, dtype=object)
+    return np.full((rows, cols), f.zero, dtype=_dtype(f))
 
 
 def _reduce(f: Field, arr: np.ndarray) -> np.ndarray:
@@ -68,8 +66,8 @@ class Matrix:
         if rows < 0 or cols < 0:
             raise ValueError("negative dimensions")
         arr = np.array(data, dtype=_dtype(field))
-        if arr.size == 0 and rows * cols == 0:
-            arr = arr.reshape(rows, cols)
+        if rows == 0 and len(data) == 0:
+            arr = arr.reshape(0, cols)
         if arr.shape != (rows, cols):
             raise ValueError(f"shape mismatch: want {rows}x{cols}")
         self._set(field, _reduce(field, arr))
@@ -164,11 +162,22 @@ class Matrix:
         return Matrix._of(f, _matmul(f, self.arr, other.arr))
 
     def apply(self, vec):
-        """Apply to a column vector given as a list; returns a list."""
+        """Apply to a column vector given as a list; returns a list.
+
+        Only the columns where `vec` is nonzero are read.  Over Q the
+        product runs on the Fractions directly: rescaling to integers
+        costs more than it saves on a single vector.
+        """
         if len(vec) != self.cols:
             raise ValueError("vector length mismatch")
-        col = np.array(vec, dtype=self.arr.dtype).reshape(self.cols, 1)
-        return _matmul(self.field, self.arr, col)[:, 0].tolist()
+        nz = [j for j, x in enumerate(vec) if x]
+        if not nz:
+            return [self.field.zero] * self.rows
+        col = np.array([vec[j] for j in nz], dtype=self.arr.dtype)
+        sub = self.arr[:, nz]
+        if self.field.p:
+            return _matmul(self.field, sub, col.reshape(-1, 1))[:, 0].tolist()
+        return (sub @ col).tolist()
 
     def kron(self, other: "Matrix") -> "Matrix":
         """Kronecker product; acts on x (x) y with index u*cols2 + v."""
@@ -178,7 +187,8 @@ class Matrix:
         (ra, ca), (rb, cb) = self.arr.shape, other.arr.shape
         a4, b4 = self.arr[:, None, :, None], other.arr[None, :, None, :]
         if not f.p:
-            # Fraction products only where both factors are nonzero
+            # Fraction products only where both factors are nonzero: most
+            # entries of the tensor presentations over Q are zero
             shape = (ra, rb, ca, cb)
             prod = np.full(shape, f.zero, dtype=object)
             nz = (a4 != 0) & (b4 != 0)
@@ -265,7 +275,8 @@ def from_blocks(field: Field, rows: int, cols: int, blocks) -> Matrix:
         h, w = blk.shape
         region = out[r:r + h, c:c + w]
         if out.dtype == object:
-            nz = blk != 0    # Python-level additions only for nonzero entries
+            # most block entries over Q are zero: add only the others
+            nz = blk != 0
             region[nz] += blk[nz]
         else:
             region += blk

@@ -152,6 +152,25 @@ def _free_map(lay: FreeLayout, target: DGModule, images, i: int,
     return from_blocks(f, target.dim(i + degree_shift), lay.dim(i), blocks)
 
 
+def _free_apply(lay: FreeLayout, target: DGModule, images, i: int,
+                degree_shift: int, vec) -> list:
+    """`_free_map(lay, target, images, i, degree_shift).apply(vec)`, built
+    only from the generators whose block of `vec` is nonzero: that block x
+    of generator g goes to images[g].x, the action on images[g] (x) x."""
+    f = target.field
+    out = Matrix.zeros(f, target.dim(i + degree_shift), 1)
+    off = 0
+    for g, img in enumerate(images):
+        e = lay.gen_degrees[g]
+        da = lay.algebra.dim(i - e)
+        x = vec[off:off + da]
+        off += da
+        if any(v != f.zero for v in x) and any(v != f.zero for v in img):
+            act = target.action_map(e + degree_shift, i - e)
+            out = out + act @ Matrix.column(f, img).kron(Matrix.column(f, x))
+    return out.col(0)
+
+
 def morphism_from_generator_images(p: DGModule, lay: FreeLayout, target: DGModule,
                                    images, degree_shift: int = 0) -> dict:
     """Matrices of the equivariant map g.a |-> images[g].a (right modules).
@@ -491,9 +510,9 @@ def lift_through_resolutions(res: SemiFreeResolution, resp: SemiFreeResolution,
     for g, e in enumerate(res.gen_degrees):
         z = res.gen_diffs[g] or [f.zero] * p.dim(e + 1)
         # phi and h on d(g), from the generators already lifted
-        y = _free_map(res.layout, pp, phi_imgs, e + 1, 0).apply(z)
+        y = _free_apply(res.layout, pp, phi_imgs, e + 1, 0, z)
         u = fmor.map_at(e).apply(res.gen_images[g])
-        hz = _free_map(res.layout, mprime, h_imgs, e + 1, -1).apply(z)
+        hz = _free_apply(res.layout, mprime, h_imgs, e + 1, -1, z)
         rhs = y + [f.add(a, b) for a, b in zip(u, hz)]
         top = pp.diff_map(e)
         bot_l = resp.rho.map_at(e)

@@ -133,6 +133,15 @@ def test_stack_helpers():
     assert vstack([a, b]) == mat(Q, [[1], [2], [3], [4]])
 
 
+def test_constructor_checks_the_row_count_of_empty_data():
+    for f in (F101, Q):
+        assert Matrix(f, 0, 5, []).arr.shape == (0, 5)
+        assert Matrix(f, 3, 0, [[], [], []]).arr.shape == (3, 0)
+        for rows, cols, data in ((3, 0, []), (0, 5, [[]]), (2, 0, [[]]), (3, 5, [])):
+            with pytest.raises(ValueError):
+                Matrix(f, rows, cols, data)
+
+
 @st.composite
 def small_matrix(draw, field):
     rows = draw(st.integers(0, 5))

@@ -19,6 +19,7 @@ from dgkunneth.genlab import CorpusProfile, generate_corpus
 from dgkunneth.linalg import (
     Matrix,
     drop_zero_rows,
+    from_blocks,
     kernel_basis,
     left_inverse,
     quotient,
@@ -105,6 +106,32 @@ def as_lists(m: Matrix):
     return m.arr.tolist()
 
 
+@st.composite
+def block_lists(draw, p, rows, cols, elem=None):
+    """Up to three (r, c, array) blocks inside rows x cols, possibly
+    overlapping, with entries in (-p, p) (or drawn from `elem`), in the
+    storage dtype of F_p (object over Q)."""
+    if elem is None:
+        elem = st.integers(-(p - 1), p - 1)
+    dtype = np.int64 if 0 < p < 2 ** 32 else object
+    out = []
+    for _ in range(draw(st.integers(0, 3)) if rows and cols else 0):
+        r, c = draw(st.integers(0, rows - 1)), draw(st.integers(0, cols - 1))
+        h, w = draw(st.integers(0, rows - r)), draw(st.integers(0, cols - c))
+        blk = draw(st.lists(st.lists(elem, min_size=w, max_size=w), min_size=h, max_size=h))
+        out.append((r, c, np.array(blk, dtype=dtype).reshape(h, w)))
+    return out
+
+
+def ref_from_blocks(blocks, rows, cols, zero):
+    out = [[zero] * cols for _ in range(rows)]
+    for r, c, blk in blocks:
+        for i, row in enumerate(blk.tolist()):
+            for j, x in enumerate(row):
+                out[r + i][c + j] += x
+    return out
+
+
 @pytest.mark.parametrize("p", PRIMES)
 def test_storage_dtype_follows_the_prime(p):
     m = Matrix.identity(Field.prime(p), 3)
@@ -173,6 +200,11 @@ def test_products_match_reference(p, data):
     assert as_lists(ma @ mb) == ref_matmul(a, b, ca, cb, p)
     assert as_lists(ma.kron(mb)) == \
         [[x % p for x in row] for row in ref_kron(a, b, (ra, ca), (ca, cb))]
+    v = data.draw(st.lists(entries(p), min_size=ca, max_size=ca))
+    assert ma.apply(v) == [sum(x * y for x, y in zip(row, v)) % p for row in a]
+    blocks = data.draw(block_lists(p, ra, ca))
+    assert as_lists(from_blocks(f, ra, ca, blocks)) == \
+        [[x % p for x in row] for row in ref_from_blocks(blocks, ra, ca, 0)]
 
 
 def test_int64_products_take_the_overflow_guard():
@@ -209,13 +241,15 @@ def test_seeded_tall_rank_deficient_matrices(p):
 # Q against sympy
 
 
+q_entries = st.one_of(st.just(Fraction(0)),
+                     st.fractions(min_value=-3, max_value=3, max_denominator=4))
+
+
 @st.composite
 def q_matrices(draw, max_dim=4):
     rows = draw(st.integers(0, max_dim))
     cols = draw(st.integers(0, max_dim))
-    elem = st.one_of(st.just(Fraction(0)),
-                     st.fractions(min_value=-3, max_value=3, max_denominator=4))
-    data = draw(st.lists(st.lists(elem, min_size=cols, max_size=cols),
+    data = draw(st.lists(st.lists(q_entries, min_size=cols, max_size=cols),
                          min_size=rows, max_size=rows))
     if rows >= 2 and draw(st.booleans()):
         data[-1] = [2 * x - y for x, y in zip(data[0], data[1])]
@@ -285,6 +319,14 @@ def test_q_solve_products_and_left_inverse_match_sympy(case, data):
         assert prod.arr.shape == (rows, cb)
     assert as_lists(m.kron(Matrix(Q, cols, cb, b))) == \
         ref_kron(d, b, (rows, cols), (cols, cb), Fraction(0))
+    v = data.draw(st.lists(q_entries, min_size=cols, max_size=cols))
+    got = m.apply(v)
+    assert got == [sum((x * y for x, y in zip(row, v)), Fraction(0)) for row in d]
+    assert all(type(x) is Fraction for x in got)
+    blocks = data.draw(block_lists(0, rows, cols, q_entries))
+    built = from_blocks(Q, rows, cols, blocks)
+    assert as_lists(built) == ref_from_blocks(blocks, rows, cols, Fraction(0))
+    assert all(type(x) is Fraction for x in built.arr.flat)
 
 
 # ---------------------------------------------------------------------------

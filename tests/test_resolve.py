@@ -257,6 +257,26 @@ def test_lift_identity(k):
     assert validate_morphism(lift.phi) == []
 
 
+def test_free_apply_matches_the_whole_free_map(k):
+    # the lift applies the free map only on the generators a vector touches;
+    # that must equal the product with the whole matrix, for every prefix of
+    # the generator images and for vectors with zero generator blocks
+    a = make_koszul_dg(k)
+    rng = instance_rng(302, 2)
+    m = random_module(a, RIGHT, rng)
+    res = semifree_resolve(m, depth=4)     # five generators in degrees -2..-4
+    lay = res.layout
+    for shift in (0, -1):
+        images = [k.random_vector(rng, m.dim(e + shift)) for e in res.gen_degrees]
+        for i in res.p.degrees():
+            for upto in range(len(images) + 1):
+                whole = resolve._free_map(lay, m, images[:upto], i, shift)
+                vec = [x if rng.random() < 0.5 else k.zero
+                       for x in k.random_vector(rng, res.p.dim(i))]
+                assert resolve._free_apply(lay, m, images[:upto], i, shift, vec) == \
+                    whole.apply(vec)
+
+
 def _derived_witnesses(f, g):
     """theta_der for the sources and the targets at the common bounds (the
     larger sup of cohomology) and the common depth (the larger width + 2)."""
