@@ -13,9 +13,9 @@ Linear maps use the column convention throughout: a map V -> W is a
 matrices on Kronecker-ordered tensor bases (index of e_u (x) e_v is
 u*dimV2 + v).
 
-Over F_p one Gauss-Jordan serves both dtypes; it only touches the rows
-that are nonzero in the pivot column.  Every int64 product is guarded by
-`_fits_int64` and is computed on Python ints when an accumulation could
+One Gauss-Jordan loop serves every field and dtype; it only touches the
+rows that are nonzero in the pivot column.  Every int64 product is guarded
+by `_fits_int64` and is computed on Python ints when an accumulation could
 overflow.  Over Q elimination and products run on gcd-normalized integer
 rows, so no Fraction arithmetic happens inside the elimination loop.
 Results are canonical: the reduced row echelon form is unique, and every
@@ -26,6 +26,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from math import gcd, lcm
 from operator import attrgetter
 
@@ -44,7 +45,9 @@ def _dtype(f: Field):
 
 
 def _zeros(f: Field, rows: int, cols: int) -> np.ndarray:
-    return np.full((rows, cols), f.zero, dtype=_dtype(f))
+    out = np.empty((rows, cols), dtype=_dtype(f))
+    out.fill(f.zero)
+    return out
 
 
 def _reduce(f: Field, arr: np.ndarray) -> np.ndarray:
@@ -184,19 +187,20 @@ class Matrix:
         f = self.field
         if f is not other.field and f != other.field:
             raise ValueError("field mismatch")
-        (ra, ca), (rb, cb) = self.arr.shape, other.arr.shape
-        a4, b4 = self.arr[:, None, :, None], other.arr[None, :, None, :]
-        if not f.p:
-            # Fraction products only where both factors are nonzero: most
-            # entries of the tensor presentations over Q are zero
-            shape = (ra, rb, ca, cb)
-            prod = np.full(shape, f.zero, dtype=object)
-            nz = (a4 != 0) & (b4 != 0)
-            prod[nz] = np.broadcast_to(a4, shape)[nz] * np.broadcast_to(b4, shape)[nz]
-        else:
-            # the product of two residues fits int64 whenever that is the dtype
-            prod = a4 * b4
-        return Matrix._of(f, _reduce(f, prod.reshape(ra * rb, ca * cb)))
+        a, b = self.arr, other.arr
+        (ra, ca), (rb, cb) = a.shape, b.shape
+        if a.dtype == object:
+            # Python-level products only for pairs of nonzero entries: most
+            # entries of the tensor presentations are zero
+            out = _zeros(f, ra * rb, ca * cb)
+            i, j = a.nonzero()
+            k, l = b.nonzero()
+            out[np.add.outer(i * rb, k), np.add.outer(j * cb, l)] = \
+                _reduce(f, np.multiply.outer(a[i, j], b[k, l]))
+            return Matrix._of(f, out)
+        # the product of two residues fits int64 whenever that is the dtype
+        prod = a[:, None, :, None] * b[None, :, None, :]
+        return Matrix._of(f, prod.reshape(ra * rb, ca * cb) % f.p)
 
 
 def _matmul(f: Field, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -226,13 +230,12 @@ _fraction = np.frompyfunc(Fraction, 2, 1)
 
 
 def _fractions(num: np.ndarray, den) -> np.ndarray:
-    """Fraction(num, den) entrywise for integer object arrays, building
-    only the nonzero entries; `den` broadcasts against `num`."""
+    """Fraction(num, den) entrywise for a 2-D integer object array, where
+    `den` is one denominator or one per row.  Only the nonzero entries are
+    built: most entries over Q are zero."""
     out = np.full(num.shape, Fraction(0), dtype=object)
-    nz = num != 0
-    if np.ndim(den):
-        den = np.broadcast_to(den, num.shape)[nz]
-    out[nz] = _fraction(num[nz], den)
+    rows, cols = num.nonzero()
+    out[rows, cols] = _fraction(num[rows, cols], den[rows] if np.ndim(den) else den)
     return out
 
 
@@ -294,20 +297,26 @@ def rref(m: Matrix):
     """
     if m.rows == 0 or m.cols == 0:
         return m, [], 0
-    if m.field.p:
-        red, pivots = _rref_fp(m.arr, m.field.p)
+    p = m.field.p
+    if p:
+        work = m.arr.copy()
+        pivots = _gauss_jordan(work, partial(_eliminate_fp, p=p))
     else:
-        red, pivots = _rref_q(m.arr)
-    return Matrix._of(m.field, red), pivots, len(pivots)
+        work = _int_rows(m.arr)
+        pivots = _gauss_jordan(work, _eliminate_q)
+        # pivot rows divided by their pivot entries; the other rows are zero
+        lead = np.ones(m.rows, dtype=object)
+        lead[:len(pivots)] = work[range(len(pivots)), pivots]
+        work = _fractions(work, lead)
+    return Matrix._of(m.field, work), pivots, len(pivots)
 
 
-def _rref_fp(a: np.ndarray, p: int):
-    """Gauss-Jordan over F_p on a copy of `a`, for int64 and object arrays.
+def _gauss_jordan(work: np.ndarray, eliminate) -> list:
+    """Row-reduce `work` in place; returns the pivot columns.
 
-    Entries stay in (-(p-1)^2, p) before each reduction, which int64 holds
-    whenever it is the storage dtype (`_fits_int64(p, 1)`).
+    For each pivot column c, `eliminate(work, r, c, rows)` clears column c
+    in `rows` (the other rows that are nonzero there) with pivot row r.
     """
-    work = a.copy()
     nrows, ncols = work.shape
     pivots = []
     r = 0
@@ -320,17 +329,25 @@ def _rref_fp(a: np.ndarray, p: int):
         if i != r:
             # row i's old place now holds row r, which is zero in column c
             work[[r, i]] = work[[i, r]]
-        others = nz[:k] + nz[k + 1:]
-        # columns left of c are zero in row r and in every row it updates
-        prow = work[r, c:] * pow(int(work[r, c]), p - 2, p) % p
-        work[r, c:] = prow
-        if others:
-            work[others, c:] = (work[others, c:] - np.outer(work[others, c], prow)) % p
+        eliminate(work, r, c, nz[:k] + nz[k + 1:])
         pivots.append(c)
         r += 1
         if r == nrows:
             break
-    return work, pivots
+    return pivots
+
+
+def _eliminate_fp(work: np.ndarray, r: int, c: int, rows: list, p: int):
+    """Scale pivot row r to 1 and clear column c in `rows`, over F_p.
+
+    Entries stay in (-(p-1)^2, p) before each reduction, which int64 holds
+    whenever it is the storage dtype (`_fits_int64(p, 1)`).
+    """
+    # columns left of c are zero in row r, so the update leaves them alone
+    prow = work[r, c:] * pow(int(work[r, c]), p - 2, p) % p
+    work[r, c:] = prow
+    if rows:
+        work[rows, c:] = (work[rows, c:] - np.outer(work[rows, c], prow)) % p
 
 
 def _int_rows(a: np.ndarray) -> np.ndarray:
@@ -344,8 +361,12 @@ def _int_rows(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def _eliminate_q(work: np.ndarray, r: int, c: int, rows: np.ndarray):
-    """Clear column c in `rows` with pivot row r, keeping rows primitive."""
+def _eliminate_q(work: np.ndarray, r: int, c: int, rows: list):
+    """Clear column c in `rows` with pivot row r, over Q on primitive
+    integer rows: each row becomes a multiple of itself minus one of row
+    r, divided by its content.  Pivot entries stay unnormalized."""
+    if not rows:
+        return
     a = work[r, c]
     b = work[rows, c]
     g = np.gcd(b, a)
@@ -353,36 +374,6 @@ def _eliminate_q(work: np.ndarray, r: int, c: int, rows: np.ndarray):
     content = np.gcd.reduce(new, axis=1)
     content[content == 0] = 1
     work[rows] = new // content[:, None]
-
-
-def _rref_q(a: np.ndarray):
-    work = _int_rows(a)
-    nrows, ncols = work.shape
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        nz = np.flatnonzero(work[r:, c])
-        if nz.size == 0:
-            continue
-        i = r + int(nz[0])
-        if i != r:
-            work[[r, i]] = work[[i, r]]
-        below = r + 1 + np.flatnonzero(work[r + 1:, c])
-        if below.size:
-            _eliminate_q(work, r, c, below)
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    # back-substitution over the pivot rows
-    for idx in range(len(pivots) - 1, -1, -1):
-        above = np.flatnonzero(work[:idx, pivots[idx]])
-        if above.size:
-            _eliminate_q(work, idx, pivots[idx], above)
-    # pivot rows divided by their pivot entries; the other rows are zero
-    lead = np.ones((nrows, 1), dtype=object)
-    lead[:r, 0] = work[range(r), pivots]
-    return _fractions(work, lead), pivots
 
 
 def rank(m: Matrix) -> int:
