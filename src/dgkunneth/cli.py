@@ -176,8 +176,8 @@ def cmd_derived_kunneth(args) -> int:
         try:
             w = theta_der(m, n, depth=args.depth)
             report.checks.extend(w.evidence)
-            report.checks.append(check_depth_stabilization(m, n, w))
-            report.checks.append(check_resolution_independence(m, n))
+            report.checks.append(check_depth_stabilization(w))
+            report.checks.append(check_resolution_independence(w))
             report.extra["theta_der"] = matrix_to_json(w.theta_der)
             report.extra["source_dim"] = w.source.dim
             report.extra["target_dim"] = w.target.dim

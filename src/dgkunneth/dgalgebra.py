@@ -212,22 +212,3 @@ def h0_ring(a: DGAlgebra) -> H0Ring:
 def degree_zero_ring(a: DGAlgebra) -> DGAlgebra:
     """A^0 as an ordinary ring (forgetting all other degrees)."""
     return DGAlgebra(a.field, 0, {0: a.dim(0)}, {(0, 0): a.mult_map(0, 0)}, {}, a.unit)
-
-
-def opposite_algebra(a: DGAlgebra) -> DGAlgebra:
-    """A^op: same underlying complex, product x *op y = (-1)^{|x||y|} y x."""
-    f = a.field
-    mult = {}
-    for (i, j), _ in list(a.mult.items()):
-        m = a.mult_map(j, i) @ perm_matrix(f, a.dim(i), a.dim(j))
-        if (i * j) % 2 == 1:
-            m = -m
-        mult[(i, j)] = m
-    return DGAlgebra(f, a.min_degree, dict(a.dims), mult, dict(a.diff), list(a.unit))
-
-
-def perm_matrix(f: Field, d1: int, d2: int) -> Matrix:
-    """The swap V1 (x) V2 -> V2 (x) V1 on Kronecker coordinates."""
-    # row v*d1 + u is the identity row u*d2 + v
-    order = np.arange(d1 * d2).reshape(d1, d2).T.ravel()
-    return Matrix(f, d2 * d1, d1 * d2, Matrix.identity(f, d1 * d2).arr[order])

@@ -1,9 +1,8 @@
 """One-sided DG modules over a nonpositive DG algebra.
 
 Covers the data model and validators, strict morphisms, degree shift,
-smart truncation, free modules on graded generator sets, cohomology with
-its H^0(A)-module structure, and the conversion between right modules and
-left modules over the opposite algebra.
+smart truncation, free modules on graded generator sets, and cohomology
+with its H^0(A)-module structure.
 
 Sign conventions (fixed once, validated by every d^2/Leibniz check):
   left Leibniz   d(a.m) = d(a).m + (-1)^{|a|} a.d(m)
@@ -16,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import accumulate
 
-from .dgalgebra import DGAlgebra, StructureError, Violation, _first_mismatch, perm_matrix
+from .dgalgebra import DGAlgebra, StructureError, Violation, _first_mismatch
 from .field import Field
 from .linalg import (
     Matrix,
@@ -420,38 +419,6 @@ def mapping_cone(fm: StrictMorphism) -> DGModule:
 
 
 # ---------------------------------------------------------------------------
-# Opposite-algebra presentation of right modules
-
-
-def right_to_op_left(m: DGModule, aop: DGAlgebra) -> DGModule:
-    """Present a right A-module as a left A^op-module: a.m = (-1)^{|a||m|} m.a."""
-    if m.side != RIGHT:
-        raise StructureError("expected a right module")
-    f = m.field
-    action = {}
-    for (i, j), mat in m.action.items():
-        new = mat @ perm_matrix(f, m.algebra.dim(j), m.dim(i))
-        if (i * j) % 2 == 1:
-            new = -new
-        action[(i, j)] = new
-    return DGModule(LEFT, aop, m.window, dict(m.dims), dict(m.diff), action)
-
-
-def op_left_to_right(m: DGModule, a: DGAlgebra) -> DGModule:
-    """Inverse of right_to_op_left."""
-    if m.side != LEFT:
-        raise StructureError("expected a left module")
-    f = m.field
-    action = {}
-    for (i, j), mat in m.action.items():
-        new = mat @ perm_matrix(f, m.dim(i), m.algebra.dim(j))
-        if (i * j) % 2 == 1:
-            new = -new
-        action[(i, j)] = new
-    return DGModule(RIGHT, a, m.window, dict(m.dims), dict(m.diff), action)
-
-
-# ---------------------------------------------------------------------------
 # Free modules on graded generators
 
 
@@ -465,13 +432,6 @@ class FreeLayout:
     """
     algebra: DGAlgebra
     gen_degrees: tuple
-
-    def basis(self, i: int):
-        out = []
-        for g, e in enumerate(self.gen_degrees):
-            d = self.algebra.dim(i - e)
-            out.extend((g, b) for b in range(d))
-        return out
 
     def dim(self, i: int) -> int:
         return sum(self.algebra.dim(i - e) for e in self.gen_degrees)

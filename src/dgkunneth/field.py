@@ -85,13 +85,6 @@ class Field:
     def neg(self, a):
         return (-a) % self.p if self.p else -a
 
-    def inv(self, a):
-        if a == self.zero:
-            raise ZeroDivisionError("inverse of zero")
-        if self.p:
-            return pow(a, self.p - 2, self.p)
-        return Fraction(1) / a
-
     def of_int(self, n: int):
         return n % self.p if self.p else Fraction(n)
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
 from math import gcd, lcm
 from operator import attrgetter
 
@@ -89,11 +89,15 @@ class Matrix:
         m._set(field, arr)
         return m
 
+    # Zero and identity matrices are read-only, so one instance per
+    # (field, shape) is shared by every caller.
     @classmethod
+    @lru_cache(maxsize=1024)
     def zeros(cls, field: Field, rows: int, cols: int) -> "Matrix":
         return cls._of(field, _zeros(field, rows, cols))
 
     @classmethod
+    @lru_cache(maxsize=1024)
     def identity(cls, field: Field, n: int) -> "Matrix":
         a = _zeros(field, n, n)
         np.fill_diagonal(a, field.one)

@@ -9,12 +9,18 @@ H^i(rho) is an isomorphism for i >= -depth + 1 and surjective at -depth,
 and sup(P) equals the top nonzero cohomology degree of M.
 
 The derived tensor of (M, N) at top degree is realized as H^0(P (x)_A N)
-after translating tops to zero and smart-truncating; a resolution of depth
-width(N) + 2 already computes it exactly, because the tensor degrees 0 and
--1 only see P in degrees >= -1 - width(N) and later stages never modify
-degrees already built.  `check_depth_stabilization` re-certifies that per
-instance, reusing the battery's witness at its own depth and building the
-deeper ones separately.
+after translating tops to zero and smart-truncating.  Stage t adjoins
+generators of degree t - 1, and as A is nonpositive a generator of degree e
+spans P only in degrees <= e.  So the stages t <= -d leave P^i, the
+differential out of P^i and rho^i untouched for i >= -d, and with them
+H^t(P) and H^t(rho) for t >= -d + 1.  Two things follow.  A resolution of
+depth width(N) + 2 already computes the top exactly, because the tensor
+degrees 0 and -1 only see P in degrees >= -1 - width(N).  And the depth-d'
+resolution is the depth-d one followed by the stages t = -d, ..., -d' + 1,
+each reading only what the stages before it built: `_add_stages` deepens a
+resolution by running just those stages.  `check_depth_stabilization`
+reaches its deeper depths that way, and still gives every depth its own
+tensor complex, theta_der and full certification.
 """
 from __future__ import annotations
 
@@ -229,10 +235,33 @@ def semifree_resolve(m: DGModule, depth: int, variant: int = 0,
             gen_diffs.append([])
 
     p, lay, rho = _build_p_and_rho(a, m, gen_degrees, gen_diffs, gen_images)
-    # later stages: kill ker H^t(rho) going down from the top
-    stage = 0
-    for t in range(sup_h, -depth, -1):
-        stage += 1
+    # stage 0 alone is certified to depth -sup_h: H^{sup_h}(rho) is onto
+    res = SemiFreeResolution(m, p, lay, rho, -sup_h, gen_degrees, gen_stages,
+                             gen_diffs, gen_images)
+    return _add_stages(res, depth, rng, cap)
+
+
+def _add_stages(res: SemiFreeResolution, depth: int, rng=None,
+                cap: int = GENERATOR_CAP) -> SemiFreeResolution:
+    """Continue `res` with the stages t = -res.depth, ..., -depth + 1 and
+    certify the result at `depth`; `res` itself is left as it was.
+
+    Stage t kills ker H^t(rho) with generators of degree t - 1 and is
+    stage number sup_h + 1 - t, the same as in a build from scratch, so
+    continuing a variant-0 resolution gives exactly what `semifree_resolve`
+    builds at the greater depth.  A variant's random draws are not kept
+    with it, so only variant 0 can be continued later.
+    """
+    if not res.gen_degrees:        # M is acyclic: P = 0 at every depth
+        return replace(res, depth=depth)
+    m, p, lay, rho = res.target, res.p, res.layout, res.rho
+    f, a = m.field, m.algebra
+    h0dim = a.h0().dim
+    sup_h = max(res.gen_degrees)
+    gen_degrees, gen_stages = list(res.gen_degrees), list(res.gen_stages)
+    gen_diffs, gen_images = list(res.gen_diffs), list(res.gen_images)
+    # kill ker H^t(rho) going down from the top
+    for t in range(min(sup_h, -res.depth), -depth, -1):
         hp = cohomology(p, t)
         hm = cohomology(m, t)
         hrho = cohomology_map(rho, hp, hm)
@@ -268,7 +297,7 @@ def semifree_resolve(m: DGModule, depth: int, variant: int = 0,
                     if c != f.zero:
                         w = [f.add(x, f.mul(c, y)) for x, y in zip(w, krow)]
             gen_degrees.append(t - 1)
-            gen_stages.append(stage)
+            gen_stages.append(sup_h + 1 - t)
             gen_diffs.append(z)
             gen_images.append(w)
         lay_next = FreeLayout(a, tuple(gen_degrees))
@@ -326,8 +355,7 @@ class DerivedSetup:
 
 
 def derived_setup(m: DGModule, n: DGModule, depth: int | None = None,
-                  variant: int = 0, i0: int | None = None,
-                  j0: int | None = None) -> DerivedSetup:
+                  i0: int | None = None, j0: int | None = None) -> DerivedSetup:
     if i0 is None:
         i0 = sup_cohomology(m)
         i0 = m.window[1] if i0 is None else i0
@@ -338,7 +366,7 @@ def derived_setup(m: DGModule, n: DGModule, depth: int | None = None,
     nG = smart_truncate(shift(n, j0), 0)
     width = 0 - nG.window[0]
     d = depth if depth is not None else width + 2
-    res = semifree_resolve(mG, d, variant=variant)
+    res = semifree_resolve(mG, d)
     tc = TensorComplex(res.p, nG)
     return DerivedSetup(i0, j0, mG, nG, width, d, res, tc)
 
@@ -372,19 +400,23 @@ class DerivedKunnethWitness:
 
 
 def theta_der(m: DGModule, n: DGModule, depth: int | None = None,
-              variant: int = 0, i0: int | None = None,
-              j0: int | None = None) -> DerivedKunnethWitness:
+              i0: int | None = None, j0: int | None = None) -> DerivedKunnethWitness:
     """The derived top-degree isomorphism with its commuting-triangle evidence."""
-    setup = derived_setup(m, n, depth, variant, i0, j0)
-    res, nG, mG = setup.resolution, setup.nG, setup.mG
-    f = m.field
+    setup = derived_setup(m, n, depth, i0, j0)
+    # theta for (mG, nG): its H^0(mG), source, tensor complex and H^0 are
+    # the ones the transport and the triangle need, for every resolution
+    return _theta_der_on(setup, theta(setup.mG, setup.nG, i0=0, j0=0))
+
+
+def _theta_der_on(setup: DerivedSetup, wMN: KunnethWitness) -> DerivedKunnethWitness:
+    """The per-resolution half of `theta_der`: theta_der on the setup's
+    resolution, stated on the bases of `wMN` = theta(mG, nG)."""
+    res, nG = setup.resolution, setup.nG
+    f = nG.field
     evidence = []
 
     plain = theta(res.p, nG, i0=0, j0=0)
     evidence.extend(plain.evidence)
-    # theta for (mG, nG): its H^0(mG), source, tensor complex and H^0 are
-    # also the ones the transport and the triangle below need
-    wMN = theta(mG, nG, i0=0, j0=0)
 
     hmg, source = wMN.hm, wMN.source
     hrho = cohomology_map(res.rho, plain.hm, hmg)
@@ -439,21 +471,32 @@ def theta_der(m: DGModule, n: DGModule, depth: int | None = None,
                                  eta_h0, evidence)
 
 
-def check_depth_stabilization(m: DGModule, n: DGModule,
-                              w: DerivedKunnethWitness) -> CheckResult:
+def _on_resolution(setup: DerivedSetup, res: SemiFreeResolution) -> DerivedSetup:
+    """The same translated pair with another resolution of mG."""
+    return replace(setup, depth=res.depth, resolution=res,
+                   tc=TensorComplex(res.p, setup.nG))
+
+
+def check_depth_stabilization(w: DerivedKunnethWitness) -> CheckResult:
     """Deeper resolutions change nothing at the top: equal dims, equal matrices.
 
-    `w` is the variant-0 `theta_der` witness of (m, n) already built; it
-    is reused at its own depth and theta_der is built afresh at each other
-    depth of width+2..width+4.  Every depth still has its own resolution,
-    so the comparison between depths stays a real one.
+    `w` is the variant-0 `theta_der` witness already built.  It is reused
+    at its own depth; every other depth of width+2..width+4 gets its own
+    resolution, tensor complex and theta_der, so the comparison between
+    depths stays a real one.  A depth above the previous one continues that
+    resolution's stages instead of repeating them; only a depth below
+    `w`'s is built from scratch.  theta(mG, nG) is `w.mn` throughout.
     """
-    width = w.setup.width
-    depths = [width + 2, width + 3, width + 4]
+    s = w.setup
+    depths = [s.width + 2, s.width + 3, s.width + 4]
     dims, mats = [], []
+    res = s.resolution if s.depth < depths[0] else None
     for d in depths:
-        wd = w if d == w.setup.depth else \
-            theta_der(m, n, depth=d, i0=w.setup.i0, j0=w.setup.j0)
+        if d == s.depth:
+            wd, res = w, s.resolution
+        else:
+            res = semifree_resolve(s.mG, d) if res is None else _add_stages(res, d)
+            wd = _theta_der_on(_on_resolution(s, res), w.mn)
         if not wd.ok:
             return failed("depth_stabilization",
                           counterexample={"depth": d,
@@ -466,18 +509,24 @@ def check_depth_stabilization(m: DGModule, n: DGModule,
                   counterexample={"depths": depths, "dims": dims})
 
 
-def check_resolution_independence(m: DGModule, n: DGModule,
+def check_resolution_independence(w: DerivedKunnethWitness,
                                   variants=(1, 2)) -> CheckResult:
     """Two independently seeded resolutions give the same composite into
-    H^{i0+j0}(M (x) N)."""
+    H^{i0+j0}(M (x) N).
+
+    Each variant resolves `w`'s mG from scratch, at depth width + 2, with
+    its own seed; theta(mG, nG) is `w.mn`.
+    """
+    s = w.setup
     composites = []
     for v in variants:
-        w = theta_der(m, n, variant=v)
-        if not w.ok:
+        res = semifree_resolve(s.mG, s.width + 2, variant=v)
+        wv = _theta_der_on(_on_resolution(s, res), w.mn)
+        if not wv.ok:
             return failed("resolution_independence",
                           counterexample={"variant": v,
-                                          "failures": [r.name for r in w.evidence if not r.ok]})
-        composites.append(w.eta_h0 @ w.theta_der)
+                                          "failures": [r.name for r in wv.evidence if not r.ok]})
+        composites.append(wv.eta_h0 @ wv.theta_der)
     if all(c == composites[0] for c in composites[1:]):
         return passed("resolution_independence", variants=list(variants))
     return failed("resolution_independence",

@@ -137,9 +137,9 @@ def _derived_battery(inst: Instance, stabilization: bool, independence: bool) ->
     w = theta_der(inst.m, inst.n)
     out.extend(w.evidence)
     if stabilization:
-        out.append(check_depth_stabilization(inst.m, inst.n, w))
+        out.append(check_depth_stabilization(w))
     if independence:
-        out.append(check_resolution_independence(inst.m, inst.n))
+        out.append(check_resolution_independence(w))
     return out
 
 

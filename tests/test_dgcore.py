@@ -3,7 +3,6 @@ import pytest
 from dgkunneth.dgalgebra import (
     degree_zero_ring,
     h0_ring,
-    opposite_algebra,
     validate_algebra,
 )
 from dgkunneth.dgmodule import (
@@ -14,8 +13,6 @@ from dgkunneth.dgmodule import (
     direct_sum,
     free_module,
     mapping_cone,
-    op_left_to_right,
-    right_to_op_left,
     shift,
     smart_truncate,
     validate_module,
@@ -274,19 +271,6 @@ def test_mapping_cone_left_module(k):
     assert validate_module(cone) == []
     for i in range(-3, 2):
         assert cohomology(cone, i).dim == 0
-
-
-def test_opposite_roundtrip(k):
-    for mk in (make_exterior, make_koszul_dg, make_upper_triangular2):
-        a = mk(k)
-        aop = opposite_algebra(a)
-        assert validate_algebra(aop) == []
-        assert opposite_algebra(aop) == a
-        m = regular_module(a, RIGHT)
-        ml = right_to_op_left(m, aop)
-        assert validate_module(ml) == []
-        back = op_left_to_right(ml, a)
-        assert back == m
 
 
 def test_random_modules_validate(k):

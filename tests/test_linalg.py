@@ -142,6 +142,22 @@ def test_constructor_checks_the_row_count_of_empty_data():
                 Matrix(f, rows, cols, data)
 
 
+def test_zeros_and_identity_are_shared_read_only():
+    for f in (F101, Q, Field.prime(2 ** 61 - 1)):
+        for rows, cols in ((0, 3), (3, 0), (2, 3), (4, 4)):
+            z = Matrix.zeros(f, rows, cols)
+            assert z is Matrix.zeros(f, rows, cols)
+            assert z == Matrix(f, rows, cols, [[f.zero] * cols for _ in range(rows)])
+        for n in (0, 1, 3):
+            e = Matrix.identity(f, n)
+            assert e is Matrix.identity(f, n)
+            assert e == Matrix(f, n, n, [[f.one if i == j else f.zero for j in range(n)]
+                                         for i in range(n)])
+        for shared in (Matrix.zeros(f, 2, 3), Matrix.identity(f, 3)):
+            with pytest.raises(ValueError):
+                shared.arr[0, 0] = f.one
+
+
 @st.composite
 def small_matrix(draw, field):
     rows = draw(st.integers(0, 5))

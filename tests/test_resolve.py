@@ -17,6 +17,8 @@ from dgkunneth.dgmodule import (
 )
 from dgkunneth.field import Field
 from dgkunneth.genlab import (
+    CorpusProfile,
+    generate_instance,
     instance_rng,
     make_dual_numbers,
     make_exterior,
@@ -27,6 +29,7 @@ from dgkunneth.genlab import (
     regular_module,
     simple_module_dual_numbers,
 )
+from dgkunneth.linalg import Matrix
 from dgkunneth.resolve import (
     ResourceCapError,
     check_depth_stabilization,
@@ -152,14 +155,14 @@ def test_depth_stabilization(k):
     a = make_dual_numbers(k)
     m = simple_module_dual_numbers(a, RIGHT)
     n = simple_module_dual_numbers(a, LEFT)
-    res = check_depth_stabilization(m, n, theta_der(m, n))
+    res = check_depth_stabilization(theta_der(m, n))
     assert res.ok
     assert res.details["dim"] == 1
 
     a2 = make_field_algebra(k)
     rng = instance_rng(303, 0)
     m2, n2 = random_module(a2, RIGHT, rng), random_module(a2, LEFT, rng)
-    res2 = check_depth_stabilization(m2, n2, theta_der(m2, n2))
+    res2 = check_depth_stabilization(theta_der(m2, n2))
     assert res2.ok
 
 
@@ -169,7 +172,7 @@ def test_resolution_independence(k):
         rng = instance_rng(304, 1)
         m = random_module(a, RIGHT, rng)
         n = random_module(a, LEFT, rng)
-        res = check_resolution_independence(m, n)
+        res = check_resolution_independence(theta_der(m, n))
         assert res.ok, res.counterexample
 
 
@@ -181,31 +184,41 @@ def _dual_numbers_simple_pair(k):
 def test_depth_stabilization_detects_a_wrong_theta_der(k):
     m, n = _dual_numbers_simple_pair(k)
     w = theta_der(m, n)
-    assert check_depth_stabilization(m, n, w).ok
+    assert check_depth_stabilization(w).ok
     assert not w.theta_der.is_zero()
-    # the witness at depth width + 2 with theta_der doubled; the ones built
-    # at width + 3 and width + 4 are untouched
+    # the witness at depth width + 2 with theta_der doubled; the ones
+    # deepened to width + 3 and width + 4 are untouched
     doubled = replace(w, theta_der=w.theta_der.scale(k.of_int(2)))
     assert doubled.ok
-    res = check_depth_stabilization(m, n, doubled)
+    res = check_depth_stabilization(doubled)
     assert (res.name, res.ok) == ("depth_stabilization", False)
     assert res.counterexample["dims"] == [1, 1, 1]
 
 
 def test_resolution_independence_detects_a_wrong_theta_der(k, monkeypatch):
     m, n = _dual_numbers_simple_pair(k)
-    assert check_resolution_independence(m, n).ok
-    orig = resolve.theta_der
+    w = theta_der(m, n)
+    assert check_resolution_independence(w).ok
+    orig_resolve, orig_theta_der_on = resolve.semifree_resolve, resolve._theta_der_on
+    variant_2 = []
 
-    def doubled_for_variant_2(*args, variant=0, **kwargs):
-        w = orig(*args, variant=variant, **kwargs)
-        assert not (w.eta_h0 @ w.theta_der).is_zero()
-        if variant != 2:
-            return w
-        return replace(w, theta_der=w.theta_der.scale(k.of_int(2)))
+    def recording(*args, variant=0, **kwargs):
+        res = orig_resolve(*args, variant=variant, **kwargs)
+        if variant == 2:
+            variant_2.append(res)
+        return res
 
-    monkeypatch.setattr(resolve, "theta_der", doubled_for_variant_2)
-    res = check_resolution_independence(m, n)
+    def doubled_for_variant_2(setup, mn):
+        wv = orig_theta_der_on(setup, mn)
+        assert not (wv.eta_h0 @ wv.theta_der).is_zero()
+        if not any(setup.resolution is r for r in variant_2):
+            return wv
+        return replace(wv, theta_der=wv.theta_der.scale(k.of_int(2)))
+
+    monkeypatch.setattr(resolve, "semifree_resolve", recording)
+    monkeypatch.setattr(resolve, "_theta_der_on", doubled_for_variant_2)
+    res = check_resolution_independence(w)
+    assert len(variant_2) == 1
     assert (res.name, res.ok) == ("resolution_independence", False)
     assert res.counterexample["variants"] == [1, 2]
 
@@ -217,14 +230,14 @@ def test_derived_diagram_detects_a_wrong_theta(k, monkeypatch):
     built = []
 
     def doubled_for_m_n(*args, **kwargs):
-        # theta_der builds theta(P, N) first, then theta(mG, nG) for the triangle
+        # theta_der builds theta(mG, nG) for the triangle first, then theta(P, N)
         w = orig(*args, **kwargs)
         built.append(w)
-        return replace(w, theta=w.theta.scale(k.of_int(2))) if len(built) == 2 else w
+        return replace(w, theta=w.theta.scale(k.of_int(2))) if len(built) == 1 else w
 
     monkeypatch.setattr(resolve, "theta", doubled_for_m_n)
     w = theta_der(m, n)
-    assert len(built) == 2 and not built[1].theta.is_zero()
+    assert len(built) == 2 and not built[0].theta.is_zero()
     assert [r.name for r in w.evidence if not r.ok] == ["derived_diagram_commutes"]
 
 
@@ -255,6 +268,88 @@ def test_lift_identity(k):
     lift = lift_through_resolutions(res, res, StrictMorphism.identity(m))
     assert all_ok(lift.evidence), [r for r in lift.evidence if not r.ok]
     assert validate_morphism(lift.phi) == []
+
+
+def _first_nonzero_doubled(vectors, k):
+    """`vectors` with its first nonzero vector doubled."""
+    g = next(i for i, v in enumerate(vectors) if any(x != k.zero for x in v))
+    return vectors[:g] + [[k.mul(k.of_int(2), x) for x in vectors[g]]] + vectors[g + 1:]
+
+
+def test_transport_invertibility_detects_a_wrong_rho(k):
+    # rho rebuilt with the stage-0 generator sent to zero: H^0(rho) = 0.  A
+    # failed transport leaves theta_der zero, so the bijectivity and the
+    # triangle checks after it necessarily fail with it
+    m, n = _dual_numbers_simple_pair(k)
+    w = theta_der(m, n)
+    res = w.setup.resolution
+    images = [[k.zero] * len(res.gen_images[0])] + res.gen_images[1:]
+    rho = StrictMorphism(res.p, m, resolve.morphism_from_generator_images(
+        res.p, res.layout, m, images))
+    bad = replace(res, gen_images=images, rho=rho)
+    wb = resolve._theta_der_on(resolve._on_resolution(w.setup, bad), w.mn)
+    assert [r.name for r in wb.evidence if not r.ok] == \
+        ["h0_rho_transport_invertible", "theta_der_bijective", "derived_diagram_commutes"]
+
+
+def test_lift_detects_a_wrong_target_rho(k):
+    # rho'(g0) = 0: no phi(g0) can lift the class rho(g0)
+    a = make_dual_numbers(k)
+    m = simple_module_dual_numbers(a, RIGHT)
+    res = semifree_resolve(m, depth=3)
+    rho0 = res.rho.map_at(0).arr.copy()
+    assert rho0[0, 0] != k.zero
+    rho0[0, 0] = k.zero
+    maps = dict(res.rho.maps)
+    maps[0] = Matrix(k, *rho0.shape, rho0)
+    resp = replace(res, rho=StrictMorphism(res.p, m, maps))
+    lift = lift_through_resolutions(res, resp, StrictMorphism.identity(m))
+    assert [r.name for r in lift.evidence if not r.ok] == ["lift_solvable"]
+
+
+def test_lift_detects_a_wrong_generator_diff(k):
+    # phi is solved against 2 d(g), but P's differential still has d(g)
+    a = make_dual_numbers(k)
+    m = simple_module_dual_numbers(a, RIGHT)
+    res = semifree_resolve(m, depth=3)
+    diffs = _first_nonzero_doubled(res.gen_diffs, k)
+    lift = lift_through_resolutions(replace(res, gen_diffs=diffs), res,
+                                    StrictMorphism.identity(m))
+    assert [r.name for r in lift.evidence if not r.ok] == ["lift_strict"]
+
+
+def test_lift_detects_a_wrong_generator_image(k):
+    # phi is solved against 2 rho(g), but the identity checks P's own rho
+    a = make_dual_numbers(k)
+    m = simple_module_dual_numbers(a, RIGHT)
+    res = semifree_resolve(m, depth=3)
+    images = _first_nonzero_doubled(res.gen_images, k)
+    lift = lift_through_resolutions(replace(res, gen_images=images), res,
+                                    StrictMorphism.identity(m))
+    assert [r.name for r in lift.evidence if not r.ok] == ["lift_homotopy_identity"]
+
+
+def _same_resolution(r1, r2):
+    return (r1.depth == r2.depth and r1.gen_degrees == r2.gen_degrees
+            and r1.gen_stages == r2.gen_stages and r1.gen_diffs == r2.gen_diffs
+            and r1.gen_images == r2.gen_images and r1.p == r2.p
+            and r1.p.window == r2.p.window and r1.rho == r2.rho)
+
+
+@pytest.mark.parametrize("field, count", [(F101, 100), (Q, 40)], ids=["F101", "Q"])
+def test_deepening_equals_a_build_from_scratch(field, count):
+    # the derived instances of the published profile: width + 2 deepened to
+    # width + 3 and width + 4, each step against semifree_resolve at that depth
+    profile = CorpusProfile(field=field)
+    for idx in range(count):
+        inst = generate_instance(profile, idx)
+        s = resolve.derived_setup(inst.m, inst.n)
+        res = s.resolution
+        for d in (s.width + 3, s.width + 4):
+            deeper = resolve._add_stages(res, d)
+            assert _same_resolution(deeper, semifree_resolve(s.mG, d)), (inst.name, d)
+            res = deeper
+        assert s.resolution.depth == s.width + 2
 
 
 def test_free_apply_matches_the_whole_free_map(k):
@@ -351,19 +446,54 @@ def test_theta_der_functoriality_rejects_mismatched_witnesses(k):
         check_theta_der_functoriality(*ident, w, other)
 
 
-def test_generator_cap(k):
-    # k over k[x,y]/(x,y)^2 has 2^stage generators; the cap must trip
+def _k_over_square_zero(k):
+    """k[x,y]/(x,y)^2 and k as a right module over it: the resolution of k
+    adjoins 2^s generators at stage s, so degree -s of P has dim 3 * 2^s."""
     from dgkunneth.genlab import make_ordinary, ordinary_module
-    from dgkunneth.linalg import Matrix
     z3 = [0, 0, 0]
     a = make_ordinary(k, [
         [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
         [[0, 1, 0], z3, z3],
         [[0, 0, 1], z3, z3],
     ])
-    m = ordinary_module(a, RIGHT, Matrix.from_int_rows(k, [[1, 0, 0]]))
+    return a, ordinary_module(a, RIGHT, Matrix.from_int_rows(k, [[1, 0, 0]]))
+
+
+def test_generator_cap(k):
+    _, m = _k_over_square_zero(k)
     with pytest.raises(ResourceCapError):
         semifree_resolve(m, depth=8, cap=6)
+
+
+def test_generator_cap_trips_in_the_deepest_stabilization_depth(tmp_path):
+    # N free on generators of degrees 0 and -1 has width 1, so the battery
+    # resolves k to depths 3, 4 and 5; the depth-5 stage adds 32 generators
+    # of degree -5, i.e. dimension 96 there, past the default cap of 64.
+    # One field suffices: the dimensions do not depend on it, and shrinking
+    # the failed instance reruns the battery, which is slow over Q.
+    from dgkunneth.cli import main
+    from dgkunneth.dgmodule import free_module
+    from dgkunneth.genlab import Instance
+    from dgkunneth.serialize import dumps_canonical, module_file_to_json
+    from dgkunneth.suite import derived_kunneth_checks
+    a, m = _k_over_square_zero(F101)
+    n, _ = free_module(a, LEFT, [0, -1])
+    assert theta_der(m, n, depth=3).ok
+    inst = Instance("square-zero", "ordinary", a, m, n)
+    results = derived_kunneth_checks(inst)
+    bad = [r for r in results if not r.ok]
+    assert [r.name for r in bad] == ["derived_kunneth_battery"]
+    assert bad[0].counterexample["exception"] == "ResourceCapError"
+    assert bad[0].counterexample["message"] == \
+        "per-degree dimension 96 exceeds the generator cap 64"
+    results = derived_kunneth_checks(inst, stabilization=False)
+    assert len(results) == 7 and all_ok(results)
+    paths = []
+    for name, mod in (("m", m), ("n", n)):
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_text(dumps_canonical(module_file_to_json(a, mod, name)))
+    assert main(["derived-kunneth", str(paths[0]), str(paths[1]),
+                 "--out", str(tmp_path / "report.json")]) == 1
 
 
 def test_theta_der_cohomologically_bounded_input(k):

@@ -66,11 +66,15 @@ def test_batteries_build_each_witness_once(monkeypatch):
         thetas.clear()
         assert all(r.ok for r in suite.plain_kunneth_checks(inst))
         assert len(thetas) == 1, inst.name
+        thetas.clear()
         builds.clear()
         if all(r.ok for r in suite.derived_kunneth_checks(inst)):
             passing += 1
-            # variant 0 at width+2, +3, +4, and variants 1 and 2
-            assert len(builds) == 5, inst.name
+            # variant 0 at width+2 (deepened to +3 and +4, not rebuilt), and
+            # variants 1 and 2
+            assert len(builds) == 3, inst.name
+            # theta(mG, nG) once, and theta(P, N) for each of the 5 resolutions
+            assert len(thetas) == 6, inst.name
     assert passing > 0
     monkeypatch.undo()
     assert (suite.theta, resolve.semifree_resolve) == originals
