@@ -25,7 +25,6 @@ from .linalg import Matrix, QuotientSpace, kernel_basis, quotient, rank, rref, s
 from .resolve import (
     DerivedKunnethWitness,
     SemiFreeResolution,
-    derived_tensor_top,
     semifree_resolve,
     theta_der,
 )
@@ -48,7 +47,6 @@ __all__ = [
     "balanced_tensor",
     "check_exact_sequences",
     "cohomology",
-    "derived_tensor_top",
     "generate_corpus",
     "h0_ring",
     "kernel_basis",

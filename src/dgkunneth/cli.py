@@ -13,12 +13,13 @@ import os
 import sys
 import tempfile
 import time
+from dataclasses import replace
 
 from .checks import failed, passed
 from .dgalgebra import StructureError, validate_algebra
 from .dgmodule import LEFT, RIGHT, validate_module
 from .field import Field
-from .genlab import CorpusProfile, GenerationError, generate_corpus
+from .genlab import CorpusProfile, GenerationError
 from .kunneth import check_exact_sequences, check_representative_independence, theta
 from .resolve import (
     ResourceCapError,
@@ -27,7 +28,6 @@ from .resolve import (
     theta_der,
 )
 from .serialize import (
-    corpus_to_json,
     dumps_canonical,
     matrix_to_json,
     module_file_from_json,
@@ -54,7 +54,7 @@ def parse_field_spec(spec: str) -> Field:
 
 
 def default_field(args) -> Field:
-    if getattr(args, "field", None):
+    if args.field:
         return parse_field_spec(args.field)
     env = os.environ.get(DEFAULT_FIELD_ENV)
     if env:
@@ -174,7 +174,7 @@ def cmd_derived_kunneth(args) -> int:
     report.checks.extend(_input_checks(m, n))
     if report.ok:
         try:
-            w = theta_der(m, n, depth=args.depth)
+            w = theta_der(m, n)
             report.checks.extend(w.evidence)
             report.checks.append(check_depth_stabilization(w))
             report.checks.append(check_resolution_independence(w))
@@ -194,18 +194,11 @@ def cmd_derived_kunneth(args) -> int:
 
 
 def build_profile(args) -> CorpusProfile:
-    if getattr(args, "profile", None):
+    if args.profile:
         prof = profile_from_json(load_json(args.profile))
-        if getattr(args, "seed", None) is not None:
-            prof = CorpusProfile(field=prof.field,
-                                 max_per_degree_dim=prof.max_per_degree_dim,
-                                 degree_span=prof.degree_span,
-                                 instance_count=prof.instance_count,
-                                 seed=args.seed,
-                                 family_mix=prof.family_mix)
-        return prof
+        return prof if args.seed is None else replace(prof, seed=args.seed)
     kwargs = {"field": default_field(args)}
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         kwargs["seed"] = args.seed
     return CorpusProfile(**kwargs)
 
@@ -214,14 +207,6 @@ def cmd_suite(args) -> int:
     profile = build_profile(args)
     report = run_suite(profile, jobs=args.jobs)
     return emit(report, args.out)
-
-
-def cmd_gen(args) -> int:
-    profile = build_profile(args)
-    corpus = generate_corpus(profile)
-    write_atomic(args.out, dumps_canonical(corpus_to_json(profile, corpus)))
-    print(f"gen: wrote {len(corpus)} instances to {args.out}")
-    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -245,7 +230,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="build and verify theta_der for two instance files")
     d.add_argument("m_path")
     d.add_argument("n_path")
-    d.add_argument("--depth", type=int, default=None)
     d.add_argument("--out")
     d.set_defaults(fn=cmd_derived_kunneth)
 
@@ -256,13 +240,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--jobs", type=int, default=1)
     s.add_argument("--out")
     s.set_defaults(fn=cmd_suite)
-
-    g = sub.add_parser("gen", help="emit a corpus file for a profile")
-    g.add_argument("--profile")
-    g.add_argument("--field")
-    g.add_argument("--seed", type=int, default=None)
-    g.add_argument("--out", required=True)
-    g.set_defaults(fn=cmd_gen)
     return p
 
 

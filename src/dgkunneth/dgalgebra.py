@@ -87,11 +87,6 @@ class DGAlgebra:
     def unit_column(self) -> Matrix:
         return Matrix.column(self.field, self.unit)
 
-    def product(self, xvec, i, yvec, j):
-        """Coordinates of x*y in A^{i+j}."""
-        kron = [self.field.mul(a, b) for a in xvec for b in yvec]
-        return self.mult_map(i, j).apply(kron)
-
     def __eq__(self, other):
         if not isinstance(other, DGAlgebra):
             return NotImplemented

@@ -4,6 +4,11 @@ Covers the data model and validators, strict morphisms, degree shift,
 smart truncation, free modules on graded generator sets, and cohomology
 with its H^0(A)-module structure.
 
+A module is never written after construction: every builder makes a new
+`DGModule`, nothing assigns into its `dims`, `diff` or `action`, and the
+matrices are read-only.  So `cohomology` computes H^i once per module and
+degree and keeps the result on the module.
+
 Sign conventions (fixed once, validated by every d^2/Leibniz check):
   left Leibniz   d(a.m) = d(a).m + (-1)^{|a|} a.d(m)
   right Leibniz  d(m.a) = d(m).a + (-1)^{|m|} m.d(a)
@@ -34,7 +39,7 @@ RIGHT = "right"
 class DGModule:
     """A graded module over a DGAlgebra on a finite degree window."""
 
-    __slots__ = ("side", "algebra", "window", "dims", "diff", "action")
+    __slots__ = ("side", "algebra", "window", "dims", "diff", "action", "_coh")
 
     def __init__(self, side: str, algebra: DGAlgebra, window: tuple, dims: dict,
                  diff: dict, action: dict):
@@ -52,6 +57,7 @@ class DGModule:
         self.diff = dict(diff)
         self.action = dict(action)
         self._check_shapes()
+        self._coh = {}            # degree -> CohomologyModule, filled by `cohomology`
 
     def _check_shapes(self):
         a = self.algebra
@@ -212,9 +218,6 @@ class StrictMorphism:
         if m is None:
             return Matrix.zeros(self.source.field, self.target.dim(i), self.source.dim(i))
         return m
-
-    def apply(self, vec, i):
-        return self.map_at(i).apply(vec)
 
     def __eq__(self, other):
         if not isinstance(other, StrictMorphism):
@@ -545,19 +548,17 @@ class CohomologyModule:
     def dim(self) -> int:
         return self.space.quotient_dim
 
-    def class_of(self, zvec):
-        """Class coordinates of a cocycle; raises on non-cocycles."""
-        if self.module.diff_map(self.degree).apply(zvec) != \
-                [self.module.field.zero] * self.module.dim(self.degree + 1):
-            raise ValueError(f"not a cocycle in degree {self.degree}")
-        return self.class_map.apply(zvec)
-
-    def representative_of(self, hvec):
-        return self.rep_map.apply(hvec)
-
 
 def cohomology(m: DGModule, i: int) -> CohomologyModule:
-    """H^i(M) = ker(d^i)/im(d^{i-1}) with its H^0(A) action."""
+    """H^i(M) = ker(d^i)/im(d^{i-1}) with its H^0(A) action, computed on
+    the first call for (m, i) and returned from `m` after that."""
+    coh = m._coh.get(i)
+    if coh is None:
+        coh = m._coh[i] = _cohomology(m, i)
+    return coh
+
+
+def _cohomology(m: DGModule, i: int) -> CohomologyModule:
     f = m.field
     incl = kernel_basis(m.diff_map(i)).transpose()
     z = incl.cols
@@ -576,39 +577,3 @@ def cohomology(m: DGModule, i: int) -> CohomologyModule:
         pairs = h0.section.kron(rep_map)
     act = class_map @ m.action_map(i, 0) @ pairs
     return CohomologyModule(m, i, incl, space, class_map, rep_map, act)
-
-
-def verify_h0_action(coh: CohomologyModule) -> list:
-    """Well-definedness of the H0(A)-action on H^i: representative and lift independence."""
-    out = []
-    m = coh.module
-    f = m.field
-    a = m.algebra
-    h0 = a.h0()
-    i = coh.degree
-    zero_h = [f.zero] * coh.dim
-    # acting on a coboundary gives class zero
-    for b in range(m.dim(i - 1)):
-        w = m.diff_map(i - 1).col(b)
-        for u in range(h0.dim):
-            avec = h0.section.col(u)
-            if coh.class_map.apply(m.act(w, i, avec, 0)) != zero_h:
-                out.append(Violation("h0_action_rep_independence", {"coboundary": b, "ring_basis": u}))
-    # elements of im(d_A^{-1}) act as zero
-    for b in range(a.dim(-1)):
-        im = a.diff_map(-1).col(b)
-        for v in range(coh.dim):
-            rep = coh.rep_map.col(v)
-            if coh.class_map.apply(m.act(rep, i, im, 0)) != zero_h:
-                out.append(Violation("h0_action_lift_independence", {"alg_basis": b, "class": v}))
-    # unital
-    h = coh.dim
-    unit = Matrix.column(f, h0.ring.unit)
-    eye = Matrix.identity(f, h)
-    if m.side == RIGHT:
-        got = coh.h0_action @ eye.kron(unit)
-    else:
-        got = coh.h0_action @ unit.kron(eye)
-    if got != eye:
-        out.append(Violation("h0_action_unital", {"degree": i}))
-    return out

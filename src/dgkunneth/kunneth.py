@@ -344,21 +344,3 @@ def check_functoriality(fm: StrictMorphism, gm: StrictMorphism,
         out.append(failed("theta_naturality",
                           counterexample={"lhs": matrix_to_json(lhs), "rhs": matrix_to_json(rhs)}))
     return out
-
-
-def check_translation_invariance(m: DGModule, n: DGModule) -> CheckResult:
-    """The direct construction at (i0, j0) and the translate-to-zero route
-    produce identical matrices on identical bases."""
-    i0, j0 = m.window[1], n.window[1]
-    w = theta(m, n)
-    hm, hn = cohomology(m, i0), cohomology(n, j0)
-    source = balanced_tensor(cohomology_ring_module(hm), cohomology_ring_module(hn))
-    tc = TensorComplex(m, n)
-    target = tensor_cohomology(tc, i0 + j0)
-    tmat = target.class_map @ tc.space(i0 + j0).projection @ hm.rep_map.kron(hn.rep_map)
-    th_direct = tmat @ source.space.section
-    if th_direct == w.theta:
-        return passed("construction_route_agreement", dim=w.source.dim)
-    return failed("construction_route_agreement",
-                  counterexample={"translated": matrix_to_json(w.theta),
-                                  "direct": matrix_to_json(th_direct)})

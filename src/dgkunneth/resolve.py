@@ -52,11 +52,12 @@ from .tensor import (
     CohomologySpace,
     TensorComplex,
     induced_balanced_map,
-    tensor_cohomology,
     tensor_map,
 )
 
 GENERATOR_CAP = 64
+# the seeds of the two resolutions that `check_resolution_independence` compares
+RESOLUTION_VARIANTS = (1, 2)
 
 
 class ResourceCapError(Exception):
@@ -329,9 +330,8 @@ def _certify_resolution(res: SemiFreeResolution):
             raise StructureError("sup(P) differs from sup(H(M))")
     for t in range(max(p.window[1], m.window[1]), -res.depth - 1, -1):
         hp, hm = cohomology(p, t), cohomology(m, t)
-        hrho = cohomology_map(rho, hp, hm)
-        surjective = rank(hrho) == hm.dim
-        injective = rank(hrho) == hp.dim
+        r = rank(cohomology_map(rho, hp, hm))
+        surjective, injective = r == hm.dim, r == hp.dim
         if t >= -res.depth + 1 and not (surjective and injective):
             raise StructureError(f"H^{t}(rho) is not an isomorphism")
         if t == -res.depth and not surjective:
@@ -369,16 +369,6 @@ def derived_setup(m: DGModule, n: DGModule, depth: int | None = None,
     res = semifree_resolve(mG, d)
     tc = TensorComplex(res.p, nG)
     return DerivedSetup(i0, j0, mG, nG, width, d, res, tc)
-
-
-def derived_tensor_top(m: DGModule, n: DGModule, depth: int | None = None):
-    """H^{i0+j0}(M (x)^L_A N) realized as H^0(P (x)_A N).
-
-    Returns (CohomologySpace, DerivedSetup); lower degrees of the same
-    presentation are available through the setup's tensor complex.
-    """
-    setup = derived_setup(m, n, depth)
-    return tensor_cohomology(setup.tc, 0), setup
 
 
 @dataclass
@@ -480,22 +470,22 @@ def _on_resolution(setup: DerivedSetup, res: SemiFreeResolution) -> DerivedSetup
 def check_depth_stabilization(w: DerivedKunnethWitness) -> CheckResult:
     """Deeper resolutions change nothing at the top: equal dims, equal matrices.
 
-    `w` is the variant-0 `theta_der` witness already built.  It is reused
-    at its own depth; every other depth of width+2..width+4 gets its own
-    resolution, tensor complex and theta_der, so the comparison between
-    depths stays a real one.  A depth above the previous one continues that
-    resolution's stages instead of repeating them; only a depth below
-    `w`'s is built from scratch.  theta(mG, nG) is `w.mn` throughout.
+    `w` is the variant-0 `theta_der` witness at depth width + 2, the least
+    depth that guarantees the top; another depth raises ValueError.  Its
+    resolution is deepened to width + 3 and then width + 4, and each depth
+    gets its own tensor complex and theta_der, so the comparison between
+    depths stays a real one.  theta(mG, nG) is `w.mn` throughout.
     """
     s = w.setup
     depths = [s.width + 2, s.width + 3, s.width + 4]
+    if s.depth != depths[0]:
+        raise ValueError(f"stabilization needs a witness at depth {depths[0]}, "
+                         f"got {s.depth}")
     dims, mats = [], []
-    res = s.resolution if s.depth < depths[0] else None
+    wd, res = w, s.resolution
     for d in depths:
-        if d == s.depth:
-            wd, res = w, s.resolution
-        else:
-            res = semifree_resolve(s.mG, d) if res is None else _add_stages(res, d)
+        if d != s.depth:
+            res = _add_stages(res, d)
             wd = _theta_der_on(_on_resolution(s, res), w.mn)
         if not wd.ok:
             return failed("depth_stabilization",
@@ -509,8 +499,7 @@ def check_depth_stabilization(w: DerivedKunnethWitness) -> CheckResult:
                   counterexample={"depths": depths, "dims": dims})
 
 
-def check_resolution_independence(w: DerivedKunnethWitness,
-                                  variants=(1, 2)) -> CheckResult:
+def check_resolution_independence(w: DerivedKunnethWitness) -> CheckResult:
     """Two independently seeded resolutions give the same composite into
     H^{i0+j0}(M (x) N).
 
@@ -518,6 +507,7 @@ def check_resolution_independence(w: DerivedKunnethWitness,
     its own seed; theta(mG, nG) is `w.mn`.
     """
     s = w.setup
+    variants = list(RESOLUTION_VARIANTS)
     composites = []
     for v in variants:
         res = semifree_resolve(s.mG, s.width + 2, variant=v)
@@ -528,9 +518,9 @@ def check_resolution_independence(w: DerivedKunnethWitness,
                                           "failures": [r.name for r in wv.evidence if not r.ok]})
         composites.append(wv.eta_h0 @ wv.theta_der)
     if all(c == composites[0] for c in composites[1:]):
-        return passed("resolution_independence", variants=list(variants))
+        return passed("resolution_independence", variants=variants)
     return failed("resolution_independence",
-                  counterexample={"variants": list(variants),
+                  counterexample={"variants": variants,
                                   "composites": [matrix_to_json(c) for c in composites]})
 
 

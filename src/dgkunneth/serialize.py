@@ -1,4 +1,4 @@
-"""Canonical JSON interchange for algebras, modules, corpora and reports.
+"""Canonical JSON interchange for algebras, modules, instances and reports.
 
 All field elements serialize as strings: "num/den" in lowest terms with a
 positive denominator over the rationals, the canonical representative in
@@ -18,7 +18,6 @@ from .genlab import CorpusProfile, Instance
 from .linalg import Matrix
 
 INSTANCE_FORMAT = "dgkunneth-instance/1"
-CORPUS_FORMAT = "dgkunneth-corpus/1"
 REPORT_FORMAT = "dgkunneth-report/1"
 
 
@@ -167,21 +166,6 @@ def profile_from_json(d: dict) -> CorpusProfile:
     if d.get("family_mix"):
         kwargs["family_mix"] = {k: float(v) for k, v in d["family_mix"].items()}
     return CorpusProfile(**kwargs)
-
-
-def corpus_to_json(profile: CorpusProfile, instances) -> dict:
-    return {
-        "format": CORPUS_FORMAT,
-        "profile": profile_to_json(profile),
-        "instances": [instance_to_json(i) for i in instances],
-    }
-
-
-def corpus_from_json(d: dict):
-    if d.get("format") != CORPUS_FORMAT:
-        raise StructureError("not a corpus file")
-    profile = profile_from_json(d["profile"])
-    return profile, [instance_from_json(x) for x in d["instances"]]
 
 
 # ---------------------------------------------------------------------------

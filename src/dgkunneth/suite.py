@@ -28,6 +28,7 @@ from .kunneth import (
     theta,
 )
 from .resolve import (
+    ResourceCapError,
     check_depth_stabilization,
     check_resolution_independence,
     check_theta_der_functoriality,
@@ -93,12 +94,17 @@ def _guard(fn, inst_name, label):
 
 def _attach_shrunk(results, inst: Instance, battery) -> list:
     """On failure, try a simple shrink (truncations, zeroed entries) that
-    keeps the same check failing, and embed the smaller instance."""
+    keeps the same check failing, and embed the smaller instance.
+
+    A resolution that outgrew the generator cap is not shrunk: the cap
+    depends only on the sizes involved, and each candidate would rerun the
+    whole battery."""
     from .genlab import shrink_instance
     from .serialize import instance_to_json
 
     fails = [r for r in results if not r.ok]
-    if not fails:
+    if not fails or (fails[0].counterexample or {}).get("exception") == \
+            ResourceCapError.__name__:
         return results
     name = fails[0].name
 

@@ -26,7 +26,6 @@ from .linalg import (
     QuotientSpace,
     drop_zero_rows,
     from_blocks,
-    hstack,
     kernel_basis,
     left_inverse,
     quotient,
@@ -51,14 +50,6 @@ class RingModule:
         r = self.ring.dim(0)
         if self.action.rows != self.dim or self.action.cols != self.dim * r:
             raise StructureError("ring module action has wrong shape")
-
-    def act(self, vec, rvec):
-        f = self.ring.field
-        if self.side == RIGHT:
-            kron = [f.mul(x, y) for x in vec for y in rvec]
-        else:
-            kron = [f.mul(y, x) for y in rvec for x in vec]
-        return self.action.apply(kron)
 
 
 def module_degree_ring_module(m: DGModule, i: int) -> RingModule:
@@ -368,14 +359,6 @@ def phi_summands(m: DGModule, n: DGModule):
     phi1 = induced_balanced_map(b1, mid, m.diff_map(-1), Matrix.identity(f, n.dim(0)))
     phi2 = induced_balanced_map(b2, mid, Matrix.identity(f, m.dim(0)), n.diff_map(-1))
     return b1, b2, mid, phi1, phi2
-
-
-def phi_map(m: DGModule, n: DGModule) -> Matrix:
-    """phi = (d_M (x) id) (+) (id (x) d_N) into M^0 (x)_{A^0} N^0."""
-    if m.window[1] > 0 or n.window[1] > 0:
-        raise StructureError("phi needs windows <= 0")
-    b1, b2, mid, phi1, phi2 = phi_summands(m, n)
-    return hstack([phi1, phi2])
 
 
 def tensor_map(src: TensorComplex, dst: TensorComplex, fmaps, gmaps, t: int,

@@ -1,0 +1,15 @@
+"""Hand-built modules that only the tests use."""
+from dgkunneth.dgmodule import RIGHT, DGModule, free_module
+from dgkunneth.field import Field
+from dgkunneth.genlab import make_dual_numbers
+
+
+def make_koszul_like(field: Field, depth: int, side: str = RIGHT) -> DGModule:
+    """The periodic complex over k[t]/(t^2): generators g_0..g_depth at
+    degrees 0..-depth with d(g_k) = g_{k-1} t."""
+    a = make_dual_numbers(field)
+    gens = list(range(0, -depth - 1, -1))
+    # layout degree -k+1 only sees generator k-1, with basis (g_{k-1}, g_{k-1} t)
+    diffs = [[] if k == 0 else [field.zero, field.one] for k in range(depth + 1)]
+    mod, _ = free_module(a, side, gens, diffs)
+    return mod

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from dgkunneth.cli import main, parse_field_spec
+from dgkunneth.cli import build_parser, build_profile, main, parse_field_spec
 from dgkunneth.dgmodule import LEFT, RIGHT
 from dgkunneth.field import Field
 from dgkunneth.genlab import make_exterior, make_koszul_dg, regular_module
@@ -95,21 +95,18 @@ def test_derived_kunneth_command(tmp_path):
     assert report["source_dim"] == 1
     assert report["target_dim"] == 1
     assert report["tor1_negative_control_dim"] == 1
+    # the stabilization check compares width+2..width+4 (width 0 here)
+    stab = [c for c in report["checks"] if c["name"] == "depth_stabilization"]
+    assert stab[0]["details"]["depths"] == [2, 3, 4]
 
 
-def test_gen_and_suite_roundtrip(tmp_path):
+def test_suite_roundtrip(tmp_path):
     profile = tmp_path / "profile.json"
     profile.write_text(dumps_canonical({
         "field": {"kind": "prime", "p": 101},
         "instance_count": 6,
         "seed": 42,
     }))
-    corpus_path = tmp_path / "corpus.json"
-    assert main(["gen", "--profile", str(profile), "--out", str(corpus_path)]) == 0
-    corpus = json.loads(corpus_path.read_text())
-    assert corpus["format"] == "dgkunneth-corpus/1"
-    assert len(corpus["instances"]) == 6
-
     out1 = tmp_path / "r1.json"
     out2 = tmp_path / "r2.json"
     assert main(["suite", "--profile", str(profile), "--out", str(out1)]) == 0
@@ -168,30 +165,26 @@ def test_suite_field_flag(tmp_path, monkeypatch):
     assert report["profile"]["field"] == {"kind": "rationals"}
 
     monkeypatch.setenv("DGKUNNETH_FIELD", "F7")
-    corpus_path = tmp_path / "c.json"
-    assert main(["gen", "--seed", "3", "--out", str(corpus_path)]) == 0
-    corpus = json.loads(corpus_path.read_text())
-    assert corpus["profile"]["field"] == {"kind": "prime", "p": 7}
+    prof = build_profile(build_parser().parse_args(["suite", "--seed", "3"]))
+    assert (prof.field, prof.seed) == (Field.prime(7), 3)
+    prof = build_profile(build_parser().parse_args(["suite", "--field", "Q"]))
+    assert prof.field == Field.rationals()
+    # a profile file wins over the environment; --seed still overrides its seed
+    prof = build_profile(build_parser().parse_args(
+        ["suite", "--profile", str(profile), "--seed", "9"]))
+    assert (prof.field, prof.seed, prof.instance_count) == (Field.rationals(), 9, 3)
 
 
 def test_oversized_modulus_is_structural_error():
     assert main(["suite", "--field", f"F{2 ** 64 + 1}"]) == 2
 
 
-def test_derived_kunneth_depth_flag_keeps_stabilization(tmp_path):
-    # the stabilization check covers width+2..width+4 whatever --depth is
-    from dgkunneth.genlab import make_dual_numbers, simple_module_dual_numbers
-    a = make_dual_numbers(F101)
-    m = write_instance(tmp_path, "m", a, simple_module_dual_numbers(a, RIGHT))
-    n = write_instance(tmp_path, "n", a, simple_module_dual_numbers(a, LEFT))
-    found = []
-    # the check deepens a --depth 1 witness to every depth it compares,
-    # reuses a --depth 3 one among them, and starts from scratch below a
-    # --depth 7 one
-    for depth in ([], ["--depth", "1"], ["--depth", "3"], ["--depth", "7"]):
-        out = tmp_path / "report.json"
-        assert main(["derived-kunneth", m, n, "--out", str(out)] + depth) == 0
-        checks = json.loads(out.read_text())["checks"]
-        found.append([c for c in checks if c["name"] == "depth_stabilization"])
-    assert all(f == found[0] for f in found[1:])
-    assert found[0][0]["details"]["depths"] == [2, 3, 4]
+def test_gen_and_depth_flag_are_rejected(exterior_pair, tmp_path, capsys):
+    # neither the corpus writer nor the resolution depth is part of the CLI
+    m, n = exterior_pair
+    for argv in (["gen", "--out", str(tmp_path / "c.json")],
+                 ["derived-kunneth", m, n, "--depth", "1"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+    assert not (tmp_path / "c.json").exists()

@@ -1,3 +1,5 @@
+from dataclasses import fields, replace
+
 import pytest
 
 from dgkunneth.dgalgebra import (
@@ -17,16 +19,16 @@ from dgkunneth.dgmodule import (
     smart_truncate,
     validate_module,
     validate_morphism,
-    verify_h0_action,
 )
 from dgkunneth.field import Field
 from dgkunneth.genlab import (
+    CorpusProfile,
+    generate_corpus,
     instance_rng,
     make_dual_numbers,
     make_exterior,
     make_field_algebra,
     make_koszul_dg,
-    make_koszul_like,
     make_truncated_poly3,
     make_upper_triangular2,
     random_module,
@@ -34,7 +36,9 @@ from dgkunneth.genlab import (
     regular_module,
     simple_module_dual_numbers,
 )
-from dgkunneth.linalg import Matrix
+from dgkunneth.linalg import Matrix, solve
+from dgkunneth.serialize import module_from_json, module_to_json
+from dg_examples import make_koszul_like
 
 Q = Field.rationals()
 F101 = Field.prime(101)
@@ -72,8 +76,12 @@ def test_upper_triangular_noncommutative(k):
     a = make_upper_triangular2(k)
     e11 = [k.one, k.zero, k.zero]
     e12 = [k.zero, k.one, k.zero]
-    assert a.product(e11, 0, e12, 0) == e12
-    assert a.product(e12, 0, e11, 0) == [k.zero] * 3
+
+    def product(x, y):
+        return a.mult_map(0, 0).apply([k.mul(s, t) for s in x for t in y])
+
+    assert product(e11, e12) == e12
+    assert product(e12, e11) == [k.zero] * 3
 
 
 def test_koszul_dg_valid(k):
@@ -126,6 +134,33 @@ def test_module_leibniz_mutation_detected(k):
     assert leib and "basis" in leib[0].where
 
 
+def h0_action_violations(coh) -> list:
+    """Where the H^0(A)-action on H^i(M) fails to be well defined: a
+    coboundary acting to a nonzero class, an element of im d_A^{-1} acting
+    on a class as nonzero, or the unit acting other than as the identity."""
+    out = []
+    m, i = coh.module, coh.degree
+    f, a = m.field, m.algebra
+    h0 = a.h0()
+    zero_h = [f.zero] * coh.dim
+    for b in range(m.dim(i - 1)):
+        w = m.diff_map(i - 1).col(b)
+        for u in range(h0.dim):
+            if coh.class_map.apply(m.act(w, i, h0.section.col(u), 0)) != zero_h:
+                out.append(("coboundary", b, u))
+    for b in range(a.dim(-1)):
+        da = a.diff_map(-1).col(b)
+        for v in range(coh.dim):
+            if coh.class_map.apply(m.act(coh.rep_map.col(v), i, da, 0)) != zero_h:
+                out.append(("boundary_of_algebra", b, v))
+    unit = Matrix.column(f, h0.ring.unit)
+    eye = Matrix.identity(f, coh.dim)
+    got = coh.h0_action @ (eye.kron(unit) if m.side == RIGHT else unit.kron(eye))
+    if got != eye:
+        out.append(("unit", i))
+    return out
+
+
 def test_cohomology_zero_differential(k):
     a = make_exterior(k)
     m = regular_module(a, RIGHT)   # d = 0, dims 1 in degrees -1, 0
@@ -133,8 +168,51 @@ def test_cohomology_zero_differential(k):
     hm1 = cohomology(m, -1)
     assert h0.dim == 1
     assert hm1.dim == 1
-    assert verify_h0_action(h0) == []
-    assert verify_h0_action(hm1) == []
+    assert h0_action_violations(h0) == []
+    assert h0_action_violations(hm1) == []
+
+
+def test_h0_action_well_defined_on_a_corpus_slice(k):
+    checked = 0
+    for inst in generate_corpus(CorpusProfile(field=k, instance_count=12)):
+        for mod in (inst.m, inst.n):
+            for i in mod.degrees():
+                coh = cohomology(mod, i)
+                assert h0_action_violations(coh) == [], (inst.name, mod.side, i)
+                checked += coh.dim > 0
+    assert checked > 12
+
+
+def test_h0_action_violations_detects_a_wrong_action(k):
+    # the unit acting on H^0 as 2: the action is no longer unital
+    a = make_exterior(k)
+    m = regular_module(a, RIGHT)
+    coh = cohomology(m, 0)
+    bad = replace(coh, h0_action=coh.h0_action.scale(k.of_int(2)))
+    assert h0_action_violations(bad) == [("unit", 0)]
+
+
+def test_cohomology_is_computed_once_per_module_and_degree(k):
+    m = make_koszul_like(k, 3)
+    for i in range(-4, 2):
+        assert cohomology(m, i) is cohomology(m, i)
+    assert cohomology(shift(m, 0), 0) is not cohomology(m, 0)
+
+
+@pytest.mark.parametrize("field", [F101, Q, Field.prime(2 ** 61 - 1)],
+                         ids=["F101", "Q", "F2^61-1"])
+def test_cached_cohomology_equals_a_fresh_computation(field):
+    # the second call returns the stored result; a separately built equal
+    # module computes its own, and the two agree in every field
+    for inst in generate_corpus(CorpusProfile(field=field, instance_count=6)):
+        for mod in (inst.m, inst.n):
+            twin = module_from_json(inst.algebra, module_to_json(mod))
+            assert twin == mod and twin is not mod
+            for i in range(mod.window[0] - 1, mod.window[1] + 2):
+                cohomology(mod, i)
+                cached, fresh = cohomology(mod, i), cohomology(twin, i)
+                for fld in fields(cached):
+                    assert getattr(cached, fld.name) == getattr(fresh, fld.name), fld.name
 
 
 def test_cohomology_contractible(k):
@@ -151,19 +229,22 @@ def test_class_of_and_representatives(k):
     m = regular_module(a, LEFT)
     h = cohomology(m, -1)
     # eps is a cocycle with nonzero class (im d = 0)
-    cls = h.class_of([k.one])
+    cls = h.class_map.apply([k.one])
     assert cls != [k.zero] * h.dim
-    assert h.class_of([k.zero]) == [k.zero] * h.dim
-    rep = h.representative_of(cls)
-    assert h.class_of(rep) == cls
+    assert h.class_map.apply([k.zero]) == [k.zero] * h.dim
+    rep = h.rep_map.apply(cls)
+    assert h.class_map.apply(rep) == cls
 
 
 def test_class_of_rejects_non_cocycle(k):
+    # class_map is valid on cocycles only: the generator of degree -1 maps
+    # onto the one of degree 0, so it lies outside the cocycles H^{-1} uses
     a = make_field_algebra(k)
     m, _ = free_module(a, RIGHT, [0, -1], [[], [k.one]])
     h = cohomology(m, -1)
-    with pytest.raises(ValueError):
-        h.class_of([k.one])
+    assert m.diff_map(-1).apply([k.one]) != [k.zero]
+    assert h.cocycle_incl.cols == 0
+    assert solve(h.cocycle_incl, Matrix.column(k, [k.one])) is None
 
 
 def test_class_constant_on_cosets(k):
@@ -172,13 +253,13 @@ def test_class_constant_on_cosets(k):
     h = cohomology(m, -1)
     rng = instance_rng(7, 0)
     d = m.diff_map(-2)
-    z = h.representative_of([k.one] * h.dim) if h.dim else [k.zero] * m.dim(-1)
-    base = h.class_of(z)
+    z = h.rep_map.apply([k.one] * h.dim) if h.dim else [k.zero] * m.dim(-1)
+    base = h.class_map.apply(z)
     for _ in range(20):
         w = [k.of_int(rng.randint(-3, 3)) for _ in range(m.dim(-2))]
         dz = d.apply(w)
         pert = [k.add(x, y) for x, y in zip(z, dz)]
-        assert h.class_of(pert) == base
+        assert h.class_map.apply(pert) == base
 
 
 def test_shift_basics(k):

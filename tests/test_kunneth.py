@@ -3,7 +3,15 @@ from dataclasses import replace
 import pytest
 
 from dgkunneth.checks import all_ok
-from dgkunneth.dgmodule import LEFT, RIGHT, StrictMorphism, direct_sum, free_module, shift
+from dgkunneth.dgmodule import (
+    LEFT,
+    RIGHT,
+    StrictMorphism,
+    cohomology,
+    direct_sum,
+    free_module,
+    shift,
+)
 from dgkunneth.field import Field
 from dgkunneth.genlab import (
     instance_rng,
@@ -20,10 +28,15 @@ from dgkunneth.kunneth import (
     check_exact_sequences,
     check_functoriality,
     check_representative_independence,
-    check_translation_invariance,
     theta,
 )
 from dgkunneth.linalg import Matrix
+from dgkunneth.tensor import (
+    TensorComplex,
+    balanced_tensor,
+    cohomology_ring_module,
+    tensor_cohomology,
+)
 
 Q = Field.rationals()
 F101 = Field.prime(101)
@@ -198,14 +211,27 @@ def test_functoriality_rejects_mismatched_witnesses(k):
         check_functoriality(*ident, w, other)
 
 
+def _theta_in_place(m, n):
+    """theta built at the window tops (i0, j0) directly, without translating
+    the tops to degree 0 first."""
+    i0, j0 = m.window[1], n.window[1]
+    hm, hn = cohomology(m, i0), cohomology(n, j0)
+    source = balanced_tensor(cohomology_ring_module(hm), cohomology_ring_module(hn))
+    tc = TensorComplex(m, n)
+    target = tensor_cohomology(tc, i0 + j0)
+    tmat = target.class_map @ tc.space(i0 + j0).projection @ hm.rep_map.kron(hn.rep_map)
+    return tmat @ source.space.section
+
+
 def test_translation_invariance(k):
+    # the translate-to-zero route of `theta` and the direct construction at
+    # (i0, j0) give identical matrices on identical bases
     for fam in (make_exterior, make_koszul_dg):
         a = fam(k)
         rng = instance_rng(108, 1)
         m = shift(random_module(a, RIGHT, rng), -2)
         n = shift(random_module(a, LEFT, rng), 1)
-        res = check_translation_invariance(m, n)
-        assert res.ok, res.counterexample
+        assert _theta_in_place(m, n) == theta(m, n).theta
 
 
 def test_theta_at_larger_bounds(k):

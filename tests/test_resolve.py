@@ -36,7 +36,7 @@ from dgkunneth.resolve import (
     check_resolution_independence,
     check_theta_der_functoriality,
     cohomology_dim,
-    derived_tensor_top,
+    derived_setup,
     lift_through_resolutions,
     semifree_resolve,
     sup_cohomology,
@@ -90,8 +90,8 @@ def test_classical_oracle_tor_dims(k):
     a = make_dual_numbers(k)
     m = simple_module_dual_numbers(a, RIGHT)
     n = simple_module_dual_numbers(a, LEFT)
-    top, setup = derived_tensor_top(m, n)
-    assert top.dim == 1
+    setup = derived_setup(m, n)
+    assert tensor_cohomology(setup.tc, 0).dim == 1
     assert tensor_cohomology(setup.tc, -1).dim == 1
 
 
@@ -100,11 +100,11 @@ def test_derived_tensor_trivial_algebra(k):
     rng = instance_rng(300, 0)
     m = random_module(a, RIGHT, rng)
     n = random_module(a, LEFT, rng)
-    top, setup = derived_tensor_top(m, n)
+    setup = derived_setup(m, n)
     # over a field eta is an isomorphism: derived = plain
     from dgkunneth.tensor import TensorComplex
     plain = tensor_cohomology(TensorComplex(setup.mG, setup.nG), 0)
-    assert top.dim == plain.dim
+    assert tensor_cohomology(setup.tc, 0).dim == plain.dim
 
 
 def test_theta_der_dual_numbers(k):
@@ -465,35 +465,53 @@ def test_generator_cap(k):
         semifree_resolve(m, depth=8, cap=6)
 
 
-def test_generator_cap_trips_in_the_deepest_stabilization_depth(tmp_path):
+def test_generator_cap_trips_in_the_deepest_stabilization_depth(tmp_path, monkeypatch):
     # N free on generators of degrees 0 and -1 has width 1, so the battery
     # resolves k to depths 3, 4 and 5; the depth-5 stage adds 32 generators
     # of degree -5, i.e. dimension 96 there, past the default cap of 64.
-    # One field suffices: the dimensions do not depend on it, and shrinking
-    # the failed instance reruns the battery, which is slow over Q.
+    # A cap failure is not shrunk, so the battery runs once in every field.
+    from dgkunneth import suite
     from dgkunneth.cli import main
     from dgkunneth.dgmodule import free_module
     from dgkunneth.genlab import Instance
     from dgkunneth.serialize import dumps_canonical, module_file_to_json
-    from dgkunneth.suite import derived_kunneth_checks
-    a, m = _k_over_square_zero(F101)
-    n, _ = free_module(a, LEFT, [0, -1])
-    assert theta_der(m, n, depth=3).ok
-    inst = Instance("square-zero", "ordinary", a, m, n)
-    results = derived_kunneth_checks(inst)
-    bad = [r for r in results if not r.ok]
-    assert [r.name for r in bad] == ["derived_kunneth_battery"]
-    assert bad[0].counterexample["exception"] == "ResourceCapError"
-    assert bad[0].counterexample["message"] == \
-        "per-degree dimension 96 exceeds the generator cap 64"
-    results = derived_kunneth_checks(inst, stabilization=False)
-    assert len(results) == 7 and all_ok(results)
-    paths = []
-    for name, mod in (("m", m), ("n", n)):
-        paths.append(tmp_path / f"{name}.json")
-        paths[-1].write_text(dumps_canonical(module_file_to_json(a, mod, name)))
-    assert main(["derived-kunneth", str(paths[0]), str(paths[1]),
-                 "--out", str(tmp_path / "report.json")]) == 1
+    runs = []
+    battery = suite._derived_battery
+
+    def counted(*args):
+        runs.append(args[0].name)
+        return battery(*args)
+
+    monkeypatch.setattr(suite, "_derived_battery", counted)
+    for k in (F101, Q):
+        a, m = _k_over_square_zero(k)
+        n, _ = free_module(a, LEFT, [0, -1])
+        assert theta_der(m, n, depth=3).ok
+        inst = Instance("square-zero", "ordinary", a, m, n)
+        runs.clear()
+        results = suite.derived_kunneth_checks(inst)
+        assert runs == ["square-zero"]
+        bad = [r for r in results if not r.ok]
+        assert [r.name for r in bad] == ["derived_kunneth_battery"]
+        assert bad[0].counterexample == {
+            "exception": "ResourceCapError",
+            "message": "per-degree dimension 96 exceeds the generator cap 64",
+            "instance": "square-zero"}
+        results = suite.derived_kunneth_checks(inst, stabilization=False)
+        assert len(results) == 7 and all_ok(results)
+        paths = []
+        for name, mod in (("m", m), ("n", n)):
+            paths.append(tmp_path / f"{name}.json")
+            paths[-1].write_text(dumps_canonical(module_file_to_json(a, mod, name)))
+        assert main(["derived-kunneth", str(paths[0]), str(paths[1]),
+                     "--out", str(tmp_path / "report.json")]) == 1
+
+
+def test_stabilization_needs_a_witness_at_width_plus_2(k):
+    m, n = _dual_numbers_simple_pair(k)
+    for depth in (1, 3):
+        with pytest.raises(ValueError, match="depth 2"):
+            check_depth_stabilization(theta_der(m, n, depth=depth))
 
 
 def test_theta_der_cohomologically_bounded_input(k):

@@ -10,7 +10,7 @@ from dataclasses import replace
 
 import pytest
 
-from dgkunneth import kunneth, resolve, suite
+from dgkunneth import dgmodule, kunneth, resolve, suite
 from dgkunneth.checks import failed
 from dgkunneth.cli import main
 from dgkunneth.field import Field
@@ -78,6 +78,17 @@ def test_batteries_build_each_witness_once(monkeypatch):
     assert passing > 0
     monkeypatch.undo()
     assert (suite.theta, resolve.semifree_resolve) == originals
+
+
+def test_derived_battery_computes_each_cohomology_once(monkeypatch):
+    # inst0001 (koszul_dg): the battery asks for H^i 92 times, and the
+    # resolution build and certification ask for H^t(mG) and H^t(P) again
+    # and again; only 42 distinct (module, degree) pairs are computed
+    inst = generate_corpus(CorpusProfile(field=F101, instance_count=2))[1]
+    asked = _count_calls(monkeypatch, dgmodule, "cohomology")
+    computed = _count_calls(monkeypatch, dgmodule, "_cohomology")
+    assert all(r.ok for r in suite.derived_kunneth_checks(inst))
+    assert (len(asked), len(computed)) == (92, 42)
 
 
 def test_functoriality_builds_each_witness_once(monkeypatch):

@@ -16,11 +16,11 @@ from dgkunneth.dgmodule import LEFT, RIGHT
 from dgkunneth.serialize import (
     algebra_from_json,
     algebra_to_json,
-    corpus_from_json,
-    corpus_to_json,
     dumps_canonical,
     field_from_json,
     field_to_json,
+    instance_from_json,
+    instance_to_json,
     module_from_json,
     module_to_json,
     profile_from_json,
@@ -59,31 +59,33 @@ def test_module_roundtrip(k):
             assert dumps_canonical(module_to_json(back)) == dumps_canonical(d)
 
 
+def _corpus_text(corpus) -> str:
+    return dumps_canonical([instance_to_json(inst) for inst in corpus])
+
+
 def test_instance_and_corpus_roundtrip(k):
+    # every instance of a corpus, in the form a report's shrunk_instance has
     prof = CorpusProfile(field=k, instance_count=6, seed=77)
     corpus = generate_corpus(prof)
-    blob = corpus_to_json(prof, corpus)
-    text = dumps_canonical(blob)
-    prof2, corpus2 = corpus_from_json(json.loads(text))
-    assert profile_to_json(prof2) == profile_to_json(prof)
+    text = _corpus_text(corpus)
+    corpus2 = [instance_from_json(d) for d in json.loads(text)]
     for a, b in zip(corpus, corpus2):
+        assert (a.name, a.family) == (b.name, b.family)
         assert a.algebra == b.algebra
         assert a.m == b.m
         assert a.n == b.n
     # canonical bytes are stable under a round trip
-    assert dumps_canonical(corpus_to_json(prof2, corpus2)) == text
+    assert _corpus_text(corpus2) == text
+    assert profile_to_json(profile_from_json(profile_to_json(prof))) == profile_to_json(prof)
 
 
 def test_seed_determinism(k):
     prof = CorpusProfile(field=k, instance_count=8, seed=123)
     c1 = generate_corpus(prof)
     c2 = generate_corpus(prof)
-    assert dumps_canonical(corpus_to_json(prof, c1)) == \
-        dumps_canonical(corpus_to_json(prof, c2))
+    assert _corpus_text(c1) == _corpus_text(c2)
     other = CorpusProfile(field=k, instance_count=8, seed=124)
-    c3 = generate_corpus(other)
-    assert dumps_canonical(corpus_to_json(other, c3)) != \
-        dumps_canonical(corpus_to_json(prof, c1))
+    assert _corpus_text(generate_corpus(other)) != _corpus_text(c1)
 
 
 @settings(max_examples=30, deadline=None)

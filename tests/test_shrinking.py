@@ -1,19 +1,17 @@
-import dataclasses
-
 import pytest
 
 from dgkunneth.checks import failed, passed
-from dgkunneth.dgmodule import LEFT, RIGHT, validate_module
+from dgkunneth.dgmodule import LEFT, validate_module
 from dgkunneth.field import Field
 from dgkunneth.genlab import (
     Instance,
     _instance_size,
     make_dual_numbers,
-    make_koszul_like,
     regular_module,
     shrink_instance,
 )
 from dgkunneth.suite import _attach_shrunk
+from dg_examples import make_koszul_like
 
 F101 = Field.prime(101)
 
