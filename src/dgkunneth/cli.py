@@ -53,15 +53,6 @@ def parse_field_spec(spec: str) -> Field:
     raise StructureError(f"cannot parse field spec {spec!r} (use Q or F<p>)")
 
 
-def default_field(args) -> Field:
-    if args.field:
-        return parse_field_spec(args.field)
-    env = os.environ.get(DEFAULT_FIELD_ENV)
-    if env:
-        return parse_field_spec(env)
-    return Field.prime(101)
-
-
 def load_json(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         return json.load(fh)
@@ -194,13 +185,15 @@ def cmd_derived_kunneth(args) -> int:
 
 
 def build_profile(args) -> CorpusProfile:
+    """The profile file, else the published profile over F101.  `--field`
+    and `--seed` override either; `$DGKUNNETH_FIELD` applies without a file."""
+    kwargs = {} if args.seed is None else {"seed": args.seed}
+    spec = args.field or (None if args.profile else os.environ.get(DEFAULT_FIELD_ENV))
+    if spec:
+        kwargs["field"] = parse_field_spec(spec)
     if args.profile:
-        prof = profile_from_json(load_json(args.profile))
-        return prof if args.seed is None else replace(prof, seed=args.seed)
-    kwargs = {"field": default_field(args)}
-    if args.seed is not None:
-        kwargs["seed"] = args.seed
-    return CorpusProfile(**kwargs)
+        return replace(profile_from_json(load_json(args.profile)), **kwargs)
+    return CorpusProfile(**{"field": Field.prime(101), **kwargs})
 
 
 def cmd_suite(args) -> int:
@@ -235,7 +228,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("suite", help="generate a corpus and run all verification suites")
     s.add_argument("--profile", help="profile JSON file (defaults to the published profile)")
-    s.add_argument("--field", help="field spec: Q or F<p> (default F101 or $DGKUNNETH_FIELD)")
+    s.add_argument("--field", help="field spec: Q or F<p>; overrides the profile file's field "
+                   "(default: the file's, else $DGKUNNETH_FIELD, else F101)")
     s.add_argument("--seed", type=int, default=None)
     s.add_argument("--jobs", type=int, default=1)
     s.add_argument("--out")

@@ -88,6 +88,8 @@ class DGAlgebra:
         return Matrix.column(self.field, self.unit)
 
     def __eq__(self, other):
+        if other is self:
+            return True
         if not isinstance(other, DGAlgebra):
             return NotImplemented
         if (self.field != other.field or self.min_degree != other.min_degree

@@ -1,8 +1,9 @@
 """One-sided DG modules over a nonpositive DG algebra.
 
 Covers the data model and validators, strict morphisms, degree shift,
-smart truncation, free modules on graded generator sets, and cohomology
-with its H^0(A)-module structure.
+smart truncation, free modules on graded generator sets (`free_module`,
+and `free_differential` for one differential without the rest of the
+module), and cohomology with its H^0(A)-module structure.
 
 A module is never written after construction: every builder makes a new
 `DGModule`, nothing assigns into its `dims`, `diff` or `action`, and the
@@ -436,14 +437,12 @@ class FreeLayout:
     algebra: DGAlgebra
     gen_degrees: tuple
 
-    def dim(self, i: int) -> int:
-        return sum(self.algebra.dim(i - e) for e in self.gen_degrees)
+    def offsets(self, i: int) -> list:
+        """First position of each generator's block in degree i, then dim i."""
+        return list(accumulate((self.algebra.dim(i - e) for e in self.gen_degrees), initial=0))
 
-    def offset(self, i: int, g: int) -> int:
-        off = 0
-        for h in range(g):
-            off += self.algebra.dim(i - self.gen_degrees[h])
-        return off
+    def dim(self, i: int) -> int:
+        return self.offsets(i)[-1]
 
     def window(self):
         if not self.gen_degrees:
@@ -459,70 +458,82 @@ def free_module(algebra: DGAlgebra, side: str, gen_degrees, gen_diffs=None):
     for the differential generated so far; callers guarantee that.
     Returns (module, layout).
     """
-    f = algebra.field
     lay = FreeLayout(algebra, tuple(gen_degrees))
     lo, hi = lay.window()
-    dims = {i: lay.dim(i) for i in range(lo, hi + 1)}
+    offsets = {i: lay.offsets(i) for i in range(lo, hi + 2)}
+    dims = {i: offsets[i][-1] for i in range(lo, hi + 1)}
     gen_diffs = dict(enumerate(gen_diffs)) if gen_diffs is not None else {}
+    action = {(i, j): _free_action(lay, side, offsets[i], offsets[i + j], i, j)
+              for i in range(lo, hi + 1) for j in algebra.degrees()
+              if algebra.dim(j) and dims[i] and lo <= i + j <= hi}
+    diff = {i: _free_diff(lay, side, gen_diffs, offsets[i], offsets[i + 1], action, i)
+            for i in range(lo, hi + 1) if dims[i]}
+    return DGModule(side, algebra, (lo, hi), dims, diff, action), lay
 
-    # offsets[i][g]: first position of generator g's block in degree i
-    offsets = {i: list(accumulate((algebra.dim(i - e) for e in lay.gen_degrees), initial=0))
-               for i in range(lo, hi + 1)}
 
-    action = {}
-    for i in range(lo, hi + 1):
-        for j in algebra.degrees():
-            dj = algebra.dim(j)
-            if dj == 0 or dims[i] == 0 or not (lo <= i + j <= hi):
-                continue
-            blocks = []
-            for g, e in enumerate(lay.gen_degrees):
-                da = algebra.dim(i - e)
-                if da == 0:
-                    continue
-                r0, c0 = offsets[i + j][g], offsets[i][g]
-                if side == RIGHT:
-                    # (g.e_b).e_c = g.(e_b e_c), column (c0 + b) * dj + c
-                    blocks.append((r0, c0 * dj, algebra.mult_map(i - e, j).arr))
-                else:
-                    # e_c.(e_b.g) = (e_c e_b).g, column c * dims[i] + c0 + b
-                    mult = algebra.mult_map(j, i - e).arr
-                    blocks.extend((r0, c * dims[i] + c0, mult[:, c * da:(c + 1) * da])
-                                  for c in range(dj))
-            action[(i, j)] = from_blocks(f, dims[i + j], dims[i] * dj, blocks)
+def free_differential(algebra: DGAlgebra, side: str, gen_degrees, gen_diffs, i: int) -> Matrix:
+    """`free_module(algebra, side, gen_degrees, gen_diffs)[0].diff_map(i)`,
+    built from the same blocks in the same order, but with the action blocks
+    (e_g + 1, i - e_g) of the generators with a nonzero d(g) only."""
+    lay = FreeLayout(algebra, tuple(gen_degrees))
+    return _free_diff(lay, side, dict(enumerate(gen_diffs)), lay.offsets(i),
+                      lay.offsets(i + 1), {}, i)
 
-    diff = {}
-    for i in range(lo, hi + 1):
-        if dims[i] == 0:
+
+def _free_action(lay: FreeLayout, side: str, src, tgt, i: int, j: int) -> Matrix:
+    """The action block at (module i, algebra j); `src` and `tgt` are the
+    layout's offsets in degrees i and i + j."""
+    algebra = lay.algebra
+    dj = algebra.dim(j)
+    blocks = []
+    for g, e in enumerate(lay.gen_degrees):
+        da = algebra.dim(i - e)
+        if da == 0:
             continue
-        rows = dims.get(i + 1, 0)
-        blocks = []
-        for g, e in enumerate(lay.gen_degrees):
-            da = algebra.dim(i - e)
-            if da == 0:
-                continue
-            c0 = offsets[i][g]
-            # d(g.a) = d(g).a + (-1)^{|g|} g.d(a) (right),
-            # d(a.g) = d(a).g + (-1)^{|a|} a.d(g) (left)
-            dalg = algebra.diff_map(i - e).arr
-            if dalg.shape[0]:
-                neg = side == RIGHT and e % 2 == 1
-                blocks.append((offsets[i + 1][g], c0, -dalg if neg else dalg))
-            dg = gen_diffs.get(g)
-            if rows and dg is not None and any(x != f.zero for x in dg):
-                # the action on d(g) (x) e_b (right) or e_b (x) d(g) (left)
-                gcol, eye = Matrix.column(f, dg), Matrix.identity(f, da)
-                act = action[(e + 1, i - e)]
-                if side == RIGHT:
-                    term = act @ gcol.kron(eye)
-                else:
-                    term = act @ eye.kron(gcol)
-                    if (i - e) % 2:
-                        term = -term
-                blocks.append((0, c0, term.arr))
-        diff[i] = from_blocks(f, rows, dims[i], blocks)
-    mod = DGModule(side, algebra, (lo, hi), dims, diff, action)
-    return mod, lay
+        if side == RIGHT:
+            # (g.e_b).e_c = g.(e_b e_c), column (src[g] + b) * dj + c
+            blocks.append((tgt[g], src[g] * dj, algebra.mult_map(i - e, j).arr))
+        else:
+            # e_c.(e_b.g) = (e_c e_b).g, column c * dim i + src[g] + b
+            mult = algebra.mult_map(j, i - e).arr
+            blocks.extend((tgt[g], c * src[-1] + src[g], mult[:, c * da:(c + 1) * da])
+                          for c in range(dj))
+    return from_blocks(algebra.field, tgt[-1], src[-1] * dj, blocks)
+
+
+def _free_diff(lay: FreeLayout, side: str, gen_diffs: dict, src, tgt, action: dict,
+               i: int) -> Matrix:
+    """d^i; `src` and `tgt` are the layout's offsets in degrees i and i + 1.
+    The action blocks on the d(g) are read from the memo `action`, and built
+    into it when missing."""
+    algebra, f = lay.algebra, lay.algebra.field
+    blocks = []
+    for g, e in enumerate(lay.gen_degrees):
+        da = algebra.dim(i - e)
+        if da == 0:
+            continue
+        # d(g.a) = d(g).a + (-1)^{|g|} g.d(a) (right),
+        # d(a.g) = d(a).g + (-1)^{|a|} a.d(g) (left)
+        dalg = algebra.diff_map(i - e).arr
+        if dalg.shape[0]:
+            neg = side == RIGHT and e % 2 == 1
+            blocks.append((tgt[g], src[g], -dalg if neg else dalg))
+        dg = gen_diffs.get(g)
+        if tgt[-1] and dg is not None and any(x != f.zero for x in dg):
+            # the action on d(g) (x) e_b (right) or e_b (x) d(g) (left)
+            gcol, eye = Matrix.column(f, dg), Matrix.identity(f, da)
+            act = action.get((e + 1, i - e))
+            if act is None:
+                act = action[(e + 1, i - e)] = _free_action(
+                    lay, side, lay.offsets(e + 1), tgt, e + 1, i - e)
+            if side == RIGHT:
+                term = act @ gcol.kron(eye)
+            else:
+                term = act @ eye.kron(gcol)
+                if (i - e) % 2:
+                    term = -term
+            blocks.append((0, src[g], term.arr))
+    return from_blocks(f, tgt[-1], src[-1], blocks)
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from .dgmodule import (
     DGModule,
     StrictMorphism,
     direct_sum,
+    free_differential,
     free_module,
     mapping_cone,
     shift,
@@ -174,22 +175,30 @@ def simple_module_dual_numbers(a: DGAlgebra, side: str) -> DGModule:
 def random_free_module(a: DGAlgebra, side: str, rng: random.Random,
                        max_dim: int, span: int, n_gens: int | None = None):
     """Free module on random generators; d(g) sampled from the cocycles of
-    the partial module so d^2 = 0 holds by construction."""
+    the partial module so d^2 = 0 holds by construction.
+
+    The generators come sorted by descending degree.  A is nonpositive, so a
+    generator of degree e has no basis vector in degrees e + 1 or e + 2, and
+    d^{e+1} of the partial module depends only on the generators of degree
+    greater than e.  So its kernel is computed once per distinct degree, from
+    that one differential (`free_differential`), and not at all when degree
+    e + 1 is zero; each generator still makes its own draw."""
     lo_deg = -(span - 1)
     if n_gens is None:
         n_gens = rng.randint(1, 3)
     degrees = sorted((rng.randint(lo_deg, 0) for _ in range(n_gens)), reverse=True)
     gen_degrees = []
     gen_diffs = []
+    k_degree = None
     for e in degrees:
-        if gen_degrees:
-            partial, _ = free_module(a, side, gen_degrees, gen_diffs)
-            k = kernel_basis(partial.diff_map(e + 1))
+        if e != k_degree:
+            dk = free_differential(a, side, gen_degrees, gen_diffs, e + 1)
+            k, k_degree = (kernel_basis(dk) if dk.cols else None), e
+        vec = []
+        if k is not None:
             # a random combination of the cocycles, one draw per basis row
             coeffs = Matrix(a.field, 1, k.rows, [a.field.random_vector(rng, k.rows)])
             vec = (coeffs @ k).row(0)
-        else:
-            vec = []
         gen_degrees.append(e)
         gen_diffs.append(vec)
     mod, _ = free_module(a, side, gen_degrees, gen_diffs)

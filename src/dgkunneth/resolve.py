@@ -147,6 +147,7 @@ def _free_map(lay: FreeLayout, target: DGModule, images, i: int,
     A^{i-e}: the action on images[g] (x) e_b.
     """
     f = target.field
+    offs = lay.offsets(i)
     blocks = []
     for g, img in enumerate(images):
         e = lay.gen_degrees[g]
@@ -155,8 +156,8 @@ def _free_map(lay: FreeLayout, target: DGModule, images, i: int,
             continue
         act = target.action_map(e + degree_shift, i - e)
         blk = act @ Matrix.column(f, img).kron(Matrix.identity(f, da))
-        blocks.append((0, lay.offset(i, g), blk.arr))
-    return from_blocks(f, target.dim(i + degree_shift), lay.dim(i), blocks)
+        blocks.append((0, offs[g], blk.arr))
+    return from_blocks(f, target.dim(i + degree_shift), offs[-1], blocks)
 
 
 def _free_apply(lay: FreeLayout, target: DGModule, images, i: int,
@@ -419,6 +420,8 @@ def _theta_der_on(setup: DerivedSetup, wMN: KunnethWitness) -> DerivedKunnethWit
         emat = Matrix.zeros(f, source.dim, plain.source.dim)
     einv = solve(emat, Matrix.identity(f, source.dim)) \
         if emat.rows == emat.cols else None
+    # a failed transport zeroes theta_der: the two checks after it name it as cause
+    cause = {"cause": "h0_rho_transport_invertible"} if einv is None else {}
     if einv is None:
         evidence.append(failed("h0_rho_transport_invertible",
                                counterexample={"rows": emat.rows, "cols": emat.cols,
@@ -434,7 +437,7 @@ def _theta_der_on(setup: DerivedSetup, wMN: KunnethWitness) -> DerivedKunnethWit
     else:
         evidence.append(failed("theta_der_bijective",
                                counterexample={"rank": r, "source_dim": source.dim,
-                                               "target_dim": plain.target.dim}))
+                                               "target_dim": plain.target.dim, **cause}))
 
     # eta at top degree and the commuting triangle against the plain theta
     tcMN, hMN = wMN.tc, wMN.target
@@ -456,7 +459,7 @@ def _theta_der_on(setup: DerivedSetup, wMN: KunnethWitness) -> DerivedKunnethWit
     else:
         evidence.append(failed("derived_diagram_commutes",
                                counterexample={"eta_theta_der": matrix_to_json(eta_h0 @ th_der),
-                                               "theta": matrix_to_json(wMN.theta)}))
+                                               "theta": matrix_to_json(wMN.theta), **cause}))
     return DerivedKunnethWitness(setup, plain, wMN, source, plain.target, th_der,
                                  eta_h0, evidence)
 

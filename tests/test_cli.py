@@ -173,6 +173,10 @@ def test_suite_field_flag(tmp_path, monkeypatch):
     prof = build_profile(build_parser().parse_args(
         ["suite", "--profile", str(profile), "--seed", "9"]))
     assert (prof.field, prof.seed, prof.instance_count) == (Field.rationals(), 9, 3)
+    # ... and --field overrides its field, as --seed does its seed
+    prof = build_profile(build_parser().parse_args(
+        ["suite", "--profile", str(profile), "--field", "F7"]))
+    assert (prof.field, prof.seed, prof.instance_count) == (Field.prime(7), 1, 3)
 
 
 def test_oversized_modulus_is_structural_error():

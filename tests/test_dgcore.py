@@ -89,6 +89,14 @@ def test_koszul_dg_valid(k):
     assert validate_algebra(a) == []
 
 
+def test_algebra_equality_is_by_structure(k):
+    # an algebra equals itself at once, and a separately built copy by value
+    a = make_exterior(k)
+    assert a == a
+    assert a == make_exterior(k) and make_exterior(k) == a
+    assert make_dual_numbers(k) != a and a != make_dual_numbers(k)
+
+
 def test_broken_leibniz_is_reported(k):
     a = make_exterior(k)
     # corrupt d(eps) so Leibniz on (eps, eps) fails: d(eps.eps)=d(0)=0 but

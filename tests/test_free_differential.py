@@ -1,0 +1,135 @@
+"""`free_differential` and the random free modules built on it.
+
+`free_differential` must return exactly `free_module(...)[0].diff_map(i)`,
+and `random_free_module` must draw the same modules as when it rebuilt the
+whole partial module once per generator.  The digests below were recorded
+with that per-generator rebuild.
+"""
+import hashlib
+import random
+import sys
+
+import pytest
+
+from dgkunneth import dgmodule
+from dgkunneth.dgmodule import LEFT, RIGHT, FreeLayout, free_differential, free_module
+from dgkunneth.field import Field
+from dgkunneth.genlab import (
+    ALGEBRA_FAMILIES,
+    CorpusProfile,
+    generate_instance,
+    random_free_module,
+)
+from dgkunneth.linalg import Matrix, kernel_basis
+from dgkunneth.serialize import dumps_canonical, instance_to_json, module_to_json
+
+FIELDS = {"F101": Field.prime(101), "Q": Field.rationals(),
+          "F2^61-1": Field.prime(2 ** 61 - 1)}
+# sha256 of the first 24 instances of the published profile, and of one
+# 8-generator random free module per family and side
+CORPUS_SHA256 = {
+    "F101": "2d800306975d02f824fe5c01559904f21dbebadbdf56e70c23a71fe364c89a37",
+    "Q": "7c387de60f856bd2d5dbb9e24ac24baf2688dde2292d1499dfa678f6f2cbb159",
+}
+WIDE_SHA256 = {
+    "F101": "5794f005d1c78d8e06dacb09a176683d302d2a0050dee2f47f6f1feea3d1d871",
+    "Q": "4770697cd9464a1ac474a540668b60b0491f5445a5ace80b93cfbe548cecacf0",
+}
+
+
+def corpus_digest(field):
+    profile = CorpusProfile(field=field)
+    docs = [instance_to_json(generate_instance(profile, i)) for i in range(24)]
+    return hashlib.sha256(dumps_canonical(docs).encode()).hexdigest()
+
+
+def wide_modules(field):
+    """One 8-generator module per family and side, retried as `plain_wide` does."""
+    out = []
+    for family in sorted(ALGEBRA_FAMILIES):
+        a = ALGEBRA_FAMILIES[family](field)
+        for side in (RIGHT, LEFT):
+            rng = random.Random(f"wide:{family}:{side}")
+            mod = None
+            while mod is None:
+                mod = random_free_module(a, side, rng, 32, 4, n_gens=8)
+            out.append(mod)
+    return out
+
+
+def wide_digest(field):
+    docs = [module_to_json(m) for m in wide_modules(field)]
+    return hashlib.sha256(dumps_canonical(docs).encode()).hexdigest()
+
+
+def _generators(a, side, rng):
+    """Five generators over four degrees (so some tie) with d(g) drawn from
+    the cocycles of `free_module` on the generators before g."""
+    degrees = sorted((rng.randint(-3, 0) for _ in range(5)), reverse=True)
+    diffs = []
+    for g, e in enumerate(degrees):
+        partial, _ = free_module(a, side, degrees[:g], diffs)
+        k = kernel_basis(partial.diff_map(e + 1))
+        coeffs = Matrix(a.field, 1, k.rows, [a.field.random_vector(rng, k.rows)])
+        diffs.append((coeffs @ k).row(0))
+    return degrees, diffs
+
+
+@pytest.mark.parametrize("label", sorted(FIELDS))
+@pytest.mark.parametrize("family", sorted(ALGEBRA_FAMILIES))
+def test_free_differential_is_the_free_module_differential(family, label):
+    field = FIELDS[label]
+    a = ALGEBRA_FAMILIES[family](field)
+    for side in (RIGHT, LEFT):
+        rng = random.Random(f"{family}:{label}:{side}")
+        nonzero = 0
+        for _ in range(4):
+            degrees, diffs = _generators(a, side, rng)
+            assert len(set(degrees)) < len(degrees)
+            nonzero += sum(any(x != field.zero for x in v) for v in diffs)
+            mod, _ = free_module(a, side, degrees, diffs)
+            lo, hi = mod.window
+            for i in range(lo - 1, hi + 2):
+                got, want = free_differential(a, side, degrees, diffs, i), mod.diff_map(i)
+                assert (got.rows, got.cols) == (want.rows, want.cols)
+                assert got.arr.dtype == want.arr.dtype
+                assert got == want, (side, degrees, i)
+        assert nonzero > 0
+
+
+@pytest.mark.parametrize("label", sorted(CORPUS_SHA256))
+def test_generated_inputs_are_pinned(label):
+    field = FIELDS[label]
+    assert corpus_digest(field) == CORPUS_SHA256[label]
+    assert wide_digest(field) == WIDE_SHA256[label]
+
+
+def test_one_free_module_per_random_free_module(monkeypatch):
+    # count by name, wherever the package binds the two functions
+    calls = []
+    for name in ("free_module", "kernel_basis"):
+        orig = getattr(dgmodule, name)
+
+        def counted(*args, _name=name, _orig=orig, **kwargs):
+            calls.append((_name, args))
+            return _orig(*args, **kwargs)
+
+        for mod in list(sys.modules.values()):
+            if getattr(mod, "__name__", "").startswith("dgkunneth") \
+                    and getattr(mod, name, None) is orig:
+                monkeypatch.setattr(mod, name, counted)
+    a = ALGEBRA_FAMILIES["koszul_dg"](FIELDS["F101"])
+    rng = random.Random(7)
+    for side in (RIGHT, LEFT):
+        calls.clear()
+        assert random_free_module(a, side, rng, 10 ** 6, 4, n_gens=8) is not None
+        built = [args for name, args in calls if name == "free_module"]
+        assert len(built) == 1
+        degrees = built[0][2]
+        assert len(degrees) == 8
+        # one kernel per distinct degree e where the generators above e
+        # leave a nonzero degree e + 1
+        nonzero = [e for e in set(degrees)
+                   if FreeLayout(a, tuple(d for d in degrees if d > e)).dim(e + 1)]
+        assert 0 < len(nonzero) < len(set(degrees))
+        assert sum(name == "kernel_basis" for name, _ in calls) == len(nonzero)

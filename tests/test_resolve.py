@@ -279,7 +279,7 @@ def _first_nonzero_doubled(vectors, k):
 def test_transport_invertibility_detects_a_wrong_rho(k):
     # rho rebuilt with the stage-0 generator sent to zero: H^0(rho) = 0.  A
     # failed transport leaves theta_der zero, so the bijectivity and the
-    # triangle checks after it necessarily fail with it
+    # triangle checks after it necessarily fail with it, naming it as cause
     m, n = _dual_numbers_simple_pair(k)
     w = theta_der(m, n)
     res = w.setup.resolution
@@ -288,8 +288,12 @@ def test_transport_invertibility_detects_a_wrong_rho(k):
         res.p, res.layout, m, images))
     bad = replace(res, gen_images=images, rho=rho)
     wb = resolve._theta_der_on(resolve._on_resolution(w.setup, bad), w.mn)
-    assert [r.name for r in wb.evidence if not r.ok] == \
+    bad_checks = [r for r in wb.evidence if not r.ok]
+    assert [r.name for r in bad_checks] == \
         ["h0_rho_transport_invertible", "theta_der_bijective", "derived_diagram_commutes"]
+    # the two checks after the transport name it as their cause
+    assert [r.counterexample.get("cause") for r in bad_checks] == \
+        [None, "h0_rho_transport_invertible", "h0_rho_transport_invertible"]
 
 
 def test_lift_detects_a_wrong_target_rho(k):

@@ -146,7 +146,7 @@ def test_resolution_stage_audit(k):
         assert len(dvec) in (0, lay.dim(i))
         for pos, val in enumerate(dvec):
             if val != k.zero:
-                # generator g spans positions offset(i, g) .. offset(i, g + 1) - 1
-                other = next(g for g in range(len(degrees))
-                             if lay.offset(i, g) <= pos < lay.offset(i, g + 1))
+                # generator g spans positions offsets(i)[g] .. offsets(i)[g + 1] - 1
+                offs = lay.offsets(i)
+                other = next(g for g in range(len(degrees)) if offs[g] <= pos < offs[g + 1])
                 assert stages[other] < stages[gi]
