@@ -20,13 +20,8 @@ from .dgalgebra import StructureError, validate_algebra
 from .dgmodule import LEFT, RIGHT, validate_module
 from .field import Field
 from .genlab import CorpusProfile, GenerationError
-from .kunneth import check_exact_sequences, check_representative_independence, theta
-from .resolve import (
-    ResourceCapError,
-    check_depth_stabilization,
-    check_resolution_independence,
-    theta_der,
-)
+from .kunneth import theta
+from .resolve import ResourceCapError, theta_der
 from .serialize import (
     dumps_canonical,
     matrix_to_json,
@@ -35,7 +30,7 @@ from .serialize import (
     resolution_to_json,
     tensor_complex_to_json,
 )
-from .suite import Report, run_suite
+from .suite import Report, derived_checks, plain_checks, run_suite
 from .tensor import tensor_cohomology
 
 DEFAULT_FIELD_ENV = "DGKUNNETH_FIELD"
@@ -97,23 +92,19 @@ def load_instance_pair(m_path: str, n_path: str):
     return (m_name, n_name), m_mod, n_mod
 
 
+def _axioms(name: str, violations):
+    if violations:
+        return failed(name, counterexample={"violations": [str(v) for v in violations]})
+    return passed(name)
+
+
 def cmd_validate(args) -> int:
     report = Report("validate", instance_refs=[args.path])
     t0 = time.perf_counter()
     name, algebra, module = module_file_from_json(load_json(args.path))
-    violations = validate_algebra(algebra)
-    if violations:
-        report.checks.append(failed("algebra_axioms",
-                                    counterexample={"violations": [str(v) for v in violations]}))
-    else:
-        report.checks.append(passed("algebra_axioms"))
+    report.checks.append(_axioms("algebra_axioms", validate_algebra(algebra)))
     if module is not None:
-        violations = validate_module(module)
-        if violations:
-            report.checks.append(failed("module_axioms",
-                                        counterexample={"violations": [str(v) for v in violations]}))
-        else:
-            report.checks.append(passed("module_axioms"))
+        report.checks.append(_axioms("module_axioms", validate_module(module)))
     report.timing["validate"] = round(time.perf_counter() - t0, 3)
     return emit(report, args.out)
 
@@ -121,67 +112,53 @@ def cmd_validate(args) -> int:
 def _input_checks(m, n) -> list:
     """Axiom gate for the single-pair commands; invalid inputs fail the
     report instead of crashing the verification layer."""
-    out = []
-    for label, thing, validate in (("algebra", m.algebra, validate_algebra),
-                                   ("m", m, validate_module),
-                                   ("n", n, validate_module)):
-        violations = validate(thing)
-        if violations:
-            out.append(failed(f"input_{label}_axioms",
-                              counterexample={"violations": [str(v) for v in violations]}))
-        else:
-            out.append(passed(f"input_{label}_axioms"))
-    return out
+    return [_axioms("input_algebra_axioms", validate_algebra(m.algebra)),
+            _axioms("input_m_axioms", validate_module(m)),
+            _axioms("input_n_axioms", validate_module(n))]
+
+
+def _pair_command(args, command: str, battery) -> int:
+    """Gate the two instance files on their axioms, then run `battery(report,
+    m, n)`; an exception there becomes one failed `<command>_battery` check."""
+    refs, m, n = load_instance_pair(args.m_path, args.n_path)
+    report = Report(command, instance_refs=list(refs))
+    t0 = time.perf_counter()
+    report.checks.extend(_input_checks(m, n))
+    if report.ok:
+        try:
+            battery(report, m, n)
+        except Exception as exc:   # noqa: BLE001 - bundled, never swallowed
+            report.checks.append(failed(f"{command.replace('-', '_')}_battery",
+                                        counterexample={"exception": type(exc).__name__,
+                                                        "message": str(exc)}))
+    report.timing[command.replace("-", "_")] = round(time.perf_counter() - t0, 3)
+    return emit(report, args.out)
+
+
+def _kunneth_battery(report, m, n):
+    w = theta(m, n)
+    report.checks.extend(plain_checks(w))
+    report.extra.update(theta=matrix_to_json(w.theta), source_dim=w.source.dim,
+                        target_dim=w.target.dim,
+                        tensor_presentation=tensor_complex_to_json(w.tc, degrees=(-1, 0)))
+
+
+def _derived_kunneth_battery(report, m, n):
+    w = theta_der(m, n)
+    report.checks.extend(derived_checks(w))
+    report.extra.update(theta_der=matrix_to_json(w.theta_der), source_dim=w.source.dim,
+                        target_dim=w.target.dim,
+                        resolution=resolution_to_json(w.setup.resolution),
+                        # one degree below the top: the formula makes no claim there
+                        tor1_negative_control_dim=tensor_cohomology(w.setup.tc, -1).dim)
 
 
 def cmd_kunneth(args) -> int:
-    refs, m, n = load_instance_pair(args.m_path, args.n_path)
-    report = Report("kunneth", instance_refs=list(refs))
-    t0 = time.perf_counter()
-    report.checks.extend(_input_checks(m, n))
-    if report.ok:
-        try:
-            w = theta(m, n)
-            report.checks.extend(w.evidence)
-            report.checks.append(check_representative_independence(w, samples=20))
-            report.checks.extend(check_exact_sequences(w))
-            report.extra["theta"] = matrix_to_json(w.theta)
-            report.extra["source_dim"] = w.source.dim
-            report.extra["target_dim"] = w.target.dim
-            report.extra["tensor_presentation"] = \
-                tensor_complex_to_json(w.tc, degrees=(-1, 0))
-        except Exception as exc:   # noqa: BLE001 - bundled, never swallowed
-            report.checks.append(failed("kunneth_battery",
-                                        counterexample={"exception": type(exc).__name__,
-                                                        "message": str(exc)}))
-    report.timing["kunneth"] = round(time.perf_counter() - t0, 3)
-    return emit(report, args.out)
+    return _pair_command(args, "kunneth", _kunneth_battery)
 
 
 def cmd_derived_kunneth(args) -> int:
-    refs, m, n = load_instance_pair(args.m_path, args.n_path)
-    report = Report("derived-kunneth", instance_refs=list(refs))
-    t0 = time.perf_counter()
-    report.checks.extend(_input_checks(m, n))
-    if report.ok:
-        try:
-            w = theta_der(m, n)
-            report.checks.extend(w.evidence)
-            report.checks.append(check_depth_stabilization(w))
-            report.checks.append(check_resolution_independence(w))
-            report.extra["theta_der"] = matrix_to_json(w.theta_der)
-            report.extra["source_dim"] = w.source.dim
-            report.extra["target_dim"] = w.target.dim
-            report.extra["resolution"] = resolution_to_json(w.setup.resolution)
-            # one degree below the top: the formula makes no claim there
-            report.extra["tor1_negative_control_dim"] = \
-                tensor_cohomology(w.setup.tc, -1).dim
-        except Exception as exc:   # noqa: BLE001
-            report.checks.append(failed("derived_kunneth_battery",
-                                        counterexample={"exception": type(exc).__name__,
-                                                        "message": str(exc)}))
-    report.timing["derived_kunneth"] = round(time.perf_counter() - t0, 3)
-    return emit(report, args.out)
+    return _pair_command(args, "derived-kunneth", _derived_kunneth_battery)
 
 
 def build_profile(args) -> CorpusProfile:

@@ -490,17 +490,14 @@ class NoninjectivityWitness:
 
 
 def noninjectivity_witness(field: Field) -> NoninjectivityWitness:
-    from .linalg import hstack, rank
-    from .tensor import TensorComplex, balanced_tensor, module_degree_ring_module
+    from .linalg import rank
+    from .tensor import TensorComplex, minus1_comparison, phi_summands
 
     a = make_exterior(field)
     m = regular_module(a, RIGHT)
     n = regular_module(a, LEFT)
     f = field
-    b1 = balanced_tensor(module_degree_ring_module(m, -1),
-                         module_degree_ring_module(n, 0))
-    b2 = balanced_tensor(module_degree_ring_module(m, 0),
-                         module_degree_ring_module(n, -1))
+    b1, b2, *_ = phi_summands(m, n)
     # (1.eps) (x) 1 in the first summand, -(1 (x) (eps.1)) in the second
     eps = [f.one]
     one = [f.one]
@@ -514,10 +511,7 @@ def noninjectivity_witness(field: Field) -> NoninjectivityWitness:
     img1 = tc.project_pair(m_eps, -1, one, 0)
     img2 = tc.project_pair(one, 0, eps_n, -1)
     image = [f.sub(x, y) for x, y in zip(img1, img2)]
-    onto = sp.projection @ hstack([
-        tc.embed_block(-1, -1, b1.ambient_dim) @ b1.space.section,
-        tc.embed_block(-1, 0, b2.ambient_dim) @ b2.space.section,
-    ])
+    onto = minus1_comparison(tc, b1, b2)
     return NoninjectivityWitness(
         a, m, n, element, b1.dim + b2.dim, sp.quotient_dim, image,
         rank(onto) == sp.quotient_dim)

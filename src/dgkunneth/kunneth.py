@@ -41,6 +41,7 @@ from .tensor import (
     cohomology_ring_module,
     degree0_iso_check,
     induced_balanced_map,
+    minus1_comparison,
     module_degree_ring_module,
     phi_summands,
     tensor_cohomology,
@@ -158,12 +159,7 @@ def check_exact_sequences(w: KunnethWitness) -> list:
 
     # surjectivity of B1 (+) B2 -> (M (x)_A N)^{-1}
     sp1 = tc.space(-1)
-    emb = []
-    for bal, p in ((b1, -1), (b2, 0)):
-        cols = bal.ambient_dim
-        e = tc.embed_block(-1, p, cols)
-        emb.append(e @ bal.space.section)
-    onto = sp1.projection @ hstack(emb) if emb else Matrix.zeros(f, sp1.quotient_dim, 0)
+    onto = minus1_comparison(tc, b1, b2)
     r_onto = rank(onto)
     if r_onto == sp1.quotient_dim:
         out.append(passed("degree_minus1_surjective", dim=sp1.quotient_dim))
@@ -325,22 +321,37 @@ def check_functoriality(fm: StrictMorphism, gm: StrictMorphism,
     gT = shift_morphism(gm, j0)
     if (fT.source, fT.target, gT.source, gT.target) != (w.mT, wp.mT, w.nT, wp.nT):
         raise ValueError("functoriality witnesses do not match the morphisms")
-    out = [replace(r) for r in w.evidence + wp.evidence if not r.ok]
-    hf = cohomology_map(fT, w.hm, wp.hm)
-    hg = cohomology_map(gT, w.hn, wp.hn)
+    return naturality_square("theta_naturality", w, wp, (fT, gT, w, wp), (w.tc, wp.tc),
+                             (fT.map_at, gT.map_at), (w.theta, wp.theta),
+                             source_dim=w.source.dim, target_dim=wp.target.dim)
+
+
+def naturality_square(name: str, w, wp, coh: tuple, tcs: tuple, qmaps: tuple,
+                      thetas: tuple, lift: list = (), **details) -> list:
+    """Copies of the failed evidence of the witnesses `w` and `wp`, then
+    `lift` (how f (x) g was built; a failure there ends the list), then check
+    `name`: thetas[1] o (H(f) (x) H(g)) == H(f (x) g) o thetas[0].
+
+    `coh` = (f, g, kw, kwp): the morphisms taken to cohomology and the plain
+    witnesses holding the H^0 bases the sources are stated on; `qmaps` are
+    the degree maps of f (x) g between the tensor complexes `tcs`."""
+    out = [replace(r) for r in w.evidence + wp.evidence if not r.ok] + list(lift)
+    if not all_ok(lift):
+        return out
+    f, g, kw, kwp = coh
+    hf = cohomology_map(f, kw.hm, kwp.hm)
+    hg = cohomology_map(g, kw.hn, kwp.hn)
     try:
         src_map = induced_balanced_map(w.source, wp.source, hf, hg)
-        qmap = tensor_map(w.tc, wp.tc, fT.map_at, gT.map_at, 0)
+        qmap = tensor_map(*tcs, *qmaps, 0)
     except DescentError as exc:
-        out.append(failed("theta_naturality", counterexample={"reason": str(exc)}))
+        out.append(failed(name, counterexample={"reason": str(exc)}))
         return out
-    hfg = wp.target.class_map @ qmap @ w.target.rep_map
-    lhs = wp.theta @ src_map
-    rhs = hfg @ w.theta
+    lhs = thetas[1] @ src_map
+    rhs = wp.target.class_map @ qmap @ w.target.rep_map @ thetas[0]
     if lhs == rhs:
-        out.append(passed("theta_naturality", source_dim=w.source.dim,
-                          target_dim=wp.target.dim))
+        out.append(passed(name, **details))
     else:
-        out.append(failed("theta_naturality",
-                          counterexample={"lhs": matrix_to_json(lhs), "rhs": matrix_to_json(rhs)}))
+        out.append(failed(name, counterexample={"lhs": matrix_to_json(lhs),
+                                                "rhs": matrix_to_json(rhs)}))
     return out

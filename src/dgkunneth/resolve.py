@@ -44,7 +44,7 @@ from .dgmodule import (
     validate_morphism,
 )
 from .field import Field
-from .kunneth import KunnethWitness, cohomology_map, theta
+from .kunneth import KunnethWitness, cohomology_map, naturality_square, theta
 from .linalg import Matrix, from_blocks, kernel_basis, rank, solve, vstack
 from .serialize import matrix_to_json
 from .tensor import (
@@ -618,27 +618,8 @@ def check_theta_der_functoriality(fm: StrictMorphism, gm: StrictMorphism,
     gG = truncate_morphism(shift_morphism(gm, s.j0), 0)
     if (fG.source, fG.target, gG.source, gG.target) != (s.mG, sp.mG, s.nG, sp.nG):
         raise ValueError("functoriality witnesses do not match the morphisms")
-    out = [replace(r) for r in w.evidence + wp.evidence if not r.ok]
-
     lift = lift_through_resolutions(s.resolution, sp.resolution, fG)
-    out.extend(lift.evidence)
-    if not all_ok(lift.evidence):
-        return out
-
-    hf = cohomology_map(fG, w.mn.hm, wp.mn.hm)
-    hg = cohomology_map(gG, w.mn.hn, wp.mn.hn)
-    try:
-        src_map = induced_balanced_map(w.source, wp.source, hf, hg)
-        qmap = tensor_map(s.tc, sp.tc, lift.phi.map_at, gG.map_at, 0)
-    except DescentError as exc:
-        out.append(failed("theta_der_naturality", counterexample={"reason": str(exc)}))
-        return out
-    hpq = wp.target.class_map @ qmap @ w.target.rep_map
-    lhs = wp.theta_der @ src_map
-    rhs = hpq @ w.theta_der
-    if lhs == rhs:
-        out.append(passed("theta_der_naturality", source_dim=w.source.dim))
-    else:
-        out.append(failed("theta_der_naturality",
-                          counterexample={"lhs": matrix_to_json(lhs), "rhs": matrix_to_json(rhs)}))
-    return out
+    return naturality_square("theta_der_naturality", w, wp, (fG, gG, w.mn, wp.mn),
+                             (s.tc, sp.tc), (lift.phi.map_at, gG.map_at),
+                             (w.theta_der, wp.theta_der), lift.evidence,
+                             source_dim=w.source.dim)

@@ -1,14 +1,17 @@
 """Suite drivers: per-instance check batteries and machine-readable reports.
 
-Checks are pure per instance, so corpora can be processed with a process
-pool; results are always assembled in instance order, keeping reports
+A battery is a witness, theta(M, N) or theta_der(M, N), and the checks run
+on it (`plain_checks`, `derived_checks`, shared with the CLI).  `run_suite`
+runs all batteries of an instance in one worker, so the functoriality
+squares reuse the plain and derived witnesses.  Instances are processed in
+a process pool; results are assembled in report order, keeping reports
 deterministic for a fixed profile and seed.
 """
 from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 from multiprocessing import Pool
 
 from .checks import all_ok, failed
@@ -22,12 +25,14 @@ from .genlab import (
     random_morphism,
 )
 from .kunneth import (
+    KunnethWitness,
     check_exact_sequences,
     check_functoriality,
     check_representative_independence,
     theta,
 )
 from .resolve import (
+    DerivedKunnethWitness,
     ResourceCapError,
     check_depth_stabilization,
     check_resolution_independence,
@@ -75,26 +80,25 @@ class Report:
         return out
 
 
-def _tag(results, inst_name):
-    for r in results:
-        r.details = dict(r.details)
-        r.details["instance"] = inst_name
-    return results
+def _tag(results, inst_name, key="instance"):
+    """Copies of `results` with `inst_name` under `key` in their details.
+
+    A witness's evidence is shared by every battery that reads the witness,
+    so a record is copied before it is labelled, never edited in place."""
+    return [replace(r, details={**r.details, key: inst_name}) for r in results]
 
 
-def _guard(fn, inst_name, label):
-    """Run a check battery; unexpected exceptions become failed results."""
-    try:
-        return fn()
-    except Exception as exc:   # noqa: BLE001 - bundled, never swallowed
-        return [failed(label, counterexample={"exception": type(exc).__name__,
-                                              "message": str(exc),
-                                              "instance": inst_name})]
+def _crashed(label, exc, inst_name):
+    """An unexpected exception in a battery, as one failed result."""
+    return failed(label, counterexample={"exception": type(exc).__name__,
+                                         "message": str(exc),
+                                         "instance": inst_name})
 
 
 def _attach_shrunk(results, inst: Instance, battery) -> list:
     """On failure, try a simple shrink (truncations, zeroed entries) that
-    keeps the same check failing, and embed the smaller instance.
+    keeps the same check failing, and embed the smaller instance in a copy
+    of the first failed result.
 
     A resolution that outgrew the generator cap is not shrunk: the cap
     depends only on the sizes involved, and each candidate would rerun the
@@ -113,35 +117,51 @@ def _attach_shrunk(results, inst: Instance, battery) -> list:
 
     small = shrink_instance(inst, still_failing)
     if small is not inst:
-        fails[0].counterexample = dict(fails[0].counterexample or {})
-        fails[0].counterexample["shrunk_instance"] = instance_to_json(small)
+        ce = {**(fails[0].counterexample or {}), "shrunk_instance": instance_to_json(small)}
+        results = [replace(r, counterexample=ce) if r is fails[0] else r for r in results]
     return results
 
 
-def _plain_battery(inst: Instance, samples: int) -> list:
-    out = []
+def _battery(run, inst: Instance, label: str):
+    """(results, witness) of one battery, `run(inst) -> (checks, witness)`.
+
+    An unexpected exception becomes one failed `label` check and no
+    witness; a failure gets a shrunk instance; results carry the instance
+    name."""
+    def guarded(cand):
+        try:
+            return run(cand)
+        except Exception as exc:   # noqa: BLE001 - bundled, never swallowed
+            return [_crashed(label, exc, cand.name)], None
+
+    results, w = guarded(inst)
+    if not all_ok(results):
+        results = _attach_shrunk(results, inst, lambda cand: guarded(cand)[0])
+    return _tag(results, inst.name), w
+
+
+def plain_checks(w: KunnethWitness, samples: int = 20) -> list:
+    """The plain battery on theta(M, N): its evidence, representative
+    independence and the exact sequences."""
+    return [*w.evidence, check_representative_independence(w, samples=samples),
+            *check_exact_sequences(w)]
+
+
+def _plain_battery(inst: Instance, samples: int):
     w = theta(inst.m, inst.n)
-    out.extend(w.evidence)
-    out.append(check_representative_independence(w, samples=samples))
-    out.extend(check_exact_sequences(w))
-    return out
+    return plain_checks(w, samples), w
 
 
 def plain_kunneth_checks(inst: Instance, samples: int = 20) -> list:
-    results = _guard(lambda: _plain_battery(inst, samples), inst.name,
-                     "plain_kunneth_battery")
-    if not all_ok(results):
-        results = _attach_shrunk(
-            results, inst,
-            lambda cand: _guard(lambda: _plain_battery(cand, samples), cand.name,
-                                "plain_kunneth_battery"))
-    return _tag(results, inst.name)
+    return _battery(lambda cand: _plain_battery(cand, samples), inst,
+                    "plain_kunneth_battery")[0]
 
 
-def _derived_battery(inst: Instance, stabilization: bool, independence: bool) -> list:
-    out = []
-    w = theta_der(inst.m, inst.n)
-    out.extend(w.evidence)
+def derived_checks(w: DerivedKunnethWitness, stabilization: bool = True,
+                   independence: bool = True) -> list:
+    """The derived battery on theta_der(M, N): its evidence, depth
+    stabilization and resolution independence."""
+    out = list(w.evidence)
     if stabilization:
         out.append(check_depth_stabilization(w))
     if independence:
@@ -149,16 +169,15 @@ def _derived_battery(inst: Instance, stabilization: bool, independence: bool) ->
     return out
 
 
+def _derived_battery(inst: Instance, stabilization: bool, independence: bool):
+    w = theta_der(inst.m, inst.n)
+    return derived_checks(w, stabilization, independence), w
+
+
 def derived_kunneth_checks(inst: Instance, stabilization: bool = True,
                            independence: bool = True) -> list:
-    results = _guard(lambda: _derived_battery(inst, stabilization, independence),
-                     inst.name, "derived_kunneth_battery")
-    if not all_ok(results):
-        results = _attach_shrunk(
-            results, inst,
-            lambda cand: _guard(lambda: _derived_battery(cand, stabilization, independence),
-                                cand.name, "derived_kunneth_battery"))
-    return _tag(results, inst.name)
+    return _battery(lambda cand: _derived_battery(cand, stabilization, independence),
+                    inst, "derived_kunneth_battery")[0]
 
 
 def functoriality_pair_checks(inst: Instance, pair_seed: int, derived: bool) -> list:
@@ -167,32 +186,36 @@ def functoriality_pair_checks(inst: Instance, pair_seed: int, derived: bool) -> 
     All are endomorphisms of (M, N), so theta(M, N) and theta_der(M, N), at
     their default bounds and depth, are built once and serve as source and
     target witness of every square; the squares themselves are per pair."""
+    return _functoriality(inst, pair_seed, derived, None, None)
+
+
+def _functoriality(inst: Instance, pair_seed: int, derived: bool, w, wd) -> list:
+    """`functoriality_pair_checks` on the witnesses `w` = theta(M, N) and
+    `wd` = theta_der(M, N) where the other batteries built them; a None is
+    built here."""
     def run():
         rng = instance_rng(pair_seed, 0)
         m, n = inst.m, inst.n
-        pairs = [
-            ("identity", StrictMorphism.identity(m), StrictMorphism.identity(n)),
-            ("zero", StrictMorphism.zero(m, m), StrictMorphism.zero(n, n)),
-        ]
-        f1 = random_morphism(m, m, rng)
-        g1 = random_morphism(n, n, rng)
-        f2 = random_morphism(m, m, rng)
-        g2 = random_morphism(n, n, rng)
-        pairs.append(("random", f1, g1))
-        pairs.append(("composite", f2.compose(f1), g2.compose(g1)))
-        w = theta(m, n)
-        wd = theta_der(m, n) if derived else None
+        f1, g1 = random_morphism(m, m, rng), random_morphism(n, n, rng)
+        f2, g2 = random_morphism(m, m, rng), random_morphism(n, n, rng)
+        pairs = [("identity", StrictMorphism.identity(m), StrictMorphism.identity(n)),
+                 ("zero", StrictMorphism.zero(m, m), StrictMorphism.zero(n, n)),
+                 ("random", f1, g1), ("composite", f2.compose(f1), g2.compose(g1))]
+        wt = theta(m, n) if w is None else w
+        wdt = theta_der(m, n) if derived and wd is None else wd
         out = []
         for label, fm, gm in pairs:
-            res = check_functoriality(fm, gm, w, w)
+            res = check_functoriality(fm, gm, wt, wt)
             if derived:
-                res += check_theta_der_functoriality(fm, gm, wd, wd)
-            for r in res:
-                r.details = dict(r.details)
-                r.details["pair"] = label
-            out.extend(res)
+                res += check_theta_der_functoriality(fm, gm, wdt, wdt)
+            out.extend(_tag(res, label, "pair"))
         return out
-    return _tag(_guard(run, inst.name, "functoriality_battery"), inst.name)
+
+    try:
+        results = run()
+    except Exception as exc:   # noqa: BLE001 - bundled, never swallowed
+        results = [_crashed("functoriality_battery", exc, inst.name)]
+    return _tag(results, inst.name)
 
 
 def witness_checks(field) -> list:
@@ -200,25 +223,31 @@ def witness_checks(field) -> list:
     return w.checks
 
 
-def _t1_worker(args):
-    inst, samples = args
+# (report prefix, timing key) of each battery, in report order
+_BATTERIES = (("plain", "plain_kunneth"), ("derived", "derived_kunneth"),
+              ("functoriality", "functoriality"))
+
+
+def _instance_worker(args):
+    """Every battery of one instance, {prefix: (results, seconds)}.  The
+    functoriality squares reuse the theta(M, N) and theta_der(M, N) that the
+    plain and derived batteries built; only a witness whose battery raised
+    is built again."""
+    inst, derived, pair_seed = args
+    out, wd = {}, None
     t0 = time.perf_counter()
-    out = plain_kunneth_checks(inst, samples)
-    return inst.name, out, time.perf_counter() - t0
-
-
-def _t2_worker(args):
-    inst, stab, indep = args
-    t0 = time.perf_counter()
-    out = derived_kunneth_checks(inst, stab, indep)
-    return inst.name, out, time.perf_counter() - t0
-
-
-def _fun_worker(args):
-    inst, seed, derived = args
-    t0 = time.perf_counter()
-    out = functoriality_pair_checks(inst, seed, derived)
-    return inst.name, out, time.perf_counter() - t0
+    results, w = _battery(lambda cand: _plain_battery(cand, 20), inst, "plain_kunneth_battery")
+    out["plain"] = (results, time.perf_counter() - t0)
+    if derived:
+        t0 = time.perf_counter()
+        results, wd = _battery(lambda cand: _derived_battery(cand, True, True), inst,
+                               "derived_kunneth_battery")
+        out["derived"] = (results, time.perf_counter() - t0)
+    if pair_seed is not None:
+        t0 = time.perf_counter()
+        out["functoriality"] = (_functoriality(inst, pair_seed, True, w, wd),
+                                time.perf_counter() - t0)
+    return out
 
 
 def _run_batch(worker, items, jobs):
@@ -226,13 +255,6 @@ def _run_batch(worker, items, jobs):
         with Pool(jobs) as pool:
             return pool.map(worker, items, chunksize=1)
     return [worker(x) for x in items]
-
-
-def _collect(report: Report, batch, prefix: str):
-    per = report.timing.setdefault("per_instance", {})
-    for name, results, dt in batch:
-        report.checks.extend(results)
-        per[f"{prefix}:{name}"] = round(dt, 4)
 
 
 def run_suite(profile: CorpusProfile, derived_count: int = 100,
@@ -256,22 +278,20 @@ def run_suite(profile: CorpusProfile, derived_count: int = 100,
     report.timing["generate"] = round(time.perf_counter() - t0, 3)
     report.instance_refs = [inst.name for inst in corpus]
 
+    items = [(inst, i < derived_count,
+              profile.seed + 7919 + i if i < functoriality_instances else None)
+             for i, inst in enumerate(corpus)]
     t0 = time.perf_counter()
-    _collect(report, _run_batch(_t1_worker, [(inst, 20) for inst in corpus], jobs),
-             "plain")
-    report.timing["plain_kunneth"] = round(time.perf_counter() - t0, 3)
+    batch = _run_batch(_instance_worker, items, jobs)
+    report.timing["batteries"] = round(time.perf_counter() - t0, 3)
 
-    t0 = time.perf_counter()
-    derived = corpus[:derived_count]
-    _collect(report, _run_batch(_t2_worker, [(inst, True, True) for inst in derived], jobs),
-             "derived")
-    report.timing["derived_kunneth"] = round(time.perf_counter() - t0, 3)
-
-    t0 = time.perf_counter()
-    fun = corpus[:functoriality_instances]
-    items = [(inst, profile.seed + 7919 + i, True) for i, inst in enumerate(fun)]
-    _collect(report, _run_batch(_fun_worker, items, jobs), "functoriality")
-    report.timing["functoriality"] = round(time.perf_counter() - t0, 3)
+    per = report.timing["per_instance"] = {}
+    for prefix, key in _BATTERIES:
+        runs = [(inst.name, *b[prefix]) for inst, b in zip(corpus, batch) if prefix in b]
+        for name, results, dt in runs:
+            report.checks.extend(results)
+            per[f"{prefix}:{name}"] = round(dt, 4)
+        report.timing[key] = round(sum(dt for _, _, dt in runs), 3)
 
     report.checks.extend(witness_checks(profile.field))
     report.extra["witness_field"] = "rationals" if not profile.field.p else f"F{profile.field.p}"

@@ -26,6 +26,7 @@ from .linalg import (
     QuotientSpace,
     drop_zero_rows,
     from_blocks,
+    hstack,
     kernel_basis,
     left_inverse,
     quotient,
@@ -359,6 +360,16 @@ def phi_summands(m: DGModule, n: DGModule):
     phi1 = induced_balanced_map(b1, mid, m.diff_map(-1), Matrix.identity(f, n.dim(0)))
     phi2 = induced_balanced_map(b2, mid, Matrix.identity(f, m.dim(0)), n.diff_map(-1))
     return b1, b2, mid, phi1, phi2
+
+
+def minus1_comparison(tc: TensorComplex, b1: BalancedTensorSpace,
+                      b2: BalancedTensorSpace) -> Matrix:
+    """The comparison map B1 (+) B2 -> (M (x)_A N)^{-1} on quotient bases,
+    for the summands B1 = M^{-1} (x)_{A^0} N^0 and B2 = M^0 (x)_{A^0} N^{-1}
+    of `phi_summands` and tc = M (x)_A N."""
+    return tc.space(-1).projection @ hstack([
+        tc.embed_block(-1, -1, b1.ambient_dim) @ b1.space.section,
+        tc.embed_block(-1, 0, b2.ambient_dim) @ b2.space.section])
 
 
 def tensor_map(src: TensorComplex, dst: TensorComplex, fmaps, gmaps, t: int,

@@ -1,4 +1,8 @@
+import hashlib
 import json
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -192,3 +196,33 @@ def test_gen_and_depth_flag_are_rejected(exterior_pair, tmp_path, capsys):
             main(argv)
         assert exc.value.code == 2
     assert not (tmp_path / "c.json").exists()
+
+
+# sha256 of each canonical report without `timing`, for the instance files
+# that scripts/export_examples.py writes; recorded before the suite and the
+# CLI shared one check list per battery
+CLI_REPORT_SHA256 = {
+    ("kunneth", "exterior"): "4a25f1f00ae575b788f6579d0d8c849b9773407d66aa8fa7f6780e8fcb55582b",
+    ("kunneth", "dualnum"): "7d3892cd4fff8f3632b01245ddb1304b8ed6e9eb2503bdcaba1bb76d29a20d52",
+    ("kunneth", "koszul"): "d0cfa4a1b24c5ff67472b4e50991dfdcebd87df08e62f5f43ebde6bd752e4f2e",
+    ("derived-kunneth", "exterior"):
+        "db53f353c1a87aa5a64c0791420b84c7de91b992a315bbd6099e41fa590e92e0",
+    ("derived-kunneth", "dualnum"):
+        "e30f86f987af8cb73d5e29277575f148896edb29af05683714c51b39e1aa7cda",
+    ("derived-kunneth", "koszul"):
+        "b74dd71d74d7d172c5fc565c39b54a73f29b78fba6cd1ef0ed0af6aee7486618",
+}
+
+
+def test_exported_examples_give_the_pinned_reports(tmp_path):
+    script = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "export_examples.py"
+    subprocess.run([sys.executable, str(script), str(tmp_path)], check=True,
+                   capture_output=True)
+    for (command, pair), expected in CLI_REPORT_SHA256.items():
+        out = tmp_path / f"{command}_{pair}.json"
+        assert main([command, str(tmp_path / f"{pair}_m.json"),
+                     str(tmp_path / f"{pair}_n.json"), "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        report.pop("timing")
+        digest = hashlib.sha256(dumps_canonical(report).encode()).hexdigest()
+        assert digest == expected, (command, pair)

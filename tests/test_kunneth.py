@@ -23,6 +23,7 @@ from dgkunneth.genlab import (
     random_module,
     random_morphism,
     regular_module,
+    simple_module_dual_numbers,
 )
 from dgkunneth.kunneth import (
     check_exact_sequences,
@@ -126,6 +127,20 @@ def test_representative_independence(k):
         w = theta(m, n)
         res = check_representative_independence(w, samples=20, seed=idx)
         assert res.ok, res.counterexample
+
+
+def test_plain_checks_detect_a_wrong_theta(k):
+    # k[t]/(t^2) on its simple modules: a 1 x 1 theta, doubled
+    a = make_dual_numbers(k)
+    w = theta(simple_module_dual_numbers(a, RIGHT), simple_module_dual_numbers(a, LEFT))
+    assert check_representative_independence(w).ok
+    assert all_ok(check_exact_sequences(w))
+    doubled = replace(w, theta=w.theta.scale(k.of_int(2)))
+    res = check_representative_independence(doubled)
+    assert (res.name, res.ok) == ("representative_independence", False)
+    assert res.counterexample["reason"] == "defining_formula"
+    res = check_exact_sequences(doubled)
+    assert [r.name for r in res if not r.ok] == ["comparison_route_matches_theta"]
 
 
 def _witnesses(f, g):

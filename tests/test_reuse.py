@@ -1,8 +1,9 @@
-"""Each witness is built once per battery and handed to the checks after it.
+"""Each witness is built once per instance and handed to the checks after it.
 
 The canonical suite reports are pinned to the hashes the code gave while
 every check still rebuilt its own objects, and the construction counts per
-battery are measured by wrapping `theta` and `semifree_resolve` by name.
+battery and per suite run are measured by wrapping `theta` and
+`semifree_resolve` by name.
 """
 import hashlib
 import sys
@@ -30,14 +31,26 @@ REPORT_SHA256 = {
 }
 
 
+def _small_suite(field, jobs=1):
+    return suite.run_suite(CorpusProfile(field=field, instance_count=12),
+                           derived_count=6, functoriality_instances=2, jobs=jobs)
+
+
+def _digest(report):
+    body = report.as_json()
+    body.pop("timing")
+    assert len(body["checks"]) == 12 * 13 + 6 * 8 + 2 * 20 + 5
+    return hashlib.sha256(dumps_canonical(body).encode()).hexdigest()
+
+
 @pytest.mark.parametrize("label", sorted(REPORT_SHA256))
 def test_small_suite_report_is_pinned(label):
-    report = suite.run_suite(CorpusProfile(field=FIELDS[label], instance_count=12),
-                             derived_count=6, functoriality_instances=2).as_json()
-    report.pop("timing")
-    assert len(report["checks"]) == 12 * 13 + 6 * 8 + 2 * 20 + 5
-    digest = hashlib.sha256(dumps_canonical(report).encode()).hexdigest()
-    assert digest == REPORT_SHA256[label]
+    assert _digest(_small_suite(FIELDS[label])) == REPORT_SHA256[label]
+
+
+def test_small_suite_report_is_pinned_with_two_workers():
+    # a real pool of 2 processes (fewer where fewer CPUs exist)
+    assert _digest(_small_suite(F101, jobs=2)) == REPORT_SHA256["F101"]
 
 
 def _count_calls(monkeypatch, module, name):
@@ -78,6 +91,22 @@ def test_batteries_build_each_witness_once(monkeypatch):
     assert passing > 0
     monkeypatch.undo()
     assert (suite.theta, resolve.semifree_resolve) == originals
+
+
+def test_suite_reuses_the_witnesses_for_functoriality(monkeypatch):
+    thetas = _count_calls(monkeypatch, kunneth, "theta")
+    builds = _count_calls(monkeypatch, resolve, "semifree_resolve")
+    for i, inst in enumerate(generate_corpus(CorpusProfile(field=F101, instance_count=12))):
+        suite.plain_kunneth_checks(inst)
+        if i < 6:
+            suite.derived_kunneth_checks(inst)
+    # 12 plain thetas, and 6 derived instances with 6 thetas and 3 builds each
+    assert (len(thetas), len(builds)) == (12 + 6 * 6, 6 * 3)
+    thetas.clear()
+    builds.clear()
+    _small_suite(F101)
+    # the functoriality squares of the first 2 instances build nothing more
+    assert (len(thetas), len(builds)) == (12 + 6 * 6, 6 * 3)
 
 
 def test_derived_battery_computes_each_cohomology_once(monkeypatch):
@@ -128,6 +157,28 @@ def test_functoriality_reports_witness_failures_per_pair_and_side(monkeypatch):
         ["identity", "identity", "zero", "zero", "random", "random",
          "composite", "composite"]
     assert len({id(r) for r in injected}) == 8
+
+
+def test_suite_functoriality_records_match_the_battery_alone(monkeypatch):
+    # the plain battery fails on the broken theta and gets a shrunk
+    # instance; the theta it shares with the functoriality squares must not
+    profile = CorpusProfile(field=F101, instance_count=1)
+    inst = generate_corpus(profile)[0]
+    orig = suite.theta
+
+    def broken(m, n):
+        w = orig(m, n)
+        return replace(w, evidence=w.evidence + [failed("injected")])
+
+    monkeypatch.setattr(suite, "theta", broken)
+    report = suite.run_suite(profile, derived_count=1, functoriality_instances=1)
+    plain = [r for r in report.checks if r.name == "injected" and "pair" not in r.details]
+    assert len(plain) == 1 and "shrunk_instance" in plain[0].counterexample
+    fun = [r.as_json() for r in report.checks if "pair" in r.details]
+    alone = suite.functoriality_pair_checks(inst, profile.seed + 7919, True)
+    assert fun == [r.as_json() for r in alone]
+    assert len([r for r in alone if r.name == "injected"]) == 8
+    assert not any("shrunk_instance" in (r.counterexample or {}) for r in alone)
 
 
 def test_jobs_clamped_to_cpu_count(monkeypatch):
