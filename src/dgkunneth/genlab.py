@@ -328,6 +328,13 @@ DEFAULT_FAMILY_MIX = {
 }
 
 
+# Upper bounds on a profile's sizes: a larger value is rejected with
+# StructureError (CLI exit 2) before any instance is generated.  10,000
+# instances of the published sizes take about a minute over F_101 on one
+# core; the window and dimension caps are 4 and 8 times the published 4.
+PROFILE_CAPS = {"instance_count": 10_000, "degree_span": 16, "max_per_degree_dim": 32}
+
+
 @dataclass(frozen=True)
 class CorpusProfile:
     field: Field
@@ -340,6 +347,9 @@ class CorpusProfile:
     def __post_init__(self):
         if self.instance_count <= 0 or self.max_per_degree_dim <= 0 or self.degree_span <= 0:
             raise StructureError("profile counts must be positive")
+        for key, cap in PROFILE_CAPS.items():
+            if getattr(self, key) > cap:
+                raise StructureError(f"profile {key} {getattr(self, key)} exceeds its cap {cap}")
         if not self.family_mix or all(w <= 0 for w in self.family_mix.values()):
             raise StructureError("family mix must have a positive weight")
         unknown = set(self.family_mix) - set(ALGEBRA_FAMILIES)

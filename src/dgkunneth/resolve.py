@@ -13,14 +13,12 @@ after translating tops to zero and smart-truncating.  Stage t adjoins
 generators of degree t - 1, and as A is nonpositive a generator of degree e
 spans P only in degrees <= e.  So the stages t <= -d leave P^i, the
 differential out of P^i and rho^i untouched for i >= -d, and with them
-H^t(P) and H^t(rho) for t >= -d + 1.  Two things follow.  A resolution of
-depth width(N) + 2 already computes the top exactly, because the tensor
-degrees 0 and -1 only see P in degrees >= -1 - width(N).  And the depth-d'
-resolution is the depth-d one followed by the stages t = -d, ..., -d' + 1,
-each reading only what the stages before it built: `_add_stages` deepens a
-resolution by running just those stages.  `check_depth_stabilization`
-reaches its deeper depths that way, and still gives every depth its own
-tensor complex, theta_der and full certification.
+H^t(P) and H^t(rho) for t >= -d + 1.  A resolution of depth width(N) + 2
+therefore already computes the top exactly, because the tensor degrees 0
+and -1 only see P in degrees >= -1 - width(N).  The same argument makes a
+deeper resolution that merely continues a shallower one equal to it near
+the top, so the deeper resolutions the derived checks compare are built
+from scratch with their own seeds (`deeper_witnesses`).
 """
 from __future__ import annotations
 
@@ -56,8 +54,9 @@ from .tensor import (
 )
 
 GENERATOR_CAP = 64
-# the seeds of the two resolutions that `check_resolution_independence` compares
-RESOLUTION_VARIANTS = (1, 2)
+# (seed, depth above width(N)) of the two resolutions that `deeper_witnesses`
+# builds next to the variant-0 one at width + 2
+DEEPER_RESOLUTIONS = ((1, 3), (2, 4))
 
 
 class ResourceCapError(Exception):
@@ -94,9 +93,11 @@ class SemiFreeResolution:
 
 
 def _rand_unit(f: Field, rng):
+    """A random nonzero scalar.  Over Q it is drawn from +-[2, 2^16]: when
+    the top class is one generator this unit alone tells two variants apart."""
     if f.is_prime_field:
         return rng.randrange(1, f.p)
-    return f.of_int(rng.choice([1, -1, 2, -2]))
+    return f.of_int(rng.choice((1, -1)) * rng.randint(2, 2 ** 16))
 
 
 def _module_generators(candidates, action: Matrix, ring_dim: int, f: Field):
@@ -237,33 +238,8 @@ def semifree_resolve(m: DGModule, depth: int, variant: int = 0,
             gen_diffs.append([])
 
     p, lay, rho = _build_p_and_rho(a, m, gen_degrees, gen_diffs, gen_images)
-    # stage 0 alone is certified to depth -sup_h: H^{sup_h}(rho) is onto
-    res = SemiFreeResolution(m, p, lay, rho, -sup_h, gen_degrees, gen_stages,
-                             gen_diffs, gen_images)
-    return _add_stages(res, depth, rng, cap)
-
-
-def _add_stages(res: SemiFreeResolution, depth: int, rng=None,
-                cap: int = GENERATOR_CAP) -> SemiFreeResolution:
-    """Continue `res` with the stages t = -res.depth, ..., -depth + 1 and
-    certify the result at `depth`; `res` itself is left as it was.
-
-    Stage t kills ker H^t(rho) with generators of degree t - 1 and is
-    stage number sup_h + 1 - t, the same as in a build from scratch, so
-    continuing a variant-0 resolution gives exactly what `semifree_resolve`
-    builds at the greater depth.  A variant's random draws are not kept
-    with it, so only variant 0 can be continued later.
-    """
-    if not res.gen_degrees:        # M is acyclic: P = 0 at every depth
-        return replace(res, depth=depth)
-    m, p, lay, rho = res.target, res.p, res.layout, res.rho
-    f, a = m.field, m.algebra
-    h0dim = a.h0().dim
-    sup_h = max(res.gen_degrees)
-    gen_degrees, gen_stages = list(res.gen_degrees), list(res.gen_stages)
-    gen_diffs, gen_images = list(res.gen_diffs), list(res.gen_images)
-    # kill ker H^t(rho) going down from the top
-    for t in range(min(sup_h, -res.depth), -depth, -1):
+    # stage sup_h + 1 - t kills ker H^t(rho), going down from the top
+    for t in range(sup_h, -depth, -1):
         hp = cohomology(p, t)
         hm = cohomology(m, t)
         hrho = cohomology_map(rho, hp, hm)
@@ -470,56 +446,60 @@ def _on_resolution(setup: DerivedSetup, res: SemiFreeResolution) -> DerivedSetup
                    tc=TensorComplex(res.p, setup.nG))
 
 
-def check_depth_stabilization(w: DerivedKunnethWitness) -> CheckResult:
-    """Deeper resolutions change nothing at the top: equal dims, equal matrices.
+def deeper_witnesses(w: DerivedKunnethWitness) -> list:
+    """theta_der on the resolutions of `DEEPER_RESOLUTIONS`: variant 1 at
+    depth width + 3 and variant 2 at width + 4, each resolving `w`'s mG from
+    scratch with its own seed and certified in full; theta(mG, nG) is
+    `w.mn`.  Both derived checks compare these two against `w`."""
+    s = w.setup
+    return [_theta_der_on(_on_resolution(s, semifree_resolve(s.mG, s.width + extra,
+                                                             variant=v)), w.mn)
+            for v, extra in DEEPER_RESOLUTIONS]
+
+
+def check_depth_stabilization(w: DerivedKunnethWitness, deeper: list) -> CheckResult:
+    """Deeper resolutions change nothing at the top: equal dims and equal
+    composites into H^{i0+j0}(M (x) N).
 
     `w` is the variant-0 `theta_der` witness at depth width + 2, the least
-    depth that guarantees the top; another depth raises ValueError.  Its
-    resolution is deepened to width + 3 and then width + 4, and each depth
-    gets its own tensor complex and theta_der, so the comparison between
-    depths stays a real one.  theta(mG, nG) is `w.mn` throughout.
+    depth that guarantees the top, and `deeper` is `deeper_witnesses(w)`;
+    witnesses at other depths raise ValueError.
     """
     s = w.setup
     depths = [s.width + 2, s.width + 3, s.width + 4]
-    if s.depth != depths[0]:
-        raise ValueError(f"stabilization needs a witness at depth {depths[0]}, "
-                         f"got {s.depth}")
-    dims, mats = [], []
-    wd, res = w, s.resolution
-    for d in depths:
-        if d != s.depth:
-            res = _add_stages(res, d)
-            wd = _theta_der_on(_on_resolution(s, res), w.mn)
+    ws = [w, *deeper]
+    got = [x.setup.depth for x in ws]
+    if got != depths:
+        raise ValueError(f"stabilization needs witnesses at depths {depths}, got {got}")
+    for d, wd in zip(depths, ws):
         if not wd.ok:
             return failed("depth_stabilization",
                           counterexample={"depth": d,
                                           "failures": [r.name for r in wd.evidence if not r.ok]})
-        dims.append(wd.target.dim)
-        mats.append(wd.theta_der)
-    if len(set(dims)) == 1 and all(mm == mats[0] for mm in mats[1:]):
+    # theta_der sits on each resolution's own basis of H^0(P (x) N); the
+    # composite into H^{i0+j0}(M (x) N) does not
+    dims = [wd.target.dim for wd in ws]
+    composites = [wd.eta_h0 @ wd.theta_der for wd in ws]
+    if len(set(dims)) == 1 and all(c == composites[0] for c in composites[1:]):
         return passed("depth_stabilization", depths=depths, dim=dims[0])
     return failed("depth_stabilization",
                   counterexample={"depths": depths, "dims": dims})
 
 
-def check_resolution_independence(w: DerivedKunnethWitness) -> CheckResult:
+def check_resolution_independence(deeper: list) -> CheckResult:
     """Two independently seeded resolutions give the same composite into
     H^{i0+j0}(M (x) N).
 
-    Each variant resolves `w`'s mG from scratch, at depth width + 2, with
-    its own seed; theta(mG, nG) is `w.mn`.
+    `deeper` is `deeper_witnesses(w)`: variants 1 and 2, each resolved from
+    scratch with its own seed.
     """
-    s = w.setup
-    variants = list(RESOLUTION_VARIANTS)
-    composites = []
-    for v in variants:
-        res = semifree_resolve(s.mG, s.width + 2, variant=v)
-        wv = _theta_der_on(_on_resolution(s, res), w.mn)
+    variants = [v for v, _ in DEEPER_RESOLUTIONS]
+    for v, wv in zip(variants, deeper):
         if not wv.ok:
             return failed("resolution_independence",
                           counterexample={"variant": v,
                                           "failures": [r.name for r in wv.evidence if not r.ok]})
-        composites.append(wv.eta_h0 @ wv.theta_der)
+    composites = [wv.eta_h0 @ wv.theta_der for wv in deeper]
     if all(c == composites[0] for c in composites[1:]):
         return passed("resolution_independence", variants=variants)
     return failed("resolution_independence",

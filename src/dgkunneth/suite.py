@@ -37,6 +37,7 @@ from .resolve import (
     check_depth_stabilization,
     check_resolution_independence,
     check_theta_der_functoriality,
+    deeper_witnesses,
     theta_der,
 )
 
@@ -160,12 +161,14 @@ def plain_kunneth_checks(inst: Instance, samples: int = 20) -> list:
 def derived_checks(w: DerivedKunnethWitness, stabilization: bool = True,
                    independence: bool = True) -> list:
     """The derived battery on theta_der(M, N): its evidence, depth
-    stabilization and resolution independence."""
+    stabilization and resolution independence.  Both checks read the same
+    two deeper witnesses, built once."""
     out = list(w.evidence)
+    deeper = deeper_witnesses(w) if stabilization or independence else None
     if stabilization:
-        out.append(check_depth_stabilization(w))
+        out.append(check_depth_stabilization(w, deeper))
     if independence:
-        out.append(check_resolution_independence(w))
+        out.append(check_resolution_independence(deeper))
     return out
 
 

@@ -3,13 +3,22 @@ import json
 import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
 
+from dgkunneth import suite
 from dgkunneth.cli import build_parser, build_profile, main, parse_field_spec
+from dgkunneth.dgalgebra import StructureError
 from dgkunneth.dgmodule import LEFT, RIGHT
 from dgkunneth.field import Field
-from dgkunneth.genlab import make_exterior, make_koszul_dg, regular_module
+from dgkunneth.genlab import (
+    PROFILE_CAPS,
+    CorpusProfile,
+    make_exterior,
+    make_koszul_dg,
+    regular_module,
+)
 from dgkunneth.serialize import dumps_canonical, module_file_to_json
 
 F101 = Field.prime(101)
@@ -153,6 +162,25 @@ def test_suite_zero_instances_is_structural_error(tmp_path):
         "instance_count": 0,
     }))
     assert main(["suite", "--profile", str(profile)]) == 2
+
+
+@pytest.mark.parametrize("key, value", [("instance_count", 10 ** 9),
+                                        ("degree_span", 10 ** 5),
+                                        ("max_per_degree_dim", 10 ** 5)])
+def test_suite_extreme_profile_size_is_structural_error(tmp_path, monkeypatch, key, value):
+    started = []
+    monkeypatch.setattr(suite, "Pool", lambda *args, **kwargs: started.append("pool"))
+    monkeypatch.setattr(suite, "generate_corpus", lambda *args: started.append("corpus"))
+    profile = tmp_path / "profile.json"
+    profile.write_text(dumps_canonical({"field": {"kind": "prime", "p": 101}, key: value}))
+    t0 = time.perf_counter()
+    assert main(["suite", "--profile", str(profile), "--jobs", "2"]) == 2
+    assert time.perf_counter() - t0 < 1.0
+    assert started == []
+    cap = PROFILE_CAPS[key]
+    assert getattr(CorpusProfile(F101, **{key: cap}), key) == cap
+    with pytest.raises(StructureError, match=f"{key} {cap + 1} exceeds its cap {cap}"):
+        CorpusProfile(F101, **{key: cap + 1})
 
 
 def test_suite_field_flag(tmp_path, monkeypatch):

@@ -2,6 +2,7 @@ from dataclasses import replace
 
 import pytest
 
+from dgkunneth import kunneth
 from dgkunneth.checks import all_ok
 from dgkunneth.dgmodule import (
     LEFT,
@@ -14,6 +15,8 @@ from dgkunneth.dgmodule import (
 )
 from dgkunneth.field import Field
 from dgkunneth.genlab import (
+    CorpusProfile,
+    generate_instance,
     instance_rng,
     make_dual_numbers,
     make_exterior,
@@ -32,6 +35,7 @@ from dgkunneth.kunneth import (
     theta,
 )
 from dgkunneth.linalg import Matrix
+from dgkunneth.suite import plain_checks
 from dgkunneth.tensor import (
     TensorComplex,
     balanced_tensor,
@@ -141,6 +145,31 @@ def test_plain_checks_detect_a_wrong_theta(k):
     assert res.counterexample["reason"] == "defining_formula"
     res = check_exact_sequences(doubled)
     assert [r.name for r in res if not r.ok] == ["comparison_route_matches_theta"]
+
+
+@pytest.mark.parametrize("fill, failing", [
+    (0, ["theta_bijective", "representative_independence",
+         "comparison_route_matches_theta"]),
+    (1, ["theta_well_defined", "theta_bijective", "representative_independence",
+         "comparison_route_matches_theta"]),
+], ids=["zero", "all_ones"])
+def test_plain_checks_detect_a_wrong_class_assignment(monkeypatch, fill, failing):
+    # inst0010 of the published F_101 profile: dual numbers, a 2-dim source
+    # with 3 relations.  The zero assignment kills every relation but has
+    # rank 0; the all-ones one sends a relation to a nonzero class too
+    inst = generate_instance(CorpusProfile(field=F101), 10)
+    assert inst.family == "dual_numbers"
+    assert all_ok(plain_checks(theta(inst.m, inst.n)))
+    orig = kunneth.class_assignment
+
+    def constant(*args):
+        t = orig(*args)
+        return Matrix.from_int_rows(F101, [[fill] * t.cols for _ in range(t.rows)])
+
+    monkeypatch.setattr(kunneth, "class_assignment", constant)
+    w = theta(inst.m, inst.n)
+    assert w.source.space.relations.rows == 3
+    assert [r.name for r in plain_checks(w) if not r.ok] == failing
 
 
 def _witnesses(f, g):

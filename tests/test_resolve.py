@@ -2,7 +2,7 @@ from dataclasses import replace
 
 import pytest
 
-from dgkunneth import resolve
+from dgkunneth import resolve, suite
 from dgkunneth.checks import all_ok
 from dgkunneth.dgmodule import (
     LEFT,
@@ -36,6 +36,7 @@ from dgkunneth.resolve import (
     check_resolution_independence,
     check_theta_der_functoriality,
     cohomology_dim,
+    deeper_witnesses,
     derived_setup,
     lift_through_resolutions,
     semifree_resolve,
@@ -155,14 +156,16 @@ def test_depth_stabilization(k):
     a = make_dual_numbers(k)
     m = simple_module_dual_numbers(a, RIGHT)
     n = simple_module_dual_numbers(a, LEFT)
-    res = check_depth_stabilization(theta_der(m, n))
+    w = theta_der(m, n)
+    res = check_depth_stabilization(w, deeper_witnesses(w))
     assert res.ok
     assert res.details["dim"] == 1
 
     a2 = make_field_algebra(k)
     rng = instance_rng(303, 0)
     m2, n2 = random_module(a2, RIGHT, rng), random_module(a2, LEFT, rng)
-    res2 = check_depth_stabilization(theta_der(m2, n2))
+    w2 = theta_der(m2, n2)
+    res2 = check_depth_stabilization(w2, deeper_witnesses(w2))
     assert res2.ok
 
 
@@ -172,7 +175,7 @@ def test_resolution_independence(k):
         rng = instance_rng(304, 1)
         m = random_module(a, RIGHT, rng)
         n = random_module(a, LEFT, rng)
-        res = check_resolution_independence(theta_der(m, n))
+        res = check_resolution_independence(deeper_witnesses(theta_der(m, n)))
         assert res.ok, res.counterexample
 
 
@@ -184,41 +187,63 @@ def _dual_numbers_simple_pair(k):
 def test_depth_stabilization_detects_a_wrong_theta_der(k):
     m, n = _dual_numbers_simple_pair(k)
     w = theta_der(m, n)
-    assert check_depth_stabilization(w).ok
+    deeper = deeper_witnesses(w)
+    assert check_depth_stabilization(w, deeper).ok
     assert not w.theta_der.is_zero()
-    # the witness at depth width + 2 with theta_der doubled; the ones
-    # deepened to width + 3 and width + 4 are untouched
+    # the witness at depth width + 2 with theta_der doubled; the ones at
+    # width + 3 and width + 4 are untouched
     doubled = replace(w, theta_der=w.theta_der.scale(k.of_int(2)))
     assert doubled.ok
-    res = check_depth_stabilization(doubled)
+    res = check_depth_stabilization(doubled, deeper)
     assert (res.name, res.ok) == ("depth_stabilization", False)
     assert res.counterexample["dims"] == [1, 1, 1]
+
+
+def _doubling_variant(k, monkeypatch, seed):
+    """Patch `resolve` so that theta_der is doubled on the resolutions built
+    with variant `seed`; returns the list those resolutions are recorded in."""
+    orig_resolve, orig_theta_der_on = resolve.semifree_resolve, resolve._theta_der_on
+    built = []
+
+    def recording(*args, variant=0, **kwargs):
+        res = orig_resolve(*args, variant=variant, **kwargs)
+        if variant == seed:
+            built.append(res)
+        return res
+
+    def doubled_for_variant(setup, mn):
+        wv = orig_theta_der_on(setup, mn)
+        assert not (wv.eta_h0 @ wv.theta_der).is_zero()
+        if not any(setup.resolution is r for r in built):
+            return wv
+        return replace(wv, theta_der=wv.theta_der.scale(k.of_int(2)))
+
+    monkeypatch.setattr(resolve, "semifree_resolve", recording)
+    monkeypatch.setattr(resolve, "_theta_der_on", doubled_for_variant)
+    return built
+
+
+def test_depth_stabilization_detects_a_wrong_theta_der_at_width_plus_3(k, monkeypatch):
+    # only variant 1, the resolution at width + 3, gets a doubled theta_der:
+    # the stabilization check must compare a resolution built from scratch
+    # there, not the width + 2 one deepened
+    m, n = _dual_numbers_simple_pair(k)
+    w = theta_der(m, n)
+    assert suite.derived_checks(w, stabilization=True, independence=False)[-1].ok
+    variant_1 = _doubling_variant(k, monkeypatch, 1)
+    res = suite.derived_checks(w, stabilization=True, independence=False)[-1]
+    assert [r.depth for r in variant_1] == [w.setup.width + 3]
+    assert (res.name, res.ok) == ("depth_stabilization", False)
+    assert res.counterexample == {"depths": [2, 3, 4], "dims": [1, 1, 1]}
 
 
 def test_resolution_independence_detects_a_wrong_theta_der(k, monkeypatch):
     m, n = _dual_numbers_simple_pair(k)
     w = theta_der(m, n)
-    assert check_resolution_independence(w).ok
-    orig_resolve, orig_theta_der_on = resolve.semifree_resolve, resolve._theta_der_on
-    variant_2 = []
-
-    def recording(*args, variant=0, **kwargs):
-        res = orig_resolve(*args, variant=variant, **kwargs)
-        if variant == 2:
-            variant_2.append(res)
-        return res
-
-    def doubled_for_variant_2(setup, mn):
-        wv = orig_theta_der_on(setup, mn)
-        assert not (wv.eta_h0 @ wv.theta_der).is_zero()
-        if not any(setup.resolution is r for r in variant_2):
-            return wv
-        return replace(wv, theta_der=wv.theta_der.scale(k.of_int(2)))
-
-    monkeypatch.setattr(resolve, "semifree_resolve", recording)
-    monkeypatch.setattr(resolve, "_theta_der_on", doubled_for_variant_2)
-    res = check_resolution_independence(w)
-    assert len(variant_2) == 1
+    assert check_resolution_independence(deeper_witnesses(w)).ok
+    variant_2 = _doubling_variant(k, monkeypatch, 2)
+    res = check_resolution_independence(deeper_witnesses(w))
+    assert [r.depth for r in variant_2] == [w.setup.width + 4]
     assert (res.name, res.ok) == ("resolution_independence", False)
     assert res.counterexample["variants"] == [1, 2]
 
@@ -333,27 +358,26 @@ def test_lift_detects_a_wrong_generator_image(k):
     assert [r.name for r in lift.evidence if not r.ok] == ["lift_homotopy_identity"]
 
 
-def _same_resolution(r1, r2):
-    return (r1.depth == r2.depth and r1.gen_degrees == r2.gen_degrees
-            and r1.gen_stages == r2.gen_stages and r1.gen_diffs == r2.gen_diffs
-            and r1.gen_images == r2.gen_images and r1.p == r2.p
-            and r1.p.window == r2.p.window and r1.rho == r2.rho)
-
-
-@pytest.mark.parametrize("field, count", [(F101, 100), (Q, 40)], ids=["F101", "Q"])
-def test_deepening_equals_a_build_from_scratch(field, count):
-    # the derived instances of the published profile: width + 2 deepened to
-    # width + 3 and width + 4, each step against semifree_resolve at that depth
+@pytest.mark.parametrize("field, resolved", [(F101, 67), (Q, 71)], ids=["F101", "Q"])
+def test_derived_checks_compare_pairwise_different_resolutions(field, resolved):
+    # the derived instances of the published profile where mG is not
+    # acyclic: the width + 2 resolution and the two of DEEPER_RESOLUTIONS
+    # differ in their generator data.  Over F_p for a tiny p a random unit
+    # has too few values to promise this
     profile = CorpusProfile(field=field)
-    for idx in range(count):
+    count = 0
+    for idx in range(100):
         inst = generate_instance(profile, idx)
-        s = resolve.derived_setup(inst.m, inst.n)
-        res = s.resolution
-        for d in (s.width + 3, s.width + 4):
-            deeper = resolve._add_stages(res, d)
-            assert _same_resolution(deeper, semifree_resolve(s.mG, d)), (inst.name, d)
-            res = deeper
-        assert s.resolution.depth == s.width + 2
+        s = derived_setup(inst.m, inst.n)
+        if not s.resolution.gen_degrees:
+            continue
+        count += 1
+        others = [semifree_resolve(s.mG, s.width + extra, variant=v)
+                  for v, extra in resolve.DEEPER_RESOLUTIONS]
+        data = [(r.gen_degrees, r.gen_diffs, r.gen_images)
+                for r in (s.resolution, *others)]
+        assert data[0] != data[1] != data[2] != data[0], inst.name
+    assert count == resolved
 
 
 def test_free_apply_matches_the_whole_free_map(k):
@@ -473,8 +497,9 @@ def test_generator_cap_trips_in_the_deepest_stabilization_depth(tmp_path, monkey
     # N free on generators of degrees 0 and -1 has width 1, so the battery
     # resolves k to depths 3, 4 and 5; the depth-5 stage adds 32 generators
     # of degree -5, i.e. dimension 96 there, past the default cap of 64.
-    # A cap failure is not shrunk, so the battery runs once in every field.
-    from dgkunneth import suite
+    # Independence reads variant 2 at depth 5 too, so only a battery with
+    # both deep checks off stays under the cap.  A cap failure is not
+    # shrunk, so the battery runs once per call in every field.
     from dgkunneth.cli import main
     from dgkunneth.dgmodule import free_module
     from dgkunneth.genlab import Instance
@@ -491,18 +516,21 @@ def test_generator_cap_trips_in_the_deepest_stabilization_depth(tmp_path, monkey
         a, m = _k_over_square_zero(k)
         n, _ = free_module(a, LEFT, [0, -1])
         assert theta_der(m, n, depth=3).ok
+        # variant 1 at depth 4 stays under the cap: the trip is at depth 5
+        semifree_resolve(derived_setup(m, n).mG, 4, variant=1)
         inst = Instance("square-zero", "ordinary", a, m, n)
-        runs.clear()
-        results = suite.derived_kunneth_checks(inst)
-        assert runs == ["square-zero"]
-        bad = [r for r in results if not r.ok]
-        assert [r.name for r in bad] == ["derived_kunneth_battery"]
-        assert bad[0].counterexample == {
-            "exception": "ResourceCapError",
-            "message": "per-degree dimension 96 exceeds the generator cap 64",
-            "instance": "square-zero"}
-        results = suite.derived_kunneth_checks(inst, stabilization=False)
-        assert len(results) == 7 and all_ok(results)
+        for flags in ((True, True), (False, True), (True, False)):
+            runs.clear()
+            results = suite.derived_kunneth_checks(inst, *flags)
+            assert runs == ["square-zero"]
+            bad = [r for r in results if not r.ok]
+            assert [r.name for r in bad] == ["derived_kunneth_battery"]
+            assert bad[0].counterexample == {
+                "exception": "ResourceCapError",
+                "message": "per-degree dimension 96 exceeds the generator cap 64",
+                "instance": "square-zero"}
+        results = suite.derived_kunneth_checks(inst, False, False)
+        assert len(results) == 6 and all_ok(results)
         paths = []
         for name, mod in (("m", m), ("n", n)):
             paths.append(tmp_path / f"{name}.json")
@@ -514,8 +542,9 @@ def test_generator_cap_trips_in_the_deepest_stabilization_depth(tmp_path, monkey
 def test_stabilization_needs_a_witness_at_width_plus_2(k):
     m, n = _dual_numbers_simple_pair(k)
     for depth in (1, 3):
-        with pytest.raises(ValueError, match="depth 2"):
-            check_depth_stabilization(theta_der(m, n, depth=depth))
+        w = theta_der(m, n, depth=depth)
+        with pytest.raises(ValueError, match=r"depths \[2, 3, 4\]"):
+            check_depth_stabilization(w, deeper_witnesses(w))
 
 
 def test_theta_der_cohomologically_bounded_input(k):

@@ -31,6 +31,11 @@ REPORT_SHA256 = {
 }
 
 
+# the same for the published F_101 profile: 200 instances, 100 derived, 13
+# functoriality (the benchmark's `suite_f101` report)
+PUBLISHED_F101_SHA256 = "13a49d3b1a77a592a69ebd70077604084b2c42ff6f82e88823ed3e34397d3690"
+
+
 def _small_suite(field, jobs=1):
     return suite.run_suite(CorpusProfile(field=field, instance_count=12),
                            derived_count=6, functoriality_instances=2, jobs=jobs)
@@ -46,6 +51,13 @@ def _digest(report):
 @pytest.mark.parametrize("label", sorted(REPORT_SHA256))
 def test_small_suite_report_is_pinned(label):
     assert _digest(_small_suite(FIELDS[label])) == REPORT_SHA256[label]
+
+
+def test_published_f101_report_is_pinned():
+    body = suite.run_suite(CorpusProfile(field=F101)).as_json()
+    body.pop("timing")
+    assert len(body["checks"]) == 200 * 13 + 100 * 8 + 13 * 20 + 5
+    assert hashlib.sha256(dumps_canonical(body).encode()).hexdigest() == PUBLISHED_F101_SHA256
 
 
 def test_small_suite_report_is_pinned_with_two_workers():
@@ -83,11 +95,11 @@ def test_batteries_build_each_witness_once(monkeypatch):
         builds.clear()
         if all(r.ok for r in suite.derived_kunneth_checks(inst)):
             passing += 1
-            # variant 0 at width+2 (deepened to +3 and +4, not rebuilt), and
-            # variants 1 and 2
+            # variant 0 at width+2, variant 1 at width+3 and variant 2 at
+            # width+4, shared by both deep checks
             assert len(builds) == 3, inst.name
-            # theta(mG, nG) once, and theta(P, N) for each of the 5 resolutions
-            assert len(thetas) == 6, inst.name
+            # theta(mG, nG) once, and theta(P, N) for each of the 3 resolutions
+            assert len(thetas) == 4, inst.name
     assert passing > 0
     monkeypatch.undo()
     assert (suite.theta, resolve.semifree_resolve) == originals
@@ -100,24 +112,24 @@ def test_suite_reuses_the_witnesses_for_functoriality(monkeypatch):
         suite.plain_kunneth_checks(inst)
         if i < 6:
             suite.derived_kunneth_checks(inst)
-    # 12 plain thetas, and 6 derived instances with 6 thetas and 3 builds each
-    assert (len(thetas), len(builds)) == (12 + 6 * 6, 6 * 3)
+    # 12 plain thetas, and 6 derived instances with 4 thetas and 3 builds each
+    assert (len(thetas), len(builds)) == (12 + 6 * 4, 6 * 3)
     thetas.clear()
     builds.clear()
     _small_suite(F101)
     # the functoriality squares of the first 2 instances build nothing more
-    assert (len(thetas), len(builds)) == (12 + 6 * 6, 6 * 3)
+    assert (len(thetas), len(builds)) == (12 + 6 * 4, 6 * 3)
 
 
 def test_derived_battery_computes_each_cohomology_once(monkeypatch):
-    # inst0001 (koszul_dg): the battery asks for H^i 92 times, and the
+    # inst0001 (koszul_dg): the battery asks for H^i 74 times, and the
     # resolution build and certification ask for H^t(mG) and H^t(P) again
-    # and again; only 42 distinct (module, degree) pairs are computed
+    # and again; only 39 distinct (module, degree) pairs are computed
     inst = generate_corpus(CorpusProfile(field=F101, instance_count=2))[1]
     asked = _count_calls(monkeypatch, dgmodule, "cohomology")
     computed = _count_calls(monkeypatch, dgmodule, "_cohomology")
     assert all(r.ok for r in suite.derived_kunneth_checks(inst))
-    assert (len(asked), len(computed)) == (92, 42)
+    assert (len(asked), len(computed)) == (74, 39)
 
 
 def test_functoriality_builds_each_witness_once(monkeypatch):
