@@ -148,9 +148,9 @@ def _derived_kunneth_battery(report, m, n):
     report.checks.extend(derived_checks(w))
     report.extra.update(theta_der=matrix_to_json(w.theta_der), source_dim=w.source.dim,
                         target_dim=w.target.dim,
-                        resolution=resolution_to_json(w.setup.resolution),
+                        resolution=resolution_to_json(w.resolution),
                         # one degree below the top: the formula makes no claim there
-                        tor1_negative_control_dim=tensor_cohomology(w.setup.tc, -1).dim)
+                        tor1_negative_control_dim=tensor_cohomology(w.plain.tc, -1).dim)
 
 
 def cmd_kunneth(args) -> int:

@@ -8,7 +8,8 @@ module), and cohomology with its H^0(A)-module structure.
 A module is never written after construction: every builder makes a new
 `DGModule`, nothing assigns into its `dims`, `diff` or `action`, and the
 matrices are read-only.  So `cohomology` computes H^i once per module and
-degree and keeps the result on the module.
+degree and keeps the result on the module, and `shift(m, 0)` returns m and
+`smart_truncate(m, j)` for j at or above the top returns m, cache and all.
 
 Sign conventions (fixed once, validated by every d^2/Leibniz check):
   left Leibniz   d(a.m) = d(a).m + (-1)^{|a|} a.d(m)
@@ -275,7 +276,9 @@ def validate_morphism(fm: StrictMorphism) -> list:
 
 
 def shift(m: DGModule, k: int) -> DGModule:
-    """M[k] with M[k]^i = M^{i+k} and d' = (-1)^k d."""
+    """M[k] with M[k]^i = M^{i+k} and d' = (-1)^k d; M[0] is M itself."""
+    if k == 0:
+        return m
     lo, hi = m.window
     f = m.field
     sign = f.one if k % 2 == 0 else f.neg(f.one)
@@ -290,6 +293,8 @@ def shift(m: DGModule, k: int) -> DGModule:
 
 
 def shift_morphism(fm: StrictMorphism, k: int) -> StrictMorphism:
+    if k == 0:
+        return fm
     return StrictMorphism(shift(fm.source, k), shift(fm.target, k),
                           {i - k: mat for i, mat in fm.maps.items()})
 

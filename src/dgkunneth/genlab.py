@@ -9,6 +9,7 @@ validator, and generation is deterministic per (seed, index).
 """
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field as dc_field
 
@@ -343,6 +344,8 @@ class CorpusProfile:
     instance_count: int = 200
     seed: int = 20240601
     family_mix: dict = dc_field(default_factory=lambda: dict(DEFAULT_FAMILY_MIX))
+    # family -> its algebra over `field`, built by the first instance that draws it
+    _algebras: dict = dc_field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.instance_count <= 0 or self.max_per_degree_dim <= 0 or self.degree_span <= 0:
@@ -350,7 +353,10 @@ class CorpusProfile:
         for key, cap in PROFILE_CAPS.items():
             if getattr(self, key) > cap:
                 raise StructureError(f"profile {key} {getattr(self, key)} exceeds its cap {cap}")
-        if not self.family_mix or all(w <= 0 for w in self.family_mix.values()):
+        weights = self.family_mix.values()
+        if not all(math.isfinite(w) and w >= 0 for w in weights):
+            raise StructureError("family weights must be finite and non-negative")
+        if not any(w > 0 for w in weights):
             raise StructureError("family mix must have a positive weight")
         unknown = set(self.family_mix) - set(ALGEBRA_FAMILIES)
         if unknown:
@@ -375,7 +381,9 @@ def generate_instance(profile: CorpusProfile, idx: int) -> Instance:
     names = sorted(profile.family_mix)
     weights = [profile.family_mix[k] for k in names]
     family = rng.choices(names, weights=weights)[0]
-    algebra = ALGEBRA_FAMILIES[family](profile.field)
+    algebra = profile._algebras.get(family)
+    if algebra is None:
+        algebra = profile._algebras[family] = ALGEBRA_FAMILIES[family](profile.field)
     try:
         m = random_module(algebra, RIGHT, rng, profile.max_per_degree_dim, profile.degree_span)
         n = random_module(algebra, LEFT, rng, profile.max_per_degree_dim, profile.degree_span)

@@ -8,22 +8,28 @@ killing a class kills its whole H^0(A)-orbit).  The result is certified:
 H^i(rho) is an isomorphism for i >= -depth + 1 and surjective at -depth,
 and sup(P) equals the top nonzero cohomology degree of M.
 
-The derived tensor of (M, N) at top degree is realized as H^0(P (x)_A N)
-after translating tops to zero and smart-truncating.  Stage t adjoins
-generators of degree t - 1, and as A is nonpositive a generator of degree e
-spans P only in degrees <= e.  So the stages t <= -d leave P^i, the
-differential out of P^i and rho^i untouched for i >= -d, and with them
-H^t(P) and H^t(rho) for t >= -d + 1.  A resolution of depth width(N) + 2
-therefore already computes the top exactly, because the tensor degrees 0
-and -1 only see P in degrees >= -1 - width(N).  The same argument makes a
-deeper resolution that merely continues a shallower one equal to it near
-the top, so the deeper resolutions the derived checks compare are built
-from scratch with their own seeds (`deeper_witnesses`).
+The derived tensor of (M, N) at top degree is realized as H^0(P (x)_A nG),
+where mG and nG are M and N translated so their tops sit at 0 and
+smart-truncated there, and P resolves mG.  `theta_der` returns one
+`DerivedKunnethWitness` per resolution and builds each object in it once:
+theta(mG, nG) holds mG, nG and their H^0, and theta(P, nG) holds the tensor
+complex P (x)_A nG that eta = rho (x) id reads.  As `shift(M, 0)` is M
+itself, these share their cached cohomology with mG, nG and P.
+
+Stage t adjoins generators of degree t - 1, and as A is nonpositive a
+generator of degree e spans P only in degrees <= e.  So the stages t <= -d
+leave P^i, the differential out of P^i and rho^i untouched for i >= -d, and
+with them H^t(P) and H^t(rho) for t >= -d + 1.  A resolution of depth
+width(N) + 2 therefore already computes the top exactly, because the tensor
+degrees 0 and -1 only see P in degrees >= -1 - width(N).  The same argument
+makes a deeper resolution that merely continues a shallower one equal to it
+near the top, so the deeper resolutions the derived checks compare are
+built from scratch with their own seeds (`deeper_witnesses`).
 """
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import dataclass, field as dc_field
 
 from .checks import CheckResult, DescentError, all_ok, failed, passed
 from .dgalgebra import StructureError
@@ -45,13 +51,7 @@ from .field import Field
 from .kunneth import KunnethWitness, cohomology_map, naturality_square, theta
 from .linalg import Matrix, from_blocks, kernel_basis, rank, solve, vstack
 from .serialize import matrix_to_json
-from .tensor import (
-    BalancedTensorSpace,
-    CohomologySpace,
-    TensorComplex,
-    induced_balanced_map,
-    tensor_map,
-)
+from .tensor import BalancedTensorSpace, CohomologySpace, induced_balanced_map, tensor_map
 
 GENERATOR_CAP = 64
 # (seed, depth above width(N)) of the two resolutions that `deeper_witnesses`
@@ -320,40 +320,18 @@ def _certify_resolution(res: SemiFreeResolution):
 
 
 @dataclass
-class DerivedSetup:
+class DerivedKunnethWitness:
+    """theta_der on one resolution rho: P -> mG, with its evidence.
+
+    mG and nG are M and N translated by i0 and j0 and smart-truncated at 0;
+    `mn` = theta(mG, nG) holds them as `mn.mT` and `mn.nT`, with the H^0
+    bases the naturality check reads, and `plain` = theta(P, nG) holds
+    P (x)_A nG as `plain.tc`.  The depth is `resolution.depth`."""
     i0: int
     j0: int
-    mG: DGModule          # genuine translated right module, top 0
-    nG: DGModule          # genuine translated left module, top 0
-    width: int
-    depth: int
+    width: int                       # -(bottom degree of nG)
     resolution: SemiFreeResolution
-    tc: TensorComplex     # P (x)_A nG
-
-
-def derived_setup(m: DGModule, n: DGModule, depth: int | None = None,
-                  i0: int | None = None, j0: int | None = None) -> DerivedSetup:
-    if i0 is None:
-        i0 = sup_cohomology(m)
-        i0 = m.window[1] if i0 is None else i0
-    if j0 is None:
-        j0 = sup_cohomology(n)
-        j0 = n.window[1] if j0 is None else j0
-    mG = smart_truncate(shift(m, i0), 0)
-    nG = smart_truncate(shift(n, j0), 0)
-    width = 0 - nG.window[0]
-    d = depth if depth is not None else width + 2
-    res = semifree_resolve(mG, d)
-    tc = TensorComplex(res.p, nG)
-    return DerivedSetup(i0, j0, mG, nG, width, d, res, tc)
-
-
-@dataclass
-class DerivedKunnethWitness:
-    """theta_der with its evidence.  `mn` carries the bases it is stated on
-    (H^0 of mG and nG), which the naturality check reads, not recomputes."""
-    setup: DerivedSetup
-    plain: KunnethWitness            # theta for (P, N)
+    plain: KunnethWitness            # theta for (P, nG)
     mn: KunnethWitness               # theta for (mG, nG)
     source: BalancedTensorSpace      # H^{i0}(M) (x)_{H0(A)} H^{j0}(N)
     target: CohomologySpace          # H^0(P (x) N)
@@ -369,16 +347,26 @@ class DerivedKunnethWitness:
 def theta_der(m: DGModule, n: DGModule, depth: int | None = None,
               i0: int | None = None, j0: int | None = None) -> DerivedKunnethWitness:
     """The derived top-degree isomorphism with its commuting-triangle evidence."""
-    setup = derived_setup(m, n, depth, i0, j0)
+    if i0 is None:
+        i0 = sup_cohomology(m)
+        i0 = m.window[1] if i0 is None else i0
+    if j0 is None:
+        j0 = sup_cohomology(n)
+        j0 = n.window[1] if j0 is None else j0
+    mG = smart_truncate(shift(m, i0), 0)
+    nG = smart_truncate(shift(n, j0), 0)
+    width = 0 - nG.window[0]
+    res = semifree_resolve(mG, width + 2 if depth is None else depth)
     # theta for (mG, nG): its H^0(mG), source, tensor complex and H^0 are
     # the ones the transport and the triangle need, for every resolution
-    return _theta_der_on(setup, theta(setup.mG, setup.nG, i0=0, j0=0))
+    return _theta_der_on(res, theta(mG, nG, i0=0, j0=0), i0, j0, width)
 
 
-def _theta_der_on(setup: DerivedSetup, wMN: KunnethWitness) -> DerivedKunnethWitness:
-    """The per-resolution half of `theta_der`: theta_der on the setup's
-    resolution, stated on the bases of `wMN` = theta(mG, nG)."""
-    res, nG = setup.resolution, setup.nG
+def _theta_der_on(res: SemiFreeResolution, wMN: KunnethWitness, i0: int, j0: int,
+                  width: int) -> DerivedKunnethWitness:
+    """The per-resolution half of `theta_der`: theta_der on `res`, a
+    resolution of wMN.mT, stated on the bases of `wMN` = theta(mG, nG)."""
+    nG = wMN.nT
     f = nG.field
     evidence = []
 
@@ -423,7 +411,7 @@ def _theta_der_on(setup: DerivedSetup, wMN: KunnethWitness) -> DerivedKunnethWit
         return ident_n.get(q, Matrix.zeros(f, nG.dim(q), nG.dim(q)))
 
     try:
-        qmap = tensor_map(setup.tc, tcMN, res.rho.map_at, nmaps, 0)
+        qmap = tensor_map(plain.tc, tcMN, res.rho.map_at, nmaps, 0)
         eta_h0 = hMN.class_map @ qmap @ plain.target.rep_map
     except DescentError as exc:
         evidence.append(failed("eta_descends", counterexample={"reason": str(exc)}))
@@ -436,14 +424,8 @@ def _theta_der_on(setup: DerivedSetup, wMN: KunnethWitness) -> DerivedKunnethWit
         evidence.append(failed("derived_diagram_commutes",
                                counterexample={"eta_theta_der": matrix_to_json(eta_h0 @ th_der),
                                                "theta": matrix_to_json(wMN.theta), **cause}))
-    return DerivedKunnethWitness(setup, plain, wMN, source, plain.target, th_der,
-                                 eta_h0, evidence)
-
-
-def _on_resolution(setup: DerivedSetup, res: SemiFreeResolution) -> DerivedSetup:
-    """The same translated pair with another resolution of mG."""
-    return replace(setup, depth=res.depth, resolution=res,
-                   tc=TensorComplex(res.p, setup.nG))
+    return DerivedKunnethWitness(i0, j0, width, res, plain, wMN, source, plain.target,
+                                 th_der, eta_h0, evidence)
 
 
 def deeper_witnesses(w: DerivedKunnethWitness) -> list:
@@ -451,9 +433,8 @@ def deeper_witnesses(w: DerivedKunnethWitness) -> list:
     depth width + 3 and variant 2 at width + 4, each resolving `w`'s mG from
     scratch with its own seed and certified in full; theta(mG, nG) is
     `w.mn`.  Both derived checks compare these two against `w`."""
-    s = w.setup
-    return [_theta_der_on(_on_resolution(s, semifree_resolve(s.mG, s.width + extra,
-                                                             variant=v)), w.mn)
+    return [_theta_der_on(semifree_resolve(w.mn.mT, w.width + extra, variant=v),
+                          w.mn, w.i0, w.j0, w.width)
             for v, extra in DEEPER_RESOLUTIONS]
 
 
@@ -465,10 +446,9 @@ def check_depth_stabilization(w: DerivedKunnethWitness, deeper: list) -> CheckRe
     depth that guarantees the top, and `deeper` is `deeper_witnesses(w)`;
     witnesses at other depths raise ValueError.
     """
-    s = w.setup
-    depths = [s.width + 2, s.width + 3, s.width + 4]
+    depths = [w.width + 2, w.width + 3, w.width + 4]
     ws = [w, *deeper]
-    got = [x.setup.depth for x in ws]
+    got = [x.resolution.depth for x in ws]
     if got != depths:
         raise ValueError(f"stabilization needs witnesses at depths {depths}, got {got}")
     for d, wd in zip(depths, ws):
@@ -591,15 +571,16 @@ def check_theta_der_functoriality(fm: StrictMorphism, gm: StrictMorphism,
     resolution); the lift, the induced maps and both sides of the square are
     computed per pair.  Witnesses that do not match the morphisms raise
     ValueError."""
-    s, sp = w.setup, wp.setup
-    if (sp.i0, sp.j0, sp.depth) != (s.i0, s.j0, s.depth):
+    res, resp = w.resolution, wp.resolution
+    if (wp.i0, wp.j0, resp.depth) != (w.i0, w.j0, res.depth):
         raise ValueError("functoriality witnesses have different bounds or depths")
-    fG = truncate_morphism(shift_morphism(fm, s.i0), 0)
-    gG = truncate_morphism(shift_morphism(gm, s.j0), 0)
-    if (fG.source, fG.target, gG.source, gG.target) != (s.mG, sp.mG, s.nG, sp.nG):
+    fG = truncate_morphism(shift_morphism(fm, w.i0), 0)
+    gG = truncate_morphism(shift_morphism(gm, w.j0), 0)
+    if (fG.source, fG.target, gG.source, gG.target) != \
+            (w.mn.mT, wp.mn.mT, w.mn.nT, wp.mn.nT):
         raise ValueError("functoriality witnesses do not match the morphisms")
-    lift = lift_through_resolutions(s.resolution, sp.resolution, fG)
+    lift = lift_through_resolutions(res, resp, fG)
     return naturality_square("theta_der_naturality", w, wp, (fG, gG, w.mn, wp.mn),
-                             (s.tc, sp.tc), (lift.phi.map_at, gG.map_at),
+                             (w.plain.tc, wp.plain.tc), (lift.phi.map_at, gG.map_at),
                              (w.theta_der, wp.theta_der), lift.evidence,
                              source_dim=w.source.dim)

@@ -183,6 +183,30 @@ def test_suite_extreme_profile_size_is_structural_error(tmp_path, monkeypatch, k
         CorpusProfile(F101, **{key: cap + 1})
 
 
+@pytest.mark.parametrize("weight", [-1.0, float("nan"), float("inf")])
+def test_suite_bad_family_weight_is_structural_error(tmp_path, monkeypatch, weight):
+    # rejected when the profile is built, before any instance is drawn
+    started = []
+    monkeypatch.setattr(suite, "generate_corpus", lambda *args: started.append("corpus"))
+    profile = tmp_path / "profile.json"
+    profile.write_text(dumps_canonical({"field": {"kind": "prime", "p": 101},
+                                        "instance_count": 3,
+                                        "family_mix": {"field": weight, "dual_numbers": 2}}))
+    assert main(["suite", "--profile", str(profile)]) == 2
+    assert started == []
+
+
+def test_suite_zero_family_weight_is_legal(tmp_path):
+    profile = tmp_path / "profile.json"
+    profile.write_text(dumps_canonical({"field": {"kind": "prime", "p": 101},
+                                        "instance_count": 3,
+                                        "family_mix": {"field": 0, "dual_numbers": 2}}))
+    out = tmp_path / "r.json"
+    assert main(["suite", "--profile", str(profile), "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["profile"]["family_mix"] == {"dual_numbers": 2.0, "field": 0.0}
+
+
 def test_suite_field_flag(tmp_path, monkeypatch):
     # environment variable supplies the default field spec
     profile = tmp_path / "profile.json"

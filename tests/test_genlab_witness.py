@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from dgkunneth.checks import all_ok
@@ -26,6 +28,30 @@ def test_witness_dimensions_and_membership(k):
     assert all(x == k.zero for x in w.image)
     assert w.surjective
     assert all_ok(w.checks)
+
+
+@pytest.mark.parametrize("corrupt, failing", [
+    (lambda w, k: {"source_dim": 3}, "witness_source_dim"),
+    (lambda w, k: {"target_dim": 2}, "witness_target_dim"),
+    (lambda w, k: {"element": [k.zero] * len(w.element)}, "witness_nonzero_in_source"),
+    (lambda w, k: {"image": [k.one] * len(w.image)}, "witness_zero_in_target"),
+    (lambda w, k: {"surjective": False}, "witness_map_surjective"),
+], ids=["source_dim", "target_dim", "zero_element", "nonzero_image", "not_surjective"])
+def test_witness_checks_detect_each_corruption(k, corrupt, failing):
+    w = noninjectivity_witness(k)
+    bad = replace(w, **corrupt(w, k))
+    assert [r.name for r in bad.checks if not r.ok] == [failing]
+
+
+def test_family_algebras_are_built_once_per_profile():
+    # the cache lives on the profile: a second, equal profile builds its own
+    corpus = generate_corpus(CorpusProfile(field=F101, instance_count=20))
+    first = {}
+    for inst in corpus:
+        assert first.setdefault(inst.family, inst.algebra) is inst.algebra
+    again = generate_corpus(CorpusProfile(field=F101, instance_count=20))
+    assert all(x.algebra is not y.algebra and x.algebra == y.algebra
+               for x, y in zip(corpus, again))
 
 
 def test_corpus_instances_all_validate(k):

@@ -172,6 +172,24 @@ def test_plain_checks_detect_a_wrong_class_assignment(monkeypatch, fill, failing
     assert [r.name for r in plain_checks(w) if not r.ok] == failing
 
 
+def test_plain_checks_detect_a_non_surjective_minus1_comparison(monkeypatch):
+    # inst0000 of the published F_101 profile: the comparison
+    # B1 (+) B2 -> (M (x)_A N)^{-1} replaced by zero has rank 0 below the
+    # nonzero quotient, and no other check reads it
+    inst = generate_instance(CorpusProfile(field=F101), 0)
+    assert all_ok(plain_checks(theta(inst.m, inst.n)))
+    orig = kunneth.minus1_comparison
+
+    def zero(*args):
+        t = orig(*args)
+        return Matrix.zeros(F101, t.rows, t.cols)
+
+    monkeypatch.setattr(kunneth, "minus1_comparison", zero)
+    bad = [r for r in plain_checks(theta(inst.m, inst.n)) if not r.ok]
+    assert [r.name for r in bad] == ["degree_minus1_surjective"]
+    assert bad[0].counterexample["rank"] == 0 < bad[0].counterexample["dim"]
+
+
 def _witnesses(f, g):
     """theta for the sources and the targets at the common window tops."""
     i0 = max(f.source.window[1], f.target.window[1])

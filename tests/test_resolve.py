@@ -37,7 +37,6 @@ from dgkunneth.resolve import (
     check_theta_der_functoriality,
     cohomology_dim,
     deeper_witnesses,
-    derived_setup,
     lift_through_resolutions,
     semifree_resolve,
     sup_cohomology,
@@ -91,9 +90,9 @@ def test_classical_oracle_tor_dims(k):
     a = make_dual_numbers(k)
     m = simple_module_dual_numbers(a, RIGHT)
     n = simple_module_dual_numbers(a, LEFT)
-    setup = derived_setup(m, n)
-    assert tensor_cohomology(setup.tc, 0).dim == 1
-    assert tensor_cohomology(setup.tc, -1).dim == 1
+    tc = theta_der(m, n).plain.tc
+    assert tensor_cohomology(tc, 0).dim == 1
+    assert tensor_cohomology(tc, -1).dim == 1
 
 
 def test_derived_tensor_trivial_algebra(k):
@@ -101,11 +100,11 @@ def test_derived_tensor_trivial_algebra(k):
     rng = instance_rng(300, 0)
     m = random_module(a, RIGHT, rng)
     n = random_module(a, LEFT, rng)
-    setup = derived_setup(m, n)
+    w = theta_der(m, n)
     # over a field eta is an isomorphism: derived = plain
     from dgkunneth.tensor import TensorComplex
-    plain = tensor_cohomology(TensorComplex(setup.mG, setup.nG), 0)
-    assert tensor_cohomology(setup.tc, 0).dim == plain.dim
+    plain = tensor_cohomology(TensorComplex(w.mn.mT, w.mn.nT), 0)
+    assert tensor_cohomology(w.plain.tc, 0).dim == plain.dim
 
 
 def test_theta_der_dual_numbers(k):
@@ -211,10 +210,10 @@ def _doubling_variant(k, monkeypatch, seed):
             built.append(res)
         return res
 
-    def doubled_for_variant(setup, mn):
-        wv = orig_theta_der_on(setup, mn)
+    def doubled_for_variant(res, *rest):
+        wv = orig_theta_der_on(res, *rest)
         assert not (wv.eta_h0 @ wv.theta_der).is_zero()
-        if not any(setup.resolution is r for r in built):
+        if not any(res is r for r in built):
             return wv
         return replace(wv, theta_der=wv.theta_der.scale(k.of_int(2)))
 
@@ -232,7 +231,7 @@ def test_depth_stabilization_detects_a_wrong_theta_der_at_width_plus_3(k, monkey
     assert suite.derived_checks(w, stabilization=True, independence=False)[-1].ok
     variant_1 = _doubling_variant(k, monkeypatch, 1)
     res = suite.derived_checks(w, stabilization=True, independence=False)[-1]
-    assert [r.depth for r in variant_1] == [w.setup.width + 3]
+    assert [r.depth for r in variant_1] == [w.width + 3]
     assert (res.name, res.ok) == ("depth_stabilization", False)
     assert res.counterexample == {"depths": [2, 3, 4], "dims": [1, 1, 1]}
 
@@ -243,7 +242,7 @@ def test_resolution_independence_detects_a_wrong_theta_der(k, monkeypatch):
     assert check_resolution_independence(deeper_witnesses(w)).ok
     variant_2 = _doubling_variant(k, monkeypatch, 2)
     res = check_resolution_independence(deeper_witnesses(w))
-    assert [r.depth for r in variant_2] == [w.setup.width + 4]
+    assert [r.depth for r in variant_2] == [w.width + 4]
     assert (res.name, res.ok) == ("resolution_independence", False)
     assert res.counterexample["variants"] == [1, 2]
 
@@ -307,12 +306,12 @@ def test_transport_invertibility_detects_a_wrong_rho(k):
     # triangle checks after it necessarily fail with it, naming it as cause
     m, n = _dual_numbers_simple_pair(k)
     w = theta_der(m, n)
-    res = w.setup.resolution
+    res = w.resolution
     images = [[k.zero] * len(res.gen_images[0])] + res.gen_images[1:]
     rho = StrictMorphism(res.p, m, resolve.morphism_from_generator_images(
         res.p, res.layout, m, images))
     bad = replace(res, gen_images=images, rho=rho)
-    wb = resolve._theta_der_on(resolve._on_resolution(w.setup, bad), w.mn)
+    wb = resolve._theta_der_on(bad, w.mn, w.i0, w.j0, w.width)
     bad_checks = [r for r in wb.evidence if not r.ok]
     assert [r.name for r in bad_checks] == \
         ["h0_rho_transport_invertible", "theta_der_bijective", "derived_diagram_commutes"]
@@ -368,14 +367,14 @@ def test_derived_checks_compare_pairwise_different_resolutions(field, resolved):
     count = 0
     for idx in range(100):
         inst = generate_instance(profile, idx)
-        s = derived_setup(inst.m, inst.n)
-        if not s.resolution.gen_degrees:
+        w = theta_der(inst.m, inst.n)
+        if not w.resolution.gen_degrees:
             continue
         count += 1
-        others = [semifree_resolve(s.mG, s.width + extra, variant=v)
+        others = [semifree_resolve(w.mn.mT, w.width + extra, variant=v)
                   for v, extra in resolve.DEEPER_RESOLUTIONS]
         data = [(r.gen_degrees, r.gen_diffs, r.gen_images)
-                for r in (s.resolution, *others)]
+                for r in (w.resolution, *others)]
         assert data[0] != data[1] != data[2] != data[0], inst.name
     assert count == resolved
 
@@ -460,14 +459,14 @@ def test_theta_der_functoriality_rejects_mismatched_witnesses(k):
     n = simple_module_dual_numbers(a, LEFT)
     w = theta_der(m, n)
     ident = (StrictMorphism.identity(m), StrictMorphism.identity(n))
-    deeper = theta_der(m, n, depth=w.setup.depth + 1)
+    deeper = theta_der(m, n, depth=w.resolution.depth + 1)
     with pytest.raises(ValueError, match="bounds or depths"):
         check_theta_der_functoriality(*ident, w, deeper)
-    higher = theta_der(m, n, i0=w.setup.i0 + 1)
+    higher = theta_der(m, n, i0=w.i0 + 1)
     with pytest.raises(ValueError, match="bounds or depths"):
         check_theta_der_functoriality(*ident, higher, w)
     other = theta_der(direct_sum(m, m), n)
-    assert other.setup.depth == w.setup.depth
+    assert other.resolution.depth == w.resolution.depth
     with pytest.raises(ValueError, match="match"):
         check_theta_der_functoriality(*ident, other, w)
     with pytest.raises(ValueError, match="match"):
@@ -515,9 +514,10 @@ def test_generator_cap_trips_in_the_deepest_stabilization_depth(tmp_path, monkey
     for k in (F101, Q):
         a, m = _k_over_square_zero(k)
         n, _ = free_module(a, LEFT, [0, -1])
-        assert theta_der(m, n, depth=3).ok
+        w = theta_der(m, n, depth=3)
+        assert w.ok
         # variant 1 at depth 4 stays under the cap: the trip is at depth 5
-        semifree_resolve(derived_setup(m, n).mG, 4, variant=1)
+        semifree_resolve(w.mn.mT, 4, variant=1)
         inst = Instance("square-zero", "ordinary", a, m, n)
         for flags in ((True, True), (False, True), (True, False)):
             runs.clear()

@@ -11,7 +11,7 @@ from dataclasses import replace
 
 import pytest
 
-from dgkunneth import dgmodule, kunneth, resolve, suite
+from dgkunneth import dgalgebra, dgmodule, kunneth, resolve, suite
 from dgkunneth.checks import failed
 from dgkunneth.cli import main
 from dgkunneth.field import Field
@@ -53,11 +53,20 @@ def test_small_suite_report_is_pinned(label):
     assert _digest(_small_suite(FIELDS[label])) == REPORT_SHA256[label]
 
 
-def test_published_f101_report_is_pinned():
+def test_published_f101_report_is_pinned(monkeypatch):
+    counted = {name: _count_calls(monkeypatch, module, name)
+               for module, name in ((dgmodule, "_cohomology"), (kunneth, "theta"),
+                                    (resolve, "semifree_resolve"),
+                                    (dgalgebra, "validate_algebra"))}
     body = suite.run_suite(CorpusProfile(field=F101)).as_json()
     body.pop("timing")
     assert len(body["checks"]) == 200 * 13 + 100 * 8 + 13 * 20 + 5
     assert hashlib.sha256(dumps_canonical(body).encode()).hexdigest() == PUBLISHED_F101_SHA256
+    # a copy of a module starts with an empty cohomology cache, so a witness
+    # that rebuilds one raises the H^i count; each family algebra is built
+    # and validated once per profile, plus once for the witness checks
+    assert {name: len(calls) for name, calls in counted.items()} == {
+        "_cohomology": 2441, "theta": 600, "semifree_resolve": 300, "validate_algebra": 8}
 
 
 def test_small_suite_report_is_pinned_with_two_workers():
@@ -124,12 +133,13 @@ def test_suite_reuses_the_witnesses_for_functoriality(monkeypatch):
 def test_derived_battery_computes_each_cohomology_once(monkeypatch):
     # inst0001 (koszul_dg): the battery asks for H^i 74 times, and the
     # resolution build and certification ask for H^t(mG) and H^t(P) again
-    # and again; only 39 distinct (module, degree) pairs are computed
+    # and again; only 32 distinct (module, degree) pairs are computed, as
+    # theta(mG, nG) and theta(P, nG) read mG, nG and P themselves (M[0] is M)
     inst = generate_corpus(CorpusProfile(field=F101, instance_count=2))[1]
     asked = _count_calls(monkeypatch, dgmodule, "cohomology")
     computed = _count_calls(monkeypatch, dgmodule, "_cohomology")
     assert all(r.ok for r in suite.derived_kunneth_checks(inst))
-    assert (len(asked), len(computed)) == (74, 39)
+    assert (len(asked), len(computed)) == (74, 32)
 
 
 def test_functoriality_builds_each_witness_once(monkeypatch):
