@@ -37,7 +37,7 @@ def _first_mismatch(lhs: Matrix, rhs: Matrix):
 class DGAlgebra:
     """A = (+) A^i for min_degree <= i <= 0, with product, unit, differential."""
 
-    __slots__ = ("field", "min_degree", "dims", "mult", "diff", "unit", "_h0")
+    __slots__ = ("field", "min_degree", "dims", "mult", "diff", "unit", "_h0", "_a0")
 
     def __init__(self, field: Field, min_degree: int, dims: dict, mult: dict,
                  diff: dict, unit: list):
@@ -54,7 +54,7 @@ class DGAlgebra:
         if len(self.unit) != self.dim(0):
             raise StructureError("unit vector has wrong length")
         self._check_shapes()
-        self._h0 = None
+        self._h0 = self._a0 = None
 
     def _check_shapes(self):
         for i, m in self.diff.items():
@@ -207,5 +207,7 @@ def h0_ring(a: DGAlgebra) -> H0Ring:
 
 
 def degree_zero_ring(a: DGAlgebra) -> DGAlgebra:
-    """A^0 as an ordinary ring (forgetting all other degrees)."""
-    return DGAlgebra(a.field, 0, {0: a.dim(0)}, {(0, 0): a.mult_map(0, 0)}, {}, a.unit)
+    """A^0 as an ordinary ring (forgetting all other degrees), kept on `a`."""
+    if a._a0 is None:
+        a._a0 = DGAlgebra(a.field, 0, {0: a.dim(0)}, {(0, 0): a.mult_map(0, 0)}, {}, a.unit)
+    return a._a0

@@ -29,8 +29,7 @@ from .linalg import (
     QuotientSpace,
     from_blocks,
     kernel_basis,
-    left_inverse,
-    quotient,
+    kernel_mod_image,
     solve,
 )
 
@@ -575,16 +574,10 @@ def cohomology(m: DGModule, i: int) -> CohomologyModule:
 
 
 def _cohomology(m: DGModule, i: int) -> CohomologyModule:
-    f = m.field
-    incl = kernel_basis(m.diff_map(i)).transpose()
-    z = incl.cols
-    img = solve(incl, m.diff_map(i - 1)) if z else Matrix.zeros(f, 0, m.dim(i - 1))
-    if img is None:
+    parts = kernel_mod_image(m.field, m.diff_map(i - 1), m.diff_map(i))
+    if parts is None:
         raise StructureError("d^2 != 0: image not inside cocycles")
-    space = quotient(f, z, img.transpose())
-    li = left_inverse(incl) if z else Matrix.zeros(f, 0, m.dim(i))
-    class_map = space.projection @ li
-    rep_map = incl @ space.section
+    incl, space, class_map, rep_map = parts
     h0 = m.algebra.h0()
     # the class of rep_v . a_u (right) or a_u . rep_v (left), for all v, u at once
     if m.side == RIGHT:

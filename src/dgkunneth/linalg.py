@@ -20,6 +20,9 @@ overflow.  Over Q elimination and products run on gcd-normalized integer
 rows, so no Fraction arithmetic happens inside the elimination loop.
 Results are canonical: the reduced row echelon form is unique, and every
 derived basis (kernels, quotient bases) is determined by its pivot columns.
+The kernel basis vector of free column j is 1 at j and 0 at the other free
+columns, so as columns the kernel basis has the identity in its free rows:
+a kernel vector's coordinates are its free entries (`kernel_mod_image`).
 """
 from __future__ import annotations
 
@@ -186,6 +189,13 @@ class Matrix:
             return _matmul(self.field, sub, col.reshape(-1, 1))[:, 0].tolist()
         return (sub @ col).tolist()
 
+    def kron_columns(self, other: "Matrix") -> "Matrix":
+        """Column-wise Kronecker product: column s is self[:, s] (x) other[:, s]."""
+        if self.cols != other.cols:
+            raise ValueError("column count mismatch in kron_columns")
+        prod = (self.arr[:, None] * other.arr[None]).reshape(self.rows * other.rows, self.cols)
+        return Matrix._of(self.field, _reduce(self.field, prod))
+
     def kron(self, other: "Matrix") -> "Matrix":
         """Kronecker product; acts on x (x) y with index u*cols2 + v."""
         f = self.field
@@ -287,6 +297,15 @@ def from_blocks(field: Field, rows: int, cols: int, blocks) -> Matrix:
             region[nz] += blk[nz]
         else:
             region += blk
+    return Matrix._of(field, _reduce(field, out))
+
+
+def from_entries(field: Field, rows: int, cols: int, entries) -> Matrix:
+    """The rows x cols sum of items (row indices, column indices, values),
+    each broadcast together and naming no position twice."""
+    out = _zeros(field, rows, cols)
+    for i, j, vals in entries:
+        out[i, j] += vals
     return Matrix._of(field, _reduce(field, out))
 
 
@@ -415,6 +434,22 @@ def solve(m: Matrix, rhs: Matrix):
     return Matrix._of(m.field, x)
 
 
+def kernel_mod_image(f: Field, d_in: Matrix, d_out: Matrix):
+    """(incl, space, class_map, rep_map) for ker(d_out)/im(d_in), or None
+    when im(d_in) is not inside ker(d_out).  `incl` holds the canonical
+    kernel basis as columns; its rows `free` are the identity, so d_in has
+    its rows `free` as coordinates and class_map keeps those entries."""
+    red, pivots, _ = rref(d_out)
+    rows, free = _null_rows(f, red.arr, pivots, d_out.cols)
+    incl, img = Matrix._of(f, rows.T), Matrix._of(f, d_in.arr[free])
+    if incl @ img != d_in:
+        return None
+    space = quotient(f, len(free), img.transpose())
+    class_map = _zeros(f, space.quotient_dim, d_out.cols)
+    class_map[:, free] = space.projection.arr
+    return incl, space, Matrix._of(f, class_map), incl @ space.section
+
+
 def left_inverse(m: Matrix) -> Matrix:
     """L with L @ m = I; requires full column rank."""
     aug = hstack([m, Matrix.identity(m.field, m.rows)])
@@ -452,6 +487,9 @@ def quotient(field: Field, ambient_dim: int, relations: Matrix) -> QuotientSpace
     """Quotient of k^ambient_dim by the row span of `relations`."""
     if relations.cols != ambient_dim:
         raise ValueError(f"relations have {relations.cols} columns, ambient dim is {ambient_dim}")
+    if not relations.rows:
+        eye = Matrix.identity(field, ambient_dim)
+        return QuotientSpace(field, ambient_dim, relations, ambient_dim, eye, eye, ())
     red, pivots, _ = rref(relations)
     proj, free = _null_rows(field, red.arr, pivots, ambient_dim)
     q = len(free)

@@ -49,7 +49,7 @@ from .dgmodule import (
 )
 from .field import Field
 from .kunneth import KunnethWitness, cohomology_map, naturality_square, theta
-from .linalg import Matrix, from_blocks, kernel_basis, rank, solve, vstack
+from .linalg import Matrix, drop_zero_rows, from_blocks, kernel_basis, rank, rref, solve, vstack
 from .serialize import matrix_to_json
 from .tensor import BalancedTensorSpace, CohomologySpace, induced_balanced_map, tensor_map
 
@@ -104,38 +104,22 @@ def _module_generators(candidates, action: Matrix, ring_dim: int, f: Field):
     """Greedy H0(A)-module generating subset of a spanning set of class vectors.
 
     Scanning candidates in order and keeping those outside the module span of
-    the kept ones yields a set whose module span is the whole space.
+    the kept ones yields a set whose module span is the whole space.  The
+    action is unital and associative, so a kept vector adds the span of its
+    orbit (the vec . e_u); the span is kept row-reduced, and a vector lies in
+    it when it equals its pivot entries times the rows.
     """
-    if not candidates:
-        return []
-    span = Matrix.zeros(f, 0, len(candidates[0]))
     eye = Matrix.identity(f, ring_dim)
-
-    def try_add(vec):
-        nonlocal span
-        if not any(x != f.zero for x in vec):
-            return False
-        stacked = vstack([span, Matrix.column(f, vec).transpose()])
-        if rank(stacked) > span.rows:
-            span = stacked
-            return True
-        return False
-
-    def orbit(vec):
-        # column u is vec . e_u
-        images = action @ Matrix.column(f, vec).kron(eye)
-        return [images.col(u) for u in range(ring_dim)]
-
+    span, pivots = Matrix.zeros(f, 0, action.rows), []
     chosen = []
     for cand in candidates:
-        if not try_add(cand):
+        col = Matrix.column(f, cand)
+        if col.transpose().columns(pivots) @ span == col.transpose():
             continue
         chosen.append(cand)
-        frontier = orbit(cand)
-        while frontier:
-            v = frontier.pop()
-            if try_add(v):
-                frontier.extend(orbit(v))
+        # column u of the product is cand . e_u
+        red, pivots, _ = rref(vstack([span, (action @ col.kron(eye)).transpose()]))
+        span = drop_zero_rows(red)
     return chosen
 
 
@@ -257,6 +241,7 @@ def semifree_resolve(m: DGModule, depth: int, variant: int = 0,
         # killing a class also kills its whole H0(A)-orbit, so module
         # generators of the kernel suffice
         rows = _module_generators(rows, hp.h0_action, h0dim, f)
+        kw = kernel_basis(m.diff_map(t - 1)) if rng is not None else None
         for row in rows:
             z = hp.rep_map.apply(row)                  # cocycle in P^t
             if rng is not None:
@@ -269,7 +254,6 @@ def semifree_resolve(m: DGModule, depth: int, variant: int = 0,
                 raise StructureError(f"kernel class not killable at degree {t}")
             w = sol.col(0)
             if rng is not None:
-                kw = kernel_basis(m.diff_map(t - 1))
                 for krow in kw.arr.tolist():
                     c = f.random_vector(rng, 1)[0]
                     if c != f.zero:

@@ -2,7 +2,9 @@ from dataclasses import fields, replace
 
 import pytest
 
+from dgkunneth import linalg
 from dgkunneth.dgalgebra import (
+    StructureError,
     degree_zero_ring,
     h0_ring,
     validate_algebra,
@@ -40,6 +42,7 @@ from dgkunneth.genlab import (
 )
 from dgkunneth.linalg import Matrix, solve
 from dgkunneth.serialize import module_from_json, module_to_json
+from dgkunneth.tensor import space_cohomology
 from dg_examples import make_koszul_like
 
 Q = Field.rationals()
@@ -414,3 +417,43 @@ def test_degree_zero_ring(k):
     r = degree_zero_ring(a)
     assert validate_algebra(r) == []
     assert r.dim(0) == 2
+
+
+def _field_module(k, dims, d_minus1, d0):
+    """A right module over k in degrees -1..1 with the given d^{-1}, d^0."""
+    a = make_field_algebra(k)
+    action = {(i, 0): Matrix.identity(k, dims[i]) for i in dims}
+    diff = {-1: Matrix.from_int_rows(k, d_minus1, dims[-1]),
+            0: Matrix.from_int_rows(k, d0, dims[0])}
+    return DGModule(RIGHT, a, (-1, 1), dims, diff, action)
+
+
+def test_cohomology_rejects_d_squared_without_cocycles(k):
+    # d^{-1} = d^0 = [1]: no cocycle in degree 0, but a nonzero image into it
+    m = _field_module(k, {-1: 1, 0: 1, 1: 1}, [[1]], [[1]])
+    assert [v.axiom for v in validate_module(m)] == ["d_squared"]
+    with pytest.raises(StructureError, match="image not inside cocycles"):
+        cohomology(m, 0)
+    one = Matrix.identity(k, 1)
+    with pytest.raises(StructureError, match="not contained in the kernel"):
+        space_cohomology(k, 0, one, one)
+
+
+def test_one_cohomology_costs_two_eliminations(k, monkeypatch):
+    # the kernel of d^0 and the quotient by the image of d^{-1}, nothing else
+    m = _field_module(k, {-1: 1, 0: 2, 1: 1}, [[1], [0]], [[0, 1]])
+    m.algebra.h0()
+    calls = []
+    orig = linalg.rref
+
+    def counted(mat):
+        calls.append(mat.rows * mat.cols)
+        return orig(mat)
+
+    monkeypatch.setattr(linalg, "rref", counted)
+    coh = cohomology(m, 0)
+    assert (coh.dim, len(calls)) == (0, 2)
+    del calls[:]
+    sp = space_cohomology(k, 0, m.diff_map(-1), m.diff_map(0))
+    assert (sp.dim, len(calls)) == (0, 2)
+    assert (sp.class_map, sp.rep_map) == (coh.class_map, coh.rep_map)

@@ -7,6 +7,7 @@ from dgkunneth.checks import all_ok
 from dgkunneth.dgmodule import (
     LEFT,
     RIGHT,
+    DGModule,
     StrictMorphism,
     cohomology,
     direct_sum,
@@ -34,7 +35,7 @@ from dgkunneth.kunneth import (
     check_representative_independence,
     theta,
 )
-from dgkunneth.linalg import Matrix
+from dgkunneth.linalg import Matrix, hstack
 from dgkunneth.suite import plain_checks
 from dgkunneth.tensor import (
     TensorComplex,
@@ -188,6 +189,68 @@ def test_plain_checks_detect_a_non_surjective_minus1_comparison(monkeypatch):
     bad = [r for r in plain_checks(theta(inst.m, inst.n)) if not r.ok]
     assert [r.name for r in bad] == ["degree_minus1_surjective"]
     assert bad[0].counterexample["rank"] == 0 < bad[0].counterexample["dim"]
+
+
+@pytest.mark.parametrize("field, expected", [
+    (F101, {"pair": (0, 0), "sample": 0, "base": ["1"], "perturbed": ["35"]}),
+    (Q, {"pair": (0, 0), "sample": 1, "base": ["1/1"], "perturbed": ["0/1"]}),
+], ids=["F101", "Q"])
+def test_representative_independence_detects_a_moving_class(field, expected):
+    # inst0001 of the published profile: d^{-1} of mT replaced by a map whose
+    # first column is the representative of the first class, so a perturbation
+    # by a coboundary moves that class; the first failing sample is pinned
+    inst = generate_instance(CorpusProfile(field=field), 1)
+    w = theta(inst.m, inst.n)
+    mT, d = w.mT, w.mT.diff_map(-1)
+    diff = dict(mT.diff)
+    diff[-1] = hstack([w.hm.rep_map.columns([0]), Matrix.zeros(field, d.rows, d.cols - 1)])
+    bad = DGModule(mT.side, mT.algebra, mT.window, mT.dims, diff, mT.action)
+    res = check_representative_independence(replace(w, mT=bad))
+    assert (res.name, res.ok, res.counterexample) == (
+        "representative_independence", False, expected)
+
+
+# the calls of `induced_balanced_map` in `check_exact_sequences`, in order
+_SEQUENCE_MAPS = ("map_130_1", "map_130_2", "map_131_2", "map_133_2")
+
+
+@pytest.mark.parametrize("zeroed, failing", [
+    ("map_130_2", {"sequence_replaced_by_piM": None}),
+    ("map_131_2", {"sequence_apply_tensor_N0": None}),
+    ("map_133_2", {"sequence_combined": None,
+                   "comparison_route_matches_theta": {"reason": "pi_mn_not_surjective"}}),
+    ("degree0", {"sequence_phi_pi": None,
+                 "comparison_route_matches_theta": {"kappa": [["0"]], "theta": [["1"]]}}),
+])
+def test_exact_sequences_detect_a_zero_map(monkeypatch, zeroed, failing):
+    # inst0001 of the published F_101 profile with one presentation map
+    # replaced by zero: its sequence loses surjectivity (final rank 0), and
+    # the comparison route fails with it where it reads that map
+    inst = generate_instance(CorpusProfile(field=F101), 1)
+    w = theta(inst.m, inst.n)
+    assert all_ok(check_exact_sequences(w))
+    calls = []
+    orig_map, orig_deg0 = kunneth.induced_balanced_map, kunneth.degree0_iso_check
+
+    def induced(*args, **kwargs):
+        t = orig_map(*args, **kwargs)
+        calls.append(_SEQUENCE_MAPS[len(calls)])
+        return Matrix.zeros(F101, t.rows, t.cols) if calls[-1] == zeroed else t
+
+    def degree0(*args):
+        mat, res = orig_deg0(*args)
+        return (Matrix.zeros(F101, mat.rows, mat.cols) if zeroed == "degree0" else mat), res
+
+    monkeypatch.setattr(kunneth, "induced_balanced_map", induced)
+    monkeypatch.setattr(kunneth, "degree0_iso_check", degree0)
+    bad = [r for r in check_exact_sequences(w) if not r.ok]
+    assert calls == list(_SEQUENCE_MAPS)
+    assert [r.name for r in bad] == list(failing)
+    for r in bad:
+        if r.name.startswith("sequence_"):
+            assert r.counterexample["final_rank"] == 0 < r.counterexample["final_dim"]
+        else:
+            assert r.counterexample == failing[r.name]
 
 
 def _witnesses(f, g):

@@ -20,7 +20,9 @@ from dgkunneth.linalg import (
     Matrix,
     drop_zero_rows,
     from_blocks,
+    hstack,
     kernel_basis,
+    kernel_mod_image,
     left_inverse,
     quotient,
     rank,
@@ -190,6 +192,33 @@ def test_solve_and_left_inverse_match_reference(p, data):
 @pytest.mark.parametrize("p", PRIMES)
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
+def test_kernel_mod_image_matches_four_eliminations(p, data):
+    # the kernel basis, solve, quotient and left inverse give the same maps:
+    # the kernel basis has the identity in its free rows
+    f = Field.prime(p)
+    rows, cols, d = data.draw(int_matrices(p))
+    d_out = Matrix(f, rows, cols, d)
+    incl = kernel_basis(d_out).transpose()
+    k = data.draw(st.integers(0, 3))
+    x = data.draw(st.lists(st.lists(entries(p), min_size=k, max_size=k),
+                           min_size=incl.cols, max_size=incl.cols))
+    d_in = incl @ Matrix(f, incl.cols, k, x)
+    want = quotient(f, incl.cols, solve(incl, d_in).transpose())
+    got_incl, space, class_map, rep_map = kernel_mod_image(f, d_in, d_out)
+    assert (got_incl, space.relations, space.projection) == \
+        (incl, want.relations, want.projection)
+    assert class_map == want.projection @ left_inverse(incl)
+    assert rep_map == incl @ want.section
+    # a column outside the kernel, also when the kernel is zero
+    off = next((j for j in range(cols) if any(r[j] for r in d)), None)
+    if off is not None:
+        e = Matrix(f, cols, 1, [[int(j == off)] for j in range(cols)])
+        assert kernel_mod_image(f, hstack([d_in, e]), d_out) is None
+
+
+@pytest.mark.parametrize("p", PRIMES)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
 def test_products_match_reference(p, data):
     f = Field.prime(p)
     ra, ca, a = data.draw(int_matrices(p))
@@ -200,6 +229,8 @@ def test_products_match_reference(p, data):
     assert as_lists(ma @ mb) == ref_matmul(a, b, ca, cb, p)
     assert as_lists(ma.kron(mb)) == \
         [[x % p for x in row] for row in ref_kron(a, b, (ra, ca), (ca, cb))]
+    assert as_lists(ma.kron_columns(ma)) == \
+        [[a[i][s] * a[j][s] % p for s in range(ca)] for i in range(ra) for j in range(ra)]
     v = data.draw(st.lists(entries(p), min_size=ca, max_size=ca))
     assert ma.apply(v) == [sum(x * y for x, y in zip(row, v)) % p for row in a]
     blocks = data.draw(block_lists(p, ra, ca))
