@@ -40,7 +40,7 @@ class DGAlgebra:
     __slots__ = ("field", "min_degree", "dims", "mult", "diff", "unit", "_h0", "_a0")
 
     def __init__(self, field: Field, min_degree: int, dims: dict, mult: dict,
-                 diff: dict, unit: list):
+                 diff: dict, unit: Matrix):
         if min_degree > 0:
             raise StructureError("min_degree must be <= 0")
         self.field = field
@@ -50,9 +50,9 @@ class DGAlgebra:
             raise StructureError("negative dimension")
         self.mult = dict(mult)
         self.diff = dict(diff)
-        self.unit = list(unit)
-        if len(self.unit) != self.dim(0):
-            raise StructureError("unit vector has wrong length")
+        self.unit = unit              # a column in A^0
+        if (unit.rows, unit.cols) != (self.dim(0), 1):
+            raise StructureError("unit is not a column of length dim A^0")
         self._check_shapes()
         self._h0 = self._a0 = None
 
@@ -83,9 +83,6 @@ class DGAlgebra:
         if m is None:
             return Matrix.zeros(self.field, self.dim(i + j), self.dim(i) * self.dim(j))
         return m
-
-    def unit_column(self) -> Matrix:
-        return Matrix.column(self.field, self.unit)
 
     def __eq__(self, other):
         if other is self:
@@ -127,7 +124,6 @@ def validate_algebra(a: DGAlgebra) -> list:
         lhs = a.diff_map(i + 1) @ a.diff_map(i)
         if not lhs.is_zero():
             out.append(Violation("d_squared", {"degree": i}))
-    one = f.one
     for i in a.degrees():
         di, ii = a.dim(i), Matrix.identity(f, a.dim(i))
         if di == 0:
@@ -158,15 +154,14 @@ def validate_algebra(a: DGAlgebra) -> list:
                     u, v = divmod(uv, dj)
                     out.append(Violation("associativity", {"degrees": (i, j, k),
                                                            "basis": (u, v, w)}))
-    unit = a.unit_column()
     for j in a.degrees():
         dj = a.dim(j)
         if dj == 0:
             continue
         ij = Matrix.identity(f, dj)
-        if a.mult_map(0, j) @ unit.kron(ij) != ij:
+        if a.mult_map(0, j) @ a.unit.kron(ij) != ij:
             out.append(Violation("left_unit", {"degree": j}))
-        if a.mult_map(j, 0) @ ij.kron(unit) != ij:
+        if a.mult_map(j, 0) @ ij.kron(a.unit) != ij:
             out.append(Violation("right_unit", {"degree": j}))
     return out
 
@@ -198,8 +193,7 @@ def h0_ring(a: DGAlgebra) -> H0Ring:
     space = quotient(f, a.dim(0), relations)
     proj, sec = space.projection, space.section
     mult = proj @ a.mult_map(0, 0) @ sec.kron(sec)
-    unit = proj.apply(a.unit)
-    ring = DGAlgebra(f, 0, {0: space.quotient_dim}, {(0, 0): mult}, {}, unit)
+    ring = DGAlgebra(f, 0, {0: space.quotient_dim}, {(0, 0): mult}, {}, proj @ a.unit)
     # the projection must be multiplicative, else the input was not a DG algebra
     if proj @ a.mult_map(0, 0) != mult @ proj.kron(proj):
         raise StructureError("projection to H^0 is not multiplicative; input algebra invalid")

@@ -99,15 +99,6 @@ class DGModule:
             return Matrix.zeros(self.field, self.dim(i + j), self.dim(i) * self.algebra.dim(j))
         return m
 
-    def act(self, mvec, i, avec, j):
-        """m.a (right) in M^{i+j}."""
-        f = self.field
-        if self.side == RIGHT:
-            kron = [f.mul(x, y) for x in mvec for y in avec]
-        else:
-            kron = [f.mul(y, x) for y in avec for x in mvec]
-        return self.action_map(i, j).apply(kron)
-
     def __eq__(self, other):
         if not isinstance(other, DGModule):
             return NotImplemented
@@ -180,16 +171,15 @@ def validate_module(m: DGModule) -> list:
                     r2 = m.action_map(i + j, k) @ ik.kron(act)
                 if l2 != r2:
                     out.append(Violation("action_associativity", {"degrees": (i, j, k)}))
-    unit = a.unit_column()
     for i in m.degrees():
         di = m.dim(i)
         if di == 0:
             continue
         im = Matrix.identity(f, di)
         if m.side == RIGHT:
-            got = m.action_map(i, 0) @ im.kron(unit)
+            got = m.action_map(i, 0) @ im.kron(a.unit)
         else:
-            got = m.action_map(i, 0) @ unit.kron(im)
+            got = m.action_map(i, 0) @ a.unit.kron(im)
         if got != im:
             out.append(Violation("unit_action", {"degree": i}))
     return out
@@ -279,10 +269,8 @@ def shift(m: DGModule, k: int) -> DGModule:
     if k == 0:
         return m
     lo, hi = m.window
-    f = m.field
-    sign = f.one if k % 2 == 0 else f.neg(f.one)
     dims = {i - k: m.dim(i) for i in m.degrees()}
-    diff = {i - k: m.diff_map(i).scale(sign) for i in m.degrees() if m.diff.get(i) is not None}
+    diff = {i - k: -d if k % 2 else d for i, d in m.diff.items()}
     action = {}
     for (i, j), mat in m.action.items():
         if m.side == LEFT and (k * j) % 2 == 1:
@@ -457,9 +445,10 @@ class FreeLayout:
 def free_module(algebra: DGAlgebra, side: str, gen_degrees, gen_diffs=None):
     """Free DG module on generators of the given degrees.
 
-    `gen_diffs[g]` is the coordinate vector of d(g) in degree e_g + 1 of the
-    layout (zero when omitted).  d^2 = 0 requires each d(g) to be a cocycle
-    for the differential generated so far; callers guarantee that.
+    `gen_diffs[g]` is the column of d(g) in degree e_g + 1 of the layout;
+    d(g) is zero when the entry is omitted or an empty (0 x 1) column.
+    d^2 = 0 requires each d(g) to be a cocycle for the differential
+    generated so far; callers guarantee that.
     Returns (module, layout).
     """
     lay = FreeLayout(algebra, tuple(gen_degrees))
@@ -523,17 +512,17 @@ def _free_diff(lay: FreeLayout, side: str, gen_diffs: dict, src, tgt, action: di
             neg = side == RIGHT and e % 2 == 1
             blocks.append((tgt[g], src[g], -dalg if neg else dalg))
         dg = gen_diffs.get(g)
-        if tgt[-1] and dg is not None and any(x != f.zero for x in dg):
+        if tgt[-1] and dg is not None and not dg.is_zero():
             # the action on d(g) (x) e_b (right) or e_b (x) d(g) (left)
-            gcol, eye = Matrix.column(f, dg), Matrix.identity(f, da)
+            eye = Matrix.identity(f, da)
             act = action.get((e + 1, i - e))
             if act is None:
                 act = action[(e + 1, i - e)] = _free_action(
                     lay, side, lay.offsets(e + 1), tgt, e + 1, i - e)
             if side == RIGHT:
-                term = act @ gcol.kron(eye)
+                term = act @ dg.kron(eye)
             else:
-                term = act @ eye.kron(gcol)
+                term = act @ eye.kron(dg)
                 if (i - e) % 2:
                     term = -term
             blocks.append((0, src[g], term.arr))

@@ -1,8 +1,9 @@
 """Exact scalar arithmetic: the rationals and prime fields F_p.
 
 Elements of F_p are plain Python ints canonicalized to [0, p); rational
-elements are `fractions.Fraction`.  A `Field` instance carries the
-arithmetic and the string form used in all JSON interchange.
+elements are `fractions.Fraction`.  A `Field` instance carries zero and
+one, seeded draws and the string form used in all JSON interchange; the
+arithmetic runs on matrices (`linalg`).
 """
 from __future__ import annotations
 
@@ -72,18 +73,6 @@ class Field:
     @property
     def is_prime_field(self) -> bool:
         return self.kind == PRIME
-
-    def add(self, a, b):
-        return (a + b) % self.p if self.p else a + b
-
-    def sub(self, a, b):
-        return (a - b) % self.p if self.p else a - b
-
-    def mul(self, a, b):
-        return (a * b) % self.p if self.p else a * b
-
-    def neg(self, a):
-        return (-a) % self.p if self.p else -a
 
     def of_int(self, n: int):
         return n % self.p if self.p else Fraction(n)

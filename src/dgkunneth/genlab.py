@@ -41,7 +41,8 @@ class GenerationError(Exception):
 
 
 def make_ordinary(field: Field, structure_constants, unit=None) -> DGAlgebra:
-    """Degree-0 algebra from a table: structure_constants[u][v] = coords of e_u e_v."""
+    """Degree-0 algebra from a table: structure_constants[u][v] = coords of e_u e_v.
+    The unit is a column, e_0 by default."""
     n = len(structure_constants)
     if any(len(row) != n for row in structure_constants):
         raise StructureError("structure constant table is not square")
@@ -49,7 +50,7 @@ def make_ordinary(field: Field, structure_constants, unit=None) -> DGAlgebra:
     mult = Matrix(field, n, n * n, [[_scalar(field, structure_constants[u][v][r])
                                      for u in range(n) for v in range(n)] for r in range(n)])
     if unit is None:
-        unit = [field.one] + [field.zero] * (n - 1)
+        unit = Matrix.identity(field, n).columns([0])
     a = DGAlgebra(field, 0, {0: n}, {(0, 0): mult}, {}, unit)
     bad = validate_algebra(a)
     if bad:
@@ -86,7 +87,7 @@ def make_upper_triangular2(field: Field) -> DGAlgebra:
         [[1, 0, 0], [0, 1, 0], z],
         [z, z, [0, 1, 0]],
         [z, [0, 0, 0], [0, 0, 1]],
-    ], unit=[field.one, field.zero, field.one])
+    ], unit=Matrix.from_int_rows(field, [[1], [0], [1]]))
 
 
 def make_exterior(field: Field, contractible: bool = False) -> DGAlgebra:
@@ -100,7 +101,7 @@ def make_exterior(field: Field, contractible: bool = False) -> DGAlgebra:
         (-1, -1): Matrix.zeros(f, 0, 1),
     }
     d = Matrix.from_int_rows(f, [[1 if contractible else 0]])
-    a = DGAlgebra(f, -1, dims, mult, {-1: d}, [f.one])
+    a = DGAlgebra(f, -1, dims, mult, {-1: d}, Matrix.from_int_rows(f, [[1]]))
     assert not validate_algebra(a)
     return a
 
@@ -122,7 +123,7 @@ def make_koszul_dg(field: Field) -> DGAlgebra:
     diff = {-1: Matrix.from_int_rows(f, [[0, 0], [1, 0]])}  # d(eps)=t, d(eps t)=0
     a = DGAlgebra(f, -1, dims,
                   {(0, 0): m00, (0, -1): m0m, (-1, 0): mm0, (-1, -1): mmm},
-                  diff, [f.one, f.zero])
+                  diff, Matrix.from_int_rows(f, [[1], [0]]))
     bad = validate_algebra(a)
     if bad:
         raise StructureError(f"koszul family broken: {bad[0]}")
@@ -194,14 +195,12 @@ def random_free_module(a: DGAlgebra, side: str, rng: random.Random,
     for e in degrees:
         if e != k_degree:
             dk = free_differential(a, side, gen_degrees, gen_diffs, e + 1)
-            k, k_degree = (kernel_basis(dk) if dk.cols else None), e
-        vec = []
-        if k is not None:
-            # a random combination of the cocycles, one draw per basis row
-            coeffs = Matrix(a.field, 1, k.rows, [a.field.random_vector(rng, k.rows)])
-            vec = (coeffs @ k).row(0)
+            # the cocycles as columns, with none to find when degree e + 1 is zero
+            k = kernel_basis(dk).transpose() if dk.cols else Matrix.zeros(a.field, 0, 0)
+            k_degree = e
+        # a random combination of the cocycles, one draw per basis vector
         gen_degrees.append(e)
-        gen_diffs.append(vec)
+        gen_diffs.append(k @ Matrix.column(a.field, a.field.random_vector(rng, k.cols)))
     mod, _ = free_module(a, side, gen_degrees, gen_diffs)
     if max(mod.dims.values(), default=0) > max_dim:
         return None
@@ -478,10 +477,10 @@ class NoninjectivityWitness:
     algebra: object
     m: object
     n: object
-    element: list          # coordinates in the direct-sum source
+    element: Matrix        # column in the direct-sum source
     source_dim: int
     target_dim: int
-    image: list            # coordinates in the tensor quotient
+    image: Matrix          # column in the tensor quotient
     surjective: bool
 
     @property
@@ -495,40 +494,35 @@ class NoninjectivityWitness:
         out.append(passed("witness_target_dim", dim=self.target_dim)
                    if self.target_dim == 1 else
                    failed("witness_target_dim", counterexample={"dim": self.target_dim}))
-        nonzero = any(x != f.zero for x in self.element)
-        out.append(passed("witness_nonzero_in_source") if nonzero else
-                   failed("witness_nonzero_in_source"))
-        zero_img = all(x == f.zero for x in self.image)
-        out.append(passed("witness_zero_in_target") if zero_img else
+        out.append(failed("witness_nonzero_in_source") if self.element.is_zero() else
+                   passed("witness_nonzero_in_source"))
+        out.append(passed("witness_zero_in_target") if self.image.is_zero() else
                    failed("witness_zero_in_target",
-                          counterexample={"image": [f.to_str(x) for x in self.image]}))
+                          counterexample={"image": [f.to_str(x) for x in self.image.col(0)]}))
         out.append(passed("witness_map_surjective") if self.surjective else
                    failed("witness_map_surjective"))
         return out
 
 
 def noninjectivity_witness(field: Field) -> NoninjectivityWitness:
-    from .linalg import rank
+    from .linalg import rank, vstack
     from .tensor import TensorComplex, minus1_comparison, phi_summands
 
     a = make_exterior(field)
     m = regular_module(a, RIGHT)
     n = regular_module(a, LEFT)
-    f = field
     b1, b2, *_ = phi_summands(m, n)
+    # the basis vectors 1 of A^0 = M^0 = N^0 and eps of A^{-1}, as columns
+    one = eps = Matrix.identity(field, 1)
+    m_eps = m.action_map(0, -1) @ one.kron(eps)       # 1.eps in M^{-1}
+    eps_n = n.action_map(0, -1) @ eps.kron(one)       # eps.1 in N^{-1}
     # (1.eps) (x) 1 in the first summand, -(1 (x) (eps.1)) in the second
-    eps = [f.one]
-    one = [f.one]
-    m_eps = m.act(one, 0, eps, -1)        # 1.eps in M^{-1}
-    eps_n = n.act(one, 0, eps, -1)        # eps.1 in N^{-1}
-    comp1 = b1.project_pair(m_eps, one)
-    comp2 = b2.project_pair(one, [f.neg(x) for x in eps_n])
-    element = comp1 + comp2
+    element = vstack([b1.space.projection @ m_eps.kron(one),
+                      b2.space.projection @ one.kron(-eps_n)])
     tc = TensorComplex(m, n)
     sp = tc.space(-1)
-    img1 = tc.project_pair(m_eps, -1, one, 0)
-    img2 = tc.project_pair(one, 0, eps_n, -1)
-    image = [f.sub(x, y) for x, y in zip(img1, img2)]
+    image = sp.projection @ (tc.embed_block(-1, -1, b1.ambient_dim) @ m_eps.kron(one)
+                             - tc.embed_block(-1, 0, b2.ambient_dim) @ one.kron(eps_n))
     onto = minus1_comparison(tc, b1, b2)
     return NoninjectivityWitness(
         a, m, n, element, b1.dim + b2.dim, sp.quotient_dim, image,

@@ -11,7 +11,8 @@ in an object array otherwise.  Over Q the array has object dtype and holds
 Linear maps use the column convention throughout: a map V -> W is a
 (dim W) x (dim V) matrix acting on column vectors, and bilinear maps are
 matrices on Kronecker-ordered tensor bases (index of e_u (x) e_v is
-u*dimV2 + v).
+u*dimV2 + v).  A vector is an n x 1 `Matrix`, and a batch of vectors is
+the columns of one; coordinate lists appear only in JSON.
 
 One Gauss-Jordan loop serves every field and dtype; it only touches the
 rows that are nonzero in the pivot column.  Every int64 product is guarded
@@ -126,6 +127,10 @@ class Matrix:
         """The columns picked by a slice or an index list, in that order."""
         return Matrix._of(self.field, self.arr[:, index])
 
+    def rows_at(self, index) -> "Matrix":
+        """The rows picked by a slice or an index list, in that order."""
+        return Matrix._of(self.field, self.arr[index])
+
     def is_zero(self) -> bool:
         return not self.arr.any()
 
@@ -155,6 +160,8 @@ class Matrix:
         return Matrix._of(self.field, _reduce(self.field, -self.arr))
 
     def scale(self, c) -> "Matrix":
+        """c times self, for one scalar c or a list of one scalar per column."""
+        c = np.asarray(c, dtype=self.arr.dtype)
         return Matrix._of(self.field, _reduce(self.field, self.arr * c))
 
     def _check_same_shape(self, other):
@@ -170,24 +177,6 @@ class Matrix:
         if self.cols != other.rows:
             raise ValueError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
         return Matrix._of(f, _matmul(f, self.arr, other.arr))
-
-    def apply(self, vec):
-        """Apply to a column vector given as a list; returns a list.
-
-        Only the columns where `vec` is nonzero are read.  Over Q the
-        product runs on the Fractions directly: rescaling to integers
-        costs more than it saves on a single vector.
-        """
-        if len(vec) != self.cols:
-            raise ValueError("vector length mismatch")
-        nz = [j for j, x in enumerate(vec) if x]
-        if not nz:
-            return [self.field.zero] * self.rows
-        col = np.array([vec[j] for j in nz], dtype=self.arr.dtype)
-        sub = self.arr[:, nz]
-        if self.field.p:
-            return _matmul(self.field, sub, col.reshape(-1, 1))[:, 0].tolist()
-        return (sub @ col).tolist()
 
     def kron_columns(self, other: "Matrix") -> "Matrix":
         """Column-wise Kronecker product: column s is self[:, s] (x) other[:, s]."""
@@ -478,9 +467,6 @@ class QuotientSpace:
     projection: Matrix
     section: Matrix
     pivots: tuple
-
-    def project(self, vec):
-        return self.projection.apply(vec)
 
 
 def quotient(field: Field, ambient_dim: int, relations: Matrix) -> QuotientSpace:

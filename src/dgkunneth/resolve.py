@@ -6,7 +6,10 @@ H^0(A)-module; each later stage kills the kernel of H(rho) at the current
 boundary degree with generators one degree lower (module generators again:
 killing a class kills its whole H^0(A)-orbit).  The result is certified:
 H^i(rho) is an isomorphism for i >= -depth + 1 and surjective at -depth,
-and sup(P) equals the top nonzero cohomology degree of M.
+and sup(P) equals the top nonzero cohomology degree of M.  A stage holds
+its classes as the columns of one matrix, so it makes one product with
+rho, one with d^{t-1} and one `solve` for all of them; a seeded variant
+takes its draws class by class before those products.
 
 The derived tensor of (M, N) at top degree is realized as H^0(P (x)_A nG),
 where mG and nG are M and N translated so their tops sit at 0 and
@@ -85,8 +88,8 @@ class SemiFreeResolution:
     depth: int
     gen_degrees: list
     gen_stages: list
-    gen_diffs: list           # d(g) as coordinates in P^{deg+1}
-    gen_images: list          # rho(g) as coordinates in M^{deg}
+    gen_diffs: list           # d(g), a column in P^{deg+1}; empty (0 x 1) at stage 0
+    gen_images: list          # rho(g), a column in M^{deg}
 
     def generator_count(self) -> int:
         return len(self.gen_degrees)
@@ -100,27 +103,29 @@ def _rand_unit(f: Field, rng):
     return f.of_int(rng.choice((1, -1)) * rng.randint(2, 2 ** 16))
 
 
-def _module_generators(candidates, action: Matrix, ring_dim: int, f: Field):
-    """Greedy H0(A)-module generating subset of a spanning set of class vectors.
+def _module_generators(cands: Matrix, action: Matrix, ring_dim: int) -> Matrix:
+    """Greedy H0(A)-module generating subset of the columns of `cands`,
+    which span the space.
 
-    Scanning candidates in order and keeping those outside the module span of
-    the kept ones yields a set whose module span is the whole space.  The
+    Scanning the columns in order and keeping those outside the module span
+    of the kept ones yields a set whose module span is the whole space.  The
     action is unital and associative, so a kept vector adds the span of its
     orbit (the vec . e_u); the span is kept row-reduced, and a vector lies in
-    it when it equals its pivot entries times the rows.
+    it when it equals the rows times its pivot entries.
     """
+    f = cands.field
     eye = Matrix.identity(f, ring_dim)
     span, pivots = Matrix.zeros(f, 0, action.rows), []
     chosen = []
-    for cand in candidates:
-        col = Matrix.column(f, cand)
-        if col.transpose().columns(pivots) @ span == col.transpose():
+    for j in range(cands.cols):
+        col = cands.columns([j])
+        if span.transpose() @ col.rows_at(pivots) == col:
             continue
-        chosen.append(cand)
-        # column u of the product is cand . e_u
+        chosen.append(j)
+        # column u of the product is col . e_u
         red, pivots, _ = rref(vstack([span, (action @ col.kron(eye)).transpose()]))
         span = drop_zero_rows(red)
-    return chosen
+    return cands.columns(chosen)
 
 
 def _free_map(lay: FreeLayout, target: DGModule, images, i: int,
@@ -137,31 +142,12 @@ def _free_map(lay: FreeLayout, target: DGModule, images, i: int,
     for g, img in enumerate(images):
         e = lay.gen_degrees[g]
         da = lay.algebra.dim(i - e)
-        if da == 0 or not any(x != f.zero for x in img):
+        if da == 0 or img.is_zero():
             continue
         act = target.action_map(e + degree_shift, i - e)
-        blk = act @ Matrix.column(f, img).kron(Matrix.identity(f, da))
+        blk = act @ img.kron(Matrix.identity(f, da))
         blocks.append((0, offs[g], blk.arr))
     return from_blocks(f, target.dim(i + degree_shift), offs[-1], blocks)
-
-
-def _free_apply(lay: FreeLayout, target: DGModule, images, i: int,
-                degree_shift: int, vec) -> list:
-    """`_free_map(lay, target, images, i, degree_shift).apply(vec)`, built
-    only from the generators whose block of `vec` is nonzero: that block x
-    of generator g goes to images[g].x, the action on images[g] (x) x."""
-    f = target.field
-    out = Matrix.zeros(f, target.dim(i + degree_shift), 1)
-    off = 0
-    for g, img in enumerate(images):
-        e = lay.gen_degrees[g]
-        da = lay.algebra.dim(i - e)
-        x = vec[off:off + da]
-        off += da
-        if any(v != f.zero for v in x) and any(v != f.zero for v in img):
-            act = target.action_map(e + degree_shift, i - e)
-            out = out + act @ Matrix.column(f, img).kron(Matrix.column(f, x))
-    return out.col(0)
 
 
 def morphism_from_generator_images(p: DGModule, lay: FreeLayout, target: DGModule,
@@ -204,64 +190,60 @@ def semifree_resolve(m: DGModule, depth: int, variant: int = 0,
         coh = cohomology(m, i)
         if coh.dim == 0:
             continue
-        cands = [[f.one if t == v else f.zero for t in range(coh.dim)]
-                 for v in range(coh.dim)]
+        order = list(range(coh.dim))
         if rng is not None:
-            rng.shuffle(cands)
-        classes = _module_generators(cands, coh.h0_action, h0dim, f)
-        for cls in classes:
-            repv = coh.rep_map.apply(cls)
-            if rng is not None:
-                c = _rand_unit(f, rng)
-                w = f.random_vector(rng, m.dim(i - 1))
-                dw = m.diff_map(i - 1).apply(w)
-                repv = [f.add(f.mul(c, x), y) for x, y in zip(repv, dw)]
+            rng.shuffle(order)
+        cands = Matrix.identity(f, coh.dim).columns(order)
+        reps = coh.rep_map @ _module_generators(cands, coh.h0_action, h0dim)
+        if rng is not None:
+            # each class draws its unit c, then w: rep -> c rep + d(w)
+            units, ws = [], []
+            for _ in range(reps.cols):
+                units.append(_rand_unit(f, rng))
+                ws.append(f.random_vector(rng, m.dim(i - 1)))
+            dw = m.diff_map(i - 1) @ Matrix(f, len(ws), m.dim(i - 1), ws).transpose()
+            reps = reps.scale(units) + dw
+        for j in range(reps.cols):
             gen_degrees.append(i)
             gen_stages.append(0)
-            gen_images.append(repv)
-            gen_diffs.append([])
+            gen_images.append(reps.columns([j]))
+            gen_diffs.append(Matrix.zeros(f, 0, 1))
 
     p, lay, rho = _build_p_and_rho(a, m, gen_degrees, gen_diffs, gen_images)
     # stage sup_h + 1 - t kills ker H^t(rho), going down from the top
     for t in range(sup_h, -depth, -1):
         hp = cohomology(p, t)
         hm = cohomology(m, t)
-        hrho = cohomology_map(rho, hp, hm)
-        ker = kernel_basis(hrho)
-        if ker.rows == 0:
+        ker = kernel_basis(cohomology_map(rho, hp, hm)).transpose()
+        if ker.cols == 0:
             continue
-        rows = [ker.row(r) for r in range(ker.rows)]
         if rng is not None:
-            rng.shuffle(rows)
-            scaled = []
-            for row in rows:
-                c = _rand_unit(f, rng)
-                scaled.append([f.mul(c, x) for x in row])
-            rows = scaled
+            order = list(range(ker.cols))
+            rng.shuffle(order)
+            ker = ker.columns(order).scale([_rand_unit(f, rng) for _ in order])
         # killing a class also kills its whole H0(A)-orbit, so module
         # generators of the kernel suffice
-        rows = _module_generators(rows, hp.h0_action, h0dim, f)
-        kw = kernel_basis(m.diff_map(t - 1)) if rng is not None else None
-        for row in rows:
-            z = hp.rep_map.apply(row)                  # cocycle in P^t
-            if rng is not None:
-                w = f.random_vector(rng, p.dim(t - 1))
-                dw = p.diff_map(t - 1).apply(w)
-                z = [f.add(x, y) for x, y in zip(z, dw)]
-            rz = rho.map_at(t).apply(z)
-            sol = solve(m.diff_map(t - 1), Matrix.column(f, rz))
-            if sol is None:
-                raise StructureError(f"kernel class not killable at degree {t}")
-            w = sol.col(0)
-            if rng is not None:
-                for krow in kw.arr.tolist():
-                    c = f.random_vector(rng, 1)[0]
-                    if c != f.zero:
-                        w = [f.add(x, f.mul(c, y)) for x, y in zip(w, krow)]
+        z = hp.rep_map @ _module_generators(ker, hp.h0_action, h0dim)   # cocycles in P^t
+        dm = m.diff_map(t - 1)
+        if rng is not None:
+            # each class draws its w, then one coefficient per kernel vector
+            # of d^{t-1}: z -> z + d(w) and its preimage -> preimage + kernel
+            kw = kernel_basis(dm).transpose()
+            ws, coeffs = [], []
+            for _ in range(z.cols):
+                ws.append(f.random_vector(rng, p.dim(t - 1)))
+                coeffs.append(f.random_vector(rng, kw.cols))
+            z = z + p.diff_map(t - 1) @ Matrix(f, len(ws), p.dim(t - 1), ws).transpose()
+        w = solve(dm, rho.map_at(t) @ z)
+        if w is None:
+            raise StructureError(f"kernel class not killable at degree {t}")
+        if rng is not None:
+            w = w + kw @ Matrix(f, len(coeffs), kw.cols, coeffs).transpose()
+        for j in range(z.cols):
             gen_degrees.append(t - 1)
             gen_stages.append(sup_h + 1 - t)
-            gen_diffs.append(z)
-            gen_images.append(w)
+            gen_diffs.append(z.columns([j]))
+            gen_images.append(w.columns([j]))
         lay_next = FreeLayout(a, tuple(gen_degrees))
         lo, hi = lay_next.window()
         worst = max(lay_next.dim(i) for i in range(lo, hi + 1))
@@ -494,12 +476,14 @@ def lift_through_resolutions(res: SemiFreeResolution, resp: SemiFreeResolution,
     h_imgs = []
 
     for g, e in enumerate(res.gen_degrees):
-        z = res.gen_diffs[g] or [f.zero] * p.dim(e + 1)
-        # phi and h on d(g), from the generators already lifted
-        y = _free_apply(res.layout, pp, phi_imgs, e + 1, 0, z)
-        u = fmor.map_at(e).apply(res.gen_images[g])
-        hz = _free_apply(res.layout, mprime, h_imgs, e + 1, -1, z)
-        rhs = y + [f.add(a, b) for a, b in zip(u, hz)]
+        # phi and h on d(g), from the generators already lifted; d(g) of a
+        # stage-0 generator is zero, stored as the empty column
+        z = res.gen_diffs[g]
+        y = Matrix.zeros(f, pp.dim(e + 1), 1)
+        u = fmor.map_at(e) @ res.gen_images[g]
+        if z.rows:
+            y = _free_map(res.layout, pp, phi_imgs, e + 1, 0) @ z
+            u = u + _free_map(res.layout, mprime, h_imgs, e + 1, -1) @ z
         top = pp.diff_map(e)
         bot_l = resp.rho.map_at(e)
         bot_r = -mprime.diff_map(e - 1)
@@ -507,15 +491,14 @@ def lift_through_resolutions(res: SemiFreeResolution, resp: SemiFreeResolution,
         big = from_blocks(f, top.rows + bot_l.rows, n_x + n_h,
                           [(0, 0, top.arr), (top.rows, 0, bot_l.arr),
                            (top.rows, n_x, bot_r.arr)])
-        sol = solve(big, Matrix.column(f, rhs))
+        sol = solve(big, vstack([y, u]))
         if sol is None:
             evidence.append(failed("lift_solvable",
                                    counterexample={"generator": g, "degree": e,
                                                    "stage": res.gen_stages[g]}))
             return ResolutionLift(StrictMorphism.zero(p, pp), {}, evidence)
-        col = sol.col(0)
-        phi_imgs.append(col[:n_x])
-        h_imgs.append(col[n_x:])
+        phi_imgs.append(sol.rows_at(slice(n_x)))
+        h_imgs.append(sol.rows_at(slice(n_x, None)))
     evidence.append(passed("lift_solvable", generators=len(res.gen_degrees)))
 
     phi_maps = morphism_from_generator_images(p, res.layout, pp, phi_imgs)

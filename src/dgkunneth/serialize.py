@@ -5,7 +5,9 @@ positive denominator over the rationals, the canonical representative in
 [0, p) over a prime field.  Matrices are nested row-major arrays of element
 strings; shapes are implied by the surrounding dimension data, and all-zero
 matrices are omitted.  `dumps_canonical` fixes key order and whitespace so
-equal objects serialize to identical bytes.
+equal objects serialize to identical bytes.  The readers check every JSON
+type they rely on, so a malformed file raises `StructureError` (CLI exit
+code 2) rather than a crash in the code that reads it.
 """
 from __future__ import annotations
 
@@ -31,12 +33,37 @@ def field_to_json(f: Field) -> dict:
     return {"kind": "prime", "p": f.p}
 
 
+_JSON_TYPES = {dict: "an object", list: "an array", int: "an integer", float: "a number",
+               str: "a string"}
+
+
+def _typed(x, kind, what: str):
+    """`x` if it has the JSON type `kind`, else StructureError.  A boolean
+    is no number, and an integer is a float too."""
+    kinds = (int, float) if kind is float else kind
+    if isinstance(x, kinds) and not (isinstance(x, bool) and kind in (int, float)):
+        return x
+    raise StructureError(f"{what} must be {_JSON_TYPES[kind]}, got {x!r:.40}")
+
+
+def _ints(d: dict, what: str) -> dict:
+    """An object of integers keyed by stringified integers, as a dict of ints."""
+    return {int(k): _typed(v, int, f"{what}[{k!r}]") for k, v in _typed(d, dict, what).items()}
+
+
+def _element(field: Field, x):
+    try:
+        return field.parse(_typed(x, str, "a field element"))
+    except (ValueError, ZeroDivisionError) as exc:
+        raise StructureError(f"bad field element {x!r}: {exc}") from exc
+
+
 def field_from_json(d: dict) -> Field:
-    kind = d.get("kind")
+    kind = _typed(d, dict, "field").get("kind")
     if kind == "rationals":
         return Field.rationals()
     if kind == "prime":
-        return Field.prime(int(d["p"]))
+        return Field.prime(_typed(d.get("p"), int, "the modulus p"))
     raise StructureError(f"unknown field kind {kind!r}")
 
 
@@ -46,20 +73,22 @@ def matrix_to_json(m: Matrix):
 
 
 def matrix_from_json(field: Field, rows: int, cols: int, data) -> Matrix:
+    data = [_typed(r, list, "a matrix row") for r in _typed(data, list, "a matrix")]
     if len(data) != rows or any(len(r) != cols for r in data):
         raise StructureError(f"matrix shape mismatch: want {rows}x{cols}")
-    return Matrix(field, rows, cols, [[field.parse(x) for x in row] for row in data])
+    return Matrix(field, rows, cols, [[_element(field, x) for x in row] for row in data])
 
 
-def vector_to_json(field: Field, vec):
-    return [field.to_str(x) for x in vec]
+def vector_to_json(v: Matrix):
+    """A column as its list of entries."""
+    return [v.field.to_str(x) for x in v.col(0)]
 
 
 def algebra_to_json(a: DGAlgebra) -> dict:
     out = {
         "min_degree": a.min_degree,
         "dims": {str(i): a.dim(i) for i in a.degrees()},
-        "unit": vector_to_json(a.field, a.unit),
+        "unit": vector_to_json(a.unit),
         "diff": {},
         "mult": {},
     }
@@ -75,18 +104,18 @@ def algebra_to_json(a: DGAlgebra) -> dict:
 
 
 def algebra_from_json(field: Field, d: dict) -> DGAlgebra:
-    min_degree = int(d["min_degree"])
-    dims = {int(k): int(v) for k, v in d["dims"].items()}
+    min_degree = _typed(_typed(d, dict, "algebra")["min_degree"], int, "min_degree")
+    dims = _ints(d["dims"], "dims")
     diff = {}
-    for k, rows in d.get("diff", {}).items():
+    for k, rows in _typed(d.get("diff", {}), dict, "diff").items():
         i = int(k)
         diff[i] = matrix_from_json(field, dims.get(i + 1, 0), dims.get(i, 0), rows)
     mult = {}
-    for k, rows in d.get("mult", {}).items():
+    for k, rows in _typed(d.get("mult", {}), dict, "mult").items():
         i, j = (int(x) for x in k.split(","))
         mult[(i, j)] = matrix_from_json(field, dims.get(i + j, 0),
                                         dims.get(i, 0) * dims.get(j, 0), rows)
-    unit = [field.parse(x) for x in d["unit"]]
+    unit = Matrix.column(field, [_element(field, x) for x in _typed(d["unit"], list, "unit")])
     return DGAlgebra(field, min_degree, dims, mult, diff, unit)
 
 
@@ -111,14 +140,15 @@ def module_to_json(m: DGModule) -> dict:
 
 def module_from_json(algebra: DGAlgebra, d: dict) -> DGModule:
     field = algebra.field
-    lo, hi = (int(x) for x in d["window"])
-    dims = {int(k): int(v) for k, v in d["dims"].items()}
+    lo, hi = (_typed(x, int, "a window end")
+              for x in _typed(_typed(d, dict, "module")["window"], list, "window"))
+    dims = _ints(d["dims"], "dims")
     diff = {}
-    for k, rows in d.get("diff", {}).items():
+    for k, rows in _typed(d.get("diff", {}), dict, "diff").items():
         i = int(k)
         diff[i] = matrix_from_json(field, dims.get(i + 1, 0), dims.get(i, 0), rows)
     action = {}
-    for k, rows in d.get("action", {}).items():
+    for k, rows in _typed(d.get("action", {}), dict, "action").items():
         i, j = (int(x) for x in k.split(","))
         action[(i, j)] = matrix_from_json(
             field, dims.get(i + j, 0), dims.get(i, 0) * algebra.dim(j), rows)
@@ -137,7 +167,7 @@ def instance_to_json(inst: Instance) -> dict:
 
 
 def instance_from_json(d: dict) -> Instance:
-    field = field_from_json(d["field"])
+    field = field_from_json(_typed(d, dict, "instance")["field"])
     algebra = algebra_from_json(field, d["algebra"])
     m = module_from_json(algebra, d["m"])
     n = module_from_json(algebra, d["n"])
@@ -156,15 +186,13 @@ def profile_to_json(p: CorpusProfile) -> dict:
 
 
 def profile_from_json(d: dict) -> CorpusProfile:
-    kwargs = dict(
-        field=field_from_json(d["field"]),
-        max_per_degree_dim=int(d.get("max_per_degree_dim", 4)),
-        degree_span=int(d.get("degree_span", 4)),
-        instance_count=int(d.get("instance_count", 200)),
-        seed=int(d.get("seed", 20240601)),
-    )
+    kwargs = {"field": field_from_json(_typed(d, dict, "profile")["field"])}
+    for key, default in (("max_per_degree_dim", 4), ("degree_span", 4),
+                         ("instance_count", 200), ("seed", 20240601)):
+        kwargs[key] = _typed(d.get(key, default), int, key)
     if d.get("family_mix"):
-        kwargs["family_mix"] = {k: float(v) for k, v in d["family_mix"].items()}
+        kwargs["family_mix"] = {k: float(_typed(v, float, f"the weight of {k!r}"))
+                                for k, v in _typed(d["family_mix"], dict, "family_mix").items()}
     return CorpusProfile(**kwargs)
 
 
@@ -183,7 +211,7 @@ def module_file_to_json(algebra: DGAlgebra, module: DGModule, name: str = "modul
 
 
 def module_file_from_json(d: dict):
-    if d.get("format") != INSTANCE_FORMAT:
+    if _typed(d, dict, "an instance file").get("format") != INSTANCE_FORMAT:
         raise StructureError("not an instance file")
     field = field_from_json(d["field"])
     algebra = algebra_from_json(field, d["algebra"])
@@ -223,14 +251,13 @@ def resolution_to_json(res) -> dict:
     """A semi-free resolution with stage tags, for re-verifying semi-freeness:
     each generator's differential may only involve generators of earlier
     stages (their degrees are strictly higher)."""
-    f = res.p.field
     gens = []
     for g, e in enumerate(res.gen_degrees):
         gens.append({
             "degree": e,
             "stage": res.gen_stages[g],
-            "diff": vector_to_json(f, res.gen_diffs[g]),
-            "image": vector_to_json(f, res.gen_images[g]),
+            "diff": vector_to_json(res.gen_diffs[g]),
+            "image": vector_to_json(res.gen_images[g]),
         })
     return {
         "depth": res.depth,

@@ -100,11 +100,6 @@ class BalancedTensorSpace:
     def ambient_dim(self) -> int:
         return self.space.ambient_dim
 
-    def project_pair(self, xvec, yvec):
-        f = self.ring.field
-        amb = [f.mul(a, b) for a in xvec for b in yvec]
-        return self.space.project(amb)
-
 
 def balanced_tensor(x: RingModule, y: RingModule) -> BalancedTensorSpace:
     if x.ring != y.ring:
@@ -266,22 +261,6 @@ class TensorComplex:
         d = sp1.projection @ amb @ sp.section
         self._diffs[t] = d
         return d
-
-    def project_pair(self, xvec, p, yvec, q):
-        """Quotient coordinates of x (x) y for x in M^p, y in N^q."""
-        t = p + q
-        f = self.field
-        amb = [f.zero] * self.ambient_dim(t)
-        blk = self._block_offset(t, p)
-        if blk is not None:
-            off, dmp, dnq = blk
-            for u, a in enumerate(xvec):
-                if a == f.zero:
-                    continue
-                for v, b in enumerate(yvec):
-                    if b != f.zero:
-                        amb[off + u * dnq + v] = f.mul(a, b)
-        return self.space(t).project(amb)
 
     def embed_block(self, t: int, p: int, cols: int) -> Matrix:
         """Ambient embedding of the (p, t-p) block as a matrix."""

@@ -2,6 +2,7 @@
 from dgkunneth.dgmodule import RIGHT, DGModule, free_module
 from dgkunneth.field import Field
 from dgkunneth.genlab import make_dual_numbers
+from dgkunneth.linalg import Matrix
 
 
 def make_koszul_like(field: Field, depth: int, side: str = RIGHT) -> DGModule:
@@ -10,6 +11,7 @@ def make_koszul_like(field: Field, depth: int, side: str = RIGHT) -> DGModule:
     a = make_dual_numbers(field)
     gens = list(range(0, -depth - 1, -1))
     # layout degree -k+1 only sees generator k-1, with basis (g_{k-1}, g_{k-1} t)
-    diffs = [[] if k == 0 else [field.zero, field.one] for k in range(depth + 1)]
+    diffs = [Matrix.zeros(field, 0, 1) if k == 0 else Matrix.from_int_rows(field, [[0], [1]])
+             for k in range(depth + 1)]
     mod, _ = free_module(a, side, gens, diffs)
     return mod

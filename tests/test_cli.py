@@ -235,6 +235,57 @@ def test_suite_field_flag(tmp_path, monkeypatch):
     assert (prof.field, prof.seed, prof.instance_count) == (Field.prime(7), 1, 3)
 
 
+def _set(path, value):
+    """A corruption that sets blob[path[0]][path[1]]... to `value`."""
+    def corrupt(blob):
+        *outer, last = path
+        for key in outer:
+            blob = blob[key]
+        blob[last] = value
+    return corrupt
+
+
+@pytest.mark.parametrize("corrupt", [
+    _set(("algebra", "mult", "0,0", 0, 0), "1/0"),
+    _set(("module", "action", "0,0", 0, 0), ["1/1"]),
+    _set(("module", "dims"), 5),
+    _set(("module", "window"), None),
+    None,
+], ids=["zero_denominator", "nested_entry", "dims_not_an_object", "window_null",
+        "top_level_list"])
+def test_malformed_instance_file_is_structural_error(tmp_path, capsys, corrupt):
+    a = make_koszul_dg(Field.rationals())
+    blob = module_file_to_json(a, regular_module(a, RIGHT), "m")
+    if corrupt is None:
+        blob = [blob]
+    else:
+        corrupt(blob)
+    path = tmp_path / "bad.json"
+    path.write_text(dumps_canonical(blob))
+    assert main(["validate", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("corrupt", [
+    _set(("family_mix",), [1]),
+    _set(("field",), None),
+    _set(("instance_count",), None),
+    _set(("field", "p"), 101.5),
+    _set(("instance_count",), 2.7),
+], ids=["family_mix_list", "field_null", "instance_count_null", "fractional_modulus",
+        "fractional_instance_count"])
+def test_malformed_profile_is_structural_error(tmp_path, monkeypatch, capsys, corrupt):
+    started = []
+    monkeypatch.setattr(suite, "generate_corpus", lambda *args: started.append("corpus"))
+    blob = {"field": {"kind": "prime", "p": 101}, "instance_count": 3}
+    corrupt(blob)
+    profile = tmp_path / "profile.json"
+    profile.write_text(dumps_canonical(blob))
+    assert main(["suite", "--profile", str(profile)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert started == []
+
+
 def test_oversized_modulus_is_structural_error():
     assert main(["suite", "--field", f"F{2 ** 64 + 1}"]) == 2
 

@@ -79,14 +79,13 @@ def test_ordinary_families_valid(k):
 
 def test_upper_triangular_noncommutative(k):
     a = make_upper_triangular2(k)
-    e11 = [k.one, k.zero, k.zero]
-    e12 = [k.zero, k.one, k.zero]
+    e11, e12 = (Matrix.identity(k, 3).columns([u]) for u in (0, 1))
 
     def product(x, y):
-        return a.mult_map(0, 0).apply([k.mul(s, t) for s in x for t in y])
+        return a.mult_map(0, 0) @ x.kron(y)
 
     assert product(e11, e12) == e12
-    assert product(e12, e11) == [k.zero] * 3
+    assert product(e12, e11).is_zero()
 
 
 def test_koszul_dg_valid(k):
@@ -112,7 +111,7 @@ def test_broken_leibniz_is_reported(k):
     from dgkunneth.dgalgebra import DGAlgebra
     broken = DGAlgebra(k, -1, {-1: 1, 0: 1},
                        {**bad_mult, (0, -1): Matrix.from_int_rows(k, [[2]])},
-                       bad_diff, [k.one])
+                       bad_diff, Matrix.identity(k, 1))
     report = validate_algebra(broken)
     assert any(v.axiom in ("leibniz", "left_unit", "right_unit") for v in report)
 
@@ -155,18 +154,22 @@ def h0_action_violations(coh) -> list:
     m, i = coh.module, coh.degree
     f, a = m.field, m.algebra
     h0 = a.h0()
-    zero_h = [f.zero] * coh.dim
+
+    def class_of_product(x, y):
+        """The class of x.y (right) or y.x (left), for x in M^i and y in A^0."""
+        return coh.class_map @ m.action_map(i, 0) @ (x.kron(y) if m.side == RIGHT else y.kron(x))
+
     for b in range(m.dim(i - 1)):
-        w = m.diff_map(i - 1).col(b)
+        w = m.diff_map(i - 1).columns([b])
         for u in range(h0.dim):
-            if coh.class_map.apply(m.act(w, i, h0.section.col(u), 0)) != zero_h:
+            if not class_of_product(w, h0.section.columns([u])).is_zero():
                 out.append(("coboundary", b, u))
     for b in range(a.dim(-1)):
-        da = a.diff_map(-1).col(b)
+        da = a.diff_map(-1).columns([b])
         for v in range(coh.dim):
-            if coh.class_map.apply(m.act(coh.rep_map.col(v), i, da, 0)) != zero_h:
+            if not class_of_product(coh.rep_map.columns([v]), da).is_zero():
                 out.append(("boundary_of_algebra", b, v))
-    unit = Matrix.column(f, h0.ring.unit)
+    unit = h0.ring.unit
     eye = Matrix.identity(f, coh.dim)
     got = coh.h0_action @ (eye.kron(unit) if m.side == RIGHT else unit.kron(eye))
     if got != eye:
@@ -235,7 +238,7 @@ def test_cached_cohomology_equals_a_fresh_computation(field):
 def test_cohomology_contractible(k):
     # K --1--> K in degrees -1, 0 over A = K
     a = make_field_algebra(k)
-    m, _ = free_module(a, RIGHT, [0, -1], [[], [k.one]])
+    m, _ = free_module(a, RIGHT, [0, -1], [Matrix.zeros(k, 0, 1), Matrix.identity(k, 1)])
     assert validate_module(m) == []
     assert cohomology(m, 0).dim == 0
     assert cohomology(m, -1).dim == 0
@@ -246,20 +249,20 @@ def test_class_of_and_representatives(k):
     m = regular_module(a, LEFT)
     h = cohomology(m, -1)
     # eps is a cocycle with nonzero class (im d = 0)
-    cls = h.class_map.apply([k.one])
-    assert cls != [k.zero] * h.dim
-    assert h.class_map.apply([k.zero]) == [k.zero] * h.dim
-    rep = h.rep_map.apply(cls)
-    assert h.class_map.apply(rep) == cls
+    cls = h.class_map @ Matrix.identity(k, 1)
+    assert not cls.is_zero()
+    assert (h.class_map @ Matrix.zeros(k, 1, 1)).is_zero()
+    rep = h.rep_map @ cls
+    assert h.class_map @ rep == cls
 
 
 def test_class_of_rejects_non_cocycle(k):
     # class_map is valid on cocycles only: the generator of degree -1 maps
     # onto the one of degree 0, so it lies outside the cocycles H^{-1} uses
     a = make_field_algebra(k)
-    m, _ = free_module(a, RIGHT, [0, -1], [[], [k.one]])
+    m, _ = free_module(a, RIGHT, [0, -1], [Matrix.zeros(k, 0, 1), Matrix.identity(k, 1)])
     h = cohomology(m, -1)
-    assert m.diff_map(-1).apply([k.one]) != [k.zero]
+    assert not (m.diff_map(-1) @ Matrix.identity(k, 1)).is_zero()
     assert h.cocycle_incl.cols == 0
     assert solve(h.cocycle_incl, Matrix.column(k, [k.one])) is None
 
@@ -270,13 +273,11 @@ def test_class_constant_on_cosets(k):
     h = cohomology(m, -1)
     rng = instance_rng(7, 0)
     d = m.diff_map(-2)
-    z = h.rep_map.apply([k.one] * h.dim) if h.dim else [k.zero] * m.dim(-1)
-    base = h.class_map.apply(z)
+    z = h.rep_map @ Matrix.column(k, [k.one] * h.dim)
+    base = h.class_map @ z
     for _ in range(20):
-        w = [k.of_int(rng.randint(-3, 3)) for _ in range(m.dim(-2))]
-        dz = d.apply(w)
-        pert = [k.add(x, y) for x, y in zip(z, dz)]
-        assert h.class_map.apply(pert) == base
+        w = Matrix.column(k, [k.of_int(rng.randint(-3, 3)) for _ in range(m.dim(-2))])
+        assert h.class_map @ (z + d @ w) == base
 
 
 def test_shift_basics(k):
@@ -302,7 +303,7 @@ def test_shift_left_module_valid(k):
 
 def test_shift_concentrated(k):
     a = make_field_algebra(k)
-    m, _ = free_module(a, RIGHT, [-3], [[]])
+    m, _ = free_module(a, RIGHT, [-3], [Matrix.zeros(k, 0, 1)])
     s = shift(m, -3)
     assert s.dim(0) == 1 and s.window == (0, 0)
 
@@ -331,7 +332,7 @@ def test_smart_truncate_noop_above_window(k):
 def test_smart_truncate_kills_module(k):
     # K --1--> K in degrees 0, 1: kernel at 0 is zero, module vanishes
     a = make_field_algebra(k)
-    m0, _ = free_module(a, RIGHT, [0, -1], [[], [k.one]])
+    m0, _ = free_module(a, RIGHT, [0, -1], [Matrix.zeros(k, 0, 1), Matrix.identity(k, 1)])
     m = shift(m0, -1)   # degrees 0, 1
     t = smart_truncate(m, 0)
     assert t.window == (0, 0)

@@ -10,6 +10,7 @@ from dgkunneth.genlab import (
     noninjectivity_witness,
 )
 from dgkunneth.dgmodule import validate_module
+from dgkunneth.linalg import Matrix
 
 Q = Field.rationals()
 F101 = Field.prime(101)
@@ -24,8 +25,8 @@ def test_witness_dimensions_and_membership(k):
     w = noninjectivity_witness(k)
     assert w.source_dim == 2
     assert w.target_dim == 1
-    assert any(x != k.zero for x in w.element)
-    assert all(x == k.zero for x in w.image)
+    assert not w.element.is_zero()
+    assert w.image.is_zero()
     assert w.surjective
     assert all_ok(w.checks)
 
@@ -33,8 +34,8 @@ def test_witness_dimensions_and_membership(k):
 @pytest.mark.parametrize("corrupt, failing", [
     (lambda w, k: {"source_dim": 3}, "witness_source_dim"),
     (lambda w, k: {"target_dim": 2}, "witness_target_dim"),
-    (lambda w, k: {"element": [k.zero] * len(w.element)}, "witness_nonzero_in_source"),
-    (lambda w, k: {"image": [k.one] * len(w.image)}, "witness_zero_in_target"),
+    (lambda w, k: {"element": Matrix.zeros(k, w.element.rows, 1)}, "witness_nonzero_in_source"),
+    (lambda w, k: {"image": Matrix.column(k, [k.one] * w.image.rows)}, "witness_zero_in_target"),
     (lambda w, k: {"surjective": False}, "witness_map_surjective"),
 ], ids=["source_dim", "target_dim", "zero_element", "nonzero_image", "not_surjective"])
 def test_witness_checks_detect_each_corruption(k, corrupt, failing):

@@ -35,12 +35,15 @@ from dgkunneth.kunneth import (
     check_representative_independence,
     theta,
 )
-from dgkunneth.linalg import Matrix, hstack
+from dgkunneth.linalg import Matrix, hstack, quotient, rref, vstack
 from dgkunneth.suite import plain_checks
 from dgkunneth.tensor import (
     TensorComplex,
     balanced_tensor,
     cohomology_ring_module,
+    degree0_iso_check,
+    phi_summands,
+    space_cohomology,
     tensor_cohomology,
 )
 
@@ -76,7 +79,7 @@ def test_theta_exterior_self(k):
 def test_theta_zero_top_cohomology(k):
     # M = (K --1--> K): H^0(M) = 0, so both sides are empty
     a = make_field_algebra(k)
-    m, _ = free_module(a, RIGHT, [0, -1], [[], [k.one]])
+    m, _ = free_module(a, RIGHT, [0, -1], [Matrix.zeros(k, 0, 1), Matrix.identity(k, 1)])
     n = regular_module(a, LEFT)
     w = theta(m, n)
     assert w.ok
@@ -251,6 +254,73 @@ def test_exact_sequences_detect_a_zero_map(monkeypatch, zeroed, failing):
             assert r.counterexample["final_rank"] == 0 < r.counterexample["final_dim"]
         else:
             assert r.counterexample == failing[r.name]
+
+
+def test_dimension_match_detects_a_missing_boundary(monkeypatch):
+    # inst0000 of the published F_101 profile: H^{i0} (x) H^{j0} is zero, but
+    # with d^{-1} of M (x)_A N read as zero every degree-0 tensor survives
+    # in the target.  theta cannot be bijective then, and pi = the class map
+    # of that target no longer kills the image of phi
+    inst = generate_instance(CorpusProfile(field=F101), 0)
+    assert all_ok(plain_checks(theta(inst.m, inst.n)))
+
+    def no_boundaries(tc, t):
+        d = tc.diff(t - 1)
+        return space_cohomology(tc.field, t, Matrix.zeros(F101, d.rows, d.cols), tc.diff(t))
+
+    monkeypatch.setattr(kunneth, "tensor_cohomology", no_boundaries)
+    w = theta(inst.m, inst.n)
+    bad = [r for r in plain_checks(w) if not r.ok]
+    assert [r.name for r in bad] == ["dimension_match", "theta_bijective", "sequence_phi_pi"]
+    assert bad[0].counterexample == {"source_dim": 0, "target_dim": w.target.dim}
+    assert w.target.dim > 0
+
+
+def test_pim_surjective_detects_a_zero_class_map():
+    # inst0001 of the published F_101 profile with the class map M^0 -> H^0(M)
+    # replaced by zero: the replacement sequences and the comparison route
+    # read that map, so they fail with it
+    w = theta(*_published_pair(1))
+    bad = [r for r in check_exact_sequences(replace(w, hm=replace(
+        w.hm, class_map=Matrix.zeros(F101, w.hm.dim, w.mT.dim(0))))) if not r.ok]
+    assert [r.name for r in bad] == ["sequence_apply_tensor_N0", "sequence_combined",
+                                     "comparison_route_matches_theta", "piM_surjective"]
+    assert bad[-1].counterexample == {"rank": 0}
+
+
+def test_balanced_ring_comparison_detects_an_extra_relation():
+    # inst0001 of the published F_101 profile with the theta source
+    # H^{i0}(M) (x)_{H^0(A)} H^{j0}(N) given its first basis vector as one
+    # more relation: it no longer matches the tensor over A^0, and the
+    # comparison route, which reads both presentations, names the mismatch
+    w = theta(*_published_pair(1))
+    src = w.source
+    extra = vstack([src.space.relations, src.space.section.columns([0]).transpose()])
+    bad_src = replace(src, space=quotient(F101, src.ambient_dim, extra))
+    bad = [r for r in check_exact_sequences(replace(w, source=bad_src)) if not r.ok]
+    assert [r.name for r in bad] == ["balanced_ring_comparison", "comparison_route_matches_theta"]
+    assert bad[0].counterexample == {"h0_dim": src.dim, "hbar_dim": src.dim - 1}
+    assert bad[1].counterexample == {"reason": "presentation_mismatch"}
+
+
+def test_degree0_bijectivity_detects_a_missing_relation():
+    # inst0001 of the published F_101 profile: M^0 (x)_{A^0} N^0 presented
+    # without its first reduced relation is one dimension too large for
+    # (M (x)_A N)^0
+    w = theta(*_published_pair(1))
+    mid = phi_summands(w.mT, w.nT)[2]
+    assert degree0_iso_check(w.tc, mid)[1].ok
+    red, _, r = rref(mid.space.relations)
+    fewer = replace(mid, space=quotient(F101, mid.ambient_dim, red.rows_at(slice(1, r))))
+    res = degree0_iso_check(w.tc, fewer)[1]
+    assert (res.name, res.ok) == ("degree0_obvious_map_bijective", False)
+    assert res.counterexample == {"balanced_dim": mid.dim + 1, "tensor_dim": mid.dim}
+
+
+def _published_pair(idx):
+    """(M, N) of instance `idx` of the published F_101 profile."""
+    inst = generate_instance(CorpusProfile(field=F101), idx)
+    return inst.m, inst.n
 
 
 def _witnesses(f, g):

@@ -231,8 +231,6 @@ def test_products_match_reference(p, data):
         [[x % p for x in row] for row in ref_kron(a, b, (ra, ca), (ca, cb))]
     assert as_lists(ma.kron_columns(ma)) == \
         [[a[i][s] * a[j][s] % p for s in range(ca)] for i in range(ra) for j in range(ra)]
-    v = data.draw(st.lists(entries(p), min_size=ca, max_size=ca))
-    assert ma.apply(v) == [sum(x * y for x, y in zip(row, v)) % p for row in a]
     blocks = data.draw(block_lists(p, ra, ca))
     assert as_lists(from_blocks(f, ra, ca, blocks)) == \
         [[x % p for x in row] for row in ref_from_blocks(blocks, ra, ca, 0)]
@@ -248,8 +246,6 @@ def test_int64_products_take_the_overflow_guard():
     prod = Matrix(f, 5, 7, a) @ Matrix(f, 7, 4, b)
     assert prod.arr.dtype == np.int64
     assert as_lists(prod) == ref_matmul(a, b, 7, 4, p)
-    assert Matrix(f, 5, 7, a).apply(b[0][:1] * 7) == \
-        [sum(x * b[0][0] for x in row) % p for row in a]
 
 
 @pytest.mark.parametrize("p", PRIMES)
@@ -350,10 +346,6 @@ def test_q_solve_products_and_left_inverse_match_sympy(case, data):
         assert prod.arr.shape == (rows, cb)
     assert as_lists(m.kron(Matrix(Q, cols, cb, b))) == \
         ref_kron(d, b, (rows, cols), (cols, cb), Fraction(0))
-    v = data.draw(st.lists(q_entries, min_size=cols, max_size=cols))
-    got = m.apply(v)
-    assert got == [sum((x * y for x, y in zip(row, v)), Fraction(0)) for row in d]
-    assert all(type(x) is Fraction for x in got)
     blocks = data.draw(block_lists(0, rows, cols, q_entries))
     built = from_blocks(Q, rows, cols, blocks)
     assert as_lists(built) == ref_from_blocks(blocks, rows, cols, Fraction(0))

@@ -139,18 +139,18 @@ def test_balancedness_on_random_instances(k):
     x = module_degree_ring_module(m, m.window[1])
     y = module_degree_ring_module(n, n.window[1])
     b = balanced_tensor(x, y)
-    f = k
+    proj = b.space.projection
     for c in range(a.dim(0)):
-        rvec = [f.one if t == c else f.zero for t in range(a.dim(0))]
+        rvec = Matrix.identity(k, a.dim(0)).columns([c])
         for u in range(x.dim):
-            xu = [f.one if t == u else f.zero for t in range(x.dim)]
+            xu = Matrix.identity(k, x.dim).columns([u])
             # x is a right module: kron order x (x) r
-            xr = x.action.apply([f.mul(s, t) for s in xu for t in rvec])
+            xr = x.action @ xu.kron(rvec)
             for v in range(y.dim):
-                yv = [f.one if t == v else f.zero for t in range(y.dim)]
+                yv = Matrix.identity(k, y.dim).columns([v])
                 # y is a left module: kron order r (x) y
-                ry = y.action.apply([f.mul(t, s) for t in rvec for s in yv])
-                assert b.project_pair(xr, yv) == b.project_pair(xu, ry)
+                ry = y.action @ rvec.kron(yv)
+                assert proj @ xr.kron(yv) == proj @ xu.kron(ry)
 
 
 def _degree0(m, n):
@@ -201,7 +201,7 @@ def test_phi_zero_when_differentials_vanish(k):
 def test_phi_surjective_contractible(k):
     # M = (K --1--> K) in degrees -1, 0; N = K; phi has rank 1 so H^0 = 0
     a = make_field_algebra(k)
-    m, _ = free_module(a, RIGHT, [0, -1], [[], [k.one]])
+    m, _ = free_module(a, RIGHT, [0, -1], [Matrix.zeros(k, 0, 1), Matrix.identity(k, 1)])
     n = regular_module(a, LEFT)
     phi = _phi(m, n)
     assert rank(phi) == 1
