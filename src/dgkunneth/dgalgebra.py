@@ -37,7 +37,7 @@ def _first_mismatch(lhs: Matrix, rhs: Matrix):
 class DGAlgebra:
     """A = (+) A^i for min_degree <= i <= 0, with product, unit, differential."""
 
-    __slots__ = ("field", "min_degree", "dims", "mult", "diff", "unit", "_h0", "_a0")
+    __slots__ = ("field", "min_degree", "dims", "mult", "diff", "unit", "_h0")
 
     def __init__(self, field: Field, min_degree: int, dims: dict, mult: dict,
                  diff: dict, unit: Matrix):
@@ -54,7 +54,7 @@ class DGAlgebra:
         if (unit.rows, unit.cols) != (self.dim(0), 1):
             raise StructureError("unit is not a column of length dim A^0")
         self._check_shapes()
-        self._h0 = self._a0 = None
+        self._h0 = None
 
     def _check_shapes(self):
         for i, m in self.diff.items():
@@ -168,9 +168,7 @@ def validate_algebra(a: DGAlgebra) -> list:
 
 @dataclass(frozen=True)
 class H0Ring:
-    """H^0(A) = A^0 / im(d^{-1}) as an ordinary ring, with its presentation."""
-    source: DGAlgebra
-    ring: DGAlgebra            # concentrated in degree 0
+    """H^0(A) = A^0 / im(d^{-1}) as a quotient of A^0."""
     space: QuotientSpace       # of A^0 by im(d^{-1})
 
     @property
@@ -183,25 +181,15 @@ class H0Ring:
 
     @property
     def dim(self) -> int:
-        return self.space.quotient_dim
+        return self.space.dim
 
 
 def h0_ring(a: DGAlgebra) -> H0Ring:
     """The degree-zero cohomology ring with projection/section to A^0."""
-    f = a.field
-    relations = a.diff_map(-1).transpose()
-    space = quotient(f, a.dim(0), relations)
+    space = quotient(a.field, a.dim(0), a.diff_map(-1).transpose())
     proj, sec = space.projection, space.section
-    mult = proj @ a.mult_map(0, 0) @ sec.kron(sec)
-    ring = DGAlgebra(f, 0, {0: space.quotient_dim}, {(0, 0): mult}, {}, proj @ a.unit)
     # the projection must be multiplicative, else the input was not a DG algebra
-    if proj @ a.mult_map(0, 0) != mult @ proj.kron(proj):
+    pm = proj @ a.mult_map(0, 0)
+    if pm != pm @ sec.kron(sec) @ proj.kron(proj):
         raise StructureError("projection to H^0 is not multiplicative; input algebra invalid")
-    return H0Ring(a, ring, space)
-
-
-def degree_zero_ring(a: DGAlgebra) -> DGAlgebra:
-    """A^0 as an ordinary ring (forgetting all other degrees), kept on `a`."""
-    if a._a0 is None:
-        a._a0 = DGAlgebra(a.field, 0, {0: a.dim(0)}, {(0, 0): a.mult_map(0, 0)}, {}, a.unit)
-    return a._a0
+    return H0Ring(space)

@@ -25,8 +25,8 @@ from itertools import accumulate
 from .dgalgebra import DGAlgebra, StructureError, Violation, _first_mismatch
 from .field import Field
 from .linalg import (
+    Cohomology,
     Matrix,
-    QuotientSpace,
     from_blocks,
     kernel_basis,
     kernel_mod_image,
@@ -534,23 +534,12 @@ def _free_diff(lay: FreeLayout, side: str, gen_diffs: dict, src, tgt, action: di
 
 
 @dataclass(frozen=True)
-class CohomologyModule:
-    """H^i(M) with deterministic basis and its H^0(A)-module structure.
-
-    `class_map` sends cocycle coordinates in M^i to class coordinates;
-    `rep_map` sends class coordinates to cocycle representatives.
-    """
+class CohomologyModule(Cohomology):
+    """H^i(M) with deterministic basis and its H^0(A)-module structure;
+    `cocycle_incl`, `class_map` and `rep_map` live in M^i."""
     module: DGModule
     degree: int
-    cocycle_incl: Matrix          # M^i <- Z^i
-    space: QuotientSpace          # Z^i / im(d^{i-1})
-    class_map: Matrix             # H <- M^i (valid on cocycles only)
-    rep_map: Matrix               # M^i <- H
     h0_action: Matrix             # bilinear over H0(A), kron order per side
-
-    @property
-    def dim(self) -> int:
-        return self.space.quotient_dim
 
 
 def cohomology(m: DGModule, i: int) -> CohomologyModule:
@@ -563,15 +552,14 @@ def cohomology(m: DGModule, i: int) -> CohomologyModule:
 
 
 def _cohomology(m: DGModule, i: int) -> CohomologyModule:
-    parts = kernel_mod_image(m.field, m.diff_map(i - 1), m.diff_map(i))
-    if parts is None:
+    coh = kernel_mod_image(m.field, m.diff_map(i - 1), m.diff_map(i))
+    if coh is None:
         raise StructureError("d^2 != 0: image not inside cocycles")
-    incl, space, class_map, rep_map = parts
     h0 = m.algebra.h0()
     # the class of rep_v . a_u (right) or a_u . rep_v (left), for all v, u at once
     if m.side == RIGHT:
-        pairs = rep_map.kron(h0.section)
+        pairs = coh.rep_map.kron(h0.section)
     else:
-        pairs = h0.section.kron(rep_map)
-    act = class_map @ m.action_map(i, 0) @ pairs
-    return CohomologyModule(m, i, incl, space, class_map, rep_map, act)
+        pairs = h0.section.kron(coh.rep_map)
+    act = coh.class_map @ m.action_map(i, 0) @ pairs
+    return CohomologyModule(**vars(coh), module=m, degree=i, h0_action=act)

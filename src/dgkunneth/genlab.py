@@ -486,7 +486,7 @@ class NoninjectivityWitness:
     @property
     def checks(self):
         from .checks import failed, passed
-        f = self.algebra.field
+        from .serialize import matrix_to_json
         out = []
         out.append(passed("witness_source_dim", dim=self.source_dim)
                    if self.source_dim == 2 else
@@ -498,7 +498,7 @@ class NoninjectivityWitness:
                    passed("witness_nonzero_in_source"))
         out.append(passed("witness_zero_in_target") if self.image.is_zero() else
                    failed("witness_zero_in_target",
-                          counterexample={"image": [f.to_str(x) for x in self.image.col(0)]}))
+                          counterexample={"image": matrix_to_json(self.image.transpose())[0]}))
         out.append(passed("witness_map_surjective") if self.surjective else
                    failed("witness_map_surjective"))
         return out
@@ -517,13 +517,11 @@ def noninjectivity_witness(field: Field) -> NoninjectivityWitness:
     m_eps = m.action_map(0, -1) @ one.kron(eps)       # 1.eps in M^{-1}
     eps_n = n.action_map(0, -1) @ eps.kron(one)       # eps.1 in N^{-1}
     # (1.eps) (x) 1 in the first summand, -(1 (x) (eps.1)) in the second
-    element = vstack([b1.space.projection @ m_eps.kron(one),
-                      b2.space.projection @ one.kron(-eps_n)])
+    element = vstack([b1.projection @ m_eps.kron(one), b2.projection @ one.kron(-eps_n)])
     tc = TensorComplex(m, n)
     sp = tc.space(-1)
     image = sp.projection @ (tc.embed_block(-1, -1, b1.ambient_dim) @ m_eps.kron(one)
                              - tc.embed_block(-1, 0, b2.ambient_dim) @ one.kron(eps_n))
     onto = minus1_comparison(tc, b1, b2)
     return NoninjectivityWitness(
-        a, m, n, element, b1.dim + b2.dim, sp.quotient_dim, image,
-        rank(onto) == sp.quotient_dim)
+        a, m, n, element, b1.dim + b2.dim, sp.dim, image, rank(onto) == sp.dim)

@@ -117,12 +117,6 @@ class Matrix:
     def column(cls, field: Field, vec) -> "Matrix":
         return cls(field, len(vec), 1, np.array(vec, dtype=_dtype(field)).reshape(-1, 1))
 
-    def row(self, i):
-        return self.arr[i].tolist()
-
-    def col(self, j):
-        return self.arr[:, j].tolist()
-
     def columns(self, index) -> "Matrix":
         """The columns picked by a slice or an index list, in that order."""
         return Matrix._of(self.field, self.arr[:, index])
@@ -423,20 +417,32 @@ def solve(m: Matrix, rhs: Matrix):
     return Matrix._of(m.field, x)
 
 
-def kernel_mod_image(f: Field, d_in: Matrix, d_out: Matrix):
-    """(incl, space, class_map, rep_map) for ker(d_out)/im(d_in), or None
-    when im(d_in) is not inside ker(d_out).  `incl` holds the canonical
-    kernel basis as columns; its rows `free` are the identity, so d_in has
-    its rows `free` as coordinates and class_map keeps those entries."""
+@dataclass(frozen=True)
+class Cohomology:
+    """ker(d_out)/im(d_in) with deterministic bases."""
+    cocycle_incl: Matrix          # ambient <- Z, the canonical kernel basis as columns
+    space: QuotientSpace          # Z / im(d_in)
+    class_map: Matrix             # H <- ambient (valid on cocycles only)
+    rep_map: Matrix               # ambient <- H
+
+    @property
+    def dim(self) -> int:
+        return self.space.dim
+
+
+def kernel_mod_image(f: Field, d_in: Matrix, d_out: Matrix) -> Cohomology | None:
+    """ker(d_out)/im(d_in), or None when im(d_in) is not inside ker(d_out).
+    The kernel basis has the identity in its rows `free`, so d_in has its
+    rows `free` as coordinates and class_map keeps those entries."""
     red, pivots, _ = rref(d_out)
     rows, free = _null_rows(f, red.arr, pivots, d_out.cols)
     incl, img = Matrix._of(f, rows.T), Matrix._of(f, d_in.arr[free])
     if incl @ img != d_in:
         return None
     space = quotient(f, len(free), img.transpose())
-    class_map = _zeros(f, space.quotient_dim, d_out.cols)
+    class_map = _zeros(f, space.dim, d_out.cols)
     class_map[:, free] = space.projection.arr
-    return incl, space, Matrix._of(f, class_map), incl @ space.section
+    return Cohomology(incl, space, Matrix._of(f, class_map), incl @ space.section)
 
 
 def left_inverse(m: Matrix) -> Matrix:
@@ -463,7 +469,7 @@ class QuotientSpace:
     field: Field
     ambient_dim: int
     relations: Matrix
-    quotient_dim: int
+    dim: int
     projection: Matrix
     section: Matrix
     pivots: tuple

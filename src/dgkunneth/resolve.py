@@ -52,9 +52,20 @@ from .dgmodule import (
 )
 from .field import Field
 from .kunneth import KunnethWitness, cohomology_map, naturality_square, theta
-from .linalg import Matrix, drop_zero_rows, from_blocks, kernel_basis, rank, rref, solve, vstack
+from .linalg import (
+    Cohomology,
+    Matrix,
+    QuotientSpace,
+    drop_zero_rows,
+    from_blocks,
+    kernel_basis,
+    rank,
+    rref,
+    solve,
+    vstack,
+)
 from .serialize import matrix_to_json
-from .tensor import BalancedTensorSpace, CohomologySpace, induced_balanced_map, tensor_map
+from .tensor import induced_balanced_map, tensor_map
 
 GENERATOR_CAP = 64
 # (seed, depth above width(N)) of the two resolutions that `deeper_witnesses`
@@ -179,14 +190,10 @@ def semifree_resolve(m: DGModule, depth: int, variant: int = 0,
     rng = random.Random(f"resolve-variant:{variant}") if variant else None
 
     gen_degrees, gen_stages, gen_diffs, gen_images = [], [], [], []
-    sup_h = sup_cohomology(m)
-    if sup_h is None:
-        p, lay, rho = _build_p_and_rho(a, m, [], [], [])
-        return SemiFreeResolution(m, p, lay, rho, depth, [], [], [], [])
-
-    # stage 0: generators mapping onto module generators of the cohomology
+    # stage 0: generators mapping onto module generators of the cohomology;
+    # the first degree with a class, scanning down, is sup H(M)
     h0dim = a.h0().dim
-    for i in range(sup_h, m.window[0] - 1, -1):
+    for i in range(m.window[1], m.window[0] - 1, -1):
         coh = cohomology(m, i)
         if coh.dim == 0:
             continue
@@ -208,7 +215,11 @@ def semifree_resolve(m: DGModule, depth: int, variant: int = 0,
             gen_stages.append(0)
             gen_images.append(reps.columns([j]))
             gen_diffs.append(Matrix.zeros(f, 0, 1))
+    if not gen_degrees:
+        p, lay, rho = _build_p_and_rho(a, m, [], [], [])
+        return SemiFreeResolution(m, p, lay, rho, depth, [], [], [], [])
 
+    sup_h = gen_degrees[0]
     p, lay, rho = _build_p_and_rho(a, m, gen_degrees, gen_diffs, gen_images)
     # stage sup_h + 1 - t kills ker H^t(rho), going down from the top
     for t in range(sup_h, -depth, -1):
@@ -299,8 +310,8 @@ class DerivedKunnethWitness:
     resolution: SemiFreeResolution
     plain: KunnethWitness            # theta for (P, nG)
     mn: KunnethWitness               # theta for (mG, nG)
-    source: BalancedTensorSpace      # H^{i0}(M) (x)_{H0(A)} H^{j0}(N)
-    target: CohomologySpace          # H^0(P (x) N)
+    source: QuotientSpace            # H^{i0}(M) (x)_{H0(A)} H^{j0}(N)
+    target: Cohomology               # H^0(P (x) N)
     theta_der: Matrix
     eta_h0: Matrix                   # H^0(rho (x) id_N)
     evidence: list = dc_field(default_factory=list)
@@ -380,8 +391,10 @@ def _theta_der_on(res: SemiFreeResolution, wMN: KunnethWitness, i0: int, j0: int
         qmap = tensor_map(plain.tc, tcMN, res.rho.map_at, nmaps, 0)
         eta_h0 = hMN.class_map @ qmap @ plain.target.rep_map
     except DescentError as exc:
+        # a zero eta fails the triangle too, which names the first cause
         evidence.append(failed("eta_descends", counterexample={"reason": str(exc)}))
         eta_h0 = Matrix.zeros(f, hMN.dim, plain.target.dim)
+        cause = cause or {"cause": "eta_descends"}
 
     evidence.extend(r for r in wMN.evidence if not r.ok)
     if eta_h0 @ th_der == wMN.theta:

@@ -79,16 +79,11 @@ def matrix_from_json(field: Field, rows: int, cols: int, data) -> Matrix:
     return Matrix(field, rows, cols, [[_element(field, x) for x in row] for row in data])
 
 
-def vector_to_json(v: Matrix):
-    """A column as its list of entries."""
-    return [v.field.to_str(x) for x in v.col(0)]
-
-
 def algebra_to_json(a: DGAlgebra) -> dict:
     out = {
         "min_degree": a.min_degree,
         "dims": {str(i): a.dim(i) for i in a.degrees()},
-        "unit": vector_to_json(a.unit),
+        "unit": matrix_to_json(a.unit.transpose())[0],
         "diff": {},
         "mult": {},
     }
@@ -238,7 +233,7 @@ def tensor_complex_to_json(tc, degrees=None) -> dict:
         out["degrees"][str(t)] = {
             "ambient_dim": sp.ambient_dim,
             "blocks": [[p, q, off, dmp, dnq] for p, q, off, dmp, dnq in tc.blocks(t)],
-            "quotient_dim": sp.quotient_dim,
+            "quotient_dim": sp.dim,
             "relations": matrix_to_json(sp.relations),
             "projection": matrix_to_json(sp.projection),
             "section": matrix_to_json(sp.section),
@@ -256,8 +251,8 @@ def resolution_to_json(res) -> dict:
         gens.append({
             "degree": e,
             "stage": res.gen_stages[g],
-            "diff": vector_to_json(res.gen_diffs[g]),
-            "image": vector_to_json(res.gen_images[g]),
+            "diff": matrix_to_json(res.gen_diffs[g].transpose())[0],
+            "image": matrix_to_json(res.gen_images[g].transpose())[0],
         })
     return {
         "depth": res.depth,

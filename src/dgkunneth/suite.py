@@ -40,6 +40,7 @@ from .resolve import (
     deeper_witnesses,
     theta_der,
 )
+from .serialize import REPORT_FORMAT, instance_to_json, profile_to_json
 
 
 @dataclass
@@ -62,7 +63,7 @@ class Report:
 
     def as_json(self) -> dict:
         out = {
-            "format": "dgkunneth-report/1",
+            "format": REPORT_FORMAT,
             "command": self.command,
             "instance_refs": self.instance_refs,
             "checks": [c.as_json() for c in self.checks],
@@ -105,7 +106,6 @@ def _attach_shrunk(results, inst: Instance, battery) -> list:
     depends only on the sizes involved, and each candidate would rerun the
     whole battery."""
     from .genlab import shrink_instance
-    from .serialize import instance_to_json
 
     fails = [r for r in results if not r.ok]
     if not fails or (fails[0].counterexample or {}).get("exception") == \
@@ -269,8 +269,6 @@ def run_suite(profile: CorpusProfile, derived_count: int = 100,
     (4 morphism pairs each, both the plain and the derived square).  `jobs`
     must be at least 1 and is capped at the number of CPUs.
     """
-    from .serialize import profile_to_json
-
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     jobs = min(jobs, os.cpu_count() or 1)

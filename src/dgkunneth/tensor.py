@@ -1,9 +1,10 @@
 """Tensor products of DG modules.
 
 Three layers:
-  * `RingModule` / `BalancedTensorSpace`: balanced tensor products of ordinary
-    (one-degree) modules over an ordinary ring, presented as quotients of the
-    plain tensor product by the balancing relations (x.r) (x) y - x (x) (r.y).
+  * `balanced_tensor`: x (x)_R y for a right module x and a left module y
+    over an ordinary ring R, given by their action matrices, presented as
+    the quotient of x (x) y by the balancing relations
+    (x.r) (x) y - x (x) (r.y), with the maps it induces.
   * `TensorComplex`: M (x)_A N for a right module M and a left module N, as a
     DG k-module with per-degree quotient presentations, lazily materialized.
   * degree-level maps: the bijection M^0 (x)_{A^0} N^0 -> (M (x)_A N)^0 and
@@ -15,15 +16,14 @@ bases come from the pivot rule in `linalg.quotient`.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .checks import DescentError, failed, passed
-from .dgalgebra import DGAlgebra, StructureError, degree_zero_ring
-from .dgmodule import LEFT, RIGHT, CohomologyModule, DGModule
+from .dgalgebra import StructureError
+from .dgmodule import LEFT, RIGHT, DGModule
 from .field import Field
 from .linalg import (
+    Cohomology,
     Matrix,
     QuotientSpace,
     drop_zero_rows,
@@ -38,80 +38,22 @@ from .linalg import (
 
 
 # ---------------------------------------------------------------------------
-# Ordinary modules over an ordinary ring, and balanced tensors
+# Balanced tensors over an ordinary ring
 
 
-@dataclass(frozen=True)
-class RingModule:
-    """A finite-dimensional one-sided module over a degree-0 algebra."""
-    ring: DGAlgebra
-    side: str
-    dim: int
-    action: Matrix   # right: (dim, dim * r); left: (dim, r * dim)
-
-    def __post_init__(self):
-        r = self.ring.dim(0)
-        if self.action.rows != self.dim or self.action.cols != self.dim * r:
-            raise StructureError("ring module action has wrong shape")
-
-
-def module_degree_ring_module(m: DGModule, i: int) -> RingModule:
-    """M^i as a module over A^0."""
-    return RingModule(degree_zero_ring(m.algebra), m.side, m.dim(i), m.action_map(i, 0))
-
-
-def cohomology_ring_module(coh: CohomologyModule) -> RingModule:
-    """H^i(M) as a module over H^0(A)."""
-    return RingModule(coh.module.algebra.h0().ring, coh.module.side,
-                      coh.dim, coh.h0_action)
-
-
-def restrict_ring_module(rm: RingModule, ringmap: Matrix, new_ring: DGAlgebra) -> RingModule:
-    """Pull back along a ring map new_ring -> rm.ring given by `ringmap`."""
-    f = rm.ring.field
-    eye = Matrix.identity(f, rm.dim)
-    if rm.side == RIGHT:
-        action = rm.action @ eye.kron(ringmap)
-    else:
-        action = rm.action @ ringmap.kron(eye)
-    return RingModule(new_ring, rm.side, rm.dim, action)
-
-
-def cohomology_over_degree_zero(coh: CohomologyModule) -> RingModule:
-    """H^i(M) as an A^0-module via A^0 ->> H^0(A)."""
-    h0 = coh.module.algebra.h0()
-    return restrict_ring_module(cohomology_ring_module(coh), h0.projection,
-                                degree_zero_ring(coh.module.algebra))
-
-
-@dataclass(frozen=True)
-class BalancedTensorSpace:
-    """x (x)_R y for a right module x and a left module y over R."""
-    ring: DGAlgebra
-    xmod: RingModule
-    ymod: RingModule
-    space: QuotientSpace
-
-    @property
-    def dim(self) -> int:
-        return self.space.quotient_dim
-
-    @property
-    def ambient_dim(self) -> int:
-        return self.space.ambient_dim
-
-
-def balanced_tensor(x: RingModule, y: RingModule) -> BalancedTensorSpace:
-    if x.ring != y.ring:
-        raise StructureError("balanced tensor over different rings")
-    if x.side != RIGHT or y.side != LEFT:
-        raise StructureError("balanced tensor needs (right, left) modules")
-    f = x.ring.field
-    dx, dy, dr = x.dim, y.dim, x.ring.dim(0)
+def balanced_tensor(xact: Matrix, yact: Matrix) -> QuotientSpace:
+    """x (x)_R y, where `xact` is the right action x (x) R -> x, a
+    (dim x) x (dim x * dim R) matrix, and `yact` the left action
+    R (x) y -> y, a (dim y) x (dim R * dim y) matrix."""
+    f = xact.field
+    dx, dy = xact.rows, yact.rows
+    if xact.cols * dy != yact.cols * dx:
+        raise StructureError("balanced tensor over rings of different dimensions")
+    dr = (xact.cols + yact.cols) // (dx + dy) if dx + dy else 0   # dim R
     # row c*dx*dy + u*dy + v is (x_u . r_c) (x) y_v - x_u (x) (r_c . y_v), where
     # x_u . r_c is xa[s, u, c] at x_s and r_c . y_v is ya[s, c, v] at y_s
-    xa = x.action.arr.reshape(dx, dx, dr)
-    ya = y.action.arr.reshape(dy, dr, dy)
+    xa = xact.arr.reshape(dx, dx, dr)
+    ya = yact.arr.reshape(dy, dr, dy)
     s, u, c = xa.nonzero()
     v = np.arange(dy)
     right = (((c * dx + u) * dy)[:, None] + v, (s * dy)[:, None] + v, xa[s, u, c][:, None])
@@ -119,10 +61,10 @@ def balanced_tensor(x: RingModule, y: RingModule) -> BalancedTensorSpace:
     off = np.arange(dx)[:, None] * dy   # u*dy for every u
     left = (c * dx * dy + v + off, s + off, -ya[s, c, v])
     rel = drop_zero_rows(from_entries(f, dr * dx * dy, dx * dy, (right, left)))
-    return BalancedTensorSpace(x.ring, x, y, quotient(f, dx * dy, rel))
+    return quotient(f, dx * dy, rel)
 
 
-def induced_balanced_map(src: BalancedTensorSpace, dst: BalancedTensorSpace,
+def induced_balanced_map(src: QuotientSpace, dst: QuotientSpace,
                          fmat: Matrix, gmat: Matrix, check: bool = True) -> Matrix:
     """The map f (x) g between balanced tensor quotients.
 
@@ -130,9 +72,9 @@ def induced_balanced_map(src: BalancedTensorSpace, dst: BalancedTensorSpace,
     the source is verified to map into the relation span of the target.
     """
     amb = fmat.kron(gmat)
-    out = dst.space.projection @ amb @ src.space.section
-    if check and src.space.relations.rows:
-        img = dst.space.projection @ amb @ src.space.relations.transpose()
+    out = dst.projection @ amb @ src.section
+    if check and src.relations.rows:
+        img = dst.projection @ amb @ src.relations.transpose()
         if not img.is_zero():
             raise DescentError("induced map does not descend to the balanced quotient")
     return out
@@ -231,7 +173,7 @@ class TensorComplex:
         return self._spaces[t]
 
     def dim(self, t: int) -> int:
-        return self.space(t).quotient_dim
+        return self.space(t).dim
 
     def ambient_diff(self, t: int) -> Matrix:
         f = self.field
@@ -276,37 +218,19 @@ class TensorComplex:
 # k-linear cohomology of a presented complex degree
 
 
-@dataclass(frozen=True)
-class CohomologySpace:
-    """H at one degree of a complex given by matrices d_in, d_out."""
-    degree: int
-    cocycle_incl: Matrix
-    space: QuotientSpace
-    class_map: Matrix
-    rep_map: Matrix
-
-    @property
-    def dim(self) -> int:
-        return self.space.quotient_dim
-
-
-def space_cohomology(field: Field, degree: int, d_in: Matrix, d_out: Matrix) -> CohomologySpace:
-    """ker(d_out)/im(d_in) with class and representative maps."""
-    parts = kernel_mod_image(field, d_in, d_out)
-    if parts is None:
+def tensor_cohomology(tc: TensorComplex, t: int) -> Cohomology:
+    """H^t(M (x)_A N) = ker(d^t)/im(d^{t-1})."""
+    coh = kernel_mod_image(tc.field, tc.diff(t - 1), tc.diff(t))
+    if coh is None:
         raise StructureError("image is not contained in the kernel (d^2 != 0)")
-    return CohomologySpace(degree, *parts)
-
-
-def tensor_cohomology(tc: TensorComplex, t: int) -> CohomologySpace:
-    return space_cohomology(tc.field, t, tc.diff(t - 1), tc.diff(t))
+    return coh
 
 
 # ---------------------------------------------------------------------------
 # Degree-level maps
 
 
-def degree0_iso_check(tc: TensorComplex, bal: BalancedTensorSpace):
+def degree0_iso_check(tc: TensorComplex, bal: QuotientSpace):
     """Matrix and bijectivity evidence for M^0 (x)_{A^0} N^0 -> (M (x)_A N)^0.
 
     `tc` is M (x)_A N, with windows bounded above by 0, and `bal` is
@@ -317,38 +241,34 @@ def degree0_iso_check(tc: TensorComplex, bal: BalancedTensorSpace):
         raise StructureError("degree-0 comparison needs windows <= 0")
     sp = tc.space(0)
     # ambient spaces agree: the only block in degree 0 is (0, 0)
-    mat = sp.projection @ bal.space.section
-    ok = bal.dim == sp.quotient_dim and rank(mat) == bal.dim
+    mat = sp.projection @ bal.section
+    ok = bal.dim == sp.dim and rank(mat) == bal.dim
     if ok:
         return mat, passed("degree0_obvious_map_bijective",
                            dim=bal.dim)
     return mat, failed("degree0_obvious_map_bijective",
                        counterexample={"balanced_dim": bal.dim,
-                                       "tensor_dim": sp.quotient_dim})
+                                       "tensor_dim": sp.dim})
 
 
 def phi_summands(m: DGModule, n: DGModule):
     """(B1, B2, Mid, phi1, phi2) for phi: B1 (+) B2 -> Mid = M^0 (x)_{A^0} N^0."""
-    b1 = balanced_tensor(module_degree_ring_module(m, -1),
-                         module_degree_ring_module(n, 0))
-    b2 = balanced_tensor(module_degree_ring_module(m, 0),
-                         module_degree_ring_module(n, -1))
-    mid = balanced_tensor(module_degree_ring_module(m, 0),
-                          module_degree_ring_module(n, 0))
+    b1 = balanced_tensor(m.action_map(-1, 0), n.action_map(0, 0))
+    b2 = balanced_tensor(m.action_map(0, 0), n.action_map(-1, 0))
+    mid = balanced_tensor(m.action_map(0, 0), n.action_map(0, 0))
     f = m.field
     phi1 = induced_balanced_map(b1, mid, m.diff_map(-1), Matrix.identity(f, n.dim(0)))
     phi2 = induced_balanced_map(b2, mid, Matrix.identity(f, m.dim(0)), n.diff_map(-1))
     return b1, b2, mid, phi1, phi2
 
 
-def minus1_comparison(tc: TensorComplex, b1: BalancedTensorSpace,
-                      b2: BalancedTensorSpace) -> Matrix:
+def minus1_comparison(tc: TensorComplex, b1: QuotientSpace, b2: QuotientSpace) -> Matrix:
     """The comparison map B1 (+) B2 -> (M (x)_A N)^{-1} on quotient bases,
     for the summands B1 = M^{-1} (x)_{A^0} N^0 and B2 = M^0 (x)_{A^0} N^{-1}
     of `phi_summands` and tc = M (x)_A N."""
     return tc.space(-1).projection @ hstack([
-        tc.embed_block(-1, -1, b1.ambient_dim) @ b1.space.section,
-        tc.embed_block(-1, 0, b2.ambient_dim) @ b2.space.section])
+        tc.embed_block(-1, -1, b1.ambient_dim) @ b1.section,
+        tc.embed_block(-1, 0, b2.ambient_dim) @ b2.section])
 
 
 def tensor_map(src: TensorComplex, dst: TensorComplex, fmaps, gmaps, t: int,

@@ -5,7 +5,6 @@ import pytest
 from dgkunneth import linalg
 from dgkunneth.dgalgebra import (
     StructureError,
-    degree_zero_ring,
     h0_ring,
     validate_algebra,
 )
@@ -42,7 +41,7 @@ from dgkunneth.genlab import (
 )
 from dgkunneth.linalg import Matrix, solve
 from dgkunneth.serialize import module_from_json, module_to_json
-from dgkunneth.tensor import space_cohomology
+from dgkunneth.tensor import TensorComplex, tensor_cohomology
 from dg_examples import make_koszul_like
 
 Q = Field.rationals()
@@ -169,7 +168,7 @@ def h0_action_violations(coh) -> list:
         for v in range(coh.dim):
             if not class_of_product(coh.rep_map.columns([v]), da).is_zero():
                 out.append(("boundary_of_algebra", b, v))
-    unit = h0.ring.unit
+    unit = h0.projection @ a.unit
     eye = Matrix.identity(f, coh.dim)
     got = coh.h0_action @ (eye.kron(unit) if m.side == RIGHT else unit.kron(eye))
     if got != eye:
@@ -413,13 +412,6 @@ def test_simple_module_dual_numbers(k):
         assert validate_module(m) == []
 
 
-def test_degree_zero_ring(k):
-    a = make_koszul_dg(k)
-    r = degree_zero_ring(a)
-    assert validate_algebra(r) == []
-    assert r.dim(0) == 2
-
-
 def _field_module(k, dims, d_minus1, d0):
     """A right module over k in degrees -1..1 with the given d^{-1}, d^0."""
     a = make_field_algebra(k)
@@ -435,9 +427,10 @@ def test_cohomology_rejects_d_squared_without_cocycles(k):
     assert [v.axiom for v in validate_module(m)] == ["d_squared"]
     with pytest.raises(StructureError, match="image not inside cocycles"):
         cohomology(m, 0)
-    one = Matrix.identity(k, 1)
+    # M (x)_k k has the differentials of M
+    tc = TensorComplex(m, regular_module(m.algebra, LEFT))
     with pytest.raises(StructureError, match="not contained in the kernel"):
-        space_cohomology(k, 0, one, one)
+        tensor_cohomology(tc, 0)
 
 
 def test_one_cohomology_costs_two_eliminations(k, monkeypatch):
@@ -455,6 +448,6 @@ def test_one_cohomology_costs_two_eliminations(k, monkeypatch):
     coh = cohomology(m, 0)
     assert (coh.dim, len(calls)) == (0, 2)
     del calls[:]
-    sp = space_cohomology(k, 0, m.diff_map(-1), m.diff_map(0))
+    sp = tensor_cohomology(TensorComplex(m, regular_module(m.algebra, LEFT)), 0)
     assert (sp.dim, len(calls)) == (0, 2)
     assert (sp.class_map, sp.rep_map) == (coh.class_map, coh.rep_map)

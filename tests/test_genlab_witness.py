@@ -40,8 +40,10 @@ def test_witness_dimensions_and_membership(k):
 ], ids=["source_dim", "target_dim", "zero_element", "nonzero_image", "not_surjective"])
 def test_witness_checks_detect_each_corruption(k, corrupt, failing):
     w = noninjectivity_witness(k)
-    bad = replace(w, **corrupt(w, k))
-    assert [r.name for r in bad.checks if not r.ok] == [failing]
+    bad = [r for r in replace(w, **corrupt(w, k)).checks if not r.ok]
+    assert [r.name for r in bad] == [failing]
+    if failing == "witness_zero_in_target":
+        assert bad[0].counterexample == {"image": [k.to_str(k.one)] * w.image.rows}
 
 
 def test_family_algebras_are_built_once_per_profile():

@@ -35,15 +35,13 @@ from dgkunneth.kunneth import (
     check_representative_independence,
     theta,
 )
-from dgkunneth.linalg import Matrix, hstack, quotient, rref, vstack
+from dgkunneth.linalg import Matrix, hstack, kernel_mod_image, quotient, rref, vstack
 from dgkunneth.suite import plain_checks
 from dgkunneth.tensor import (
     TensorComplex,
     balanced_tensor,
-    cohomology_ring_module,
     degree0_iso_check,
     phi_summands,
-    space_cohomology,
     tensor_cohomology,
 )
 
@@ -172,8 +170,13 @@ def test_plain_checks_detect_a_wrong_class_assignment(monkeypatch, fill, failing
 
     monkeypatch.setattr(kunneth, "class_assignment", constant)
     w = theta(inst.m, inst.n)
-    assert w.source.space.relations.rows == 3
-    assert [r.name for r in plain_checks(w) if not r.ok] == failing
+    assert w.source.relations.rows == 3
+    bad = [r for r in plain_checks(w) if not r.ok]
+    assert [r.name for r in bad] == failing
+    if fill:
+        # the first relation with a nonzero image, as its row and that image
+        assert bad[0].counterexample == {"relation_row": 1, "relation": ["0", "0", "0", "1"],
+                                         "image": ["1", "1"]}
 
 
 def test_plain_checks_detect_a_non_surjective_minus1_comparison(monkeypatch):
@@ -266,7 +269,7 @@ def test_dimension_match_detects_a_missing_boundary(monkeypatch):
 
     def no_boundaries(tc, t):
         d = tc.diff(t - 1)
-        return space_cohomology(tc.field, t, Matrix.zeros(F101, d.rows, d.cols), tc.diff(t))
+        return kernel_mod_image(tc.field, Matrix.zeros(F101, d.rows, d.cols), tc.diff(t))
 
     monkeypatch.setattr(kunneth, "tensor_cohomology", no_boundaries)
     w = theta(inst.m, inst.n)
@@ -295,8 +298,8 @@ def test_balanced_ring_comparison_detects_an_extra_relation():
     # comparison route, which reads both presentations, names the mismatch
     w = theta(*_published_pair(1))
     src = w.source
-    extra = vstack([src.space.relations, src.space.section.columns([0]).transpose()])
-    bad_src = replace(src, space=quotient(F101, src.ambient_dim, extra))
+    extra = vstack([src.relations, src.section.columns([0]).transpose()])
+    bad_src = quotient(F101, src.ambient_dim, extra)
     bad = [r for r in check_exact_sequences(replace(w, source=bad_src)) if not r.ok]
     assert [r.name for r in bad] == ["balanced_ring_comparison", "comparison_route_matches_theta"]
     assert bad[0].counterexample == {"h0_dim": src.dim, "hbar_dim": src.dim - 1}
@@ -310,8 +313,8 @@ def test_degree0_bijectivity_detects_a_missing_relation():
     w = theta(*_published_pair(1))
     mid = phi_summands(w.mT, w.nT)[2]
     assert degree0_iso_check(w.tc, mid)[1].ok
-    red, _, r = rref(mid.space.relations)
-    fewer = replace(mid, space=quotient(F101, mid.ambient_dim, red.rows_at(slice(1, r))))
+    red, _, r = rref(mid.relations)
+    fewer = quotient(F101, mid.ambient_dim, red.rows_at(slice(1, r)))
     res = degree0_iso_check(w.tc, fewer)[1]
     assert (res.name, res.ok) == ("degree0_obvious_map_bijective", False)
     assert res.counterexample == {"balanced_dim": mid.dim + 1, "tensor_dim": mid.dim}
@@ -411,11 +414,11 @@ def _theta_in_place(m, n):
     the tops to degree 0 first."""
     i0, j0 = m.window[1], n.window[1]
     hm, hn = cohomology(m, i0), cohomology(n, j0)
-    source = balanced_tensor(cohomology_ring_module(hm), cohomology_ring_module(hn))
+    source = balanced_tensor(hm.h0_action, hn.h0_action)
     tc = TensorComplex(m, n)
     target = tensor_cohomology(tc, i0 + j0)
     tmat = target.class_map @ tc.space(i0 + j0).projection @ hm.rep_map.kron(hn.rep_map)
-    return tmat @ source.space.section
+    return tmat @ source.section
 
 
 def test_translation_invariance(k):

@@ -55,7 +55,7 @@ def test_rref_fraction_entries():
     m = Matrix(Q, 2, 2, [[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 4), Fraction(1, 6)]])
     red, pivots, r = rref(m)
     assert r == 1
-    assert red.row(0) == [Fraction(1), Fraction(2, 3)]
+    assert red.rows_at([0]) == Matrix(Q, 1, 2, [[Fraction(1), Fraction(2, 3)]])
 
 
 def test_kernel_identity_empty():
@@ -73,7 +73,7 @@ def test_kernel_f5_line():
     # x + y = 0 mod 5: kernel is the line through (1, 4)
     k = kernel_basis(mat(F5, [[1, 1]]))
     assert k.rows == 1
-    x, y = k.row(0)
+    x, y = k.arr[0].tolist()
     assert (x + y) % 5 == 0
     assert (x, y) != (0, 0)
     # spans (1, 4): some scalar multiple matches
@@ -94,19 +94,19 @@ def test_solve_and_left_inverse():
 
 def test_quotient_no_relations():
     qs = quotient(Q, 3, Matrix.zeros(Q, 0, 3))
-    assert qs.quotient_dim == 3
+    assert qs.dim == 3
     assert qs.projection == Matrix.identity(Q, 3)
 
 
 def test_quotient_everything():
     qs = quotient(F5, 2, Matrix.identity(F5, 2))
-    assert qs.quotient_dim == 0
+    assert qs.dim == 0
 
 
 def test_quotient_diagonal_line():
     # ambient 2, relation (1, -1): images of e1 and e2 agree
     qs = quotient(Q, 2, mat(Q, [[1, -1]]))
-    assert qs.quotient_dim == 1
+    assert qs.dim == 1
     assert qs.projection.columns([0]) == qs.projection.columns([1])
     assert (qs.projection @ qs.section) == Matrix.identity(Q, 1)
 
@@ -191,8 +191,8 @@ def test_rank_nullity_q(m):
 @given(small_matrix(F101))
 def test_quotient_invariants_fp(m):
     qs = quotient(F101, m.cols, m)
-    assert qs.quotient_dim == m.cols - rank(m)
-    assert qs.projection @ qs.section == Matrix.identity(F101, qs.quotient_dim)
+    assert qs.dim == m.cols - rank(m)
+    assert qs.projection @ qs.section == Matrix.identity(F101, qs.dim)
     assert (qs.projection @ m.transpose()).is_zero()
 
 

@@ -204,11 +204,11 @@ def test_kernel_mod_image_matches_four_eliminations(p, data):
                            min_size=incl.cols, max_size=incl.cols))
     d_in = incl @ Matrix(f, incl.cols, k, x)
     want = quotient(f, incl.cols, solve(incl, d_in).transpose())
-    got_incl, space, class_map, rep_map = kernel_mod_image(f, d_in, d_out)
-    assert (got_incl, space.relations, space.projection) == \
+    got = kernel_mod_image(f, d_in, d_out)
+    assert (got.cocycle_incl, got.space.relations, got.space.projection) == \
         (incl, want.relations, want.projection)
-    assert class_map == want.projection @ left_inverse(incl)
-    assert rep_map == incl @ want.section
+    assert got.class_map == want.projection @ left_inverse(incl)
+    assert got.rep_map == incl @ want.section
     # a column outside the kernel, also when the kernel is zero
     off = next((j for j in range(cols) if any(r[j] for r in d)), None)
     if off is not None:

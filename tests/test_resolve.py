@@ -323,6 +323,53 @@ def test_transport_invertibility_detects_a_wrong_rho(k):
         [None, "h0_rho_transport_invertible", "h0_rho_transport_invertible"]
 
 
+def _corrupted_rho_witness(idx):
+    """theta_der of instance `idx` of the published F_101 profile on its own
+    resolution with rho^0[0, 0] raised by one, and the failed evidence."""
+    inst = generate_instance(CorpusProfile(field=F101), idx)
+    w = theta_der(inst.m, inst.n)
+    assert w.ok
+    res = w.resolution
+    rho0 = res.rho.map_at(0).arr.copy()
+    rho0[0, 0] = (rho0[0, 0] + 1) % 101
+    rho = StrictMorphism(res.p, res.target, {**res.rho.maps, 0: Matrix(F101, *rho0.shape, rho0)})
+    wb = resolve._theta_der_on(replace(res, rho=rho), w.mn, w.i0, w.j0, w.width)
+    return [r for r in wb.evidence if not r.ok]
+
+
+_NO_DESCENT = {"transport_well_defined": "induced map does not descend to the balanced quotient",
+               "eta_descends": "tensor map does not descend at degree 0"}
+
+
+def test_transport_well_defined_detects_a_non_equivariant_rho():
+    # inst0007 (dual numbers, H^0 of dimension 4): the corrupted rho^0 is no
+    # longer A^0-linear, so H^0(rho) (x) id does not descend to the balanced
+    # tensors, nor rho (x) id to the degree-0 tensors.  The failed transport
+    # leaves theta_der zero and a failed eta leaves eta zero: the checks
+    # after them fail with them and name the transport as cause
+    bad = _corrupted_rho_witness(7)
+    assert [(r.name, r.counterexample.get("cause")) for r in bad] == [
+        ("transport_well_defined", None), ("h0_rho_transport_invertible", None),
+        ("theta_der_bijective", "h0_rho_transport_invertible"), ("eta_descends", None),
+        ("derived_diagram_commutes", "h0_rho_transport_invertible")]
+    for r in bad:
+        if r.name in _NO_DESCENT:
+            assert r.counterexample == {"reason": _NO_DESCENT[r.name]}
+    assert bad[1].counterexample == {"rows": 4, "cols": 4, "rank": 0}
+
+
+def test_eta_descends_detects_a_non_equivariant_rho():
+    # inst0001 (Koszul DG algebra, H^0 of dimension 1): the transport still
+    # descends and inverts, but rho (x) id does not descend to the degree-0
+    # tensors; the zero eta it leaves fails the triangle, which names it
+    bad = _corrupted_rho_witness(1)
+    assert [(r.name, r.counterexample.get("cause")) for r in bad] == [
+        ("eta_descends", None), ("derived_diagram_commutes", "eta_descends")]
+    assert bad[0].counterexample == {"reason": _NO_DESCENT["eta_descends"]}
+    assert bad[1].counterexample == {"eta_theta_der": [["0"]], "theta": [["1"]],
+                                     "cause": "eta_descends"}
+
+
 def test_lift_detects_a_wrong_target_rho(k):
     # rho'(g0) = 0: no phi(g0) can lift the class rho(g0)
     a = make_dual_numbers(k)
@@ -444,6 +491,33 @@ def test_each_stage_makes_one_solve(monkeypatch, field):
             assert calls == [killed[s] for s in sorted(killed)]
             widest = max([widest, *calls])
     assert widest > 1
+
+
+def test_only_the_certification_scans_ranks(monkeypatch):
+    # semifree_resolve reads sup H(M) off its own stage-0 scan of the cached
+    # H^i; only the certification runs the rank-based sup_cohomology, as an
+    # independent check
+    m = generate_instance(CorpusProfile(field=F101), 1).m
+    stack, ranks = [], []
+
+    def wrap(name, fn, record=False):
+        def wrapped(*args):
+            if record:
+                ranks.append(tuple(stack))
+            stack.append(name)
+            try:
+                return fn(*args)
+            finally:
+                stack.pop()
+        return wrapped
+
+    monkeypatch.setattr(resolve, "rank", wrap("rank", resolve.rank, record=True))
+    monkeypatch.setattr(resolve, "sup_cohomology", wrap("sup", resolve.sup_cohomology))
+    monkeypatch.setattr(resolve, "_certify_resolution",
+                        wrap("certify", resolve._certify_resolution))
+    semifree_resolve(smart_truncate(shift(m, m.window[1]), 0), depth=3)
+    from_sup = [s for s in ranks if "sup" in s]
+    assert from_sup and all(s[0] == "certify" for s in from_sup)
 
 
 def _derived_witnesses(f, g):

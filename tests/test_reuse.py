@@ -63,10 +63,12 @@ def test_published_f101_report_is_pinned(monkeypatch):
     assert len(body["checks"]) == 200 * 13 + 100 * 8 + 13 * 20 + 5
     assert hashlib.sha256(dumps_canonical(body).encode()).hexdigest() == PUBLISHED_F101_SHA256
     # a copy of a module starts with an empty cohomology cache, so a witness
-    # that rebuilds one raises the H^i count; each family algebra is built
-    # and validated once per profile, plus once for the witness checks
+    # that rebuilds one raises the H^i count; stage 0 of a resolution scans
+    # H^i from the window top down, also on an acyclic module; each family
+    # algebra is built and validated once per profile, plus once for the
+    # witness checks
     assert {name: len(calls) for name, calls in counted.items()} == {
-        "_cohomology": 2441, "theta": 600, "semifree_resolve": 300, "validate_algebra": 8}
+        "_cohomology": 2487, "theta": 600, "semifree_resolve": 300, "validate_algebra": 8}
 
 
 def test_small_suite_report_is_pinned_with_two_workers():

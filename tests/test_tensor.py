@@ -1,5 +1,6 @@
 import pytest
 
+from dgkunneth.dgalgebra import StructureError
 from dgkunneth.dgmodule import LEFT, RIGHT, free_module, shift
 from dgkunneth.field import Field
 from dgkunneth.genlab import (
@@ -17,7 +18,6 @@ from dgkunneth.tensor import (
     TensorComplex,
     balanced_tensor,
     degree0_iso_check,
-    module_degree_ring_module,
     phi_summands,
     tensor_cohomology,
 )
@@ -105,11 +105,16 @@ def test_tensor_differential_squares_to_zero(k):
             assert (tc.diff(t + 1) @ tc.diff(t)).is_zero()
 
 
+def _degree_tensor(m, n, i, j):
+    """M^i (x)_{A^0} N^j."""
+    return balanced_tensor(m.action_map(i, 0), n.action_map(j, 0))
+
+
 def test_balanced_plain_tensor(k):
     a = make_field_algebra(k)
     m = regular_module(a, RIGHT)
     n = regular_module(a, LEFT)
-    b = balanced_tensor(module_degree_ring_module(m, 0), module_degree_ring_module(n, 0))
+    b = _degree_tensor(m, n, 0, 0)
     assert b.dim == 1
 
 
@@ -118,7 +123,7 @@ def test_balanced_dual_numbers_regular(k):
     a = make_dual_numbers(k)
     m = regular_module(a, RIGHT)
     n = regular_module(a, LEFT)
-    b = balanced_tensor(module_degree_ring_module(m, 0), module_degree_ring_module(n, 0))
+    b = _degree_tensor(m, n, 0, 0)
     assert b.dim == 2
 
 
@@ -127,8 +132,16 @@ def test_balanced_simple_over_dual_numbers(k):
     a = make_dual_numbers(k)
     x = simple_module_dual_numbers(a, RIGHT)
     y = simple_module_dual_numbers(a, LEFT)
-    b = balanced_tensor(module_degree_ring_module(x, 0), module_degree_ring_module(y, 0))
+    b = _degree_tensor(x, y, 0, 0)
     assert b.dim == 1
+
+
+def test_balanced_tensor_rejects_rings_of_different_dimensions(k):
+    # A^0 of the dual numbers acts on x, the field k on y
+    x = regular_module(make_dual_numbers(k), RIGHT)
+    y = regular_module(make_field_algebra(k), LEFT)
+    with pytest.raises(StructureError, match="different dimensions"):
+        balanced_tensor(x.action_map(0, 0), y.action_map(0, 0))
 
 
 def test_balancedness_on_random_instances(k):
@@ -136,26 +149,24 @@ def test_balancedness_on_random_instances(k):
     rng = instance_rng(13, 2)
     m = random_module(a, RIGHT, rng, span=3)
     n = random_module(a, LEFT, rng, span=3)
-    x = module_degree_ring_module(m, m.window[1])
-    y = module_degree_ring_module(n, n.window[1])
-    b = balanced_tensor(x, y)
-    proj = b.space.projection
+    xact = m.action_map(m.window[1], 0)
+    yact = n.action_map(n.window[1], 0)
+    proj = balanced_tensor(xact, yact).projection
     for c in range(a.dim(0)):
         rvec = Matrix.identity(k, a.dim(0)).columns([c])
-        for u in range(x.dim):
-            xu = Matrix.identity(k, x.dim).columns([u])
+        for u in range(xact.rows):
+            xu = Matrix.identity(k, xact.rows).columns([u])
             # x is a right module: kron order x (x) r
-            xr = x.action @ xu.kron(rvec)
-            for v in range(y.dim):
-                yv = Matrix.identity(k, y.dim).columns([v])
+            xr = xact @ xu.kron(rvec)
+            for v in range(yact.rows):
+                yv = Matrix.identity(k, yact.rows).columns([v])
                 # y is a left module: kron order r (x) y
-                ry = y.action @ rvec.kron(yv)
+                ry = yact @ rvec.kron(yv)
                 assert proj @ xr.kron(yv) == proj @ xu.kron(ry)
 
 
 def _degree0(m, n):
-    mid = balanced_tensor(module_degree_ring_module(m, 0), module_degree_ring_module(n, 0))
-    return degree0_iso_check(TensorComplex(m, n), mid)
+    return degree0_iso_check(TensorComplex(m, n), _degree_tensor(m, n, 0, 0))
 
 
 def test_degree0_iso_trivial_and_exterior(k):
