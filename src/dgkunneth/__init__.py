@@ -9,7 +9,7 @@ through semi-free resolutions, and machine-checks every exact sequence and
 commuting square involved.
 """
 
-from .dgalgebra import DGAlgebra, H0Ring, h0_ring, validate_algebra
+from .dgalgebra import DGAlgebra, h0_ring, validate_algebra
 from .dgmodule import (
     DGModule,
     StrictMorphism,
@@ -37,7 +37,6 @@ __all__ = [
     "DGModule",
     "DerivedKunnethWitness",
     "Field",
-    "H0Ring",
     "KunnethWitness",
     "Matrix",
     "QuotientSpace",

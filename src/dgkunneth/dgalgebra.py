@@ -107,7 +107,7 @@ class DGAlgebra:
         dims = {i: d for i, d in self.dims.items() if d}
         return f"DGAlgebra({self.field!r}, dims={dims})"
 
-    def h0(self) -> "H0Ring":
+    def h0(self) -> QuotientSpace:
         if self._h0 is None:
             self._h0 = h0_ring(self)
         return self._h0
@@ -166,30 +166,13 @@ def validate_algebra(a: DGAlgebra) -> list:
     return out
 
 
-@dataclass(frozen=True)
-class H0Ring:
-    """H^0(A) = A^0 / im(d^{-1}) as a quotient of A^0."""
-    space: QuotientSpace       # of A^0 by im(d^{-1})
-
-    @property
-    def projection(self) -> Matrix:
-        return self.space.projection
-
-    @property
-    def section(self) -> Matrix:
-        return self.space.section
-
-    @property
-    def dim(self) -> int:
-        return self.space.dim
-
-
-def h0_ring(a: DGAlgebra) -> H0Ring:
-    """The degree-zero cohomology ring with projection/section to A^0."""
+def h0_ring(a: DGAlgebra) -> QuotientSpace:
+    """H^0(A) = A^0 / im(d^{-1}) as a quotient of A^0, with projection and
+    section to A^0."""
     space = quotient(a.field, a.dim(0), a.diff_map(-1).transpose())
     proj, sec = space.projection, space.section
     # the projection must be multiplicative, else the input was not a DG algebra
     pm = proj @ a.mult_map(0, 0)
     if pm != pm @ sec.kron(sec) @ proj.kron(proj):
         raise StructureError("projection to H^0 is not multiplicative; input algebra invalid")
-    return H0Ring(space)
+    return space

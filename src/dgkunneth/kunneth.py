@@ -147,6 +147,7 @@ def check_exact_sequences(w: KunnethWitness) -> list:
     deg0_mat, deg0_res = degree0_iso_check(tc, mid)
     out.append(deg0_res)
     phi = hstack([phi1, phi2])
+    r_phi = rank(phi)
 
     # surjectivity of B1 (+) B2 -> (M (x)_A N)^{-1}
     sp1 = tc.space(-1)
@@ -160,7 +161,7 @@ def check_exact_sequences(w: KunnethWitness) -> list:
 
     # pi: M^0 (x)_{A^0} N^0 -> H^0(M (x) N)
     pi = target.class_map @ deg0_mat
-    out.append(_exactness("sequence_phi_pi", phi, pi))
+    out.append(_exactness("sequence_phi_pi", phi, r_phi, pi))
 
     # replacement sequences over A^0, which acts on H^0(mT) and H^0(nT)
     # through A^0 ->> H^0(A)
@@ -176,14 +177,15 @@ def check_exact_sequences(w: KunnethWitness) -> list:
 
     map_130_1 = induced_balanced_map(b2, c1, pi_m, nT.diff_map(-1))
     map_130_2 = induced_balanced_map(c1, hh, eye_hm, pi_n)
-    out.append(_exactness("sequence_replaced_by_piM", map_130_1, map_130_2))
+    out.append(_exactness("sequence_replaced_by_piM", map_130_1, rank(map_130_1), map_130_2))
 
     map_131_1 = phi1
     map_131_2 = induced_balanced_map(mid, c1, pi_m, eye_n0)
-    out.append(_exactness("sequence_apply_tensor_N0", map_131_1, map_131_2))
+    out.append(_exactness("sequence_apply_tensor_N0", map_131_1, rank(map_131_1),
+                          map_131_2))
 
     map_133_2 = induced_balanced_map(mid, hh, pi_m, pi_n)
-    out.append(_exactness("sequence_combined", phi, map_133_2))
+    out.append(_exactness("sequence_combined", phi, r_phi, map_133_2))
 
     # the A^0- and H^0(A)-balanced tensors of the cohomologies coincide
     src = w.source
@@ -233,13 +235,14 @@ def _comparison_route(w: KunnethWitness, pi: Matrix, pi_mn: Matrix, hh) -> Check
                                   "theta": matrix_to_json(w.theta)})
 
 
-def _exactness(name: str, first: Matrix, second: Matrix) -> CheckResult:
-    """im(first) = ker(second) and second surjective, as exact rank identities."""
+def _exactness(name: str, first: Matrix, r1: int, second: Matrix) -> CheckResult:
+    """im(first) = ker(second) and second surjective, as exact rank identities;
+    r1 is rank(first), so a map shared by two sequences is reduced once."""
     comp = second @ first
     if not comp.is_zero():
         return failed(name, counterexample={"reason": "composite_nonzero"})
     mid_dim = first.rows
-    r1, r2 = rank(first), rank(second)
+    r2 = rank(second)
     img_eq_ker = r1 == mid_dim - r2
     onto = r2 == second.rows
     if img_eq_ker and onto:

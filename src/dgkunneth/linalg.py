@@ -14,11 +14,12 @@ matrices on Kronecker-ordered tensor bases (index of e_u (x) e_v is
 u*dimV2 + v).  A vector is an n x 1 `Matrix`, and a batch of vectors is
 the columns of one; coordinate lists appear only in JSON.
 
-One Gauss-Jordan loop serves every field and dtype; it only touches the
-rows that are nonzero in the pivot column.  Every int64 product is guarded
-by `_fits_int64` and is computed on Python ints when an accumulation could
-overflow.  Over Q elimination and products run on gcd-normalized integer
-rows, so no Fraction arithmetic happens inside the elimination loop.
+One elimination loop serves every field and dtype (`_reduced_rows`): it
+works on sparse rows, {column: entry} dicts of the nonzero entries, with
+Python ints mod p over F_p and Fractions over Q, and only the final RREF
+is written as an array.  Every int64 product is guarded by `_fits_int64`
+and is computed on Python ints when an accumulation could overflow; over Q
+products run on integer matrices over one common denominator.
 Results are canonical: the reduced row echelon form is unique, and every
 derived basis (kernels, quotient bases) is determined by its pivot columns.
 The kernel basis vector of free column j is 1 at j and 0 at the other free
@@ -27,11 +28,10 @@ a kernel vector's coordinates are its free entries (`kernel_mod_image`).
 """
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, partial
-from math import gcd, lcm
+from functools import lru_cache
+from math import lcm
 from operator import attrgetter
 
 import numpy as np
@@ -303,87 +303,72 @@ def rref(m: Matrix):
     """
     if m.rows == 0 or m.cols == 0:
         return m, [], 0
-    p = m.field.p
-    if p:
-        work = m.arr.copy()
-        pivots = _gauss_jordan(work, partial(_eliminate_fp, p=p))
-    else:
-        work = _int_rows(m.arr)
-        pivots = _gauss_jordan(work, _eliminate_q)
-        # pivot rows divided by their pivot entries; the other rows are zero
-        lead = np.ones(m.rows, dtype=object)
-        lead[:len(pivots)] = work[range(len(pivots)), pivots]
-        work = _fractions(work, lead)
-    return Matrix._of(m.field, work), pivots, len(pivots)
-
-
-def _gauss_jordan(work: np.ndarray, eliminate) -> list:
-    """Row-reduce `work` in place; returns the pivot columns.
-
-    For each pivot column c, `eliminate(work, r, c, rows)` clears column c
-    in `rows` (the other rows that are nonzero there) with pivot row r.
-    """
-    nrows, ncols = work.shape
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        nz = work[:, c].nonzero()[0].tolist()
-        k = bisect_left(nz, r)
-        if k == len(nz):
-            continue
-        i = nz[k]
-        if i != r:
-            # row i's old place now holds row r, which is zero in column c
-            work[[r, i]] = work[[i, r]]
-        eliminate(work, r, c, nz[:k] + nz[k + 1:])
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return pivots
-
-
-def _eliminate_fp(work: np.ndarray, r: int, c: int, rows: list, p: int):
-    """Scale pivot row r to 1 and clear column c in `rows`, over F_p.
-
-    Entries stay in (-(p-1)^2, p) before each reduction, which int64 holds
-    whenever it is the storage dtype (`_fits_int64(p, 1)`).
-    """
-    # columns left of c are zero in row r, so the update leaves them alone
-    prow = work[r, c:] * pow(int(work[r, c]), p - 2, p) % p
-    work[r, c:] = prow
-    if rows:
-        work[rows, c:] = (work[rows, c:] - np.outer(work[rows, c], prow)) % p
-
-
-def _int_rows(a: np.ndarray) -> np.ndarray:
-    """Clear denominators and strip content: primitive integer rows."""
-    out = np.empty(a.shape, dtype=object)
-    for i, row in enumerate(a):
-        den = lcm(*(x.denominator for x in row))
-        ints = [x.numerator * (den // x.denominator) for x in row]
-        g = gcd(*ints)
-        out[i] = [x // g for x in ints] if g > 1 else ints
-    return out
-
-
-def _eliminate_q(work: np.ndarray, r: int, c: int, rows: list):
-    """Clear column c in `rows` with pivot row r, over Q on primitive
-    integer rows: each row becomes a multiple of itself minus one of row
-    r, divided by its content.  Pivot entries stay unnormalized."""
-    if not rows:
-        return
-    a = work[r, c]
-    b = work[rows, c]
-    g = np.gcd(b, a)
-    new = (a // g)[:, None] * work[rows] - (b // g)[:, None] * work[r]
-    content = np.gcd.reduce(new, axis=1)
-    content[content == 0] = 1
-    work[rows] = new // content[:, None]
+    kept = _reduced_rows(m)
+    pivots = sorted(kept)
+    flat, vals = [], []
+    for i, c in enumerate(pivots):
+        row = kept[c]
+        flat += [i * m.cols + j for j in row]
+        vals += row.values()
+    out = _zeros(m.field, m.rows, m.cols)
+    out.put(flat, vals)
+    return Matrix._of(m.field, out), pivots, len(pivots)
 
 
 def rank(m: Matrix) -> int:
-    return rref(m)[2]
+    return len(_reduced_rows(m)) if m.rows and m.cols else 0
+
+
+def _reduced_rows(m: Matrix) -> dict:
+    """The nonzero rows of rref(m) as {pivot column: {column: entry}}.
+
+    Rows enter in order.  Every kept row is 1 at its pivot column and 0 at
+    the other pivot columns, so a new row is reduced by one pass over the
+    pivot columns it holds.  If a nonzero row remains, its leading column
+    becomes a pivot and is cleared from the kept rows that hold it, found
+    through `holders`; an entry there is stale once the kept row's entry
+    has cancelled.
+    """
+    p = m.field.p
+    rows = [{} for _ in range(m.rows)]
+    i, j = m.arr.nonzero()
+    for r, c, x in zip(i.tolist(), j.tolist(), m.arr[i, j].tolist()):
+        rows[r][c] = x
+    kept = {}
+    holders = {}          # column -> pivot columns of kept rows that held it
+    for row in rows:
+        for c in [c for c in row if c in kept]:
+            _subtract(row, row[c], kept[c], p)
+        if not row:
+            continue
+        lead = min(row)
+        inv = pow(row[lead], -1, p) if p else 1 / row[lead]
+        row = {c: x * inv % p for c, x in row.items()} if p else \
+            {c: x * inv for c, x in row.items()}
+        others = [c for c in row if c != lead]
+        for c in others:
+            holders.setdefault(c, set()).add(lead)
+        for k in holders.pop(lead, ()):
+            krow = kept[k]
+            if lead in krow:
+                _subtract(krow, krow[lead], row, p)
+                for c in others:
+                    holders[c].add(k)
+        kept[lead] = row
+    return kept
+
+
+def _subtract(row: dict, a, other: dict, p):
+    """row -= a * other on {column: entry} rows, over F_p or (p None) Q;
+    entries that cancel are dropped."""
+    for c, x in other.items():
+        y = row.get(c, 0) - a * x
+        if p:
+            y %= p
+        if y:
+            row[c] = y
+        else:
+            del row[c]
 
 
 def _null_rows(f: Field, red: np.ndarray, pivots, n: int):

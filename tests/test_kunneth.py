@@ -124,6 +124,27 @@ def test_exact_sequences_random(k):
             assert all_ok(res), (fam.__name__, idx, [r for r in res if not r.ok])
 
 
+def test_exact_sequences_rank_each_map_once(k, monkeypatch):
+    # phi is the first map of two sequences; it is row-reduced once
+    a = make_koszul_dg(k)
+    rng = instance_rng(103, 1)
+    w = theta(random_module(a, RIGHT, rng), random_module(a, LEFT, rng))
+    ranked = []
+    orig = kunneth.rank
+
+    def counted(mat):
+        ranked.append(mat)
+        return orig(mat)
+
+    monkeypatch.setattr(kunneth, "rank", counted)
+    res = check_exact_sequences(w)
+    assert all_ok(res), [r for r in res if not r.ok]
+    assert len(ranked) == len({id(m) for m in ranked}) == 9
+    phi = next(r for r in res if r.name == "sequence_phi_pi")
+    combined = next(r for r in res if r.name == "sequence_combined")
+    assert phi.details["image_rank"] == combined.details["image_rank"]
+
+
 def test_representative_independence(k):
     a = make_koszul_dg(k)
     for idx in range(4):

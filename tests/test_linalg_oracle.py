@@ -3,8 +3,11 @@
 Over F_p the reference is the plain Gauss-Jordan below, on lists of Python
 ints, at one int64 prime (101), at 2^31 - 1 (int64 storage whose products
 need the Python-int fallback once an inner dimension exceeds 1) and at two
-object-dtype primes.  Over Q the reference is sympy, when it is installed.
-Every matrix strategy includes 0 x n, n x 0 and rank-deficient shapes.
+object-dtype primes; row reduction is also checked at p = 2 and 3, where
+entries cancel often.  Over Q the reference is sympy, when it is installed.
+Every matrix strategy includes 0 x n, n x 0 and rank-deficient shapes, and
+seeded sparse matrices of up to 60 x 60 exercise cancellation and fill-in
+in the sparse elimination loop.
 """
 import random
 from fractions import Fraction
@@ -32,6 +35,7 @@ from dgkunneth.linalg import (
 from dgkunneth.tensor import TensorComplex
 
 PRIMES = (101, 2 ** 31 - 1, 2 ** 61 - 1, 2 ** 64 - 59)
+SMALL_PRIMES = (2, 3)
 Q = Field.rationals()
 
 
@@ -141,7 +145,7 @@ def test_storage_dtype_follows_the_prime(p):
     assert Matrix.identity(Q, 3).arr.dtype == object
 
 
-@pytest.mark.parametrize("p", PRIMES)
+@pytest.mark.parametrize("p", PRIMES + SMALL_PRIMES)
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_row_reduction_matches_reference(p, data):
@@ -264,6 +268,61 @@ def test_seeded_tall_rank_deficient_matrices(p):
         assert as_lists(kernel_basis(m)) == ref_null_rows(ref, piv, cols, p)
 
 
+def sparse_case(rng, p):
+    """(rows, cols, data, fill_col): a 20-60 x 20-60 matrix at most 10%
+    nonzero, over F_p or (p = 0) over Q.  One row repeats an earlier row,
+    one is a multiple of another, and the rows e_c0 + e_fill and, later,
+    e_c0 + e_c2 (c0 < fill < c2, columns zero elsewhere) make the later
+    row's pivot `fill`, a column where that row held zero."""
+    def entry():
+        if p:
+            return rng.randrange(1, p)
+        return Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 3))
+
+    rows, cols = rng.randint(20, 60), rng.randint(20, 60)
+    density = rng.uniform(0.03, 0.08)
+    c0, fill, c2 = sorted(rng.sample(range(cols), 3))
+    zero = 0 if p else Fraction(0)
+    data = [[entry() if j not in (c0, fill, c2) and rng.random() < density else zero
+             for j in range(cols)] for _ in range(rows)]
+    i, j, k, l = sorted(rng.sample(range(rows), 4))
+    data[j] = list(data[i])
+    scale = entry()
+    data[l] = [x * scale % p if p else x * scale for x in data[k]]
+    x, y = sorted(rng.sample([r for r in range(rows) if r not in (i, j, k, l)], 2))
+    data[x] = [int(c in (c0, fill)) + zero for c in range(cols)]
+    data[y] = [int(c in (c0, c2)) + zero for c in range(cols)]
+    return rows, cols, data, fill
+
+
+@pytest.mark.parametrize("p", PRIMES + SMALL_PRIMES)
+def test_sparse_row_reduction_matches_reference(p):
+    f = Field.prime(p)
+    rng = random.Random(f"sparse:{p}")
+    for _ in range(6):
+        rows, cols, d, fill = sparse_case(rng, p)
+        m = Matrix(f, rows, cols, d)
+        red, pivots, r = rref(m)
+        ref, ref_piv = ref_rref(d, cols, p)
+        assert (as_lists(red), pivots, r) == (ref, ref_piv, len(ref_piv))
+        assert fill in pivots
+        assert rank(m) == len(pivots)
+        assert as_lists(kernel_basis(m)) == ref_null_rows(ref, ref_piv, cols, p)
+
+
+def test_published_tensor_relations_match_reference():
+    f = Field.prime(101)
+    for inst in generate_corpus(CorpusProfile(field=f, instance_count=10)):
+        tc = TensorComplex(inst.m, inst.n)
+        for t in range(tc.lo, tc.hi + 1):
+            rel = tc.relations(t)
+            d = as_lists(rel)
+            ref, ref_piv = ref_rref(d, rel.cols, 101)
+            red, pivots, r = rref(rel)
+            assert (as_lists(red), pivots) == (ref, ref_piv)
+            assert r == rank(rel) == len(ref_piv)
+
+
 # ---------------------------------------------------------------------------
 # Q against sympy
 
@@ -350,6 +409,19 @@ def test_q_solve_products_and_left_inverse_match_sympy(case, data):
     built = from_blocks(Q, rows, cols, blocks)
     assert as_lists(built) == ref_from_blocks(blocks, rows, cols, Fraction(0))
     assert all(type(x) is Fraction for x in built.arr.flat)
+
+
+def test_sparse_q_row_reduction_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random("sparse:Q")
+    for _ in range(3):
+        rows, cols, d, fill = sparse_case(rng, 0)
+        m = Matrix(Q, rows, cols, d)
+        red, pivots, r = rref(m)
+        sred, spiv = to_sympy(sympy, rows, cols, d).rref()
+        assert (as_lists(red), pivots) == (from_sympy(sred), list(spiv))
+        assert fill in pivots
+        assert r == rank(m) == len(spiv)
 
 
 # ---------------------------------------------------------------------------
