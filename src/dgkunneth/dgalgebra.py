@@ -125,29 +125,26 @@ def validate_algebra(a: DGAlgebra) -> list:
         if not lhs.is_zero():
             out.append(Violation("d_squared", {"degree": i}))
     for i in a.degrees():
-        di, ii = a.dim(i), Matrix.identity(f, a.dim(i))
+        di = a.dim(i)
         if di == 0:
             continue
         for j in a.degrees():
             dj = a.dim(j)
             if dj == 0:
                 continue
-            ij = Matrix.identity(f, dj)
             lhs = a.diff_map(i + j) @ a.mult_map(i, j)
-            rhs = a.mult_map(i + 1, j) @ a.diff_map(i).kron(ij)
-            term2 = a.mult_map(i, j + 1) @ ii.kron(a.diff_map(j))
+            rhs = a.mult_map(i + 1, j).times_kron_eye(a.diff_map(i), dj)
+            term2 = a.mult_map(i, j + 1).times_eye_kron(di, a.diff_map(j))
             rhs = rhs + (term2 if i % 2 == 0 else -term2)
             if lhs != rhs:
-                loc = _first_mismatch(lhs, rhs)
-                u, v = divmod(loc[1], dj)
+                u, v = divmod(_first_mismatch(lhs, rhs)[1], dj)
                 out.append(Violation("leibniz", {"degrees": (i, j), "basis": (u, v)}))
             for k in a.degrees():
                 dk = a.dim(k)
                 if dk == 0:
                     continue
-                ik = Matrix.identity(f, dk)
-                l2 = a.mult_map(i + j, k) @ a.mult_map(i, j).kron(ik)
-                r2 = a.mult_map(i, j + k) @ ii.kron(a.mult_map(j, k))
+                l2 = a.mult_map(i + j, k).times_kron_eye(a.mult_map(i, j), dk)
+                r2 = a.mult_map(i, j + k).times_eye_kron(di, a.mult_map(j, k))
                 if l2 != r2:
                     loc = _first_mismatch(l2, r2)
                     uv, w = divmod(loc[1], dk)
@@ -159,9 +156,9 @@ def validate_algebra(a: DGAlgebra) -> list:
         if dj == 0:
             continue
         ij = Matrix.identity(f, dj)
-        if a.mult_map(0, j) @ a.unit.kron(ij) != ij:
+        if a.mult_map(0, j).times_kron_eye(a.unit, dj) != ij:
             out.append(Violation("left_unit", {"degree": j}))
-        if a.mult_map(j, 0) @ ij.kron(a.unit) != ij:
+        if a.mult_map(j, 0).times_eye_kron(dj, a.unit) != ij:
             out.append(Violation("right_unit", {"degree": j}))
     return out
 

@@ -2,8 +2,8 @@
 
 Covers the data model and validators, strict morphisms, degree shift,
 smart truncation, free modules on graded generator sets (`free_module`,
-and `free_differential` for one differential without the rest of the
-module), and cohomology with its H^0(A)-module structure.
+`free_differential` for one differential, and `free_map_blocks` for every
+map out of them), and cohomology with its H^0(A)-module structure.
 
 A module is never written after construction: every builder makes a new
 `DGModule`, nothing assigns into its `dims`, `diff` or `action`, and the
@@ -20,6 +20,7 @@ Sign conventions (fixed once, validated by every d^2/Leibniz check):
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import accumulate
 
 from .dgalgebra import DGAlgebra, StructureError, Violation, _first_mismatch
@@ -130,57 +131,48 @@ def validate_module(m: DGModule) -> list:
         di = m.dim(i)
         if di == 0:
             continue
-        im = Matrix.identity(f, di)
         for j in a.degrees():
             dj = a.dim(j)
             if dj == 0:
                 continue
-            ia = Matrix.identity(f, dj)
             act = m.action_map(i, j)
+            lhs = m.diff_map(i + j) @ act
             if m.side == RIGHT:
-                lhs = m.diff_map(i + j) @ act
-                rhs = m.action_map(i + 1, j) @ m.diff_map(i).kron(ia)
-                t2 = m.action_map(i, j + 1) @ im.kron(a.diff_map(j))
+                rhs = m.action_map(i + 1, j).times_kron_eye(m.diff_map(i), dj)
+                t2 = m.action_map(i, j + 1).times_eye_kron(di, a.diff_map(j))
                 rhs = rhs + (t2 if i % 2 == 0 else -t2)
-                if lhs != rhs:
-                    loc = _first_mismatch(lhs, rhs)
-                    u, v = divmod(loc[1], dj)
-                    out.append(Violation("leibniz", {"degrees": (i, j), "basis": (u, v)}))
+                degrees, inner = (i, j), dj
             else:
                 # stored source order is A^j (x) M^i
-                lhs = m.diff_map(i + j) @ act
-                rhs = m.action_map(i + 1, j) @ ia.kron(m.diff_map(i))
-                rhs = rhs if j % 2 == 0 else -rhs
-                t1 = m.action_map(i, j + 1) @ a.diff_map(j).kron(im)
-                lhs2 = t1 + rhs
-                if lhs != lhs2:
-                    loc = _first_mismatch(lhs, lhs2)
-                    u, v = divmod(loc[1], di)
-                    out.append(Violation("leibniz", {"degrees": (j, i), "basis": (u, v)}))
+                t2 = m.action_map(i + 1, j).times_eye_kron(dj, m.diff_map(i))
+                rhs = m.action_map(i, j + 1).times_kron_eye(a.diff_map(j), di)
+                rhs = rhs + (t2 if j % 2 == 0 else -t2)
+                degrees, inner = (j, i), di
+            if lhs != rhs:
+                u, v = divmod(_first_mismatch(lhs, rhs)[1], inner)
+                out.append(Violation("leibniz", {"degrees": degrees, "basis": (u, v)}))
             for k in a.degrees():
                 dk = a.dim(k)
                 if dk == 0:
                     continue
-                ik = Matrix.identity(f, dk)
                 if m.side == RIGHT:
-                    l2 = m.action_map(i + j, k) @ act.kron(ik)
-                    r2 = m.action_map(i, j + k) @ im.kron(a.mult_map(j, k))
+                    l2 = m.action_map(i + j, k).times_kron_eye(act, dk)
+                    r2 = m.action_map(i, j + k).times_eye_kron(di, a.mult_map(j, k))
                 else:
                     # (a b).m = a.(b m): act over A^k then A^j on the outside
-                    l2 = m.action_map(i, k + j) @ a.mult_map(k, j).kron(im)
-                    r2 = m.action_map(i + j, k) @ ik.kron(act)
+                    l2 = m.action_map(i, k + j).times_kron_eye(a.mult_map(k, j), di)
+                    r2 = m.action_map(i + j, k).times_eye_kron(dk, act)
                 if l2 != r2:
                     out.append(Violation("action_associativity", {"degrees": (i, j, k)}))
     for i in m.degrees():
         di = m.dim(i)
         if di == 0:
             continue
-        im = Matrix.identity(f, di)
         if m.side == RIGHT:
-            got = m.action_map(i, 0) @ im.kron(a.unit)
+            got = m.action_map(i, 0).times_eye_kron(di, a.unit)
         else:
-            got = m.action_map(i, 0) @ a.unit.kron(im)
-        if got != im:
+            got = m.action_map(i, 0).times_kron_eye(a.unit, di)
+        if got != Matrix.identity(f, di):
             out.append(Violation("unit_action", {"degree": i}))
     return out
 
@@ -239,22 +231,20 @@ def validate_morphism(fm: StrictMorphism) -> list:
     out = []
     src, tgt = fm.source, fm.target
     a = src.algebra
-    f = src.field
     lo = min(src.window[0], tgt.window[0])
     hi = max(src.window[1], tgt.window[1])
     for i in range(lo, hi + 1):
         if fm.map_at(i + 1) @ src.diff_map(i) != tgt.diff_map(i) @ fm.map_at(i):
             out.append(Violation("chain_map", {"degree": i}))
         for j in a.degrees():
-            if a.dim(j) == 0 or src.dim(i) == 0:
+            dj = a.dim(j)
+            if dj == 0 or src.dim(i) == 0:
                 continue
-            ia = Matrix.identity(f, a.dim(j))
+            lhs = fm.map_at(i + j) @ src.action_map(i, j)
             if src.side == RIGHT:
-                lhs = fm.map_at(i + j) @ src.action_map(i, j)
-                rhs = tgt.action_map(i, j) @ fm.map_at(i).kron(ia)
+                rhs = tgt.action_map(i, j).times_kron_eye(fm.map_at(i), dj)
             else:
-                lhs = fm.map_at(i + j) @ src.action_map(i, j)
-                rhs = tgt.action_map(i, j) @ ia.kron(fm.map_at(i))
+                rhs = tgt.action_map(i, j).times_eye_kron(dj, fm.map_at(i))
             if lhs != rhs:
                 out.append(Violation("equivariance", {"degrees": (i, j)}))
     return out
@@ -296,7 +286,6 @@ def smart_truncate(m: DGModule, j: int) -> DGModule:
         return m
     if j < lo:
         return DGModule(m.side, m.algebra, (j, j), {j: 0}, {}, {})
-    f = m.field
     incl = kernel_basis(m.diff_map(j)).transpose()   # M^j <- ker
     z = incl.cols
     dims = {i: m.dim(i) for i in range(lo, j)}
@@ -319,9 +308,8 @@ def smart_truncate(m: DGModule, j: int) -> DGModule:
                 continue
             act = m.action_map(i, ja)
             if i == j:
-                src = incl.kron(Matrix.identity(f, a.dim(ja))) if m.side == RIGHT \
-                    else Matrix.identity(f, a.dim(ja)).kron(incl)
-                act = act @ src
+                act = act.times_kron_eye(incl, a.dim(ja)) if m.side == RIGHT \
+                    else act.times_eye_kron(a.dim(ja), incl)
             if i + ja == j:
                 restricted = solve(incl, act)
                 if restricted is None:
@@ -455,11 +443,12 @@ def free_module(algebra: DGAlgebra, side: str, gen_degrees, gen_diffs=None):
     lo, hi = lay.window()
     offsets = {i: lay.offsets(i) for i in range(lo, hi + 2)}
     dims = {i: offsets[i][-1] for i in range(lo, hi + 1)}
-    gen_diffs = dict(enumerate(gen_diffs)) if gen_diffs is not None else {}
+    gen_diffs = list(gen_diffs or [])
     action = {(i, j): _free_action(lay, side, offsets[i], offsets[i + j], i, j)
               for i in range(lo, hi + 1) for j in algebra.degrees()
               if algebra.dim(j) and dims[i] and lo <= i + j <= hi}
-    diff = {i: _free_diff(lay, side, gen_diffs, offsets[i], offsets[i + 1], action, i)
+    diff = {i: _free_diff(lay, side, gen_diffs, offsets[i], offsets[i + 1],
+                          lambda k, j: action[k, j], i)
             for i in range(lo, hi + 1) if dims[i]}
     return DGModule(side, algebra, (lo, hi), dims, diff, action), lay
 
@@ -469,8 +458,8 @@ def free_differential(algebra: DGAlgebra, side: str, gen_degrees, gen_diffs, i: 
     built from the same blocks in the same order, but with the action blocks
     (e_g + 1, i - e_g) of the generators with a nonzero d(g) only."""
     lay = FreeLayout(algebra, tuple(gen_degrees))
-    return _free_diff(lay, side, dict(enumerate(gen_diffs)), lay.offsets(i),
-                      lay.offsets(i + 1), {}, i)
+    actions = cache(lambda k, j: _free_action(lay, side, lay.offsets(k), lay.offsets(k + j), k, j))
+    return _free_diff(lay, side, gen_diffs, lay.offsets(i), lay.offsets(i + 1), actions, i)
 
 
 def _free_action(lay: FreeLayout, side: str, src, tgt, i: int, j: int) -> Matrix:
@@ -494,39 +483,44 @@ def _free_action(lay: FreeLayout, side: str, src, tgt, i: int, j: int) -> Matrix
     return from_blocks(algebra.field, tgt[-1], src[-1] * dj, blocks)
 
 
-def _free_diff(lay: FreeLayout, side: str, gen_diffs: dict, src, tgt, action: dict,
-               i: int) -> Matrix:
-    """d^i; `src` and `tgt` are the layout's offsets in degrees i and i + 1.
-    The action blocks on the d(g) are read from the memo `action`, and built
-    into it when missing."""
-    algebra, f = lay.algebra, lay.algebra.field
+def _free_diff(lay: FreeLayout, side: str, gen_diffs, src, tgt, action_at, i: int) -> Matrix:
+    """d^i; `src` and `tgt` are the layout's offsets in degrees i and i + 1,
+    and `action_at(k, j)` is the module's action in degree (k, j)."""
     blocks = []
     for g, e in enumerate(lay.gen_degrees):
-        da = algebra.dim(i - e)
-        if da == 0:
-            continue
         # d(g.a) = d(g).a + (-1)^{|g|} g.d(a) (right),
         # d(a.g) = d(a).g + (-1)^{|a|} a.d(g) (left)
-        dalg = algebra.diff_map(i - e).arr
-        if dalg.shape[0]:
+        dalg = lay.algebra.diff_map(i - e).arr
+        if dalg.size:
             neg = side == RIGHT and e % 2 == 1
             blocks.append((tgt[g], src[g], -dalg if neg else dalg))
-        dg = gen_diffs.get(g)
-        if tgt[-1] and dg is not None and not dg.is_zero():
-            # the action on d(g) (x) e_b (right) or e_b (x) d(g) (left)
-            eye = Matrix.identity(f, da)
-            act = action.get((e + 1, i - e))
-            if act is None:
-                act = action[(e + 1, i - e)] = _free_action(
-                    lay, side, lay.offsets(e + 1), tgt, e + 1, i - e)
-            if side == RIGHT:
-                term = act @ dg.kron(eye)
-            else:
-                term = act @ eye.kron(dg)
-                if (i - e) % 2:
-                    term = -term
-            blocks.append((0, src[g], term.arr))
-    return from_blocks(f, tgt[-1], src[-1], blocks)
+    if tgt[-1]:
+        blocks += free_map_blocks(lay, side, gen_diffs, action_at, i, 1)
+    return from_blocks(lay.algebra.field, tgt[-1], src[-1], blocks)
+
+
+def free_map_blocks(lay: FreeLayout, side: str, images, action_at, i: int,
+                    degree_shift: int) -> list:
+    """`from_blocks` blocks of the degree-i matrix of g.a |-> images[g].a
+    (right) or a.g |-> (-1)^{|a| s} a.images[g] (left), s = degree_shift, on
+    the free module `lay`, into a module with action `action_at(k, j)` in
+    degree (k, j); images[g] lies in degree e_g + s, and missing ones are 0."""
+    offs = lay.offsets(i)
+    blocks = []
+    for g, img in enumerate(images):
+        e = lay.gen_degrees[g]
+        da = lay.algebra.dim(i - e)
+        if da == 0 or img.is_zero():
+            continue
+        act = action_at(e + degree_shift, i - e)
+        if side == RIGHT:
+            blk = act.times_kron_eye(img, da)
+        else:
+            blk = act.times_eye_kron(da, img)
+            if (i - e) * degree_shift % 2:
+                blk = -blk
+        blocks.append((0, offs[g], blk.arr))
+    return blocks
 
 
 # ---------------------------------------------------------------------------

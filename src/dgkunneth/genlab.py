@@ -512,16 +512,15 @@ def noninjectivity_witness(field: Field) -> NoninjectivityWitness:
     m = regular_module(a, RIGHT)
     n = regular_module(a, LEFT)
     b1, b2, *_ = phi_summands(m, n)
-    # the basis vectors 1 of A^0 = M^0 = N^0 and eps of A^{-1}, as columns
-    one = eps = Matrix.identity(field, 1)
-    m_eps = m.action_map(0, -1) @ one.kron(eps)       # 1.eps in M^{-1}
-    eps_n = n.action_map(0, -1) @ eps.kron(one)       # eps.1 in N^{-1}
+    # 1 spans A^0 = M^0 = N^0, so a vector tensored with 1 keeps its coordinates
+    m_eps = m.action_map(0, -1)       # 1.eps in M^{-1}
+    eps_n = n.action_map(0, -1)       # eps.1 in N^{-1}
     # (1.eps) (x) 1 in the first summand, -(1 (x) (eps.1)) in the second
-    element = vstack([b1.projection @ m_eps.kron(one), b2.projection @ one.kron(-eps_n)])
+    element = vstack([b1.projection @ m_eps, b2.projection @ -eps_n])
     tc = TensorComplex(m, n)
     sp = tc.space(-1)
-    image = sp.projection @ (tc.embed_block(-1, -1, b1.ambient_dim) @ m_eps.kron(one)
-                             - tc.embed_block(-1, 0, b2.ambient_dim) @ one.kron(eps_n))
+    image = sp.projection @ (tc.embed_block(-1, -1, b1.ambient_dim) @ m_eps
+                             - tc.embed_block(-1, 0, b2.ambient_dim) @ eps_n)
     onto = minus1_comparison(tc, b1, b2)
     return NoninjectivityWitness(
         a, m, n, element, b1.dim + b2.dim, sp.dim, image, rank(onto) == sp.dim)

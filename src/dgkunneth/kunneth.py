@@ -166,8 +166,8 @@ def check_exact_sequences(w: KunnethWitness) -> list:
     # replacement sequences over A^0, which acts on H^0(mT) and H^0(nT)
     # through A^0 ->> H^0(A)
     proj = mT.algebra.h0().projection
-    hm0 = hm.h0_action @ Matrix.identity(f, hm.dim).kron(proj)
-    hn0 = hn.h0_action @ proj.kron(Matrix.identity(f, hn.dim))
+    hm0 = hm.h0_action.times_eye_kron(hm.dim, proj)
+    hn0 = hn.h0_action.times_kron_eye(proj, hn.dim)
     c1 = balanced_tensor(hm0, nT.action_map(0, 0))
     hh = balanced_tensor(hm0, hn0)
     pi_m = hm.class_map                      # M^0 -> H^0(M), A^0-equivariant

@@ -12,7 +12,9 @@ Linear maps use the column convention throughout: a map V -> W is a
 (dim W) x (dim V) matrix acting on column vectors, and bilinear maps are
 matrices on Kronecker-ordered tensor bases (index of e_u (x) e_v is
 u*dimV2 + v).  A vector is an n x 1 `Matrix`, and a batch of vectors is
-the columns of one; coordinate lists appear only in JSON.
+the columns of one; coordinate lists appear only in JSON.  A map applied
+to one tensor factor, B @ (X (x) I) or B @ (I (x) X), is one product with X
+(`times_kron_eye`, `times_eye_kron`) that never builds the Kronecker product.
 
 One elimination loop serves every field and dtype (`_reduced_rows`): it
 works on sparse rows, {column: entry} dicts of the nonzero entries, with
@@ -165,12 +167,31 @@ class Matrix:
             raise ValueError(f"shape mismatch {self.rows}x{self.cols} vs {other.rows}x{other.cols}")
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
-        f = self.field
-        if f is not other.field and f != other.field:
+        self._check_product(other, other.rows, other.cols)
+        return Matrix._of(self.field, _matmul(self.field, self.arr, other.arr))
+
+    def _check_product(self, other: "Matrix", rows: int, cols: int):
+        """Raise unless self times a rows x cols matrix over other's field is defined."""
+        if self.field is not other.field and self.field != other.field:
             raise ValueError("field mismatch")
-        if self.cols != other.rows:
-            raise ValueError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        return Matrix._of(f, _matmul(f, self.arr, other.arr))
+        if self.cols != rows:
+            raise ValueError(f"cannot multiply {self.rows}x{self.cols} by {rows}x{cols}")
+
+    def times_kron_eye(self, x: "Matrix", k: int) -> "Matrix":
+        """self @ (x (x) I_k) as one product with x, by (A (x) B) vec(Y) =
+        vec(B Y A^T) (Van Loan 2000): column a*k + t of self meets row a of x."""
+        self._check_product(x, x.rows * k, x.cols * k)
+        s = self.arr.reshape(self.rows, x.rows, k).transpose(0, 2, 1)
+        prod = _matmul(self.field, s.reshape(self.rows * k, x.rows), x.arr)
+        prod = prod.reshape(self.rows, k, x.cols).transpose(0, 2, 1)
+        return Matrix._of(self.field, prod.reshape(self.rows, x.cols * k))
+
+    def times_eye_kron(self, k: int, x: "Matrix") -> "Matrix":
+        """self @ (I_k (x) x) as one product with x: each run of x.rows
+        columns of self is one row of it."""
+        self._check_product(x, x.rows * k, x.cols * k)
+        prod = _matmul(self.field, self.arr.reshape(self.rows * k, x.rows), x.arr)
+        return Matrix._of(self.field, prod.reshape(self.rows, k * x.cols))
 
     def kron_columns(self, other: "Matrix") -> "Matrix":
         """Column-wise Kronecker product: column s is self[:, s] (x) other[:, s]."""

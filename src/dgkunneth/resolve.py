@@ -42,6 +42,7 @@ from .dgmodule import (
     FreeLayout,
     StrictMorphism,
     cohomology,
+    free_map_blocks,
     free_module,
     shift,
     shift_morphism,
@@ -124,9 +125,7 @@ def _module_generators(cands: Matrix, action: Matrix, ring_dim: int) -> Matrix:
     orbit (the vec . e_u); the span is kept row-reduced, and a vector lies in
     it when it equals the rows times its pivot entries.
     """
-    f = cands.field
-    eye = Matrix.identity(f, ring_dim)
-    span, pivots = Matrix.zeros(f, 0, action.rows), []
+    span, pivots = Matrix.zeros(cands.field, 0, action.rows), []
     chosen = []
     for j in range(cands.cols):
         col = cands.columns([j])
@@ -134,31 +133,16 @@ def _module_generators(cands: Matrix, action: Matrix, ring_dim: int) -> Matrix:
             continue
         chosen.append(j)
         # column u of the product is col . e_u
-        red, pivots, _ = rref(vstack([span, (action @ col.kron(eye)).transpose()]))
+        red, pivots, _ = rref(vstack([span, action.times_kron_eye(col, ring_dim).transpose()]))
         span = drop_zero_rows(red)
     return cands.columns(chosen)
 
 
 def _free_map(lay: FreeLayout, target: DGModule, images, i: int,
               degree_shift: int) -> Matrix:
-    """Degree-i matrix of the equivariant map g.a |-> images[g].a into
-    target^{i+degree_shift}; generators past len(images) map to zero.
-
-    For g of degree e its block holds images[g].e_b for the basis e_b of
-    A^{i-e}: the action on images[g] (x) e_b.
-    """
-    f = target.field
-    offs = lay.offsets(i)
-    blocks = []
-    for g, img in enumerate(images):
-        e = lay.gen_degrees[g]
-        da = lay.algebra.dim(i - e)
-        if da == 0 or img.is_zero():
-            continue
-        act = target.action_map(e + degree_shift, i - e)
-        blk = act @ img.kron(Matrix.identity(f, da))
-        blocks.append((0, offs[g], blk.arr))
-    return from_blocks(f, target.dim(i + degree_shift), offs[-1], blocks)
+    """Degree-i matrix of the equivariant map g.a |-> images[g].a into target."""
+    blocks = free_map_blocks(lay, target.side, images, target.action_map, i, degree_shift)
+    return from_blocks(target.field, target.dim(i + degree_shift), lay.dim(i), blocks)
 
 
 def morphism_from_generator_images(p: DGModule, lay: FreeLayout, target: DGModule,

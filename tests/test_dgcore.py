@@ -4,6 +4,7 @@ import pytest
 
 from dgkunneth import linalg
 from dgkunneth.dgalgebra import (
+    DGAlgebra,
     StructureError,
     h0_ring,
     validate_algebra,
@@ -143,6 +144,121 @@ def test_module_leibniz_mutation_detected(k):
     assert report
     leib = [v for v in report if v.axiom == "leibniz"]
     assert leib and "basis" in leib[0].where
+
+
+def _plus_ones(mat):
+    return mat + linalg.from_entries(mat.field, mat.rows, mat.cols, [(slice(None), slice(None), 1)])
+
+
+def _plus_corner(mat):
+    """mat plus 1 in its bottom-right entry: the mismatches then sit at
+    basis vectors other than the first."""
+    if not (mat.rows and mat.cols):
+        return mat
+    return mat + linalg.from_entries(mat.field, mat.rows, mat.cols,
+                                     [(mat.rows - 1, mat.cols - 1, 1)])
+
+
+# The full violation lists, in order, for the Koszul DG algebra (and the
+# upper triangular one, whose single degree has dimension 3), the sum of two
+# copies of the Koszul algebra's regular module (dimension 4 in each degree
+# against the algebra's 2) and its identity morphism, with every product,
+# action or component corrupted.  Each `where`, basis included, reaches
+# `validate` and the input-gate CLI reports.
+ONES_MODULE = [
+    ("leibniz", {"degrees": (-1, -1), "basis": (0, 1)}),
+    ("leibniz", {"degrees": (-1, 0), "basis": (0, 0)}),
+    ("action_associativity", {"degrees": (-1, 0, 0)}),
+    ("leibniz", {"degrees": (0, -1), "basis": (0, 0)}),
+    ("action_associativity", {"degrees": (0, -1, 0)}),
+    ("action_associativity", {"degrees": (0, 0, -1)}),
+    ("action_associativity", {"degrees": (0, 0, 0)}),
+    ("unit_action", {"degree": -1}),
+    ("unit_action", {"degree": 0}),
+]
+ASSOCIATIVITY = [
+    ("action_associativity", {"degrees": (0, -1, 0)}),
+    ("action_associativity", {"degrees": (0, 0, -1)}),
+    ("action_associativity", {"degrees": (0, 0, 0)}),
+]
+MORPHISM = [
+    ("chain_map", {"degree": -1}),
+    ("equivariance", {"degrees": (-1, 0)}),
+    ("equivariance", {"degrees": (0, -1)}),
+    ("equivariance", {"degrees": (0, 0)}),
+]
+BROKEN_REPORTS = {
+    ("koszul algebra", "ones"): [
+        ("leibniz", {"degrees": (-1, -1), "basis": (0, 1)}),
+        ("leibniz", {"degrees": (-1, 0), "basis": (0, 0)}),
+        ("associativity", {"degrees": (-1, 0, 0), "basis": (0, 0, 1)}),
+        ("leibniz", {"degrees": (0, -1), "basis": (0, 0)}),
+        ("associativity", {"degrees": (0, -1, 0), "basis": (0, 0, 1)}),
+        ("associativity", {"degrees": (0, 0, -1), "basis": (0, 0, 1)}),
+        ("associativity", {"degrees": (0, 0, 0), "basis": (0, 0, 1)}),
+        ("left_unit", {"degree": -1}),
+        ("right_unit", {"degree": -1}),
+        ("left_unit", {"degree": 0}),
+        ("right_unit", {"degree": 0}),
+    ],
+    ("koszul algebra", "corner"): [
+        ("leibniz", {"degrees": (-1, -1), "basis": (0, 1)}),
+        ("leibniz", {"degrees": (-1, 0), "basis": (0, 1)}),
+        ("leibniz", {"degrees": (0, -1), "basis": (1, 0)}),
+    ],
+    ("upper triangular algebra", "corner"): [
+        ("associativity", {"degrees": (0, 0, 0), "basis": (1, 2, 2)}),
+        ("left_unit", {"degree": 0}),
+        ("right_unit", {"degree": 0}),
+    ],
+    (RIGHT, "ones"): ONES_MODULE,
+    (RIGHT, "corner"): [
+        ("leibniz", {"degrees": (-1, -1), "basis": (2, 1)}),
+        ("leibniz", {"degrees": (-1, 0), "basis": (2, 1)}),
+        ("action_associativity", {"degrees": (-1, 0, 0)}),
+        ("leibniz", {"degrees": (0, -1), "basis": (3, 0)}),
+        *ASSOCIATIVITY,
+    ],
+    # a left module reports Leibniz at (algebra, module) degrees
+    (LEFT, "ones"): [
+        ("leibniz", {"degrees": (-1, -1), "basis": (0, 1)}),
+        ("leibniz", {"degrees": (0, -1), "basis": (0, 0)}),
+        ("action_associativity", {"degrees": (-1, 0, 0)}),
+        ("leibniz", {"degrees": (-1, 0), "basis": (0, 0)}),
+        *ONES_MODULE[4:],
+    ],
+    (LEFT, "corner"): [
+        ("leibniz", {"degrees": (-1, -1), "basis": (0, 3)}),
+        ("leibniz", {"degrees": (0, -1), "basis": (1, 2)}),
+        ("action_associativity", {"degrees": (-1, 0, 0)}),
+        ("leibniz", {"degrees": (-1, 0), "basis": (0, 3)}),
+        *ASSOCIATIVITY,
+    ],
+    (RIGHT + " morphism", "ones"): MORPHISM,
+    (LEFT + " morphism", "ones"): MORPHISM,
+}
+
+
+@pytest.mark.parametrize("case,corruption", sorted(BROKEN_REPORTS))
+def test_violation_lists_are_pinned(k, case, corruption):
+    corrupt = {"ones": _plus_ones, "corner": _plus_corner}[corruption]
+    if case.endswith("algebra"):
+        a = (make_koszul_dg if case.startswith("koszul") else make_upper_triangular2)(k)
+        report = validate_algebra(DGAlgebra(
+            k, a.min_degree, a.dims, {ij: corrupt(x) for ij, x in a.mult.items()},
+            a.diff, a.unit))
+    else:
+        side, _, morphism = case.partition(" ")
+        r = regular_module(make_koszul_dg(k), side)
+        m = direct_sum(r, r)
+        if morphism:
+            maps = StrictMorphism.identity(m).maps
+            report = validate_morphism(StrictMorphism(m, m, {i: corrupt(x)
+                                                              for i, x in maps.items()}))
+        else:
+            report = validate_module(DGModule(side, m.algebra, m.window, m.dims, m.diff,
+                                              {ij: corrupt(x) for ij, x in m.action.items()}))
+    assert [(v.axiom, v.where) for v in report] == BROKEN_REPORTS[case, corruption]
 
 
 def h0_action_violations(coh) -> list:

@@ -5,6 +5,8 @@ ints, at one int64 prime (101), at 2^31 - 1 (int64 storage whose products
 need the Python-int fallback once an inner dimension exceeds 1) and at two
 object-dtype primes; row reduction is also checked at p = 2 and 3, where
 entries cancel often.  Over Q the reference is sympy, when it is installed.
+The products with one identity Kronecker factor are checked against the
+products with the Kronecker product built.
 Every matrix strategy includes 0 x n, n x 0 and rank-deficient shapes, and
 seeded sparse matrices of up to 60 x 60 exercise cancellation and fill-in
 in the sparse elimination loop.
@@ -247,9 +249,54 @@ def test_int64_products_take_the_overflow_guard():
     rng = random.Random(20240601)
     a = [[p - 1 - rng.randrange(3) for _ in range(7)] for _ in range(5)]
     b = [[p - 1 - rng.randrange(3) for _ in range(4)] for _ in range(7)]
-    prod = Matrix(f, 5, 7, a) @ Matrix(f, 7, 4, b)
-    assert prod.arr.dtype == np.int64
-    assert as_lists(prod) == ref_matmul(a, b, 7, 4, p)
+    ma, mb = Matrix(f, 5, 7, a), Matrix(f, 7, 4, b)
+    for prod in (ma @ mb, ma.times_kron_eye(mb, 1), ma.times_eye_kron(1, mb)):
+        assert prod.arr.dtype == np.int64
+        assert as_lists(prod) == ref_matmul(a, b, 7, 4, p)
+
+
+# one field per storage: int64 with int64 products, int64 whose products of
+# inner dimension 2 or more run on Python ints, object ints, and Fractions
+ONE_FACTOR_FIELDS = {"F101": Field.prime(101), "F2^31-1": Field.prime(2 ** 31 - 1),
+                     "F2^61-1": Field.prime(2 ** 61 - 1), "Q": Q}
+
+
+@pytest.mark.parametrize("label", sorted(ONE_FACTOR_FIELDS))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_one_factor_products_match_the_kronecker_products(label, data):
+    """B @ (X (x) I_k) and B @ (I_k (x) X) equal the products with the
+    Kronecker product built, entry for entry and type for type, for k = 0,
+    1 and 3 and for X or B with no rows or no columns."""
+    f = ONE_FACTOR_FIELDS[label]
+    elem = q_entries if f.p is None else entries(f.p)
+
+    def matrix(rows, cols):
+        rows_data = data.draw(st.lists(st.lists(elem, min_size=cols, max_size=cols),
+                                       min_size=rows, max_size=rows))
+        return Matrix(f, rows, cols, rows_data)
+
+    k = data.draw(st.sampled_from([0, 1, 3]))
+    x = matrix(data.draw(st.integers(0, 3)), data.draw(st.integers(0, 3)))
+    b = matrix(data.draw(st.integers(0, 3)), x.rows * k)
+    eye = Matrix.identity(f, k)
+    for got, want in ((b.times_kron_eye(x, k), b @ x.kron(eye)),
+                      (b.times_eye_kron(k, x), b @ eye.kron(x))):
+        assert got == want and got.arr.dtype == want.arr.dtype
+        assert [type(v) for v in got.arr.flat] == [type(v) for v in want.arr.flat]
+
+
+def test_one_factor_products_reject_mismatches():
+    f = Field.prime(101)
+    b, x = Matrix.zeros(f, 2, 6), Matrix.zeros(f, 3, 2)
+    assert b.times_kron_eye(x, 2).cols == b.times_eye_kron(2, x).cols == 4
+    for product in (lambda: b.times_kron_eye(x, 3), lambda: b.times_eye_kron(1, x)):
+        with pytest.raises(ValueError, match="cannot multiply"):
+            product()
+    for other in (Matrix.zeros(Q, 3, 2), Matrix.zeros(Field.prime(103), 3, 2)):
+        for product in (lambda: b.times_kron_eye(other, 2), lambda: b.times_eye_kron(2, other)):
+            with pytest.raises(ValueError, match="field mismatch"):
+                product()
 
 
 @pytest.mark.parametrize("p", PRIMES)
@@ -432,7 +479,8 @@ def test_matrix_arrays_are_read_only():
     for f in (Field.prime(101), Field.prime(2 ** 61 - 1), Q):
         m = Matrix.from_int_rows(f, [[1, 2], [3, 4]])
         for derived in (m, m.transpose(), m.columns(slice(0, 1)), m @ m, m.kron(m), -m,
-                        kernel_basis(m), rref(m)[0]):
+                        m.times_kron_eye(m, 1), m.times_eye_kron(1, m), kernel_basis(m),
+                        rref(m)[0]):
             with pytest.raises(ValueError):
                 derived.arr[0, 0] = f.one
         assert m == Matrix.from_int_rows(f, [[1, 2], [3, 4]])
