@@ -11,6 +11,11 @@ matrices are read-only.  So `cohomology` computes H^i once per module and
 degree and keeps the result on the module, and `shift(m, 0)` returns m and
 `smart_truncate(m, j)` for j at or above the top returns m, cache and all.
 
+`dims` holds the nonzero dimensions only, and `degrees()` their degrees.
+Loops over a module or a free layout visit those degrees alone, so the
+cost follows the data; the degree window only bounds the module (for
+truncation, the default top degrees of `theta` and the JSON format).
+
 Sign conventions (fixed once, validated by every d^2/Leibniz check):
   left Leibniz   d(a.m) = d(a).m + (-1)^{|a|} a.d(m)
   right Leibniz  d(m.a) = d(m).a + (-1)^{|m|} m.d(a)
@@ -50,10 +55,12 @@ class DGModule:
         lo, hi = window
         if lo > hi:
             raise StructureError("empty degree window")
+        if not all(lo <= i <= hi for i in dims):
+            raise StructureError(f"dims {dims} reach outside the window {window}")
         self.side = side
         self.algebra = algebra
         self.window = (lo, hi)
-        self.dims = {i: int(dims.get(i, 0)) for i in range(lo, hi + 1)}
+        self.dims = {i: int(d) for i, d in sorted(dims.items()) if d}
         if any(d < 0 for d in self.dims.values()):
             raise StructureError("negative dimension")
         self.diff = dict(diff)
@@ -79,7 +86,8 @@ class DGModule:
         return self.dims.get(i, 0)
 
     def degrees(self):
-        return range(self.window[0], self.window[1] + 1)
+        """The degrees i with M^i != 0, ascending: `dims` is built in order."""
+        return self.dims.keys()
 
     def total_dim(self) -> int:
         return sum(self.dims.values())
@@ -115,8 +123,7 @@ class DGModule:
         return True
 
     def __repr__(self):
-        dims = {i: d for i, d in self.dims.items() if d}
-        return f"DGModule({self.side}, dims={dims})"
+        return f"DGModule({self.side}, dims={self.dims})"
 
 
 def validate_module(m: DGModule) -> list:
@@ -129,8 +136,6 @@ def validate_module(m: DGModule) -> list:
             out.append(Violation("d_squared", {"degree": i}))
     for i in m.degrees():
         di = m.dim(i)
-        if di == 0:
-            continue
         for j in a.degrees():
             dj = a.dim(j)
             if dj == 0:
@@ -166,8 +171,6 @@ def validate_module(m: DGModule) -> list:
                     out.append(Violation("action_associativity", {"degrees": (i, j, k)}))
     for i in m.degrees():
         di = m.dim(i)
-        if di == 0:
-            continue
         if m.side == RIGHT:
             got = m.action_map(i, 0).times_eye_kron(di, a.unit)
         else:
@@ -228,17 +231,17 @@ class StrictMorphism:
 
 
 def validate_morphism(fm: StrictMorphism) -> list:
+    """Chain map and equivariance; both sides of each equation start in
+    the source, so only the source's degrees can break them."""
     out = []
     src, tgt = fm.source, fm.target
     a = src.algebra
-    lo = min(src.window[0], tgt.window[0])
-    hi = max(src.window[1], tgt.window[1])
-    for i in range(lo, hi + 1):
+    for i in src.degrees():
         if fm.map_at(i + 1) @ src.diff_map(i) != tgt.diff_map(i) @ fm.map_at(i):
             out.append(Violation("chain_map", {"degree": i}))
         for j in a.degrees():
             dj = a.dim(j)
-            if dj == 0 or src.dim(i) == 0:
+            if dj == 0:
                 continue
             lhs = fm.map_at(i + j) @ src.action_map(i, j)
             if src.side == RIGHT:
@@ -287,24 +290,24 @@ def smart_truncate(m: DGModule, j: int) -> DGModule:
     if j < lo:
         return DGModule(m.side, m.algebra, (j, j), {j: 0}, {}, {})
     incl = kernel_basis(m.diff_map(j)).transpose()   # M^j <- ker
-    z = incl.cols
-    dims = {i: m.dim(i) for i in range(lo, j)}
-    dims[j] = z
+    dims = {i: d for i, d in m.dims.items() if i < j}
     diff = {}
-    for i in range(lo, j):
+    for i in dims:
         d = m.diff_map(i)
         if i + 1 == j:
             x = solve(incl, d)
             if x is None:
                 raise StructureError("differential does not land in cocycles")
             diff[i] = x
-        elif i + 1 < j:
+        else:
             diff[i] = d
+    if incl.cols:
+        dims[j] = incl.cols
     action = {}
     a = m.algebra
-    for i in list(dims):
+    for i in dims:
         for ja in a.degrees():
-            if a.dim(ja) == 0 or dims[i] == 0 or not (lo <= i + ja <= j):
+            if a.dim(ja) == 0 or i + ja not in dims:
                 continue
             act = m.action_map(i, ja)
             if i == j:
@@ -333,7 +336,7 @@ def truncate_morphism(fm: StrictMorphism, j: int) -> StrictMorphism:
     s_in = _truncation_incl(fm.source, j)
     t_in = _truncation_incl(fm.target, j)
     maps = {}
-    for i in range(min(src.window[0], tgt.window[0]), j + 1):
+    for i in src.degrees():
         fmat = fm.map_at(i)
         if i == j:
             if s_in is not None:
@@ -342,7 +345,7 @@ def truncate_morphism(fm: StrictMorphism, j: int) -> StrictMorphism:
                 fmat = solve(t_in, fmat)
                 if fmat is None:
                     raise StructureError("morphism does not preserve cocycles")
-        if fmat.rows and fmat.cols:
+        if fmat.rows:
             maps[i] = fmat
     return StrictMorphism(src, tgt, maps)
 
@@ -358,17 +361,17 @@ def direct_sum(m1: DGModule, m2: DGModule) -> DGModule:
     a = m1.algebra
     lo = min(m1.window[0], m2.window[0])
     hi = max(m1.window[1], m2.window[1])
-    dims = {i: m1.dim(i) + m2.dim(i) for i in range(lo, hi + 1)}
+    dims = {i: m1.dim(i) + m2.dim(i) for i in sorted({*m1.degrees(), *m2.degrees()})}
     diff = {}
-    for i in range(lo, hi + 1):
+    for i in dims:
         d1, d2 = m1.diff_map(i), m2.diff_map(i)
         diff[i] = from_blocks(f, dims.get(i + 1, 0), dims[i],
                               [(0, 0, d1.arr), (d1.rows, d1.cols, d2.arr)])
     action = {}
-    for i in range(lo, hi + 1):
+    for i in dims:
         for j in a.degrees():
             dj = a.dim(j)
-            if dj == 0 or dims[i] == 0 or not (lo <= i + j <= hi):
+            if dj == 0 or i + j not in dims:
                 continue
             a1, a2 = m1.action_map(i, j).arr, m2.action_map(i, j).arr
             tgt1, n1, n2 = m1.dim(i + j), m1.dim(i), m2.dim(i)
@@ -391,12 +394,7 @@ def mapping_cone(fm: StrictMorphism) -> DGModule:
     cone = direct_sum(fm.target, shifted)
     diff = dict(cone.diff)
     for i in cone.degrees():
-        fmat = fm.map_at(i + 1)
-        if fmat.rows == 0 or fmat.cols == 0:
-            continue
-        block = diff.get(i)
-        if block is None or block.rows == 0:
-            continue
+        fmat, block = fm.map_at(i + 1), diff[i]
         diff[i] = from_blocks(cone.field, block.rows, block.cols,
                               [(0, 0, block.arr), (0, fm.target.dim(i), fmat.arr)])
     return DGModule(cone.side, cone.algebra, cone.window, cone.dims, diff, cone.action)
@@ -424,6 +422,11 @@ class FreeLayout:
     def dim(self, i: int) -> int:
         return self.offsets(i)[-1]
 
+    def degrees(self) -> list:
+        """The degrees e_g + j with A^j != 0, ascending: where the module is nonzero."""
+        a = self.algebra
+        return sorted({e + j for e in set(self.gen_degrees) for j in a.degrees() if a.dim(j)})
+
     def window(self):
         if not self.gen_degrees:
             return (0, 0)
@@ -440,17 +443,15 @@ def free_module(algebra: DGAlgebra, side: str, gen_degrees, gen_diffs=None):
     Returns (module, layout).
     """
     lay = FreeLayout(algebra, tuple(gen_degrees))
-    lo, hi = lay.window()
-    offsets = {i: lay.offsets(i) for i in range(lo, hi + 2)}
-    dims = {i: offsets[i][-1] for i in range(lo, hi + 1)}
+    offsets = {i: lay.offsets(i) for i in lay.degrees()}
+    dims = {i: offs[-1] for i, offs in offsets.items()}
     gen_diffs = list(gen_diffs or [])
     action = {(i, j): _free_action(lay, side, offsets[i], offsets[i + j], i, j)
-              for i in range(lo, hi + 1) for j in algebra.degrees()
-              if algebra.dim(j) and dims[i] and lo <= i + j <= hi}
-    diff = {i: _free_diff(lay, side, gen_diffs, offsets[i], offsets[i + 1],
+              for i in dims for j in algebra.degrees() if algebra.dim(j) and i + j in dims}
+    diff = {i: _free_diff(lay, side, gen_diffs, offsets[i], lay.offsets(i + 1),
                           lambda k, j: action[k, j], i)
-            for i in range(lo, hi + 1) if dims[i]}
-    return DGModule(side, algebra, (lo, hi), dims, diff, action), lay
+            for i in dims}
+    return DGModule(side, algebra, lay.window(), dims, diff, action), lay
 
 
 def free_differential(algebra: DGAlgebra, side: str, gen_degrees, gen_diffs, i: int) -> Matrix:

@@ -279,16 +279,14 @@ def random_morphism(m: DGModule, mp: DGModule, rng: random.Random) -> StrictMorp
         blocks.append((nrows, offs[i], -right.kron(Matrix.identity(f, m.dim(i))).arr))
         nrows += mp.dim(t) * m.dim(i)
 
-    for i in degs:
+    for i in m.degrees():
         # chain map: f_{i+1} d_i = d'_i f_i
         constrain(i + 1, m.diff_map(i), i, mp.diff_map(i))
-    for i in degs:
-        if m.dim(i) == 0:
-            continue
+    for i in m.degrees():
         for j in a.degrees():
             dj = a.dim(j)
             t = i + j
-            if dj == 0 or (m.dim(t) == 0 and mp.dim(t) == 0):
+            if dj == 0 or mp.dim(t) == 0:
                 continue
             act, actp = m.action_map(i, j), mp.action_map(i, j)
             # equivariance per basis vector a_c of A^j: f_t (x.a_c) = f_i(x).a_c

@@ -21,12 +21,13 @@ itself, these share their cached cohomology with mG, nG and P.
 
 Stage t adjoins generators of degree t - 1, and as A is nonpositive a
 generator of degree e spans P only in degrees <= e.  So the stages t <= -d
-leave P^i, the differential out of P^i and rho^i untouched for i >= -d, and
-with them H^t(P) and H^t(rho) for t >= -d + 1.  A resolution of depth
-width(N) + 2 therefore already computes the top exactly, because the tensor
-degrees 0 and -1 only see P in degrees >= -1 - width(N).  The same argument
-makes a deeper resolution that merely continues a shallower one equal to it
-near the top, so the deeper resolutions the derived checks compare are
+leave P^{>=-d} final: P^i, the differential out of P^i and rho^i, i >= -d.
+As P, nG and A live in degrees <= 0, a relation or a differential of
+P (x)_A nG in degree t involves P^p only for p >= t.  The top H^0 and the
+H^{-1} control of the `derived-kunneth` report read the degrees 0, -1 and
+-2, so `DEPTH` = 2 computes both exactly, for every N.  The same argument
+makes a deeper resolution that merely continues a shallower one equal to
+it near the top, so the deeper resolutions the derived checks compare are
 built from scratch with their own seeds (`deeper_witnesses`).
 """
 from __future__ import annotations
@@ -69,8 +70,10 @@ from .serialize import matrix_to_json
 from .tensor import induced_balanced_map, tensor_map
 
 GENERATOR_CAP = 64
-# (seed, depth above width(N)) of the two resolutions that `deeper_witnesses`
-# builds next to the variant-0 one at width + 2
+# the depth of the variant-0 resolution `theta_der` builds
+DEPTH = 2
+# (seed, depth) of the two resolutions that `deeper_witnesses` builds next
+# to the variant-0 one
 DEEPER_RESOLUTIONS = ((1, 3), (2, 4))
 
 
@@ -84,7 +87,7 @@ def cohomology_dim(m: DGModule, i: int) -> int:
 
 def sup_cohomology(m: DGModule):
     """Largest degree with nonzero cohomology, or None."""
-    for i in range(m.window[1], m.window[0] - 1, -1):
+    for i in reversed(m.degrees()):
         if cohomology_dim(m, i):
             return i
     return None
@@ -151,8 +154,7 @@ def morphism_from_generator_images(p: DGModule, lay: FreeLayout, target: DGModul
 
     With degree_shift = -1 this builds homotopy components P^i -> target^{i-1}.
     """
-    return {i: _free_map(lay, target, images, i, degree_shift)
-            for i in p.degrees() if p.dim(i)}
+    return {i: _free_map(lay, target, images, i, degree_shift) for i in p.degrees()}
 
 
 def _build_p_and_rho(algebra, target, gen_degrees, gen_diffs, gen_images):
@@ -177,7 +179,7 @@ def semifree_resolve(m: DGModule, depth: int, variant: int = 0,
     # stage 0: generators mapping onto module generators of the cohomology;
     # the first degree with a class, scanning down, is sup H(M)
     h0dim = a.h0().dim
-    for i in range(m.window[1], m.window[0] - 1, -1):
+    for i in reversed(m.degrees()):
         coh = cohomology(m, i)
         if coh.dim == 0:
             continue
@@ -240,8 +242,7 @@ def semifree_resolve(m: DGModule, depth: int, variant: int = 0,
             gen_diffs.append(z.columns([j]))
             gen_images.append(w.columns([j]))
         lay_next = FreeLayout(a, tuple(gen_degrees))
-        lo, hi = lay_next.window()
-        worst = max(lay_next.dim(i) for i in range(lo, hi + 1))
+        worst = max(lay_next.dim(i) for i in lay_next.degrees())
         if worst > cap:
             raise ResourceCapError(
                 f"per-degree dimension {worst} exceeds the generator cap {cap}")
@@ -266,7 +267,10 @@ def _certify_resolution(res: SemiFreeResolution):
         top = max((e for e in res.gen_degrees), default=None)
         if top != sup_h:
             raise StructureError("sup(P) differs from sup(H(M))")
-    for t in range(max(p.window[1], m.window[1]), -res.depth - 1, -1):
+    # H^t(P) and H^t(M) vanish where P^t and M^t do
+    for t in sorted({*p.degrees(), *m.degrees()}, reverse=True):
+        if t < -res.depth:
+            break
         hp, hm = cohomology(p, t), cohomology(m, t)
         r = rank(cohomology_map(rho, hp, hm))
         surjective, injective = r == hm.dim, r == hp.dim
@@ -290,7 +294,6 @@ class DerivedKunnethWitness:
     P (x)_A nG as `plain.tc`.  The depth is `resolution.depth`."""
     i0: int
     j0: int
-    width: int                       # -(bottom degree of nG)
     resolution: SemiFreeResolution
     plain: KunnethWitness            # theta for (P, nG)
     mn: KunnethWitness               # theta for (mG, nG)
@@ -307,7 +310,8 @@ class DerivedKunnethWitness:
 
 def theta_der(m: DGModule, n: DGModule, depth: int | None = None,
               i0: int | None = None, j0: int | None = None) -> DerivedKunnethWitness:
-    """The derived top-degree isomorphism with its commuting-triangle evidence."""
+    """The derived top-degree isomorphism with its commuting-triangle
+    evidence, on a resolution of depth `DEPTH` unless `depth` is given."""
     if i0 is None:
         i0 = sup_cohomology(m)
         i0 = m.window[1] if i0 is None else i0
@@ -316,15 +320,14 @@ def theta_der(m: DGModule, n: DGModule, depth: int | None = None,
         j0 = n.window[1] if j0 is None else j0
     mG = smart_truncate(shift(m, i0), 0)
     nG = smart_truncate(shift(n, j0), 0)
-    width = 0 - nG.window[0]
-    res = semifree_resolve(mG, width + 2 if depth is None else depth)
+    res = semifree_resolve(mG, DEPTH if depth is None else depth)
     # theta for (mG, nG): its H^0(mG), source, tensor complex and H^0 are
     # the ones the transport and the triangle need, for every resolution
-    return _theta_der_on(res, theta(mG, nG, i0=0, j0=0), i0, j0, width)
+    return _theta_der_on(res, theta(mG, nG, i0=0, j0=0), i0, j0)
 
 
-def _theta_der_on(res: SemiFreeResolution, wMN: KunnethWitness, i0: int, j0: int,
-                  width: int) -> DerivedKunnethWitness:
+def _theta_der_on(res: SemiFreeResolution, wMN: KunnethWitness, i0: int,
+                  j0: int) -> DerivedKunnethWitness:
     """The per-resolution half of `theta_der`: theta_der on `res`, a
     resolution of wMN.mT, stated on the bases of `wMN` = theta(mG, nG)."""
     nG = wMN.nT
@@ -387,29 +390,27 @@ def _theta_der_on(res: SemiFreeResolution, wMN: KunnethWitness, i0: int, j0: int
         evidence.append(failed("derived_diagram_commutes",
                                counterexample={"eta_theta_der": matrix_to_json(eta_h0 @ th_der),
                                                "theta": matrix_to_json(wMN.theta), **cause}))
-    return DerivedKunnethWitness(i0, j0, width, res, plain, wMN, source, plain.target,
+    return DerivedKunnethWitness(i0, j0, res, plain, wMN, source, plain.target,
                                  th_der, eta_h0, evidence)
 
 
 def deeper_witnesses(w: DerivedKunnethWitness) -> list:
     """theta_der on the resolutions of `DEEPER_RESOLUTIONS`: variant 1 at
-    depth width + 3 and variant 2 at width + 4, each resolving `w`'s mG from
-    scratch with its own seed and certified in full; theta(mG, nG) is
-    `w.mn`.  Both derived checks compare these two against `w`."""
-    return [_theta_der_on(semifree_resolve(w.mn.mT, w.width + extra, variant=v),
-                          w.mn, w.i0, w.j0, w.width)
-            for v, extra in DEEPER_RESOLUTIONS]
+    depth 3 and variant 2 at depth 4, each resolving `w`'s mG from scratch
+    with its own seed and certified in full; theta(mG, nG) is `w.mn`.  Both
+    derived checks compare these two against `w`."""
+    return [_theta_der_on(semifree_resolve(w.mn.mT, depth, variant=v), w.mn, w.i0, w.j0)
+            for v, depth in DEEPER_RESOLUTIONS]
 
 
 def check_depth_stabilization(w: DerivedKunnethWitness, deeper: list) -> CheckResult:
     """Deeper resolutions change nothing at the top: equal dims and equal
     composites into H^{i0+j0}(M (x) N).
 
-    `w` is the variant-0 `theta_der` witness at depth width + 2, the least
-    depth that guarantees the top, and `deeper` is `deeper_witnesses(w)`;
-    witnesses at other depths raise ValueError.
+    `w` is the variant-0 `theta_der` witness at depth `DEPTH`, and `deeper`
+    is `deeper_witnesses(w)`; witnesses at other depths raise ValueError.
     """
-    depths = [w.width + 2, w.width + 3, w.width + 4]
+    depths = [DEPTH, *(d for _, d in DEEPER_RESOLUTIONS)]
     ws = [w, *deeper]
     got = [x.resolution.depth for x in ws]
     if got != depths:

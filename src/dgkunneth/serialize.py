@@ -115,10 +115,11 @@ def algebra_from_json(field: Field, d: dict) -> DGAlgebra:
 
 
 def module_to_json(m: DGModule) -> dict:
+    lo, hi = m.window
     out = {
         "side": m.side,
-        "window": [m.window[0], m.window[1]],
-        "dims": {str(i): m.dim(i) for i in m.degrees()},
+        "window": [lo, hi],
+        "dims": {str(i): m.dim(i) for i in range(lo, hi + 1)},   # zeros too
         "diff": {},
         "action": {},
     }
@@ -218,15 +219,13 @@ def module_file_from_json(d: dict):
 # Audit exports: quotient presentations and staged resolutions
 
 
-def tensor_complex_to_json(tc, degrees=None) -> dict:
-    """Per-degree quotient presentation of M (x)_A N for external audit.
+def tensor_complex_to_json(tc, degrees) -> dict:
+    """Quotient presentation of M (x)_A N in `degrees`, for external audit.
 
     Carries ambient block layout, relation rows, projection and section, so
     a third party can re-check projection o section = id and that the
     relations are annihilated.
     """
-    if degrees is None:
-        degrees = range(tc.lo, tc.hi + 1)
     out = {"lo": tc.lo, "hi": tc.hi, "degrees": {}}
     for t in degrees:
         sp = tc.space(t)
@@ -258,6 +257,5 @@ def resolution_to_json(res) -> dict:
         "depth": res.depth,
         "generators": gens,
         "p": module_to_json(res.p),
-        "rho": {str(i): matrix_to_json(res.rho.map_at(i))
-                for i in res.p.degrees() if res.p.dim(i)},
+        "rho": {str(i): matrix_to_json(res.rho.map_at(i)) for i in res.p.degrees()},
     }

@@ -65,15 +65,15 @@ def balanced_tensor(xact: Matrix, yact: Matrix) -> QuotientSpace:
 
 
 def induced_balanced_map(src: QuotientSpace, dst: QuotientSpace,
-                         fmat: Matrix, gmat: Matrix, check: bool = True) -> Matrix:
+                         fmat: Matrix, gmat: Matrix) -> Matrix:
     """The map f (x) g between balanced tensor quotients.
 
-    `fmat` and `gmat` must be equivariant; with `check` the relation span of
-    the source is verified to map into the relation span of the target.
+    `fmat` and `gmat` must be equivariant: the relation span of the source
+    is verified to map into the relation span of the target.
     """
     amb = fmat.kron(gmat)
     out = dst.projection @ amb @ src.section
-    if check and src.relations.rows:
+    if src.relations.rows:
         img = dst.projection @ amb @ src.relations.transpose()
         if not img.is_zero():
             raise DescentError("induced map does not descend to the balanced quotient")
@@ -112,11 +112,9 @@ class TensorComplex:
         """Bigraded blocks (p, q, offset, dim M^p, dim N^q) with p ascending."""
         out = []
         off = 0
-        plo = max(self.m.window[0], t - self.n.window[1])
-        phi = min(self.m.window[1], t - self.n.window[0])
-        for p in range(plo, phi + 1):
+        for p in self.m.degrees():
             dmp, dnq = self.m.dim(p), self.n.dim(t - p)
-            if dmp and dnq:
+            if dnq:
                 out.append((p, t - p, off, dmp, dnq))
                 off += dmp * dnq
         return out
@@ -152,7 +150,7 @@ class TensorComplex:
                 dmp = self.m.dim(p)
                 q = t - p - j
                 dnq = self.n.dim(q)
-                if dmp == 0 or dnq == 0:
+                if dnq == 0:
                     continue
                 if p + j in offsets:
                     act_m = self.m.action_map(p, j)           # M^p (x) A^j -> M^{p+j}
@@ -271,13 +269,12 @@ def minus1_comparison(tc: TensorComplex, b1: QuotientSpace, b2: QuotientSpace) -
         tc.embed_block(-1, 0, b2.ambient_dim) @ b2.section])
 
 
-def tensor_map(src: TensorComplex, dst: TensorComplex, fmaps, gmaps, t: int,
-               check: bool = True) -> Matrix:
+def tensor_map(src: TensorComplex, dst: TensorComplex, fmaps, gmaps, t: int) -> Matrix:
     """Quotient-level matrix of f (x) g at degree t.
 
     `fmaps(p)` and `gmaps(q)` return the degree components of strict
-    morphisms m_src -> m_dst and n_src -> n_dst.  With `check`, relation
-    rows of the source are verified to map into the target relation span.
+    morphisms m_src -> m_dst and n_src -> n_dst.  Relation rows of the
+    source are verified to map into the target relation span.
     """
     tgt = {p: off for p, q, off, dmp, dnq in dst.blocks(t)}
     # a source block whose target block has a zero factor maps to zero
@@ -285,7 +282,7 @@ def tensor_map(src: TensorComplex, dst: TensorComplex, fmaps, gmaps, t: int,
               for p, q, off, dmp, dnq in src.blocks(t) if p in tgt]
     amb = from_blocks(src.field, dst.ambient_dim(t), src.ambient_dim(t), blocks)
     sp, dp = src.space(t), dst.space(t)
-    if check and sp.relations.rows:
+    if sp.relations.rows:
         img = dp.projection @ amb @ sp.relations.transpose()
         if not img.is_zero():
             raise DescentError(f"tensor map does not descend at degree {t}")

@@ -108,7 +108,7 @@ def test_derived_kunneth_command(tmp_path):
     assert report["source_dim"] == 1
     assert report["target_dim"] == 1
     assert report["tor1_negative_control_dim"] == 1
-    # the stabilization check compares width+2..width+4 (width 0 here)
+    # the stabilization check compares depths 2, 3 and 4, for every N
     stab = [c for c in report["checks"] if c["name"] == "depth_stabilization"]
     assert stab[0]["details"]["depths"] == [2, 3, 4]
 
@@ -153,6 +153,21 @@ def test_validate_empty_module(tmp_path):
     empty = DGModule(RIGHT, a, (0, 0), {0: 0}, {}, {})
     path = write_instance(tmp_path, "empty", a, empty)
     assert main(["validate", path]) == 0
+
+
+def test_validate_dims_outside_the_window_is_structural_error(tmp_path, capsys):
+    # a dimension outside the window is rejected, not silently dropped
+    a = make_exterior(F101)
+    blob = module_file_to_json(a, regular_module(a, RIGHT), "m")
+    blob["module"]["window"] = [0, 0]
+    blob["module"]["diff"], blob["module"]["action"] = {}, {}
+    for degree in ("5", "-7"):
+        blob["module"]["dims"] = {"0": 1, degree: 3}
+        path = tmp_path / f"outside{degree}.json"
+        path.write_text(dumps_canonical(blob))
+        assert main(["validate", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: dims ") and "outside the window (0, 0)" in err
 
 
 def test_suite_zero_instances_is_structural_error(tmp_path):
@@ -303,17 +318,20 @@ def test_gen_and_depth_flag_are_rejected(exterior_pair, tmp_path, capsys):
 
 # sha256 of each canonical report without `timing`, for the instance files
 # that scripts/export_examples.py writes; recorded before the suite and the
-# CLI shared one check list per battery
+# CLI shared one check list per battery.  The exterior and koszul
+# derived-kunneth reports were re-pinned when the resolution depths became
+# 2, 3 and 4 for every N: only the stabilization depths and the resolution's
+# depth changed
 CLI_REPORT_SHA256 = {
     ("kunneth", "exterior"): "4a25f1f00ae575b788f6579d0d8c849b9773407d66aa8fa7f6780e8fcb55582b",
     ("kunneth", "dualnum"): "7d3892cd4fff8f3632b01245ddb1304b8ed6e9eb2503bdcaba1bb76d29a20d52",
     ("kunneth", "koszul"): "d0cfa4a1b24c5ff67472b4e50991dfdcebd87df08e62f5f43ebde6bd752e4f2e",
     ("derived-kunneth", "exterior"):
-        "db53f353c1a87aa5a64c0791420b84c7de91b992a315bbd6099e41fa590e92e0",
+        "4ac19c8e33655a79cbcad543e6cf7a98e24e421ac39cb39a388b4e57bd9c4d01",
     ("derived-kunneth", "dualnum"):
         "e30f86f987af8cb73d5e29277575f148896edb29af05683714c51b39e1aa7cda",
     ("derived-kunneth", "koszul"):
-        "b74dd71d74d7d172c5fc565c39b54a73f29b78fba6cd1ef0ed0af6aee7486618",
+        "fab2f656de086dc7ff1fa5c04466bbe8170edd8a35f6e7636327c1f12d39aeb0",
 }
 
 

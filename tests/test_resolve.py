@@ -1,10 +1,11 @@
 import hashlib
+import time
 from collections import Counter
 from dataclasses import replace
 
 import pytest
 
-from dgkunneth import linalg, resolve, suite
+from dgkunneth import kunneth, linalg, resolve, suite
 from dgkunneth.checks import all_ok
 from dgkunneth.dgmodule import (
     LEFT,
@@ -192,8 +193,8 @@ def test_depth_stabilization_detects_a_wrong_theta_der(k):
     deeper = deeper_witnesses(w)
     assert check_depth_stabilization(w, deeper).ok
     assert not w.theta_der.is_zero()
-    # the witness at depth width + 2 with theta_der doubled; the ones at
-    # width + 3 and width + 4 are untouched
+    # the witness at depth 2 with theta_der doubled; the ones at depths 3
+    # and 4 are untouched
     doubled = replace(w, theta_der=w.theta_der.scale(k.of_int(2)))
     assert doubled.ok
     res = check_depth_stabilization(doubled, deeper)
@@ -225,16 +226,16 @@ def _doubling_variant(k, monkeypatch, seed):
     return built
 
 
-def test_depth_stabilization_detects_a_wrong_theta_der_at_width_plus_3(k, monkeypatch):
-    # only variant 1, the resolution at width + 3, gets a doubled theta_der:
+def test_depth_stabilization_detects_a_wrong_theta_der_at_depth_3(k, monkeypatch):
+    # only variant 1, the resolution at depth 3, gets a doubled theta_der:
     # the stabilization check must compare a resolution built from scratch
-    # there, not the width + 2 one deepened
+    # there, not the depth-2 one deepened
     m, n = _dual_numbers_simple_pair(k)
     w = theta_der(m, n)
     assert suite.derived_checks(w, stabilization=True, independence=False)[-1].ok
     variant_1 = _doubling_variant(k, monkeypatch, 1)
     res = suite.derived_checks(w, stabilization=True, independence=False)[-1]
-    assert [r.depth for r in variant_1] == [w.width + 3]
+    assert [r.depth for r in variant_1] == [3]
     assert (res.name, res.ok) == ("depth_stabilization", False)
     assert res.counterexample == {"depths": [2, 3, 4], "dims": [1, 1, 1]}
 
@@ -245,7 +246,7 @@ def test_resolution_independence_detects_a_wrong_theta_der(k, monkeypatch):
     assert check_resolution_independence(deeper_witnesses(w)).ok
     variant_2 = _doubling_variant(k, monkeypatch, 2)
     res = check_resolution_independence(deeper_witnesses(w))
-    assert [r.depth for r in variant_2] == [w.width + 4]
+    assert [r.depth for r in variant_2] == [4]
     assert (res.name, res.ok) == ("resolution_independence", False)
     assert res.counterexample["variants"] == [1, 2]
 
@@ -314,7 +315,7 @@ def test_transport_invertibility_detects_a_wrong_rho(k):
     rho = StrictMorphism(res.p, m, resolve.morphism_from_generator_images(
         res.p, res.layout, m, images))
     bad = replace(res, gen_images=images, rho=rho)
-    wb = resolve._theta_der_on(bad, w.mn, w.i0, w.j0, w.width)
+    wb = resolve._theta_der_on(bad, w.mn, w.i0, w.j0)
     bad_checks = [r for r in wb.evidence if not r.ok]
     assert [r.name for r in bad_checks] == \
         ["h0_rho_transport_invertible", "theta_der_bijective", "derived_diagram_commutes"]
@@ -333,7 +334,7 @@ def _corrupted_rho_witness(idx):
     rho0 = res.rho.map_at(0).arr.copy()
     rho0[0, 0] = (rho0[0, 0] + 1) % 101
     rho = StrictMorphism(res.p, res.target, {**res.rho.maps, 0: Matrix(F101, *rho0.shape, rho0)})
-    wb = resolve._theta_der_on(replace(res, rho=rho), w.mn, w.i0, w.j0, w.width)
+    wb = resolve._theta_der_on(replace(res, rho=rho), w.mn, w.i0, w.j0)
     return [r for r in wb.evidence if not r.ok]
 
 
@@ -410,7 +411,7 @@ def test_lift_detects_a_wrong_generator_image(k):
 @pytest.mark.parametrize("field, resolved", [(F101, 67), (Q, 71)], ids=["F101", "Q"])
 def test_derived_checks_compare_pairwise_different_resolutions(field, resolved):
     # the derived instances of the published profile where mG is not
-    # acyclic: the width + 2 resolution and the two of DEEPER_RESOLUTIONS
+    # acyclic: the depth-2 resolution and the two of DEEPER_RESOLUTIONS
     # differ in their generator data.  Over F_p for a tiny p a random unit
     # has too few values to promise this
     profile = CorpusProfile(field=field)
@@ -421,28 +422,29 @@ def test_derived_checks_compare_pairwise_different_resolutions(field, resolved):
         if not w.resolution.gen_degrees:
             continue
         count += 1
-        others = [semifree_resolve(w.mn.mT, w.width + extra, variant=v)
-                  for v, extra in resolve.DEEPER_RESOLUTIONS]
+        others = [semifree_resolve(w.mn.mT, depth, variant=v)
+                  for v, depth in resolve.DEEPER_RESOLUTIONS]
         data = [(r.gen_degrees, r.gen_diffs, r.gen_images)
                 for r in (w.resolution, *others)]
         assert data[0] != data[1] != data[2] != data[0], inst.name
     assert count == resolved
 
 
-# sha256 of `resolution_to_json` of variants 1 and 2 (`deeper_witnesses`) on
-# the 6 derived instances of the 12-instance profile, recorded while vectors
-# were still lists of scalars.  Variant 0 makes no draws, so this pins the
+# sha256 of `resolution_to_json` of variants 1 and 2 (`deeper_witnesses`, at
+# depths 3 and 4) on the 6 derived instances of the 12-instance profile; the
+# code that still resolved to width(N) + 3 and + 4 gives these digests when
+# asked for depths 3 and 4.  Variant 0 makes no draws, so this pins the
 # order of the seeded draws
 SEEDED_RESOLUTIONS_SHA256 = {
-    "F101": "0fc217936dbfd3beb42cc3098e52c1d798dd675ecc3bd7f9341a1e386d7087e3",
-    "Q": "39505686dc80b68ae1b5fb3977982ebb08615dd986a380ee3b307c76b740993f",
+    "F101": "27fe9a320af8e26841410cc6c62f1a5f154edd34417be645526c7db886c624b2",
+    "Q": "c75896843833f2bffaf8d6530236e490de3b0b13f7bb7d584b87eb7c6b2deb19",
 }
 # the same for instance 14 of the published profile, where a killed class
 # draws both a nonempty w and nonempty kernel coefficients, which pins their
 # order too
 INSTANCE14_SHA256 = {
-    "F101": "f6f67f82b9feeba898aa3af171bb6a75c37ef58d73cc87a8fe68d5190bf4ecc3",
-    "Q": "6a9cffe19bd6ce7909c6b58962523f5350818f6eafa63cf92c24357201d9c57f",
+    "F101": "140119cabb6b96fbc9b8ae09b6a9058c4d543d6a47d3f8e9f3546603e1ac0d37",
+    "Q": "60152c1b7c9b7d419a12a6b0a927d0567b06deeadeed82a7016bab6db29f2992",
 }
 
 
@@ -484,9 +486,9 @@ def test_each_stage_makes_one_solve(monkeypatch, field):
     monkeypatch.setattr(resolve, "solve", counted)
     widest = 0
     for w in witnesses:
-        for v, extra in ((0, 2), *resolve.DEEPER_RESOLUTIONS):
+        for v, depth in ((0, resolve.DEPTH), *resolve.DEEPER_RESOLUTIONS):
             calls.clear()
-            res = semifree_resolve(w.mn.mT, w.width + extra, variant=v)
+            res = semifree_resolve(w.mn.mT, depth, variant=v)
             killed = Counter(s for s in res.gen_stages if s)
             assert calls == [killed[s] for s in sorted(killed)]
             widest = max([widest, *calls])
@@ -522,15 +524,14 @@ def test_only_the_certification_scans_ranks(monkeypatch):
 
 def _derived_witnesses(f, g):
     """theta_der for the sources and the targets at the common bounds (the
-    larger sup of cohomology) and the common depth (the larger width + 2)."""
+    larger sup of cohomology)."""
     def top(a, b):
         sups = [s for s in (sup_cohomology(a), sup_cohomology(b)) if s is not None]
         return max(sups, default=max(a.window[1], b.window[1]))
 
     i0, j0 = top(f.source, f.target), top(g.source, g.target)
-    d = max(-smart_truncate(shift(x, j0), 0).window[0] for x in (g.source, g.target)) + 2
-    return (theta_der(f.source, g.source, depth=d, i0=i0, j0=j0),
-            theta_der(f.target, g.target, depth=d, i0=i0, j0=j0))
+    return (theta_der(f.source, g.source, i0=i0, j0=j0),
+            theta_der(f.target, g.target, i0=i0, j0=j0))
 
 
 def test_theta_der_functoriality_identity_zero(k):
@@ -594,9 +595,9 @@ def test_theta_der_functoriality_rejects_mismatched_witnesses(k):
         check_theta_der_functoriality(*ident, w, other)
 
 
-def _k_over_square_zero(k):
-    """k[x,y]/(x,y)^2 and k as a right module over it: the resolution of k
-    adjoins 2^s generators at stage s, so degree -s of P has dim 3 * 2^s."""
+def _k_over_square_zero(k, side=RIGHT):
+    """k[x,y]/(x,y)^2 and k as a module over it: the resolution of k adjoins
+    2^s generators at stage s, so degree -s of P has dim 3 * 2^s."""
     from dgkunneth.genlab import make_ordinary, ordinary_module
     z3 = [0, 0, 0]
     a = make_ordinary(k, [
@@ -604,7 +605,7 @@ def _k_over_square_zero(k):
         [[0, 1, 0], z3, z3],
         [[0, 0, 1], z3, z3],
     ])
-    return a, ordinary_module(a, RIGHT, Matrix.from_int_rows(k, [[1, 0, 0]]))
+    return a, ordinary_module(a, side, Matrix.from_int_rows(k, [[1, 0, 0]]))
 
 
 def test_generator_cap(k):
@@ -614,14 +615,13 @@ def test_generator_cap(k):
 
 
 def test_generator_cap_trips_in_the_deepest_stabilization_depth(tmp_path, monkeypatch):
-    # N free on generators of degrees 0 and -1 has width 1, so the battery
-    # resolves k to depths 3, 4 and 5; the depth-5 stage adds 32 generators
-    # of degree -5, i.e. dimension 96 there, past the default cap of 64.
-    # Independence reads variant 2 at depth 5 too, so only a battery with
-    # both deep checks off stays under the cap.  A cap failure is not
-    # shrunk, so the battery runs once per call in every field.
+    # M = k (+) k: the battery resolves it to depths 2, 3 and 4, and stage s
+    # adjoins 2 * 2^s generators of degree -s, so P^{-3} has dimension 48
+    # and the depth-4 stage makes P^{-4} of dimension 96, past the default
+    # cap of 64.  Independence reads variant 2 at depth 4 too, so only a
+    # battery with both deep checks off stays under the cap.  A cap failure
+    # is not shrunk, so the battery runs once per call in every field.
     from dgkunneth.cli import main
-    from dgkunneth.dgmodule import free_module
     from dgkunneth.genlab import Instance
     from dgkunneth.serialize import dumps_canonical, module_file_to_json
     runs = []
@@ -633,12 +633,13 @@ def test_generator_cap_trips_in_the_deepest_stabilization_depth(tmp_path, monkey
 
     monkeypatch.setattr(suite, "_derived_battery", counted)
     for k in (F101, Q):
-        a, m = _k_over_square_zero(k)
-        n, _ = free_module(a, LEFT, [0, -1])
-        w = theta_der(m, n, depth=3)
+        a, k1 = _k_over_square_zero(k)
+        m, n = direct_sum(k1, k1), _k_over_square_zero(k, LEFT)[1]
+        w = theta_der(m, n)
         assert w.ok
-        # variant 1 at depth 4 stays under the cap: the trip is at depth 5
-        semifree_resolve(w.mn.mT, 4, variant=1)
+        # variant 1 at depth 3 peaks at 48 = 3 * 2 * 2^3: the trip is at depth 4
+        res = semifree_resolve(w.mn.mT, 3, variant=1)
+        assert max(res.p.dims.values()) == 48
         inst = Instance("square-zero", "ordinary", a, m, n)
         for flags in ((True, True), (False, True), (True, False)):
             runs.clear()
@@ -660,7 +661,7 @@ def test_generator_cap_trips_in_the_deepest_stabilization_depth(tmp_path, monkey
                      "--out", str(tmp_path / "report.json")]) == 1
 
 
-def test_stabilization_needs_a_witness_at_width_plus_2(k):
+def test_stabilization_needs_a_witness_at_depth_2(k):
     m, n = _dual_numbers_simple_pair(k)
     for depth in (1, 3):
         w = theta_der(m, n, depth=depth)
@@ -683,3 +684,45 @@ def test_theta_der_cohomologically_bounded_input(k):
     w_pad = theta_der(padded, n)
     assert w_pad.ok, [r.name for r in w_pad.evidence if not r.ok]
     assert w_pad.theta_der.rows == w_plain.theta_der.rows
+
+
+@pytest.mark.parametrize("field", [F101, Q], ids=["F101", "Q"])
+def test_depth_2_computes_the_top_for_every_width(field):
+    # the top and the H^{-1} control read only P^{>=-2}, so the depth-2
+    # witness agrees with one resolved to width(N) + 2, the depth once used,
+    # on the derived instances of the published profile where N is wider
+    profile = CorpusProfile(field=field)
+    wide = 0
+    for idx in range(40):
+        inst = generate_instance(profile, idx)
+        w = theta_der(inst.m, inst.n)
+        width = -w.mn.nT.window[0]
+        if width == 0:
+            continue
+        wide += 1
+        ww = theta_der(inst.m, inst.n, depth=width + 2)
+        assert (w.resolution.depth, ww.resolution.depth) == (2, width + 2)
+        assert w.ok and ww.ok, inst.name
+        assert w.target.dim == ww.target.dim, inst.name
+        assert w.eta_h0 @ w.theta_der == ww.eta_h0 @ ww.theta_der, inst.name
+        assert tensor_cohomology(w.plain.tc, -1).dim == \
+            tensor_cohomology(ww.plain.tc, -1).dim, inst.name
+    assert wide >= 10
+
+
+def test_cost_follows_the_data_not_the_window():
+    # the dual-numbers simple module plus its copy a million degrees lower:
+    # 4 dimensions in all, and every step visits only the degrees they sit in
+    gap = 10 ** 6
+    a = make_dual_numbers(F101)
+    m, n = (direct_sum(s, shift(s, gap)) for s in
+            (simple_module_dual_numbers(a, side) for side in (RIGHT, LEFT)))
+    assert list(m.degrees()) == [-gap, 0]
+    t0 = time.perf_counter()
+    assert validate_module(m) == [] and validate_module(n) == []
+    assert all_ok(suite.plain_checks(kunneth.theta(m, n)))
+    w = theta_der(m, n)
+    assert all_ok(suite.derived_checks(w))
+    assert w.resolution.gen_degrees == [0, -gap, -1, -2]
+    # linear in the gap, this would take minutes
+    assert time.perf_counter() - t0 < 10

@@ -115,7 +115,7 @@ def test_tensor_presentation_audit(k):
     from dgkunneth.tensor import TensorComplex
     a = make_koszul_dg(k)
     tc = TensorComplex(regular_module(a, R), regular_module(a, L))
-    blob = tensor_complex_to_json(tc)
+    blob = tensor_complex_to_json(tc, range(tc.lo, tc.hi + 1))
     from dgkunneth.linalg import Matrix
     for key, entry in blob["degrees"].items():
         amb, q = entry["ambient_dim"], entry["quotient_dim"]
