@@ -517,8 +517,7 @@ def noninjectivity_witness(field: Field) -> NoninjectivityWitness:
     element = vstack([b1.projection @ m_eps, b2.projection @ -eps_n])
     tc = TensorComplex(m, n)
     sp = tc.space(-1)
-    image = sp.projection @ (tc.embed_block(-1, -1, b1.ambient_dim) @ m_eps
-                             - tc.embed_block(-1, 0, b2.ambient_dim) @ eps_n)
+    image = sp.projection @ (tc.embed_block(-1, -1) @ m_eps - tc.embed_block(-1, 0) @ eps_n)
     onto = minus1_comparison(tc, b1, b2)
     return NoninjectivityWitness(
         a, m, n, element, b1.dim + b2.dim, sp.dim, image, rank(onto) == sp.dim)

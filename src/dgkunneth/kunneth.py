@@ -89,15 +89,12 @@ def theta(m: DGModule, n: DGModule, i0: int | None = None, j0: int | None = None
 
     tmat = class_assignment(hm, hn, tc, target)
     rel = source.relations
-    if rel.rows:
-        img = tmat @ rel.transpose()
-        if img.is_zero():
-            evidence.append(passed("theta_well_defined", relations=rel.rows))
-        else:
-            evidence.append(failed("theta_well_defined",
-                                   counterexample=_relation_witness(img, rel)))
+    img = tmat @ rel.transpose()
+    if img.is_zero():
+        evidence.append(passed("theta_well_defined", relations=rel.rows))
     else:
-        evidence.append(passed("theta_well_defined", relations=0))
+        evidence.append(failed("theta_well_defined",
+                               counterexample=_relation_witness(img, rel)))
     th = tmat @ source.section
 
     if source.dim == target.dim:

@@ -308,10 +308,10 @@ class DerivedKunnethWitness:
         return all_ok(self.evidence)
 
 
-def theta_der(m: DGModule, n: DGModule, depth: int | None = None,
-              i0: int | None = None, j0: int | None = None) -> DerivedKunnethWitness:
+def theta_der(m: DGModule, n: DGModule, i0: int | None = None,
+              j0: int | None = None) -> DerivedKunnethWitness:
     """The derived top-degree isomorphism with its commuting-triangle
-    evidence, on a resolution of depth `DEPTH` unless `depth` is given."""
+    evidence, on a resolution of depth `DEPTH`."""
     if i0 is None:
         i0 = sup_cohomology(m)
         i0 = m.window[1] if i0 is None else i0
@@ -320,7 +320,7 @@ def theta_der(m: DGModule, n: DGModule, depth: int | None = None,
         j0 = n.window[1] if j0 is None else j0
     mG = smart_truncate(shift(m, i0), 0)
     nG = smart_truncate(shift(n, j0), 0)
-    res = semifree_resolve(mG, DEPTH if depth is None else depth)
+    res = semifree_resolve(mG, DEPTH)
     # theta for (mG, nG): its H^0(mG), source, tensor complex and H^0 are
     # the ones the transport and the triangle need, for every resolution
     return _theta_der_on(res, theta(mG, nG, i0=0, j0=0), i0, j0)
@@ -369,13 +369,9 @@ def _theta_der_on(res: SemiFreeResolution, wMN: KunnethWitness, i0: int,
 
     # eta at top degree and the commuting triangle against the plain theta
     tcMN, hMN = wMN.tc, wMN.target
-    ident_n = {i: Matrix.identity(f, nG.dim(i)) for i in nG.degrees()}
-
-    def nmaps(q):
-        return ident_n.get(q, Matrix.zeros(f, nG.dim(q), nG.dim(q)))
-
     try:
-        qmap = tensor_map(plain.tc, tcMN, res.rho.map_at, nmaps, 0)
+        qmap = tensor_map(plain.tc, tcMN, res.rho.map_at,
+                          StrictMorphism.identity(nG).map_at, 0)
         eta_h0 = hMN.class_map @ qmap @ plain.target.rep_map
     except DescentError as exc:
         # a zero eta fails the triangle too, which names the first cause

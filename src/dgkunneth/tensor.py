@@ -10,6 +10,11 @@ Three layers:
   * degree-level maps: the bijection M^0 (x)_{A^0} N^0 -> (M (x)_A N)^0 and
     the map phi = (d_M (x) id) (+) (id (x) d_N) feeding the verification layer.
 
+`_balancing` is the one writer of balancing rows: a balanced tensor is its
+one-block case, and degree t of M (x)_A N calls it once per (A^j, M^p).
+`_descend` is the one check that a map of ambient spaces descends to the
+quotients, and it returns the map they induce.
+
 Bases are deterministic: ambient bigraded bases are ordered block-major by
 the left degree (ascending), then left index, then right index; quotient
 bases come from the pivot rule in `linalg.quotient`.
@@ -38,6 +43,37 @@ from .linalg import (
 
 
 # ---------------------------------------------------------------------------
+# Balancing relations and descent
+
+
+def _balancing(xact: Matrix, yact: Matrix, dims, xoff: int, yoff: int, row0: int):
+    """The `from_entries` items of the rows (x_u . r_c) (x) y_v - x_u (x) (r_c . y_v)
+    for x_u in x, r_c in R and y_v in y, (dx, dr, dy) = `dims`, at row
+    row0 + (u*dr + c)*dy + v.  `xact` is the action x (x) R -> x' and `yact`
+    the action R (x) y -> y'; block x' (x) y starts at column `xoff` and block
+    x (x) y' at column `yoff`."""
+    dx, dr, dy = dims
+    # x_u . r_c is column uc = u*dr + c of xact, and r_c . y_v is column
+    # cv = c*dy + v of yact, so the row is row0 + uc*dy + v = row0 + u*dr*dy + cv
+    s, uc = xact.arr.nonzero()
+    v = np.arange(dy)
+    xr = ((row0 + uc * dy)[:, None] + v, (xoff + s * dy)[:, None] + v, xact.arr[s, uc][:, None])
+    s, cv = yact.arr.nonzero()
+    u = np.arange(dx)[:, None]
+    return xr, (row0 + u * (dr * dy) + cv, yoff + u * yact.rows + s, -yact.arr[s, cv])
+
+
+def _descend(src: QuotientSpace, dst: QuotientSpace, amb: Matrix, message: str) -> Matrix:
+    """The map that `amb`, from src's ambient space to dst's, induces on the
+    quotient bases; DescentError(message) unless it kills src's relations."""
+    pa = dst.projection @ amb
+    rel = src.relations
+    if rel.rows and not (pa @ rel.transpose()).is_zero():
+        raise DescentError(message)
+    return pa @ src.section
+
+
+# ---------------------------------------------------------------------------
 # Balanced tensors over an ordinary ring
 
 
@@ -50,18 +86,8 @@ def balanced_tensor(xact: Matrix, yact: Matrix) -> QuotientSpace:
     if xact.cols * dy != yact.cols * dx:
         raise StructureError("balanced tensor over rings of different dimensions")
     dr = (xact.cols + yact.cols) // (dx + dy) if dx + dy else 0   # dim R
-    # row c*dx*dy + u*dy + v is (x_u . r_c) (x) y_v - x_u (x) (r_c . y_v), where
-    # x_u . r_c is xa[s, u, c] at x_s and r_c . y_v is ya[s, c, v] at y_s
-    xa = xact.arr.reshape(dx, dx, dr)
-    ya = yact.arr.reshape(dy, dr, dy)
-    s, u, c = xa.nonzero()
-    v = np.arange(dy)
-    right = (((c * dx + u) * dy)[:, None] + v, (s * dy)[:, None] + v, xa[s, u, c][:, None])
-    s, c, v = ya.nonzero()
-    off = np.arange(dx)[:, None] * dy   # u*dy for every u
-    left = (c * dx * dy + v + off, s + off, -ya[s, c, v])
-    rel = drop_zero_rows(from_entries(f, dr * dx * dy, dx * dy, (right, left)))
-    return quotient(f, dx * dy, rel)
+    items = _balancing(xact, yact, (dx, dr, dy), 0, 0, 0)
+    return quotient(f, dx * dy, drop_zero_rows(from_entries(f, dx * dr * dy, dx * dy, items)))
 
 
 def induced_balanced_map(src: QuotientSpace, dst: QuotientSpace,
@@ -71,13 +97,8 @@ def induced_balanced_map(src: QuotientSpace, dst: QuotientSpace,
     `fmat` and `gmat` must be equivariant: the relation span of the source
     is verified to map into the relation span of the target.
     """
-    amb = fmat.kron(gmat)
-    out = dst.projection @ amb @ src.section
-    if src.relations.rows:
-        img = dst.projection @ amb @ src.relations.transpose()
-        if not img.is_zero():
-            raise DescentError("induced map does not descend to the balanced quotient")
-    return out
+    return _descend(src, dst, fmat.kron(gmat),
+                    "induced map does not descend to the balanced quotient")
 
 
 # ---------------------------------------------------------------------------
@@ -104,70 +125,48 @@ class TensorComplex:
         self.field: Field = m.field
         self.lo = m.window[0] + n.window[0]
         self.hi = m.window[1] + n.window[1]
+        self._layouts = {}
         self._spaces = {}
-        self._rels = {}
         self._diffs = {}
+
+    def _layout(self, t: int):
+        """(blocks, {p: offset}, ambient dim) of degree t, built once."""
+        if t not in self._layouts:
+            blocks, offsets, off = [], {}, 0
+            for p in self.m.degrees():
+                dmp, dnq = self.m.dim(p), self.n.dim(t - p)
+                if dnq:
+                    blocks.append((p, t - p, off, dmp, dnq))
+                    offsets[p] = off
+                    off += dmp * dnq
+            self._layouts[t] = blocks, offsets, off
+        return self._layouts[t]
 
     def blocks(self, t: int):
         """Bigraded blocks (p, q, offset, dim M^p, dim N^q) with p ascending."""
-        out = []
-        off = 0
-        for p in self.m.degrees():
-            dmp, dnq = self.m.dim(p), self.n.dim(t - p)
-            if dnq:
-                out.append((p, t - p, off, dmp, dnq))
-                off += dmp * dnq
-        return out
-
-    def ambient_dim(self, t: int) -> int:
-        bl = self.blocks(t)
-        if not bl:
-            return 0
-        p, q, off, dmp, dnq = bl[-1]
-        return off + dmp * dnq
-
-    def _block_offset(self, t: int, p: int):
-        for bp, bq, off, dmp, dnq in self.blocks(t):
-            if bp == p:
-                return off, dmp, dnq
-        return None
+        return self._layout(t)[0]
 
     def relations(self, t: int) -> Matrix:
-        if t in self._rels:
-            return self._rels[t]
-        f = self.field
-        offsets = {p: off for p, q, off, dmp, dnq in self.blocks(t)}
-        # rows (j, p, u, c, v): (m_u . a_c) (x) n_v - m_u (x) (a_c . n_v) for
-        # m_u in M^p, a_c in A^j, n_v in N^{t-p-j}, in blocks (p+j, .) and (p, .)
-        blocks = []
-        nrows = 0
-        a = self.algebra
-        for j in a.degrees():
-            dj = a.dim(j)
-            if dj == 0:
-                continue
-            for p in self.m.degrees():
-                dmp = self.m.dim(p)
-                q = t - p - j
-                dnq = self.n.dim(q)
-                if dnq == 0:
-                    continue
-                if p + j in offsets:
-                    act_m = self.m.action_map(p, j)           # M^p (x) A^j -> M^{p+j}
-                    blocks.append((nrows, offsets[p + j],
-                                   act_m.kron(Matrix.identity(f, dnq)).arr.T))
-                if p in offsets:
-                    act_n = self.n.action_map(q, j)           # A^j (x) N^q -> N^{q+j}
-                    blocks.append((nrows, offsets[p],
-                                   -Matrix.identity(f, dmp).kron(act_n).arr.T))
-                nrows += dmp * dj * dnq
-        rel = drop_zero_rows(from_blocks(f, nrows, self.ambient_dim(t), blocks))
-        self._rels[t] = rel
-        return rel
+        return self.space(t).relations
 
     def space(self, t: int) -> QuotientSpace:
         if t not in self._spaces:
-            self._spaces[t] = quotient(self.field, self.ambient_dim(t), self.relations(t))
+            _, offsets, amb = self._layout(t)
+            # rows (j, p, u, c, v): (m_u . a_c) (x) n_v - m_u (x) (a_c . n_v) for
+            # m_u in M^p, a_c in A^j, n_v in N^{t-p-j}, in blocks (p+j, .) and (p, .);
+            # a block missing from degree t has a zero factor and gets no entries
+            items, nrows = [], 0
+            for j in self.algebra.degrees():
+                for p in self.m.degrees():
+                    q = t - p - j
+                    dims = (self.m.dim(p), self.algebra.dim(j), self.n.dim(q))
+                    if dims[1] and dims[2]:
+                        items += _balancing(self.m.action_map(p, j), self.n.action_map(q, j),
+                                            dims, offsets.get(p + j, 0), offsets.get(p, 0),
+                                            nrows)
+                        nrows += dims[0] * dims[1] * dims[2]
+            rel = drop_zero_rows(from_entries(self.field, nrows, amb, items))
+            self._spaces[t] = quotient(self.field, amb, rel)
         return self._spaces[t]
 
     def dim(self, t: int) -> int:
@@ -175,41 +174,31 @@ class TensorComplex:
 
     def ambient_diff(self, t: int) -> Matrix:
         f = self.field
-        tgt = {p: off for p, q, off, dmp, dnq in self.blocks(t + 1)}
+        src, _, cols = self._layout(t)
+        _, tgt, rows = self._layout(t + 1)
         blocks = []
-        for p, q, off, dmp, dnq in self.blocks(t):
+        for p, q, off, dmp, dnq in src:
             # d(x (x) y) = d(x) (x) y + (-1)^p x (x) d(y)
-            dm = self.m.diff_map(p)
-            if p + 1 in tgt and dm.rows:
-                blocks.append((tgt[p + 1], off, dm.kron(Matrix.identity(f, dnq)).arr))
-            dn_map = self.n.diff_map(q)
-            if p in tgt and dn_map.rows:
-                term = Matrix.identity(f, dmp).kron(dn_map).arr
+            if p + 1 in tgt:
+                blocks.append((tgt[p + 1], off,
+                               self.m.diff_map(p).kron(Matrix.identity(f, dnq)).arr))
+            if p in tgt:
+                term = Matrix.identity(f, dmp).kron(self.n.diff_map(q)).arr
                 blocks.append((tgt[p], off, -term if p % 2 else term))
-        return from_blocks(f, self.ambient_dim(t + 1), self.ambient_dim(t), blocks)
+        return from_blocks(f, rows, cols, blocks)
 
     def diff(self, t: int) -> Matrix:
-        if t in self._diffs:
-            return self._diffs[t]
-        amb = self.ambient_diff(t)
-        sp, sp1 = self.space(t), self.space(t + 1)
-        rel = self.space(t).relations
-        if rel.rows:
-            img = sp1.projection @ amb @ rel.transpose()
-            if not img.is_zero():
-                raise DescentError(f"tensor differential does not descend at degree {t}")
-        d = sp1.projection @ amb @ sp.section
-        self._diffs[t] = d
-        return d
+        if t not in self._diffs:
+            self._diffs[t] = _descend(self.space(t), self.space(t + 1), self.ambient_diff(t),
+                                      f"tensor differential does not descend at degree {t}")
+        return self._diffs[t]
 
-    def embed_block(self, t: int, p: int, cols: int) -> Matrix:
+    def embed_block(self, t: int, p: int) -> Matrix:
         """Ambient embedding of the (p, t-p) block as a matrix."""
-        blk = self._block_offset(t, p)
-        blocks = []
-        if blk is not None:
-            off, dmp, dnq = blk
-            blocks.append((off, 0, Matrix.identity(self.field, min(cols, dmp * dnq)).arr))
-        return from_blocks(self.field, self.ambient_dim(t), cols, blocks)
+        _, offsets, amb = self._layout(t)
+        width = self.m.dim(p) * self.n.dim(t - p)
+        return from_blocks(self.field, amb, width,
+                           [(offsets.get(p, 0), 0, Matrix.identity(self.field, width).arr)])
 
 
 # ---------------------------------------------------------------------------
@@ -264,9 +253,8 @@ def minus1_comparison(tc: TensorComplex, b1: QuotientSpace, b2: QuotientSpace) -
     """The comparison map B1 (+) B2 -> (M (x)_A N)^{-1} on quotient bases,
     for the summands B1 = M^{-1} (x)_{A^0} N^0 and B2 = M^0 (x)_{A^0} N^{-1}
     of `phi_summands` and tc = M (x)_A N."""
-    return tc.space(-1).projection @ hstack([
-        tc.embed_block(-1, -1, b1.ambient_dim) @ b1.section,
-        tc.embed_block(-1, 0, b2.ambient_dim) @ b2.section])
+    return tc.space(-1).projection @ hstack([tc.embed_block(-1, -1) @ b1.section,
+                                             tc.embed_block(-1, 0) @ b2.section])
 
 
 def tensor_map(src: TensorComplex, dst: TensorComplex, fmaps, gmaps, t: int) -> Matrix:
@@ -276,14 +264,9 @@ def tensor_map(src: TensorComplex, dst: TensorComplex, fmaps, gmaps, t: int) -> 
     morphisms m_src -> m_dst and n_src -> n_dst.  Relation rows of the
     source are verified to map into the target relation span.
     """
-    tgt = {p: off for p, q, off, dmp, dnq in dst.blocks(t)}
+    blocks, _, cols = src._layout(t)
+    _, tgt, rows = dst._layout(t)
     # a source block whose target block has a zero factor maps to zero
-    blocks = [(tgt[p], off, fmaps(p).kron(gmaps(q)).arr)
-              for p, q, off, dmp, dnq in src.blocks(t) if p in tgt]
-    amb = from_blocks(src.field, dst.ambient_dim(t), src.ambient_dim(t), blocks)
-    sp, dp = src.space(t), dst.space(t)
-    if sp.relations.rows:
-        img = dp.projection @ amb @ sp.relations.transpose()
-        if not img.is_zero():
-            raise DescentError(f"tensor map does not descend at degree {t}")
-    return dp.projection @ amb @ sp.section
+    amb = from_blocks(src.field, rows, cols, [(tgt[p], off, fmaps(p).kron(gmaps(q)).arr)
+                                              for p, q, off, dmp, dnq in blocks if p in tgt])
+    return _descend(src.space(t), dst.space(t), amb, f"tensor map does not descend at degree {t}")

@@ -5,8 +5,9 @@ ints, at one int64 prime (101), at 2^31 - 1 (int64 storage whose products
 need the Python-int fallback once an inner dimension exceeds 1) and at two
 object-dtype primes; row reduction is also checked at p = 2 and 3, where
 entries cancel often.  Over Q the reference is sympy, when it is installed.
-The products with one identity Kronecker factor are checked against the
-products with the Kronecker product built.
+The products with one identity Kronecker factor, and the balancing
+relations written by index, are checked against the same matrices with the
+Kronecker products built.
 Every matrix strategy includes 0 x n, n x 0 and rank-deficient shapes, and
 seeded sparse matrices of up to 60 x 60 exercise cancellation and fill-in
 in the sparse elimination loop.
@@ -34,7 +35,7 @@ from dgkunneth.linalg import (
     rref,
     solve,
 )
-from dgkunneth.tensor import TensorComplex
+from dgkunneth.tensor import TensorComplex, balanced_tensor
 
 PRIMES = (101, 2 ** 31 - 1, 2 ** 61 - 1, 2 ** 64 - 59)
 SMALL_PRIMES = (2, 3)
@@ -368,6 +369,47 @@ def test_published_tensor_relations_match_reference():
             red, pivots, r = rref(rel)
             assert (as_lists(red), pivots) == (ref, ref_piv)
             assert r == rank(rel) == len(ref_piv)
+
+
+def kron_relations(tc, t):
+    """The relations of degree t of `tc` from identity Kronecker placements:
+    rows (j, p, u, c, v) of (act_M (x) I)^T at block (p+j, .) minus
+    (I (x) act_N)^T at block (p, .), zero rows dropped."""
+    f, a, m, n = tc.field, tc.algebra, tc.m, tc.n
+    blocks = tc.blocks(t)
+    offsets = {p: off for p, q, off, dmp, dnq in blocks}
+    amb = sum(dmp * dnq for p, q, off, dmp, dnq in blocks)
+    placed, nrows = [], 0
+    for j in a.degrees():
+        for p in m.degrees():
+            dmp, dj, dnq = m.dim(p), a.dim(j), n.dim(t - p - j)
+            if p + j in offsets:
+                eye = Matrix.identity(f, dnq)
+                placed.append((nrows, offsets[p + j], m.action_map(p, j).kron(eye).arr.T))
+            if p in offsets:
+                eye = Matrix.identity(f, dmp)
+                placed.append((nrows, offsets[p], -eye.kron(n.action_map(t - p - j, j)).arr.T))
+            nrows += dmp * dj * dnq
+    return drop_zero_rows(from_blocks(f, nrows, amb, placed))
+
+
+@pytest.mark.parametrize("p", (101, None, 2 ** 61 - 1), ids=("F101", "Q", "F2^61-1"))
+def test_balancing_rows_match_the_kronecker_placements(p):
+    f = Field.prime(p) if p else Q
+    for inst in generate_corpus(CorpusProfile(field=f, instance_count=20)):
+        m, n = inst.m, inst.n
+        tc = TensorComplex(m, n)
+        for t in range(tc.lo, tc.hi + 1):
+            assert tc.relations(t) == kron_relations(tc, t), (inst.name, t)
+        for i in m.degrees():
+            for j in n.degrees():
+                xact, yact = m.action_map(i, 0), n.action_map(j, 0)
+                dx, dy = xact.rows, yact.rows
+                rel = (xact.kron(Matrix.identity(f, dy))
+                       - Matrix.identity(f, dx).kron(yact)).transpose()
+                want = quotient(f, dx * dy, drop_zero_rows(rel))
+                got = balanced_tensor(xact, yact)
+                assert (got.projection, got.section) == (want.projection, want.section)
 
 
 # ---------------------------------------------------------------------------

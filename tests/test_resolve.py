@@ -581,7 +581,8 @@ def test_theta_der_functoriality_rejects_mismatched_witnesses(k):
     n = simple_module_dual_numbers(a, LEFT)
     w = theta_der(m, n)
     ident = (StrictMorphism.identity(m), StrictMorphism.identity(n))
-    deeper = theta_der(m, n, depth=w.resolution.depth + 1)
+    deeper = resolve._theta_der_on(semifree_resolve(w.mn.mT, w.resolution.depth + 1),
+                                   w.mn, w.i0, w.j0)
     with pytest.raises(ValueError, match="bounds or depths"):
         check_theta_der_functoriality(*ident, w, deeper)
     higher = theta_der(m, n, i0=w.i0 + 1)
@@ -663,8 +664,9 @@ def test_generator_cap_trips_in_the_deepest_stabilization_depth(tmp_path, monkey
 
 def test_stabilization_needs_a_witness_at_depth_2(k):
     m, n = _dual_numbers_simple_pair(k)
+    w2 = theta_der(m, n)
     for depth in (1, 3):
-        w = theta_der(m, n, depth=depth)
+        w = resolve._theta_der_on(semifree_resolve(w2.mn.mT, depth), w2.mn, w2.i0, w2.j0)
         with pytest.raises(ValueError, match=r"depths \[2, 3, 4\]"):
             check_depth_stabilization(w, deeper_witnesses(w))
 
@@ -700,7 +702,7 @@ def test_depth_2_computes_the_top_for_every_width(field):
         if width == 0:
             continue
         wide += 1
-        ww = theta_der(inst.m, inst.n, depth=width + 2)
+        ww = resolve._theta_der_on(semifree_resolve(w.mn.mT, width + 2), w.mn, w.i0, w.j0)
         assert (w.resolution.depth, ww.resolution.depth) == (2, width + 2)
         assert w.ok and ww.ok, inst.name
         assert w.target.dim == ww.target.dim, inst.name

@@ -1,7 +1,8 @@
 import pytest
 
+from dgkunneth.checks import DescentError
 from dgkunneth.dgalgebra import StructureError
-from dgkunneth.dgmodule import LEFT, RIGHT, free_module, shift
+from dgkunneth.dgmodule import LEFT, RIGHT, DGModule, free_module, shift, validate_module
 from dgkunneth.field import Field
 from dgkunneth.genlab import (
     instance_rng,
@@ -103,6 +104,22 @@ def test_tensor_differential_squares_to_zero(k):
         tc = TensorComplex(m, n)
         for t in range(tc.lo, tc.hi):
             assert (tc.diff(t + 1) @ tc.diff(t)).is_zero()
+
+
+def test_tensor_differential_that_breaks_leibniz_does_not_descend(k):
+    # Lambda acting on itself, with d(eps) = 1 in M only: d(1.eps) = 1 but
+    # d(1).eps + 1.d(eps) = 0, so the degree -1 relation eps (x) 1 - 1 (x) eps
+    # maps to 1 (x) 1, and degree 0 has no relation to absorb it
+    a = make_exterior(k)
+    m, n = regular_module(a, RIGHT), regular_module(a, LEFT)
+    bad = DGModule(RIGHT, a, m.window, m.dims, {-1: Matrix.identity(k, 1)}, m.action)
+    assert {v.axiom for v in validate_module(bad)} == {"leibniz"}
+    assert TensorComplex(m, n).diff(-1).rows == 1
+    tc = TensorComplex(bad, n)
+    assert tc.relations(-1).rows == 1 and tc.relations(0).rows == 0
+    with pytest.raises(DescentError) as exc:
+        tc.diff(-1)
+    assert str(exc.value) == "tensor differential does not descend at degree -1"
 
 
 def _degree_tensor(m, n, i, j):
