@@ -1,9 +1,10 @@
 """Exact scalar arithmetic: the rationals and prime fields F_p.
 
 Elements of F_p are plain Python ints canonicalized to [0, p); rational
-elements are `fractions.Fraction`.  A `Field` instance carries zero and
-one, seeded draws and the string form used in all JSON interchange; the
-arithmetic runs on matrices (`linalg`).
+elements are `fractions.Fraction`.  A `Field` instance carries zero and one,
+seeded draws, the string form used in all JSON interchange, and `memo`, where
+`linalg` keeps small presentations reduced over this field object: a new or
+unpickled field starts with an empty one.  The arithmetic runs on matrices.
 """
 from __future__ import annotations
 
@@ -42,7 +43,7 @@ def is_prime(n: int) -> bool:
 class Field:
     """A field of scalars: the rationals, or F_p for a prime p."""
 
-    __slots__ = ("kind", "p", "zero", "one")
+    __slots__ = ("kind", "p", "zero", "one", "memo")
 
     def __init__(self, kind: str, p: int | None = None):
         if kind == RATIONALS:
@@ -61,6 +62,10 @@ class Field:
             raise ValueError(f"unknown field kind {kind!r}")
         self.kind = kind
         self.p = p
+        self.memo = {}
+
+    def __reduce__(self):
+        return Field, (self.kind, self.p)
 
     @classmethod
     def rationals(cls) -> "Field":

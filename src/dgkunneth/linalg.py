@@ -27,12 +27,17 @@ derived basis (kernels, quotient bases) is determined by its pivot columns.
 The kernel basis vector of free column j is 1 at j and 0 at the other free
 columns, so as columns the kernel basis has the identity in its free rows:
 a kernel vector's coordinates are its free entries (`kernel_mod_image`).
+
+`quotient` and `kernel_mod_image` look (kernel name, *arguments) up by value in
+`Field.memo`, the memo of the field object they get, since small presentations
+recur across instances.  It stores ambient**2 + input cells <= 256 only, and at
+most 1,024 entries, oldest out first: about 1,024 x 2k cells at worst.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, wraps
 from math import lcm
 from operator import attrgetter
 
@@ -423,6 +428,24 @@ def solve(m: Matrix, rhs: Matrix):
     return Matrix._of(m.field, x)
 
 
+_MEMO_GATE, _MEMO_CAP = 256, 1024   # the largest presentation stored, the entries per field
+_MISS = object()
+
+
+def _memoized(kernel):
+    @wraps(kernel)
+    def run(f: Field, *args):
+        if args[-1].cols ** 2 + sum(a.arr.size for a in args if isinstance(a, Matrix)) > _MEMO_GATE:
+            return kernel(f, *args)
+        key = (kernel.__name__, *args)
+        if (out := f.memo.get(key, _MISS)) is _MISS:
+            out = f.memo[key] = kernel(f, *args)
+            while len(f.memo) > _MEMO_CAP:      # kernel_mod_image stored a quotient too
+                del f.memo[next(iter(f.memo))]
+        return out
+    return run
+
+
 @dataclass(frozen=True)
 class Cohomology:
     """ker(d_out)/im(d_in) with deterministic bases."""
@@ -436,6 +459,7 @@ class Cohomology:
         return self.space.dim
 
 
+@_memoized
 def kernel_mod_image(f: Field, d_in: Matrix, d_out: Matrix) -> Cohomology | None:
     """ker(d_out)/im(d_in), or None when im(d_in) is not inside ker(d_out).
     The kernel basis has the identity in its rows `free`, so d_in has its
@@ -481,6 +505,7 @@ class QuotientSpace:
     pivots: tuple
 
 
+@_memoized
 def quotient(field: Field, ambient_dim: int, relations: Matrix) -> QuotientSpace:
     """Quotient of k^ambient_dim by the row span of `relations`."""
     if relations.cols != ambient_dim:

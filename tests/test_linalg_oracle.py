@@ -7,7 +7,8 @@ object-dtype primes; row reduction is also checked at p = 2 and 3, where
 entries cancel often.  Over Q the reference is sympy, when it is installed.
 The products with one identity Kronecker factor, and the balancing
 relations written by index, are checked against the same matrices with the
-Kronecker products built.
+Kronecker products built.  The field memo of `quotient` and
+`kernel_mod_image` is checked against the undecorated kernels.
 Every matrix strategy includes 0 x n, n x 0 and rank-deficient shapes, and
 seeded sparse matrices of up to 60 x 60 exercise cancellation and fill-in
 in the sparse elimination loop.
@@ -20,8 +21,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dgkunneth import linalg
+from dgkunneth.dgalgebra import StructureError
+from dgkunneth.dgmodule import RIGHT, DGModule, cohomology
 from dgkunneth.field import Field
-from dgkunneth.genlab import CorpusProfile, generate_corpus
+from dgkunneth.genlab import CorpusProfile, generate_corpus, make_field_algebra
 from dgkunneth.linalg import (
     Matrix,
     drop_zero_rows,
@@ -35,7 +39,7 @@ from dgkunneth.linalg import (
     rref,
     solve,
 )
-from dgkunneth.tensor import TensorComplex, balanced_tensor
+from dgkunneth.tensor import TensorComplex, balanced_tensor, tensor_cohomology
 
 PRIMES = (101, 2 ** 31 - 1, 2 ** 61 - 1, 2 ** 64 - 59)
 SMALL_PRIMES = (2, 3)
@@ -410,6 +414,101 @@ def test_balancing_rows_match_the_kronecker_placements(p):
                 want = quotient(f, dx * dy, drop_zero_rows(rel))
                 got = balanced_tensor(xact, yact)
                 assert (got.projection, got.section) == (want.projection, want.section)
+
+
+# ---------------------------------------------------------------------------
+# the field memo of quotient and kernel_mod_image
+
+
+@pytest.mark.parametrize("p", (101, None, 2 ** 61 - 1), ids=("F101", "Q", "F2^61-1"))
+def test_memoized_kernels_match_the_undecorated_kernels(p):
+    f = Field.prime(p) if p else Field.rationals()
+    sizes = []
+    for _ in range(2):
+        # the second corpus is equal to the first in new objects: all hits
+        for inst in generate_corpus(CorpusProfile(field=f, instance_count=20)):
+            for mod in (inst.m, inst.n):
+                for i in mod.degrees():
+                    cohomology(mod, i)
+            tc = TensorComplex(inst.m, inst.n)
+            for t in range(tc.lo, tc.hi + 1):
+                tensor_cohomology(tc, t)
+        sizes.append(len(f.memo))
+    assert sizes[0] == sizes[1]
+    kernels = {"quotient": quotient, "kernel_mod_image": kernel_mod_image}
+    assert {name for name, *_ in f.memo} == set(kernels)
+    for (name, *args), out in f.memo.items():
+        assert out == kernels[name].__wrapped__(f, *args)
+
+
+def test_memo_keys_are_values():
+    # equal Fractions in distinct objects share an entry
+    q = Field.rationals()
+    a = Matrix(q, 1, 2, [[Fraction(1, 2), Fraction(3)]])
+    b = Matrix(q, 1, 2, [[Fraction(2, 4), Fraction(6, 2)]])
+    assert a.arr[0, 0] is not b.arr[0, 0]
+    first = quotient(q, 2, a)
+    assert quotient(q, 2, b) is first and len(q.memo) == 1
+    # hash(-1) == hash(-2) over Q, and 0 and 2^61 - 1 hash alike as Python
+    # ints: equal hashes with different entries are different entries
+    for f, x, y in ((Field.rationals(), -1, -2), (Field.prime(2 ** 64 - 59), 0, 2 ** 61 - 1)):
+        rels = [Matrix(f, 1, 2, [[f.one, f.of_int(v)]]) for v in (x, y)]
+        assert hash(rels[0]) == hash(rels[1]) and rels[0] != rels[1]
+        spaces = [quotient(f, 2, rel) for rel in rels]
+        assert spaces[0].projection != spaces[1].projection
+        assert [space.relations for space in spaces] == rels
+        assert len(f.memo) == 2
+
+
+def test_memo_stores_only_presentations_within_the_gate():
+    f = Field.prime(101)
+    assert linalg._MEMO_GATE == 256
+    quotient(f, 16, Matrix.zeros(f, 0, 16))
+    assert len(f.memo) == 1
+    quotient(f, 17, Matrix.zeros(f, 0, 17))
+    quotient(f, 8, Matrix.zeros(f, 25, 8))
+    assert len(f.memo) == 1
+    # 8^2 + 24 x 8 cells are stored, one more column of d_in is not; the
+    # kernel's own quotient, on the image in 8 coordinates, is small enough
+    d_out = Matrix.zeros(f, 24, 8)
+    kernel_mod_image(f, Matrix.zeros(f, 8, 0), d_out)
+    assert len(f.memo) == 3
+    kernel_mod_image(f, Matrix.zeros(f, 8, 1), d_out)
+    assert [name for name, *_ in f.memo] == \
+        ["quotient", "quotient", "kernel_mod_image", "quotient"]
+
+
+def test_memo_never_exceeds_the_cap():
+    f = Field.prime(101)
+    cap = linalg._MEMO_CAP
+    assert cap == 1024
+    rels = [Matrix.from_int_rows(f, [[a, b]]) for a in range(1, 12) for b in range(101)]
+    for rel in rels[:cap]:
+        quotient(f, 2, rel)
+    assert len(f.memo) == cap
+    # kernel_mod_image stores its own quotient while it computes: both
+    # insertions evict, and the first two relations go
+    d_out = Matrix.from_int_rows(f, [[1, 2, 3]])
+    kernel_mod_image(f, Matrix.zeros(f, 3, 0), d_out)
+    assert len(f.memo) == cap
+    assert list(f.memo)[-1] == ("kernel_mod_image", Matrix.zeros(f, 3, 0), d_out)
+    assert ("quotient", 2, rels[1]) not in f.memo and ("quotient", 2, rels[2]) in f.memo
+    for rel in rels[cap:]:
+        quotient(f, 2, rel)
+        assert len(f.memo) == cap
+
+
+def test_memoized_d_squared_failure_raises_for_every_module():
+    # d^{-1} = d^0 = [1]: no cocycle in degree 0, but a nonzero image into it
+    f = Field.prime(101)
+    a = make_field_algebra(f)
+    for _ in range(2):
+        m = DGModule(RIGHT, a, (-1, 1), {-1: 1, 0: 1, 1: 1},
+                     {i: Matrix.identity(f, 1) for i in (-1, 0)},
+                     {(i, 0): Matrix.identity(f, 1) for i in (-1, 0, 1)})
+        with pytest.raises(StructureError, match="image not inside cocycles"):
+            cohomology(m, 0)
+        assert None in f.memo.values()
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ battery and per suite run are measured by wrapping `theta` and
 `semifree_resolve` by name.
 """
 import hashlib
+import pickle
 import sys
 from dataclasses import replace
 
@@ -77,6 +78,16 @@ def test_published_f101_report_is_pinned(monkeypatch):
 def test_small_suite_report_is_pinned_with_two_workers():
     # a real pool of 2 processes (fewer where fewer CPUs exist)
     assert _digest(_small_suite(F101, jobs=2)) == REPORT_SHA256["F101"]
+
+
+def test_a_used_field_pickles_like_a_new_one():
+    # pool tasks do not ship the field's memo, and a warm memo changes no report
+    f = Field.prime(101)
+    assert _digest(_small_suite(f)) == REPORT_SHA256["F101"]
+    assert f.memo
+    assert pickle.dumps(f) == pickle.dumps(Field.prime(101))
+    assert pickle.loads(pickle.dumps(f)).memo == {}
+    assert _digest(_small_suite(f, jobs=2)) == REPORT_SHA256["F101"]
 
 
 def _count_calls(monkeypatch, module, name):
