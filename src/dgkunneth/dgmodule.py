@@ -122,6 +122,11 @@ class DGModule:
                     return False
         return True
 
+    def __hash__(self):
+        # equal modules hash alike: the action is left to `__eq__`
+        return hash((self.side, self.window, tuple(self.dims.items()),
+                     tuple(self.diff_map(i) for i in self.degrees())))
+
     def __repr__(self):
         return f"DGModule({self.side}, dims={self.dims})"
 

@@ -2,19 +2,28 @@
 
 Elements of F_p are plain Python ints canonicalized to [0, p); rational
 elements are `fractions.Fraction`.  A `Field` instance carries zero and one,
-seeded draws, the string form used in all JSON interchange, and `memo`, where
-`linalg` keeps small presentations reduced over this field object: a new or
+seeded draws, the string form used in all JSON interchange, the numpy
+`dtype` of its matrices, and `memo`, where `linalg.memoized` keeps small
+presentations and resolutions computed over this field object: a new or
 unpickled field starts with an empty one.  The arithmetic runs on matrices.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 
+import numpy as np
+
 RATIONALS = "rationals"
 PRIME = "prime"
 MODULUS_BOUND = 2 ** 64
 # Miller-Rabin with these bases is exact for every n below 3.3e24.
 _WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def fits_int64(p: int, inner: int) -> bool:
+    """Whether `inner` products of two residues mod p sum below 2^62, so
+    int64 holds the sum with room to spare."""
+    return (p - 1) ** 2 * max(inner, 1) < 2 ** 62
 
 
 def is_prime(n: int) -> bool:
@@ -43,7 +52,7 @@ def is_prime(n: int) -> bool:
 class Field:
     """A field of scalars: the rationals, or F_p for a prime p."""
 
-    __slots__ = ("kind", "p", "zero", "one", "memo")
+    __slots__ = ("kind", "p", "zero", "one", "dtype", "memo")
 
     def __init__(self, kind: str, p: int | None = None):
         if kind == RATIONALS:
@@ -62,6 +71,8 @@ class Field:
             raise ValueError(f"unknown field kind {kind!r}")
         self.kind = kind
         self.p = p
+        # residues are int64 when the product of two fits, Python ints otherwise
+        self.dtype = np.int64 if p and fits_int64(p, 1) else object
         self.memo = {}
 
     def __reduce__(self):

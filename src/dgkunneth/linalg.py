@@ -2,9 +2,9 @@
 
 A `Matrix` wraps one read-only 2-D numpy array, and every kernel here takes
 arrays and returns a new array: nothing is written in place after a matrix
-is built.  The dtype follows the field.  Over F_p the entries are the
+is built.  The dtype is the field's `dtype`.  Over F_p the entries are the
 canonical residues in [0, p), stored as int64 when the product of two
-residues fits (`_fits_int64(p, 1)`, i.e. p <= 2^31), and as Python ints
+residues fits (`fits_int64(p, 1)`, i.e. p <= 2^31), and as Python ints
 in an object array otherwise.  Over Q the array has object dtype and holds
 `Fraction`s.
 
@@ -19,7 +19,7 @@ to one tensor factor, B @ (X (x) I) or B @ (I (x) X), is one product with X
 One elimination loop serves every field and dtype (`_reduced_rows`): it
 works on sparse rows, {column: entry} dicts of the nonzero entries, with
 Python ints mod p over F_p and Fractions over Q, and only the final RREF
-is written as an array.  Every int64 product is guarded by `_fits_int64`
+is written as an array.  Every int64 product is guarded by `fits_int64`
 and is computed on Python ints when an accumulation could overflow; over Q
 products run on integer matrices over one common denominator.
 Results are canonical: the reduced row echelon form is unique, and every
@@ -28,10 +28,12 @@ The kernel basis vector of free column j is 1 at j and 0 at the other free
 columns, so as columns the kernel basis has the identity in its free rows:
 a kernel vector's coordinates are its free entries (`kernel_mod_image`).
 
-`quotient` and `kernel_mod_image` look (kernel name, *arguments) up by value in
-`Field.memo`, the memo of the field object they get, since small presentations
-recur across instances.  It stores ambient**2 + input cells <= 256 only, and at
-most 1,024 entries, oldest out first: about 1,024 x 2k cells at worst.
+`quotient`, `kernel_mod_image` and `resolve.semifree_resolve` look (kernel
+name, *arguments) up by value in `Field.memo`, the memo of the field object
+they get, since small presentations and modules recur across instances
+(`memoized`).  It stores calls whose arguments hold at most 256 cells only,
+counting ambient**2 besides for a presentation, and at most 1,024 entries,
+oldest out first.
 """
 from __future__ import annotations
 
@@ -43,20 +45,13 @@ from operator import attrgetter
 
 import numpy as np
 
-from .field import Field
-
-
-def _fits_int64(p: int, inner: int) -> bool:
-    # products (p-1)^2 summed `inner` times must stay below 2^63
-    return (p - 1) ** 2 * max(inner, 1) < 2 ** 62
-
-
-def _dtype(f: Field):
-    return np.int64 if f.p and _fits_int64(f.p, 1) else object
+from .field import Field, fits_int64
 
 
 def _zeros(f: Field, rows: int, cols: int) -> np.ndarray:
-    out = np.empty((rows, cols), dtype=_dtype(f))
+    if f.p:
+        return np.zeros((rows, cols), dtype=f.dtype)
+    out = np.empty((rows, cols), dtype=object)
     out.fill(f.zero)
     return out
 
@@ -79,7 +74,7 @@ class Matrix:
     def __init__(self, field: Field, rows: int, cols: int, data):
         if rows < 0 or cols < 0:
             raise ValueError("negative dimensions")
-        arr = np.array(data, dtype=_dtype(field))
+        arr = np.array(data, dtype=field.dtype)
         if rows == 0 and len(data) == 0:
             arr = arr.reshape(0, cols)
         if arr.shape != (rows, cols):
@@ -122,7 +117,7 @@ class Matrix:
 
     @classmethod
     def column(cls, field: Field, vec) -> "Matrix":
-        return cls(field, len(vec), 1, np.array(vec, dtype=_dtype(field)).reshape(-1, 1))
+        return cls(field, len(vec), 1, np.array(vec, dtype=field.dtype).reshape(-1, 1))
 
     def columns(self, index) -> "Matrix":
         """The columns picked by a slice or an index list, in that order."""
@@ -139,11 +134,19 @@ class Matrix:
         return Matrix._of(self.field, self.arr.T)
 
     def __eq__(self, other):
-        return (isinstance(other, Matrix) and self.field == other.field
-                and self.arr.shape == other.arr.shape
-                and bool(np.array_equal(self.arr, other.arr)))
+        if not isinstance(other, Matrix) or (self.field is not other.field
+                                             and self.field != other.field):
+            return False
+        a, b = self.arr, other.arr
+        if a.shape != b.shape:
+            return False
+        if a.dtype == b.dtype == np.int64:
+            return a.tobytes() == b.tobytes()
+        return bool(np.array_equal(a, b))
 
     def __hash__(self):
+        if self.arr.dtype == np.int64:
+            return hash((self.rows, self.cols, self.arr.tobytes()))
         return hash((self.rows, self.cols, tuple(self.arr.ravel().tolist())))
 
     def __repr__(self):
@@ -232,7 +235,7 @@ def _matmul(f: Field, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return _zeros(f, rows, b.shape[1])
     if not f.p:
         return _matmul_q(a, b)
-    if a.dtype == object or not _fits_int64(f.p, inner):
+    if a.dtype == object or not fits_int64(f.p, inner):
         prod = a.astype(object) @ b.astype(object) % f.p
         return prod.astype(a.dtype)
     return a @ b % f.p
@@ -428,19 +431,37 @@ def solve(m: Matrix, rhs: Matrix):
     return Matrix._of(m.field, x)
 
 
-_MEMO_GATE, _MEMO_CAP = 256, 1024   # the largest presentation stored, the entries per field
+_MEMO_GATE, _MEMO_CAP = 256, 1024   # the most cells a stored call reads, the entries per field
 _MISS = object()
 
 
-def _memoized(kernel):
+def _cells(x) -> int:
+    """Entries a memoized argument holds: a matrix's, a module's diff and
+    action entries, and none for a number."""
+    if isinstance(x, Matrix):
+        return x.arr.size
+    if isinstance(x, (int, np.integer)):
+        return 0
+    return sum(m.arr.size for m in (*x.diff.values(), *x.action.values()))
+
+
+def memoized(kernel):
+    """`kernel(f, *args)`, looked up by value as (kernel name, *args) in
+    `f.memo`, the memo of the field object f.  Only calls whose arguments
+    hold at most `_MEMO_GATE` cells are stored, a presentation (a matrix
+    last) counting ambient**2 besides; a call that raises stores nothing.
+    The cap is enforced after the kernel ran, as a kernel may store entries
+    of its own on the way (`kernel_mod_image` a quotient, a resolution the
+    presentations of its cohomology)."""
     @wraps(kernel)
     def run(f: Field, *args):
-        if args[-1].cols ** 2 + sum(a.arr.size for a in args if isinstance(a, Matrix)) > _MEMO_GATE:
+        ambient = args[-1].cols if isinstance(args[-1], Matrix) else 0
+        if ambient ** 2 + sum(map(_cells, args)) > _MEMO_GATE:
             return kernel(f, *args)
         key = (kernel.__name__, *args)
         if (out := f.memo.get(key, _MISS)) is _MISS:
             out = f.memo[key] = kernel(f, *args)
-            while len(f.memo) > _MEMO_CAP:      # kernel_mod_image stored a quotient too
+            while len(f.memo) > _MEMO_CAP:
                 del f.memo[next(iter(f.memo))]
         return out
     return run
@@ -459,7 +480,7 @@ class Cohomology:
         return self.space.dim
 
 
-@_memoized
+@memoized
 def kernel_mod_image(f: Field, d_in: Matrix, d_out: Matrix) -> Cohomology | None:
     """ker(d_out)/im(d_in), or None when im(d_in) is not inside ker(d_out).
     The kernel basis has the identity in its rows `free`, so d_in has its
@@ -505,7 +526,7 @@ class QuotientSpace:
     pivots: tuple
 
 
-@_memoized
+@memoized
 def quotient(field: Field, ambient_dim: int, relations: Matrix) -> QuotientSpace:
     """Quotient of k^ambient_dim by the row span of `relations`."""
     if relations.cols != ambient_dim:

@@ -9,7 +9,12 @@ H^i(rho) is an isomorphism for i >= -depth + 1 and surjective at -depth,
 and sup(P) equals the top nonzero cohomology degree of M.  A stage holds
 its classes as the columns of one matrix, so it makes one product with
 rho, one with d^{t-1} and one `solve` for all of them; a seeded variant
-takes its draws class by class before those products.
+takes its draws class by class before those products.  A resolution
+depends on M, the depth, the variant and the cap only, so it is built and
+certified once per distinct request over one field object and kept in the
+field's memo (`linalg.memoized`): a request with an equal module from
+another instance gets the same immutable resolution, whose `target` is the
+module it was built for.
 
 The derived tensor of (M, N) at top degree is realized as H^0(P (x)_A nG),
 where mG and nG are M and N translated so their tops sit at 0 and
@@ -61,6 +66,7 @@ from .linalg import (
     drop_zero_rows,
     from_blocks,
     kernel_basis,
+    memoized,
     rank,
     rref,
     solve,
@@ -93,18 +99,20 @@ def sup_cohomology(m: DGModule):
     return None
 
 
-@dataclass
+@dataclass(frozen=True)
 class SemiFreeResolution:
-    """rho: P -> M, free on staged generators, quasi-isomorphism to depth."""
+    """rho: P -> M, free on staged generators, quasi-isomorphism to depth.
+    Frozen, with tuples of generators: one resolution serves every equal
+    request over its field."""
     target: DGModule
     p: DGModule
     layout: FreeLayout
     rho: StrictMorphism
     depth: int
-    gen_degrees: list
-    gen_stages: list
-    gen_diffs: list           # d(g), a column in P^{deg+1}; empty (0 x 1) at stage 0
-    gen_images: list          # rho(g), a column in M^{deg}
+    gen_degrees: tuple
+    gen_stages: tuple
+    gen_diffs: tuple          # d(g), a column in P^{deg+1}; empty (0 x 1) at stage 0
+    gen_images: tuple         # rho(g), a column in M^{deg}
 
     def generator_count(self) -> int:
         return len(self.gen_degrees)
@@ -166,12 +174,19 @@ def _build_p_and_rho(algebra, target, gen_degrees, gen_diffs, gen_images):
 
 def semifree_resolve(m: DGModule, depth: int, variant: int = 0,
                      cap: int = GENERATOR_CAP) -> SemiFreeResolution:
-    """Resolve a right module by a semi-free module, certified to `depth`."""
+    """Resolve a right module by a semi-free module, certified to `depth`.
+    An equal earlier request over the same field object returns its
+    resolution, and `target` may then be an equal module of another
+    instance."""
+    return _resolve(m.field, m, depth, variant, cap)
+
+
+@memoized
+def _resolve(f: Field, m: DGModule, depth: int, variant: int, cap: int) -> SemiFreeResolution:
     if m.side != RIGHT:
         raise StructureError("resolutions are built for right modules")
     if depth < 1:
         raise StructureError("depth must be >= 1")
-    f = m.field
     a = m.algebra
     rng = random.Random(f"resolve-variant:{variant}") if variant else None
 
@@ -203,7 +218,7 @@ def semifree_resolve(m: DGModule, depth: int, variant: int = 0,
             gen_diffs.append(Matrix.zeros(f, 0, 1))
     if not gen_degrees:
         p, lay, rho = _build_p_and_rho(a, m, [], [], [])
-        return SemiFreeResolution(m, p, lay, rho, depth, [], [], [], [])
+        return SemiFreeResolution(m, p, lay, rho, depth, (), (), (), ())
 
     sup_h = gen_degrees[0]
     p, lay, rho = _build_p_and_rho(a, m, gen_degrees, gen_diffs, gen_images)
@@ -248,8 +263,8 @@ def semifree_resolve(m: DGModule, depth: int, variant: int = 0,
                 f"per-degree dimension {worst} exceeds the generator cap {cap}")
         p, lay, rho = _build_p_and_rho(a, m, gen_degrees, gen_diffs, gen_images)
 
-    res = SemiFreeResolution(m, p, lay, rho, depth, gen_degrees, gen_stages,
-                             gen_diffs, gen_images)
+    res = SemiFreeResolution(m, p, lay, rho, depth, tuple(gen_degrees), tuple(gen_stages),
+                             tuple(gen_diffs), tuple(gen_images))
     _certify_resolution(res)
     return res
 

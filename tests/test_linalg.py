@@ -155,6 +155,22 @@ def test_zeros_and_identity_are_shared_read_only():
                 shared.arr[0, 0] = f.one
 
 
+def test_equality_and_hash_read_entries_not_layout():
+    # int64 matrices compare and hash their bytes in row order, so a
+    # transposed view equals a fresh copy of it; the shape tells apart
+    # matrices with the same entries in order
+    for f in (F101, Q, Field.prime(2 ** 61 - 1)):
+        a = mat(f, [[1, 2, 3], [4, 5, 6]])
+        t = a.transpose()
+        fresh = mat(f, [[1, 4], [2, 5], [3, 6]])
+        assert not t.arr.flags.c_contiguous
+        assert t == fresh and hash(t) == hash(fresh)
+        assert a != mat(f, [[1, 2], [3, 4], [5, 6]])
+        assert a != mat(f, [[1, 2, 3], [4, 5, 7]])
+        assert a != mat(Field.prime(103), [[1, 2, 3], [4, 5, 6]])
+        assert a.arr.dtype == f.dtype
+
+
 @st.composite
 def small_matrix(draw, field):
     rows = draw(st.integers(0, 5))

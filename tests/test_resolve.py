@@ -1,12 +1,14 @@
 import hashlib
+import pickle
 import time
 from collections import Counter
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import pytest
 
 from dgkunneth import kunneth, linalg, resolve, suite
 from dgkunneth.checks import all_ok
+from dgkunneth.dgalgebra import StructureError
 from dgkunneth.dgmodule import (
     LEFT,
     RIGHT,
@@ -279,11 +281,12 @@ def test_resolution_variant_still_valid(k):
 
 
 def test_deterministic_resolution(k):
-    a = make_koszul_dg(k)
-    rng = instance_rng(305, 2)
-    m = random_module(a, RIGHT, rng)
-    r1 = semifree_resolve(m, depth=3)
-    r2 = semifree_resolve(m, depth=3)
+    # two builds from equal modules over two field objects, so the second
+    # is not the first one's memo entry
+    r1, r2 = (semifree_resolve(random_module(make_koszul_dg(Field(k.kind, k.p)), RIGHT,
+                                             instance_rng(305, 2)), depth=3)
+              for _ in range(2))
+    assert r1 is not r2
     assert r1.gen_degrees == r2.gen_degrees
     assert r1.gen_diffs == r2.gen_diffs
     assert r1.p == r2.p
@@ -301,7 +304,7 @@ def test_lift_identity(k):
 def _first_nonzero_doubled(vectors, k):
     """The columns `vectors` with the first nonzero one doubled."""
     g = next(i for i, v in enumerate(vectors) if not v.is_zero())
-    return vectors[:g] + [vectors[g].scale(k.of_int(2))] + vectors[g + 1:]
+    return vectors[:g] + (vectors[g].scale(k.of_int(2)),) + vectors[g + 1:]
 
 
 def test_transport_invertibility_detects_a_wrong_rho(k):
@@ -311,7 +314,7 @@ def test_transport_invertibility_detects_a_wrong_rho(k):
     m, n = _dual_numbers_simple_pair(k)
     w = theta_der(m, n)
     res = w.resolution
-    images = [Matrix.zeros(k, res.gen_images[0].rows, 1)] + res.gen_images[1:]
+    images = (Matrix.zeros(k, res.gen_images[0].rows, 1),) + res.gen_images[1:]
     rho = StrictMorphism(res.p, m, resolve.morphism_from_generator_images(
         res.p, res.layout, m, images))
     bad = replace(res, gen_images=images, rho=rho)
@@ -482,12 +485,15 @@ def test_each_stage_makes_one_solve(monkeypatch, field):
         calls.append(rhs.cols)
         return linalg.solve(m, rhs)
 
-    witnesses = _small_derived_witnesses(field)
+    f = Field(field.kind, field.p)
+    witnesses = _small_derived_witnesses(f)
     monkeypatch.setattr(resolve, "solve", counted)
     widest = 0
     for w in witnesses:
         for v, depth in ((0, resolve.DEPTH), *resolve.DEEPER_RESOLUTIONS):
             calls.clear()
+            # the witnesses stored these resolutions: build each anew
+            f.memo.clear()
             res = semifree_resolve(w.mn.mT, depth, variant=v)
             killed = Counter(s for s in res.gen_stages if s)
             assert calls == [killed[s] for s in sorted(killed)]
@@ -498,8 +504,8 @@ def test_each_stage_makes_one_solve(monkeypatch, field):
 def test_only_the_certification_scans_ranks(monkeypatch):
     # semifree_resolve reads sup H(M) off its own stage-0 scan of the cached
     # H^i; only the certification runs the rank-based sup_cohomology, as an
-    # independent check
-    m = generate_instance(CorpusProfile(field=F101), 1).m
+    # independent check; a field of its own, so the resolution is built
+    m = generate_instance(CorpusProfile(field=Field.prime(101)), 1).m
     stack, ranks = [], []
 
     def wrap(name, fn, record=False):
@@ -725,6 +731,98 @@ def test_cost_follows_the_data_not_the_window():
     assert all_ok(suite.plain_checks(kunneth.theta(m, n)))
     w = theta_der(m, n)
     assert all_ok(suite.derived_checks(w))
-    assert w.resolution.gen_degrees == [0, -gap, -1, -2]
+    assert w.resolution.gen_degrees == (0, -gap, -1, -2)
     # linear in the gap, this would take minutes
     assert time.perf_counter() - t0 < 10
+
+
+# ---------------------------------------------------------------------------
+# the field memo of resolutions
+
+
+def _count_builds(monkeypatch):
+    """Logs of the resolutions built and of those certified."""
+    logs = {"built": [], "certified": []}
+    for name, log in (("SemiFreeResolution", logs["built"]),
+                      ("_certify_resolution", logs["certified"])):
+        orig = getattr(resolve, name)
+
+        def counted(*args, orig=orig, log=log):
+            log.append(args[0])
+            return orig(*args)
+
+        monkeypatch.setattr(resolve, name, counted)
+    return logs
+
+
+def test_equal_modules_of_two_instances_share_one_build(monkeypatch):
+    # instances 3 and 9 of the published F_101 profile have equal mG
+    profile = CorpusProfile(field=Field.prime(101))
+    logs = _count_builds(monkeypatch)
+    w3, w9 = (theta_der(inst.m, inst.n) for inst in
+              (generate_instance(profile, idx) for idx in (3, 9)))
+    assert w9.mn.mT == w3.mn.mT and w9.mn.mT is not w3.mn.mT
+    assert hash(w9.mn.mT) == hash(w3.mn.mT)
+    assert (len(logs["built"]), len(logs["certified"])) == (1, 1)
+    # the second instance reads the first one's resolution, target and all
+    assert w9.resolution is w3.resolution and w9.resolution.target is w3.mn.mT
+    assert w3.ok and w9.ok and w9.resolution.generator_count() > 0
+    with pytest.raises(FrozenInstanceError):
+        w9.resolution.depth = 3
+
+
+def test_every_part_of_the_key_tells_resolutions_apart(monkeypatch):
+    # A and k (+) k over the dual numbers differ in one action entry only,
+    # so their hashes agree and equality tells them apart
+    f = Field.prime(101)
+    a = make_dual_numbers(f)
+    m = regular_module(a, RIGHT)
+    s = simple_module_dual_numbers(a, RIGHT)
+    other = direct_sum(s, s)
+    assert int((m.action_map(0, 0).arr != other.action_map(0, 0).arr).sum()) == 1
+    assert hash(m) == hash(other) and m != other
+    logs = _count_builds(monkeypatch)
+    first = semifree_resolve(m, 3)
+    assert semifree_resolve(m, depth=3, variant=0, cap=resolve.GENERATOR_CAP) is first
+    assert len(logs["built"]) == 1
+    for args, kwargs in (((other, 3), {}), ((m, 3), {"variant": 1}), ((m, 4), {}),
+                         ((m, 3), {"cap": 6})):
+        res = semifree_resolve(*args, **kwargs)
+        assert res is not first and res.target is args[0]
+    assert len(logs["built"]) == 5
+    assert semifree_resolve(other, 3).gen_degrees != first.gen_degrees
+
+
+def test_a_raising_resolution_is_not_stored(monkeypatch):
+    f = Field.prime(101)
+    _, m = _k_over_square_zero(f)
+    stages = []
+    build = resolve._build_p_and_rho
+
+    def counted(*args):
+        stages.append(len(args[2]))
+        return build(*args)
+
+    monkeypatch.setattr(resolve, "_build_p_and_rho", counted)
+    for _ in range(2):
+        stages.clear()
+        with pytest.raises(ResourceCapError):
+            semifree_resolve(m, depth=8, cap=6)
+        # every stage up to the one past the cap is built again
+        assert stages == [1, 3]
+        with pytest.raises(StructureError, match="depth"):
+            semifree_resolve(m, depth=0)
+    assert not [key for key in f.memo if key[0] == "_resolve"]
+    assert semifree_resolve(m, depth=2).generator_count() == 7
+
+
+def test_an_unpickled_field_starts_with_an_empty_memo():
+    f = Field.rationals()
+    m = simple_module_dual_numbers(make_dual_numbers(f), RIGHT)
+    res = semifree_resolve(m, 3)
+    assert [key for key in f.memo if key[0] == "_resolve"] == [("_resolve", m, 3, 0, 64)]
+    copy = pickle.loads(pickle.dumps(m))
+    assert copy.field.memo == {} and copy == m
+    again = semifree_resolve(copy, 3)
+    assert again is not res and again.target is copy
+    assert resolution_to_json(again) == resolution_to_json(res)

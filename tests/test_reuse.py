@@ -3,7 +3,9 @@
 The canonical suite reports are pinned to the hashes the code gave while
 every check still rebuilt its own objects, and the construction counts per
 battery and per suite run are measured by wrapping `theta` and
-`semifree_resolve` by name.
+`semifree_resolve` by name.  A test that counts builds or computations
+runs on a field object of its own: a field carries the memo of resolutions
+and presentations from test to test.
 """
 import hashlib
 import pickle
@@ -61,8 +63,10 @@ def test_published_f101_report_is_pinned(monkeypatch):
     counted = {name: _count_calls(monkeypatch, module, name)
                for module, name in ((dgmodule, "_cohomology"), (kunneth, "theta"),
                                     (resolve, "semifree_resolve"),
+                                    (resolve, "SemiFreeResolution"),
+                                    (resolve, "_certify_resolution"),
                                     (dgalgebra, "validate_algebra"))}
-    body = suite.run_suite(CorpusProfile(field=F101)).as_json()
+    body = suite.run_suite(CorpusProfile(field=Field.prime(101))).as_json()
     body.pop("timing")
     assert len(body["checks"]) == 200 * 13 + 100 * 8 + 13 * 20 + 5
     assert hashlib.sha256(dumps_canonical(body).encode()).hexdigest() == PUBLISHED_F101_SHA256
@@ -70,9 +74,13 @@ def test_published_f101_report_is_pinned(monkeypatch):
     # that rebuilds one raises the H^i count; stage 0 of a resolution scans
     # H^i in the nonzero degrees from the top down, also on an acyclic
     # module; each family algebra is built and validated once per profile,
-    # plus once for the witness checks
+    # plus once for the witness checks.  The 300 resolution requests have
+    # 156 distinct (module, depth, variant) keys: each is built once, and the
+    # 75 with generators are certified; the H^i of a shared P and its target
+    # are computed once for all the instances that share them
     assert {name: len(calls) for name, calls in counted.items()} == {
-        "_cohomology": 1901, "theta": 600, "semifree_resolve": 300, "validate_algebra": 8}
+        "_cohomology": 1113, "theta": 600, "semifree_resolve": 300,
+        "SemiFreeResolution": 156, "_certify_resolution": 75, "validate_algebra": 8}
 
 
 def test_small_suite_report_is_pinned_with_two_workers():
@@ -107,7 +115,7 @@ def _count_calls(monkeypatch, module, name):
 
 
 def test_batteries_build_each_witness_once(monkeypatch):
-    corpus = generate_corpus(CorpusProfile(field=F101, instance_count=6))
+    corpus = generate_corpus(CorpusProfile(field=Field.prime(101), instance_count=6))
     originals = (kunneth.theta, resolve.semifree_resolve)
     thetas = _count_calls(monkeypatch, kunneth, "theta")
     builds = _count_calls(monkeypatch, resolve, "semifree_resolve")
@@ -133,7 +141,8 @@ def test_batteries_build_each_witness_once(monkeypatch):
 def test_suite_reuses_the_witnesses_for_functoriality(monkeypatch):
     thetas = _count_calls(monkeypatch, kunneth, "theta")
     builds = _count_calls(monkeypatch, resolve, "semifree_resolve")
-    for i, inst in enumerate(generate_corpus(CorpusProfile(field=F101, instance_count=12))):
+    f = Field.prime(101)
+    for i, inst in enumerate(generate_corpus(CorpusProfile(field=f, instance_count=12))):
         suite.plain_kunneth_checks(inst)
         if i < 6:
             suite.derived_kunneth_checks(inst)
@@ -141,7 +150,7 @@ def test_suite_reuses_the_witnesses_for_functoriality(monkeypatch):
     assert (len(thetas), len(builds)) == (12 + 6 * 4, 6 * 3)
     thetas.clear()
     builds.clear()
-    _small_suite(F101)
+    _small_suite(f)
     # the functoriality squares of the first 2 instances build nothing more
     assert (len(thetas), len(builds)) == (12 + 6 * 4, 6 * 3)
 
@@ -151,7 +160,7 @@ def test_derived_battery_computes_each_cohomology_once(monkeypatch):
     # resolution build and certification ask for H^t(mG) and H^t(P) again
     # and again; only 26 distinct (module, degree) pairs are computed, as
     # theta(mG, nG) and theta(P, nG) read mG, nG and P themselves (M[0] is M)
-    inst = generate_corpus(CorpusProfile(field=F101, instance_count=2))[1]
+    inst = generate_corpus(CorpusProfile(field=Field.prime(101), instance_count=2))[1]
     asked = _count_calls(monkeypatch, dgmodule, "cohomology")
     computed = _count_calls(monkeypatch, dgmodule, "_cohomology")
     assert all(r.ok for r in suite.derived_kunneth_checks(inst))
@@ -159,7 +168,7 @@ def test_derived_battery_computes_each_cohomology_once(monkeypatch):
 
 
 def test_functoriality_builds_each_witness_once(monkeypatch):
-    inst = generate_corpus(CorpusProfile(field=F101, instance_count=1))[0]
+    inst = generate_corpus(CorpusProfile(field=Field.prime(101), instance_count=1))[0]
     originals = (kunneth.theta, resolve.theta_der, resolve.semifree_resolve)
     thetas = _count_calls(monkeypatch, kunneth, "theta")
     derived = _count_calls(monkeypatch, resolve, "theta_der")
