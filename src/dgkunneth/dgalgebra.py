@@ -1,6 +1,9 @@
 """Nonpositive DG algebras: data model, axiom validation, degree-zero cohomology ring.
 
 A DG algebra lives in degrees min_degree..0 with a degree +1 differential.
+As for modules, `dims` holds the nonzero dimensions only (`nonzero_dims`),
+so loops over `degrees()` cost what the data does; `min_degree` only bounds
+the algebra (free layouts, regular modules and the JSON format read it).
 All structure maps follow the column convention of `linalg`: the product on
 A^i x A^j is a matrix (dim A^{i+j}) x (dim A^i * dim A^j) acting on
 Kronecker-ordered tensor coordinates.
@@ -34,6 +37,20 @@ def _first_mismatch(lhs: Matrix, rhs: Matrix):
     return (int(where[0, 0]), int(where[0, 1])) if len(where) else None
 
 
+def nonzero_dims(dims: dict, window: tuple) -> dict:
+    """The nonzero entries of `dims` in ascending degree; an empty window
+    lo..hi, a degree outside it or a negative dimension is a StructureError."""
+    lo, hi = window
+    if lo > hi:
+        raise StructureError(f"empty degree window {window}")
+    if not all(lo <= i <= hi for i in dims):
+        raise StructureError(f"dims {dims} reach outside the window {window}")
+    out = {i: int(d) for i, d in sorted(dims.items()) if d}
+    if any(d < 0 for d in out.values()):
+        raise StructureError("negative dimension")
+    return out
+
+
 class DGAlgebra:
     """A = (+) A^i for min_degree <= i <= 0, with product, unit, differential."""
 
@@ -41,13 +58,9 @@ class DGAlgebra:
 
     def __init__(self, field: Field, min_degree: int, dims: dict, mult: dict,
                  diff: dict, unit: Matrix):
-        if min_degree > 0:
-            raise StructureError("min_degree must be <= 0")
         self.field = field
         self.min_degree = min_degree
-        self.dims = {i: int(dims.get(i, 0)) for i in range(min_degree, 1)}
-        if any(d < 0 for d in self.dims.values()):
-            raise StructureError("negative dimension")
+        self.dims = nonzero_dims(dims, (min_degree, 0))
         self.mult = dict(mult)
         self.diff = dict(diff)
         self.unit = unit              # a column in A^0
@@ -70,42 +83,34 @@ class DGAlgebra:
         return self.dims.get(i, 0)
 
     def degrees(self):
-        return range(self.min_degree, 1)
+        """The degrees i with A^i != 0, ascending."""
+        return self.dims.keys()
 
     def diff_map(self, i: int) -> Matrix:
         m = self.diff.get(i)
-        if m is None:
-            return Matrix.zeros(self.field, self.dim(i + 1), self.dim(i))
-        return m
+        return Matrix.zeros(self.field, self.dim(i + 1), self.dim(i)) if m is None else m
 
     def mult_map(self, i: int, j: int) -> Matrix:
         m = self.mult.get((i, j))
-        if m is None:
-            return Matrix.zeros(self.field, self.dim(i + j), self.dim(i) * self.dim(j))
-        return m
+        return Matrix.zeros(self.field, self.dim(i + j), self.dim(i) * self.dim(j)) \
+            if m is None else m
 
     def __eq__(self, other):
         if other is self:
             return True
         if not isinstance(other, DGAlgebra):
             return NotImplemented
-        if (self.field != other.field or self.min_degree != other.min_degree
-                or self.dims != other.dims or self.unit != other.unit):
-            return False
-        for i in self.degrees():
-            if self.diff_map(i) != other.diff_map(i):
-                return False
-            for j in self.degrees():
-                if self.mult_map(i, j) != other.mult_map(i, j):
-                    return False
-        return True
+        degs = self.degrees()
+        return ((self.field, self.min_degree, self.dims, self.unit)
+                == (other.field, other.min_degree, other.dims, other.unit)
+                and all(self.diff_map(i) == other.diff_map(i) for i in degs)
+                and all(self.mult_map(i, j) == other.mult_map(i, j) for i in degs for j in degs))
 
     def __hash__(self):
-        return hash((self.field, self.min_degree, tuple(sorted(self.dims.items()))))
+        return hash((self.field, self.min_degree, tuple(self.dims.items())))
 
     def __repr__(self):
-        dims = {i: d for i, d in self.dims.items() if d}
-        return f"DGAlgebra({self.field!r}, dims={dims})"
+        return f"DGAlgebra({self.field!r}, dims={self.dims})"
 
     def h0(self) -> QuotientSpace:
         if self._h0 is None:
@@ -126,12 +131,8 @@ def validate_algebra(a: DGAlgebra) -> list:
             out.append(Violation("d_squared", {"degree": i}))
     for i in a.degrees():
         di = a.dim(i)
-        if di == 0:
-            continue
         for j in a.degrees():
             dj = a.dim(j)
-            if dj == 0:
-                continue
             lhs = a.diff_map(i + j) @ a.mult_map(i, j)
             rhs = a.mult_map(i + 1, j).times_kron_eye(a.diff_map(i), dj)
             term2 = a.mult_map(i, j + 1).times_eye_kron(di, a.diff_map(j))
@@ -141,8 +142,6 @@ def validate_algebra(a: DGAlgebra) -> list:
                 out.append(Violation("leibniz", {"degrees": (i, j), "basis": (u, v)}))
             for k in a.degrees():
                 dk = a.dim(k)
-                if dk == 0:
-                    continue
                 l2 = a.mult_map(i + j, k).times_kron_eye(a.mult_map(i, j), dk)
                 r2 = a.mult_map(i, j + k).times_eye_kron(di, a.mult_map(j, k))
                 if l2 != r2:
@@ -153,8 +152,6 @@ def validate_algebra(a: DGAlgebra) -> list:
                                                            "basis": (u, v, w)}))
     for j in a.degrees():
         dj = a.dim(j)
-        if dj == 0:
-            continue
         ij = Matrix.identity(f, dj)
         if a.mult_map(0, j).times_kron_eye(a.unit, dj) != ij:
             out.append(Violation("left_unit", {"degree": j}))

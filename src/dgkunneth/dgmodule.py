@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from functools import cache
 from itertools import accumulate
 
-from .dgalgebra import DGAlgebra, StructureError, Violation, _first_mismatch
+from .dgalgebra import DGAlgebra, StructureError, Violation, _first_mismatch, nonzero_dims
 from .field import Field
 from .linalg import (
     Cohomology,
@@ -52,17 +52,10 @@ class DGModule:
                  diff: dict, action: dict):
         if side not in (LEFT, RIGHT):
             raise StructureError(f"unknown side {side!r}")
-        lo, hi = window
-        if lo > hi:
-            raise StructureError("empty degree window")
-        if not all(lo <= i <= hi for i in dims):
-            raise StructureError(f"dims {dims} reach outside the window {window}")
         self.side = side
         self.algebra = algebra
-        self.window = (lo, hi)
-        self.dims = {i: int(d) for i, d in sorted(dims.items()) if d}
-        if any(d < 0 for d in self.dims.values()):
-            raise StructureError("negative dimension")
+        self.window = tuple(window)
+        self.dims = nonzero_dims(dims, self.window)
         self.diff = dict(diff)
         self.action = dict(action)
         self._check_shapes()
@@ -143,8 +136,6 @@ def validate_module(m: DGModule) -> list:
         di = m.dim(i)
         for j in a.degrees():
             dj = a.dim(j)
-            if dj == 0:
-                continue
             act = m.action_map(i, j)
             lhs = m.diff_map(i + j) @ act
             if m.side == RIGHT:
@@ -163,8 +154,6 @@ def validate_module(m: DGModule) -> list:
                 out.append(Violation("leibniz", {"degrees": degrees, "basis": (u, v)}))
             for k in a.degrees():
                 dk = a.dim(k)
-                if dk == 0:
-                    continue
                 if m.side == RIGHT:
                     l2 = m.action_map(i + j, k).times_kron_eye(act, dk)
                     r2 = m.action_map(i, j + k).times_eye_kron(di, a.mult_map(j, k))
@@ -246,8 +235,6 @@ def validate_morphism(fm: StrictMorphism) -> list:
             out.append(Violation("chain_map", {"degree": i}))
         for j in a.degrees():
             dj = a.dim(j)
-            if dj == 0:
-                continue
             lhs = fm.map_at(i + j) @ src.action_map(i, j)
             if src.side == RIGHT:
                 rhs = tgt.action_map(i, j).times_kron_eye(fm.map_at(i), dj)
@@ -312,7 +299,7 @@ def smart_truncate(m: DGModule, j: int) -> DGModule:
     a = m.algebra
     for i in dims:
         for ja in a.degrees():
-            if a.dim(ja) == 0 or i + ja not in dims:
+            if i + ja not in dims:
                 continue
             act = m.action_map(i, ja)
             if i == j:
@@ -376,7 +363,7 @@ def direct_sum(m1: DGModule, m2: DGModule) -> DGModule:
     for i in dims:
         for j in a.degrees():
             dj = a.dim(j)
-            if dj == 0 or i + j not in dims:
+            if i + j not in dims:
                 continue
             a1, a2 = m1.action_map(i, j).arr, m2.action_map(i, j).arr
             tgt1, n1, n2 = m1.dim(i + j), m1.dim(i), m2.dim(i)
@@ -429,8 +416,7 @@ class FreeLayout:
 
     def degrees(self) -> list:
         """The degrees e_g + j with A^j != 0, ascending: where the module is nonzero."""
-        a = self.algebra
-        return sorted({e + j for e in set(self.gen_degrees) for j in a.degrees() if a.dim(j)})
+        return sorted({e + j for e in set(self.gen_degrees) for j in self.algebra.degrees()})
 
     def window(self):
         if not self.gen_degrees:
@@ -452,7 +438,7 @@ def free_module(algebra: DGAlgebra, side: str, gen_degrees, gen_diffs=None):
     dims = {i: offs[-1] for i, offs in offsets.items()}
     gen_diffs = list(gen_diffs or [])
     action = {(i, j): _free_action(lay, side, offsets[i], offsets[i + j], i, j)
-              for i in dims for j in algebra.degrees() if algebra.dim(j) and i + j in dims}
+              for i in dims for j in algebra.degrees() if i + j in dims}
     diff = {i: _free_diff(lay, side, gen_diffs, offsets[i], lay.offsets(i + 1),
                           lambda k, j: action[k, j], i)
             for i in dims}

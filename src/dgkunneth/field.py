@@ -3,9 +3,10 @@
 Elements of F_p are plain Python ints canonicalized to [0, p); rational
 elements are `fractions.Fraction`.  A `Field` instance carries zero and one,
 seeded draws, the string form used in all JSON interchange, the numpy
-`dtype` of its matrices, and `memo`, where `linalg.memoized` keeps small
-presentations and resolutions computed over this field object: a new or
-unpickled field starts with an empty one.  The arithmetic runs on matrices.
+`dtype` of its matrices, `memo`, where `linalg.memoized` keeps small
+presentations and resolutions computed over this field object, and
+`shared`, its zero and identity matrices by shape: a new or unpickled
+field starts with both empty.  The arithmetic runs on matrices.
 """
 from __future__ import annotations
 
@@ -52,7 +53,7 @@ def is_prime(n: int) -> bool:
 class Field:
     """A field of scalars: the rationals, or F_p for a prime p."""
 
-    __slots__ = ("kind", "p", "zero", "one", "dtype", "memo")
+    __slots__ = ("kind", "p", "zero", "one", "dtype", "memo", "shared")
 
     def __init__(self, kind: str, p: int | None = None):
         if kind == RATIONALS:
@@ -74,6 +75,7 @@ class Field:
         # residues are int64 when the product of two fits, Python ints otherwise
         self.dtype = np.int64 if p and fits_int64(p, 1) else object
         self.memo = {}
+        self.shared = {}
 
     def __reduce__(self):
         return Field, (self.kind, self.p)

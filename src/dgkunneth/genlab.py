@@ -40,6 +40,14 @@ class GenerationError(Exception):
 # Algebra families
 
 
+def _validated(a: DGAlgebra, family: str) -> DGAlgebra:
+    """`a`, or a StructureError naming its first failed axiom."""
+    bad = validate_algebra(a)
+    if bad:
+        raise StructureError(f"{family} axioms fail: {bad[0]}")
+    return a
+
+
 def make_ordinary(field: Field, structure_constants, unit=None) -> DGAlgebra:
     """Degree-0 algebra from a table: structure_constants[u][v] = coords of e_u e_v.
     The unit is a column, e_0 by default."""
@@ -51,11 +59,7 @@ def make_ordinary(field: Field, structure_constants, unit=None) -> DGAlgebra:
                                      for u in range(n) for v in range(n)] for r in range(n)])
     if unit is None:
         unit = Matrix.identity(field, n).columns([0])
-    a = DGAlgebra(field, 0, {0: n}, {(0, 0): mult}, {}, unit)
-    bad = validate_algebra(a)
-    if bad:
-        raise StructureError(f"ordinary algebra axioms fail: {bad[0]}")
-    return a
+    return _validated(DGAlgebra(field, 0, {0: n}, {(0, 0): mult}, {}, unit), "ordinary algebra")
 
 
 def _scalar(field: Field, x):
@@ -102,8 +106,7 @@ def make_exterior(field: Field, contractible: bool = False) -> DGAlgebra:
     }
     d = Matrix.from_int_rows(f, [[1 if contractible else 0]])
     a = DGAlgebra(f, -1, dims, mult, {-1: d}, Matrix.from_int_rows(f, [[1]]))
-    assert not validate_algebra(a)
-    return a
+    return _validated(a, "exterior algebra")
 
 
 def make_koszul_dg(field: Field) -> DGAlgebra:
@@ -124,10 +127,7 @@ def make_koszul_dg(field: Field) -> DGAlgebra:
     a = DGAlgebra(f, -1, dims,
                   {(0, 0): m00, (0, -1): m0m, (-1, 0): mm0, (-1, -1): mmm},
                   diff, Matrix.from_int_rows(f, [[1], [0]]))
-    bad = validate_algebra(a)
-    if bad:
-        raise StructureError(f"koszul family broken: {bad[0]}")
-    return a
+    return _validated(a, "koszul algebra")
 
 
 ALGEBRA_FAMILIES = {
@@ -152,7 +152,7 @@ def regular_module(a: DGAlgebra, side: str) -> DGModule:
     action = {}
     for i in a.degrees():
         for j in a.degrees():
-            if a.dim(i) and a.dim(j) and a.dim(i + j):
+            if a.dim(i + j):
                 action[(i, j)] = a.mult_map(i, j) if side == RIGHT else a.mult_map(j, i)
     return DGModule(side, a, (a.min_degree, 0), dims, diff, action)
 
@@ -286,7 +286,7 @@ def random_morphism(m: DGModule, mp: DGModule, rng: random.Random) -> StrictMorp
         for j in a.degrees():
             dj = a.dim(j)
             t = i + j
-            if dj == 0 or mp.dim(t) == 0:
+            if mp.dim(t) == 0:
                 continue
             act, actp = m.action_map(i, j), mp.action_map(i, j)
             # equivariance per basis vector a_c of A^j: f_t (x.a_c) = f_i(x).a_c

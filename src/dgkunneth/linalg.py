@@ -39,13 +39,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, wraps
+from functools import wraps
 from math import lcm
 from operator import attrgetter
 
 import numpy as np
 
 from .field import Field, fits_int64
+
+_SHARED_CAP = 1024   # zero and identity matrices kept per field object
 
 
 def _zeros(f: Field, rows: int, cols: int) -> np.ndarray:
@@ -54,6 +56,15 @@ def _zeros(f: Field, rows: int, cols: int) -> np.ndarray:
     out = np.empty((rows, cols), dtype=object)
     out.fill(f.zero)
     return out
+
+
+def _share(f: Field, key, arr: np.ndarray) -> "Matrix":
+    """The matrix of `arr`, kept in `f.shared` under `key`: (rows, cols) for
+    zeros, n for the n x n identity; at most `_SHARED_CAP`, oldest out first."""
+    m = f.shared[key] = Matrix._of(f, arr)
+    if len(f.shared) > _SHARED_CAP:
+        del f.shared[next(iter(f.shared))]
+    return m
 
 
 def _reduce(f: Field, arr: np.ndarray) -> np.ndarray:
@@ -95,19 +106,21 @@ class Matrix:
         m._set(field, arr)
         return m
 
-    # Zero and identity matrices are read-only, so one instance per
-    # (field, shape) is shared by every caller.
+    # Zero and identity matrices are read-only, so one instance per shape is
+    # shared by every caller, on the field object it was built over (`_share`).
     @classmethod
-    @lru_cache(maxsize=1024)
     def zeros(cls, field: Field, rows: int, cols: int) -> "Matrix":
-        return cls._of(field, _zeros(field, rows, cols))
+        m = field.shared.get((rows, cols))
+        return _share(field, (rows, cols), _zeros(field, rows, cols)) if m is None else m
 
     @classmethod
-    @lru_cache(maxsize=1024)
     def identity(cls, field: Field, n: int) -> "Matrix":
-        a = _zeros(field, n, n)
-        np.fill_diagonal(a, field.one)
-        return cls._of(field, a)
+        m = field.shared.get(n)
+        if m is None:
+            a = _zeros(field, n, n)
+            np.fill_diagonal(a, field.one)
+            m = _share(field, n, a)
+        return m
 
     @classmethod
     def from_int_rows(cls, field: Field, rows, cols: int | None = None) -> "Matrix":

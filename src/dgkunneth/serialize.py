@@ -82,18 +82,18 @@ def matrix_from_json(field: Field, rows: int, cols: int, data) -> Matrix:
 def algebra_to_json(a: DGAlgebra) -> dict:
     out = {
         "min_degree": a.min_degree,
-        "dims": {str(i): a.dim(i) for i in a.degrees()},
+        "dims": {str(i): a.dim(i) for i in range(a.min_degree, 1)},   # zeros too
         "unit": matrix_to_json(a.unit.transpose())[0],
         "diff": {},
         "mult": {},
     }
     for i in a.degrees():
         d = a.diff_map(i)
-        if d.rows and d.cols and not d.is_zero():
+        if not d.is_zero():
             out["diff"][str(i)] = matrix_to_json(d)
         for j in a.degrees():
             mm = a.mult_map(i, j)
-            if mm.rows and mm.cols and not mm.is_zero():
+            if not mm.is_zero():
                 out["mult"][f"{i},{j}"] = matrix_to_json(mm)
     return out
 

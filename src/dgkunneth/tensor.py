@@ -160,7 +160,7 @@ class TensorComplex:
                 for p in self.m.degrees():
                     q = t - p - j
                     dims = (self.m.dim(p), self.algebra.dim(j), self.n.dim(q))
-                    if dims[1] and dims[2]:
+                    if dims[2]:
                         items += _balancing(self.m.action_map(p, j), self.n.action_map(q, j),
                                             dims, offsets.get(p + j, 0), offsets.get(p, 0),
                                             nrows)

@@ -4,20 +4,23 @@ import pathlib
 import subprocess
 import sys
 import time
+from collections import Counter
 
 import pytest
 
 from dgkunneth import suite
 from dgkunneth.cli import build_parser, build_profile, main, parse_field_spec
-from dgkunneth.dgalgebra import StructureError
+from dgkunneth.dgalgebra import DGAlgebra, StructureError
 from dgkunneth.dgmodule import LEFT, RIGHT
 from dgkunneth.field import Field
 from dgkunneth.genlab import (
     PROFILE_CAPS,
     CorpusProfile,
+    make_dual_numbers,
     make_exterior,
     make_koszul_dg,
     regular_module,
+    simple_module_dual_numbers,
 )
 from dgkunneth.serialize import dumps_canonical, module_file_to_json
 
@@ -168,6 +171,57 @@ def test_validate_dims_outside_the_window_is_structural_error(tmp_path, capsys):
         assert main(["validate", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: dims ") and "outside the window (0, 0)" in err
+
+
+def test_validate_algebra_dims_outside_min_degree_is_structural_error(tmp_path, capsys):
+    # an algebra dimension above 0 or below min_degree is rejected, not dropped
+    a = make_exterior(F101)
+    blob = module_file_to_json(a, regular_module(a, RIGHT), "m")
+    for degree in ("1", "-2"):
+        blob["algebra"]["dims"] = {"-1": 1, "0": 1, degree: 1}
+        path = tmp_path / f"outside{degree}.json"
+        path.write_text(dumps_canonical(blob))
+        assert main(["validate", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: dims ") and "outside the window (-1, 0)" in err
+
+
+def _dual_numbers_pair(tmp_path, min_degree):
+    """Instance files of k (x) k over k[t]/(t^2) declared with `min_degree`;
+    the algebra lists degree 0 alone, as a missing degree reads as 0."""
+    a = make_dual_numbers(F101)
+    paths = []
+    for side in (RIGHT, LEFT):
+        blob = module_file_to_json(a, simple_module_dual_numbers(a, side), side)
+        blob["algebra"]["min_degree"] = min_degree
+        path = tmp_path / f"{side}{min_degree}.json"
+        path.write_text(dumps_canonical(blob))
+        paths.append(str(path))
+    return paths
+
+
+def test_algebra_cost_follows_its_data_not_min_degree(tmp_path, monkeypatch):
+    calls = Counter()
+    for name in ("mult_map", "diff_map"):
+        def counted(self, *args, orig=getattr(DGAlgebra, name), name=name):
+            calls[name] += 1
+            return orig(self, *args)
+
+        monkeypatch.setattr(DGAlgebra, name, counted)
+    counts = {}
+    for min_degree in (-2, -200):
+        paths = _dual_numbers_pair(tmp_path, min_degree)
+        for command in ("kunneth", "derived-kunneth"):
+            calls.clear()
+            assert main([command, *paths]) == 0
+            counts[command, min_degree] = dict(calls)
+    for command in ("kunneth", "derived-kunneth"):
+        assert counts[command, -2] == counts[command, -200]
+    # so a million empty degrees cost nothing: walking them would take hours
+    paths = _dual_numbers_pair(tmp_path, -10 ** 6)
+    t0 = time.perf_counter()
+    assert main(["kunneth", *paths]) == 0 and main(["derived-kunneth", *paths]) == 0
+    assert time.perf_counter() - t0 < 10
 
 
 def test_suite_zero_instances_is_structural_error(tmp_path):

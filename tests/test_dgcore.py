@@ -2,10 +2,11 @@ from dataclasses import fields, replace
 
 import pytest
 
-from dgkunneth import linalg
+from dgkunneth import genlab, linalg
 from dgkunneth.dgalgebra import (
     DGAlgebra,
     StructureError,
+    Violation,
     h0_ring,
     validate_algebra,
 )
@@ -64,6 +65,27 @@ def test_exterior_valid(k):
     a = make_exterior(k)
     assert validate_algebra(a) == []
     assert a.dims == {-1: 1, 0: 1}
+
+
+def test_algebra_dims_keep_nonzero_degrees_inside_the_window(k):
+    a = make_dual_numbers(k)
+    wide = DGAlgebra(k, -3, {-3: 0, -1: 0, 0: 2}, a.mult, {}, a.unit)
+    assert wide.dims == {0: 2} and list(wide.degrees()) == [0]
+    assert wide == DGAlgebra(k, -3, {0: 2}, a.mult, {}, a.unit)
+    assert validate_algebra(wide) == []
+    for degree in (1, -4):
+        with pytest.raises(StructureError, match=r"outside the window \(-3, 0\)"):
+            DGAlgebra(k, -3, {0: 2, degree: 1}, a.mult, {}, a.unit)
+    with pytest.raises(StructureError, match="negative dimension"):
+        DGAlgebra(k, -3, {0: 2, -1: -1}, a.mult, {}, a.unit)
+
+
+def test_exterior_family_raises_on_a_violation(monkeypatch):
+    # a StructureError, not an assert that python -O would strip
+    monkeypatch.setattr(genlab, "validate_algebra",
+                        lambda a: [Violation("d_squared", {"degree": -1})])
+    with pytest.raises(StructureError, match="exterior algebra axioms fail: d_squared"):
+        make_exterior(F101)
 
 
 def test_contractible_exterior_valid(k):

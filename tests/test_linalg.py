@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dgkunneth.field import Field
+from dgkunneth import linalg
 from dgkunneth.linalg import (
     Matrix,
     hstack,
@@ -153,6 +154,22 @@ def test_zeros_and_identity_are_shared_read_only():
         for shared in (Matrix.zeros(f, 2, 3), Matrix.identity(f, 3)):
             with pytest.raises(ValueError):
                 shared.arr[0, 0] = f.one
+
+
+def test_zeros_and_identity_live_on_their_field_object():
+    # an equal field built later gets matrices over itself, not over the
+    # first one, and the kernel memo holds none of them
+    f, g = Field.prime(101), Field.prime(101)
+    zf, ef = Matrix.zeros(f, 2, 3), Matrix.identity(f, 3)
+    zg, eg = Matrix.zeros(g, 2, 3), Matrix.identity(g, 3)
+    assert (zf.field, ef.field, zg.field, eg.field) == (f, f, g, g)
+    assert zg.field is g and eg.field is g and zg is not zf and eg is not ef
+    assert zg == zf and eg == ef and not g.memo
+    # at most _SHARED_CAP shapes per field, the oldest out first
+    for n in range(linalg._SHARED_CAP + 5):
+        Matrix.zeros(g, 1, n)
+    assert len(g.shared) == linalg._SHARED_CAP and (2, 3) not in g.shared
+    assert Matrix.identity(g, 3) is not eg
 
 
 def test_equality_and_hash_read_entries_not_layout():

@@ -4,11 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dgkunneth.dgalgebra import DGAlgebra
 from dgkunneth.field import Field
 from dgkunneth.genlab import (
     CorpusProfile,
     generate_corpus,
     instance_rng,
+    make_field_algebra,
     make_koszul_dg,
     random_module,
 )
@@ -46,6 +48,18 @@ def test_algebra_roundtrip(k):
     back = algebra_from_json(k, d)
     assert back == a
     assert dumps_canonical(algebra_to_json(back)) == dumps_canonical(d)
+
+
+def test_algebra_json_writes_every_degree_of_the_window(k):
+    # in memory dims hold the nonzero degrees; the format lists each degree
+    a = make_field_algebra(k)
+    wide = DGAlgebra(k, -2, {0: 1}, a.mult, {}, a.unit)
+    assert wide.dims == {0: 1} and list(wide.degrees()) == [0]
+    d = algebra_to_json(wide)
+    assert d["dims"] == {"-2": 0, "-1": 0, "0": 1}
+    assert algebra_from_json(k, d) == wide
+    # a missing degree reads as 0
+    assert algebra_from_json(k, {**d, "dims": {"0": 1}}) == wide
 
 
 def test_module_roundtrip(k):
