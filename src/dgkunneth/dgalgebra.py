@@ -1,15 +1,17 @@
 """Nonpositive DG algebras: data model, axiom validation, degree-zero cohomology ring.
 
-A DG algebra lives in degrees min_degree..0 with a degree +1 differential.
-As for modules, `dims` holds the nonzero dimensions only (`nonzero_dims`),
-so loops over `degrees()` cost what the data does; `min_degree` only bounds
-the algebra (free layouts, regular modules and the JSON format read it).
+A DG algebra lives in degrees <= 0 with a degree +1 differential.  As for
+modules, `dims` holds the nonzero dimensions only (`nonzero_dims`), so loops
+over `degrees()` cost what the data does, and `min_degree` is read off
+`dims`: the lowest nonzero degree, which bounds free layouts and regular
+modules.  A declared bound lives in the JSON format alone.
 All structure maps follow the column convention of `linalg`: the product on
 A^i x A^j is a matrix (dim A^{i+j}) x (dim A^i * dim A^j) acting on
 Kronecker-ordered tensor coordinates.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -52,15 +54,13 @@ def nonzero_dims(dims: dict, window: tuple) -> dict:
 
 
 class DGAlgebra:
-    """A = (+) A^i for min_degree <= i <= 0, with product, unit, differential."""
+    """A = (+) A^i for i <= 0, with product, unit, differential."""
 
-    __slots__ = ("field", "min_degree", "dims", "mult", "diff", "unit", "_h0")
+    __slots__ = ("field", "dims", "mult", "diff", "unit", "_h0")
 
-    def __init__(self, field: Field, min_degree: int, dims: dict, mult: dict,
-                 diff: dict, unit: Matrix):
+    def __init__(self, field: Field, dims: dict, mult: dict, diff: dict, unit: Matrix):
         self.field = field
-        self.min_degree = min_degree
-        self.dims = nonzero_dims(dims, (min_degree, 0))
+        self.dims = nonzero_dims(dims, (-math.inf, 0))
         self.mult = dict(mult)
         self.diff = dict(diff)
         self.unit = unit              # a column in A^0
@@ -86,6 +86,11 @@ class DGAlgebra:
         """The degrees i with A^i != 0, ascending."""
         return self.dims.keys()
 
+    @property
+    def min_degree(self) -> int:
+        """The lowest degree i with A^i != 0, or 0 for the zero algebra."""
+        return next(iter(self.dims), 0)
+
     def diff_map(self, i: int) -> Matrix:
         m = self.diff.get(i)
         return Matrix.zeros(self.field, self.dim(i + 1), self.dim(i)) if m is None else m
@@ -101,13 +106,12 @@ class DGAlgebra:
         if not isinstance(other, DGAlgebra):
             return NotImplemented
         degs = self.degrees()
-        return ((self.field, self.min_degree, self.dims, self.unit)
-                == (other.field, other.min_degree, other.dims, other.unit)
+        return ((self.field, self.dims, self.unit) == (other.field, other.dims, other.unit)
                 and all(self.diff_map(i) == other.diff_map(i) for i in degs)
                 and all(self.mult_map(i, j) == other.mult_map(i, j) for i in degs for j in degs))
 
     def __hash__(self):
-        return hash((self.field, self.min_degree, tuple(self.dims.items())))
+        return hash((self.field, tuple(self.dims.items())))
 
     def __repr__(self):
         return f"DGAlgebra({self.field!r}, dims={self.dims})"

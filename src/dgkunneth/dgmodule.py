@@ -276,11 +276,17 @@ def smart_truncate(m: DGModule, j: int) -> DGModule:
 
     Preserves cohomology in degrees <= j and kills it above.
     """
+    return _truncate(m, j)[0]
+
+
+def _truncate(m: DGModule, j: int):
+    """`smart_truncate(m, j)` and the inclusion of its degree-j component
+    into M^j, None when the truncation is m itself or zero."""
     lo, hi = m.window
     if j >= hi:
-        return m
+        return m, None
     if j < lo:
-        return DGModule(m.side, m.algebra, (j, j), {j: 0}, {}, {})
+        return DGModule(m.side, m.algebra, (j, j), {j: 0}, {}, {}), None
     incl = kernel_basis(m.diff_map(j)).transpose()   # M^j <- ker
     dims = {i: d for i, d in m.dims.items() if i < j}
     diff = {}
@@ -311,22 +317,13 @@ def smart_truncate(m: DGModule, j: int) -> DGModule:
                     raise StructureError("action does not preserve cocycles")
                 act = restricted
             action[(i, ja)] = act
-    return DGModule(m.side, m.algebra, (lo, j), dims, diff, action)
-
-
-def _truncation_incl(m: DGModule, j: int):
-    """Inclusion of the degree-j component of the truncation, or None for identity."""
-    if j >= m.window[1]:
-        return None
-    return kernel_basis(m.diff_map(j)).transpose()
+    return DGModule(m.side, m.algebra, (lo, j), dims, diff, action), incl
 
 
 def truncate_morphism(fm: StrictMorphism, j: int) -> StrictMorphism:
     """The restriction of a strict morphism to the smart truncations at j."""
-    src = smart_truncate(fm.source, j)
-    tgt = smart_truncate(fm.target, j)
-    s_in = _truncation_incl(fm.source, j)
-    t_in = _truncation_incl(fm.target, j)
+    src, s_in = _truncate(fm.source, j)
+    tgt, t_in = _truncate(fm.target, j)
     maps = {}
     for i in src.degrees():
         fmat = fm.map_at(i)

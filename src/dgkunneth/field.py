@@ -10,6 +10,7 @@ field starts with both empty.  The arithmetic runs on matrices.
 """
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -17,6 +18,7 @@ import numpy as np
 RATIONALS = "rationals"
 PRIME = "prime"
 MODULUS_BOUND = 2 ** 64
+_ELEMENT = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 # Miller-Rabin with these bases is exact for every n below 3.3e24.
 _WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -102,7 +104,11 @@ class Field:
         return [Fraction(rng.randint(-2, 2)) for _ in range(k)]
 
     def parse(self, s: str):
-        """Parse the interchange form: "n" or "n/d" (rationals), "n" (F_p)."""
+        """Parse the interchange form [+-]?[0-9]+(/[0-9]+)?: "n" or "n/d"
+        (rationals), "n" (F_p).  Exponent and decimal forms are refused, so
+        no short string stands for a huge number."""
+        if not _ELEMENT.fullmatch(s):
+            raise ValueError(f"element {s!r} is not of the form [+-]?[0-9]+(/[0-9]+)?")
         if self.p:
             v = int(s)
             if not 0 <= v < self.p:

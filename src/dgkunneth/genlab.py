@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 
 import numpy as np
 
+from .checks import failed, passed
 from .dgalgebra import DGAlgebra, StructureError, validate_algebra
 from .dgmodule import (
     LEFT,
@@ -27,9 +28,11 @@ from .dgmodule import (
     mapping_cone,
     shift,
     smart_truncate,
+    validate_module,
 )
 from .field import Field
-from .linalg import Matrix, from_blocks, kernel_basis
+from .linalg import Matrix, from_blocks, kernel_basis, rank, vstack
+from .tensor import TensorComplex, minus1_comparison, phi_summands
 
 
 class GenerationError(Exception):
@@ -59,7 +62,7 @@ def make_ordinary(field: Field, structure_constants, unit=None) -> DGAlgebra:
                                      for u in range(n) for v in range(n)] for r in range(n)])
     if unit is None:
         unit = Matrix.identity(field, n).columns([0])
-    return _validated(DGAlgebra(field, 0, {0: n}, {(0, 0): mult}, {}, unit), "ordinary algebra")
+    return _validated(DGAlgebra(field, {0: n}, {(0, 0): mult}, {}, unit), "ordinary algebra")
 
 
 def _scalar(field: Field, x):
@@ -105,7 +108,7 @@ def make_exterior(field: Field, contractible: bool = False) -> DGAlgebra:
         (-1, -1): Matrix.zeros(f, 0, 1),
     }
     d = Matrix.from_int_rows(f, [[1 if contractible else 0]])
-    a = DGAlgebra(f, -1, dims, mult, {-1: d}, Matrix.from_int_rows(f, [[1]]))
+    a = DGAlgebra(f, dims, mult, {-1: d}, Matrix.from_int_rows(f, [[1]]))
     return _validated(a, "exterior algebra")
 
 
@@ -124,7 +127,7 @@ def make_koszul_dg(field: Field) -> DGAlgebra:
     mm0 = Matrix.from_int_rows(f, [[1, 0, 0, 0], [0, 1, 1, 0]])
     mmm = Matrix.zeros(f, 0, 4)
     diff = {-1: Matrix.from_int_rows(f, [[0, 0], [1, 0]])}  # d(eps)=t, d(eps t)=0
-    a = DGAlgebra(f, -1, dims,
+    a = DGAlgebra(f, dims,
                   {(0, 0): m00, (0, -1): m0m, (-1, 0): mm0, (-1, -1): mmm},
                   diff, Matrix.from_int_rows(f, [[1], [0]]))
     return _validated(a, "koszul algebra")
@@ -400,13 +403,11 @@ def generate_corpus(profile: CorpusProfile):
 def _shrink_candidates(inst: Instance):
     """Smaller valid variants: chop a top degree off M or N, or zero one
     structure-map entry (validator-gated by the caller)."""
-    import dataclasses
-
     for attr in ("m", "n"):
         mod = getattr(inst, attr)
         lo, hi = mod.window
         if hi > lo:
-            yield dataclasses.replace(inst, **{attr: smart_truncate(mod, hi - 1)})
+            yield replace(inst, **{attr: smart_truncate(mod, hi - 1)})
         f = mod.field
         for kind in ("diff", "action"):
             table = getattr(mod, kind)
@@ -421,7 +422,7 @@ def _shrink_candidates(inst: Instance):
                     kwargs[kind] = patched
                     cand = DGModule(mod.side, mod.algebra, mod.window,
                                     dict(mod.dims), kwargs["diff"], kwargs["action"])
-                    yield dataclasses.replace(inst, **{attr: cand})
+                    yield replace(inst, **{attr: cand})
 
 
 def _instance_size(inst: Instance):
@@ -437,8 +438,6 @@ def _instance_size(inst: Instance):
 def shrink_instance(inst: Instance, still_failing, budget: int = 40) -> Instance:
     """Greedy shrink: keep any strictly smaller valid instance on which
     `still_failing` holds.  Bounded by `budget` candidate evaluations."""
-    from .dgmodule import validate_module
-
     current = inst
     improved = True
     while improved and budget > 0:
@@ -483,8 +482,7 @@ class NoninjectivityWitness:
 
     @property
     def checks(self):
-        from .checks import failed, passed
-        from .serialize import matrix_to_json
+        from .serialize import matrix_to_json   # here, as serialize imports genlab
         out = []
         out.append(passed("witness_source_dim", dim=self.source_dim)
                    if self.source_dim == 2 else
@@ -503,9 +501,6 @@ class NoninjectivityWitness:
 
 
 def noninjectivity_witness(field: Field) -> NoninjectivityWitness:
-    from .linalg import rank, vstack
-    from .tensor import TensorComplex, minus1_comparison, phi_summands
-
     a = make_exterior(field)
     m = regular_module(a, RIGHT)
     n = regular_module(a, LEFT)

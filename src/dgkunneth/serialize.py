@@ -2,9 +2,12 @@
 
 All field elements serialize as strings: "num/den" in lowest terms with a
 positive denominator over the rationals, the canonical representative in
-[0, p) over a prime field.  Matrices are nested row-major arrays of element
-strings; shapes are implied by the surrounding dimension data, and all-zero
-matrices are omitted.  `dumps_canonical` fixes key order and whitespace so
+[0, p) over a prime field; a reader takes [+-]?[0-9]+(/[0-9]+)? only.
+Matrices are nested row-major arrays of element strings; shapes are implied
+by the surrounding dimension data, and all-zero matrices are omitted.
+`dims` are written as memory holds them, nonzero degrees only, and an
+algebra's `min_degree` as its lowest nonzero degree; a reader takes a
+missing degree as 0.  `dumps_canonical` fixes key order and whitespace so
 equal objects serialize to identical bytes.  The readers check every JSON
 type they rely on, so a malformed file raises `StructureError` (CLI exit
 code 2) rather than a crash in the code that reads it.
@@ -13,7 +16,7 @@ from __future__ import annotations
 
 import json
 
-from .dgalgebra import DGAlgebra, StructureError
+from .dgalgebra import DGAlgebra, StructureError, nonzero_dims
 from .dgmodule import DGModule
 from .field import RATIONALS, Field
 from .genlab import CorpusProfile, Instance
@@ -79,59 +82,58 @@ def matrix_from_json(field: Field, rows: int, cols: int, data) -> Matrix:
     return Matrix(field, rows, cols, [[_element(field, x) for x in row] for row in data])
 
 
-def algebra_to_json(a: DGAlgebra) -> dict:
-    out = {
-        "min_degree": a.min_degree,
-        "dims": {str(i): a.dim(i) for i in range(a.min_degree, 1)},   # zeros too
-        "unit": matrix_to_json(a.unit.transpose())[0],
-        "diff": {},
-        "mult": {},
-    }
-    for i in a.degrees():
-        d = a.diff_map(i)
-        if not d.is_zero():
-            out["diff"][str(i)] = matrix_to_json(d)
-        for j in a.degrees():
-            mm = a.mult_map(i, j)
-            if not mm.is_zero():
-                out["mult"][f"{i},{j}"] = matrix_to_json(mm)
+def _maps_to_json(table: dict) -> dict:
+    """A `diff`, `mult` or `action` table keyed "i" or "i,j", zero maps left out."""
+    return {",".join(map(str, k)) if isinstance(k, tuple) else str(k): matrix_to_json(m)
+            for k, m in table.items() if not m.is_zero()}
+
+
+def _maps_from_json(field: Field, d: dict, what: str, shape) -> dict:
+    """The table `d[what]`: a `diff` keyed by degrees i, a `mult` or `action`
+    by pairs (i, j), each matrix of the shape `shape(i)` or `shape(i, j)`;
+    a malformed key is a StructureError."""
+    arity = 1 if what == "diff" else 2
+    out = {}
+    for k, rows in _typed(d.get(what, {}), dict, what).items():
+        try:
+            key = tuple(int(x) for x in k.split(","))
+        except ValueError:
+            key = ()
+        if len(key) != arity:
+            raise StructureError(f"bad {what} key {k!r}")
+        out[key if arity == 2 else key[0]] = matrix_from_json(field, *shape(*key), rows)
     return out
+
+
+def algebra_to_json(a: DGAlgebra) -> dict:
+    return {
+        "min_degree": a.min_degree,
+        "dims": {str(i): d for i, d in a.dims.items()},
+        "unit": matrix_to_json(a.unit.transpose())[0],
+        "diff": _maps_to_json(a.diff),
+        "mult": _maps_to_json(a.mult),
+    }
 
 
 def algebra_from_json(field: Field, d: dict) -> DGAlgebra:
+    """The algebra of `d`; its `dims` must lie in the declared min_degree..0."""
     min_degree = _typed(_typed(d, dict, "algebra")["min_degree"], int, "min_degree")
-    dims = _ints(d["dims"], "dims")
-    diff = {}
-    for k, rows in _typed(d.get("diff", {}), dict, "diff").items():
-        i = int(k)
-        diff[i] = matrix_from_json(field, dims.get(i + 1, 0), dims.get(i, 0), rows)
-    mult = {}
-    for k, rows in _typed(d.get("mult", {}), dict, "mult").items():
-        i, j = (int(x) for x in k.split(","))
-        mult[(i, j)] = matrix_from_json(field, dims.get(i + j, 0),
-                                        dims.get(i, 0) * dims.get(j, 0), rows)
+    dims = nonzero_dims(_ints(d["dims"], "dims"), (min_degree, 0))
+    diff = _maps_from_json(field, d, "diff", lambda i: (dims.get(i + 1, 0), dims.get(i, 0)))
+    mult = _maps_from_json(field, d, "mult", lambda i, j: (
+        dims.get(i + j, 0), dims.get(i, 0) * dims.get(j, 0)))
     unit = Matrix.column(field, [_element(field, x) for x in _typed(d["unit"], list, "unit")])
-    return DGAlgebra(field, min_degree, dims, mult, diff, unit)
+    return DGAlgebra(field, dims, mult, diff, unit)
 
 
 def module_to_json(m: DGModule) -> dict:
-    lo, hi = m.window
-    out = {
+    return {
         "side": m.side,
-        "window": [lo, hi],
-        "dims": {str(i): m.dim(i) for i in range(lo, hi + 1)},   # zeros too
-        "diff": {},
-        "action": {},
+        "window": list(m.window),
+        "dims": {str(i): d for i, d in m.dims.items()},
+        "diff": _maps_to_json(m.diff),
+        "action": _maps_to_json(m.action),
     }
-    for i in m.degrees():
-        d = m.diff_map(i)
-        if d.rows and d.cols and not d.is_zero():
-            out["diff"][str(i)] = matrix_to_json(d)
-        for j in m.algebra.degrees():
-            act = m.action_map(i, j)
-            if act.rows and act.cols and not act.is_zero():
-                out["action"][f"{i},{j}"] = matrix_to_json(act)
-    return out
 
 
 def module_from_json(algebra: DGAlgebra, d: dict) -> DGModule:
@@ -139,15 +141,9 @@ def module_from_json(algebra: DGAlgebra, d: dict) -> DGModule:
     lo, hi = (_typed(x, int, "a window end")
               for x in _typed(_typed(d, dict, "module")["window"], list, "window"))
     dims = _ints(d["dims"], "dims")
-    diff = {}
-    for k, rows in _typed(d.get("diff", {}), dict, "diff").items():
-        i = int(k)
-        diff[i] = matrix_from_json(field, dims.get(i + 1, 0), dims.get(i, 0), rows)
-    action = {}
-    for k, rows in _typed(d.get("action", {}), dict, "action").items():
-        i, j = (int(x) for x in k.split(","))
-        action[(i, j)] = matrix_from_json(
-            field, dims.get(i + j, 0), dims.get(i, 0) * algebra.dim(j), rows)
+    diff = _maps_from_json(field, d, "diff", lambda i: (dims.get(i + 1, 0), dims.get(i, 0)))
+    action = _maps_from_json(field, d, "action", lambda i, j: (
+        dims.get(i + j, 0), dims.get(i, 0) * algebra.dim(j)))
     return DGModule(d["side"], algebra, (lo, hi), dims, diff, action)
 
 

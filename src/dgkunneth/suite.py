@@ -23,6 +23,7 @@ from .genlab import (
     instance_rng,
     noninjectivity_witness,
     random_morphism,
+    shrink_instance,
 )
 from .kunneth import (
     KunnethWitness,
@@ -105,8 +106,6 @@ def _attach_shrunk(results, inst: Instance, battery) -> list:
     A resolution that outgrew the generator cap is not shrunk: the cap
     depends only on the sizes involved, and each candidate would rerun the
     whole battery."""
-    from .genlab import shrink_instance
-
     fails = [r for r in results if not r.ok]
     if not fails or (fails[0].counterexample or {}).get("exception") == \
             ResourceCapError.__name__:

@@ -11,7 +11,7 @@ import pytest
 from dgkunneth import suite
 from dgkunneth.cli import build_parser, build_profile, main, parse_field_spec
 from dgkunneth.dgalgebra import DGAlgebra, StructureError
-from dgkunneth.dgmodule import LEFT, RIGHT
+from dgkunneth.dgmodule import LEFT, RIGHT, direct_sum, shift
 from dgkunneth.field import Field
 from dgkunneth.genlab import (
     PROFILE_CAPS,
@@ -222,6 +222,53 @@ def test_algebra_cost_follows_its_data_not_min_degree(tmp_path, monkeypatch):
     t0 = time.perf_counter()
     assert main(["kunneth", *paths]) == 0 and main(["derived-kunneth", *paths]) == 0
     assert time.perf_counter() - t0 < 10
+
+
+def test_one_algebra_declared_with_different_bounds_is_one_algebra(tmp_path):
+    # the declared min_degree bounds a file's dims; it is not the algebra's
+    m_path, _ = _dual_numbers_pair(tmp_path, -1)
+    _, n_path = _dual_numbers_pair(tmp_path, 0)
+    for command in ("kunneth", "derived-kunneth"):
+        assert main([command, m_path, n_path]) == 0
+
+
+def test_report_resolution_spans_the_data_not_the_declared_bound(tmp_path):
+    out = tmp_path / "r.json"
+    assert main(["derived-kunneth", *_dual_numbers_pair(tmp_path, -10 ** 5),
+                 "--out", str(out)]) == 0
+    p = json.loads(out.read_text())["resolution"]["p"]
+    assert p["window"] == [-2, 0] and len(p["dims"]) <= 3
+
+
+def test_far_apart_summands_make_a_small_file_and_a_fast_run(tmp_path):
+    # M (+) M[10^6] over the dual numbers: 4 dimensions a million degrees
+    # apart, so a file or a run linear in the gap would show
+    a = make_dual_numbers(F101)
+    paths = []
+    for side in (RIGHT, LEFT):
+        s = simple_module_dual_numbers(a, side)
+        paths.append(write_instance(tmp_path, side, a, direct_sum(s, shift(s, 10 ** 6))))
+    assert all(pathlib.Path(p).stat().st_size < 10_000 for p in paths)
+    t0 = time.perf_counter()
+    assert main(["derived-kunneth", *paths]) == 0
+    assert time.perf_counter() - t0 < 1
+
+
+@pytest.mark.parametrize("element", ["1e10000000", "1e5", "1.5"])
+def test_exponent_and_decimal_elements_are_structural_errors(tmp_path, capsys, element):
+    # Fraction reads these, and "1e10000000" as an integer of ten million digits
+    a = make_koszul_dg(Field.rationals())
+    blob = module_file_to_json(a, regular_module(a, RIGHT), "m")
+    path = tmp_path / "m.json"
+    blob["algebra"]["unit"][0] = "1"
+    path.write_text(dumps_canonical(blob))
+    assert main(["validate", str(path)]) == 0
+    blob["algebra"]["unit"][0] = element
+    path.write_text(dumps_canonical(blob))
+    t0 = time.perf_counter()
+    assert main(["validate", str(path)]) == 2
+    assert time.perf_counter() - t0 < 1
+    assert "bad field element" in capsys.readouterr().err
 
 
 def test_suite_zero_instances_is_structural_error(tmp_path):

@@ -2,7 +2,7 @@ from dataclasses import fields, replace
 
 import pytest
 
-from dgkunneth import genlab, linalg
+from dgkunneth import dgmodule, genlab, linalg
 from dgkunneth.dgalgebra import (
     DGAlgebra,
     StructureError,
@@ -22,6 +22,7 @@ from dgkunneth.dgmodule import (
     shift,
     shift_morphism,
     smart_truncate,
+    truncate_morphism,
     validate_module,
     validate_morphism,
 )
@@ -41,7 +42,7 @@ from dgkunneth.genlab import (
     regular_module,
     simple_module_dual_numbers,
 )
-from dgkunneth.linalg import Matrix, solve
+from dgkunneth.linalg import Matrix, kernel_basis, solve
 from dgkunneth.serialize import module_from_json, module_to_json
 from dgkunneth.tensor import TensorComplex, tensor_cohomology
 from dg_examples import make_koszul_like
@@ -69,15 +70,17 @@ def test_exterior_valid(k):
 
 def test_algebra_dims_keep_nonzero_degrees_inside_the_window(k):
     a = make_dual_numbers(k)
-    wide = DGAlgebra(k, -3, {-3: 0, -1: 0, 0: 2}, a.mult, {}, a.unit)
+    wide = DGAlgebra(k, {-3: 0, -1: 0, 0: 2}, a.mult, {}, a.unit)
     assert wide.dims == {0: 2} and list(wide.degrees()) == [0]
-    assert wide == DGAlgebra(k, -3, {0: 2}, a.mult, {}, a.unit)
+    assert wide == DGAlgebra(k, {0: 2}, a.mult, {}, a.unit)
     assert validate_algebra(wide) == []
-    for degree in (1, -4):
-        with pytest.raises(StructureError, match=r"outside the window \(-3, 0\)"):
-            DGAlgebra(k, -3, {0: 2, degree: 1}, a.mult, {}, a.unit)
+    # the lowest degree is read off dims; a bound below it is the reader's
+    assert (wide.min_degree, make_exterior(k).min_degree) == (0, -1)
+    assert DGAlgebra(k, {}, {}, {}, Matrix.zeros(k, 0, 1)).min_degree == 0
+    with pytest.raises(StructureError, match=r"outside the window \(-inf, 0\)"):
+        DGAlgebra(k, {0: 2, 1: 1}, a.mult, {}, a.unit)
     with pytest.raises(StructureError, match="negative dimension"):
-        DGAlgebra(k, -3, {0: 2, -1: -1}, a.mult, {}, a.unit)
+        DGAlgebra(k, {0: 2, -1: -1}, a.mult, {}, a.unit)
 
 
 def test_exterior_family_raises_on_a_violation(monkeypatch):
@@ -131,7 +134,7 @@ def test_broken_leibniz_is_reported(k):
     bad_mult[(-1, -1)] = Matrix.zeros(k, 0, 1)
     bad_diff = {-1: Matrix.from_int_rows(k, [[1]])}
     from dgkunneth.dgalgebra import DGAlgebra
-    broken = DGAlgebra(k, -1, {-1: 1, 0: 1},
+    broken = DGAlgebra(k, {-1: 1, 0: 1},
                        {**bad_mult, (0, -1): Matrix.from_int_rows(k, [[2]])},
                        bad_diff, Matrix.identity(k, 1))
     report = validate_algebra(broken)
@@ -267,7 +270,7 @@ def test_violation_lists_are_pinned(k, case, corruption):
     if case.endswith("algebra"):
         a = (make_koszul_dg if case.startswith("koszul") else make_upper_triangular2)(k)
         report = validate_algebra(DGAlgebra(
-            k, a.min_degree, a.dims, {ij: corrupt(x) for ij, x in a.mult.items()},
+            k, a.dims, {ij: corrupt(x) for ij, x in a.mult.items()},
             a.diff, a.unit))
     else:
         side, _, morphism = case.partition(" ")
@@ -457,6 +460,16 @@ def test_shift_cohomology_dims(k):
             # shifting only scales the differential, so the presentations agree
             assert hs.class_map == hm.class_map
             assert hs.rep_map == hm.rep_map
+
+
+def test_truncate_morphism_computes_each_kernel_once(k, monkeypatch):
+    # one kernel of d^j per end: the truncation and its inclusion share it
+    calls = []
+    monkeypatch.setattr(dgmodule, "kernel_basis", lambda x: calls.append(x) or kernel_basis(x))
+    r = regular_module(make_koszul_dg(k), RIGHT)
+    t = truncate_morphism(StrictMorphism.identity(r), -1)
+    assert len(calls) == 2
+    assert t.source == smart_truncate(r, -1) and t == StrictMorphism.identity(t.source)
 
 
 def test_smart_truncate_noop_above_window(k):

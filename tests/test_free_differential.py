@@ -26,10 +26,12 @@ from dgkunneth.serialize import dumps_canonical, instance_to_json, module_to_jso
 FIELDS = {"F101": Field.prime(101), "Q": Field.rationals(),
           "F2^61-1": Field.prime(2 ** 61 - 1)}
 # sha256 of the first 24 instances of the published profile, and of one
-# 8-generator random free module per family and side
+# 8-generator random free module per family and side.  The corpus digests
+# were re-pinned when written `dims` dropped their zero entries; the
+# earlier files with those entries removed give the same digests
 CORPUS_SHA256 = {
-    "F101": "2d800306975d02f824fe5c01559904f21dbebadbdf56e70c23a71fe364c89a37",
-    "Q": "7c387de60f856bd2d5dbb9e24ac24baf2688dde2292d1499dfa678f6f2cbb159",
+    "F101": "f224336adcccd6e7ff29858cce0f8bdfe6ca4ed4549f668eb5dfc4b881491386",
+    "Q": "8bd6aeecb69ef9cff7e2b1b4102d8b0b85eefec750476c7379a58a85ab653ead",
 }
 WIDE_SHA256 = {
     "F101": "5794f005d1c78d8e06dacb09a176683d302d2a0050dee2f47f6f1feea3d1d871",

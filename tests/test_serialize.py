@@ -1,10 +1,11 @@
 import json
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dgkunneth.dgalgebra import DGAlgebra
+from dgkunneth.dgalgebra import StructureError
 from dgkunneth.field import Field
 from dgkunneth.genlab import (
     CorpusProfile,
@@ -14,7 +15,7 @@ from dgkunneth.genlab import (
     make_koszul_dg,
     random_module,
 )
-from dgkunneth.dgmodule import LEFT, RIGHT
+from dgkunneth.dgmodule import LEFT, RIGHT, DGModule
 from dgkunneth.serialize import (
     algebra_from_json,
     algebra_to_json,
@@ -50,16 +51,45 @@ def test_algebra_roundtrip(k):
     assert dumps_canonical(algebra_to_json(back)) == dumps_canonical(d)
 
 
-def test_algebra_json_writes_every_degree_of_the_window(k):
-    # in memory dims hold the nonzero degrees; the format lists each degree
+def test_json_writes_nonzero_dims_and_reads_dense_files(k):
+    # files carry the nonzero degrees that memory holds, and an algebra's
+    # min_degree is written as its lowest nonzero degree
     a = make_field_algebra(k)
-    wide = DGAlgebra(k, -2, {0: 1}, a.mult, {}, a.unit)
-    assert wide.dims == {0: 1} and list(wide.degrees()) == [0]
-    d = algebra_to_json(wide)
-    assert d["dims"] == {"-2": 0, "-1": 0, "0": 1}
-    assert algebra_from_json(k, d) == wide
-    # a missing degree reads as 0
-    assert algebra_from_json(k, {**d, "dims": {"0": 1}}) == wide
+    d = algebra_to_json(a)
+    assert (d["min_degree"], d["dims"]) == (0, {"0": 1})
+    m = DGModule(RIGHT, a, (-3, 1), {-3: 0, 0: 1, 1: 0}, {}, {(0, 0): a.unit})
+    md = module_to_json(m)
+    assert (md["window"], md["dims"]) == ([-3, 1], {"0": 1})
+    # a dense file of the earlier format, with a declared bound below the
+    # data, reads to an equal object
+    dense = {**d, "min_degree": -2, "dims": {"-2": 0, "-1": 0, "0": 1}}
+    assert algebra_from_json(k, dense) == a
+    assert algebra_to_json(algebra_from_json(k, dense)) == d
+    assert module_from_json(a, {**md, "dims": {str(i): m.dim(i) for i in range(-3, 2)}}) == m
+    # the reader holds dims to the declared bound and to the module window
+    for degree in ("-3", "1"):
+        with pytest.raises(StructureError, match=r"outside the window \(-2, 0\)"):
+            algebra_from_json(k, {**dense, "dims": {"0": 1, degree: 1}})
+    with pytest.raises(StructureError, match=r"outside the window \(-3, 1\)"):
+        module_from_json(a, {**md, "dims": {"0": 1, "2": 1}})
+
+
+@pytest.mark.parametrize("table, key", [("diff", "x"), ("diff", "0,0"), ("mult", "0"),
+                                        ("mult", "0,0,0"), ("mult", "0,y")])
+def test_malformed_map_key_is_structural_error(k, table, key):
+    d = algebra_to_json(make_field_algebra(k))
+    d[table] = {key: [["1"]]}
+    with pytest.raises(StructureError, match=f"bad {table} key"):
+        algebra_from_json(k, d)
+
+
+def test_rational_elements_read_in_the_interchange_form():
+    q = Field.rationals()
+    assert (q.parse("-3/4"), q.parse("5"), q.parse("+2/6")) == \
+        (Fraction(-3, 4), Fraction(5), Fraction(1, 3))
+    for text in ("1e5", "1.5", " 5", "1_0", "0x10", ""):
+        with pytest.raises(ValueError, match="not of the form"):
+            q.parse(text)
 
 
 def test_module_roundtrip(k):
