@@ -153,14 +153,6 @@ def _derived_kunneth_battery(report, m, n):
                         tor1_negative_control_dim=tensor_cohomology(w.plain.tc, -1).dim)
 
 
-def cmd_kunneth(args) -> int:
-    return _pair_command(args, "kunneth", _kunneth_battery)
-
-
-def cmd_derived_kunneth(args) -> int:
-    return _pair_command(args, "derived-kunneth", _derived_kunneth_battery)
-
-
 def build_profile(args) -> CorpusProfile:
     """The profile file, else the published profile over F101.  `--field`
     and `--seed` override either; `$DGKUNNETH_FIELD` applies without a file."""
@@ -190,18 +182,13 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--out", help="write the JSON report here")
     v.set_defaults(fn=cmd_validate)
 
-    k = sub.add_parser("kunneth", help="build and verify theta for two instance files")
-    k.add_argument("m_path")
-    k.add_argument("n_path")
-    k.add_argument("--out")
-    k.set_defaults(fn=cmd_kunneth)
-
-    d = sub.add_parser("derived-kunneth",
-                       help="build and verify theta_der for two instance files")
-    d.add_argument("m_path")
-    d.add_argument("n_path")
-    d.add_argument("--out")
-    d.set_defaults(fn=cmd_derived_kunneth)
+    for command, witness, battery in (("kunneth", "theta", _kunneth_battery),
+                                      ("derived-kunneth", "theta_der", _derived_kunneth_battery)):
+        k = sub.add_parser(command, help=f"build and verify {witness} for two instance files")
+        k.add_argument("m_path")
+        k.add_argument("n_path")
+        k.add_argument("--out")
+        k.set_defaults(fn=lambda args, c=command, b=battery: _pair_command(args, c, b))
 
     s = sub.add_parser("suite", help="generate a corpus and run all verification suites")
     s.add_argument("--profile", help="profile JSON file (defaults to the published profile)")

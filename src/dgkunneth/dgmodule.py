@@ -1,9 +1,9 @@
 """One-sided DG modules over a nonpositive DG algebra.
 
 Covers the data model and validators, strict morphisms, degree shift,
-smart truncation, free modules on graded generator sets (`free_module`,
-`free_differential` for one differential, and `free_map_blocks` for every
-map out of them), and cohomology with its H^0(A)-module structure.
+smart truncation, free modules on graded generator sets (`free_module`, one
+pass from the top down that can draw d(g) from the differential just built,
+and `free_map_blocks`), and cohomology with its H^0(A)-module structure.
 
 A module is never written after construction: every builder makes a new
 `DGModule`, nothing assigns into its `dims`, `diff` or `action`, and the
@@ -25,8 +25,8 @@ Sign conventions (fixed once, validated by every d^2/Leibniz check):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
-from itertools import accumulate
+from functools import cached_property
+from itertools import accumulate, groupby
 
 from .dgalgebra import DGAlgebra, StructureError, Violation, _first_mismatch, nonzero_dims
 from .field import Field
@@ -34,6 +34,7 @@ from .linalg import (
     Cohomology,
     Matrix,
     from_blocks,
+    hstack,
     kernel_basis,
     kernel_mod_image,
     solve,
@@ -87,9 +88,7 @@ class DGModule:
 
     def diff_map(self, i: int) -> Matrix:
         m = self.diff.get(i)
-        if m is None:
-            return Matrix.zeros(self.field, self.dim(i + 1), self.dim(i))
-        return m
+        return Matrix.zeros(self.field, self.dim(i + 1), self.dim(i)) if m is None else m
 
     def action_map(self, i: int, j: int) -> Matrix:
         """Bilinear action in degree (module i, algebra j).
@@ -97,9 +96,8 @@ class DGModule:
         Right modules: source is M^i (x) A^j; left modules: A^j (x) M^i.
         """
         m = self.action.get((i, j))
-        if m is None:
-            return Matrix.zeros(self.field, self.dim(i + j), self.dim(i) * self.algebra.dim(j))
-        return m
+        return Matrix.zeros(self.field, self.dim(i + j), self.dim(i) * self.algebra.dim(j)) \
+            if m is None else m
 
     def __eq__(self, other):
         if not isinstance(other, DGModule):
@@ -195,9 +193,8 @@ class StrictMorphism:
 
     def map_at(self, i: int) -> Matrix:
         m = self.maps.get(i)
-        if m is None:
-            return Matrix.zeros(self.source.field, self.target.dim(i), self.source.dim(i))
-        return m
+        return Matrix.zeros(self.source.field, self.target.dim(i), self.source.dim(i)) \
+            if m is None else m
 
     def __eq__(self, other):
         if not isinstance(other, StrictMorphism):
@@ -399,14 +396,22 @@ class FreeLayout:
 
     In degree i the basis is the list of pairs (g, b) for generators g of
     degree e_g with dim A^{i-e_g} > 0 and b a basis index of A^{i-e_g},
-    ordered by generator creation order, then b.
+    ordered by generator creation order, then b; so each run of consecutive
+    generators of one degree e is one block of count * dim A^{i-e} positions.
     """
     algebra: DGAlgebra
     gen_degrees: tuple
 
+    @cached_property
+    def runs(self) -> tuple:
+        """(first generator, count, degree) of each run, in creation order."""
+        runs = [(e, len(list(run))) for e, run in groupby(self.gen_degrees)]
+        firsts = accumulate((n for _, n in runs), initial=0)
+        return tuple((g, n, e) for g, (e, n) in zip(firsts, runs))
+
     def offsets(self, i: int) -> list:
-        """First position of each generator's block in degree i, then dim i."""
-        return list(accumulate((self.algebra.dim(i - e) for e in self.gen_degrees), initial=0))
+        """First position of each run's block in degree i, then dim i."""
+        return list(accumulate((n * self.algebra.dim(i - e) for _, n, e in self.runs), initial=0))
 
     def dim(self, i: int) -> int:
         return self.offsets(i)[-1]
@@ -422,70 +427,69 @@ class FreeLayout:
 
 
 def free_module(algebra: DGAlgebra, side: str, gen_degrees, gen_diffs=None):
-    """Free DG module on generators of the given degrees.
-
-    `gen_diffs[g]` is the column of d(g) in degree e_g + 1 of the layout;
-    d(g) is zero when the entry is omitted or an empty (0 x 1) column.
-    d^2 = 0 requires each d(g) to be a cocycle for the differential
-    generated so far; callers guarantee that.
-    Returns (module, layout).
-    """
+    """(module, layout): the free DG module on generators of the given
+    degrees, built in one pass from the top degree down.  `gen_diffs[g]` is
+    the column of d(g) in degree e_g + 1, zero when omitted or empty (0 x 1).
+    Or `gen_diffs` is a function `draw(d, count)` returning the d(g) of a run
+    of `count` generators of degree e as columns, from d = d^{e+1} of the
+    module being built: A is nonpositive, so d^{e+1} involves only generators
+    above e and is final.  Callers make each d(g) a cocycle."""
     lay = FreeLayout(algebra, tuple(gen_degrees))
+    f, draw = algebra.field, gen_diffs if callable(gen_diffs) else None
     offsets = {i: lay.offsets(i) for i in lay.degrees()}
     dims = {i: offs[-1] for i, offs in offsets.items()}
-    gen_diffs = list(gen_diffs or [])
     action = {(i, j): _free_action(lay, side, offsets[i], offsets[i + j], i, j)
               for i in dims for j in algebra.degrees() if i + j in dims}
-    diff = {i: _free_diff(lay, side, gen_diffs, offsets[i], lay.offsets(i + 1),
-                          lambda k, j: action[k, j], i)
-            for i in dims}
+    images = [None if draw else _run_columns(f, gen_diffs or (), g, n) for g, n, _ in lay.runs]
+    diff = {}
+    for i in sorted({*dims, *lay.gen_degrees}, reverse=True):
+        for r, (_, n, e) in enumerate(lay.runs):
+            if draw and e == i:
+                d = diff.get(i + 1) or Matrix.zeros(f, dims.get(i + 2, 0), dims.get(i + 1, 0))
+                images[r] = None if (run := draw(d, n)).is_zero() else run
+        if i in dims:
+            diff[i] = _free_diff(lay, side, images, offsets[i],
+                                 offsets.get(i + 1) or lay.offsets(i + 1), action, i)
     return DGModule(side, algebra, lay.window(), dims, diff, action), lay
-
-
-def free_differential(algebra: DGAlgebra, side: str, gen_degrees, gen_diffs, i: int) -> Matrix:
-    """`free_module(algebra, side, gen_degrees, gen_diffs)[0].diff_map(i)`,
-    built from the same blocks in the same order, but with the action blocks
-    (e_g + 1, i - e_g) of the generators with a nonzero d(g) only."""
-    lay = FreeLayout(algebra, tuple(gen_degrees))
-    actions = cache(lambda k, j: _free_action(lay, side, lay.offsets(k), lay.offsets(k + j), k, j))
-    return _free_diff(lay, side, gen_diffs, lay.offsets(i), lay.offsets(i + 1), actions, i)
 
 
 def _free_action(lay: FreeLayout, side: str, src, tgt, i: int, j: int) -> Matrix:
     """The action block at (module i, algebra j); `src` and `tgt` are the
-    layout's offsets in degrees i and i + j."""
+    layout's offsets in degrees i and i + j.  An absent product is zero."""
     algebra = lay.algebra
     dj = algebra.dim(j)
     blocks = []
-    for g, e in enumerate(lay.gen_degrees):
-        da = algebra.dim(i - e)
-        if da == 0:
+    for r, (_, n, e) in enumerate(lay.runs):
+        mult = algebra.mult.get((i - e, j) if side == RIGHT else (j, i - e))
+        if mult is None or not mult.arr.size:
             continue
+        da, h, arr = algebra.dim(i - e), mult.rows, mult.arr
         if side == RIGHT:
-            # (g.e_b).e_c = g.(e_b e_c), column (src[g] + b) * dj + c
-            blocks.append((tgt[g], src[g] * dj, algebra.mult_map(i - e, j).arr))
+            # (g.e_b).e_c = g.(e_b e_c), column (src + t da + b) * dj + c for generator t
+            blocks += [(tgt[r] + t * h, (src[r] + t * da) * dj, arr) for t in range(n)]
         else:
-            # e_c.(e_b.g) = (e_c e_b).g, column c * dim i + src[g] + b
-            mult = algebra.mult_map(j, i - e).arr
-            blocks.extend((tgt[g], c * src[-1] + src[g], mult[:, c * da:(c + 1) * da])
-                          for c in range(dj))
+            # e_c.(e_b.g) = (e_c e_b).g, column c * dim i + src + t da + b
+            blocks += [(tgt[r] + t * h, c * src[-1] + src[r] + t * da, arr[:, c * da:(c + 1) * da])
+                       for c in range(dj) for t in range(n)]
     return from_blocks(algebra.field, tgt[-1], src[-1] * dj, blocks)
 
 
-def _free_diff(lay: FreeLayout, side: str, gen_diffs, src, tgt, action_at, i: int) -> Matrix:
-    """d^i; `src` and `tgt` are the layout's offsets in degrees i and i + 1,
-    and `action_at(k, j)` is the module's action in degree (k, j)."""
+def _free_diff(lay: FreeLayout, side: str, images, src, tgt, action, i: int) -> Matrix:
+    """d^i; `images[r]` holds the d(g) of run r as columns (None when all
+    are zero), `src` and `tgt` are the offsets in degrees i and i + 1, and
+    `action` is the module's action by degree pair."""
+    algebra = lay.algebra
     blocks = []
-    for g, e in enumerate(lay.gen_degrees):
+    for r, (_, n, e) in enumerate(lay.runs):
         # d(g.a) = d(g).a + (-1)^{|g|} g.d(a) (right),
-        # d(a.g) = d(a).g + (-1)^{|a|} a.d(g) (left)
-        dalg = lay.algebra.diff_map(i - e).arr
-        if dalg.size:
-            neg = side == RIGHT and e % 2 == 1
-            blocks.append((tgt[g], src[g], -dalg if neg else dalg))
-    if tgt[-1]:
-        blocks += free_map_blocks(lay, side, gen_diffs, action_at, i, 1)
-    return from_blocks(lay.algebra.field, tgt[-1], src[-1], blocks)
+        # d(a.g) = d(a).g + (-1)^{|a|} a.d(g) (left); absent d(a) is zero
+        da, dalg = algebra.dim(i - e), algebra.diff.get(i - e)
+        if dalg is not None and dalg.arr.size:
+            arr = -dalg.arr if side == RIGHT and e % 2 else dalg.arr
+            blocks += [(tgt[r] + t * dalg.rows, src[r] + t * da, arr) for t in range(n)]
+        if da and tgt[-1] and images[r] is not None:
+            blocks.append((0, src[r], _run_map(side, action[e + 1, i - e], images[r], da, i - e)))
+    return from_blocks(algebra.field, tgt[-1], src[-1], blocks)
 
 
 def free_map_blocks(lay: FreeLayout, side: str, images, action_at, i: int,
@@ -493,23 +497,35 @@ def free_map_blocks(lay: FreeLayout, side: str, images, action_at, i: int,
     """`from_blocks` blocks of the degree-i matrix of g.a |-> images[g].a
     (right) or a.g |-> (-1)^{|a| s} a.images[g] (left), s = degree_shift, on
     the free module `lay`, into a module with action `action_at(k, j)` in
-    degree (k, j); images[g] lies in degree e_g + s, and missing ones are 0."""
-    offs = lay.offsets(i)
-    blocks = []
-    for g, img in enumerate(images):
-        e = lay.gen_degrees[g]
-        da = lay.algebra.dim(i - e)
-        if da == 0 or img.is_zero():
-            continue
-        act = action_at(e + degree_shift, i - e)
-        if side == RIGHT:
-            blk = act.times_kron_eye(img, da)
-        else:
-            blk = act.times_eye_kron(da, img)
-            if (i - e) * degree_shift % 2:
-                blk = -blk
-        blocks.append((0, offs[g], blk.arr))
-    return blocks
+    degree (k, j); images[g] lies in degree e_g + s, and missing ones are 0.
+    One product serves each run of generators."""
+    offs, f = lay.offsets(i), lay.algebra.field
+    return [(0, offs[r], _run_map(side, action_at(e + degree_shift, i - e), imgs, da,
+                                  (i - e) * degree_shift))
+            for r, (g, n, e) in enumerate(lay.runs)
+            if (da := lay.algebra.dim(i - e)) and (imgs := _run_columns(f, images, g, n))]
+
+
+def _run_columns(f: Field, images, g: int, n: int):
+    """images[g:g + n] as the columns of one matrix, a missing or empty one
+    read as zero; None when all of them are zero."""
+    cols = images[g:g + n]
+    if all(c.is_zero() for c in cols):
+        return None
+    if n == 1:
+        return cols[0]
+    zero = Matrix.zeros(f, max(c.rows for c in cols), 1)
+    return hstack([c if c.rows else zero for c in cols] + [zero] * (n - len(cols)))
+
+
+def _run_map(side: str, act: Matrix, imgs: Matrix, da: int, sign: int):
+    """The array act @ (imgs (x) I_da) on the right; (-1)^sign act @ (I_da
+    (x) imgs) on the left, its columns reordered from (b, g) to (g, b)."""
+    if side == RIGHT:
+        return act.times_kron_eye(imgs, da).arr
+    blk = act.times_eye_kron(da, imgs).arr
+    blk = blk.reshape(act.rows, da, imgs.cols).transpose(0, 2, 1).reshape(blk.shape)
+    return -blk if sign % 2 else blk
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,10 @@ Elements of F_p are plain Python ints canonicalized to [0, p); rational
 elements are `fractions.Fraction`.  A `Field` instance carries zero and one,
 seeded draws, the string form used in all JSON interchange, the numpy
 `dtype` of its matrices, `memo`, where `linalg.memoized` keeps small
-presentations and resolutions computed over this field object, and
-`shared`, its zero and identity matrices by shape: a new or unpickled
-field starts with both empty.  The arithmetic runs on matrices.
+presentations and resolutions computed over this field object, `shared`,
+its small zero and identity matrices by shape, and `families`, the family
+algebras `genlab` built over it by name: a new or unpickled field starts
+with all three empty.  The arithmetic runs on matrices.
 """
 from __future__ import annotations
 
@@ -55,7 +56,7 @@ def is_prime(n: int) -> bool:
 class Field:
     """A field of scalars: the rationals, or F_p for a prime p."""
 
-    __slots__ = ("kind", "p", "zero", "one", "dtype", "memo", "shared")
+    __slots__ = ("kind", "p", "zero", "one", "dtype", "memo", "shared", "families")
 
     def __init__(self, kind: str, p: int | None = None):
         if kind == RATIONALS:
@@ -78,6 +79,7 @@ class Field:
         self.dtype = np.int64 if p and fits_int64(p, 1) else object
         self.memo = {}
         self.shared = {}
+        self.families = {}
 
     def __reduce__(self):
         return Field, (self.kind, self.p)

@@ -2,16 +2,17 @@
 
 Random DG algebras are never sampled from raw structure constants (which
 would almost never satisfy associativity + Leibniz); instead every emitted
-algebra comes from a small audited family list, and modules are built as
-free modules with repaired differentials, then varied through shifts,
-truncations, sums and mapping cones.  Everything emitted passes its
-validator, and generation is deterministic per (seed, index).
+algebra comes from a small audited family list, and modules are free
+modules with repaired differentials (one `free_module` pass each), varied
+through shifts, truncations, sums and mapping cones.  Everything emitted
+passes its validator, and generation is deterministic per (seed, index).
 """
 from __future__ import annotations
 
 import math
 import random
 from dataclasses import dataclass, field as dc_field, replace
+from itertools import accumulate
 
 import numpy as np
 
@@ -23,7 +24,6 @@ from .dgmodule import (
     DGModule,
     StrictMorphism,
     direct_sum,
-    free_differential,
     free_module,
     mapping_cone,
     shift,
@@ -108,8 +108,8 @@ def make_exterior(field: Field, contractible: bool = False) -> DGAlgebra:
         (-1, -1): Matrix.zeros(f, 0, 1),
     }
     d = Matrix.from_int_rows(f, [[1 if contractible else 0]])
-    a = DGAlgebra(f, dims, mult, {-1: d}, Matrix.from_int_rows(f, [[1]]))
-    return _validated(a, "exterior algebra")
+    return _validated(DGAlgebra(f, dims, mult, {-1: d}, Matrix.from_int_rows(f, [[1]])),
+                      "exterior algebra")
 
 
 def make_koszul_dg(field: Field) -> DGAlgebra:
@@ -133,7 +133,14 @@ def make_koszul_dg(field: Field) -> DGAlgebra:
     return _validated(a, "koszul algebra")
 
 
-ALGEBRA_FAMILIES = {
+def _once_per_field(family: str, make):
+    """`make(field)`, built and validated once per field object and kept
+    in its `families`; a new or unpickled field builds its own."""
+    return lambda field: field.families.get(family) or \
+        field.families.setdefault(family, make(field))
+
+
+ALGEBRA_FAMILIES = {family: _once_per_field(family, make) for family, make in {
     "field": make_field_algebra,
     "dual_numbers": make_dual_numbers,
     "truncated_poly3": make_truncated_poly3,
@@ -141,7 +148,7 @@ ALGEBRA_FAMILIES = {
     "exterior": make_exterior,
     "exterior_contractible": lambda f: make_exterior(f, contractible=True),
     "koszul_dg": make_koszul_dg,
-}
+}.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -150,14 +157,10 @@ ALGEBRA_FAMILIES = {
 
 def regular_module(a: DGAlgebra, side: str) -> DGModule:
     """A as a module over itself."""
-    dims = dict(a.dims)
     diff = {i: a.diff_map(i) for i in a.degrees()}
-    action = {}
-    for i in a.degrees():
-        for j in a.degrees():
-            if a.dim(i + j):
-                action[(i, j)] = a.mult_map(i, j) if side == RIGHT else a.mult_map(j, i)
-    return DGModule(side, a, (a.min_degree, 0), dims, diff, action)
+    action = {(i, j): a.mult_map(i, j) if side == RIGHT else a.mult_map(j, i)
+              for i in a.degrees() for j in a.degrees() if a.dim(i + j)}
+    return DGModule(side, a, (a.min_degree, 0), dict(a.dims), diff, action)
 
 
 def ordinary_module(a: DGAlgebra, side: str, action0: Matrix, degree: int = 0) -> DGModule:
@@ -168,9 +171,7 @@ def ordinary_module(a: DGAlgebra, side: str, action0: Matrix, degree: int = 0) -
 
 def simple_module_dual_numbers(a: DGAlgebra, side: str) -> DGModule:
     """k with t acting by zero over k[t]/(t^2)."""
-    f = a.field
-    act = Matrix.from_int_rows(f, [[1, 0]])
-    return ordinary_module(a, side, act)
+    return ordinary_module(a, side, Matrix.from_int_rows(a.field, [[1, 0]]))
 
 
 # ---------------------------------------------------------------------------
@@ -180,31 +181,29 @@ def simple_module_dual_numbers(a: DGAlgebra, side: str) -> DGModule:
 def random_free_module(a: DGAlgebra, side: str, rng: random.Random,
                        max_dim: int, span: int, n_gens: int | None = None):
     """Free module on random generators; d(g) sampled from the cocycles of
-    the partial module so d^2 = 0 holds by construction.
+    the part already built, so d^2 = 0 holds by construction.
 
-    The generators come sorted by descending degree.  A is nonpositive, so a
-    generator of degree e has no basis vector in degrees e + 1 or e + 2, and
-    d^{e+1} of the partial module depends only on the generators of degree
-    greater than e.  So its kernel is computed once per distinct degree, from
-    that one differential (`free_differential`), and not at all when degree
-    e + 1 is zero; each generator still makes its own draw."""
+    The generators come sorted by descending degree, and `free_module`
+    draws each degree's run of them in its one pass, from d^{e+1} of the
+    module it builds: A is nonpositive, so that differential involves only
+    the generators above e.  Its kernel is computed once per degree, and
+    not at all when degree e + 1 is zero; each generator still makes its
+    own draw, in order."""
     lo_deg = -(span - 1)
     if n_gens is None:
         n_gens = rng.randint(1, 3)
     degrees = sorted((rng.randint(lo_deg, 0) for _ in range(n_gens)), reverse=True)
-    gen_degrees = []
-    gen_diffs = []
-    k_degree = None
-    for e in degrees:
-        if e != k_degree:
-            dk = free_differential(a, side, gen_degrees, gen_diffs, e + 1)
-            # the cocycles as columns, with none to find when degree e + 1 is zero
-            k = kernel_basis(dk).transpose() if dk.cols else Matrix.zeros(a.field, 0, 0)
-            k_degree = e
-        # a random combination of the cocycles, one draw per basis vector
-        gen_degrees.append(e)
-        gen_diffs.append(k @ Matrix.column(a.field, a.field.random_vector(rng, k.cols)))
-    mod, _ = free_module(a, side, gen_degrees, gen_diffs)
+    f = a.field
+
+    def draw(d: Matrix, count: int) -> Matrix:
+        # the cocycles as columns, with none to find when degree e + 1 is zero
+        k = kernel_basis(d).transpose() if d.cols else Matrix.zeros(f, 0, 0)
+        # one random combination of them per generator, one draw per basis vector
+        coeffs = [f.random_vector(rng, k.cols) for _ in range(count)]
+        return k @ Matrix(f, count, k.cols, coeffs).transpose()
+
+    mod, _ = free_module(a, side, degrees, draw)
+    # checked after the draws, which every later draw of `rng` follows
     if max(mod.dims.values(), default=0) > max_dim:
         return None
     return mod
@@ -224,17 +223,12 @@ def random_module(a: DGAlgebra, side: str, rng: random.Random,
             mod = regular_module(a, side)
             if max(mod.dims.values(), default=0) > max_dim:
                 mod = None
-        elif recipe == "sum":
+        elif recipe in ("sum", "cone"):
             m1 = random_free_module(a, side, rng, max_dim, span - 1, n_gens=1)
             m2 = random_free_module(a, side, rng, max_dim, span - 1, n_gens=1)
             if m1 and m2:
-                mod = direct_sum(m1, m2)
-        elif recipe == "cone":
-            m1 = random_free_module(a, side, rng, max_dim, span - 1, n_gens=1)
-            m2 = random_free_module(a, side, rng, max_dim, span - 1, n_gens=1)
-            if m1 and m2:
-                f = random_morphism(m1, m2, rng)
-                mod = mapping_cone(f)
+                mod = direct_sum(m1, m2) if recipe == "sum" else \
+                    mapping_cone(random_morphism(m1, m2, rng))
         elif recipe == "zero_h":
             m1 = random_free_module(a, side, rng, max_dim, span - 1, n_gens=1)
             if m1:
@@ -261,11 +255,8 @@ def random_morphism(m: DGModule, mp: DGModule, rng: random.Random) -> StrictMorp
     f = m.field
     a = m.algebra
     degs = sorted(set(m.degrees()) | set(mp.degrees()))
-    offs = {}
-    total = 0
-    for i in degs:
-        offs[i] = total
-        total += mp.dim(i) * m.dim(i)
+    *starts, total = accumulate((mp.dim(i) * m.dim(i) for i in degs), initial=0)
+    offs = dict(zip(degs, starts))
     if total == 0:
         return StrictMorphism.zero(m, mp)
 
@@ -344,8 +335,6 @@ class CorpusProfile:
     instance_count: int = 200
     seed: int = 20240601
     family_mix: dict = dc_field(default_factory=lambda: dict(DEFAULT_FAMILY_MIX))
-    # family -> its algebra over `field`, built by the first instance that draws it
-    _algebras: dict = dc_field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.instance_count <= 0 or self.max_per_degree_dim <= 0 or self.degree_span <= 0:
@@ -381,9 +370,7 @@ def generate_instance(profile: CorpusProfile, idx: int) -> Instance:
     names = sorted(profile.family_mix)
     weights = [profile.family_mix[k] for k in names]
     family = rng.choices(names, weights=weights)[0]
-    algebra = profile._algebras.get(family)
-    if algebra is None:
-        algebra = profile._algebras[family] = ALGEBRA_FAMILIES[family](profile.field)
+    algebra = ALGEBRA_FAMILIES[family](profile.field)
     try:
         m = random_module(algebra, RIGHT, rng, profile.max_per_degree_dim, profile.degree_span)
         n = random_module(algebra, LEFT, rng, profile.max_per_degree_dim, profile.degree_span)

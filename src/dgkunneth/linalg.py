@@ -47,7 +47,7 @@ import numpy as np
 
 from .field import Field, fits_int64
 
-_SHARED_CAP = 1024   # zero and identity matrices kept per field object
+_SHARED_GATE, _SHARED_CAP = 256, 1024   # the most cells a kept matrix holds, the matrices per field
 
 
 def _zeros(f: Field, rows: int, cols: int) -> np.ndarray:
@@ -59,11 +59,14 @@ def _zeros(f: Field, rows: int, cols: int) -> np.ndarray:
 
 
 def _share(f: Field, key, arr: np.ndarray) -> "Matrix":
-    """The matrix of `arr`, kept in `f.shared` under `key`: (rows, cols) for
-    zeros, n for the n x n identity; at most `_SHARED_CAP`, oldest out first."""
-    m = f.shared[key] = Matrix._of(f, arr)
-    if len(f.shared) > _SHARED_CAP:
-        del f.shared[next(iter(f.shared))]
+    """The matrix of `arr`, kept in `f.shared` under `key` when it holds at
+    most `_SHARED_GATE` cells: (rows, cols) for zeros, n for the n x n
+    identity; at most `_SHARED_CAP`, oldest out first."""
+    m = Matrix._of(f, arr)
+    if arr.size <= _SHARED_GATE:
+        f.shared[key] = m
+        if len(f.shared) > _SHARED_CAP:
+            del f.shared[next(iter(f.shared))]
     return m
 
 
@@ -106,8 +109,8 @@ class Matrix:
         m._set(field, arr)
         return m
 
-    # Zero and identity matrices are read-only, so one instance per shape is
-    # shared by every caller, on the field object it was built over (`_share`).
+    # Zero and identity matrices are read-only, so one instance per small shape
+    # is shared by every caller, on the field object it was built over (`_share`).
     @classmethod
     def zeros(cls, field: Field, rows: int, cols: int) -> "Matrix":
         m = field.shared.get((rows, cols))

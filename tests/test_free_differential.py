@@ -1,9 +1,11 @@
-"""`free_differential` and the random free modules built on it.
+"""Random free modules, built in one `free_module` pass.
 
-`free_differential` must return exactly `free_module(...)[0].diff_map(i)`,
-and `random_free_module` must draw the same modules as when it rebuilt the
-whole partial module once per generator.  The digests below were recorded
-with that per-generator rebuild.
+`random_free_module` draws each d(g) inside the pass that builds its
+module, from d^{e+1} of that module.  It must give exactly the module of
+the per-prefix reference, which builds `free_module` on the generators
+before g and draws d(g) from its differential, and it must consume the
+same random stream.  The digests below were recorded when every prefix
+was rebuilt, one generator at a time.
 """
 import hashlib
 import random
@@ -12,7 +14,7 @@ import sys
 import pytest
 
 from dgkunneth import dgmodule
-from dgkunneth.dgmodule import LEFT, RIGHT, FreeLayout, free_differential, free_module
+from dgkunneth.dgmodule import LEFT, RIGHT, FreeLayout, free_module, validate_module
 from dgkunneth.field import Field
 from dgkunneth.genlab import (
     ALGEBRA_FAMILIES,
@@ -64,10 +66,11 @@ def wide_digest(field):
     return hashlib.sha256(dumps_canonical(docs).encode()).hexdigest()
 
 
-def _generators(a, side, rng):
-    """Five generators over four degrees (so some tie) with d(g) drawn from
-    the cocycles of `free_module` on the generators before g."""
-    degrees = sorted((rng.randint(-3, 0) for _ in range(5)), reverse=True)
+def _generators(a, side, rng, count):
+    """`count` generators over four degrees with d(g) drawn from the
+    cocycles of `free_module` on the generators before g: the per-prefix
+    reference, drawing from `rng` as `random_free_module` does."""
+    degrees = sorted((rng.randint(-3, 0) for _ in range(count)), reverse=True)
     diffs = []
     for g, e in enumerate(degrees):
         partial, _ = free_module(a, side, degrees[:g], diffs)
@@ -79,23 +82,27 @@ def _generators(a, side, rng):
 @pytest.mark.parametrize("label", sorted(FIELDS))
 @pytest.mark.parametrize("family", sorted(ALGEBRA_FAMILIES))
 def test_free_differential_is_the_free_module_differential(family, label):
+    # the differential drawn in the one pass is that of the reference
     field = FIELDS[label]
     a = ALGEBRA_FAMILIES[family](field)
     for side in (RIGHT, LEFT):
-        rng = random.Random(f"{family}:{label}:{side}")
-        nonzero = 0
-        for _ in range(4):
-            degrees, diffs = _generators(a, side, rng)
-            assert len(set(degrees)) < len(degrees)
+        nonzero = ties = 0
+        for trial in range(4):
+            seed = f"{family}:{label}:{side}:{trial}"
+            got = random_free_module(a, side, rng := random.Random(seed), 10 ** 6, 4, n_gens=5)
+            degrees, diffs = _generators(a, side, ref := random.Random(seed), 5)
+            assert rng.getstate() == ref.getstate()
+            ties += len(set(degrees)) < len(degrees)
             nonzero += sum(not v.is_zero() for v in diffs)
-            mod, _ = free_module(a, side, degrees, diffs)
-            lo, hi = mod.window
+            want, _ = free_module(a, side, degrees, diffs)
+            assert got == want and validate_module(got) == []
+            lo, hi = want.window
+            assert got.window == want.window and got.dims == want.dims
             for i in range(lo - 1, hi + 2):
-                got, want = free_differential(a, side, degrees, diffs, i), mod.diff_map(i)
-                assert (got.rows, got.cols) == (want.rows, want.cols)
-                assert got.arr.dtype == want.arr.dtype
-                assert got == want, (side, degrees, i)
-        assert nonzero > 0
+                g, w = got.diff_map(i), want.diff_map(i)
+                assert (g.rows, g.cols, g.arr.dtype) == (w.rows, w.cols, w.arr.dtype)
+                assert g == w, (side, degrees, i)
+        assert nonzero > 0 and ties > 0
 
 
 @pytest.mark.parametrize("label", sorted(CORPUS_SHA256))
@@ -106,9 +113,9 @@ def test_generated_inputs_are_pinned(label):
 
 
 def test_one_free_module_per_random_free_module(monkeypatch):
-    # count by name, wherever the package binds the two functions
+    # count by name, wherever the package binds the three functions
     calls = []
-    for name in ("free_module", "kernel_basis"):
+    for name in ("free_module", "kernel_basis", "_free_diff"):
         orig = getattr(dgmodule, name)
 
         def counted(*args, _name=name, _orig=orig, **kwargs):
@@ -123,7 +130,8 @@ def test_one_free_module_per_random_free_module(monkeypatch):
     rng = random.Random(7)
     for side in (RIGHT, LEFT):
         calls.clear()
-        assert random_free_module(a, side, rng, 10 ** 6, 4, n_gens=8) is not None
+        mod = random_free_module(a, side, rng, 10 ** 6, 4, n_gens=8)
+        assert mod is not None
         built = [args for name, args in calls if name == "free_module"]
         assert len(built) == 1
         degrees = built[0][2]
@@ -134,3 +142,6 @@ def test_one_free_module_per_random_free_module(monkeypatch):
                    if FreeLayout(a, tuple(d for d in degrees if d > e)).dim(e + 1)]
         assert 0 < len(nonzero) < len(set(degrees))
         assert sum(name == "kernel_basis" for name, _ in calls) == len(nonzero)
+        # and one differential per degree of the module
+        assert [args[-1] for name, args in calls if name == "_free_diff"] == \
+            sorted(mod.degrees(), reverse=True)

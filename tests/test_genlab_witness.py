@@ -1,12 +1,16 @@
+import pickle
 from dataclasses import replace
 
 import pytest
 
+from dgkunneth import genlab
 from dgkunneth.checks import all_ok
 from dgkunneth.field import Field
 from dgkunneth.genlab import (
+    ALGEBRA_FAMILIES,
     CorpusProfile,
     generate_corpus,
+    make_exterior,
     noninjectivity_witness,
 )
 from dgkunneth.dgmodule import validate_module
@@ -46,15 +50,28 @@ def test_witness_checks_detect_each_corruption(k, corrupt, failing):
         assert bad[0].counterexample == {"image": [k.to_str(k.one)] * w.image.rows}
 
 
-def test_family_algebras_are_built_once_per_profile():
-    # the cache lives on the profile: a second, equal profile builds its own
-    corpus = generate_corpus(CorpusProfile(field=F101, instance_count=20))
+def test_family_algebras_are_built_once_per_field(monkeypatch):
+    # one algebra per family and field object, validated once; a new or
+    # unpickled field builds its own, equal ones
+    validated = []
+    orig = genlab.validate_algebra
+    monkeypatch.setattr(genlab, "validate_algebra", lambda a: validated.append(a) or orig(a))
+    f = Field.prime(101)
     first = {}
-    for inst in corpus:
-        assert first.setdefault(inst.family, inst.algebra) is inst.algebra
-    again = generate_corpus(CorpusProfile(field=F101, instance_count=20))
-    assert all(x.algebra is not y.algebra and x.algebra == y.algebra
-               for x, y in zip(corpus, again))
+    for seed in (20240601, 9):
+        for inst in generate_corpus(CorpusProfile(field=f, instance_count=20, seed=seed)):
+            assert first.setdefault(inst.family, inst.algebra) is inst.algebra
+    assert len(first) > 3
+    assert all(ALGEBRA_FAMILIES[family](f) is a for family, a in first.items())
+    assert len(validated) == len(first)
+    for g in (Field.prime(101), pickle.loads(pickle.dumps(f))):
+        for family, a in first.items():
+            b = ALGEBRA_FAMILIES[family](g)
+            assert b is not a and b == a and b.field is g
+            assert ALGEBRA_FAMILIES[family](g) is b
+    assert len(validated) == 3 * len(first)
+    # the constructors themselves build afresh
+    assert make_exterior(f) is not make_exterior(f)
 
 
 def test_corpus_instances_all_validate(k):

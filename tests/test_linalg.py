@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -167,9 +168,24 @@ def test_zeros_and_identity_live_on_their_field_object():
     assert zg == zf and eg == ef and not g.memo
     # at most _SHARED_CAP shapes per field, the oldest out first
     for n in range(linalg._SHARED_CAP + 5):
-        Matrix.zeros(g, 1, n)
+        Matrix.zeros(g, 0, n)
     assert len(g.shared) == linalg._SHARED_CAP and (2, 3) not in g.shared
     assert Matrix.identity(g, 3) is not eg
+
+
+def test_only_small_zeros_and_identities_are_kept():
+    # a matrix over the gate is built, equal and read-only, but not stored
+    f = Field.prime(101)
+    side = math.isqrt(linalg._SHARED_GATE)
+    small, large = Matrix.identity(f, side), Matrix.identity(f, side + 1)
+    assert small is Matrix.identity(f, side) and side in f.shared
+    assert large is not Matrix.identity(f, side + 1) and side + 1 not in f.shared
+    assert large == Matrix(f, side + 1, side + 1,
+                           [[int(i == j) for j in range(side + 1)] for i in range(side + 1)])
+    zero = Matrix.zeros(f, 1, linalg._SHARED_GATE + 1)
+    assert zero.is_zero() and not zero.arr.flags.writeable
+    assert (1, linalg._SHARED_GATE + 1) not in f.shared
+    assert Matrix.zeros(f, 1, linalg._SHARED_GATE) is Matrix.zeros(f, 1, linalg._SHARED_GATE)
 
 
 def test_equality_and_hash_read_entries_not_layout():

@@ -73,8 +73,8 @@ def test_published_f101_report_is_pinned(monkeypatch):
     # a copy of a module starts with an empty cohomology cache, so a witness
     # that rebuilds one raises the H^i count; stage 0 of a resolution scans
     # H^i in the nonzero degrees from the top down, also on an acyclic
-    # module; each family algebra is built and validated once per profile,
-    # plus once for the witness checks.  The 300 resolution requests have
+    # module; each family algebra is built and validated once per field
+    # object, plus once for the witness checks.  The 300 resolution requests have
     # 156 distinct (module, depth, variant) keys: each is built once, and the
     # 75 with generators are certified; the H^i of a shared P and its target
     # are computed once for all the instances that share them
@@ -86,6 +86,44 @@ def test_published_f101_report_is_pinned(monkeypatch):
 def test_small_suite_report_is_pinned_with_two_workers():
     # a real pool of 2 processes (fewer where fewer CPUs exist)
     assert _digest(_small_suite(F101, jobs=2)) == REPORT_SHA256["F101"]
+
+
+def test_two_workers_share_a_field_per_chunk(monkeypatch):
+    # a pool task carries its chunk in one pickle, as this fake pool does:
+    # the chunk's instances share one unpickled field, with its memo and
+    # its family algebras, and the report is the one of a single process
+    chunks = []
+
+    class ChunkPool:
+        def __init__(self, processes):
+            assert processes == 2
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            out = []
+            for start in range(0, len(items), chunksize):
+                chunk = pickle.loads(pickle.dumps(items[start:start + chunksize]))
+                assert len({id(inst.algebra.field) for inst, *_ in chunk}) == 1
+                assert len({id(inst.algebra) for inst, *_ in chunk}) == \
+                    len({inst.family for inst, *_ in chunk})
+                chunks.append(len(chunk))
+                out += [fn(x) for x in chunk]
+            return out
+
+    monkeypatch.setattr(suite, "Pool", ChunkPool)
+    monkeypatch.setattr(suite.os, "cpu_count", lambda: 2)
+    built = _count_calls(monkeypatch, resolve, "SemiFreeResolution")
+    body = suite.run_suite(CorpusProfile(field=Field.prime(101)), jobs=2).as_json()
+    body.pop("timing")
+    assert hashlib.sha256(dumps_canonical(body).encode()).hexdigest() == PUBLISHED_F101_SHA256
+    # 189 of the 300 requests build, against 156 in one process and 300
+    # when every instance travels alone
+    assert chunks == [50] * 4 and len(built) == 189
 
 
 def test_a_used_field_pickles_like_a_new_one():

@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings
@@ -190,7 +191,7 @@ def test_resolution_stage_audit(k):
         assert len(dvec) in (0, lay.dim(i))
         for pos, val in enumerate(dvec):
             if val != k.zero:
-                # generator g spans positions offsets(i)[g] .. offsets(i)[g + 1] - 1
-                offs = lay.offsets(i)
+                # generator g spans positions offs[g] .. offs[g + 1] - 1
+                offs = list(accumulate((a.dim(i - e) for e in degrees), initial=0))
                 other = next(g for g in range(len(degrees)) if offs[g] <= pos < offs[g + 1])
                 assert stages[other] < stages[gi]
