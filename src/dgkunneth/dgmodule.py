@@ -1,9 +1,13 @@
 """One-sided DG modules over a nonpositive DG algebra.
 
 Covers the data model and validators, strict morphisms, degree shift,
-smart truncation, free modules on graded generator sets (`free_module`, one
-pass from the top down that can draw d(g) from the differential just built,
-and `free_map_blocks`), and cohomology with its H^0(A)-module structure.
+smart truncation, free modules, and cohomology with its H^0(A)-module
+structure.  A free module's generators come in runs, everywhere in the
+package: a run is a block of generators of one degree, given as a
+(degree, count) pair, whose d(g), or images under a map, are the columns
+of one matrix.  `free_module` builds one in a pass from the top degree
+down that can draw each run's d(g) from the differential just built, and
+`free_map_blocks` builds a map out of it with one product per run.
 
 A module is never written after construction: every builder makes a new
 `DGModule`, nothing assigns into its `dims`, `diff` or `action`, and the
@@ -25,8 +29,7 @@ Sign conventions (fixed once, validated by every d^2/Leibniz check):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import accumulate, groupby
+from itertools import accumulate
 
 from .dgalgebra import DGAlgebra, StructureError, Violation, _first_mismatch, nonzero_dims
 from .field import Field
@@ -34,7 +37,6 @@ from .linalg import (
     Cohomology,
     Matrix,
     from_blocks,
-    hstack,
     kernel_basis,
     kernel_mod_image,
     solve,
@@ -387,70 +389,70 @@ def mapping_cone(fm: StrictMorphism) -> DGModule:
 
 
 # ---------------------------------------------------------------------------
-# Free modules on graded generators
+# Free modules on runs of generators
 
 
 @dataclass(frozen=True)
 class FreeLayout:
-    """Basis bookkeeping for a free module on graded generators.
+    """Basis bookkeeping for a free module on runs of generators.
 
-    In degree i the basis is the list of pairs (g, b) for generators g of
-    degree e_g with dim A^{i-e_g} > 0 and b a basis index of A^{i-e_g},
-    ordered by generator creation order, then b; so each run of consecutive
-    generators of one degree e is one block of count * dim A^{i-e} positions.
+    `runs` holds one (degree e, count n) pair per run of generators, in
+    creation order, taken as given.  In degree i the basis is the list of
+    pairs (g, b) for generators g with dim A^{i-e_g} > 0 and b a basis index
+    of A^{i-e_g}, ordered by generator, then b; so a run is one block of
+    n * dim A^{i-e} positions.  Where two runs meet, nothing changes if
+    they are split or joined: the order of the basis is the same.
     """
     algebra: DGAlgebra
-    gen_degrees: tuple
-
-    @cached_property
-    def runs(self) -> tuple:
-        """(first generator, count, degree) of each run, in creation order."""
-        runs = [(e, len(list(run))) for e, run in groupby(self.gen_degrees)]
-        firsts = accumulate((n for _, n in runs), initial=0)
-        return tuple((g, n, e) for g, (e, n) in zip(firsts, runs))
+    runs: tuple
 
     def offsets(self, i: int) -> list:
         """First position of each run's block in degree i, then dim i."""
-        return list(accumulate((n * self.algebra.dim(i - e) for _, n, e in self.runs), initial=0))
+        return list(accumulate((n * self.algebra.dim(i - e) for e, n in self.runs), initial=0))
 
     def dim(self, i: int) -> int:
         return self.offsets(i)[-1]
 
     def degrees(self) -> list:
-        """The degrees e_g + j with A^j != 0, ascending: where the module is nonzero."""
-        return sorted({e + j for e in set(self.gen_degrees) for j in self.algebra.degrees()})
+        """The degrees e + j with A^j != 0, ascending: where the module is nonzero."""
+        return sorted({e + j for e, _ in self.runs for j in self.algebra.degrees()})
 
     def window(self):
-        if not self.gen_degrees:
-            return (0, 0)
-        return (min(self.gen_degrees) + self.algebra.min_degree, max(self.gen_degrees))
+        degrees = [e for e, _ in self.runs]
+        return (min(degrees) + self.algebra.min_degree, max(degrees)) if degrees else (0, 0)
 
 
-def free_module(algebra: DGAlgebra, side: str, gen_degrees, gen_diffs=None):
-    """(module, layout): the free DG module on generators of the given
-    degrees, built in one pass from the top degree down.  `gen_diffs[g]` is
-    the column of d(g) in degree e_g + 1, zero when omitted or empty (0 x 1).
-    Or `gen_diffs` is a function `draw(d, count)` returning the d(g) of a run
-    of `count` generators of degree e as columns, from d = d^{e+1} of the
+def free_module(algebra: DGAlgebra, side: str, runs, diffs=None):
+    """(module, layout): the free DG module on `runs`, (degree, count) pairs
+    of generators, built in one pass from the top degree down.  `diffs[r]`
+    holds the d(g) of run r as the columns of one matrix in degree e + 1,
+    or None when they are zero; all are zero when `diffs` is None.  Or
+    `diffs` is a function `draw(d, count)` returning the d(g) of a run of
+    `count` generators of degree e as columns, from d = d^{e+1} of the
     module being built: A is nonpositive, so d^{e+1} involves only generators
     above e and is final.  Callers make each d(g) a cocycle."""
-    lay = FreeLayout(algebra, tuple(gen_degrees))
-    f, draw = algebra.field, gen_diffs if callable(gen_diffs) else None
+    lay = FreeLayout(algebra, tuple(runs))
+    f, draw = algebra.field, diffs if callable(diffs) else None
     offsets = {i: lay.offsets(i) for i in lay.degrees()}
     dims = {i: offs[-1] for i, offs in offsets.items()}
     action = {(i, j): _free_action(lay, side, offsets[i], offsets[i + j], i, j)
               for i in dims for j in algebra.degrees() if i + j in dims}
-    images = [None if draw else _run_columns(f, gen_diffs or (), g, n) for g, n, _ in lay.runs]
+    images = [None] * len(lay.runs) if draw or diffs is None else [_nonzero(d) for d in diffs]
     diff = {}
-    for i in sorted({*dims, *lay.gen_degrees}, reverse=True):
-        for r, (_, n, e) in enumerate(lay.runs):
+    for i in sorted({*dims, *(e for e, _ in lay.runs)}, reverse=True):
+        for r, (e, n) in enumerate(lay.runs):
             if draw and e == i:
                 d = diff.get(i + 1) or Matrix.zeros(f, dims.get(i + 2, 0), dims.get(i + 1, 0))
-                images[r] = None if (run := draw(d, n)).is_zero() else run
+                images[r] = _nonzero(draw(d, n))
         if i in dims:
             diff[i] = _free_diff(lay, side, images, offsets[i],
                                  offsets.get(i + 1) or lay.offsets(i + 1), action, i)
     return DGModule(side, algebra, lay.window(), dims, diff, action), lay
+
+
+def _nonzero(m):
+    """m, or None when it is None or zero: a zero run adds no block."""
+    return None if m is None or m.is_zero() else m
 
 
 def _free_action(lay: FreeLayout, side: str, src, tgt, i: int, j: int) -> Matrix:
@@ -459,7 +461,7 @@ def _free_action(lay: FreeLayout, side: str, src, tgt, i: int, j: int) -> Matrix
     algebra = lay.algebra
     dj = algebra.dim(j)
     blocks = []
-    for r, (_, n, e) in enumerate(lay.runs):
+    for r, (e, n) in enumerate(lay.runs):
         mult = algebra.mult.get((i - e, j) if side == RIGHT else (j, i - e))
         if mult is None or not mult.arr.size:
             continue
@@ -480,7 +482,7 @@ def _free_diff(lay: FreeLayout, side: str, images, src, tgt, action, i: int) -> 
     `action` is the module's action by degree pair."""
     algebra = lay.algebra
     blocks = []
-    for r, (_, n, e) in enumerate(lay.runs):
+    for r, (e, n) in enumerate(lay.runs):
         # d(g.a) = d(g).a + (-1)^{|g|} g.d(a) (right),
         # d(a.g) = d(a).g + (-1)^{|a|} a.d(g) (left); absent d(a) is zero
         da, dalg = algebra.dim(i - e), algebra.diff.get(i - e)
@@ -497,25 +499,14 @@ def free_map_blocks(lay: FreeLayout, side: str, images, action_at, i: int,
     """`from_blocks` blocks of the degree-i matrix of g.a |-> images[g].a
     (right) or a.g |-> (-1)^{|a| s} a.images[g] (left), s = degree_shift, on
     the free module `lay`, into a module with action `action_at(k, j)` in
-    degree (k, j); images[g] lies in degree e_g + s, and missing ones are 0.
-    One product serves each run of generators."""
-    offs, f = lay.offsets(i), lay.algebra.field
+    degree (k, j).  `images[r]` holds the images of run r as the columns of
+    one matrix in degree e + s, or None; runs past the end of `images` and
+    zero images map to 0.  One product serves each run."""
+    offs = lay.offsets(i)
     return [(0, offs[r], _run_map(side, action_at(e + degree_shift, i - e), imgs, da,
                                   (i - e) * degree_shift))
-            for r, (g, n, e) in enumerate(lay.runs)
-            if (da := lay.algebra.dim(i - e)) and (imgs := _run_columns(f, images, g, n))]
-
-
-def _run_columns(f: Field, images, g: int, n: int):
-    """images[g:g + n] as the columns of one matrix, a missing or empty one
-    read as zero; None when all of them are zero."""
-    cols = images[g:g + n]
-    if all(c.is_zero() for c in cols):
-        return None
-    if n == 1:
-        return cols[0]
-    zero = Matrix.zeros(f, max(c.rows for c in cols), 1)
-    return hstack([c if c.rows else zero for c in cols] + [zero] * (n - len(cols)))
+            for r, ((e, _), imgs) in enumerate(zip(lay.runs, images))
+            if (da := lay.algebra.dim(i - e)) and _nonzero(imgs) is not None]
 
 
 def _run_map(side: str, act: Matrix, imgs: Matrix, da: int, sign: int):

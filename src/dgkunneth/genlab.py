@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass, field as dc_field, replace
 from itertools import accumulate
 
@@ -183,8 +184,8 @@ def random_free_module(a: DGAlgebra, side: str, rng: random.Random,
     """Free module on random generators; d(g) sampled from the cocycles of
     the part already built, so d^2 = 0 holds by construction.
 
-    The generators come sorted by descending degree, and `free_module`
-    draws each degree's run of them in its one pass, from d^{e+1} of the
+    The generators come as one run per degree, by descending degree, and
+    `free_module` draws each run in its one pass, from d^{e+1} of the
     module it builds: A is nonpositive, so that differential involves only
     the generators above e.  Its kernel is computed once per degree, and
     not at all when degree e + 1 is zero; each generator still makes its
@@ -192,7 +193,7 @@ def random_free_module(a: DGAlgebra, side: str, rng: random.Random,
     lo_deg = -(span - 1)
     if n_gens is None:
         n_gens = rng.randint(1, 3)
-    degrees = sorted((rng.randint(lo_deg, 0) for _ in range(n_gens)), reverse=True)
+    runs = sorted(Counter(rng.randint(lo_deg, 0) for _ in range(n_gens)).items(), reverse=True)
     f = a.field
 
     def draw(d: Matrix, count: int) -> Matrix:
@@ -202,7 +203,7 @@ def random_free_module(a: DGAlgebra, side: str, rng: random.Random,
         coeffs = [f.random_vector(rng, k.cols) for _ in range(count)]
         return k @ Matrix(f, count, k.cols, coeffs).transpose()
 
-    mod, _ = free_module(a, side, degrees, draw)
+    mod, _ = free_module(a, side, runs, draw)
     # checked after the draws, which every later draw of `rng` follows
     if max(mod.dims.values(), default=0) > max_dim:
         return None

@@ -4,12 +4,15 @@
 mapping onto cocycle representatives that generate the cohomology as an
 H^0(A)-module; each later stage kills the kernel of H(rho) at the current
 boundary degree with generators one degree lower (module generators again:
-killing a class kills its whole H^0(A)-orbit).  The result is certified:
-H^i(rho) is an isomorphism for i >= -depth + 1 and surjective at -depth,
-and sup(P) equals the top nonzero cohomology degree of M.  A stage holds
-its classes as the columns of one matrix, so it makes one product with
-rho, one with d^{t-1} and one `solve` for all of them; a seeded variant
-takes its draws class by class before those products.  A resolution
+killing a class kills its whole H^0(A)-orbit).  Every result is certified,
+the empty resolution of an acyclic M too: H^i(rho) is an isomorphism for
+i >= -depth + 1 and surjective at -depth, and sup(P) equals the top
+nonzero cohomology degree of M.  A stage holds its classes as the columns
+of one matrix, so it makes one product with rho, one with d^{t-1} and one
+`solve` for all of them; a seeded variant takes its draws class by class
+before those products.  The resolution keeps each stage as that run of
+generators, its d(g) and rho(g) the columns of one matrix each, and
+`lift_through_resolutions` solves once per run.  A resolution
 depends on M, the depth, the variant and the cap only, so it is built and
 certified once per distinct request over one field object and kept in the
 field's memo (`linalg.memoized`): a request with an equal module from
@@ -99,23 +102,28 @@ def sup_cohomology(m: DGModule):
     return None
 
 
+def _top_class_degree(m: DGModule) -> int:
+    """The first degree from the top with H^i(M) != 0, else the window top."""
+    return next((i for i in reversed(m.degrees()) if cohomology(m, i).dim), m.window[1])
+
+
 @dataclass(frozen=True)
 class SemiFreeResolution:
     """rho: P -> M, free on staged generators, quasi-isomorphism to depth.
-    Frozen, with tuples of generators: one resolution serves every equal
-    request over its field."""
+    `runs` holds one (degree e, stage, d(g), rho(g)) per run of generators
+    in creation order: stage 0 has one run per degree with a class, a later
+    stage one run.  d(g) are columns in P^{e+1}, None at stage 0, and rho(g)
+    columns in M^e; `layout` is the free layout of these runs.  Frozen: one
+    resolution serves every equal request over its field."""
     target: DGModule
     p: DGModule
     layout: FreeLayout
     rho: StrictMorphism
     depth: int
-    gen_degrees: tuple
-    gen_stages: tuple
-    gen_diffs: tuple          # d(g), a column in P^{deg+1}; empty (0 x 1) at stage 0
-    gen_images: tuple         # rho(g), a column in M^{deg}
+    runs: tuple
 
     def generator_count(self) -> int:
-        return len(self.gen_degrees)
+        return sum(n for _, n in self.layout.runs)
 
 
 def _rand_unit(f: Field, rng):
@@ -151,25 +159,27 @@ def _module_generators(cands: Matrix, action: Matrix, ring_dim: int) -> Matrix:
 
 def _free_map(lay: FreeLayout, target: DGModule, images, i: int,
               degree_shift: int) -> Matrix:
-    """Degree-i matrix of the equivariant map g.a |-> images[g].a into target."""
+    """Degree-i matrix of the equivariant map g.a |-> images[g].a into target,
+    with one image matrix per run of `lay` (`free_map_blocks`)."""
     blocks = free_map_blocks(lay, target.side, images, target.action_map, i, degree_shift)
     return from_blocks(target.field, target.dim(i + degree_shift), lay.dim(i), blocks)
 
 
 def morphism_from_generator_images(p: DGModule, lay: FreeLayout, target: DGModule,
                                    images, degree_shift: int = 0) -> dict:
-    """Matrices of the equivariant map g.a |-> images[g].a (right modules).
+    """Matrices of the equivariant map g.a |-> images[g].a (right modules),
+    with one image matrix per run of `lay`.
 
     With degree_shift = -1 this builds homotopy components P^i -> target^{i-1}.
     """
     return {i: _free_map(lay, target, images, i, degree_shift) for i in p.degrees()}
 
 
-def _build_p_and_rho(algebra, target, gen_degrees, gen_diffs, gen_images):
-    p, lay = free_module(algebra, RIGHT, gen_degrees, gen_diffs)
-    maps = morphism_from_generator_images(p, lay, target, gen_images)
-    rho = StrictMorphism(p, target, maps)
-    return p, lay, rho
+def _build_p_and_rho(algebra, target, runs):
+    p, lay = free_module(algebra, RIGHT, [(e, w.cols) for e, _, _, w in runs],
+                         [z for _, _, z, _ in runs])
+    maps = morphism_from_generator_images(p, lay, target, [w for *_, w in runs])
+    return p, lay, StrictMorphism(p, target, maps)
 
 
 def semifree_resolve(m: DGModule, depth: int, variant: int = 0,
@@ -190,7 +200,7 @@ def _resolve(f: Field, m: DGModule, depth: int, variant: int, cap: int) -> SemiF
     a = m.algebra
     rng = random.Random(f"resolve-variant:{variant}") if variant else None
 
-    gen_degrees, gen_stages, gen_diffs, gen_images = [], [], [], []
+    runs = []
     # stage 0: generators mapping onto module generators of the cohomology;
     # the first degree with a class, scanning down, is sup H(M)
     h0dim = a.h0().dim
@@ -211,17 +221,10 @@ def _resolve(f: Field, m: DGModule, depth: int, variant: int, cap: int) -> SemiF
                 ws.append(f.random_vector(rng, m.dim(i - 1)))
             dw = m.diff_map(i - 1) @ Matrix(f, len(ws), m.dim(i - 1), ws).transpose()
             reps = reps.scale(units) + dw
-        for j in range(reps.cols):
-            gen_degrees.append(i)
-            gen_stages.append(0)
-            gen_images.append(reps.columns([j]))
-            gen_diffs.append(Matrix.zeros(f, 0, 1))
-    if not gen_degrees:
-        p, lay, rho = _build_p_and_rho(a, m, [], [], [])
-        return SemiFreeResolution(m, p, lay, rho, depth, (), (), (), ())
-
-    sup_h = gen_degrees[0]
-    p, lay, rho = _build_p_and_rho(a, m, gen_degrees, gen_diffs, gen_images)
+        runs.append((i, 0, None, reps))
+    # an acyclic M gets no generators and no stages, and is certified too
+    sup_h = runs[0][0] if runs else -depth
+    p, lay, rho = _build_p_and_rho(a, m, runs)
     # stage sup_h + 1 - t kills ker H^t(rho), going down from the top
     for t in range(sup_h, -depth, -1):
         hp = cohomology(p, t)
@@ -251,20 +254,15 @@ def _resolve(f: Field, m: DGModule, depth: int, variant: int, cap: int) -> SemiF
             raise StructureError(f"kernel class not killable at degree {t}")
         if rng is not None:
             w = w + kw @ Matrix(f, len(coeffs), kw.cols, coeffs).transpose()
-        for j in range(z.cols):
-            gen_degrees.append(t - 1)
-            gen_stages.append(sup_h + 1 - t)
-            gen_diffs.append(z.columns([j]))
-            gen_images.append(w.columns([j]))
-        lay_next = FreeLayout(a, tuple(gen_degrees))
+        runs.append((t - 1, sup_h + 1 - t, z, w))
+        lay_next = FreeLayout(a, tuple((e, x.cols) for e, _, _, x in runs))
         worst = max(lay_next.dim(i) for i in lay_next.degrees())
         if worst > cap:
             raise ResourceCapError(
                 f"per-degree dimension {worst} exceeds the generator cap {cap}")
-        p, lay, rho = _build_p_and_rho(a, m, gen_degrees, gen_diffs, gen_images)
+        p, lay, rho = _build_p_and_rho(a, m, runs)
 
-    res = SemiFreeResolution(m, p, lay, rho, depth, tuple(gen_degrees), tuple(gen_stages),
-                             tuple(gen_diffs), tuple(gen_images))
+    res = SemiFreeResolution(m, p, lay, rho, depth, tuple(runs))
     _certify_resolution(res)
     return res
 
@@ -279,7 +277,7 @@ def _certify_resolution(res: SemiFreeResolution):
         raise StructureError(f"resolution map is not strict: {bad[0]}")
     sup_h = sup_cohomology(m)
     if sup_h is not None:
-        top = max((e for e in res.gen_degrees), default=None)
+        top = max((e for e, *_ in res.runs), default=None)
         if top != sup_h:
             raise StructureError("sup(P) differs from sup(H(M))")
     # H^t(P) and H^t(M) vanish where P^t and M^t do
@@ -326,13 +324,13 @@ class DerivedKunnethWitness:
 def theta_der(m: DGModule, n: DGModule, i0: int | None = None,
               j0: int | None = None) -> DerivedKunnethWitness:
     """The derived top-degree isomorphism with its commuting-triangle
-    evidence, on a resolution of depth `DEPTH`."""
+    evidence, on a resolution of depth `DEPTH`.  i0 and j0 default to the
+    top degrees with cohomology, read off the cached H^i, or the window
+    tops when there is none."""
     if i0 is None:
-        i0 = sup_cohomology(m)
-        i0 = m.window[1] if i0 is None else i0
+        i0 = _top_class_degree(m)
     if j0 is None:
-        j0 = sup_cohomology(n)
-        j0 = n.window[1] if j0 is None else j0
+        j0 = _top_class_degree(n)
     mG = smart_truncate(shift(m, i0), 0)
     nG = smart_truncate(shift(n, j0), 0)
     res = semifree_resolve(mG, DEPTH)
@@ -475,8 +473,9 @@ class ResolutionLift:
 
 def lift_through_resolutions(res: SemiFreeResolution, resp: SemiFreeResolution,
                              fmor: StrictMorphism) -> ResolutionLift:
-    """phi: P -> P' with rho' o phi homotopic to f o rho, built generator by
-    generator by solving the joint chain/comparison linear system."""
+    """phi: P -> P' with rho' o phi homotopic to f o rho, built run by run
+    by solving the joint chain/comparison linear system once per run: the
+    d(g) of a run involve only generators of higher degree, lifted before."""
     f = res.p.field
     p, pp = res.p, resp.p
     mprime = resp.target
@@ -484,13 +483,12 @@ def lift_through_resolutions(res: SemiFreeResolution, resp: SemiFreeResolution,
     phi_imgs = []
     h_imgs = []
 
-    for g, e in enumerate(res.gen_degrees):
-        # phi and h on d(g), from the generators already lifted; d(g) of a
-        # stage-0 generator is zero, stored as the empty column
-        z = res.gen_diffs[g]
-        y = Matrix.zeros(f, pp.dim(e + 1), 1)
-        u = fmor.map_at(e) @ res.gen_images[g]
-        if z.rows:
+    first = 0
+    for e, stage, z, w in res.runs:
+        # phi and h on d(g), from the runs already lifted; d(g) = 0 at stage 0
+        y = Matrix.zeros(f, pp.dim(e + 1), w.cols)
+        u = fmor.map_at(e) @ w
+        if z is not None:
             y = _free_map(res.layout, pp, phi_imgs, e + 1, 0) @ z
             u = u + _free_map(res.layout, mprime, h_imgs, e + 1, -1) @ z
         top = pp.diff_map(e)
@@ -500,15 +498,19 @@ def lift_through_resolutions(res: SemiFreeResolution, resp: SemiFreeResolution,
         big = from_blocks(f, top.rows + bot_l.rows, n_x + n_h,
                           [(0, 0, top.arr), (top.rows, 0, bot_l.arr),
                            (top.rows, n_x, bot_r.arr)])
-        sol = solve(big, vstack([y, u]))
+        rhs = vstack([y, u])
+        sol = solve(big, rhs)
         if sol is None:
+            # the first generator of the run whose own system has no solution
+            g = next(j for j in range(rhs.cols) if solve(big, rhs.columns([j])) is None)
             evidence.append(failed("lift_solvable",
-                                   counterexample={"generator": g, "degree": e,
-                                                   "stage": res.gen_stages[g]}))
+                                   counterexample={"generator": first + g, "degree": e,
+                                                   "stage": stage}))
             return ResolutionLift(StrictMorphism.zero(p, pp), {}, evidence)
         phi_imgs.append(sol.rows_at(slice(n_x)))
         h_imgs.append(sol.rows_at(slice(n_x, None)))
-    evidence.append(passed("lift_solvable", generators=len(res.gen_degrees)))
+        first += w.cols
+    evidence.append(passed("lift_solvable", generators=first))
 
     phi_maps = morphism_from_generator_images(p, res.layout, pp, phi_imgs)
     phi = StrictMorphism(p, pp, phi_maps)

@@ -240,15 +240,13 @@ def tensor_complex_to_json(tc, degrees) -> dict:
 def resolution_to_json(res) -> dict:
     """A semi-free resolution with stage tags, for re-verifying semi-freeness:
     each generator's differential may only involve generators of earlier
-    stages (their degrees are strictly higher)."""
+    stages (their degrees are strictly higher).  One entry per generator,
+    read off the columns of its run; d(g) = 0 at stage 0 is written []."""
     gens = []
-    for g, e in enumerate(res.gen_degrees):
-        gens.append({
-            "degree": e,
-            "stage": res.gen_stages[g],
-            "diff": matrix_to_json(res.gen_diffs[g].transpose())[0],
-            "image": matrix_to_json(res.gen_images[g].transpose())[0],
-        })
+    for e, stage, z, w in res.runs:
+        diffs = [[]] * w.cols if z is None else matrix_to_json(z.transpose())
+        gens += [{"degree": e, "stage": stage, "diff": d, "image": img}
+                 for d, img in zip(diffs, matrix_to_json(w.transpose()))]
     return {
         "depth": res.depth,
         "generators": gens,

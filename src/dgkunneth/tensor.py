@@ -146,9 +146,6 @@ class TensorComplex:
         """Bigraded blocks (p, q, offset, dim M^p, dim N^q) with p ascending."""
         return self._layout(t)[0]
 
-    def relations(self, t: int) -> Matrix:
-        return self.space(t).relations
-
     def space(self, t: int) -> QuotientSpace:
         if t not in self._spaces:
             _, offsets, amb = self._layout(t)
@@ -168,9 +165,6 @@ class TensorComplex:
             rel = drop_zero_rows(from_entries(self.field, nrows, amb, items))
             self._spaces[t] = quotient(self.field, amb, rel)
         return self._spaces[t]
-
-    def dim(self, t: int) -> int:
-        return self.space(t).dim
 
     def ambient_diff(self, t: int) -> Matrix:
         f = self.field

@@ -9,9 +9,9 @@ def make_koszul_like(field: Field, depth: int, side: str = RIGHT) -> DGModule:
     """The periodic complex over k[t]/(t^2): generators g_0..g_depth at
     degrees 0..-depth with d(g_k) = g_{k-1} t."""
     a = make_dual_numbers(field)
-    gens = list(range(0, -depth - 1, -1))
+    runs = [(-k, 1) for k in range(depth + 1)]
     # layout degree -k+1 only sees generator k-1, with basis (g_{k-1}, g_{k-1} t)
-    diffs = [Matrix.zeros(field, 0, 1) if k == 0 else Matrix.from_int_rows(field, [[0], [1]])
+    diffs = [None if k == 0 else Matrix.from_int_rows(field, [[0], [1]])
              for k in range(depth + 1)]
-    mod, _ = free_module(a, side, gens, diffs)
+    mod, _ = free_module(a, side, runs, diffs)
     return mod

@@ -378,7 +378,7 @@ def test_cached_cohomology_equals_a_fresh_computation(field):
 def test_cohomology_contractible(k):
     # K --1--> K in degrees -1, 0 over A = K
     a = make_field_algebra(k)
-    m, _ = free_module(a, RIGHT, [0, -1], [Matrix.zeros(k, 0, 1), Matrix.identity(k, 1)])
+    m, _ = free_module(a, RIGHT, [(0, 1), (-1, 1)], [None, Matrix.identity(k, 1)])
     assert validate_module(m) == []
     assert cohomology(m, 0).dim == 0
     assert cohomology(m, -1).dim == 0
@@ -400,7 +400,7 @@ def test_class_of_rejects_non_cocycle(k):
     # class_map is valid on cocycles only: the generator of degree -1 maps
     # onto the one of degree 0, so it lies outside the cocycles H^{-1} uses
     a = make_field_algebra(k)
-    m, _ = free_module(a, RIGHT, [0, -1], [Matrix.zeros(k, 0, 1), Matrix.identity(k, 1)])
+    m, _ = free_module(a, RIGHT, [(0, 1), (-1, 1)], [None, Matrix.identity(k, 1)])
     h = cohomology(m, -1)
     assert not (m.diff_map(-1) @ Matrix.identity(k, 1)).is_zero()
     assert h.cocycle_incl.cols == 0
@@ -443,7 +443,7 @@ def test_shift_left_module_valid(k):
 
 def test_shift_concentrated(k):
     a = make_field_algebra(k)
-    m, _ = free_module(a, RIGHT, [-3], [Matrix.zeros(k, 0, 1)])
+    m, _ = free_module(a, RIGHT, [(-3, 1)])
     s = shift(m, -3)
     assert s.dim(0) == 1 and s.window == (0, 0)
 
@@ -482,7 +482,7 @@ def test_smart_truncate_noop_above_window(k):
 def test_smart_truncate_kills_module(k):
     # K --1--> K in degrees 0, 1: kernel at 0 is zero, module vanishes
     a = make_field_algebra(k)
-    m0, _ = free_module(a, RIGHT, [0, -1], [Matrix.zeros(k, 0, 1), Matrix.identity(k, 1)])
+    m0, _ = free_module(a, RIGHT, [(0, 1), (-1, 1)], [None, Matrix.identity(k, 1)])
     m = shift(m0, -1)   # degrees 0, 1
     t = smart_truncate(m, 0)
     assert t.window == (0, 0)

@@ -68,12 +68,13 @@ def wide_digest(field):
 
 def _generators(a, side, rng, count):
     """`count` generators over four degrees with d(g) drawn from the
-    cocycles of `free_module` on the generators before g: the per-prefix
-    reference, drawing from `rng` as `random_free_module` does."""
+    cocycles of `free_module` on the generators before g, each its own run:
+    the per-prefix reference, drawing from `rng` as `random_free_module`
+    does."""
     degrees = sorted((rng.randint(-3, 0) for _ in range(count)), reverse=True)
     diffs = []
     for g, e in enumerate(degrees):
-        partial, _ = free_module(a, side, degrees[:g], diffs)
+        partial, _ = free_module(a, side, [(d, 1) for d in degrees[:g]], diffs)
         k = kernel_basis(partial.diff_map(e + 1)).transpose()
         diffs.append(k @ Matrix.column(a.field, a.field.random_vector(rng, k.cols)))
     return degrees, diffs
@@ -82,7 +83,8 @@ def _generators(a, side, rng, count):
 @pytest.mark.parametrize("label", sorted(FIELDS))
 @pytest.mark.parametrize("family", sorted(ALGEBRA_FAMILIES))
 def test_free_differential_is_the_free_module_differential(family, label):
-    # the differential drawn in the one pass is that of the reference
+    # the differential drawn in the one pass, one run per degree, is that of
+    # the reference, one run per generator
     field = FIELDS[label]
     a = ALGEBRA_FAMILIES[family](field)
     for side in (RIGHT, LEFT):
@@ -94,7 +96,7 @@ def test_free_differential_is_the_free_module_differential(family, label):
             assert rng.getstate() == ref.getstate()
             ties += len(set(degrees)) < len(degrees)
             nonzero += sum(not v.is_zero() for v in diffs)
-            want, _ = free_module(a, side, degrees, diffs)
+            want, _ = free_module(a, side, [(e, 1) for e in degrees], diffs)
             assert got == want and validate_module(got) == []
             lo, hi = want.window
             assert got.window == want.window and got.dims == want.dims
@@ -134,12 +136,12 @@ def test_one_free_module_per_random_free_module(monkeypatch):
         assert mod is not None
         built = [args for name, args in calls if name == "free_module"]
         assert len(built) == 1
-        degrees = built[0][2]
+        degrees = [e for e, n in built[0][2] for _ in range(n)]
         assert len(degrees) == 8
         # one kernel per distinct degree e where the generators above e
         # leave a nonzero degree e + 1
         nonzero = [e for e in set(degrees)
-                   if FreeLayout(a, tuple(d for d in degrees if d > e)).dim(e + 1)]
+                   if FreeLayout(a, tuple((d, 1) for d in degrees if d > e)).dim(e + 1)]
         assert 0 < len(nonzero) < len(set(degrees))
         assert sum(name == "kernel_basis" for name, _ in calls) == len(nonzero)
         # and one differential per degree of the module

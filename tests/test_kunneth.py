@@ -77,7 +77,7 @@ def test_theta_exterior_self(k):
 def test_theta_zero_top_cohomology(k):
     # M = (K --1--> K): H^0(M) = 0, so both sides are empty
     a = make_field_algebra(k)
-    m, _ = free_module(a, RIGHT, [0, -1], [Matrix.zeros(k, 0, 1), Matrix.identity(k, 1)])
+    m, _ = free_module(a, RIGHT, [(0, 1), (-1, 1)], [None, Matrix.identity(k, 1)])
     n = regular_module(a, LEFT)
     w = theta(m, n)
     assert w.ok

@@ -367,7 +367,7 @@ def test_published_tensor_relations_match_reference():
     for inst in generate_corpus(CorpusProfile(field=f, instance_count=10)):
         tc = TensorComplex(inst.m, inst.n)
         for t in range(tc.lo, tc.hi + 1):
-            rel = tc.relations(t)
+            rel = tc.space(t).relations
             d = as_lists(rel)
             ref, ref_piv = ref_rref(d, rel.cols, 101)
             red, pivots, r = rref(rel)
@@ -404,7 +404,7 @@ def test_balancing_rows_match_the_kronecker_placements(p):
         m, n = inst.m, inst.n
         tc = TensorComplex(m, n)
         for t in range(tc.lo, tc.hi + 1):
-            assert tc.relations(t) == kron_relations(tc, t), (inst.name, t)
+            assert tc.space(t).relations == kron_relations(tc, t), (inst.name, t)
         for i in m.degrees():
             for j in n.degrees():
                 xact, yact = m.action_map(i, 0), n.action_map(j, 0)
@@ -643,10 +643,10 @@ def test_solve_and_left_inverse_do_not_alias_their_inputs():
 def test_tensor_complex_caches_cannot_be_changed_through_results():
     inst = generate_corpus(CorpusProfile(field=Field.prime(101), instance_count=4))[3]
     tc = TensorComplex(inst.m, inst.n)
-    degrees = [t for t in range(tc.lo, tc.hi + 1) if tc.relations(t).rows]
+    degrees = [t for t in range(tc.lo, tc.hi + 1) if tc.space(t).relations.rows]
     assert degrees
     for t in degrees:
-        rel, sp = tc.relations(t), tc.space(t)
+        rel, sp = tc.space(t).relations, tc.space(t)
         for m in (rel, rel.transpose(), sp.projection, sp.section, tc.diff(t - 1)):
             if m.rows and m.cols:
                 with pytest.raises(ValueError):
@@ -655,6 +655,6 @@ def test_tensor_complex_caches_cannot_be_changed_through_results():
         assert not np.shares_memory((-rel).arr, rel.arr)
         assert not np.shares_memory(drop_zero_rows(rel).arr, rel.arr)
         fresh = TensorComplex(inst.m, inst.n)
-        assert tc.relations(t) is rel and rel == fresh.relations(t)
+        assert tc.space(t).relations is rel and rel == fresh.space(t).relations
         assert (sp.projection, sp.section) == \
             (fresh.space(t).projection, fresh.space(t).section)

@@ -1,7 +1,6 @@
 import hashlib
 import pickle
 import time
-from collections import Counter
 from dataclasses import FrozenInstanceError, replace
 
 import pytest
@@ -54,6 +53,11 @@ Q = Field.rationals()
 F101 = Field.prime(101)
 
 
+def _degrees(res):
+    """The degree of each generator of `res`, in creation order."""
+    return tuple(e for e, n in res.layout.runs for _ in range(n))
+
+
 @pytest.fixture(params=[Q, F101], ids=["Q", "F101"])
 def k(request):
     return request.param
@@ -66,7 +70,7 @@ def test_resolution_of_free_module(k):
     res = semifree_resolve(m, depth=3)
     assert validate_module(res.p) == []
     assert validate_morphism(res.rho) == []
-    assert max(res.gen_degrees) == sup_cohomology(m)
+    assert max(_degrees(res)) == sup_cohomology(m)
 
 
 def test_resolution_zero_cohomology(k):
@@ -82,7 +86,7 @@ def test_classical_periodic_resolution(k):
     a = make_dual_numbers(k)
     m = simple_module_dual_numbers(a, RIGHT)
     res = semifree_resolve(m, depth=3)
-    assert sorted(res.gen_degrees, reverse=True) == [0, -1, -2, -3]
+    assert sorted(_degrees(res), reverse=True) == [0, -1, -2, -3]
     # d(g_k) = g_{k-1}.t pattern: each differential has rank 1 per degree
     for i in (-3, -2, -1):
         assert res.p.dim(i) == 2
@@ -287,8 +291,7 @@ def test_deterministic_resolution(k):
                                              instance_rng(305, 2)), depth=3)
               for _ in range(2))
     assert r1 is not r2
-    assert r1.gen_degrees == r2.gen_degrees
-    assert r1.gen_diffs == r2.gen_diffs
+    assert r1.runs == r2.runs
     assert r1.p == r2.p
 
 
@@ -301,10 +304,16 @@ def test_lift_identity(k):
     assert validate_morphism(lift.phi) == []
 
 
-def _first_nonzero_doubled(vectors, k):
-    """The columns `vectors` with the first nonzero one doubled."""
-    g = next(i for i, v in enumerate(vectors) if not v.is_zero())
-    return vectors[:g] + (vectors[g].scale(k.of_int(2)),) + vectors[g + 1:]
+def _first_nonzero_scaled(runs, slot, c):
+    """`runs` with the first nonzero generator column of entry `slot` (2 for
+    d(g), 3 for rho(g)) times c."""
+    r = next(r for r, run in enumerate(runs) if run[slot] is not None
+             and not run[slot].is_zero())
+    m = runs[r][slot]
+    j = next(j for j in range(m.cols) if not m.columns([j]).is_zero())
+    run = list(runs[r])
+    run[slot] = m.scale([c if col == j else m.field.one for col in range(m.cols)])
+    return runs[:r] + (tuple(run),) + runs[r + 1:]
 
 
 def test_transport_invertibility_detects_a_wrong_rho(k):
@@ -314,10 +323,11 @@ def test_transport_invertibility_detects_a_wrong_rho(k):
     m, n = _dual_numbers_simple_pair(k)
     w = theta_der(m, n)
     res = w.resolution
-    images = (Matrix.zeros(k, res.gen_images[0].rows, 1),) + res.gen_images[1:]
+    runs = _first_nonzero_scaled(res.runs, 3, k.zero)
+    assert runs[0][3].columns([0]).is_zero()
     rho = StrictMorphism(res.p, m, resolve.morphism_from_generator_images(
-        res.p, res.layout, m, images))
-    bad = replace(res, gen_images=images, rho=rho)
+        res.p, res.layout, m, [x for *_, x in runs]))
+    bad = replace(res, runs=runs, rho=rho)
     wb = resolve._theta_der_on(bad, w.mn, w.i0, w.j0)
     bad_checks = [r for r in wb.evidence if not r.ok]
     assert [r.name for r in bad_checks] == \
@@ -394,8 +404,8 @@ def test_lift_detects_a_wrong_generator_diff(k):
     a = make_dual_numbers(k)
     m = simple_module_dual_numbers(a, RIGHT)
     res = semifree_resolve(m, depth=3)
-    diffs = _first_nonzero_doubled(res.gen_diffs, k)
-    lift = lift_through_resolutions(replace(res, gen_diffs=diffs), res,
+    runs = _first_nonzero_scaled(res.runs, 2, k.of_int(2))
+    lift = lift_through_resolutions(replace(res, runs=runs), res,
                                     StrictMorphism.identity(m))
     assert [r.name for r in lift.evidence if not r.ok] == ["lift_strict"]
 
@@ -405,10 +415,99 @@ def test_lift_detects_a_wrong_generator_image(k):
     a = make_dual_numbers(k)
     m = simple_module_dual_numbers(a, RIGHT)
     res = semifree_resolve(m, depth=3)
-    images = _first_nonzero_doubled(res.gen_images, k)
-    lift = lift_through_resolutions(replace(res, gen_images=images), res,
+    runs = _first_nonzero_scaled(res.runs, 3, k.of_int(2))
+    lift = lift_through_resolutions(replace(res, runs=runs), res,
                                     StrictMorphism.identity(m))
     assert [r.name for r in lift.evidence if not r.ok] == ["lift_homotopy_identity"]
+
+
+def _reference_lift(res, resp, fmor):
+    """(phi, h) of `lift_through_resolutions`, or the counterexample of its
+    first unsolvable generator, with one solve per generator: each run's
+    images are joined from their columns once the whole run is solved."""
+    f, pp, mprime = res.p.field, resp.p, resp.target
+    phi_runs, h_runs, g = [], [], 0
+    for e, stage, z, w in res.runs:
+        n_x, n_h = pp.dim(e), mprime.dim(e - 1)
+        big = linalg.vstack([
+            linalg.hstack([pp.diff_map(e), Matrix.zeros(f, pp.dim(e + 1), n_h)]),
+            linalg.hstack([resp.rho.map_at(e), -mprime.diff_map(e - 1)])])
+        phis, hs = [], []
+        for j in range(w.cols):
+            y = Matrix.zeros(f, pp.dim(e + 1), 1)
+            u = fmor.map_at(e) @ w.columns([j])
+            if z is not None:
+                y = resolve._free_map(res.layout, pp, phi_runs, e + 1, 0) @ z.columns([j])
+                u = u + resolve._free_map(res.layout, mprime, h_runs, e + 1, -1) @ z.columns([j])
+            sol = linalg.solve(big, linalg.vstack([y, u]))
+            if sol is None:
+                return {"generator": g + j, "degree": e, "stage": stage}
+            phis.append(sol.rows_at(slice(n_x)))
+            hs.append(sol.rows_at(slice(n_x, None)))
+        phi_runs.append(linalg.hstack(phis))
+        h_runs.append(linalg.hstack(hs))
+        g += w.cols
+    return (resolve.morphism_from_generator_images(res.p, res.layout, pp, phi_runs),
+            resolve.morphism_from_generator_images(res.p, res.layout, mprime, h_runs, -1))
+
+
+@pytest.mark.parametrize("field, lifted", [(F101, 67), (Q, 71)], ids=["F101", "Q"])
+def test_run_lift_matches_the_generator_lift(field, lifted):
+    # on every published derived instance with generators, the variant-0
+    # resolution lifted into the variant-1 one along the identity: one
+    # solve per run gives the phi and h of one solve per generator
+    profile = CorpusProfile(field=field)
+    count = multi = 0
+    for idx in range(100):
+        inst = generate_instance(profile, idx)
+        w = theta_der(inst.m, inst.n)
+        res = w.resolution
+        if not res.runs:
+            continue
+        resp = semifree_resolve(w.mn.mT, 3, variant=1)
+        ident = StrictMorphism.identity(w.mn.mT)
+        lift = lift_through_resolutions(res, resp, ident)
+        assert all_ok(lift.evidence), inst.name
+        phi, h = _reference_lift(res, resp, ident)
+        assert lift.phi.maps == phi and lift.homotopy == h, inst.name
+        count += 1
+        multi += any(run[3].cols > 1 for run in res.runs)
+    assert count == lifted and multi > 0
+
+
+def _run_to_break(field):
+    """(resolution, first generator, degree, stage, images) of the first run
+    of two or more generators in a degree e where d^e(M) != 0, on the
+    published derived instances."""
+    profile = CorpusProfile(field=field)
+    for idx in range(100):
+        inst = generate_instance(profile, idx)
+        res = theta_der(inst.m, inst.n).resolution
+        first = 0
+        for e, stage, _, w in res.runs:
+            if w.cols > 1 and not res.target.diff_map(e).is_zero():
+                return res, first, e, stage, w
+            first += w.cols
+    raise AssertionError("no such run")
+
+
+def test_lift_names_the_first_unsolvable_generator():
+    # f fixes the run's first image and moves its second off the cocycles,
+    # so the second generator is the first that cannot lift
+    res, first, e, stage, w = _run_to_break(F101)
+    m, k = res.target, F101
+    # a functional with c.w_0 = 0 and c.w_1 = 1, and a basis vector v with d(v) != 0
+    c = linalg.solve(w.columns([0, 1]).transpose(), Matrix.from_int_rows(k, [[0], [1]]))
+    v = Matrix.identity(k, m.dim(e)).columns([next(
+        j for j in range(m.dim(e)) if not m.diff_map(e).columns([j]).is_zero())])
+    maps = {i: Matrix.identity(k, m.dim(i)) for i in m.degrees()}
+    maps[e] = maps[e] + v @ c.transpose()
+    fmor = StrictMorphism(m, m, maps)
+    lift = lift_through_resolutions(res, res, fmor)
+    bad = [r for r in lift.evidence if not r.ok]
+    assert [r.name for r in bad] == ["lift_solvable"]
+    assert bad[0].counterexample == {"generator": first + 1, "degree": e, "stage": stage} \
+        == _reference_lift(res, res, fmor)
 
 
 @pytest.mark.parametrize("field, resolved", [(F101, 67), (Q, 71)], ids=["F101", "Q"])
@@ -422,13 +521,12 @@ def test_derived_checks_compare_pairwise_different_resolutions(field, resolved):
     for idx in range(100):
         inst = generate_instance(profile, idx)
         w = theta_der(inst.m, inst.n)
-        if not w.resolution.gen_degrees:
+        if not w.resolution.runs:
             continue
         count += 1
         others = [semifree_resolve(w.mn.mT, depth, variant=v)
                   for v, depth in resolve.DEEPER_RESOLUTIONS]
-        data = [(r.gen_degrees, r.gen_diffs, r.gen_images)
-                for r in (w.resolution, *others)]
+        data = [r.runs for r in (w.resolution, *others)]
         assert data[0] != data[1] != data[2] != data[0], inst.name
     assert count == resolved
 
@@ -468,7 +566,7 @@ def test_seeded_resolutions_are_pinned(label, field):
 
     body = [seeded(w) for w in _small_derived_witnesses(field)]
     gens = [g for pair in body for r in pair for g in r["generators"]]
-    # d(g) = 0 at stage 0 is the empty column
+    # d(g) = 0 at stage 0 is stored as None and written []
     stage0 = [g["diff"] for g in gens if g["stage"] == 0]
     assert stage0 and all(d == [] for d in stage0)
     assert digest(body) == SEEDED_RESOLUTIONS_SHA256[label]
@@ -496,7 +594,7 @@ def test_each_stage_makes_one_solve(monkeypatch, field):
             # the witnesses stored these resolutions: build each anew
             f.memo.clear()
             res = semifree_resolve(w.mn.mT, depth, variant=v)
-            killed = Counter(s for s in res.gen_stages if s)
+            killed = {s: w.cols for _, s, _, w in res.runs if s}
             assert calls == [killed[s] for s in sorted(killed)]
             widest = max([widest, *calls])
     assert widest > 1
@@ -732,7 +830,7 @@ def test_cost_follows_the_data_not_the_window():
     assert all_ok(suite.plain_checks(kunneth.theta(m, n)))
     w = theta_der(m, n)
     assert all_ok(suite.derived_checks(w))
-    assert w.resolution.gen_degrees == (0, -gap, -1, -2)
+    assert _degrees(w.resolution) == (0, -gap, -1, -2)
     # linear in the gap, this would take minutes
     assert time.perf_counter() - t0 < 10
 
@@ -791,7 +889,7 @@ def test_every_part_of_the_key_tells_resolutions_apart(monkeypatch):
         res = semifree_resolve(*args, **kwargs)
         assert res is not first and res.target is args[0]
     assert len(logs["built"]) == 5
-    assert semifree_resolve(other, 3).gen_degrees != first.gen_degrees
+    assert _degrees(semifree_resolve(other, 3)) != _degrees(first)
 
 
 def test_a_raising_resolution_is_not_stored(monkeypatch):
@@ -801,7 +899,7 @@ def test_a_raising_resolution_is_not_stored(monkeypatch):
     build = resolve._build_p_and_rho
 
     def counted(*args):
-        stages.append(len(args[2]))
+        stages.append(sum(w.cols for *_, w in args[2]))
         return build(*args)
 
     monkeypatch.setattr(resolve, "_build_p_and_rho", counted)

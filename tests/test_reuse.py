@@ -66,6 +66,7 @@ def test_published_f101_report_is_pinned(monkeypatch):
                                     (resolve, "SemiFreeResolution"),
                                     (resolve, "_certify_resolution"),
                                     (dgalgebra, "validate_algebra"))}
+    lift_solves = _count_lift_solves(monkeypatch)
     body = suite.run_suite(CorpusProfile(field=Field.prime(101))).as_json()
     body.pop("timing")
     assert len(body["checks"]) == 200 * 13 + 100 * 8 + 13 * 20 + 5
@@ -75,12 +76,37 @@ def test_published_f101_report_is_pinned(monkeypatch):
     # H^i in the nonzero degrees from the top down, also on an acyclic
     # module; each family algebra is built and validated once per field
     # object, plus once for the witness checks.  The 300 resolution requests have
-    # 156 distinct (module, depth, variant) keys: each is built once, and the
-    # 75 with generators are certified; the H^i of a shared P and its target
-    # are computed once for all the instances that share them
+    # 156 distinct (module, depth, variant) keys: each is built once and
+    # certified, the 81 without generators too; the H^i of a shared P and its
+    # target are computed once for all the instances that share them
     assert {name: len(calls) for name, calls in counted.items()} == {
-        "_cohomology": 1113, "theta": 600, "semifree_resolve": 300,
-        "SemiFreeResolution": 156, "_certify_resolution": 75, "validate_algebra": 8}
+        "_cohomology": 1449, "theta": 600, "semifree_resolve": 300,
+        "SemiFreeResolution": 156, "_certify_resolution": 156, "validate_algebra": 8}
+    # the functoriality lifts make one solve per run of generators: 68 runs
+    # that hold 96 generators
+    assert (len(lift_solves), sum(lift_solves)) == (68, 96)
+
+
+def _count_lift_solves(monkeypatch):
+    """The columns of each `solve` that `lift_through_resolutions` makes."""
+    solve, lift = resolve.solve, resolve.lift_through_resolutions
+    inside, cols = [], []
+
+    def counted_solve(m, rhs):
+        if inside:
+            cols.append(rhs.cols)
+        return solve(m, rhs)
+
+    def counted_lift(*args):
+        inside.append(True)
+        try:
+            return lift(*args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(resolve, "solve", counted_solve)
+    monkeypatch.setattr(resolve, "lift_through_resolutions", counted_lift)
+    return cols
 
 
 def test_small_suite_report_is_pinned_with_two_workers():
@@ -194,15 +220,15 @@ def test_suite_reuses_the_witnesses_for_functoriality(monkeypatch):
 
 
 def test_derived_battery_computes_each_cohomology_once(monkeypatch):
-    # inst0001 (koszul_dg): the battery asks for H^i 62 times, and the
+    # inst0001 (koszul_dg): the battery asks for H^i 64 times, and the
     # resolution build and certification ask for H^t(mG) and H^t(P) again
-    # and again; only 26 distinct (module, degree) pairs are computed, as
+    # and again; only 28 distinct (module, degree) pairs are computed, as
     # theta(mG, nG) and theta(P, nG) read mG, nG and P themselves (M[0] is M)
     inst = generate_corpus(CorpusProfile(field=Field.prime(101), instance_count=2))[1]
     asked = _count_calls(monkeypatch, dgmodule, "cohomology")
     computed = _count_calls(monkeypatch, dgmodule, "_cohomology")
     assert all(r.ok for r in suite.derived_kunneth_checks(inst))
-    assert (len(asked), len(computed)) == (62, 26)
+    assert (len(asked), len(computed)) == (64, 28)
 
 
 def test_functoriality_builds_each_witness_once(monkeypatch):

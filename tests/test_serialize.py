@@ -184,7 +184,7 @@ def test_resolution_stage_audit(k):
     blob = resolution_to_json(res)
     degrees = [g["degree"] for g in blob["generators"]]
     stages = [g["stage"] for g in blob["generators"]]
-    lay = FreeLayout(a, tuple(degrees))
+    lay = FreeLayout(a, tuple((e, 1) for e in degrees))
     for gi, gen in enumerate(blob["generators"]):
         dvec = [k.parse(x) for x in gen["diff"]]
         i = gen["degree"] + 1

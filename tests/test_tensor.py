@@ -52,7 +52,7 @@ def test_unit_law_regular_tensor(k):
         tc = TensorComplex(m, n)
         for t in range(tc.lo, tc.hi + 1):
             ev = evaluation_map(tc, t) @ tc.space(t).section
-            assert tc.dim(t) == n.dim(t)
+            assert tc.space(t).dim == n.dim(t)
             assert rank(ev) == n.dim(t)
             # chain map against the induced differential
             ev1 = evaluation_map(tc, t + 1) @ tc.space(t + 1).section
@@ -71,7 +71,7 @@ def test_unit_law_right_factor(k):
             cols = [m.action_map(p, q) for p, q, off, dmp, dnq in tc.blocks(t)]
             ev_amb = hstack(cols) if cols else Matrix.zeros(k, m.dim(t), 0)
             ev = ev_amb @ tc.space(t).section
-            assert tc.dim(t) == m.dim(t)
+            assert tc.space(t).dim == m.dim(t)
             assert rank(ev) == m.dim(t)
 
 
@@ -83,16 +83,16 @@ def test_trivial_algebra_convolution_dims(k):
     tc = TensorComplex(m, n)
     for t in range(tc.lo, tc.hi + 1):
         want = sum(m.dim(p) * n.dim(t - p) for p in m.degrees())
-        assert tc.dim(t) == want
-        assert tc.relations(t).rows == 0
+        assert tc.space(t).dim == want
+        assert tc.space(t).relations.rows == 0
 
 
 def test_exterior_self_tensor_dims(k):
     a = make_exterior(k)
     tc = TensorComplex(regular_module(a, RIGHT), regular_module(a, LEFT))
-    assert tc.dim(0) == 1
-    assert tc.dim(-1) == 1
-    assert tc.dim(-2) == 0
+    assert tc.space(0).dim == 1
+    assert tc.space(-1).dim == 1
+    assert tc.space(-2).dim == 0
 
 
 def test_tensor_differential_squares_to_zero(k):
@@ -116,7 +116,7 @@ def test_tensor_differential_that_breaks_leibniz_does_not_descend(k):
     assert {v.axiom for v in validate_module(bad)} == {"leibniz"}
     assert TensorComplex(m, n).diff(-1).rows == 1
     tc = TensorComplex(bad, n)
-    assert tc.relations(-1).rows == 1 and tc.relations(0).rows == 0
+    assert tc.space(-1).relations.rows == 1 and tc.space(0).relations.rows == 0
     with pytest.raises(DescentError) as exc:
         tc.diff(-1)
     assert str(exc.value) == "tensor differential does not descend at degree -1"
@@ -229,7 +229,7 @@ def test_phi_zero_when_differentials_vanish(k):
 def test_phi_surjective_contractible(k):
     # M = (K --1--> K) in degrees -1, 0; N = K; phi has rank 1 so H^0 = 0
     a = make_field_algebra(k)
-    m, _ = free_module(a, RIGHT, [0, -1], [Matrix.zeros(k, 0, 1), Matrix.identity(k, 1)])
+    m, _ = free_module(a, RIGHT, [(0, 1), (-1, 1)], [None, Matrix.identity(k, 1)])
     n = regular_module(a, LEFT)
     phi = _phi(m, n)
     assert rank(phi) == 1
@@ -244,4 +244,4 @@ def test_tensor_top_degree_bound(k):
     n = random_module(a, LEFT, rng)
     tc = TensorComplex(m, n)
     assert tc.hi == m.window[1] + n.window[1]
-    assert tc.dim(tc.hi + 1) == 0
+    assert tc.space(tc.hi + 1).dim == 0
