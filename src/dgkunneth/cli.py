@@ -50,7 +50,10 @@ def parse_field_spec(spec: str) -> Field:
 
 def load_json(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise StructureError(f"{path}: JSON nested too deeply") from None
 
 
 def write_atomic(path: str, text: str):

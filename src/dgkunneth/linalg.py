@@ -28,12 +28,12 @@ The kernel basis vector of free column j is 1 at j and 0 at the other free
 columns, so as columns the kernel basis has the identity in its free rows:
 a kernel vector's coordinates are its free entries (`kernel_mod_image`).
 
-`quotient`, `kernel_mod_image` and `resolve.semifree_resolve` look (kernel
-name, *arguments) up by value in `Field.memo`, the memo of the field object
-they get, since small presentations and modules recur across instances
-(`memoized`).  It stores calls whose arguments hold at most 256 cells only,
-counting ambient**2 besides for a presentation, and at most 1,024 entries,
-oldest out first.
+`quotient`, `kernel_mod_image`, tensor presentations (by action blocks) and
+`resolve.semifree_resolve` look (kernel name, *arguments) up by value in
+`Field.memo`, the memo of the field object they get, as small presentations
+and modules recur across instances (`memoized`).  It stores calls whose
+arguments hold at most 256 cells only, counting ambient**2 besides for a
+presentation, and at most 1,024 entries, oldest out first.
 """
 from __future__ import annotations
 
@@ -449,35 +449,44 @@ def solve(m: Matrix, rhs: Matrix):
 
 _MEMO_GATE, _MEMO_CAP = 256, 1024   # the most cells a stored call reads, the entries per field
 _MISS = object()
+_RUNNING = []   # per stored call running, innermost last: whether it is a presentation
 
 
 def _cells(x) -> int:
-    """Entries a memoized argument holds: a matrix's, a module's diff and
-    action entries, and none for a number."""
+    """Entries a memoized argument holds: a matrix's, a tuple's items', a
+    module's diff and action entries, and none for a number."""
     if isinstance(x, Matrix):
         return x.arr.size
     if isinstance(x, (int, np.integer)):
         return 0
+    if isinstance(x, tuple):
+        return sum(map(_cells, x))
     return sum(m.arr.size for m in (*x.diff.values(), *x.action.values()))
 
 
 def memoized(kernel):
     """`kernel(f, *args)`, looked up by value as (kernel name, *args) in
     `f.memo`, the memo of the field object f.  Only calls whose arguments
-    hold at most `_MEMO_GATE` cells are stored, a presentation (a matrix
-    last) counting ambient**2 besides; a call that raises stores nothing.
-    The cap is enforced after the kernel ran, as a kernel may store entries
-    of its own on the way (`kernel_mod_image` a quotient, a resolution the
-    presentations of its cohomology)."""
+    hold at most `_MEMO_GATE` cells, read before any key is hashed, are stored,
+    a presentation (ambient dimension first, or a matrix last) counting
+    ambient**2 besides; a call that raises stores nothing.  The calls a
+    stored presentation makes inside look up but store nothing, as its
+    result holds theirs (`kernel_mod_image`'s quotient, say)."""
     @wraps(kernel)
     def run(f: Field, *args):
-        ambient = args[-1].cols if isinstance(args[-1], Matrix) else 0
-        if ambient ** 2 + sum(map(_cells, args)) > _MEMO_GATE:
+        ambient = args[0] if isinstance(args[0], int) else getattr(args[-1], "cols", None)
+        if (ambient or 0) ** 2 + sum(map(_cells, args)) > _MEMO_GATE:
             return kernel(f, *args)
         key = (kernel.__name__, *args)
         if (out := f.memo.get(key, _MISS)) is _MISS:
-            out = f.memo[key] = kernel(f, *args)
-            while len(f.memo) > _MEMO_CAP:
+            if _RUNNING and _RUNNING[-1]:
+                return kernel(f, *args)
+            _RUNNING.append(ambient is not None)
+            try:
+                out = f.memo[key] = kernel(f, *args)
+            finally:
+                _RUNNING.pop()
+            if len(f.memo) > _MEMO_CAP:
                 del f.memo[next(iter(f.memo))]
         return out
     return run

@@ -69,6 +69,7 @@ from .linalg import (
     drop_zero_rows,
     from_blocks,
     kernel_basis,
+    kernel_mod_image,
     memoized,
     rank,
     rref,
@@ -95,16 +96,25 @@ def cohomology_dim(m: DGModule, i: int) -> int:
 
 
 def sup_cohomology(m: DGModule):
-    """Largest degree with nonzero cohomology, or None."""
+    """Largest degree with nonzero cohomology, or None, from one `rank` per
+    differential: d^top lands in 0, and rank d^{i-1} is the next degree's."""
+    out = 0
     for i in reversed(m.degrees()):
-        if cohomology_dim(m, i):
+        into = rank(m.diff_map(i - 1))
+        if m.dim(i) - out - into:
             return i
+        out = into
     return None
 
 
 def _top_class_degree(m: DGModule) -> int:
     """The first degree from the top with H^i(M) != 0, else the window top."""
-    return next((i for i in reversed(m.degrees()) if cohomology(m, i).dim), m.window[1])
+    for i in reversed(m.degrees()):
+        if (coh := kernel_mod_image(m.field, m.diff_map(i - 1), m.diff_map(i))) is None:
+            raise StructureError("d^2 != 0: image not inside cocycles")
+        if coh.dim:
+            return i
+    return m.window[1]
 
 
 @dataclass(frozen=True)

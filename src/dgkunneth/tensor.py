@@ -10,10 +10,10 @@ Three layers:
   * degree-level maps: the bijection M^0 (x)_{A^0} N^0 -> (M (x)_A N)^0 and
     the map phi = (d_M (x) id) (+) (id (x) d_N) feeding the verification layer.
 
-`_balancing` is the one writer of balancing rows: a balanced tensor is its
-one-block case, and degree t of M (x)_A N calls it once per (A^j, M^p).
-`_descend` is the one check that a map of ambient spaces descends to the
-quotients, and it returns the map they induce.
+`_presentation`, memoized by its blocks' dims, offsets and action matrices,
+builds both quotients by `_balancing`, the one writer of balancing rows, per
+block: one for a balanced tensor, one per (A^j, M^p) for degree t of
+M (x)_A N.  `_descend` checks that an ambient map descends to quotients.
 
 Bases are deterministic: ambient bigraded bases are ordered block-major by
 the left degree (ascending), then left index, then right index; quotient
@@ -36,6 +36,7 @@ from .linalg import (
     from_entries,
     hstack,
     kernel_mod_image,
+    memoized,
     quotient,
     rank,
     solve,  # unused here; perfbench/test_perfbench.py asserts this by-name import
@@ -77,17 +78,25 @@ def _descend(src: QuotientSpace, dst: QuotientSpace, amb: Matrix, message: str) 
 # Balanced tensors over an ordinary ring
 
 
+@memoized
+def _presentation(f: Field, amb: int, blocks: tuple) -> QuotientSpace:
+    """k^amb modulo the rows `_balancing` writes for each of `blocks`, stacked."""
+    items, nrows = [], 0
+    for dims, xoff, yoff, xact, yact in blocks:
+        items += _balancing(xact, yact, dims, xoff, yoff, nrows)
+        nrows += dims[0] * dims[1] * dims[2]
+    return quotient(f, amb, drop_zero_rows(from_entries(f, nrows, amb, items)))
+
+
 def balanced_tensor(xact: Matrix, yact: Matrix) -> QuotientSpace:
     """x (x)_R y, where `xact` is the right action x (x) R -> x, a
     (dim x) x (dim x * dim R) matrix, and `yact` the left action
     R (x) y -> y, a (dim y) x (dim R * dim y) matrix."""
-    f = xact.field
     dx, dy = xact.rows, yact.rows
     if xact.cols * dy != yact.cols * dx:
         raise StructureError("balanced tensor over rings of different dimensions")
     dr = (xact.cols + yact.cols) // (dx + dy) if dx + dy else 0   # dim R
-    items = _balancing(xact, yact, (dx, dr, dy), 0, 0, 0)
-    return quotient(f, dx * dy, drop_zero_rows(from_entries(f, dx * dr * dy, dx * dy, items)))
+    return _presentation(xact.field, dx * dy, (((dx, dr, dy), 0, 0, xact, yact),))
 
 
 def induced_balanced_map(src: QuotientSpace, dst: QuotientSpace,
@@ -152,18 +161,11 @@ class TensorComplex:
             # rows (j, p, u, c, v): (m_u . a_c) (x) n_v - m_u (x) (a_c . n_v) for
             # m_u in M^p, a_c in A^j, n_v in N^{t-p-j}, in blocks (p+j, .) and (p, .);
             # a block missing from degree t has a zero factor and gets no entries
-            items, nrows = [], 0
-            for j in self.algebra.degrees():
-                for p in self.m.degrees():
-                    q = t - p - j
-                    dims = (self.m.dim(p), self.algebra.dim(j), self.n.dim(q))
-                    if dims[2]:
-                        items += _balancing(self.m.action_map(p, j), self.n.action_map(q, j),
-                                            dims, offsets.get(p + j, 0), offsets.get(p, 0),
-                                            nrows)
-                        nrows += dims[0] * dims[1] * dims[2]
-            rel = drop_zero_rows(from_entries(self.field, nrows, amb, items))
-            self._spaces[t] = quotient(self.field, amb, rel)
+            m, n, a = self.m, self.n, self.algebra
+            blocks = tuple(((m.dim(p), a.dim(j), n.dim(t - p - j)), offsets.get(p + j, 0),
+                            offsets.get(p, 0), m.action_map(p, j), n.action_map(t - p - j, j))
+                           for j in a.degrees() for p in m.degrees() if n.dim(t - p - j))
+            self._spaces[t] = _presentation(self.field, amb, blocks)
         return self._spaces[t]
 
     def ambient_diff(self, t: int) -> Matrix:

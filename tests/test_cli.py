@@ -406,6 +406,19 @@ def test_oversized_modulus_is_structural_error():
     assert main(["suite", "--field", f"F{2 ** 64 + 1}"]) == 2
 
 
+@pytest.mark.parametrize("argv", [["validate", "X"], ["kunneth", "X", "X"],
+                                  ["derived-kunneth", "X", "X"], ["suite", "--profile", "X"]],
+                         ids=["validate", "kunneth", "derived-kunneth", "suite"])
+def test_deeply_nested_file_is_structural_error(tmp_path, capsys, argv):
+    # 400 KB of "[" overflows the JSON decoder's recursion: exit 2, not a traceback
+    path = tmp_path / "nested.json"
+    path.write_text("[" * 400_000)
+    t0 = time.perf_counter()
+    assert main([str(path) if a == "X" else a for a in argv]) == 2
+    assert time.perf_counter() - t0 < 1
+    assert "nested too deeply" in capsys.readouterr().err
+
+
 def test_gen_and_depth_flag_are_rejected(exterior_pair, tmp_path, capsys):
     # neither the corpus writer nor the resolution depth is part of the CLI
     m, n = exterior_pair

@@ -7,8 +7,8 @@ object-dtype primes; row reduction is also checked at p = 2 and 3, where
 entries cancel often.  Over Q the reference is sympy, when it is installed.
 The products with one identity Kronecker factor, and the balancing
 relations written by index, are checked against the same matrices with the
-Kronecker products built.  The field memo of `quotient` and
-`kernel_mod_image` is checked against the undecorated kernels.
+Kronecker products built.  The field memo of `quotient`, `kernel_mod_image`
+and the tensor presentations is checked against the undecorated kernels.
 Every matrix strategy includes 0 x n, n x 0 and rank-deficient shapes, and
 seeded sparse matrices of up to 60 x 60 exercise cancellation and fill-in
 in the sparse elimination loop.
@@ -21,11 +21,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dgkunneth import linalg
+from dgkunneth import linalg, tensor
 from dgkunneth.dgalgebra import StructureError
-from dgkunneth.dgmodule import RIGHT, DGModule, cohomology
+from dgkunneth.dgmodule import LEFT, RIGHT, DGModule, cohomology
 from dgkunneth.field import Field
-from dgkunneth.genlab import CorpusProfile, generate_corpus, make_field_algebra
+from dgkunneth.genlab import (
+    CorpusProfile,
+    generate_corpus,
+    make_exterior,
+    make_field_algebra,
+    regular_module,
+)
 from dgkunneth.linalg import (
     Matrix,
     drop_zero_rows,
@@ -39,6 +45,7 @@ from dgkunneth.linalg import (
     rref,
     solve,
 )
+from dgkunneth.resolve import semifree_resolve
 from dgkunneth.tensor import TensorComplex, balanced_tensor, tensor_cohomology
 
 PRIMES = (101, 2 ** 31 - 1, 2 ** 61 - 1, 2 ** 64 - 59)
@@ -421,7 +428,7 @@ def test_balancing_rows_match_the_kronecker_placements(p):
 
 
 @pytest.mark.parametrize("p", (101, None, 2 ** 61 - 1), ids=("F101", "Q", "F2^61-1"))
-def test_memoized_kernels_match_the_undecorated_kernels(p):
+def test_memoized_kernels_match_the_undecorated_kernels(p, monkeypatch):
     f = Field.prime(p) if p else Field.rationals()
     sizes = []
     for _ in range(2):
@@ -433,12 +440,88 @@ def test_memoized_kernels_match_the_undecorated_kernels(p):
             tc = TensorComplex(inst.m, inst.n)
             for t in range(tc.lo, tc.hi + 1):
                 tensor_cohomology(tc, t)
+            for i in (-1, 0):
+                balanced_tensor(inst.m.action_map(i, 0), inst.n.action_map(-1 - i, 0))
         sizes.append(len(f.memo))
     assert sizes[0] == sizes[1]
-    kernels = {"quotient": quotient, "kernel_mod_image": kernel_mod_image}
+    kernels = {"quotient": quotient, "kernel_mod_image": kernel_mod_image,
+               "_presentation": tensor._presentation}
     assert {name for name, *_ in f.memo} == set(kernels)
-    for (name, *args), out in f.memo.items():
+    # built again with nothing stored or looked up, nested kernels included
+    entries = list(f.memo.items())
+    monkeypatch.setattr(linalg, "_MEMO_GATE", -1)
+    for (name, *args), out in entries:
         assert out == kernels[name].__wrapped__(f, *args)
+    assert len(f.memo) == len(entries)
+
+
+def _count_balancing(monkeypatch):
+    calls = []
+    balancing = tensor._balancing
+
+    def counted(*args):
+        calls.append(args)
+        return balancing(*args)
+
+    monkeypatch.setattr(tensor, "_balancing", counted)
+    return calls
+
+
+def test_presentation_hit_writes_no_balancing_rows(monkeypatch):
+    f = Field.prime(101)
+    calls = _count_balancing(monkeypatch)
+    spaces, counts = [], []
+    for _ in range(2):
+        # equal modules over a new algebra object each time: equal keys
+        a = make_exterior(f)
+        m, n = regular_module(a, RIGHT), regular_module(a, LEFT)
+        tc = TensorComplex(m, n)
+        spaces.append([tc.space(t) for t in range(tc.lo, tc.hi + 1)]
+                      + [balanced_tensor(m.action_map(0, 0), n.action_map(0, 0))])
+        counts.append(len(calls))
+    assert counts[0] > 0 and counts[1] == counts[0]
+    assert all(x is y for x, y in zip(*spaces))
+
+
+def test_presentations_differing_in_one_action_block_or_offset_differ(monkeypatch):
+    f = Field.prime(101)
+    one, two = Matrix.identity(f, 1), Matrix.from_int_rows(f, [[2]])
+    # one block x (x) k (x) y, x and y of dimension 1, in an ambient of 3:
+    # the relation is e_xoff - e_yoff (or - 2 e_yoff)
+    blocks = [(((1, 1, 1), 1, 0, one, one),), (((1, 1, 1), 2, 0, one, one),),
+              (((1, 1, 1), 1, 0, one, two),), (((1, 1, 1), 1, 2, one, one),)]
+    got = [tensor._presentation(f, 3, b) for b in blocks]
+    assert len({(sp.relations, sp.projection) for sp in got}) == len(blocks)
+    # two complexes whose N differs in one action block, on one field
+    a = make_exterior(f)
+    m, n = regular_module(a, RIGHT), regular_module(a, LEFT)
+    key = next(k for k, act in n.action.items() if k[1] and not act.is_zero())
+    bent = DGModule(LEFT, a, n.window, n.dims, n.diff,
+                    {**n.action, key: n.action[key].scale(f.of_int(2))})
+    tcs = [TensorComplex(m, n), TensorComplex(m, bent)]
+    degrees = range(tcs[0].lo, tcs[0].hi + 1)
+    spaces = [[tc.space(t) for t in degrees] for tc in tcs]
+    assert spaces[0] != spaces[1]
+    monkeypatch.setattr(linalg, "_MEMO_GATE", -1)
+    assert got == [tensor._presentation.__wrapped__(f, 3, b) for b in blocks]
+    assert spaces == [[TensorComplex(tc.m, tc.n).space(t) for t in degrees] for tc in tcs]
+
+
+def test_presentation_over_the_gate_hashes_no_matrix(monkeypatch):
+    f = Field.prime(101)
+    a = make_field_algebra(f)
+    # x = k^17 over k: ambient 17, and 17^2 > 256 before any input cell
+    eye = Matrix.identity(f, 17)
+    m = DGModule(RIGHT, a, (0, 0), {0: 17}, {}, {(0, 0): eye})
+    n = regular_module(a, LEFT)
+
+    def no_hash(self):
+        raise AssertionError("hashed a matrix over the gate")
+
+    monkeypatch.setattr(Matrix, "__hash__", no_hash)
+    assert balanced_tensor(eye, Matrix.identity(f, 1)).dim == 17
+    assert TensorComplex(m, n).space(0).dim == 17
+    assert not f.memo
 
 
 def test_memo_keys_are_values():
@@ -469,13 +552,32 @@ def test_memo_stores_only_presentations_within_the_gate():
     quotient(f, 8, Matrix.zeros(f, 25, 8))
     assert len(f.memo) == 1
     # 8^2 + 24 x 8 cells are stored, one more column of d_in is not; the
-    # kernel's own quotient, on the image in 8 coordinates, is small enough
+    # kernel's own quotient, on the image in 8 coordinates, is small enough,
+    # but a stored presentation holds it: only the unstored call stores it
     d_out = Matrix.zeros(f, 24, 8)
     kernel_mod_image(f, Matrix.zeros(f, 8, 0), d_out)
-    assert len(f.memo) == 3
+    assert len(f.memo) == 2
     kernel_mod_image(f, Matrix.zeros(f, 8, 1), d_out)
-    assert [name for name, *_ in f.memo] == \
-        ["quotient", "quotient", "kernel_mod_image", "quotient"]
+    assert [name for name, *_ in f.memo] == ["quotient", "kernel_mod_image", "quotient"]
+
+
+def test_a_stored_presentation_stores_nothing_inside_it():
+    # a presentation under the gate stores one entry, its quotient none; a
+    # later quotient request with the same relations finds no entry
+    f = Field.prime(101)
+    a = make_exterior(f)
+    m, n = regular_module(a, RIGHT), regular_module(a, LEFT)
+    sp = balanced_tensor(m.action_map(0, 0), n.action_map(0, 0))
+    assert [name for name, *_ in f.memo] == ["_presentation"]
+    assert quotient(f, sp.ambient_dim, sp.relations) == sp
+    assert [name for name, *_ in f.memo] == ["_presentation", "quotient"]
+    # a resolution is no presentation: the cohomology it computes inside is
+    # stored for equal modules of other instances, but not its quotients
+    a.h0()   # kept on the algebra, so the resolution makes no quotient call of its own
+    f.memo.clear()
+    semifree_resolve(regular_module(a, RIGHT), 2)
+    names = [name for name, *_ in f.memo]
+    assert names[-1] == "_resolve" and "kernel_mod_image" in names and "quotient" not in names
 
 
 def test_memo_never_exceeds_the_cap():
@@ -486,13 +588,13 @@ def test_memo_never_exceeds_the_cap():
     for rel in rels[:cap]:
         quotient(f, 2, rel)
     assert len(f.memo) == cap
-    # kernel_mod_image stores its own quotient while it computes: both
-    # insertions evict, and the first two relations go
+    # kernel_mod_image stores one entry, its quotient none: the first
+    # relation goes
     d_out = Matrix.from_int_rows(f, [[1, 2, 3]])
     kernel_mod_image(f, Matrix.zeros(f, 3, 0), d_out)
     assert len(f.memo) == cap
     assert list(f.memo)[-1] == ("kernel_mod_image", Matrix.zeros(f, 3, 0), d_out)
-    assert ("quotient", 2, rels[1]) not in f.memo and ("quotient", 2, rels[2]) in f.memo
+    assert ("quotient", 2, rels[0]) not in f.memo and ("quotient", 2, rels[1]) in f.memo
     for rel in rels[cap:]:
         quotient(f, 2, rel)
         assert len(f.memo) == cap

@@ -11,7 +11,9 @@ from dgkunneth.dgalgebra import StructureError
 from dgkunneth.dgmodule import (
     LEFT,
     RIGHT,
+    DGModule,
     StrictMorphism,
+    cohomology,
     direct_sum,
     mapping_cone,
     shift,
@@ -625,6 +627,44 @@ def test_only_the_certification_scans_ranks(monkeypatch):
     semifree_resolve(smart_truncate(shift(m, m.window[1]), 0), depth=3)
     from_sup = [s for s in ranks if "sup" in s]
     assert from_sup and all(s[0] == "certify" for s in from_sup)
+
+
+def test_sup_cohomology_ranks_each_differential_once(monkeypatch):
+    # the scan carries rank d^{i-1} down to the next degree: k degrees take
+    # at most k + 1 rank calls, also on an acyclic module (every degree
+    # scanned) and across a gap in the degrees, and sup agrees with dim H^i
+    f = Field.prime(101)
+    a = make_dual_numbers(f)
+    simple = simple_module_dual_numbers(a, RIGHT)
+    acyclic = mapping_cone(StrictMorphism.identity(shift(simple, -1)))
+    gapped = direct_sum(simple, shift(acyclic, 4))
+    mods = [acyclic, gapped] + [generate_instance(CorpusProfile(field=f), idx).m
+                                for idx in range(20)]
+    calls = []
+    rank = resolve.rank
+    monkeypatch.setattr(resolve, "rank", lambda mat: calls.append(mat) or rank(mat))
+    for mod in mods:
+        calls.clear()
+        got = sup_cohomology(mod)
+        assert len(calls) <= len(mod.degrees()) + 1
+        assert got == max((i for i in mod.degrees() if cohomology(mod, i).dim), default=None)
+    assert sup_cohomology(acyclic) is None and len(acyclic.degrees()) > 1
+    degrees = list(gapped.degrees())
+    assert degrees != list(range(degrees[0], degrees[-1] + 1))
+
+
+def test_theta_der_bounds_read_no_h0_action_and_keep_the_d_squared_check():
+    # the default bounds read dim H^i through the memoized kernel_mod_image:
+    # M's cohomology cache stays empty, and d^2 != 0 is still a StructureError
+    f = Field.prime(101)
+    a = make_field_algebra(f)
+    m = generate_instance(CorpusProfile(field=Field.prime(101)), 3).m
+    assert resolve._top_class_degree(m) == sup_cohomology(m) and m._coh == {}
+    bad = DGModule(RIGHT, a, (-1, 1), {-1: 1, 0: 1, 1: 1},
+                   {i: Matrix.identity(f, 1) for i in (-1, 0)},
+                   {(i, 0): Matrix.identity(f, 1) for i in (-1, 0, 1)})
+    with pytest.raises(StructureError, match="image not inside cocycles"):
+        resolve._top_class_degree(bad)
 
 
 def _derived_witnesses(f, g):

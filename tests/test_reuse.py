@@ -78,9 +78,10 @@ def test_published_f101_report_is_pinned(monkeypatch):
     # object, plus once for the witness checks.  The 300 resolution requests have
     # 156 distinct (module, depth, variant) keys: each is built once and
     # certified, the 81 without generators too; the H^i of a shared P and its
-    # target are computed once for all the instances that share them
+    # target are computed once for all the instances that share them;
+    # theta_der's default bounds read only dim H^i, through the memo
     assert {name: len(calls) for name, calls in counted.items()} == {
-        "_cohomology": 1449, "theta": 600, "semifree_resolve": 300,
+        "_cohomology": 1226, "theta": 600, "semifree_resolve": 300,
         "SemiFreeResolution": 156, "_certify_resolution": 156, "validate_algebra": 8}
     # the functoriality lifts make one solve per run of generators: 68 runs
     # that hold 96 generators
@@ -220,15 +221,16 @@ def test_suite_reuses_the_witnesses_for_functoriality(monkeypatch):
 
 
 def test_derived_battery_computes_each_cohomology_once(monkeypatch):
-    # inst0001 (koszul_dg): the battery asks for H^i 64 times, and the
+    # inst0001 (koszul_dg): the battery asks for H^i 62 times, and the
     # resolution build and certification ask for H^t(mG) and H^t(P) again
-    # and again; only 28 distinct (module, degree) pairs are computed, as
-    # theta(mG, nG) and theta(P, nG) read mG, nG and P themselves (M[0] is M)
+    # and again; only 26 distinct (module, degree) pairs are computed, as
+    # theta(mG, nG) and theta(P, nG) read mG, nG and P themselves (M[0] is M);
+    # theta_der's bounds read dim H^i of M and N without their H^0(A) action
     inst = generate_corpus(CorpusProfile(field=Field.prime(101), instance_count=2))[1]
     asked = _count_calls(monkeypatch, dgmodule, "cohomology")
     computed = _count_calls(monkeypatch, dgmodule, "_cohomology")
     assert all(r.ok for r in suite.derived_kunneth_checks(inst))
-    assert (len(asked), len(computed)) == (64, 28)
+    assert (len(asked), len(computed)) == (62, 26)
 
 
 def test_functoriality_builds_each_witness_once(monkeypatch):
