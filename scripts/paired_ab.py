@@ -5,12 +5,13 @@
 
 Each ROOT is a checkout holding `src/dgkunneth`.  The two packages are
 loaded under distinct names (`ab_base`, `ab_changed`) in one process, and
-each builds the published corpus of its own tree from the same profile and
-seed.  Every rep visits the instances in order and runs `run_suite`'s
-per-instance work (plain battery, derived and functoriality batteries on
-the first instances) for both trees back to back, the order alternating
-per instance, so drift on a shared machine lands on both sides alike.
-Each instance's verdict time is its median over the reps.
+each tree's own `run_suite` plans the published F_101 corpus (seed
+20240601, the first `--instances`): its instances and which batteries run
+on each, taken from the batch it is stopped before running.  Every rep
+visits the instances in order and runs that per-instance work for both
+trees back to back, the order alternating per instance, so drift on a
+shared machine lands on both sides alike.  Each instance's verdict time is
+its median over the reps.
 
 By default every rep reuses the corpus and field of the first, as the
 benchmark's passes do (a warm memo after rep 1); `--cold` builds a new
@@ -32,7 +33,10 @@ import sys
 import time
 
 PERCENTILES = (99.9, 99.0, 95.0, 90.0, 75.0, 50.0)
-DERIVED, FUNCTORIALITY = 100, 13   # run_suite's defaults: batteries of the first instances
+
+
+class Planned(Exception):
+    """Carries the items `run_suite` hands to its batch runner."""
 
 
 def load(root: str, name: str):
@@ -47,17 +51,28 @@ def load(root: str, name: str):
             for sub in ("field", "genlab", "serialize", "suite")}
 
 
-def corpus(pkg, args):
-    f = pkg["field"].Field
-    field = f.rationals() if args.field == "Q" else f.prime(int(args.field[1:]))
-    profile = pkg["genlab"].CorpusProfile(field=field, seed=args.seed,
-                                          instance_count=args.instances)
-    return pkg["genlab"].generate_corpus(profile)
+def plan(pkg, instances: int) -> list:
+    """`run_suite`'s items (instance, derived?, pair seed or None) on the
+    first `instances` of the published F_101 corpus, over a new field."""
+    suite = pkg["suite"]
+
+    def stop(worker, items, jobs):
+        raise Planned(items)
+
+    profile = pkg["genlab"].CorpusProfile(field=pkg["field"].Field.prime(101),
+                                          instance_count=instances)
+    saved, suite._run_batch = suite._run_batch, stop
+    try:
+        suite.run_suite(profile)
+    except Planned as planned:
+        return planned.args[0]
+    finally:
+        suite._run_batch = saved
+    raise RuntimeError("run_suite ran no batch")
 
 
-def verdict(pkg, inst, i, args):
-    """(seconds, canonical checks) of run_suite's work on instance i."""
-    item = (inst, i < DERIVED, args.seed + 7919 + i if i < FUNCTORIALITY else None)
+def verdict(pkg, item):
+    """(seconds, canonical checks) of run_suite's work on one item."""
     t0 = time.perf_counter()
     out = pkg["suite"]._instance_worker(item)
     seconds = time.perf_counter() - t0
@@ -78,24 +93,22 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("base")
     ap.add_argument("changed")
-    ap.add_argument("--field", default="F101", help="Q or F<p> (default F101)")
-    ap.add_argument("--seed", type=int, default=20240601)
     ap.add_argument("--instances", type=int, default=200)
     ap.add_argument("--reps", type=int, default=6)
     ap.add_argument("--cold", action="store_true", help="a new field and corpus every rep")
     args = ap.parse_args(argv)
     trees = {"base": load(args.base, "ab_base"), "changed": load(args.changed, "ab_changed")}
     times = {name: [[] for _ in range(args.instances)] for name in trees}
-    corpora = {}
+    items = {}
     for rep in range(args.reps):
-        if args.cold or not corpora:
-            corpora = {name: corpus(pkg, args) for name, pkg in trees.items()}
+        if args.cold or not items:
+            items = {name: plan(pkg, args.instances) for name, pkg in trees.items()}
         gc.collect()
         for i in range(args.instances):
             order = list(trees) if (rep + i) % 2 == 0 else list(trees)[::-1]
             reports = {}
             for name in order:
-                seconds, reports[name] = verdict(trees[name], corpora[name][i], i, args)
+                seconds, reports[name] = verdict(trees[name], items[name][i])
                 times[name][i].append(seconds)
             if reports["base"] != reports["changed"]:
                 print(f"error: the trees' checks differ on instance {i}", file=sys.stderr)

@@ -541,10 +541,15 @@ def cohomology(m: DGModule, i: int) -> CohomologyModule:
     return coh
 
 
-def _cohomology(m: DGModule, i: int) -> CohomologyModule:
-    coh = kernel_mod_image(m.field, m.diff_map(i - 1), m.diff_map(i))
-    if coh is None:
+def cohomology_space(m: DGModule, i: int) -> Cohomology:
+    """ker(d^i)/im(d^{i-1}) without the H^0(A) action, from the memo."""
+    if (coh := kernel_mod_image(m.field, m.diff_map(i - 1), m.diff_map(i))) is None:
         raise StructureError("d^2 != 0: image not inside cocycles")
+    return coh
+
+
+def _cohomology(m: DGModule, i: int) -> CohomologyModule:
+    coh = cohomology_space(m, i)
     h0 = m.algebra.h0()
     # the class of rep_v . a_u (right) or a_u . rep_v (left), for all v, u at once
     if m.side == RIGHT:

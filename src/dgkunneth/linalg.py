@@ -449,7 +449,6 @@ def solve(m: Matrix, rhs: Matrix):
 
 _MEMO_GATE, _MEMO_CAP = 256, 1024   # the most cells a stored call reads, the entries per field
 _MISS = object()
-_RUNNING = []   # per stored call running, innermost last: whether it is a presentation
 
 
 def _cells(x) -> int:
@@ -469,24 +468,18 @@ def memoized(kernel):
     `f.memo`, the memo of the field object f.  Only calls whose arguments
     hold at most `_MEMO_GATE` cells, read before any key is hashed, are stored,
     a presentation (ambient dimension first, or a matrix last) counting
-    ambient**2 besides; a call that raises stores nothing.  The calls a
-    stored presentation makes inside look up but store nothing, as its
-    result holds theirs (`kernel_mod_image`'s quotient, say)."""
+    ambient**2 besides; a call that raises stores nothing.  The cap is
+    enforced after the kernel ran, as a kernel may store entries of its own
+    on the way (a resolution the presentations of its cohomology)."""
     @wraps(kernel)
     def run(f: Field, *args):
-        ambient = args[0] if isinstance(args[0], int) else getattr(args[-1], "cols", None)
-        if (ambient or 0) ** 2 + sum(map(_cells, args)) > _MEMO_GATE:
+        ambient = args[0] if isinstance(args[0], int) else getattr(args[-1], "cols", 0)
+        if ambient ** 2 + sum(map(_cells, args)) > _MEMO_GATE:
             return kernel(f, *args)
         key = (kernel.__name__, *args)
         if (out := f.memo.get(key, _MISS)) is _MISS:
-            if _RUNNING and _RUNNING[-1]:
-                return kernel(f, *args)
-            _RUNNING.append(ambient is not None)
-            try:
-                out = f.memo[key] = kernel(f, *args)
-            finally:
-                _RUNNING.pop()
-            if len(f.memo) > _MEMO_CAP:
+            out = f.memo[key] = kernel(f, *args)
+            while len(f.memo) > _MEMO_CAP:
                 del f.memo[next(iter(f.memo))]
         return out
     return run
@@ -515,7 +508,7 @@ def kernel_mod_image(f: Field, d_in: Matrix, d_out: Matrix) -> Cohomology | None
     incl, img = Matrix._of(f, rows.T), Matrix._of(f, d_in.arr[free])
     if incl @ img != d_in:
         return None
-    space = quotient(f, len(free), img.transpose())
+    space = _quotient(f, len(free), img.transpose())
     class_map = _zeros(f, space.dim, d_out.cols)
     class_map[:, free] = space.projection.arr
     return Cohomology(incl, space, Matrix._of(f, class_map), incl @ space.section)
@@ -566,6 +559,10 @@ def quotient(field: Field, ambient_dim: int, relations: Matrix) -> QuotientSpace
     sec[free, range(q)] = field.one
     return QuotientSpace(field, ambient_dim, relations, q, Matrix._of(field, proj),
                          Matrix._of(field, sec), tuple(pivots))
+
+
+# the kernel itself, bound once: a memoized presentation's result holds its quotient
+_quotient = quotient.__wrapped__
 
 
 def drop_zero_rows(m: Matrix) -> Matrix:

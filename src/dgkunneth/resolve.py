@@ -51,6 +51,7 @@ from .dgmodule import (
     FreeLayout,
     StrictMorphism,
     cohomology,
+    cohomology_space,
     free_map_blocks,
     free_module,
     shift,
@@ -69,7 +70,6 @@ from .linalg import (
     drop_zero_rows,
     from_blocks,
     kernel_basis,
-    kernel_mod_image,
     memoized,
     rank,
     rref,
@@ -96,8 +96,7 @@ def cohomology_dim(m: DGModule, i: int) -> int:
 
 
 def sup_cohomology(m: DGModule):
-    """Largest degree with nonzero cohomology, or None, from one `rank` per
-    differential: d^top lands in 0, and rank d^{i-1} is the next degree's."""
+    """Largest degree with nonzero cohomology, or None; ranks each d^i once."""
     out = 0
     for i in reversed(m.degrees()):
         into = rank(m.diff_map(i - 1))
@@ -109,12 +108,7 @@ def sup_cohomology(m: DGModule):
 
 def _top_class_degree(m: DGModule) -> int:
     """The first degree from the top with H^i(M) != 0, else the window top."""
-    for i in reversed(m.degrees()):
-        if (coh := kernel_mod_image(m.field, m.diff_map(i - 1), m.diff_map(i))) is None:
-            raise StructureError("d^2 != 0: image not inside cocycles")
-        if coh.dim:
-            return i
-    return m.window[1]
+    return next((i for i in reversed(m.degrees()) if cohomology_space(m, i).dim), m.window[1])
 
 
 @dataclass(frozen=True)
@@ -335,8 +329,8 @@ def theta_der(m: DGModule, n: DGModule, i0: int | None = None,
               j0: int | None = None) -> DerivedKunnethWitness:
     """The derived top-degree isomorphism with its commuting-triangle
     evidence, on a resolution of depth `DEPTH`.  i0 and j0 default to the
-    top degrees with cohomology, read off the cached H^i, or the window
-    tops when there is none."""
+    top degrees with cohomology, dim H^i read through the memo
+    (`cohomology_space`), or the window tops when there is none."""
     if i0 is None:
         i0 = _top_class_degree(m)
     if j0 is None:
