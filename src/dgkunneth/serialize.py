@@ -7,10 +7,10 @@ Matrices are nested row-major arrays of element strings; shapes are implied
 by the surrounding dimension data, and all-zero matrices are omitted.
 `dims` are written as memory holds them, nonzero degrees only, and an
 algebra's `min_degree` as its lowest nonzero degree; a reader takes a
-missing degree as 0.  `dumps_canonical` fixes key order and whitespace so
-equal objects serialize to identical bytes.  The readers check every JSON
-type they rely on, so a malformed file raises `StructureError` (CLI exit
-code 2) rather than a crash in the code that reads it.
+missing degree as 0.  Canonical JSON (`dumps_canonical`) is exactly
+`json.dumps(obj, sort_keys=True, indent=2)` plus one newline.  The readers
+check every JSON type they rely on, so a malformed file raises StructureError
+(CLI exit code 2) rather than a crash in the code that reads it.
 """
 from __future__ import annotations
 
@@ -24,10 +24,30 @@ from .linalg import Matrix
 
 INSTANCE_FORMAT = "dgkunneth-instance/1"
 REPORT_FORMAT = "dgkunneth-report/1"
+_SCALARS = {str: json.encoder.encode_basestring_ascii, int: int.__repr__}   # as json writes them
 
 
 def dumps_canonical(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    return _text(obj, "\n") + "\n"
+
+
+def _text(x, nl: str) -> str:
+    """`x` as `json` writes it, lines broken by `nl` (newline and indent), in one
+    pass: under an indent `json` holds every chunk in one list until the end."""
+    if scalar := _SCALARS.get(type(x)):
+        return scalar(x)
+    inner = nl + "  "
+    if isinstance(x, dict):
+        return "{%s%s%s}" % (inner, f",{inner}".join(
+            [f"{_key(k)}: {_text(v, inner)}" for k, v in sorted(x.items())]), nl) if x else "{}"
+    if isinstance(x, (list, tuple)):
+        return "[%s%s%s]" % (inner, f",{inner}".join([_text(v, inner) for v in x]), nl) if x else "[]"
+    return json.dumps(x)   # floats, bools, None and subclasses, or the TypeError json raises
+
+
+def _key(k) -> str:
+    """A dict key as `json` writes it: json itself converts any but a str, or raises."""
+    return _SCALARS[str](k) if type(k) is str else json.dumps({k: 0})[1:-4]
 
 
 def field_to_json(f: Field) -> dict:
