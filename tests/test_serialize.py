@@ -222,6 +222,7 @@ def test_canonical_json_is_json_dumps(x):
     {"é\x00": "ü\n\t\x1f \ud800\"\\", "\x7f": ["ÿ"]},
     [1e-05, -0.0, float("nan"), float("inf"), -float("inf"), 1e300, 0.1],
     {9: "a", 10: "b", -1: "c"}, {1.5: 0, 2: 1}, {None: 1}, {False: 0, True: 1},
+    [np.float64(0.5), np.float64("nan")], {np.float64(1.5): np.float64(-0.0)},
     "top", 7, None, True, 2.5,
 ])
 def test_canonical_json_edge_cases(x):
