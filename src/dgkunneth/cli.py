@@ -30,7 +30,7 @@ from .serialize import (
     resolution_to_json,
     tensor_complex_to_json,
 )
-from .suite import Report, derived_checks, plain_checks, run_suite
+from .suite import Report, crashed, derived_checks, plain_checks, run_suite
 from .tensor import tensor_cohomology
 
 DEFAULT_FIELD_ENV = "DGKUNNETH_FIELD"
@@ -131,9 +131,7 @@ def _pair_command(args, command: str, battery) -> int:
         try:
             battery(report, m, n)
         except Exception as exc:   # noqa: BLE001 - bundled, never swallowed
-            report.checks.append(failed(f"{command.replace('-', '_')}_battery",
-                                        counterexample={"exception": type(exc).__name__,
-                                                        "message": str(exc)}))
+            report.checks.append(crashed(f"{command.replace('-', '_')}_battery", exc))
     report.timing[command.replace("-", "_")] = round(time.perf_counter() - t0, 3)
     return emit(report, args.out)
 

@@ -4,7 +4,8 @@ A DG algebra lives in degrees <= 0 with a degree +1 differential.  As for
 modules, `dims` holds the nonzero dimensions only (`nonzero_dims`), so loops
 over `degrees()` cost what the data does, and `min_degree` is read off
 `dims`: the lowest nonzero degree, which bounds free layouts and regular
-modules.  A declared bound lives in the JSON format alone.
+modules.  A declared bound lives in the JSON format alone.  A's axioms are
+those of A as a right module over itself plus the left unit.
 All structure maps follow the column convention of `linalg`: the product on
 A^i x A^j is a matrix (dim A^{i+j}) x (dim A^i * dim A^j) acting on
 Kronecker-ordered tensor coordinates.
@@ -13,8 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
-
-import numpy as np
 
 from .field import Field
 from .linalg import Matrix, quotient, QuotientSpace
@@ -32,11 +31,6 @@ class Violation:
 
     def __str__(self):
         return f"{self.axiom} at {self.where}"
-
-
-def _first_mismatch(lhs: Matrix, rhs: Matrix):
-    where = np.argwhere(lhs.arr != rhs.arr)
-    return (int(where[0, 0]), int(where[0, 1])) if len(where) else None
 
 
 def nonzero_dims(dims: dict, window: tuple) -> dict:
@@ -123,45 +117,10 @@ class DGAlgebra:
 
 
 def validate_algebra(a: DGAlgebra) -> list:
-    """Check d^2 = 0, Leibniz, associativity and the unit axioms.
-
-    Returns a list of Violations; empty means the algebra is valid.
-    """
-    out = []
-    f = a.field
-    for i in a.degrees():
-        lhs = a.diff_map(i + 1) @ a.diff_map(i)
-        if not lhs.is_zero():
-            out.append(Violation("d_squared", {"degree": i}))
-    for i in a.degrees():
-        di = a.dim(i)
-        for j in a.degrees():
-            dj = a.dim(j)
-            lhs = a.diff_map(i + j) @ a.mult_map(i, j)
-            rhs = a.mult_map(i + 1, j).times_kron_eye(a.diff_map(i), dj)
-            term2 = a.mult_map(i, j + 1).times_eye_kron(di, a.diff_map(j))
-            rhs = rhs + (term2 if i % 2 == 0 else -term2)
-            if lhs != rhs:
-                u, v = divmod(_first_mismatch(lhs, rhs)[1], dj)
-                out.append(Violation("leibniz", {"degrees": (i, j), "basis": (u, v)}))
-            for k in a.degrees():
-                dk = a.dim(k)
-                l2 = a.mult_map(i + j, k).times_kron_eye(a.mult_map(i, j), dk)
-                r2 = a.mult_map(i, j + k).times_eye_kron(di, a.mult_map(j, k))
-                if l2 != r2:
-                    loc = _first_mismatch(l2, r2)
-                    uv, w = divmod(loc[1], dk)
-                    u, v = divmod(uv, dj)
-                    out.append(Violation("associativity", {"degrees": (i, j, k),
-                                                           "basis": (u, v, w)}))
-    for j in a.degrees():
-        dj = a.dim(j)
-        ij = Matrix.identity(f, dj)
-        if a.mult_map(0, j).times_kron_eye(a.unit, dj) != ij:
-            out.append(Violation("left_unit", {"degree": j}))
-        if a.mult_map(j, 0).times_eye_kron(dj, a.unit) != ij:
-            out.append(Violation("right_unit", {"degree": j}))
-    return out
+    """The Violations of d^2 = 0, Leibniz, associativity and the units, none
+    for a valid algebra: those of A as a right module over itself, then 1.a = a."""
+    from .dgmodule import LEFT, RIGHT, _unit_violations, regular_module, validate_module
+    return validate_module(regular_module(a, RIGHT)) + _unit_violations(regular_module(a, LEFT))
 
 
 def h0_ring(a: DGAlgebra) -> QuotientSpace:

@@ -2,12 +2,15 @@
 
 Covers the data model and validators, strict morphisms, degree shift,
 smart truncation, free modules, and cohomology with its H^0(A)-module
-structure.  A free module's generators come in runs, everywhere in the
-package: a run is a block of generators of one degree, given as a
-(degree, count) pair, whose d(g), or images under a map, are the columns
-of one matrix.  `free_module` builds one in a pass from the top degree
-down that can draw each run's d(g) from the differential just built, and
-`free_map_blocks` builds a map out of it with one product per run.
+structure.  `validate_module` is the one axiom checker, for algebras too
+(`regular_module`), and `cohomology_space` the one d^2 != 0 check of a
+presented cohomology.  A free module's generators come in runs,
+everywhere in the package: a run is a block of generators of one degree,
+given as a (degree, count) pair, whose d(g), or images under a map, are
+the columns of one matrix.  `free_module` builds one in a pass from the
+top degree down that can draw each run's d(g) from the differential just
+built, and `free_map_blocks` builds a map out of it with one product per
+run.
 
 A module is never written after construction: every builder makes a new
 `DGModule`, nothing assigns into its `dims`, `diff` or `action`, and the
@@ -31,7 +34,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import accumulate
 
-from .dgalgebra import DGAlgebra, StructureError, Violation, _first_mismatch, nonzero_dims
+import numpy as np
+
+from .dgalgebra import DGAlgebra, StructureError, Violation, nonzero_dims
 from .field import Field
 from .linalg import (
     Cohomology,
@@ -124,11 +129,27 @@ class DGModule:
         return f"DGModule({self.side}, dims={self.dims})"
 
 
+def regular_module(a: DGAlgebra, side: str) -> DGModule:
+    """A as a module over itself."""
+    diff = {i: a.diff_map(i) for i in a.degrees()}
+    action = {(i, j): a.mult_map(i, j) if side == RIGHT else a.mult_map(j, i)
+              for i in a.degrees() for j in a.degrees() if a.dim(i + j)}
+    return DGModule(side, a, (a.min_degree, 0), dict(a.dims), diff, action)
+
+
+def _first_mismatch(lhs: Matrix, rhs: Matrix, dims: tuple) -> tuple:
+    """The first column where lhs and rhs differ, as Kronecker indices over `dims`."""
+    return tuple(map(int, np.unravel_index(np.argwhere(lhs.arr != rhs.arr)[0, 1], dims)))
+
+
 def validate_module(m: DGModule) -> list:
-    """DG module axioms: d^2, Leibniz, associativity of the action, unit."""
+    """DG module axioms: d^2, Leibniz, associativity of the action, unit.
+
+    A `basis` names the first failing column in its Kronecker order: (m, a)
+    or (a, m) for Leibniz, (m, a_j, a_k) or (a_k, a_j, m) for associativity,
+    on the right or the left."""
     out = []
     a = m.algebra
-    f = m.field
     for i in m.degrees():
         if not (m.diff_map(i + 1) @ m.diff_map(i)).is_zero():
             out.append(Violation("d_squared", {"degree": i}))
@@ -142,16 +163,16 @@ def validate_module(m: DGModule) -> list:
                 rhs = m.action_map(i + 1, j).times_kron_eye(m.diff_map(i), dj)
                 t2 = m.action_map(i, j + 1).times_eye_kron(di, a.diff_map(j))
                 rhs = rhs + (t2 if i % 2 == 0 else -t2)
-                degrees, inner = (i, j), dj
+                degrees, dims = (i, j), (di, dj)
             else:
                 # stored source order is A^j (x) M^i
                 t2 = m.action_map(i + 1, j).times_eye_kron(dj, m.diff_map(i))
                 rhs = m.action_map(i, j + 1).times_kron_eye(a.diff_map(j), di)
                 rhs = rhs + (t2 if j % 2 == 0 else -t2)
-                degrees, inner = (j, i), di
+                degrees, dims = (j, i), (dj, di)
             if lhs != rhs:
-                u, v = divmod(_first_mismatch(lhs, rhs)[1], inner)
-                out.append(Violation("leibniz", {"degrees": degrees, "basis": (u, v)}))
+                out.append(Violation("leibniz", {"degrees": degrees,
+                                                 "basis": _first_mismatch(lhs, rhs, dims)}))
             for k in a.degrees():
                 dk = a.dim(k)
                 if m.side == RIGHT:
@@ -162,15 +183,23 @@ def validate_module(m: DGModule) -> list:
                     l2 = m.action_map(i, k + j).times_kron_eye(a.mult_map(k, j), di)
                     r2 = m.action_map(i + j, k).times_eye_kron(dk, act)
                 if l2 != r2:
-                    out.append(Violation("action_associativity", {"degrees": (i, j, k)}))
+                    dims3 = (di, dj, dk) if m.side == RIGHT else (dk, dj, di)
+                    out.append(Violation("associativity", {
+                        "degrees": (i, j, k), "basis": _first_mismatch(l2, r2, dims3)}))
+    return out + _unit_violations(m)
+
+
+def _unit_violations(m: DGModule) -> list:
+    """m.1 = m (`right_unit`) or 1.m = m (`left_unit`), per degree of m."""
+    out = []
     for i in m.degrees():
         di = m.dim(i)
         if m.side == RIGHT:
-            got = m.action_map(i, 0).times_eye_kron(di, a.unit)
+            got = m.action_map(i, 0).times_eye_kron(di, m.algebra.unit)
         else:
-            got = m.action_map(i, 0).times_kron_eye(a.unit, di)
-        if got != Matrix.identity(f, di):
-            out.append(Violation("unit_action", {"degree": i}))
+            got = m.action_map(i, 0).times_kron_eye(m.algebra.unit, di)
+        if got != Matrix.identity(m.field, di):
+            out.append(Violation("right_unit" if m.side == RIGHT else "left_unit", {"degree": i}))
     return out
 
 
@@ -541,15 +570,16 @@ def cohomology(m: DGModule, i: int) -> CohomologyModule:
     return coh
 
 
-def cohomology_space(m: DGModule, i: int) -> Cohomology:
-    """ker(d^i)/im(d^{i-1}) without the H^0(A) action, from the memo."""
-    if (coh := kernel_mod_image(m.field, m.diff_map(i - 1), m.diff_map(i))) is None:
+def cohomology_space(f: Field, d_in: Matrix, d_out: Matrix) -> Cohomology:
+    """ker(d_out)/im(d_in) without an H^0(A) action, from the memo: the one
+    d^2 != 0 check of a presented cohomology, a module's or a tensor complex's."""
+    if (coh := kernel_mod_image(f, d_in, d_out)) is None:
         raise StructureError("d^2 != 0: image not inside cocycles")
     return coh
 
 
 def _cohomology(m: DGModule, i: int) -> CohomologyModule:
-    coh = cohomology_space(m, i)
+    coh = cohomology_space(m.field, m.diff_map(i - 1), m.diff_map(i))
     h0 = m.algebra.h0()
     # the class of rep_v . a_u (right) or a_u . rep_v (left), for all v, u at once
     if m.side == RIGHT:

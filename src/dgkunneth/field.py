@@ -92,10 +92,6 @@ class Field:
     def prime(cls, p: int) -> "Field":
         return cls(PRIME, p)
 
-    @property
-    def is_prime_field(self) -> bool:
-        return self.kind == PRIME
-
     def of_int(self, n: int):
         return n % self.p if self.p else Fraction(n)
 

@@ -27,6 +27,7 @@ from .dgmodule import (
     direct_sum,
     free_module,
     mapping_cone,
+    regular_module,
     shift,
     smart_truncate,
     validate_module,
@@ -154,14 +155,6 @@ ALGEBRA_FAMILIES = {family: _once_per_field(family, make) for family, make in {
 
 # ---------------------------------------------------------------------------
 # Basic modules
-
-
-def regular_module(a: DGAlgebra, side: str) -> DGModule:
-    """A as a module over itself."""
-    diff = {i: a.diff_map(i) for i in a.degrees()}
-    action = {(i, j): a.mult_map(i, j) if side == RIGHT else a.mult_map(j, i)
-              for i in a.degrees() for j in a.degrees() if a.dim(i + j)}
-    return DGModule(side, a, (a.min_degree, 0), dict(a.dims), diff, action)
 
 
 def ordinary_module(a: DGAlgebra, side: str, action0: Matrix, degree: int = 0) -> DGModule:

@@ -271,13 +271,12 @@ def _scale_to_int(a: np.ndarray):
 _fraction = np.frompyfunc(Fraction, 2, 1)
 
 
-def _fractions(num: np.ndarray, den) -> np.ndarray:
-    """Fraction(num, den) entrywise for a 2-D integer object array, where
-    `den` is one denominator or one per row.  Only the nonzero entries are
-    built: most entries over Q are zero."""
+def _fractions(num: np.ndarray, den: int) -> np.ndarray:
+    """Fraction(num, den) entrywise for a 2-D integer object array.  Only the
+    nonzero entries are built: most entries over Q are zero."""
     out = np.full(num.shape, Fraction(0), dtype=object)
     rows, cols = num.nonzero()
-    out[rows, cols] = _fraction(num[rows, cols], den[rows] if np.ndim(den) else den)
+    out[rows, cols] = _fraction(num[rows, cols], den)
     return out
 
 

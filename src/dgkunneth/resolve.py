@@ -108,7 +108,8 @@ def sup_cohomology(m: DGModule):
 
 def _top_class_degree(m: DGModule) -> int:
     """The first degree from the top with H^i(M) != 0, else the window top."""
-    return next((i for i in reversed(m.degrees()) if cohomology_space(m, i).dim), m.window[1])
+    return next((i for i in reversed(m.degrees())
+                 if cohomology_space(m.field, m.diff_map(i - 1), m.diff_map(i)).dim), m.window[1])
 
 
 @dataclass(frozen=True)
@@ -133,7 +134,7 @@ class SemiFreeResolution:
 def _rand_unit(f: Field, rng):
     """A random nonzero scalar.  Over Q it is drawn from +-[2, 2^16]: when
     the top class is one generator this unit alone tells two variants apart."""
-    if f.is_prime_field:
+    if f.p:
         return rng.randrange(1, f.p)
     return f.of_int(rng.choice((1, -1)) * rng.randint(2, 2 ** 16))
 

@@ -199,10 +199,10 @@ def profile_to_json(p: CorpusProfile) -> dict:
 
 def profile_from_json(d: dict) -> CorpusProfile:
     kwargs = {"field": field_from_json(_typed(d, dict, "profile")["field"])}
-    for key, default in (("max_per_degree_dim", 4), ("degree_span", 4),
-                         ("instance_count", 200), ("seed", 20240601)):
-        kwargs[key] = _typed(d.get(key, default), int, key)
-    if d.get("family_mix"):
+    # an omitted key takes CorpusProfile's own default
+    kwargs.update((key, _typed(d[key], int, key)) for key in
+                  ("max_per_degree_dim", "degree_span", "instance_count", "seed") if key in d)
+    if "family_mix" in d:
         kwargs["family_mix"] = {k: float(_typed(v, float, f"the weight of {k!r}"))
                                 for k, v in _typed(d["family_mix"], dict, "family_mix").items()}
     return CorpusProfile(**kwargs)

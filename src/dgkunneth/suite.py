@@ -91,11 +91,11 @@ def _tag(results, inst_name, key="instance"):
     return [replace(r, details={**r.details, key: inst_name}) for r in results]
 
 
-def _crashed(label, exc, inst_name):
-    """An unexpected exception in a battery, as one failed result."""
-    return failed(label, counterexample={"exception": type(exc).__name__,
-                                         "message": str(exc),
-                                         "instance": inst_name})
+def crashed(label, exc, inst_name=None):
+    """An unexpected exception in a battery, as one failed result naming
+    the instance when there is one; the CLI's pair commands have none."""
+    ce = {"exception": type(exc).__name__, "message": str(exc)}
+    return failed(label, counterexample=ce if inst_name is None else {**ce, "instance": inst_name})
 
 
 def _attach_shrunk(results, inst: Instance, battery) -> list:
@@ -132,7 +132,7 @@ def _battery(run, inst: Instance, label: str):
         try:
             return run(cand)
         except Exception as exc:   # noqa: BLE001 - bundled, never swallowed
-            return [_crashed(label, exc, cand.name)], None
+            return [crashed(label, exc, cand.name)], None
 
     results, w = guarded(inst)
     if not all_ok(results):
@@ -216,7 +216,7 @@ def _functoriality(inst: Instance, pair_seed: int, derived: bool, w, wd) -> list
     try:
         results = run()
     except Exception as exc:   # noqa: BLE001 - bundled, never swallowed
-        results = [_crashed("functoriality_battery", exc, inst.name)]
+        results = [crashed("functoriality_battery", exc, inst.name)]
     return _tag(results, inst.name)
 
 

@@ -25,7 +25,7 @@ import numpy as np
 
 from .checks import DescentError, failed, passed
 from .dgalgebra import StructureError
-from .dgmodule import LEFT, RIGHT, DGModule
+from .dgmodule import LEFT, RIGHT, DGModule, cohomology_space
 from .field import Field
 from .linalg import (
     Cohomology,
@@ -36,7 +36,6 @@ from .linalg import (
     from_blocks,
     from_entries,
     hstack,
-    kernel_mod_image,
     memoized,
     rank,
     solve,  # unused here; perfbench/test_perfbench.py asserts this by-name import
@@ -203,10 +202,7 @@ class TensorComplex:
 
 def tensor_cohomology(tc: TensorComplex, t: int) -> Cohomology:
     """H^t(M (x)_A N) = ker(d^t)/im(d^{t-1})."""
-    coh = kernel_mod_image(tc.field, tc.diff(t - 1), tc.diff(t))
-    if coh is None:
-        raise StructureError("image is not contained in the kernel (d^2 != 0)")
-    return coh
+    return cohomology_space(tc.field, tc.diff(t - 1), tc.diff(t))
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ from dgkunneth.genlab import (
     simple_module_dual_numbers,
 )
 from dgkunneth.serialize import dumps_canonical, module_file_to_json
+from dg_examples import make_left_unit_only
 
 F101 = Field.prime(101)
 
@@ -70,6 +71,18 @@ def test_validate_axiom_failure(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(dumps_canonical(blob))
     assert main(["validate", str(path)]) == 1
+
+
+def test_validate_reports_a_missing_right_unit_alone(tmp_path):
+    # e is a left unit of A only: its left regular module is valid
+    a = make_left_unit_only(F101)
+    path = write_instance(tmp_path, "left_unit_only", a, regular_module(a, LEFT))
+    out = tmp_path / "report.json"
+    assert main(["validate", path, "--out", str(out)]) == 1
+    checks = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
+    assert checks["algebra_axioms"]["counterexample"] == \
+        {"violations": ["right_unit at {'degree': 0}"]}
+    assert checks["module_axioms"]["status"] == "pass"
 
 
 def test_kunneth_command(exterior_pair, tmp_path, capsys):

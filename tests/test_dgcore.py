@@ -1,3 +1,6 @@
+import ast
+import pathlib
+import re
 from dataclasses import fields, replace
 
 import pytest
@@ -45,7 +48,7 @@ from dgkunneth.genlab import (
 from dgkunneth.linalg import Matrix, kernel_basis, solve
 from dgkunneth.serialize import module_from_json, module_to_json
 from dgkunneth.tensor import TensorComplex, tensor_cohomology
-from dg_examples import make_koszul_like
+from dg_examples import make_koszul_like, make_left_unit_only
 
 Q = Field.rationals()
 F101 = Field.prime(101)
@@ -141,6 +144,13 @@ def test_broken_leibniz_is_reported(k):
     assert any(v.axiom in ("leibniz", "left_unit", "right_unit") for v in report)
 
 
+def test_each_unit_check_can_fail_alone(k):
+    # e is a unit on one side only, and nothing else fails
+    assert validate_algebra(make_left_unit_only(k)) == [Violation("right_unit", {"degree": 0})]
+    assert validate_algebra(make_left_unit_only(k, mirror=True)) == \
+        [Violation("left_unit", {"degree": 0})]
+
+
 def test_h0_ring_cases(k):
     assert h0_ring(make_field_algebra(k)).dim == 1
     assert h0_ring(make_exterior(k)).dim == 1
@@ -189,22 +199,18 @@ def _plus_corner(mat):
 # copies of the Koszul algebra's regular module (dimension 4 in each degree
 # against the algebra's 2) and its identity morphism, with every product,
 # action or component corrupted.  Each `where`, basis included, reaches
-# `validate` and the input-gate CLI reports.
+# `validate` and the input-gate CLI reports.  An algebra is checked as its
+# own right regular module, so its right units come before its left ones.
 ONES_MODULE = [
     ("leibniz", {"degrees": (-1, -1), "basis": (0, 1)}),
     ("leibniz", {"degrees": (-1, 0), "basis": (0, 0)}),
-    ("action_associativity", {"degrees": (-1, 0, 0)}),
+    ("associativity", {"degrees": (-1, 0, 0), "basis": (0, 0, 0)}),
     ("leibniz", {"degrees": (0, -1), "basis": (0, 0)}),
-    ("action_associativity", {"degrees": (0, -1, 0)}),
-    ("action_associativity", {"degrees": (0, 0, -1)}),
-    ("action_associativity", {"degrees": (0, 0, 0)}),
-    ("unit_action", {"degree": -1}),
-    ("unit_action", {"degree": 0}),
-]
-ASSOCIATIVITY = [
-    ("action_associativity", {"degrees": (0, -1, 0)}),
-    ("action_associativity", {"degrees": (0, 0, -1)}),
-    ("action_associativity", {"degrees": (0, 0, 0)}),
+    ("associativity", {"degrees": (0, -1, 0), "basis": (0, 0, 0)}),
+    ("associativity", {"degrees": (0, 0, -1), "basis": (0, 0, 0)}),
+    ("associativity", {"degrees": (0, 0, 0), "basis": (0, 0, 0)}),
+    ("right_unit", {"degree": -1}),
+    ("right_unit", {"degree": 0}),
 ]
 MORPHISM = [
     ("chain_map", {"degree": -1}),
@@ -221,10 +227,10 @@ BROKEN_REPORTS = {
         ("associativity", {"degrees": (0, -1, 0), "basis": (0, 0, 1)}),
         ("associativity", {"degrees": (0, 0, -1), "basis": (0, 0, 1)}),
         ("associativity", {"degrees": (0, 0, 0), "basis": (0, 0, 1)}),
-        ("left_unit", {"degree": -1}),
         ("right_unit", {"degree": -1}),
-        ("left_unit", {"degree": 0}),
         ("right_unit", {"degree": 0}),
+        ("left_unit", {"degree": -1}),
+        ("left_unit", {"degree": 0}),
     ],
     ("koszul algebra", "corner"): [
         ("leibniz", {"degrees": (-1, -1), "basis": (0, 1)}),
@@ -233,31 +239,39 @@ BROKEN_REPORTS = {
     ],
     ("upper triangular algebra", "corner"): [
         ("associativity", {"degrees": (0, 0, 0), "basis": (1, 2, 2)}),
-        ("left_unit", {"degree": 0}),
         ("right_unit", {"degree": 0}),
+        ("left_unit", {"degree": 0}),
     ],
     (RIGHT, "ones"): ONES_MODULE,
+    # a right module's basis is (m, a_j, a_k) ...
     (RIGHT, "corner"): [
         ("leibniz", {"degrees": (-1, -1), "basis": (2, 1)}),
         ("leibniz", {"degrees": (-1, 0), "basis": (2, 1)}),
-        ("action_associativity", {"degrees": (-1, 0, 0)}),
+        ("associativity", {"degrees": (-1, 0, 0), "basis": (2, 1, 1)}),
         ("leibniz", {"degrees": (0, -1), "basis": (3, 0)}),
-        *ASSOCIATIVITY,
+        ("associativity", {"degrees": (0, -1, 0), "basis": (2, 1, 1)}),
+        ("associativity", {"degrees": (0, 0, -1), "basis": (2, 1, 1)}),
+        ("associativity", {"degrees": (0, 0, 0), "basis": (2, 1, 1)}),
     ],
-    # a left module reports Leibniz at (algebra, module) degrees
+    # ... and a left module's (a_k, a_j, m); it reports Leibniz at
+    # (algebra, module) degrees
     (LEFT, "ones"): [
         ("leibniz", {"degrees": (-1, -1), "basis": (0, 1)}),
         ("leibniz", {"degrees": (0, -1), "basis": (0, 0)}),
-        ("action_associativity", {"degrees": (-1, 0, 0)}),
+        ("associativity", {"degrees": (-1, 0, 0), "basis": (0, 0, 0)}),
         ("leibniz", {"degrees": (-1, 0), "basis": (0, 0)}),
-        *ONES_MODULE[4:],
+        *ONES_MODULE[4:7],
+        ("left_unit", {"degree": -1}),
+        ("left_unit", {"degree": 0}),
     ],
     (LEFT, "corner"): [
         ("leibniz", {"degrees": (-1, -1), "basis": (0, 3)}),
         ("leibniz", {"degrees": (0, -1), "basis": (1, 2)}),
-        ("action_associativity", {"degrees": (-1, 0, 0)}),
+        ("associativity", {"degrees": (-1, 0, 0), "basis": (1, 1, 2)}),
         ("leibniz", {"degrees": (-1, 0), "basis": (0, 3)}),
-        *ASSOCIATIVITY,
+        ("associativity", {"degrees": (0, -1, 0), "basis": (1, 1, 2)}),
+        ("associativity", {"degrees": (0, 0, -1), "basis": (1, 1, 2)}),
+        ("associativity", {"degrees": (0, 0, 0), "basis": (1, 1, 2)}),
     ],
     (RIGHT + " morphism", "ones"): MORPHISM,
     (LEFT + " morphism", "ones"): MORPHISM,
@@ -284,6 +298,20 @@ def test_violation_lists_are_pinned(k, case, corruption):
             report = validate_module(DGModule(side, m.algebra, m.window, m.dims, m.diff,
                                               {ij: corrupt(x) for ij, x in m.action.items()}))
     assert [(v.axiom, v.where) for v in report] == BROKEN_REPORTS[case, corruption]
+
+
+def test_the_format_doc_lists_every_violation_name():
+    # every string constant in the first argument of a `Violation(...)` in src/
+    built = set()
+    for path in pathlib.Path(dgmodule.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "Violation":
+                built |= {c.value for c in ast.walk(node.args[0])
+                          if isinstance(c, ast.Constant) and isinstance(c.value, str)}
+    doc = (pathlib.Path(__file__).resolve().parents[1] / "docs" / "format.md").read_text()
+    table = re.findall(r"^\| `(\w+)` \|", doc.split("## Axiom violations")[1], re.M)
+    assert sorted(table) == sorted(built)
+    assert {"right_unit", "left_unit", "associativity"} <= built
 
 
 def h0_action_violations(coh) -> list:
@@ -580,7 +608,7 @@ def test_cohomology_rejects_d_squared_without_cocycles(k):
         cohomology(m, 0)
     # M (x)_k k has the differentials of M
     tc = TensorComplex(m, regular_module(m.algebra, LEFT))
-    with pytest.raises(StructureError, match="not contained in the kernel"):
+    with pytest.raises(StructureError, match="image not inside cocycles"):
         tensor_cohomology(tc, 0)
 
 

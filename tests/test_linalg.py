@@ -208,7 +208,7 @@ def test_equality_and_hash_read_entries_not_layout():
 def small_matrix(draw, field):
     rows = draw(st.integers(0, 5))
     cols = draw(st.integers(0, 5))
-    if field.is_prime_field:
+    if field.p:
         elems = st.integers(0, field.p - 1)
     else:
         elems = st.integers(-4, 4).map(field.of_int)

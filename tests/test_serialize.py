@@ -1,4 +1,5 @@
 import json
+from dataclasses import fields
 from fractions import Fraction
 from itertools import accumulate
 
@@ -151,6 +152,23 @@ def test_profile_from_partial_json(k):
     prof = profile_from_json({"field": field_to_json(k), "instance_count": 3})
     assert prof.instance_count == 3
     assert prof.max_per_degree_dim == 4
+
+
+def test_an_omitted_profile_key_takes_the_profile_default(k):
+    # CorpusProfile owns the defaults: a file without the key gets its value
+    got, want = profile_from_json({"field": field_to_json(k)}), CorpusProfile(k)
+    assert [getattr(got, f.name) for f in fields(CorpusProfile)] == \
+        [getattr(want, f.name) for f in fields(CorpusProfile)]
+    # a key that is present is still type-checked, null included
+    for key in ("max_per_degree_dim", "degree_span", "instance_count", "seed"):
+        for bad in (None, 2.5, "4", True):
+            with pytest.raises(StructureError, match=f"{key} must be"):
+                profile_from_json({"field": field_to_json(k), key: bad})
+    for bad in (None, 0, [], ""):
+        with pytest.raises(StructureError, match="family_mix must be"):
+            profile_from_json({"field": field_to_json(k), "family_mix": bad})
+    with pytest.raises(StructureError, match="family mix must have a positive weight"):
+        profile_from_json({"field": field_to_json(k), "family_mix": {}})
 
 
 def test_tensor_presentation_audit(k):
