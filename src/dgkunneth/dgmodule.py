@@ -107,6 +107,8 @@ class DGModule:
             if m is None else m
 
     def __eq__(self, other):
+        if other is self:
+            return True
         if not isinstance(other, DGModule):
             return NotImplemented
         if (self.side != other.side or self.algebra != other.algebra
@@ -292,13 +294,6 @@ def shift(m: DGModule, k: int) -> DGModule:
     return DGModule(m.side, m.algebra, (lo - k, hi - k), dims, diff, action)
 
 
-def shift_morphism(fm: StrictMorphism, k: int) -> StrictMorphism:
-    if k == 0:
-        return fm
-    return StrictMorphism(shift(fm.source, k), shift(fm.target, k),
-                          {i - k: mat for i, mat in fm.maps.items()})
-
-
 def smart_truncate(m: DGModule, j: int) -> DGModule:
     """Degrees < j unchanged, ker(d^j) at degree j, zero above.
 
@@ -348,23 +343,21 @@ def _truncate(m: DGModule, j: int):
     return DGModule(m.side, m.algebra, (lo, j), dims, diff, action), incl
 
 
-def truncate_morphism(fm: StrictMorphism, j: int) -> StrictMorphism:
-    """The restriction of a strict morphism to the smart truncations at j."""
-    src, s_in = _truncate(fm.source, j)
-    tgt, t_in = _truncate(fm.target, j)
-    maps = {}
-    for i in src.degrees():
-        fmat = fm.map_at(i)
-        if i == j:
-            if s_in is not None:
-                fmat = fmat @ s_in
-            if t_in is not None:
-                fmat = solve(t_in, fmat)
-                if fmat is None:
-                    raise StructureError("morphism does not preserve cocycles")
-        if fmat.rows:
-            maps[i] = fmat
-    return StrictMorphism(src, tgt, maps)
+def transport_morphism(fm: StrictMorphism, source: DGModule, target: DGModule, k: int,
+                       s_in: Matrix | None = None, t_in: Matrix | None = None) -> StrictMorphism:
+    """fm: M -> M' moved onto `source` = M[k] and `target` = M'[k], or onto
+    their truncations at 0, whose degree-0 inclusions `_truncate` gave as
+    s_in and t_in: f^{i+k} in degree i and t_in^{-1} f^k s_in in degree 0;
+    fm itself on its own ends."""
+    if source is fm.source and target is fm.target:
+        return fm
+    maps = {i: fm.map_at(i + k) for i in source.degrees()}
+    if 0 in maps:
+        f0 = maps[0] if s_in is None else maps[0] @ s_in
+        maps[0] = f0 if t_in is None else solve(t_in, f0)
+        if maps[0] is None:
+            raise StructureError("morphism does not preserve cocycles")
+    return StrictMorphism(source, target, maps)
 
 
 # ---------------------------------------------------------------------------

@@ -11,10 +11,10 @@ defined and bijective, and `check_exact_sequences` re-derives it along the
 four exact sequences of degreewise presentations that force it to be an
 isomorphism.  Each instance's `KunnethWitness` is built once and handed to
 the checks that follow: they reuse its modules, cohomologies and tensor
-complex, and gain their independence from how they reach theta (the
-presentation route), not from recomputing the same objects.  Verification
-failures are reported as counterexample bundles inside CheckResults, never
-raised.
+complex (`check_functoriality` moves a morphism's maps onto its modules),
+and gain their independence from how they reach theta (the presentation
+route), not from recomputing the same objects.  Verification failures are
+reported as counterexample bundles inside CheckResults, never raised.
 """
 from __future__ import annotations
 
@@ -28,7 +28,7 @@ from .dgmodule import (
     StrictMorphism,
     cohomology,
     shift,
-    shift_morphism,
+    transport_morphism,
 )
 from .linalg import Cohomology, Matrix, QuotientSpace, hstack, rank, solve
 from .serialize import matrix_to_json
@@ -49,6 +49,8 @@ class KunnethWitness:
     """theta with the evidence that it is well defined and bijective."""
     i0: int
     j0: int
+    m: DGModule                   # M and N as given
+    n: DGModule
     mT: DGModule                  # M translated so its top degree is 0
     nT: DGModule
     hm: CohomologyModule          # H^0(mT) = H^{i0}(M)
@@ -110,7 +112,7 @@ def theta(m: DGModule, n: DGModule, i0: int | None = None, j0: int | None = None
         evidence.append(failed("theta_bijective",
                                counterexample={"rank": r, "source_dim": source.dim,
                                                "target_dim": target.dim}))
-    return KunnethWitness(i0, j0, mT, nT, hm, hn, source, tc, target, th, evidence)
+    return KunnethWitness(i0, j0, m, n, mT, nT, hm, hn, source, tc, target, th, evidence)
 
 
 def _relation_witness(img: Matrix, rel: Matrix) -> dict:
@@ -311,13 +313,12 @@ def check_functoriality(fm: StrictMorphism, gm: StrictMorphism,
     once by the caller (rebuilding them would repeat the same numbers); the
     induced maps and both sides of the square are computed per pair.
     Witnesses that do not match the morphisms raise ValueError."""
-    i0, j0 = w.i0, w.j0
-    if (wp.i0, wp.j0) != (i0, j0):
+    if (wp.i0, wp.j0) != (w.i0, w.j0):
         raise ValueError("functoriality witnesses have different bounds")
-    fT = shift_morphism(fm, i0)
-    gT = shift_morphism(gm, j0)
-    if (fT.source, fT.target, gT.source, gT.target) != (w.mT, wp.mT, w.nT, wp.nT):
+    if (fm.source, fm.target, gm.source, gm.target) != (w.m, wp.m, w.n, wp.n):
         raise ValueError("functoriality witnesses do not match the morphisms")
+    fT = transport_morphism(fm, w.mT, wp.mT, w.i0)
+    gT = transport_morphism(gm, w.nT, wp.nT, w.j0)
     return naturality_square("theta_naturality", w, wp, (fT, gT, w, wp), (w.tc, wp.tc),
                              (fT.map_at, gT.map_at), (w.theta, wp.theta),
                              source_dim=w.source.dim, target_dim=wp.target.dim)

@@ -25,7 +25,8 @@ smart-truncated there, and P resolves mG.  `theta_der` returns one
 `DerivedKunnethWitness` per resolution and builds each object in it once:
 theta(mG, nG) holds mG, nG and their H^0, and theta(P, nG) holds the tensor
 complex P (x)_A nG that eta = rho (x) id reads.  As `shift(M, 0)` is M
-itself, these share their cached cohomology with mG, nG and P.
+itself, these share their cached cohomology with mG, nG and P, and the
+naturality check moves a morphism's maps onto mG and nG, built once.
 
 Stage t adjoins generators of degree t - 1, and as A is nonpositive a
 generator of degree e spans P only in degrees <= e.  So the stages t <= -d
@@ -50,14 +51,13 @@ from .dgmodule import (
     DGModule,
     FreeLayout,
     StrictMorphism,
+    _truncate,
     cohomology,
     cohomology_space,
     free_map_blocks,
     free_module,
     shift,
-    shift_morphism,
-    smart_truncate,
-    truncate_morphism,
+    transport_morphism,
     validate_module,
     validate_morphism,
 )
@@ -312,6 +312,10 @@ class DerivedKunnethWitness:
     P (x)_A nG as `plain.tc`.  The depth is `resolution.depth`."""
     i0: int
     j0: int
+    m: DGModule                      # M and N as given
+    n: DGModule
+    m_incl: Matrix | None            # mG^0 -> M^{i0}, None where nothing is cut
+    n_incl: Matrix | None            # nG^0 -> N^{j0}
     resolution: SemiFreeResolution
     plain: KunnethWitness            # theta for (P, nG)
     mn: KunnethWitness               # theta for (mG, nG)
@@ -336,18 +340,19 @@ def theta_der(m: DGModule, n: DGModule, i0: int | None = None,
         i0 = _top_class_degree(m)
     if j0 is None:
         j0 = _top_class_degree(n)
-    mG = smart_truncate(shift(m, i0), 0)
-    nG = smart_truncate(shift(n, j0), 0)
+    mG, m_incl = _truncate(shift(m, i0), 0)
+    nG, n_incl = _truncate(shift(n, j0), 0)
     res = semifree_resolve(mG, DEPTH)
     # theta for (mG, nG): its H^0(mG), source, tensor complex and H^0 are
     # the ones the transport and the triangle need, for every resolution
-    return _theta_der_on(res, theta(mG, nG, i0=0, j0=0), i0, j0)
+    return _theta_der_on(res, theta(mG, nG, i0=0, j0=0), (i0, j0, m, n, m_incl, n_incl))
 
 
-def _theta_der_on(res: SemiFreeResolution, wMN: KunnethWitness, i0: int,
-                  j0: int) -> DerivedKunnethWitness:
+def _theta_der_on(res: SemiFreeResolution, wMN: KunnethWitness,
+                  asked: tuple) -> DerivedKunnethWitness:
     """The per-resolution half of `theta_der`: theta_der on `res`, a
-    resolution of wMN.mT, stated on the bases of `wMN` = theta(mG, nG)."""
+    resolution of wMN.mT, stated on the bases of `wMN` = theta(mG, nG);
+    `asked` holds the witness's first six fields, i0 to n_incl."""
     nG = wMN.nT
     f = nG.field
     evidence = []
@@ -404,7 +409,7 @@ def _theta_der_on(res: SemiFreeResolution, wMN: KunnethWitness, i0: int,
         evidence.append(failed("derived_diagram_commutes",
                                counterexample={"eta_theta_der": matrix_to_json(eta_h0 @ th_der),
                                                "theta": matrix_to_json(wMN.theta), **cause}))
-    return DerivedKunnethWitness(i0, j0, res, plain, wMN, source, plain.target,
+    return DerivedKunnethWitness(*asked, res, plain, wMN, source, plain.target,
                                  th_der, eta_h0, evidence)
 
 
@@ -413,7 +418,8 @@ def deeper_witnesses(w: DerivedKunnethWitness) -> list:
     depth 3 and variant 2 at depth 4, each resolving `w`'s mG from scratch
     with its own seed and certified in full; theta(mG, nG) is `w.mn`.  Both
     derived checks compare these two against `w`."""
-    return [_theta_der_on(semifree_resolve(w.mn.mT, depth, variant=v), w.mn, w.i0, w.j0)
+    asked = (w.i0, w.j0, w.m, w.n, w.m_incl, w.n_incl)
+    return [_theta_der_on(semifree_resolve(w.mn.mT, depth, variant=v), w.mn, asked)
             for v, depth in DEEPER_RESOLUTIONS]
 
 
@@ -553,15 +559,14 @@ def check_theta_der_functoriality(fm: StrictMorphism, gm: StrictMorphism,
     depth, built once by the caller (rebuilding them would repeat the same
     resolution); the lift, the induced maps and both sides of the square are
     computed per pair.  Witnesses that do not match the morphisms raise
-    ValueError."""
+    ValueError, and a map off the degree-0 cocycles StructureError."""
     res, resp = w.resolution, wp.resolution
     if (wp.i0, wp.j0, resp.depth) != (w.i0, w.j0, res.depth):
         raise ValueError("functoriality witnesses have different bounds or depths")
-    fG = truncate_morphism(shift_morphism(fm, w.i0), 0)
-    gG = truncate_morphism(shift_morphism(gm, w.j0), 0)
-    if (fG.source, fG.target, gG.source, gG.target) != \
-            (w.mn.mT, wp.mn.mT, w.mn.nT, wp.mn.nT):
+    if (fm.source, fm.target, gm.source, gm.target) != (w.m, wp.m, w.n, wp.n):
         raise ValueError("functoriality witnesses do not match the morphisms")
+    fG = transport_morphism(fm, w.mn.mT, wp.mn.mT, w.i0, w.m_incl, wp.m_incl)
+    gG = transport_morphism(gm, w.mn.nT, wp.mn.nT, w.j0, w.n_incl, wp.n_incl)
     lift = lift_through_resolutions(res, resp, fG)
     return naturality_square("theta_der_naturality", w, wp, (fG, gG, w.mn, wp.mn),
                              (w.plain.tc, wp.plain.tc), (lift.phi.map_at, gG.map_at),

@@ -23,9 +23,8 @@ from dgkunneth.dgmodule import (
     free_module,
     mapping_cone,
     shift,
-    shift_morphism,
     smart_truncate,
-    truncate_morphism,
+    transport_morphism,
     validate_module,
     validate_morphism,
 )
@@ -453,7 +452,7 @@ def test_shift_basics(k):
     m = regular_module(a, RIGHT)
     assert shift(m, 0) is m
     fm = StrictMorphism.identity(m)
-    assert shift_morphism(fm, 0) is fm
+    assert transport_morphism(fm, shift(m, 0), shift(m, 0), 0) is fm
     assert shift(shift(m, 1), -1) == m
     s = shift(m, -3)
     assert s.window == (2, 3)
@@ -490,14 +489,36 @@ def test_shift_cohomology_dims(k):
             assert hs.rep_map == hm.rep_map
 
 
-def test_truncate_morphism_computes_each_kernel_once(k, monkeypatch):
-    # one kernel of d^j per end: the truncation and its inclusion share it
+def test_transport_morphism_computes_no_kernel(k, monkeypatch):
+    # the truncation and its inclusion share one kernel of d^0, and moving a
+    # morphism onto the truncation computes none: degree 0 is restricted
+    # through the inclusion the truncation returned
     calls = []
     monkeypatch.setattr(dgmodule, "kernel_basis", lambda x: calls.append(x) or kernel_basis(x))
     r = regular_module(make_koszul_dg(k), RIGHT)
-    t = truncate_morphism(StrictMorphism.identity(r), -1)
-    assert len(calls) == 2
-    assert t.source == smart_truncate(r, -1) and t == StrictMorphism.identity(t.source)
+    t, incl = dgmodule._truncate(shift(r, -1), 0)
+    assert len(calls) == 1 and 0 < incl.cols < r.dim(-1)
+    fm = random_morphism(r, r, instance_rng(8, 0))
+    ft = transport_morphism(fm, t, t, -1, incl, incl)
+    ident = transport_morphism(StrictMorphism.identity(r), t, t, -1, incl, incl)
+    assert len(calls) == 1
+    assert t == smart_truncate(shift(r, -1), 0) and ident == StrictMorphism.identity(t)
+    z = kernel_basis(r.diff_map(-1)).transpose()
+    assert not ft.map_at(0).is_zero() and ft.map_at(0) == solve(z, fm.map_at(-1) @ z)
+    assert all(ft.map_at(i) == fm.map_at(i - 1) for i in t.degrees() if i < 0)
+    assert validate_morphism(ft) == []
+
+
+def test_module_equals_itself_without_comparing_matrices(k, monkeypatch):
+    m = make_koszul_like(k, 3)
+    copy = module_from_json(m.algebra, module_to_json(m))
+    assert copy is not m and copy == m and m == copy
+
+    def refuse(self, other):
+        raise AssertionError("a matrix was compared")
+
+    monkeypatch.setattr(Matrix, "__eq__", refuse)
+    assert m == m and not m != m
 
 
 def test_smart_truncate_noop_above_window(k):

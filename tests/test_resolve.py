@@ -15,6 +15,7 @@ from dgkunneth.dgmodule import (
     StrictMorphism,
     cohomology,
     direct_sum,
+    free_module,
     mapping_cone,
     shift,
     smart_truncate,
@@ -48,11 +49,21 @@ from dgkunneth.resolve import (
     sup_cohomology,
     theta_der,
 )
-from dgkunneth.serialize import dumps_canonical, resolution_to_json
+from dgkunneth.serialize import (
+    dumps_canonical,
+    module_from_json,
+    module_to_json,
+    resolution_to_json,
+)
 from dgkunneth.tensor import tensor_cohomology
 
 Q = Field.rationals()
 F101 = Field.prime(101)
+
+
+def _asked(w):
+    """What the derived witness `w` was asked about, as `_theta_der_on` takes it."""
+    return (w.i0, w.j0, w.m, w.n, w.m_incl, w.n_incl)
 
 
 def _degrees(res):
@@ -330,7 +341,7 @@ def test_transport_invertibility_detects_a_wrong_rho(k):
     rho = StrictMorphism(res.p, m, resolve.morphism_from_generator_images(
         res.p, res.layout, m, [x for *_, x in runs]))
     bad = replace(res, runs=runs, rho=rho)
-    wb = resolve._theta_der_on(bad, w.mn, w.i0, w.j0)
+    wb = resolve._theta_der_on(bad, w.mn, _asked(w))
     bad_checks = [r for r in wb.evidence if not r.ok]
     assert [r.name for r in bad_checks] == \
         ["h0_rho_transport_invertible", "theta_der_bijective", "derived_diagram_commutes"]
@@ -349,7 +360,7 @@ def _corrupted_rho_witness(idx):
     rho0 = res.rho.map_at(0).arr.copy()
     rho0[0, 0] = (rho0[0, 0] + 1) % 101
     rho = StrictMorphism(res.p, res.target, {**res.rho.maps, 0: Matrix(F101, *rho0.shape, rho0)})
-    wb = resolve._theta_der_on(replace(res, rho=rho), w.mn, w.i0, w.j0)
+    wb = resolve._theta_der_on(replace(res, rho=rho), w.mn, _asked(w))
     return [r for r in wb.evidence if not r.ok]
 
 
@@ -727,7 +738,7 @@ def test_theta_der_functoriality_rejects_mismatched_witnesses(k):
     w = theta_der(m, n)
     ident = (StrictMorphism.identity(m), StrictMorphism.identity(n))
     deeper = resolve._theta_der_on(semifree_resolve(w.mn.mT, w.resolution.depth + 1),
-                                   w.mn, w.i0, w.j0)
+                                   w.mn, _asked(w))
     with pytest.raises(ValueError, match="bounds or depths"):
         check_theta_der_functoriality(*ident, w, deeper)
     higher = theta_der(m, n, i0=w.i0 + 1)
@@ -739,6 +750,44 @@ def test_theta_der_functoriality_rejects_mismatched_witnesses(k):
         check_theta_der_functoriality(*ident, other, w)
     with pytest.raises(ValueError, match="match"):
         check_theta_der_functoriality(*ident, w, other)
+
+
+def test_functoriality_matches_equal_copies_of_the_ends():
+    # morphisms between equal copies of the witnesses' modules, distinct
+    # objects, are matched by value and give the checks of the originals
+    profile = CorpusProfile(field=F101)
+    for idx in range(13):
+        inst = generate_instance(profile, idx)
+        m, n = inst.m, inst.n
+        w, wd = kunneth.theta(m, n), theta_der(m, n)
+        rng = instance_rng(profile.seed + 7919 + idx, 0)
+        f, g = random_morphism(m, m, rng), random_morphism(n, n, rng)
+        mc, nc = (module_from_json(inst.algebra, module_to_json(x)) for x in (m, n))
+        assert (mc, nc) == (m, n) and mc is not m and nc is not n
+        fc, gc = StrictMorphism(mc, mc, f.maps), StrictMorphism(nc, nc, g.maps)
+        for check, wit in ((kunneth.check_functoriality, w),
+                           (check_theta_der_functoriality, wd)):
+            got = [r.as_json() for r in check(fc, gc, wit, wit)]
+            assert got == [r.as_json() for r in check(f, g, wit, wit)], (inst.name, check)
+            assert got and all(r["status"] == "pass" for r in got), (inst.name, check)
+
+
+def test_theta_der_functoriality_rejects_a_map_off_the_cocycles(k):
+    # M = <u1, u2> -> <e1, e2> -> <x> in degrees -1, 0, 1 over k, with
+    # d(u1) = e2 and d(e1) = x, has cohomology only in degree -1, so mG, M[-1]
+    # truncated at 0, keeps the cocycles <u2> of M^{-1}; f^{-1} sends u2 to u1
+    a = make_field_algebra(k)
+    d0 = Matrix(k, 1, 2, [[k.one, k.zero]])
+    d_1 = Matrix(k, 2, 2, [[k.zero, k.zero], [k.one, k.zero]])
+    m, _ = free_module(a, RIGHT, [(1, 1), (0, 2), (-1, 2)], [None, d0, d_1])
+    assert validate_module(m) == []
+    n = regular_module(a, LEFT)
+    w = theta_der(m, n)
+    assert w.ok and (w.i0, w.m_incl.cols, w.n_incl) == (-1, 1, None)
+    off = Matrix(k, 2, 2, [[k.zero, k.one], [k.zero, k.zero]])
+    with pytest.raises(StructureError, match="preserve cocycles"):
+        check_theta_der_functoriality(StrictMorphism(m, m, {-1: off}),
+                                      StrictMorphism.identity(n), w, w)
 
 
 def _k_over_square_zero(k, side=RIGHT):
@@ -811,7 +860,7 @@ def test_stabilization_needs_a_witness_at_depth_2(k):
     m, n = _dual_numbers_simple_pair(k)
     w2 = theta_der(m, n)
     for depth in (1, 3):
-        w = resolve._theta_der_on(semifree_resolve(w2.mn.mT, depth), w2.mn, w2.i0, w2.j0)
+        w = resolve._theta_der_on(semifree_resolve(w2.mn.mT, depth), w2.mn, _asked(w2))
         with pytest.raises(ValueError, match=r"depths \[2, 3, 4\]"):
             check_depth_stabilization(w, deeper_witnesses(w))
 
@@ -847,7 +896,7 @@ def test_depth_2_computes_the_top_for_every_width(field):
         if width == 0:
             continue
         wide += 1
-        ww = resolve._theta_der_on(semifree_resolve(w.mn.mT, width + 2), w.mn, w.i0, w.j0)
+        ww = resolve._theta_der_on(semifree_resolve(w.mn.mT, width + 2), w.mn, _asked(w))
         assert (w.resolution.depth, ww.resolution.depth) == (2, width + 2)
         assert w.ok and ww.ok, inst.name
         assert w.target.dim == ww.target.dim, inst.name

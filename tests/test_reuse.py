@@ -255,6 +255,45 @@ def test_functoriality_builds_each_witness_once(monkeypatch):
     assert (suite.theta, suite.theta_der, resolve.semifree_resolve) == originals
 
 
+def test_functoriality_checks_build_and_compare_no_module(monkeypatch):
+    # on the 13 functoriality instances of the published F_101 profile, the
+    # squares move each morphism onto the witnesses' own modules: no module
+    # is built or compared inside the two checks
+    counts = {"built": 0, "compared": 0}
+    inside = [False]
+    init, eq = dgmodule.DGModule.__init__, dgmodule.DGModule.__eq__
+
+    def counted_init(self, *args):
+        counts["built"] += inside[0]
+        init(self, *args)
+
+    def counted_eq(self, other):
+        counts["compared"] += inside[0]
+        return eq(self, other)
+
+    def counted_check(check):
+        def run(*args):
+            inside[0] = True
+            try:
+                return check(*args)
+            finally:
+                inside[0] = False
+        return run
+
+    monkeypatch.setattr(dgmodule.DGModule, "__init__", counted_init)
+    monkeypatch.setattr(dgmodule.DGModule, "__eq__", counted_eq)
+    for name in ("check_functoriality", "check_theta_der_functoriality"):
+        monkeypatch.setattr(suite, name, counted_check(getattr(suite, name)))
+    profile = CorpusProfile(field=Field.prime(101), instance_count=13)
+    squares = 0
+    for i, inst in enumerate(generate_corpus(profile)):
+        results = suite.functoriality_pair_checks(inst, profile.seed + 7919 + i, True)
+        assert all(r.ok for r in results), inst.name
+        squares += sum(r.name.endswith("_naturality") for r in results)
+    assert squares == 13 * 4 * 2
+    assert counts == {"built": 0, "compared": 0}
+
+
 def test_functoriality_reports_witness_failures_per_pair_and_side(monkeypatch):
     inst = generate_corpus(CorpusProfile(field=F101, instance_count=1))[0]
     orig = suite.theta
