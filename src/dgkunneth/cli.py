@@ -17,20 +17,20 @@ from dataclasses import replace
 
 from .checks import failed, passed
 from .dgalgebra import StructureError, validate_algebra
-from .dgmodule import LEFT, RIGHT, validate_module
+from .dgmodule import validate_module
 from .field import Field
-from .genlab import CorpusProfile, GenerationError
-from .kunneth import theta
-from .resolve import ResourceCapError, theta_der
+from .genlab import CorpusProfile, GenerationError, Instance
+from .resolve import ResourceCapError
 from .serialize import (
     dumps_canonical,
+    instance_from_json,
     matrix_to_json,
     module_file_from_json,
     profile_from_json,
     resolution_to_json,
     tensor_complex_to_json,
 )
-from .suite import Report, crashed, derived_checks, plain_checks, run_suite
+from .suite import Report, run_batteries, run_suite
 from .tensor import tensor_cohomology
 
 DEFAULT_FIELD_ENV = "DGKUNNETH_FIELD"
@@ -57,9 +57,14 @@ def load_json(path: str) -> dict:
 
 
 def write_atomic(path: str, text: str):
+    """Write `text` to `path` through a temporary file in its directory,
+    with the mode `open(path, "w")` gives a new file: 0o666 less the umask."""
     d = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
     try:
+        umask = os.umask(0)   # only setting the umask reads it
+        os.umask(umask)
+        os.fchmod(fd, 0o666 & ~umask)
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
         os.replace(tmp, path)
@@ -78,21 +83,22 @@ def emit(report: Report, out: str | None) -> int:
           f"{'PASS' if report.ok else 'FAIL'}")
     if out:
         write_atomic(out, dumps_canonical(report.as_json()))
-    return report.exit_code
+    return 0 if report.ok else 1
 
 
-def load_instance_pair(m_path: str, n_path: str):
+def load_instance(m_path: str, n_path: str | None):
+    """(instance refs, Instance) of one instance file, the form of a report's
+    `shrunk_instance`, or of two module files, M's and N's."""
+    if n_path is None:
+        inst = instance_from_json(load_json(m_path))
+        return [inst.name], inst
     m_name, m_alg, m_mod = module_file_from_json(load_json(m_path))
     n_name, n_alg, n_mod = module_file_from_json(load_json(n_path))
     if m_mod is None or n_mod is None:
         raise StructureError("both files must carry a module")
     if m_alg.field != n_alg.field or m_alg != n_alg:
         raise StructureError("the two modules live over different algebras")
-    if m_mod.side != RIGHT:
-        raise StructureError(f"{m_path}: left factor must be a right module")
-    if n_mod.side != LEFT:
-        raise StructureError(f"{n_path}: right factor must be a left module")
-    return (m_name, n_name), m_mod, n_mod
+    return [m_name, n_name], Instance(f"{m_name} (x) {n_name}", "unknown", m_alg, m_mod, n_mod)
 
 
 def _axioms(name: str, violations):
@@ -112,46 +118,35 @@ def cmd_validate(args) -> int:
     return emit(report, args.out)
 
 
-def _input_checks(m, n) -> list:
-    """Axiom gate for the single-pair commands; invalid inputs fail the
-    report instead of crashing the verification layer."""
-    return [_axioms("input_algebra_axioms", validate_algebra(m.algebra)),
-            _axioms("input_m_axioms", validate_module(m)),
-            _axioms("input_n_axioms", validate_module(n))]
-
-
-def _pair_command(args, command: str, battery) -> int:
-    """Gate the two instance files on their axioms, then run `battery(report,
-    m, n)`; an exception there becomes one failed `<command>_battery` check."""
-    refs, m, n = load_instance_pair(args.m_path, args.n_path)
-    report = Report(command, instance_refs=list(refs))
+def _pair_command(args, command: str, battery: str, fields) -> int:
+    """Gate the instance on its axioms, so that invalid inputs fail the report
+    instead of crashing the verification layer, then run its `battery` and
+    add the report fields `fields(witness)`."""
+    refs, inst = load_instance(args.m_path, args.n_path)
+    report = Report(command, instance_refs=refs)
     t0 = time.perf_counter()
-    report.checks.extend(_input_checks(m, n))
+    report.checks += [_axioms("input_algebra_axioms", validate_algebra(inst.algebra)),
+                      _axioms("input_m_axioms", validate_module(inst.m)),
+                      _axioms("input_n_axioms", validate_module(inst.n))]
     if report.ok:
-        try:
-            battery(report, m, n)
-        except Exception as exc:   # noqa: BLE001 - bundled, never swallowed
-            report.checks.append(crashed(f"{command.replace('-', '_')}_battery", exc))
+        results, _, w = run_batteries(inst, {battery: ()})[battery]
+        report.checks.extend(results)
+        if w is not None:
+            report.extra.update(fields(w))
     report.timing[command.replace("-", "_")] = round(time.perf_counter() - t0, 3)
     return emit(report, args.out)
 
 
-def _kunneth_battery(report, m, n):
-    w = theta(m, n)
-    report.checks.extend(plain_checks(w))
-    report.extra.update(theta=matrix_to_json(w.theta), source_dim=w.source.dim,
-                        target_dim=w.target.dim,
-                        tensor_presentation=tensor_complex_to_json(w.tc, degrees=(-1, 0)))
+def _theta_fields(w) -> dict:
+    return dict(theta=matrix_to_json(w.theta), source_dim=w.source.dim, target_dim=w.target.dim,
+                tensor_presentation=tensor_complex_to_json(w.tc, degrees=(-1, 0)))
 
 
-def _derived_kunneth_battery(report, m, n):
-    w = theta_der(m, n)
-    report.checks.extend(derived_checks(w))
-    report.extra.update(theta_der=matrix_to_json(w.theta_der), source_dim=w.source.dim,
-                        target_dim=w.target.dim,
-                        resolution=resolution_to_json(w.resolution),
-                        # one degree below the top: the formula makes no claim there
-                        tor1_negative_control_dim=tensor_cohomology(w.plain.tc, -1).dim)
+def _theta_der_fields(w) -> dict:
+    return dict(theta_der=matrix_to_json(w.theta_der), source_dim=w.source.dim,
+                target_dim=w.target.dim, resolution=resolution_to_json(w.resolution),
+                # one degree below the top: the formula makes no claim there
+                tor1_negative_control_dim=tensor_cohomology(w.plain.tc, -1).dim)
 
 
 def build_profile(args) -> CorpusProfile:
@@ -183,13 +178,16 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--out", help="write the JSON report here")
     v.set_defaults(fn=cmd_validate)
 
-    for command, witness, battery in (("kunneth", "theta", _kunneth_battery),
-                                      ("derived-kunneth", "theta_der", _derived_kunneth_battery)):
-        k = sub.add_parser(command, help=f"build and verify {witness} for two instance files")
+    for command, witness, battery, fields in (
+            ("kunneth", "theta", "plain", _theta_fields),
+            ("derived-kunneth", "theta_der", "derived", _theta_der_fields)):
+        k = sub.add_parser(command, help=f"build and verify {witness} for two instance files, "
+                           "or for one file in the form of a report's shrunk_instance")
         k.add_argument("m_path")
-        k.add_argument("n_path")
+        k.add_argument("n_path", nargs="?")
         k.add_argument("--out")
-        k.set_defaults(fn=lambda args, c=command, b=battery: _pair_command(args, c, b))
+        k.set_defaults(fn=lambda args, c=command, b=battery, f=fields:
+                       _pair_command(args, c, b, f))
 
     s = sub.add_parser("suite", help="generate a corpus and run all verification suites")
     s.add_argument("--profile", help="profile JSON file (defaults to the published profile)")

@@ -354,6 +354,10 @@ class Instance:
     m: DGModule   # right module
     n: DGModule   # left module
 
+    def __post_init__(self):
+        if (self.m.side, self.n.side) != (RIGHT, LEFT):
+            raise StructureError(f"{self.name}: m must be a right and n a left module")
+
 
 def instance_rng(seed: int, idx: int) -> random.Random:
     return random.Random(f"{seed}:{idx}")

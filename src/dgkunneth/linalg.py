@@ -28,7 +28,7 @@ The kernel basis vector of free column j is 1 at j and 0 at the other free
 columns, so as columns the kernel basis has the identity in its free rows:
 a kernel vector's coordinates are its free entries (`kernel_mod_image`).
 
-`quotient`, `kernel_mod_image`, tensor presentations (by action blocks) and
+`kernel_mod_image`, tensor presentations (by action blocks) and
 `resolve.semifree_resolve` look (kernel name, *arguments) up by value in
 `Field.memo`, the memo of the field object they get, as small presentations
 and modules recur across instances (`memoized`).  It stores calls whose
@@ -507,7 +507,7 @@ def kernel_mod_image(f: Field, d_in: Matrix, d_out: Matrix) -> Cohomology | None
     incl, img = Matrix._of(f, rows.T), Matrix._of(f, d_in.arr[free])
     if incl @ img != d_in:
         return None
-    space = _quotient(f, len(free), img.transpose())
+    space = quotient(f, len(free), img.transpose())
     class_map = _zeros(f, space.dim, d_out.cols)
     class_map[:, free] = space.projection.arr
     return Cohomology(incl, space, Matrix._of(f, class_map), incl @ space.section)
@@ -543,7 +543,6 @@ class QuotientSpace:
     pivots: tuple
 
 
-@memoized
 def quotient(field: Field, ambient_dim: int, relations: Matrix) -> QuotientSpace:
     """Quotient of k^ambient_dim by the row span of `relations`."""
     if relations.cols != ambient_dim:
@@ -558,10 +557,6 @@ def quotient(field: Field, ambient_dim: int, relations: Matrix) -> QuotientSpace
     sec[free, range(q)] = field.one
     return QuotientSpace(field, ambient_dim, relations, q, Matrix._of(field, proj),
                          Matrix._of(field, sec), tuple(pivots))
-
-
-# the kernel itself, bound once: a memoized presentation's result holds its quotient
-_quotient = quotient.__wrapped__
 
 
 def drop_zero_rows(m: Matrix) -> Matrix:

@@ -1,11 +1,12 @@
 """Suite drivers: per-instance check batteries and machine-readable reports.
 
 A battery is a witness, theta(M, N) or theta_der(M, N), and the checks run
-on it (`plain_checks`, `derived_checks`, shared with the CLI).  `run_suite`
-runs all batteries of an instance in one worker, so the functoriality
-squares reuse the plain and derived witnesses.  Instances are processed in
-a process pool; results are assembled in report order, keeping reports
-deterministic for a fixed profile and seed.
+on it.  `run_batteries` runs an instance's batteries for `run_suite` and
+the single-pair commands.  `run_suite` runs all batteries of an instance in
+one worker, so the functoriality squares reuse the plain and derived
+witnesses.  Instances are processed in a process pool; results are
+assembled in report order, keeping reports deterministic for a fixed
+profile and seed.
 """
 from __future__ import annotations
 
@@ -58,10 +59,6 @@ class Report:
     def ok(self) -> bool:
         return all_ok(self.checks)
 
-    @property
-    def exit_code(self) -> int:
-        return 0 if self.ok else 1
-
     def as_json(self) -> dict:
         out = {
             "format": REPORT_FORMAT,
@@ -91,11 +88,11 @@ def _tag(results, inst_name, key="instance"):
     return [replace(r, details={**r.details, key: inst_name}) for r in results]
 
 
-def crashed(label, exc, inst_name=None):
-    """An unexpected exception in a battery, as one failed result naming
-    the instance when there is one; the CLI's pair commands have none."""
-    ce = {"exception": type(exc).__name__, "message": str(exc)}
-    return failed(label, counterexample=ce if inst_name is None else {**ce, "instance": inst_name})
+def crashed(label, exc, inst_name):
+    """An unexpected exception in a battery on the instance `inst_name`, as
+    one failed result."""
+    return failed(label, counterexample={"exception": type(exc).__name__, "message": str(exc),
+                                         "instance": inst_name})
 
 
 def _attach_shrunk(results, inst: Instance, battery) -> list:
@@ -122,22 +119,21 @@ def _attach_shrunk(results, inst: Instance, battery) -> list:
     return results
 
 
-def _battery(run, inst: Instance, label: str):
-    """(results, witness) of one battery, `run(inst) -> (checks, witness)`.
+def _battery(run, args, inst: Instance, label: str, shrink: bool):
+    """(results, witness) of one battery, `run(inst, *args) -> (checks, witness)`.
 
     An unexpected exception becomes one failed `label` check and no
-    witness; a failure gets a shrunk instance; results carry the instance
-    name."""
+    witness; with `shrink`, a failure gets a shrunk instance."""
     def guarded(cand):
         try:
-            return run(cand)
+            return run(cand, *args)
         except Exception as exc:   # noqa: BLE001 - bundled, never swallowed
             return [crashed(label, exc, cand.name)], None
 
     results, w = guarded(inst)
-    if not all_ok(results):
+    if shrink and not all_ok(results):
         results = _attach_shrunk(results, inst, lambda cand: guarded(cand)[0])
-    return _tag(results, inst.name), w
+    return results, w
 
 
 def plain_checks(w: KunnethWitness, samples: int = 20) -> list:
@@ -145,16 +141,6 @@ def plain_checks(w: KunnethWitness, samples: int = 20) -> list:
     independence and the exact sequences."""
     return [*w.evidence, check_representative_independence(w, samples=samples),
             *check_exact_sequences(w)]
-
-
-def _plain_battery(inst: Instance, samples: int):
-    w = theta(inst.m, inst.n)
-    return plain_checks(w, samples), w
-
-
-def plain_kunneth_checks(inst: Instance, samples: int = 20) -> list:
-    return _battery(lambda cand: _plain_battery(cand, samples), inst,
-                    "plain_kunneth_battery")[0]
 
 
 def derived_checks(w: DerivedKunnethWitness, stabilization: bool = True,
@@ -171,53 +157,82 @@ def derived_checks(w: DerivedKunnethWitness, stabilization: bool = True,
     return out
 
 
-def _derived_battery(inst: Instance, stabilization: bool, independence: bool):
+def _witness_battery(inst: Instance, name: str, *args):
+    """(checks, witness) of the "plain" battery on theta(M, N) or the
+    "derived" one on theta_der(M, N); `args` go to its check list."""
+    if name == "plain":
+        w = theta(inst.m, inst.n)
+        return plain_checks(w, *args), w
     w = theta_der(inst.m, inst.n)
-    return derived_checks(w, stabilization, independence), w
+    return derived_checks(w, *args), w
+
+
+def _functoriality(inst: Instance, pair_seed: int, derived: bool, w, wd):
+    """(checks, None) of four morphism pairs: identity, zero, random,
+    composite.  All are endomorphisms of (M, N), so `w` = theta(M, N) and
+    `wd` = theta_der(M, N) serve as source and target witness of every
+    square; a None is built here, once.  `derived` adds the theta_der squares."""
+    rng = instance_rng(pair_seed, 0)
+    m, n = inst.m, inst.n
+    f1, g1 = random_morphism(m, m, rng), random_morphism(n, n, rng)
+    f2, g2 = random_morphism(m, m, rng), random_morphism(n, n, rng)
+    pairs = [("identity", StrictMorphism.identity(m), StrictMorphism.identity(n)),
+             ("zero", StrictMorphism.zero(m, m), StrictMorphism.zero(n, n)),
+             ("random", f1, g1), ("composite", f2.compose(f1), g2.compose(g1))]
+    wt = theta(m, n) if w is None else w
+    wdt = theta_der(m, n) if derived and wd is None else wd
+    out = []
+    for label, fm, gm in pairs:
+        res = check_functoriality(fm, gm, wt, wt)
+        if derived:
+            res += check_theta_der_functoriality(fm, gm, wdt, wdt)
+        out.extend(_tag(res, label, "pair"))
+    return out, None
+
+
+# report prefix of each battery, in report order, to its timing key and the
+# stem of its crash label
+_BATTERIES = {"plain": "plain_kunneth", "derived": "derived_kunneth",
+              "functoriality": "functoriality"}
+
+
+def run_batteries(inst: Instance, batteries: dict) -> dict:
+    """{battery: (results, seconds, witness)} of each of `batteries`, {battery:
+    args}, in order: "plain" and "derived" pass `args` to their check list and
+    shrink a failure, "functoriality" takes (pair seed, derived) and reuses
+    the witnesses built before it.  Results carry no instance tag: the
+    suite's callers add it, the single-pair commands do not."""
+    out = {}
+    for name, args in batteries.items():
+        t0 = time.perf_counter()
+        if name == "functoriality":
+            run, args = _functoriality, (*args, *(out[k][2] if k in out else None
+                                                  for k in ("plain", "derived")))
+        else:
+            run, args = _witness_battery, (name, *args)
+        results, w = _battery(run, args, inst, f"{_BATTERIES[name]}_battery",
+                              shrink=name != "functoriality")
+        out[name] = (results, time.perf_counter() - t0, w)
+    return out
+
+
+def _alone(inst: Instance, battery: str, *args) -> list:
+    """One battery's results, tagged as the suite reports them."""
+    return _tag(run_batteries(inst, {battery: args})[battery][0], inst.name)
+
+
+def plain_kunneth_checks(inst: Instance, samples: int = 20) -> list:
+    return _alone(inst, "plain", samples)
 
 
 def derived_kunneth_checks(inst: Instance, stabilization: bool = True,
                            independence: bool = True) -> list:
-    return _battery(lambda cand: _derived_battery(cand, stabilization, independence),
-                    inst, "derived_kunneth_battery")[0]
+    return _alone(inst, "derived", stabilization, independence)
 
 
 def functoriality_pair_checks(inst: Instance, pair_seed: int, derived: bool) -> list:
-    """Four morphism pairs per call: identity, zero, random, composite.
-
-    All are endomorphisms of (M, N), so theta(M, N) and theta_der(M, N), at
-    their default bounds and depth, are built once and serve as source and
-    target witness of every square; the squares themselves are per pair."""
-    return _functoriality(inst, pair_seed, derived, None, None)
-
-
-def _functoriality(inst: Instance, pair_seed: int, derived: bool, w, wd) -> list:
-    """`functoriality_pair_checks` on the witnesses `w` = theta(M, N) and
-    `wd` = theta_der(M, N) where the other batteries built them; a None is
-    built here."""
-    def run():
-        rng = instance_rng(pair_seed, 0)
-        m, n = inst.m, inst.n
-        f1, g1 = random_morphism(m, m, rng), random_morphism(n, n, rng)
-        f2, g2 = random_morphism(m, m, rng), random_morphism(n, n, rng)
-        pairs = [("identity", StrictMorphism.identity(m), StrictMorphism.identity(n)),
-                 ("zero", StrictMorphism.zero(m, m), StrictMorphism.zero(n, n)),
-                 ("random", f1, g1), ("composite", f2.compose(f1), g2.compose(g1))]
-        wt = theta(m, n) if w is None else w
-        wdt = theta_der(m, n) if derived and wd is None else wd
-        out = []
-        for label, fm, gm in pairs:
-            res = check_functoriality(fm, gm, wt, wt)
-            if derived:
-                res += check_theta_der_functoriality(fm, gm, wdt, wdt)
-            out.extend(_tag(res, label, "pair"))
-        return out
-
-    try:
-        results = run()
-    except Exception as exc:   # noqa: BLE001 - bundled, never swallowed
-        results = [crashed("functoriality_battery", exc, inst.name)]
-    return _tag(results, inst.name)
+    """The squares of `_functoriality`, with both witnesses built for them."""
+    return _alone(inst, "functoriality", pair_seed, derived)
 
 
 def witness_checks(field) -> list:
@@ -225,31 +240,12 @@ def witness_checks(field) -> list:
     return w.checks
 
 
-# (report prefix, timing key) of each battery, in report order
-_BATTERIES = (("plain", "plain_kunneth"), ("derived", "derived_kunneth"),
-              ("functoriality", "functoriality"))
-
-
 def _instance_worker(args):
-    """Every battery of one instance, {prefix: (results, seconds)}.  The
-    functoriality squares reuse the theta(M, N) and theta_der(M, N) that the
-    plain and derived batteries built; only a witness whose battery raised
-    is built again."""
-    inst, derived, pair_seed = args
-    out, wd = {}, None
-    t0 = time.perf_counter()
-    results, w = _battery(lambda cand: _plain_battery(cand, 20), inst, "plain_kunneth_battery")
-    out["plain"] = (results, time.perf_counter() - t0)
-    if derived:
-        t0 = time.perf_counter()
-        results, wd = _battery(lambda cand: _derived_battery(cand, True, True), inst,
-                               "derived_kunneth_battery")
-        out["derived"] = (results, time.perf_counter() - t0)
-    if pair_seed is not None:
-        t0 = time.perf_counter()
-        out["functoriality"] = (_functoriality(inst, pair_seed, True, w, wd),
-                                time.perf_counter() - t0)
-    return out
+    """`run_batteries` on one item (instance, batteries), as {battery:
+    (results, seconds)}: the witnesses stay in the worker."""
+    inst, batteries = args
+    return {name: (_tag(results, inst.name), dt)
+            for name, (results, dt, _) in run_batteries(inst, batteries).items()}
 
 
 def _run_batch(worker, items, jobs):
@@ -281,15 +277,20 @@ def run_suite(profile: CorpusProfile, derived_count: int = 100,
     report.timing["generate"] = round(time.perf_counter() - t0, 3)
     report.instance_refs = [inst.name for inst in corpus]
 
-    items = [(inst, i < derived_count,
-              profile.seed + 7919 + i if i < functoriality_instances else None)
-             for i, inst in enumerate(corpus)]
+    items = []
+    for i, inst in enumerate(corpus):
+        batteries = {"plain": ()}
+        if i < derived_count:
+            batteries["derived"] = ()
+        if i < functoriality_instances:
+            batteries["functoriality"] = (profile.seed + 7919 + i, True)
+        items.append((inst, batteries))
     t0 = time.perf_counter()
     batch = _run_batch(_instance_worker, items, jobs)
     report.timing["batteries"] = round(time.perf_counter() - t0, 3)
 
     per = report.timing["per_instance"] = {}
-    for prefix, key in _BATTERIES:
+    for prefix, key in _BATTERIES.items():
         runs = [(inst.name, *b[prefix]) for inst, b in zip(corpus, batch) if prefix in b]
         for name, results, dt in runs:
             report.checks.extend(results)

@@ -31,12 +31,12 @@ from .linalg import (
     Cohomology,
     Matrix,
     QuotientSpace,
-    _quotient,
     drop_zero_rows,
     from_blocks,
     from_entries,
     hstack,
     memoized,
+    quotient,
     rank,
     solve,  # unused here; perfbench/test_perfbench.py asserts this by-name import
 )
@@ -84,7 +84,7 @@ def _presentation(f: Field, amb: int, blocks: tuple) -> QuotientSpace:
     for dims, xoff, yoff, xact, yact in blocks:
         items += _balancing(xact, yact, dims, xoff, yoff, nrows)
         nrows += dims[0] * dims[1] * dims[2]
-    return _quotient(f, amb, drop_zero_rows(from_entries(f, nrows, amb, items)))
+    return quotient(f, amb, drop_zero_rows(from_entries(f, nrows, amb, items)))
 
 
 def balanced_tensor(xact: Matrix, yact: Matrix) -> QuotientSpace:

@@ -1,14 +1,17 @@
 import hashlib
 import json
+import os
 import pathlib
 import subprocess
 import sys
 import time
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
 from dgkunneth import suite
+from dgkunneth.checks import failed
 from dgkunneth.cli import build_parser, build_profile, main, parse_field_spec
 from dgkunneth.dgalgebra import DGAlgebra, StructureError
 from dgkunneth.dgmodule import LEFT, RIGHT, direct_sum, shift
@@ -16,13 +19,19 @@ from dgkunneth.field import Field
 from dgkunneth.genlab import (
     PROFILE_CAPS,
     CorpusProfile,
+    Instance,
     make_dual_numbers,
     make_exterior,
     make_koszul_dg,
     regular_module,
     simple_module_dual_numbers,
 )
-from dgkunneth.serialize import dumps_canonical, module_file_to_json
+from dgkunneth.serialize import (
+    dumps_canonical,
+    instance_to_json,
+    module_file_from_json,
+    module_file_to_json,
+)
 from dg_examples import make_left_unit_only
 
 F101 = Field.prime(101)
@@ -374,24 +383,48 @@ def _set(path, value):
     return corrupt
 
 
-@pytest.mark.parametrize("corrupt", [
-    _set(("algebra", "mult", "0,0", 0, 0), "1/0"),
-    _set(("module", "action", "0,0", 0, 0), ["1/1"]),
-    _set(("module", "dims"), 5),
-    _set(("module", "window"), None),
-    None,
-], ids=["zero_denominator", "nested_entry", "dims_not_an_object", "window_null",
-        "top_level_list"])
-def test_malformed_instance_file_is_structural_error(tmp_path, capsys, corrupt):
+def _drop(key):
+    def corrupt(blob):
+        del blob[key]
+    return corrupt
+
+
+def _left_m(blob):
+    blob["m"] = blob["n"]
+
+
+def _koszul_instance():
     a = make_koszul_dg(Field.rationals())
-    blob = module_file_to_json(a, regular_module(a, RIGHT), "m")
+    return Instance("koszul", "koszul_dg", a, regular_module(a, RIGHT), regular_module(a, LEFT))
+
+
+@pytest.mark.parametrize("command, corrupt", [
+    ("validate", _set(("algebra", "mult", "0,0", 0, 0), "1/0")),
+    ("validate", _set(("module", "action", "0,0", 0, 0), ["1/1"])),
+    ("validate", _set(("module", "dims"), 5)),
+    ("validate", _set(("module", "window"), None)),
+    ("validate", None),
+    ("kunneth", _drop("m")),
+    ("derived-kunneth", _left_m),
+    ("kunneth", None),
+    ("kunneth", _set(("n", "window"), None)),
+], ids=["zero_denominator", "nested_entry", "dims_not_an_object", "window_null",
+        "top_level_list", "instance_without_m", "instance_m_left_module",
+        "instance_top_level_list", "instance_window_null"])
+def test_malformed_instance_file_is_structural_error(tmp_path, capsys, command, corrupt):
+    # `validate` reads a module file, the pair commands one instance file
+    if command == "validate":
+        a = make_koszul_dg(Field.rationals())
+        blob = module_file_to_json(a, regular_module(a, RIGHT), "m")
+    else:
+        blob = instance_to_json(_koszul_instance())
     if corrupt is None:
         blob = [blob]
     else:
         corrupt(blob)
     path = tmp_path / "bad.json"
     path.write_text(dumps_canonical(blob))
-    assert main(["validate", str(path)]) == 2
+    assert main([command, str(path)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
 
 
@@ -420,8 +453,10 @@ def test_oversized_modulus_is_structural_error():
 
 
 @pytest.mark.parametrize("argv", [["validate", "X"], ["kunneth", "X", "X"],
-                                  ["derived-kunneth", "X", "X"], ["suite", "--profile", "X"]],
-                         ids=["validate", "kunneth", "derived-kunneth", "suite"])
+                                  ["derived-kunneth", "X", "X"], ["suite", "--profile", "X"],
+                                  ["kunneth", "X"], ["derived-kunneth", "X"]],
+                         ids=["validate", "kunneth", "derived-kunneth", "suite",
+                              "kunneth-one-file", "derived-kunneth-one-file"])
 def test_deeply_nested_file_is_structural_error(tmp_path, capsys, argv):
     # 400 KB of "[" overflows the JSON decoder's recursion: exit 2, not a traceback
     path = tmp_path / "nested.json"
@@ -474,3 +509,98 @@ def test_exported_examples_give_the_pinned_reports(tmp_path):
         report.pop("timing")
         digest = hashlib.sha256(dumps_canonical(report).encode()).hexdigest()
         assert digest == expected, (command, pair)
+
+
+def _inject(monkeypatch, name):
+    """Make `suite.<name>` add a failed check "injected" to its witness's
+    evidence while M has more than one dimension, so that a shrink keeps it
+    failing down to a smaller M."""
+    orig = getattr(suite, name)
+
+    def broken(m, n):
+        w = orig(m, n)
+        if m.total_dim() < 2:
+            return w
+        return replace(w, evidence=w.evidence + [failed("injected")])
+
+    monkeypatch.setattr(suite, name, broken)
+
+
+@pytest.mark.parametrize("command, witness", [("kunneth", "theta"),
+                                              ("derived-kunneth", "theta_der")])
+def test_a_failing_pair_report_replays_from_its_shrunk_instance(tmp_path, monkeypatch,
+                                                                command, witness):
+    _inject(monkeypatch, witness)
+    a = make_exterior(F101)
+    m = write_instance(tmp_path, "m", a, direct_sum(regular_module(a, RIGHT),
+                                                    regular_module(a, RIGHT)))
+    n = write_instance(tmp_path, "n", a, regular_module(a, LEFT))
+    out = tmp_path / "report.json"
+    assert main([command, m, n, "--out", str(out)]) == 1
+    fails = [c for c in json.loads(out.read_text())["checks"] if c["status"] == "fail"]
+    names = [c["name"] for c in fails]
+    assert names[0] == "injected"
+    shrunk = fails[0]["counterexample"]["shrunk_instance"]
+    assert shrunk["name"] == "m (x) n"
+    assert 2 <= sum(shrunk["m"]["dims"].values()) < 4
+    path = tmp_path / "shrunk.json"
+    path.write_text(dumps_canonical(shrunk))
+    replay = tmp_path / "replay.json"
+    assert main([command, str(path), "--out", str(replay)]) == 1
+    report = json.loads(replay.read_text())
+    assert report["instance_refs"] == ["m (x) n"]
+    assert [c["name"] for c in report["checks"] if c["status"] == "fail"] == names
+
+
+def test_one_instance_file_gives_the_report_of_its_two_module_files(tmp_path):
+    script = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "export_examples.py"
+    subprocess.run([sys.executable, str(script), str(tmp_path)], check=True,
+                   capture_output=True)
+    sides = [module_file_from_json(json.loads((tmp_path / f"dualnum_{x}.json").read_text()))
+             for x in "mn"]
+    inst = Instance("dualnum", "dual_numbers", sides[0][1], sides[0][2], sides[1][2])
+    one = tmp_path / "dualnum.json"
+    one.write_text(dumps_canonical(instance_to_json(inst)))
+    for command in ("kunneth", "derived-kunneth"):
+        reports = []
+        for paths in ([str(tmp_path / "dualnum_m.json"), str(tmp_path / "dualnum_n.json")],
+                      [str(one)]):
+            out = tmp_path / "report.json"
+            assert main([command, *paths, "--out", str(out)]) == 0
+            reports.append(json.loads(out.read_text()))
+        assert [r.pop("instance_refs") for r in reports] == [["dualnum_m", "dualnum_n"],
+                                                             ["dualnum"]]
+        for r in reports:
+            r.pop("timing")
+        assert reports[0]["checks"] == reports[1]["checks"]
+        assert reports[0] == reports[1]
+
+
+def test_a_crashed_pair_battery_names_its_instance(exterior_pair, tmp_path, monkeypatch):
+    def crash(*args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(suite, "theta", crash)
+    out = tmp_path / "report.json"
+    assert main(["kunneth", *exterior_pair, "--out", str(out)]) == 1
+    report = json.loads(out.read_text())
+    fails = [c for c in report["checks"] if c["status"] == "fail"]
+    assert [c["name"] for c in fails] == ["plain_kunneth_battery"]
+    ce = fails[0]["counterexample"]
+    assert {k: ce[k] for k in ("exception", "message", "instance")} == \
+        {"exception": "RuntimeError", "message": "boom", "instance": "m (x) n"}
+    assert "theta" not in report
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077, 0o002], ids=["022", "077", "002"])
+def test_a_report_takes_the_mode_of_a_new_file(exterior_pair, tmp_path, umask):
+    old = os.umask(umask)
+    try:
+        out = tmp_path / "report.json"
+        assert main(["kunneth", *exterior_pair, "--out", str(out)]) == 0
+        plain = tmp_path / "plain.txt"
+        with open(plain, "w"):
+            pass
+    finally:
+        os.umask(old)
+    assert out.stat().st_mode & 0o777 == plain.stat().st_mode & 0o777 == 0o666 & ~umask

@@ -7,8 +7,8 @@ object-dtype primes; row reduction is also checked at p = 2 and 3, where
 entries cancel often.  Over Q the reference is sympy, when it is installed.
 The products with one identity Kronecker factor, and the balancing
 relations written by index, are checked against the same matrices with the
-Kronecker products built.  The field memo of `quotient`, `kernel_mod_image`
-and the tensor presentations is checked against the undecorated kernels.
+Kronecker products built.  The field memo of `kernel_mod_image` and the
+tensor presentations is checked against the undecorated kernels.
 Every matrix strategy includes 0 x n, n x 0 and rank-deficient shapes, and
 seeded sparse matrices of up to 60 x 60 exercise cancellation and fill-in
 in the sparse elimination loop.
@@ -424,7 +424,7 @@ def test_balancing_rows_match_the_kronecker_placements(p):
 
 
 # ---------------------------------------------------------------------------
-# the field memo of quotient and kernel_mod_image
+# the field memo of kernel_mod_image and the tensor presentations
 
 
 @pytest.mark.parametrize("p", (101, None, 2 ** 61 - 1), ids=("F101", "Q", "F2^61-1"))
@@ -444,8 +444,8 @@ def test_memoized_kernels_match_the_undecorated_kernels(p, monkeypatch):
                 balanced_tensor(inst.m.action_map(i, 0), inst.n.action_map(-1 - i, 0))
         sizes.append(len(f.memo))
     assert sizes[0] == sizes[1]
-    kernels = {"quotient": quotient, "kernel_mod_image": kernel_mod_image,
-               "_presentation": tensor._presentation}
+    # quotient is no memoized kernel: it stores nothing of its own
+    kernels = {"kernel_mod_image": kernel_mod_image, "_presentation": tensor._presentation}
     assert {name for name, *_ in f.memo} == set(kernels)
     # built again with nothing stored or looked up, nested kernels included
     entries = list(f.memo.items())
@@ -530,47 +530,49 @@ def test_memo_keys_are_values():
     a = Matrix(q, 1, 2, [[Fraction(1, 2), Fraction(3)]])
     b = Matrix(q, 1, 2, [[Fraction(2, 4), Fraction(6, 2)]])
     assert a.arr[0, 0] is not b.arr[0, 0]
-    first = quotient(q, 2, a)
-    assert quotient(q, 2, b) is first and len(q.memo) == 1
+    first = kernel_mod_image(q, Matrix.zeros(q, 2, 0), a)
+    assert kernel_mod_image(q, Matrix.zeros(q, 2, 0), b) is first and len(q.memo) == 1
     # hash(-1) == hash(-2) over Q, and 0 and 2^61 - 1 hash alike as Python
     # ints: equal hashes with different entries are different entries
     for f, x, y in ((Field.rationals(), -1, -2), (Field.prime(2 ** 64 - 59), 0, 2 ** 61 - 1)):
-        rels = [Matrix(f, 1, 2, [[f.one, f.of_int(v)]]) for v in (x, y)]
-        assert hash(rels[0]) == hash(rels[1]) and rels[0] != rels[1]
-        spaces = [quotient(f, 2, rel) for rel in rels]
-        assert spaces[0].projection != spaces[1].projection
-        assert [space.relations for space in spaces] == rels
+        d_outs = [Matrix(f, 1, 2, [[f.one, f.of_int(v)]]) for v in (x, y)]
+        assert hash(d_outs[0]) == hash(d_outs[1]) and d_outs[0] != d_outs[1]
+        spaces = [kernel_mod_image(f, Matrix.zeros(f, 2, 0), d) for d in d_outs]
+        assert spaces[0].cocycle_incl != spaces[1].cocycle_incl
+        assert [space.cocycle_incl for space in spaces] == [kernel_basis(d).transpose() for d in d_outs]
         assert len(f.memo) == 2
 
 
 def test_memo_stores_only_presentations_within_the_gate():
     f = Field.prime(101)
     assert linalg._MEMO_GATE == 256
-    quotient(f, 16, Matrix.zeros(f, 0, 16))
+    # an ambient dimension first counts its square: 16^2 cells are stored
+    tensor._presentation(f, 16, ())
     assert len(f.memo) == 1
-    quotient(f, 17, Matrix.zeros(f, 0, 17))
-    quotient(f, 8, Matrix.zeros(f, 25, 8))
+    tensor._presentation(f, 17, ())
+    # a matrix last gives the ambient dimension: 8^2 + 25 x 8 cells are too many
+    kernel_mod_image(f, Matrix.zeros(f, 8, 0), Matrix.zeros(f, 25, 8))
     assert len(f.memo) == 1
     # 8^2 + 24 x 8 cells are stored, one more column of d_in is not; the
-    # kernel's own quotient, on the image in 8 coordinates, is small enough
-    # but never stored, as the kernel's result holds it
+    # kernel's own quotient, on the image in 8 coordinates, stores nothing
     d_out = Matrix.zeros(f, 24, 8)
     kernel_mod_image(f, Matrix.zeros(f, 8, 0), d_out)
     assert len(f.memo) == 2
     kernel_mod_image(f, Matrix.zeros(f, 8, 1), d_out)
-    assert [name for name, *_ in f.memo] == ["quotient", "kernel_mod_image"]
+    assert [name for name, *_ in f.memo] == ["_presentation", "kernel_mod_image"]
 
 
 def test_a_stored_presentation_stores_nothing_inside_it():
     # a presentation under the gate stores one entry, its quotient none; a
-    # later quotient request with the same relations finds no entry
+    # later quotient request with the same relations stores none either, as
+    # quotient is no memoized kernel
     f = Field.prime(101)
     a = make_exterior(f)
     m, n = regular_module(a, RIGHT), regular_module(a, LEFT)
     sp = balanced_tensor(m.action_map(0, 0), n.action_map(0, 0))
     assert [name for name, *_ in f.memo] == ["_presentation"]
     assert quotient(f, sp.ambient_dim, sp.relations) == sp
-    assert [name for name, *_ in f.memo] == ["_presentation", "quotient"]
+    assert [name for name, *_ in f.memo] == ["_presentation"]
     # a resolution is no presentation: the cohomology it computes inside is
     # stored for equal modules of other instances, but not its quotients
     a.h0()   # kept on the algebra, so the resolution makes no quotient call of its own
@@ -584,19 +586,21 @@ def test_memo_never_exceeds_the_cap():
     f = Field.prime(101)
     cap = linalg._MEMO_CAP
     assert cap == 1024
-    rels = [Matrix.from_int_rows(f, [[a, b]]) for a in range(1, 12) for b in range(101)]
-    for rel in rels[:cap]:
-        quotient(f, 2, rel)
+    d_in = Matrix.zeros(f, 2, 0)
+    d_outs = [Matrix.from_int_rows(f, [[a, b]]) for a in range(1, 12) for b in range(101)]
+    for d in d_outs[:cap]:
+        kernel_mod_image(f, d_in, d)
     assert len(f.memo) == cap
-    # kernel_mod_image stores one entry, its quotient none: the first
-    # relation goes
+    # one more entry, on another shape, and its quotient none: the first
+    # entry goes
     d_out = Matrix.from_int_rows(f, [[1, 2, 3]])
     kernel_mod_image(f, Matrix.zeros(f, 3, 0), d_out)
     assert len(f.memo) == cap
     assert list(f.memo)[-1] == ("kernel_mod_image", Matrix.zeros(f, 3, 0), d_out)
-    assert ("quotient", 2, rels[0]) not in f.memo and ("quotient", 2, rels[1]) in f.memo
-    for rel in rels[cap:]:
-        quotient(f, 2, rel)
+    assert ("kernel_mod_image", d_in, d_outs[0]) not in f.memo
+    assert ("kernel_mod_image", d_in, d_outs[1]) in f.memo
+    for d in d_outs[cap:]:
+        kernel_mod_image(f, d_in, d)
         assert len(f.memo) == cap
 
 

@@ -820,13 +820,13 @@ def test_generator_cap_trips_in_the_deepest_stabilization_depth(tmp_path, monkey
     from dgkunneth.genlab import Instance
     from dgkunneth.serialize import dumps_canonical, module_file_to_json
     runs = []
-    battery = suite._derived_battery
+    battery = suite._witness_battery
 
     def counted(*args):
         runs.append(args[0].name)
         return battery(*args)
 
-    monkeypatch.setattr(suite, "_derived_battery", counted)
+    monkeypatch.setattr(suite, "_witness_battery", counted)
     for k in (F101, Q):
         a, k1 = _k_over_square_zero(k)
         m, n = direct_sum(k1, k1), _k_over_square_zero(k, LEFT)[1]
