@@ -30,7 +30,7 @@ from .serialize import (
     resolution_to_json,
     tensor_complex_to_json,
 )
-from .suite import Report, run_batteries, run_suite
+from .suite import _BATTERIES, Report, crashed, run_batteries, run_suite
 from .tensor import tensor_cohomology
 
 DEFAULT_FIELD_ENV = "DGKUNNETH_FIELD"
@@ -90,7 +90,11 @@ def load_instance(m_path: str, n_path: str | None):
     """(instance refs, Instance) of one instance file, the form of a report's
     `shrunk_instance`, or of two module files, M's and N's."""
     if n_path is None:
-        inst = instance_from_json(load_json(m_path))
+        blob = load_json(m_path)
+        if isinstance(blob, dict) and "module" in blob:
+            raise StructureError(f"{m_path} is a module file: give two module files (M's and "
+                                 "N's) or one instance object, such as a report's shrunk_instance")
+        inst = instance_from_json(blob)
         return [inst.name], inst
     m_name, m_alg, m_mod = module_file_from_json(load_json(m_path))
     n_name, n_alg, n_mod = module_file_from_json(load_json(n_path))
@@ -121,7 +125,8 @@ def cmd_validate(args) -> int:
 def _pair_command(args, command: str, battery: str, fields) -> int:
     """Gate the instance on its axioms, so that invalid inputs fail the report
     instead of crashing the verification layer, then run its `battery` and
-    add the report fields `fields(witness)`."""
+    add the report fields `fields(witness)`; an exception there fails the
+    battery as one crash record, as one inside it does."""
     refs, inst = load_instance(args.m_path, args.n_path)
     report = Report(command, instance_refs=refs)
     t0 = time.perf_counter()
@@ -132,7 +137,10 @@ def _pair_command(args, command: str, battery: str, fields) -> int:
         results, _, w = run_batteries(inst, {battery: ()})[battery]
         report.checks.extend(results)
         if w is not None:
-            report.extra.update(fields(w))
+            try:
+                report.extra.update(fields(w))
+            except Exception as exc:   # noqa: BLE001 - bundled, never swallowed
+                report.checks.append(crashed(f"{_BATTERIES[battery]}_battery", exc, inst.name))
     report.timing[command.replace("-", "_")] = round(time.perf_counter() - t0, 3)
     return emit(report, args.out)
 

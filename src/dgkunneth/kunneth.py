@@ -26,6 +26,7 @@ from .dgmodule import (
     CohomologyModule,
     DGModule,
     StrictMorphism,
+    _truncate,
     cohomology,
     shift,
     transport_morphism,
@@ -51,8 +52,10 @@ class KunnethWitness:
     j0: int
     m: DGModule                   # M and N as given
     n: DGModule
-    mT: DGModule                  # M translated so its top degree is 0
+    mT: DGModule                  # M translated by i0, smart-truncated at 0
     nT: DGModule
+    m_incl: Matrix | None         # mT^0 -> M^{i0}, None where nothing is cut
+    n_incl: Matrix | None
     hm: CohomologyModule          # H^0(mT) = H^{i0}(M)
     hn: CohomologyModule
     source: QuotientSpace         # H^{i0}(M) (x)_{H^0(A)} H^{j0}(N)
@@ -73,16 +76,17 @@ def class_assignment(hm, hn, tc, target) -> Matrix:
 
 
 def theta(m: DGModule, n: DGModule, i0: int | None = None, j0: int | None = None) -> KunnethWitness:
-    """The top-degree isomorphism witness for (M, N).
-
-    i0 and j0 default to the window tops; passing larger bounds gives the
-    (trivially true) statement at those degrees.
+    """The top-degree isomorphism witness for (M, N) at i0 and j0, by
+    default the window tops, on M and N translated so i0 and j0 sit at 0
+    and smart-truncated there.  At or above a window top that cuts nothing
+    (the inclusion is None), and larger bounds give the trivially true
+    statement.  Below it, theta states the trick for the truncation, whose
+    degree-0 cocycles `m_incl` includes into M^{i0}.
     """
     i0 = m.window[1] if i0 is None else i0
     j0 = n.window[1] if j0 is None else j0
-    if i0 < m.window[1] or j0 < n.window[1]:
-        raise ValueError("modules are not bounded above by the requested degrees")
-    mT, nT = shift(m, i0), shift(n, j0)
+    mT, m_incl = _truncate(shift(m, i0), 0)
+    nT, n_incl = _truncate(shift(n, j0), 0)
     hm, hn = cohomology(mT, 0), cohomology(nT, 0)
     source = balanced_tensor(hm.h0_action, hn.h0_action)
     tc = TensorComplex(mT, nT)
@@ -112,7 +116,8 @@ def theta(m: DGModule, n: DGModule, i0: int | None = None, j0: int | None = None
         evidence.append(failed("theta_bijective",
                                counterexample={"rank": r, "source_dim": source.dim,
                                                "target_dim": target.dim}))
-    return KunnethWitness(i0, j0, m, n, mT, nT, hm, hn, source, tc, target, th, evidence)
+    return KunnethWitness(i0, j0, m, n, mT, nT, m_incl, n_incl, hm, hn, source, tc, target, th,
+                          evidence)
 
 
 def _relation_witness(img: Matrix, rel: Matrix) -> dict:
@@ -305,6 +310,20 @@ def cohomology_map(fm: StrictMorphism, src_coh: CohomologyModule,
     return dst_coh.class_map @ fm.map_at(i) @ src_coh.rep_map
 
 
+def transported(fm: StrictMorphism, gm: StrictMorphism, w: KunnethWitness,
+                wp: KunnethWitness) -> tuple:
+    """(f, g) moved onto the translated modules of `w`, the witness of
+    their sources, and `wp`, that of their targets, through the witnesses'
+    truncation inclusions.  Witnesses at different bounds, or whose M and N
+    are not the morphisms' ends, raise ValueError."""
+    if (wp.i0, wp.j0) != (w.i0, w.j0):
+        raise ValueError("functoriality witnesses have different bounds")
+    if (fm.source, fm.target, gm.source, gm.target) != (w.m, wp.m, w.n, wp.n):
+        raise ValueError("functoriality witnesses do not match the morphisms")
+    return (transport_morphism(fm, w.mT, wp.mT, w.i0, w.m_incl, wp.m_incl),
+            transport_morphism(gm, w.nT, wp.nT, w.j0, w.n_incl, wp.n_incl))
+
+
 def check_functoriality(fm: StrictMorphism, gm: StrictMorphism,
                         w: KunnethWitness, wp: KunnethWitness) -> list:
     """Naturality of theta in both arguments for a pair of strict morphisms.
@@ -313,12 +332,7 @@ def check_functoriality(fm: StrictMorphism, gm: StrictMorphism,
     once by the caller (rebuilding them would repeat the same numbers); the
     induced maps and both sides of the square are computed per pair.
     Witnesses that do not match the morphisms raise ValueError."""
-    if (wp.i0, wp.j0) != (w.i0, w.j0):
-        raise ValueError("functoriality witnesses have different bounds")
-    if (fm.source, fm.target, gm.source, gm.target) != (w.m, wp.m, w.n, wp.n):
-        raise ValueError("functoriality witnesses do not match the morphisms")
-    fT = transport_morphism(fm, w.mT, wp.mT, w.i0)
-    gT = transport_morphism(gm, w.nT, wp.nT, w.j0)
+    fT, gT = transported(fm, gm, w, wp)
     return naturality_square("theta_naturality", w, wp, (fT, gT, w, wp), (w.tc, wp.tc),
                              (fT.map_at, gT.map_at), (w.theta, wp.theta),
                              source_dim=w.source.dim, target_dim=wp.target.dim)

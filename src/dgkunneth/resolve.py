@@ -20,13 +20,15 @@ another instance gets the same immutable resolution, whose `target` is the
 module it was built for.
 
 The derived tensor of (M, N) at top degree is realized as H^0(P (x)_A nG),
-where mG and nG are M and N translated so their tops sit at 0 and
+where mG and nG are M and N translated so their top classes sit at 0 and
 smart-truncated there, and P resolves mG.  `theta_der` returns one
 `DerivedKunnethWitness` per resolution and builds each object in it once:
-theta(mG, nG) holds mG, nG and their H^0, and theta(P, nG) holds the tensor
-complex P (x)_A nG that eta = rho (x) id reads.  As `shift(M, 0)` is M
-itself, these share their cached cohomology with mG, nG and P, and the
-naturality check moves a morphism's maps onto mG and nG, built once.
+theta(M, N) at the top class degrees holds mG, nG, their inclusions and
+their H^0, and theta(P, nG) holds the tensor complex P (x)_A nG that
+eta = rho (x) id reads.  A module with top 0 is its own translate and
+truncation, so these share their cached cohomology with mG, nG and P, and
+the naturality check moves a morphism's maps onto mG and nG as the plain
+one does (`transported`).
 
 Stage t adjoins generators of degree t - 1, and as A is nonpositive a
 generator of degree e spans P only in degrees <= e.  So the stages t <= -d
@@ -51,18 +53,15 @@ from .dgmodule import (
     DGModule,
     FreeLayout,
     StrictMorphism,
-    _truncate,
     cohomology,
     cohomology_space,
     free_map_blocks,
     free_module,
-    shift,
-    transport_morphism,
     validate_module,
     validate_morphism,
 )
 from .field import Field
-from .kunneth import KunnethWitness, cohomology_map, naturality_square, theta
+from .kunneth import KunnethWitness, cohomology_map, naturality_square, theta, transported
 from .linalg import (
     Cohomology,
     Matrix,
@@ -306,19 +305,14 @@ def _certify_resolution(res: SemiFreeResolution):
 class DerivedKunnethWitness:
     """theta_der on one resolution rho: P -> mG, with its evidence.
 
-    mG and nG are M and N translated by i0 and j0 and smart-truncated at 0;
-    `mn` = theta(mG, nG) holds them as `mn.mT` and `mn.nT`, with the H^0
-    bases the naturality check reads, and `plain` = theta(P, nG) holds
-    P (x)_A nG as `plain.tc`.  The depth is `resolution.depth`."""
-    i0: int
-    j0: int
-    m: DGModule                      # M and N as given
-    n: DGModule
-    m_incl: Matrix | None            # mG^0 -> M^{i0}, None where nothing is cut
-    n_incl: Matrix | None            # nG^0 -> N^{j0}
+    `mn` = theta(M, N) at the top class degrees i0 and j0 holds M and N,
+    mG and nG (M and N translated by i0 and j0 and smart-truncated at 0)
+    as `mn.mT` and `mn.nT` with their inclusions, and the H^0 bases the
+    naturality check reads; `plain` = theta(P, nG) holds P (x)_A nG as
+    `plain.tc`.  The depth is `resolution.depth`."""
     resolution: SemiFreeResolution
     plain: KunnethWitness            # theta for (P, nG)
-    mn: KunnethWitness               # theta for (mG, nG)
+    mn: KunnethWitness               # theta for (M, N) at (i0, j0)
     source: QuotientSpace            # H^{i0}(M) (x)_{H0(A)} H^{j0}(N)
     target: Cohomology               # H^0(P (x) N)
     theta_der: Matrix
@@ -333,26 +327,21 @@ class DerivedKunnethWitness:
 def theta_der(m: DGModule, n: DGModule, i0: int | None = None,
               j0: int | None = None) -> DerivedKunnethWitness:
     """The derived top-degree isomorphism with its commuting-triangle
-    evidence, on a resolution of depth `DEPTH`.  i0 and j0 default to the
-    top degrees with cohomology, dim H^i read through the memo
-    (`cohomology_space`), or the window tops when there is none."""
+    evidence: theta(M, N) at i0 and j0, which the transport and the triangle
+    of every resolution read, on a resolution of its mG of depth `DEPTH`.
+    i0 and j0 default to the top degrees with cohomology, dim H^i read
+    through the memo (`cohomology_space`), else the window tops."""
     if i0 is None:
         i0 = _top_class_degree(m)
     if j0 is None:
         j0 = _top_class_degree(n)
-    mG, m_incl = _truncate(shift(m, i0), 0)
-    nG, n_incl = _truncate(shift(n, j0), 0)
-    res = semifree_resolve(mG, DEPTH)
-    # theta for (mG, nG): its H^0(mG), source, tensor complex and H^0 are
-    # the ones the transport and the triangle need, for every resolution
-    return _theta_der_on(res, theta(mG, nG, i0=0, j0=0), (i0, j0, m, n, m_incl, n_incl))
+    mn = theta(m, n, i0, j0)
+    return _theta_der_on(semifree_resolve(mn.mT, DEPTH), mn)
 
 
-def _theta_der_on(res: SemiFreeResolution, wMN: KunnethWitness,
-                  asked: tuple) -> DerivedKunnethWitness:
+def _theta_der_on(res: SemiFreeResolution, wMN: KunnethWitness) -> DerivedKunnethWitness:
     """The per-resolution half of `theta_der`: theta_der on `res`, a
-    resolution of wMN.mT, stated on the bases of `wMN` = theta(mG, nG);
-    `asked` holds the witness's first six fields, i0 to n_incl."""
+    resolution of wMN.mT, stated on the bases of `wMN` = theta(M, N)."""
     nG = wMN.nT
     f = nG.field
     evidence = []
@@ -409,17 +398,15 @@ def _theta_der_on(res: SemiFreeResolution, wMN: KunnethWitness,
         evidence.append(failed("derived_diagram_commutes",
                                counterexample={"eta_theta_der": matrix_to_json(eta_h0 @ th_der),
                                                "theta": matrix_to_json(wMN.theta), **cause}))
-    return DerivedKunnethWitness(*asked, res, plain, wMN, source, plain.target,
-                                 th_der, eta_h0, evidence)
+    return DerivedKunnethWitness(res, plain, wMN, source, plain.target, th_der, eta_h0, evidence)
 
 
 def deeper_witnesses(w: DerivedKunnethWitness) -> list:
     """theta_der on the resolutions of `DEEPER_RESOLUTIONS`: variant 1 at
     depth 3 and variant 2 at depth 4, each resolving `w`'s mG from scratch
-    with its own seed and certified in full; theta(mG, nG) is `w.mn`.  Both
+    with its own seed and certified in full; theta(M, N) is `w.mn`.  Both
     derived checks compare these two against `w`."""
-    asked = (w.i0, w.j0, w.m, w.n, w.m_incl, w.n_incl)
-    return [_theta_der_on(semifree_resolve(w.mn.mT, depth, variant=v), w.mn, asked)
+    return [_theta_der_on(semifree_resolve(w.mn.mT, depth, variant=v), w.mn)
             for v, depth in DEEPER_RESOLUTIONS]
 
 
@@ -561,12 +548,9 @@ def check_theta_der_functoriality(fm: StrictMorphism, gm: StrictMorphism,
     computed per pair.  Witnesses that do not match the morphisms raise
     ValueError, and a map off the degree-0 cocycles StructureError."""
     res, resp = w.resolution, wp.resolution
-    if (wp.i0, wp.j0, resp.depth) != (w.i0, w.j0, res.depth):
-        raise ValueError("functoriality witnesses have different bounds or depths")
-    if (fm.source, fm.target, gm.source, gm.target) != (w.m, wp.m, w.n, wp.n):
-        raise ValueError("functoriality witnesses do not match the morphisms")
-    fG = transport_morphism(fm, w.mn.mT, wp.mn.mT, w.i0, w.m_incl, wp.m_incl)
-    gG = transport_morphism(gm, w.mn.nT, wp.mn.nT, w.j0, w.n_incl, wp.n_incl)
+    if resp.depth != res.depth:
+        raise ValueError("functoriality witnesses have different depths")
+    fG, gG = transported(fm, gm, w.mn, wp.mn)
     lift = lift_through_resolutions(res, resp, fG)
     return naturality_square("theta_der_naturality", w, wp, (fG, gG, w.mn, wp.mn),
                              (w.plain.tc, wp.plain.tc), (lift.phi.map_at, gG.map_at),

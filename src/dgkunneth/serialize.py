@@ -69,6 +69,13 @@ def _typed(x, kind, what: str):
     raise StructureError(f"{what} must be {_JSON_TYPES[kind]}, got {x!r:.40}")
 
 
+def _required(d, key: str, what: str):
+    """`d[key]` of the JSON object `d`, the `what`; StructureError if there is none."""
+    if key not in _typed(d, dict, what):
+        raise StructureError(f"{what} has no {key!r}")
+    return d[key]
+
+
 def _ints(d: dict, what: str) -> dict:
     """An object of integers keyed by stringified integers, as a dict of ints."""
     return {int(k): _typed(v, int, f"{what}[{k!r}]") for k, v in _typed(d, dict, what).items()}
@@ -137,12 +144,13 @@ def algebra_to_json(a: DGAlgebra) -> dict:
 
 def algebra_from_json(field: Field, d: dict) -> DGAlgebra:
     """The algebra of `d`; its `dims` must lie in the declared min_degree..0."""
-    min_degree = _typed(_typed(d, dict, "algebra")["min_degree"], int, "min_degree")
-    dims = nonzero_dims(_ints(d["dims"], "dims"), (min_degree, 0))
+    min_degree = _typed(_required(d, "min_degree", "algebra"), int, "min_degree")
+    dims = nonzero_dims(_ints(_required(d, "dims", "algebra"), "dims"), (min_degree, 0))
     diff = _maps_from_json(field, d, "diff", lambda i: (dims.get(i + 1, 0), dims.get(i, 0)))
     mult = _maps_from_json(field, d, "mult", lambda i, j: (
         dims.get(i + j, 0), dims.get(i, 0) * dims.get(j, 0)))
-    unit = Matrix.column(field, [_element(field, x) for x in _typed(d["unit"], list, "unit")])
+    unit = Matrix.column(field, [_element(field, x)
+                                 for x in _typed(_required(d, "unit", "algebra"), list, "unit")])
     return DGAlgebra(field, dims, mult, diff, unit)
 
 
@@ -159,12 +167,12 @@ def module_to_json(m: DGModule) -> dict:
 def module_from_json(algebra: DGAlgebra, d: dict) -> DGModule:
     field = algebra.field
     lo, hi = (_typed(x, int, "a window end")
-              for x in _typed(_typed(d, dict, "module")["window"], list, "window"))
-    dims = _ints(d["dims"], "dims")
+              for x in _typed(_required(d, "window", "module"), list, "window"))
+    dims = _ints(_required(d, "dims", "module"), "dims")
     diff = _maps_from_json(field, d, "diff", lambda i: (dims.get(i + 1, 0), dims.get(i, 0)))
     action = _maps_from_json(field, d, "action", lambda i, j: (
         dims.get(i + j, 0), dims.get(i, 0) * algebra.dim(j)))
-    return DGModule(d["side"], algebra, (lo, hi), dims, diff, action)
+    return DGModule(_required(d, "side", "module"), algebra, (lo, hi), dims, diff, action)
 
 
 def instance_to_json(inst: Instance) -> dict:
@@ -179,10 +187,9 @@ def instance_to_json(inst: Instance) -> dict:
 
 
 def instance_from_json(d: dict) -> Instance:
-    field = field_from_json(_typed(d, dict, "instance")["field"])
-    algebra = algebra_from_json(field, d["algebra"])
-    m = module_from_json(algebra, d["m"])
-    n = module_from_json(algebra, d["n"])
+    field = field_from_json(_required(d, "field", "instance"))
+    algebra = algebra_from_json(field, _required(d, "algebra", "instance"))
+    m, n = (module_from_json(algebra, _required(d, side, "instance")) for side in "mn")
     return Instance(d.get("name", "instance"), d.get("family", "unknown"), algebra, m, n)
 
 
@@ -198,7 +205,7 @@ def profile_to_json(p: CorpusProfile) -> dict:
 
 
 def profile_from_json(d: dict) -> CorpusProfile:
-    kwargs = {"field": field_from_json(_typed(d, dict, "profile")["field"])}
+    kwargs = {"field": field_from_json(_required(d, "field", "profile"))}
     # an omitted key takes CorpusProfile's own default
     kwargs.update((key, _typed(d[key], int, key)) for key in
                   ("max_per_degree_dim", "degree_span", "instance_count", "seed") if key in d)
@@ -225,8 +232,8 @@ def module_file_to_json(algebra: DGAlgebra, module: DGModule, name: str = "modul
 def module_file_from_json(d: dict):
     if _typed(d, dict, "an instance file").get("format") != INSTANCE_FORMAT:
         raise StructureError("not an instance file")
-    field = field_from_json(d["field"])
-    algebra = algebra_from_json(field, d["algebra"])
+    field = field_from_json(_required(d, "field", "instance file"))
+    algebra = algebra_from_json(field, _required(d, "algebra", "instance file"))
     module = module_from_json(algebra, d["module"]) if "module" in d else None
     return d.get("name", "module"), algebra, module
 

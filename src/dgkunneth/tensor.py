@@ -34,7 +34,6 @@ from .linalg import (
     drop_zero_rows,
     from_blocks,
     from_entries,
-    hstack,
     memoized,
     quotient,
     rank,
@@ -188,13 +187,6 @@ class TensorComplex:
                                       f"tensor differential does not descend at degree {t}")
         return self._diffs[t]
 
-    def embed_block(self, t: int, p: int) -> Matrix:
-        """Ambient embedding of the (p, t-p) block as a matrix."""
-        _, offsets, amb = self._layout(t)
-        width = self.m.dim(p) * self.n.dim(t - p)
-        return from_blocks(self.field, amb, width,
-                           [(offsets.get(p, 0), 0, Matrix.identity(self.field, width).arr)])
-
 
 # ---------------------------------------------------------------------------
 # k-linear cohomology of a presented complex degree
@@ -245,8 +237,9 @@ def minus1_comparison(tc: TensorComplex, b1: QuotientSpace, b2: QuotientSpace) -
     """The comparison map B1 (+) B2 -> (M (x)_A N)^{-1} on quotient bases,
     for the summands B1 = M^{-1} (x)_{A^0} N^0 and B2 = M^0 (x)_{A^0} N^{-1}
     of `phi_summands` and tc = M (x)_A N."""
-    return tc.space(-1).projection @ hstack([tc.embed_block(-1, -1) @ b1.section,
-                                             tc.embed_block(-1, 0) @ b2.section])
+    _, offsets, amb = tc._layout(-1)
+    blocks = [(offsets.get(-1, 0), 0, b1.section.arr), (offsets.get(0, 0), b1.dim, b2.section.arr)]
+    return tc.space(-1).projection @ from_blocks(tc.field, amb, b1.dim + b2.dim, blocks)
 
 
 def tensor_map(src: TensorComplex, dst: TensorComplex, fmaps, gmaps, t: int) -> Matrix:

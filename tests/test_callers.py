@@ -4,17 +4,20 @@ there or is exported in `dgkunneth.__all__`.
 A caller is a use of the name (a bare name or an attribute) outside the
 definition's own body, found with `ast`; dunder methods are called by the
 language and are left out.  A definition that only code outside `src/`
-calls is on `OUTSIDE_CALLERS`, with that caller.  The list may only
-shrink: when its caller goes, the definition goes too.
+calls is on `OUTSIDE_CALLERS`, with that caller: a file, whose text must
+still name the definition.  The list may only shrink: when its caller
+goes, the definition goes too.
 """
 import ast
 import pathlib
+import re
 import time
 from collections import Counter
 
 import dgkunneth
 
-SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "dgkunneth"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "dgkunneth"
 
 OUTSIDE_CALLERS = {
     "suite.plain_kunneth_checks": "perfbench/workloads.py verify_pass",
@@ -66,3 +69,12 @@ def test_every_definition_has_a_caller_in_src_or_is_exported():
     assert set(OUTSIDE_CALLERS) - found == set()
     # the pair commands read a report's shrunk_instance through it
     assert "serialize.instance_from_json" not in OUTSIDE_CALLERS
+
+
+def test_every_outside_caller_still_names_its_definition():
+    # the first word of each entry is the calling file: once it stops using
+    # the name, the definition has no caller left and must go
+    gone = [qualname for qualname, caller in OUTSIDE_CALLERS.items()
+            if not re.search(rf"\b{qualname.rsplit('.', 1)[1]}\b",
+                             (ROOT / caller.split()[0]).read_text())]
+    assert gone == [], "the outside caller no longer names these definitions"

@@ -10,7 +10,7 @@ from dataclasses import replace
 
 import pytest
 
-from dgkunneth import suite
+from dgkunneth import cli, suite
 from dgkunneth.checks import failed
 from dgkunneth.cli import build_parser, build_profile, main, parse_field_spec
 from dgkunneth.dgalgebra import DGAlgebra, StructureError
@@ -383,9 +383,13 @@ def _set(path, value):
     return corrupt
 
 
-def _drop(key):
+def _drop(*path):
+    """A corruption that deletes blob[path[0]][path[1]]..."""
     def corrupt(blob):
-        del blob[key]
+        *outer, last = path
+        for key in outer:
+            blob = blob[key]
+        del blob[last]
     return corrupt
 
 
@@ -398,21 +402,45 @@ def _koszul_instance():
     return Instance("koszul", "koszul_dg", a, regular_module(a, RIGHT), regular_module(a, LEFT))
 
 
-@pytest.mark.parametrize("command, corrupt", [
-    ("validate", _set(("algebra", "mult", "0,0", 0, 0), "1/0")),
-    ("validate", _set(("module", "action", "0,0", 0, 0), ["1/1"])),
-    ("validate", _set(("module", "dims"), 5)),
-    ("validate", _set(("module", "window"), None)),
-    ("validate", None),
-    ("kunneth", _drop("m")),
-    ("derived-kunneth", _left_m),
-    ("kunneth", None),
-    ("kunneth", _set(("n", "window"), None)),
+def _module_file(blob):
+    """The instance object replaced by the module file of its M."""
+    inst = _koszul_instance()
+    blob.clear()
+    blob.update(module_file_to_json(inst.algebra, inst.m, "m"))
+
+
+# the one-file form given a module file names both input forms
+_ONE_MODULE_FILE = ("is a module file: give two module files (M's and N's) or one "
+                    "instance object, such as a report's shrunk_instance")
+
+
+@pytest.mark.parametrize("command, corrupt, err", [
+    ("validate", _set(("algebra", "mult", "0,0", 0, 0), "1/0"), "bad field element '1/0'"),
+    ("validate", _set(("module", "action", "0,0", 0, 0), ["1/1"]),
+     "a field element must be a string"),
+    ("validate", _set(("module", "dims"), 5), "dims must be an object, got 5"),
+    ("validate", _set(("module", "window"), None), "window must be an array, got None"),
+    ("validate", None, "an instance file must be an object"),
+    ("kunneth", _drop("m"), "instance has no 'm'"),
+    ("derived-kunneth", _left_m, "koszul: m must be a right and n a left module"),
+    ("kunneth", None, "instance must be an object"),
+    ("kunneth", _set(("n", "window"), None), "window must be an array, got None"),
+    ("validate", _drop("module", "dims"), "module has no 'dims'"),
+    ("validate", _drop("algebra", "unit"), "algebra has no 'unit'"),
+    ("validate", _drop("field"), "instance file has no 'field'"),
+    ("derived-kunneth", _drop("n", "side"), "module has no 'side'"),
+    ("kunneth", _drop("algebra", "min_degree"), "algebra has no 'min_degree'"),
+    ("kunneth", _module_file, _ONE_MODULE_FILE),
+    ("derived-kunneth", _module_file, _ONE_MODULE_FILE),
 ], ids=["zero_denominator", "nested_entry", "dims_not_an_object", "window_null",
         "top_level_list", "instance_without_m", "instance_m_left_module",
-        "instance_top_level_list", "instance_window_null"])
-def test_malformed_instance_file_is_structural_error(tmp_path, capsys, command, corrupt):
-    # `validate` reads a module file, the pair commands one instance file
+        "instance_top_level_list", "instance_window_null", "module_without_dims",
+        "algebra_without_unit", "file_without_field", "instance_n_without_side",
+        "instance_algebra_without_min_degree", "kunneth_one_module_file",
+        "derived_kunneth_one_module_file"])
+def test_malformed_instance_file_is_structural_error(tmp_path, capsys, command, corrupt, err):
+    # `validate` reads a module file, the pair commands one instance file; a
+    # missing key is named with the object that lacks it, never a bare KeyError
     if command == "validate":
         a = make_koszul_dg(Field.rationals())
         blob = module_file_to_json(a, regular_module(a, RIGHT), "m")
@@ -425,18 +453,20 @@ def test_malformed_instance_file_is_structural_error(tmp_path, capsys, command, 
     path = tmp_path / "bad.json"
     path.write_text(dumps_canonical(blob))
     assert main([command, str(path)]) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    text = capsys.readouterr().err
+    assert text.startswith("error: ") and err in text and "KeyError" not in text
 
 
-@pytest.mark.parametrize("corrupt", [
-    _set(("family_mix",), [1]),
-    _set(("field",), None),
-    _set(("instance_count",), None),
-    _set(("field", "p"), 101.5),
-    _set(("instance_count",), 2.7),
+@pytest.mark.parametrize("corrupt, err", [
+    (_set(("family_mix",), [1]), "family_mix must be an object"),
+    (_set(("field",), None), "field must be an object, got None"),
+    (_set(("instance_count",), None), "instance_count must be an integer, got None"),
+    (_set(("field", "p"), 101.5), "the modulus p must be an integer, got 101.5"),
+    (_set(("instance_count",), 2.7), "instance_count must be an integer, got 2.7"),
+    (_drop("field"), "profile has no 'field'"),
 ], ids=["family_mix_list", "field_null", "instance_count_null", "fractional_modulus",
-        "fractional_instance_count"])
-def test_malformed_profile_is_structural_error(tmp_path, monkeypatch, capsys, corrupt):
+        "fractional_instance_count", "profile_without_field"])
+def test_malformed_profile_is_structural_error(tmp_path, monkeypatch, capsys, corrupt, err):
     started = []
     monkeypatch.setattr(suite, "generate_corpus", lambda *args: started.append("corpus"))
     blob = {"field": {"kind": "prime", "p": 101}, "instance_count": 3}
@@ -444,7 +474,8 @@ def test_malformed_profile_is_structural_error(tmp_path, monkeypatch, capsys, co
     profile = tmp_path / "profile.json"
     profile.write_text(dumps_canonical(blob))
     assert main(["suite", "--profile", str(profile)]) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    text = capsys.readouterr().err
+    assert text.startswith("error: ") and err in text and "KeyError" not in text
     assert started == []
 
 
@@ -590,6 +621,29 @@ def test_a_crashed_pair_battery_names_its_instance(exterior_pair, tmp_path, monk
     assert {k: ce[k] for k in ("exception", "message", "instance")} == \
         {"exception": "RuntimeError", "message": "boom", "instance": "m (x) n"}
     assert "theta" not in report
+
+
+@pytest.mark.parametrize("command, builder, label", [
+    ("kunneth", "tensor_complex_to_json", "plain_kunneth_battery"),
+    ("derived-kunneth", "resolution_to_json", "derived_kunneth_battery"),
+])
+def test_a_crash_building_the_report_fields_is_a_crash_record(exterior_pair, tmp_path,
+                                                             monkeypatch, command, builder,
+                                                             label):
+    # the report fields are built after the battery; an exception there is
+    # the battery's crash record, the report is written and the exit code 1
+    def crash(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, builder, crash)
+    out = tmp_path / "report.json"
+    assert main([command, *exterior_pair, "--out", str(out)]) == 1
+    report = json.loads(out.read_text())
+    fails = [c for c in report["checks"] if c["status"] == "fail"]
+    assert [c["name"] for c in fails] == [label]
+    assert fails[0]["counterexample"] == \
+        {"exception": "RuntimeError", "message": "boom", "instance": "m (x) n"}
+    assert len(report["checks"]) > 4 and "source_dim" not in report
 
 
 @pytest.mark.parametrize("umask", [0o022, 0o077, 0o002], ids=["022", "077", "002"])

@@ -196,7 +196,7 @@ def test_batteries_build_each_witness_once(monkeypatch):
             # variant 0 at depth 2, variant 1 at depth 3 and variant 2 at
             # depth 4, shared by both deep checks
             assert len(builds) == 3, inst.name
-            # theta(mG, nG) once, and theta(P, N) for each of the 3 resolutions
+            # theta(M, N) once, and theta(P, N) for each of the 3 resolutions
             assert len(thetas) == 4, inst.name
     assert passing > 0
     monkeypatch.undo()
@@ -224,13 +224,13 @@ def test_derived_battery_computes_each_cohomology_once(monkeypatch):
     # inst0001 (koszul_dg): the battery asks for H^i 62 times, and the
     # resolution build and certification ask for H^t(mG) and H^t(P) again
     # and again; only 26 distinct (module, degree) pairs are computed, as
-    # theta(mG, nG) and theta(P, nG) read mG, nG and P themselves (M[0] is M);
+    # theta(M, N) and theta(P, nG) read mG, nG and P themselves (M[0] is M);
     # theta_der's bounds read dim H^i of M and N without their H^0(A) action
     inst = generate_corpus(CorpusProfile(field=Field.prime(101), instance_count=2))[1]
-    asked = _count_calls(monkeypatch, dgmodule, "cohomology")
+    requested = _count_calls(monkeypatch, dgmodule, "cohomology")
     computed = _count_calls(monkeypatch, dgmodule, "_cohomology")
     assert all(r.ok for r in suite.derived_kunneth_checks(inst))
-    assert (len(asked), len(computed)) == (62, 26)
+    assert (len(requested), len(computed)) == (62, 26)
 
 
 def test_functoriality_builds_each_witness_once(monkeypatch):
