@@ -14,12 +14,16 @@ class DescentError(Exception):
     """A map that must kill a relation span failed to; carries the witness."""
 
 
-@dataclass
+@dataclass(slots=True)
 class CheckResult:
     name: str
     ok: bool
     details: dict = field(default_factory=dict)
     counterexample: dict | None = None
+
+    def tagged(self, key, value) -> CheckResult:
+        """A copy with `value` under `key` in its details; this record is left as it is."""
+        return CheckResult(self.name, self.ok, {**self.details, key: value}, self.counterexample)
 
     def as_json(self):
         out = {"name": self.name, "status": "pass" if self.ok else "fail"}

@@ -9,8 +9,8 @@ everywhere in the package: a run is a block of generators of one degree,
 given as a (degree, count) pair, whose d(g), or images under a map, are
 the columns of one matrix.  `free_module` builds one in a pass from the
 top degree down that can draw each run's d(g) from the differential just
-built, and `free_map_blocks` builds a map out of it with one product per
-run.
+built, and `free_map_blocks` builds a map out of a free right module into
+a right module with one product per run.
 
 A module is never written after construction: every builder makes a new
 `DGModule`, nothing assigns into its `dims`, `diff` or `action`, and the
@@ -516,17 +516,15 @@ def _free_diff(lay: FreeLayout, side: str, images, src, tgt, action, i: int) -> 
     return from_blocks(algebra.field, tgt[-1], src[-1], blocks)
 
 
-def free_map_blocks(lay: FreeLayout, side: str, images, action_at, i: int,
-                    degree_shift: int) -> list:
-    """`from_blocks` blocks of the degree-i matrix of g.a |-> images[g].a
-    (right) or a.g |-> (-1)^{|a| s} a.images[g] (left), s = degree_shift, on
-    the free module `lay`, into a module with action `action_at(k, j)` in
-    degree (k, j).  `images[r]` holds the images of run r as the columns of
-    one matrix in degree e + s, or None; runs past the end of `images` and
-    zero images map to 0.  One product serves each run."""
+def free_map_blocks(lay: FreeLayout, images, action_at, i: int, degree_shift: int) -> list:
+    """`from_blocks` blocks of the degree-i matrix of g.a |-> images[g].a on
+    the free right module `lay`, into a right module with action
+    `action_at(k, j)` in degree (k, j).  `images[r]` holds the images of run
+    r as the columns of one matrix in degree e + degree_shift, or None; runs
+    past the end of `images` and zero images map to 0.  One product serves
+    each run."""
     offs = lay.offsets(i)
-    return [(0, offs[r], _run_map(side, action_at(e + degree_shift, i - e), imgs, da,
-                                  (i - e) * degree_shift))
+    return [(0, offs[r], _run_map(RIGHT, action_at(e + degree_shift, i - e), imgs, da, 0))
             for r, ((e, _), imgs) in enumerate(zip(lay.runs, images))
             if (da := lay.algebra.dim(i - e)) and _nonzero(imgs) is not None]
 
@@ -549,7 +547,6 @@ def _run_map(side: str, act: Matrix, imgs: Matrix, da: int, sign: int):
 class CohomologyModule(Cohomology):
     """H^i(M) with deterministic basis and its H^0(A)-module structure;
     `cocycle_incl`, `class_map` and `rep_map` live in M^i."""
-    module: DGModule
     degree: int
     h0_action: Matrix             # bilinear over H0(A), kron order per side
 
@@ -580,4 +577,4 @@ def _cohomology(m: DGModule, i: int) -> CohomologyModule:
     else:
         pairs = h0.section.kron(coh.rep_map)
     act = coh.class_map @ m.action_map(i, 0) @ pairs
-    return CohomologyModule(**vars(coh), module=m, degree=i, h0_action=act)
+    return CohomologyModule(**vars(coh), degree=i, h0_action=act)

@@ -163,9 +163,9 @@ def _module_generators(cands: Matrix, action: Matrix, ring_dim: int) -> Matrix:
 
 def _free_map(lay: FreeLayout, target: DGModule, images, i: int,
               degree_shift: int) -> Matrix:
-    """Degree-i matrix of the equivariant map g.a |-> images[g].a into target,
-    with one image matrix per run of `lay` (`free_map_blocks`)."""
-    blocks = free_map_blocks(lay, target.side, images, target.action_map, i, degree_shift)
+    """Degree-i matrix of the equivariant map g.a |-> images[g].a into the right
+    module target, with one image matrix per run of `lay` (`free_map_blocks`)."""
+    blocks = free_map_blocks(lay, images, target.action_map, i, degree_shift)
     return from_blocks(target.field, target.dim(i + degree_shift), lay.dim(i), blocks)
 
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass, field as dc_field, replace
-from multiprocessing import Pool
 
 from .checks import all_ok, failed
 from .dgmodule import StrictMorphism
@@ -85,7 +84,7 @@ def _tag(results, inst_name, key="instance"):
 
     A witness's evidence is shared by every battery that reads the witness,
     so a record is copied before it is labelled, never edited in place."""
-    return [replace(r, details={**r.details, key: inst_name}) for r in results]
+    return [r.tagged(key, inst_name) for r in results]
 
 
 def crashed(label, exc, inst_name):
@@ -251,8 +250,10 @@ def _instance_worker(args):
 def _run_batch(worker, items, jobs):
     """`worker` over `items`, in order; a pool gets two contiguous chunks per
     worker, each one pickle, so a chunk's instances share one field with its
-    memo and family algebras (chunk sizes measured: `BENCH_27.json`)."""
+    memo and family algebras (chunk sizes measured: `BENCH_27.json`).
+    The pool's module is imported here alone, where a pool starts."""
     if jobs > 1 and len(items) > 1:
+        from multiprocessing import Pool
         with Pool(jobs) as pool:
             return pool.map(worker, items, chunksize=-(-len(items) // (2 * jobs)))
     return [worker(x) for x in items]

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import multiprocessing
 import os
 import pathlib
 import subprocess
@@ -302,12 +303,22 @@ def test_suite_zero_instances_is_structural_error(tmp_path):
     assert main(["suite", "--profile", str(profile)]) == 2
 
 
+def test_importing_the_cli_leaves_multiprocessing_out():
+    # a fresh interpreter: only a suite with --jobs above 1 imports the pool
+    src = pathlib.Path(cli.__file__).resolve().parents[1]
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import dgkunneth.cli; "
+            "print('multiprocessing' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code, str(src)], check=True,
+                         capture_output=True, text=True, timeout=60)
+    assert out.stdout.split() == ["False"]
+
+
 @pytest.mark.parametrize("key, value", [("instance_count", 10 ** 9),
                                         ("degree_span", 10 ** 5),
                                         ("max_per_degree_dim", 10 ** 5)])
 def test_suite_extreme_profile_size_is_structural_error(tmp_path, monkeypatch, key, value):
     started = []
-    monkeypatch.setattr(suite, "Pool", lambda *args, **kwargs: started.append("pool"))
+    monkeypatch.setattr(multiprocessing, "Pool", lambda *args, **kwargs: started.append("pool"))
     monkeypatch.setattr(suite, "generate_corpus", lambda *args: started.append("corpus"))
     profile = tmp_path / "profile.json"
     profile.write_text(dumps_canonical({"field": {"kind": "prime", "p": 101}, key: value}))

@@ -2,7 +2,8 @@
 
 Over F_p with p above 2^31 every product runs through Python ints, and over Q
 through `Fraction`s and integer products; this reduction oracle runs both
-paths on the same instances.  Reduction mod p is a ring map from the
+paths on the same instances: theta and the whole plain battery on all 200,
+theta_der on the first 50.  Reduction mod p is a ring map from the
 rationals whose denominators p does not divide, so each instance reduces
 to one over F_p, and a rank can only fall there.  Rank mod p equals the
 rank over Q for all but finitely many p, so a mismatch is a finding to
@@ -17,6 +18,7 @@ from dgkunneth.genlab import CorpusProfile, generate_corpus
 from dgkunneth.kunneth import theta
 from dgkunneth.resolve import theta_der
 from dgkunneth.serialize import instance_from_json, instance_to_json
+from dgkunneth.suite import plain_checks
 
 P = 2 ** 61 - 1
 DERIVED = 50
@@ -72,10 +74,24 @@ def test_no_published_denominator_vanishes_mod_p(corpora):
     assert {inst.algebra.field.p for _, inst in pairs} == {P}
 
 
-def test_theta_agrees_over_q_and_mod_p(corpora):
+@pytest.fixture(scope="module")
+def thetas(corpora):
+    """(name, theta over Q, theta over F_P) of each published Q instance."""
     pairs, _ = corpora
-    for q, fp in pairs:
-        assert _plain(theta(fp.m, fp.n)) == _plain(theta(q.m, q.n)), q.name
+    return [(q.name, theta(q.m, q.n), theta(fp.m, fp.n)) for q, fp in pairs]
+
+
+def test_theta_agrees_over_q_and_mod_p(thetas):
+    for name, wq, wp in thetas:
+        assert _plain(wp) == _plain(wq), name
+
+
+def test_plain_battery_agrees_over_q_and_mod_p(thetas):
+    # every check of the plain battery, not only theta's evidence: the
+    # representative-independence samples and the exact sequences too
+    for name, wq, wp in thetas:
+        got = [(r.name, r.ok, r.details) for r in plain_checks(wp)]
+        assert got == [(r.name, r.ok, r.details) for r in plain_checks(wq)], name
 
 
 def test_theta_der_agrees_over_q_and_mod_p(corpora):

@@ -8,6 +8,7 @@ runs on a field object of its own: a field carries the memo of resolutions
 and presentations from test to test.
 """
 import hashlib
+import multiprocessing
 import pickle
 import sys
 from dataclasses import replace
@@ -15,7 +16,7 @@ from dataclasses import replace
 import pytest
 
 from dgkunneth import dgalgebra, dgmodule, kunneth, resolve, suite
-from dgkunneth.checks import failed
+from dgkunneth.checks import failed, passed
 from dgkunneth.cli import main
 from dgkunneth.field import Field
 from dgkunneth.genlab import CorpusProfile, generate_corpus
@@ -142,7 +143,7 @@ def test_two_workers_share_a_field_per_chunk(monkeypatch):
                 out += [fn(x) for x in chunk]
             return out
 
-    monkeypatch.setattr(suite, "Pool", ChunkPool)
+    monkeypatch.setattr(multiprocessing, "Pool", ChunkPool)
     monkeypatch.setattr(suite.os, "cpu_count", lambda: 2)
     built = _count_calls(monkeypatch, resolve, "SemiFreeResolution")
     body = suite.run_suite(CorpusProfile(field=Field.prime(101)), jobs=2).as_json()
@@ -177,6 +178,35 @@ def _count_calls(monkeypatch, module, name):
                 and getattr(mod, name, None) is orig:
             monkeypatch.setattr(mod, name, counted)
     return calls
+
+
+def test_check_records_are_slotted_and_pickle_equal():
+    # the --jobs 2 path ships every record through the pool as a pickle
+    for r in (passed("p", dim=2), failed("f", {"why": 1}, rank=0),
+              passed("p", dim=2).tagged("instance", "x")):
+        assert not hasattr(r, "__dict__")
+        assert pickle.loads(pickle.dumps(r)) == r
+
+
+def test_tagged_copies_and_leaves_the_shared_evidence_as_it_is():
+    inst = generate_corpus(CorpusProfile(field=F101, instance_count=1))[0]
+    w = kunneth.theta(inst.m, inst.n)
+    before = [dict(r.details) for r in w.evidence]
+    tagged = suite._tag(w.evidence, inst.name)
+    assert [r.details for r in w.evidence] == before
+    assert [r.details for r in tagged] == [{**d, "instance": inst.name} for d in before]
+    assert all(t is not r and t.details is not r.details for t, r in zip(tagged, w.evidence))
+    r = failed("f", {"why": 1})
+    assert r.tagged("pair", "zero").counterexample is r.counterexample
+
+
+def test_check_record_json_is_unchanged():
+    assert passed("p").as_json() == {"name": "p", "status": "pass"}
+    assert passed("p", dim=2).as_json() == {"name": "p", "status": "pass", "details": {"dim": 2}}
+    assert failed("f").as_json() == {"name": "f", "status": "fail", "counterexample": {}}
+    assert failed("f", {"why": 1}, rank=0).tagged("instance", "x").as_json() == {
+        "name": "f", "status": "fail", "details": {"rank": 0, "instance": "x"},
+        "counterexample": {"why": 1}}
 
 
 def test_batteries_build_each_witness_once(monkeypatch):
@@ -349,7 +379,7 @@ def test_jobs_clamped_to_cpu_count(monkeypatch):
         def map(self, fn, items, chunksize=1):
             return [fn(x) for x in items]
 
-    monkeypatch.setattr(suite, "Pool", FakePool)
+    monkeypatch.setattr(multiprocessing, "Pool", FakePool)
     monkeypatch.setattr(suite.os, "cpu_count", lambda: 3)
     report = suite.run_suite(CorpusProfile(field=F101, instance_count=2),
                              derived_count=0, functoriality_instances=0, jobs=64)
