@@ -1,9 +1,10 @@
 """Command-line surface: validate instances, run the verification suites, emit reports.
 
 Exit codes: 0 all checks pass, 1 at least one verification failure,
-2 structural or parse error.  Reports are canonical JSON (sorted keys);
-identical inputs and seeds give byte-identical reports apart from the
-`timing` subtree.
+2 structural or parse error, 3 a worker of `suite --jobs` died (killed, for
+example, when memory ran out) and no report was written.  Reports are
+canonical JSON (sorted keys); identical inputs and seeds give byte-identical
+reports apart from the `timing` subtree.
 """
 from __future__ import annotations
 
@@ -13,6 +14,7 @@ import os
 import sys
 import tempfile
 import time
+from concurrent.futures import BrokenExecutor
 from dataclasses import replace
 
 from .checks import failed, passed
@@ -140,7 +142,7 @@ def _pair_command(args, command: str, battery: str, fields) -> int:
             try:
                 report.extra.update(fields(w))
             except Exception as exc:   # noqa: BLE001 - bundled, never swallowed
-                report.checks.append(crashed(f"{_BATTERIES[battery]}_battery", exc, inst.name))
+                report.checks.append(crashed(f"{_BATTERIES[battery][0]}_battery", exc, inst.name))
     report.timing[command.replace("-", "_")] = round(time.perf_counter() - t0, 3)
     return emit(report, args.out)
 
@@ -218,6 +220,9 @@ def main(argv=None) -> int:
     except (json.JSONDecodeError, OSError, ValueError, KeyError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
+    except BrokenExecutor as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -25,10 +25,11 @@ smart-truncated there, and P resolves mG.  `theta_der` returns one
 `DerivedKunnethWitness` per resolution and builds each object in it once:
 theta(M, N) at the top class degrees holds mG, nG, their inclusions and
 their H^0, and theta(P, nG) holds the tensor complex P (x)_A nG that
-eta = rho (x) id reads.  A module with top 0 is its own translate and
-truncation, so these share their cached cohomology with mG, nG and P, and
-the naturality check moves a morphism's maps onto mG and nG as the plain
-one does (`transported`).
+eta = rho (x) id reads; a theta(M, N) handed in at those degrees, such as
+the plain battery's at the window tops, is used, not rebuilt.  A module
+with top 0 is its own translate and truncation, so these share their cached
+cohomology with mG, nG and P, and the naturality check moves a morphism's
+maps onto mG and nG as the plain one does (`transported`).
 
 Stage t adjoins generators of degree t - 1, and as A is nonpositive a
 generator of degree e spans P only in degrees <= e.  So the stages t <= -d
@@ -324,18 +325,17 @@ class DerivedKunnethWitness:
         return all_ok(self.evidence)
 
 
-def theta_der(m: DGModule, n: DGModule, i0: int | None = None,
-              j0: int | None = None) -> DerivedKunnethWitness:
+def theta_der(m: DGModule, n: DGModule,
+              mn: KunnethWitness | None = None) -> DerivedKunnethWitness:
     """The derived top-degree isomorphism with its commuting-triangle
-    evidence: theta(M, N) at i0 and j0, which the transport and the triangle
-    of every resolution read, on a resolution of its mG of depth `DEPTH`.
-    i0 and j0 default to the top degrees with cohomology, dim H^i read
-    through the memo (`cohomology_space`), else the window tops."""
-    if i0 is None:
-        i0 = _top_class_degree(m)
-    if j0 is None:
-        j0 = _top_class_degree(n)
-    mn = theta(m, n, i0, j0)
+    evidence: theta(M, N) at the top degrees with cohomology, dim H^i read
+    through the memo (`cohomology_space`), else the window tops, on a
+    resolution of its mG of depth `DEPTH`.  The transport and the triangle
+    of every resolution read that theta(M, N): `mn` where it is theta of
+    these very M and N at those degrees, else one built here."""
+    i0, j0 = _top_class_degree(m), _top_class_degree(n)
+    if mn is None or not (mn.m is m and mn.n is n and (mn.i0, mn.j0) == (i0, j0)):
+        mn = theta(m, n, i0, j0)
     return _theta_der_on(semifree_resolve(mn.mT, DEPTH), mn)
 
 

@@ -2,15 +2,17 @@
 
 A battery is a witness, theta(M, N) or theta_der(M, N), and the checks run
 on it.  `run_batteries` runs an instance's batteries for `run_suite` and
-the single-pair commands.  `run_suite` runs all batteries of an instance in
-one worker, so the functoriality squares reuse the plain and derived
-witnesses.  Instances are processed in a process pool; results are
-assembled in report order, keeping reports deterministic for a fixed
-profile and seed.
+the single-pair commands, and hands each battery the witnesses built before
+it: the derived battery stands on the plain theta(M, N) where the bounds
+coincide, and the functoriality squares on both witnesses.  `run_suite`
+runs all batteries of an instance in one worker.  Instances are processed in
+a process pool; results are assembled in report order, keeping reports
+deterministic for a fixed profile and seed.
 """
 from __future__ import annotations
 
 import os
+import threading
 import time
 from dataclasses import dataclass, field as dc_field, replace
 
@@ -118,23 +120,6 @@ def _attach_shrunk(results, inst: Instance, battery) -> list:
     return results
 
 
-def _battery(run, args, inst: Instance, label: str, shrink: bool):
-    """(results, witness) of one battery, `run(inst, *args) -> (checks, witness)`.
-
-    An unexpected exception becomes one failed `label` check and no
-    witness; with `shrink`, a failure gets a shrunk instance."""
-    def guarded(cand):
-        try:
-            return run(cand, *args)
-        except Exception as exc:   # noqa: BLE001 - bundled, never swallowed
-            return [crashed(label, exc, cand.name)], None
-
-    results, w = guarded(inst)
-    if shrink and not all_ok(results):
-        results = _attach_shrunk(results, inst, lambda cand: guarded(cand)[0])
-    return results, w
-
-
 def plain_checks(w: KunnethWitness, samples: int = 20) -> list:
     """The plain battery on theta(M, N): its evidence, representative
     independence and the exact sequences."""
@@ -156,21 +141,21 @@ def derived_checks(w: DerivedKunnethWitness, stabilization: bool = True,
     return out
 
 
-def _witness_battery(inst: Instance, name: str, *args):
-    """(checks, witness) of the "plain" battery on theta(M, N) or the
-    "derived" one on theta_der(M, N); `args` go to its check list."""
-    if name == "plain":
-        w = theta(inst.m, inst.n)
-        return plain_checks(w, *args), w
-    w = theta_der(inst.m, inst.n)
+def _plain(inst: Instance, built: dict, *args):
+    w = theta(inst.m, inst.n)
+    return plain_checks(w, *args), w
+
+
+def _derived(inst: Instance, built: dict, *args):
+    w = theta_der(inst.m, inst.n, built.get("plain"))
     return derived_checks(w, *args), w
 
 
-def _functoriality(inst: Instance, pair_seed: int, derived: bool, w, wd):
+def _functoriality(inst: Instance, built: dict, pair_seed: int, derived: bool):
     """(checks, None) of four morphism pairs: identity, zero, random,
-    composite.  All are endomorphisms of (M, N), so `w` = theta(M, N) and
-    `wd` = theta_der(M, N) serve as source and target witness of every
-    square; a None is built here, once.  `derived` adds the theta_der squares."""
+    composite.  All are endomorphisms of (M, N), so theta(M, N) and
+    theta_der(M, N) serve as source and target witness of every square; one
+    missing from `built` is built here, once.  `derived` adds the theta_der squares."""
     rng = instance_rng(pair_seed, 0)
     m, n = inst.m, inst.n
     f1, g1 = random_morphism(m, m, rng), random_morphism(n, n, rng)
@@ -178,8 +163,8 @@ def _functoriality(inst: Instance, pair_seed: int, derived: bool, w, wd):
     pairs = [("identity", StrictMorphism.identity(m), StrictMorphism.identity(n)),
              ("zero", StrictMorphism.zero(m, m), StrictMorphism.zero(n, n)),
              ("random", f1, g1), ("composite", f2.compose(f1), g2.compose(g1))]
-    wt = theta(m, n) if w is None else w
-    wdt = theta_der(m, n) if derived and wd is None else wd
+    wt = built.get("plain") or theta(m, n)
+    wdt = (built.get("derived") or theta_der(m, n, wt)) if derived else None
     out = []
     for label, fm, gm in pairs:
         res = check_functoriality(fm, gm, wt, wt)
@@ -189,29 +174,35 @@ def _functoriality(inst: Instance, pair_seed: int, derived: bool, w, wd):
     return out, None
 
 
-# report prefix of each battery, in report order, to its timing key and the
-# stem of its crash label
-_BATTERIES = {"plain": "plain_kunneth", "derived": "derived_kunneth",
-              "functoriality": "functoriality"}
+# each battery, in report order, to its report prefix (its timing key and the
+# stem of its crash label) and its runner
+_BATTERIES = {"plain": ("plain_kunneth", _plain), "derived": ("derived_kunneth", _derived),
+              "functoriality": ("functoriality", _functoriality)}
 
 
 def run_batteries(inst: Instance, batteries: dict) -> dict:
     """{battery: (results, seconds, witness)} of each of `batteries`, {battery:
-    args}, in order: "plain" and "derived" pass `args` to their check list and
-    shrink a failure, "functoriality" takes (pair seed, derived) and reuses
-    the witnesses built before it.  Results carry no instance tag: the
-    suite's callers add it, the single-pair commands do not."""
-    out = {}
+    args}, in order.  Each runner, `run(inst, built, *args) -> (checks,
+    witness)`, reads the witnesses built before it, {battery: witness}; an
+    exception becomes one failed `<prefix>_battery` check and no witness.
+    "plain" and "derived" shrink a failure, and a candidate, whose modules
+    are its own, builds its own witnesses.  Results carry no instance tag:
+    the suite's callers add it, the single-pair commands do not."""
+    out, built = {}, {}
     for name, args in batteries.items():
+        prefix, run = _BATTERIES[name]
+
+        def guarded(cand):
+            try:
+                return run(cand, built, *args)
+            except Exception as exc:   # noqa: BLE001 - bundled, never swallowed
+                return [crashed(f"{prefix}_battery", exc, cand.name)], None
+
         t0 = time.perf_counter()
-        if name == "functoriality":
-            run, args = _functoriality, (*args, *(out[k][2] if k in out else None
-                                                  for k in ("plain", "derived")))
-        else:
-            run, args = _witness_battery, (name, *args)
-        results, w = _battery(run, args, inst, f"{_BATTERIES[name]}_battery",
-                              shrink=name != "functoriality")
-        out[name] = (results, time.perf_counter() - t0, w)
+        results, built[name] = guarded(inst)
+        if name != "functoriality" and not all_ok(results):
+            results = _attach_shrunk(results, inst, lambda cand: guarded(cand)[0])
+        out[name] = (results, time.perf_counter() - t0, built[name])
     return out
 
 
@@ -247,15 +238,29 @@ def _instance_worker(args):
             for name, (results, dt, _) in run_batteries(inst, batteries).items()}
 
 
+def _end_with_parent(parent: int):
+    """Pool initializer: a thread that ends this worker once `parent` has
+    ended, so that no worker outlives a command killed by a signal."""
+    def watch():
+        while os.getppid() == parent:
+            time.sleep(0.2)
+        os._exit(1)
+
+    threading.Thread(target=watch, daemon=True).start()
+
+
 def _run_batch(worker, items, jobs):
     """`worker` over `items`, in order; a pool gets two contiguous chunks per
     worker, each one pickle, so a chunk's instances share one field with its
-    memo and family algebras (chunk sizes measured: `BENCH_27.json`).
-    The pool's module is imported here alone, where a pool starts."""
+    memo and family algebras (chunk sizes measured: `BENCH_27.json`).  A
+    worker that dies breaks the pool, and reading the results then raises
+    `BrokenExecutor`.  The pool's module is imported here alone, where a
+    pool starts."""
     if jobs > 1 and len(items) > 1:
-        from multiprocessing import Pool
-        with Pool(jobs) as pool:
-            return pool.map(worker, items, chunksize=-(-len(items) // (2 * jobs)))
+        from concurrent.futures import ProcessPoolExecutor
+        with ProcessPoolExecutor(jobs, initializer=_end_with_parent,
+                                 initargs=(os.getpid(),)) as pool:
+            return list(pool.map(worker, items, chunksize=-(-len(items) // (2 * jobs))))
     return [worker(x) for x in items]
 
 
@@ -291,12 +296,12 @@ def run_suite(profile: CorpusProfile, derived_count: int = 100,
     report.timing["batteries"] = round(time.perf_counter() - t0, 3)
 
     per = report.timing["per_instance"] = {}
-    for prefix, key in _BATTERIES.items():
-        runs = [(inst.name, *b[prefix]) for inst, b in zip(corpus, batch) if prefix in b]
+    for battery, (prefix, _) in _BATTERIES.items():
+        runs = [(inst.name, *b[battery]) for inst, b in zip(corpus, batch) if battery in b]
         for name, results, dt in runs:
             report.checks.extend(results)
-            per[f"{prefix}:{name}"] = round(dt, 4)
-        report.timing[key] = round(sum(dt for _, _, dt in runs), 3)
+            per[f"{battery}:{name}"] = round(dt, 4)
+        report.timing[prefix] = round(sum(dt for _, _, dt in runs), 3)
 
     report.checks.extend(witness_checks(profile.field))
     report.extra["witness_field"] = "rationals" if not profile.field.p else f"F{profile.field.p}"

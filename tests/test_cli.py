@@ -1,8 +1,9 @@
+import concurrent.futures
 import hashlib
 import json
-import multiprocessing
 import os
 import pathlib
+import signal
 import subprocess
 import sys
 import time
@@ -313,12 +314,120 @@ def test_importing_the_cli_leaves_multiprocessing_out():
     assert out.stdout.split() == ["False"]
 
 
+# the suite with the worker that takes inst0003 killed by SIGKILL, as the
+# kernel's OOM killer does, while it runs that instance
+_KILLED_WORKER = """
+import os, signal, sys
+sys.path.insert(0, sys.argv[1])
+from dgkunneth import cli, suite
+worker = suite._instance_worker
+
+def killed(item):
+    if item[0].name == "inst0003":
+        os.kill(os.getpid(), signal.SIGKILL)
+    return worker(item)
+
+suite._instance_worker = killed
+suite.os.cpu_count = lambda: 2
+sys.exit(cli.main(sys.argv[2:]))
+"""
+
+
+def test_a_killed_worker_ends_the_suite_with_exit_3_and_no_report(tmp_path):
+    # one interpreter and its two pool workers, in a session of their own
+    profile = tmp_path / "profile.json"
+    profile.write_text(dumps_canonical({"field": {"kind": "prime", "p": 101},
+                                        "instance_count": 4}))
+    out = tmp_path / "report.json"
+    src = pathlib.Path(cli.__file__).resolve().parents[1]
+    proc = subprocess.Popen([sys.executable, "-c", _KILLED_WORKER, str(src), "suite", "--profile",
+                             str(profile), "--jobs", "2", "--out", str(out)],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                            start_new_session=True)
+    try:
+        _, err = proc.communicate(timeout=30)
+        # the pool is shut down: no process of the session is left
+        with pytest.raises(ProcessLookupError):
+            os.killpg(proc.pid, 0)
+    finally:
+        try:
+            os.killpg(proc.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+        proc.wait()
+    assert proc.returncode == 3
+    (line,) = err.splitlines()
+    assert line.startswith("error: BrokenProcessPool: ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["profile.json"]
+
+
+# the suite with the worker that takes inst0003 busy for a minute; each
+# worker appends the name of each instance it takes to the file argv[2]
+_BUSY_WORKER = """
+import sys, time
+sys.path.insert(0, sys.argv[1])
+from dgkunneth import cli, suite
+worker = suite._instance_worker
+
+def busy(item):
+    with open(sys.argv[2], "a") as fh:
+        fh.write(item[0].name + "\\n")
+    if item[0].name == "inst0003":
+        time.sleep(60)
+    return worker(item)
+
+suite._instance_worker = busy
+suite.os.cpu_count = lambda: 2
+sys.exit(cli.main(sys.argv[3:]))
+"""
+
+
+def _running(pgid: int) -> list:
+    """The processes of the process group `pgid` other than zombies."""
+    out = subprocess.run(["ps", "-A", "-o", "pgid=,stat="], check=True, capture_output=True,
+                         text=True, timeout=10).stdout
+    return [line for line in out.splitlines()
+            if line.split()[0] == str(pgid) and not line.split()[1].startswith("Z")]
+
+
+def test_no_worker_outlives_a_suite_killed_by_sigterm(tmp_path):
+    # one interpreter and its two pool workers, in a session of their own;
+    # SIGTERM ends the command at once, and each worker ends with it
+    profile = tmp_path / "profile.json"
+    profile.write_text(dumps_canonical({"field": {"kind": "prime", "p": 101},
+                                        "instance_count": 4}))
+    taken = tmp_path / "taken.txt"
+    src = pathlib.Path(cli.__file__).resolve().parents[1]
+    proc = subprocess.Popen([sys.executable, "-c", _BUSY_WORKER, str(src), str(taken), "suite",
+                             "--profile", str(profile), "--jobs", "2"],
+                            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+                            start_new_session=True)
+    try:
+        deadline = time.monotonic() + 30
+        while "inst0003" not in (taken.read_text() if taken.exists() else ""):
+            assert time.monotonic() < deadline and proc.poll() is None
+            time.sleep(0.05)
+        proc.send_signal(signal.SIGTERM)
+        assert proc.wait(timeout=10) == -signal.SIGTERM
+        deadline = time.monotonic() + 10
+        while _running(proc.pid) and time.monotonic() < deadline:
+            time.sleep(0.1)
+        assert _running(proc.pid) == []
+    finally:
+        try:
+            os.killpg(proc.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+        proc.wait()
+
+
 @pytest.mark.parametrize("key, value", [("instance_count", 10 ** 9),
                                         ("degree_span", 10 ** 5),
                                         ("max_per_degree_dim", 10 ** 5)])
 def test_suite_extreme_profile_size_is_structural_error(tmp_path, monkeypatch, key, value):
     started = []
-    monkeypatch.setattr(multiprocessing, "Pool", lambda *args, **kwargs: started.append("pool"))
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        lambda *args, **kwargs: started.append("pool"))
     monkeypatch.setattr(suite, "generate_corpus", lambda *args: started.append("corpus"))
     profile = tmp_path / "profile.json"
     profile.write_text(dumps_canonical({"field": {"kind": "prime", "p": 101}, key: value}))
@@ -559,8 +668,8 @@ def _inject(monkeypatch, name):
     failing down to a smaller M."""
     orig = getattr(suite, name)
 
-    def broken(m, n):
-        w = orig(m, n)
+    def broken(m, n, *rest):
+        w = orig(m, n, *rest)
         if m.total_dim() < 2:
             return w
         return replace(w, evidence=w.evidence + [failed("injected")])

@@ -417,6 +417,20 @@ def test_functoriality_detects_a_wrong_theta(k):
     assert [r.name for r in res if not r.ok] == ["theta_naturality"]
 
 
+def test_functoriality_names_a_map_that_does_not_descend(k):
+    # over the dual numbers k[e]/e^2 with A^0 = A, swapping 1 and e on the
+    # regular module is a chain map (d = 0) but not A-linear, so H^0 of it
+    # does not descend to the balanced tensor H^0(M) (x)_{H^0(A)} H^0(N)
+    a = make_dual_numbers(k)
+    m, n = regular_module(a, RIGHT), regular_module(a, LEFT)
+    w = theta(m, n)
+    swap = StrictMorphism(m, m, {0: Matrix.from_int_rows(k, [[0, 1], [1, 0]])})
+    res = check_functoriality(swap, StrictMorphism.identity(n), w, w)
+    assert [(r.name, r.ok) for r in res] == [("theta_naturality", False)]
+    assert res[0].counterexample == {
+        "reason": "induced map does not descend to the balanced quotient"}
+
+
 def test_functoriality_rejects_mismatched_witnesses(k):
     m, n, w = _nonzero_instance(k)
     ident = (StrictMorphism.identity(m), StrictMorphism.identity(n))

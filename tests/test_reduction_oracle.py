@@ -3,7 +3,7 @@
 Over F_p with p above 2^31 every product runs through Python ints, and over Q
 through `Fraction`s and integer products; this reduction oracle runs both
 paths on the same instances: theta and the whole plain battery on all 200,
-theta_der on the first 50.  Reduction mod p is a ring map from the
+theta_der and the whole derived battery on the first 50.  Reduction mod p is a ring map from the
 rationals whose denominators p does not divide, so each instance reduces
 to one over F_p, and a rank can only fall there.  Rank mod p equals the
 rank over Q for all but finitely many p, so a mismatch is a finding to
@@ -18,7 +18,7 @@ from dgkunneth.genlab import CorpusProfile, generate_corpus
 from dgkunneth.kunneth import theta
 from dgkunneth.resolve import theta_der
 from dgkunneth.serialize import instance_from_json, instance_to_json
-from dgkunneth.suite import plain_checks
+from dgkunneth.suite import derived_checks, plain_checks
 
 P = 2 ** 61 - 1
 DERIVED = 50
@@ -94,7 +94,22 @@ def test_plain_battery_agrees_over_q_and_mod_p(thetas):
         assert got == [(r.name, r.ok, r.details) for r in plain_checks(wq)], name
 
 
-def test_theta_der_agrees_over_q_and_mod_p(corpora):
+@pytest.fixture(scope="module")
+def derived_witnesses(corpora):
+    """(name, theta_der over Q, theta_der over F_P) of the first `DERIVED`
+    published Q instances."""
     pairs, _ = corpora
-    for q, fp in pairs[:DERIVED]:
-        assert _derived(theta_der(fp.m, fp.n)) == _derived(theta_der(q.m, q.n)), q.name
+    return [(q.name, theta_der(q.m, q.n), theta_der(fp.m, fp.n)) for q, fp in pairs[:DERIVED]]
+
+
+def test_theta_der_agrees_over_q_and_mod_p(derived_witnesses):
+    for name, wq, wp in derived_witnesses:
+        assert _derived(wp) == _derived(wq), name
+
+
+def test_derived_battery_agrees_over_q_and_mod_p(derived_witnesses):
+    # every check of the derived battery: depth stabilization and resolution
+    # independence on the deeper resolutions, built from scratch in each field
+    for name, wq, wp in derived_witnesses:
+        got = [(r.name, r.ok, r.details) for r in derived_checks(wp)]
+        assert got == [(r.name, r.ok, r.details) for r in derived_checks(wq)], name

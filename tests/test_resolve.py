@@ -265,6 +265,19 @@ def test_resolution_independence_detects_a_wrong_theta_der(k, monkeypatch):
     assert res.counterexample["variants"] == [1, 2]
 
 
+def test_resolution_independence_names_a_deeper_witness_with_failed_evidence():
+    # inst0001: the variant-1 witness rebuilt on its resolution with rho^0
+    # corrupted fails its own evidence, so the check names that variant and
+    # its failures instead of comparing composites
+    inst = generate_instance(CorpusProfile(field=F101), 1)
+    deeper = deeper_witnesses(theta_der(inst.m, inst.n))
+    assert check_resolution_independence(deeper).ok
+    res = check_resolution_independence([_on_rho00(deeper[0], lambda x: (x + 1) % 101), deeper[1]])
+    assert (res.name, res.ok) == ("resolution_independence", False)
+    assert res.counterexample == {"variant": 1,
+                                  "failures": ["eta_descends", "derived_diagram_commutes"]}
+
+
 def test_derived_diagram_detects_a_wrong_theta(k, monkeypatch):
     m, n = _dual_numbers_simple_pair(k)
     assert theta_der(m, n).ok
@@ -345,18 +358,24 @@ def test_transport_invertibility_detects_a_wrong_rho(k):
         [None, "h0_rho_transport_invertible", "h0_rho_transport_invertible"]
 
 
+def _on_rho00(w, value):
+    """The witness `w` rebuilt on its resolution with rho^0[0, 0] set to
+    `value(rho^0[0, 0])`."""
+    res = w.resolution
+    rho0 = res.rho.map_at(0).arr.copy()
+    rho0[0, 0] = value(rho0[0, 0])
+    rho0 = Matrix(res.target.field, *rho0.shape, rho0)
+    rho = StrictMorphism(res.p, res.target, {**res.rho.maps, 0: rho0})
+    return resolve._theta_der_on(replace(res, rho=rho), w.mn)
+
+
 def _corrupted_rho_witness(idx):
     """theta_der of instance `idx` of the published F_101 profile on its own
     resolution with rho^0[0, 0] raised by one, and the failed evidence."""
     inst = generate_instance(CorpusProfile(field=F101), idx)
     w = theta_der(inst.m, inst.n)
     assert w.ok
-    res = w.resolution
-    rho0 = res.rho.map_at(0).arr.copy()
-    rho0[0, 0] = (rho0[0, 0] + 1) % 101
-    rho = StrictMorphism(res.p, res.target, {**res.rho.maps, 0: Matrix(F101, *rho0.shape, rho0)})
-    wb = resolve._theta_der_on(replace(res, rho=rho), w.mn)
-    return [r for r in wb.evidence if not r.ok]
+    return [r for r in _on_rho00(w, lambda x: (x + 1) % 101).evidence if not r.ok]
 
 
 _NO_DESCENT = {"transport_well_defined": "induced map does not descend to the balanced quotient",
@@ -405,6 +424,20 @@ def test_lift_detects_a_wrong_target_rho(k):
     resp = replace(res, rho=StrictMorphism(res.p, m, maps))
     lift = lift_through_resolutions(res, resp, StrictMorphism.identity(m))
     assert [r.name for r in lift.evidence if not r.ok] == ["lift_solvable"]
+
+
+def test_theta_der_functoriality_stops_at_a_failed_lift(k):
+    # the target witness rebuilt on rho'(g0) = 0: its own checks fail, and no
+    # phi(g0) lifts the class rho(g0), so the square is not checked at all
+    m, n = _dual_numbers_simple_pair(k)
+    w = theta_der(m, n)
+    wp = _on_rho00(w, lambda x: k.zero)
+    out = check_theta_der_functoriality(StrictMorphism.identity(m), StrictMorphism.identity(n),
+                                        w, wp)
+    assert [(r.name, r.ok) for r in out] == [
+        ("h0_rho_transport_invertible", False), ("theta_der_bijective", False),
+        ("derived_diagram_commutes", False), ("lift_solvable", False)]
+    assert out[-1].counterexample == {"generator": 0, "degree": 0, "stage": 0}
 
 
 def test_lift_detects_a_wrong_generator_diff(k):
@@ -681,8 +714,14 @@ def _derived_witnesses(f, g):
         return max(sups, default=max(a.window[1], b.window[1]))
 
     i0, j0 = top(f.source, f.target), top(g.source, g.target)
-    return (theta_der(f.source, g.source, i0=i0, j0=j0),
-            theta_der(f.target, g.target, i0=i0, j0=j0))
+    return (_theta_der_at(f.source, g.source, i0, j0),
+            _theta_der_at(f.target, g.target, i0, j0))
+
+
+def _theta_der_at(m, n, i0, j0):
+    """theta_der of (M, N) stated on theta(M, N) at the bounds i0 and j0."""
+    mn = kunneth.theta(m, n, i0, j0)
+    return resolve._theta_der_on(semifree_resolve(mn.mT, resolve.DEPTH), mn)
 
 
 def test_theta_der_functoriality_identity_zero(k):
@@ -736,7 +775,7 @@ def test_theta_der_functoriality_rejects_mismatched_witnesses(k):
                                    w.mn)
     with pytest.raises(ValueError, match="depths"):
         check_theta_der_functoriality(*ident, w, deeper)
-    higher = theta_der(m, n, i0=w.mn.i0 + 1)
+    higher = _theta_der_at(m, n, w.mn.i0 + 1, w.mn.j0)
     with pytest.raises(ValueError, match="bounds"):
         check_theta_der_functoriality(*ident, higher, w)
     other = theta_der(direct_sum(m, m), n)
@@ -815,13 +854,13 @@ def test_generator_cap_trips_in_the_deepest_stabilization_depth(tmp_path, monkey
     from dgkunneth.genlab import Instance
     from dgkunneth.serialize import dumps_canonical, module_file_to_json
     runs = []
-    battery = suite._witness_battery
+    prefix, battery = suite._BATTERIES["derived"]
 
     def counted(*args):
         runs.append(args[0].name)
         return battery(*args)
 
-    monkeypatch.setattr(suite, "_witness_battery", counted)
+    monkeypatch.setitem(suite._BATTERIES, "derived", (prefix, counted))
     for k in (F101, Q):
         a, k1 = _k_over_square_zero(k)
         m, n = direct_sum(k1, k1), _k_over_square_zero(k, LEFT)[1]

@@ -7,9 +7,12 @@ battery and per suite run are measured by wrapping `theta` and
 runs on a field object of its own: a field carries the memo of resolutions
 and presentations from test to test.
 """
+import concurrent.futures
 import hashlib
-import multiprocessing
+import os
+import pathlib
 import pickle
+import subprocess
 import sys
 from dataclasses import replace
 
@@ -19,7 +22,7 @@ from dgkunneth import dgalgebra, dgmodule, kunneth, resolve, suite
 from dgkunneth.checks import failed, passed
 from dgkunneth.cli import main
 from dgkunneth.field import Field
-from dgkunneth.genlab import CorpusProfile, generate_corpus
+from dgkunneth.genlab import CorpusProfile, generate_corpus, generate_instance
 from dgkunneth.serialize import dumps_canonical
 
 F101 = Field.prime(101)
@@ -80,9 +83,11 @@ def test_published_f101_report_is_pinned(monkeypatch):
     # 156 distinct (module, depth, variant) keys: each is built once and
     # certified, the 81 without generators too; the H^i of a shared P and its
     # target are computed once for all the instances that share them;
-    # theta_der's default bounds read only dim H^i, through the memo
+    # theta_der's bounds read only dim H^i, through the memo, and 87 of the
+    # 100 derived instances have their class tops at the window tops, so
+    # their theta_der stands on the plain battery's theta(M, N)
     assert {name: len(calls) for name, calls in counted.items()} == {
-        "_cohomology": 1226, "theta": 600, "semifree_resolve": 300,
+        "_cohomology": 1114, "theta": 513, "semifree_resolve": 300,
         "SemiFreeResolution": 156, "_certify_resolution": 156, "validate_algebra": 8}
     # the functoriality lifts make one solve per run of generators: 68 runs
     # that hold 96 generators
@@ -111,6 +116,20 @@ def _count_lift_solves(monkeypatch):
     return cols
 
 
+def test_small_suite_report_is_pinned_under_two_hash_seeds():
+    # fresh interpreters, one after the other: the hash seed fixes the order
+    # of every set and of every dict keyed by strings
+    paths = [str(pathlib.Path(suite.__file__).resolve().parents[1]),
+             str(pathlib.Path(__file__).resolve().parent)]
+    code = ("import sys; sys.path[:0] = sys.argv[1:]; import test_reuse as t; "
+            "print(t._digest(t._small_suite(t.F101)))")
+    for seed in ("0", "12345"):
+        out = subprocess.run([sys.executable, "-c", code, *paths],
+                             env={**os.environ, "PYTHONHASHSEED": seed}, check=True,
+                             capture_output=True, text=True, timeout=120)
+        assert out.stdout.split() == [REPORT_SHA256["F101"]], seed
+
+
 def test_small_suite_report_is_pinned_with_two_workers():
     # a real pool of 2 processes (fewer where fewer CPUs exist)
     assert _digest(_small_suite(F101, jobs=2)) == REPORT_SHA256["F101"]
@@ -123,8 +142,8 @@ def test_two_workers_share_a_field_per_chunk(monkeypatch):
     chunks = []
 
     class ChunkPool:
-        def __init__(self, processes):
-            assert processes == 2
+        def __init__(self, max_workers, **kwargs):
+            assert max_workers == 2
 
         def __enter__(self):
             return self
@@ -143,7 +162,7 @@ def test_two_workers_share_a_field_per_chunk(monkeypatch):
                 out += [fn(x) for x in chunk]
             return out
 
-    monkeypatch.setattr(multiprocessing, "Pool", ChunkPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", ChunkPool)
     monkeypatch.setattr(suite.os, "cpu_count", lambda: 2)
     built = _count_calls(monkeypatch, resolve, "SemiFreeResolution")
     body = suite.run_suite(CorpusProfile(field=Field.prime(101)), jobs=2).as_json()
@@ -246,8 +265,10 @@ def test_suite_reuses_the_witnesses_for_functoriality(monkeypatch):
     thetas.clear()
     builds.clear()
     _small_suite(f)
-    # the functoriality squares of the first 2 instances build nothing more
-    assert (len(thetas), len(builds)) == (12 + 6 * 4, 6 * 3)
+    # the functoriality squares of the first 2 instances build nothing more,
+    # and the derived battery stands on the plain theta(M, N) of each of the
+    # 6 derived instances, whose class tops are all its window tops
+    assert (len(thetas), len(builds)) == (12 + 6 * 3, 6 * 3)
 
 
 def test_derived_battery_computes_each_cohomology_once(monkeypatch):
@@ -273,9 +294,10 @@ def test_functoriality_builds_each_witness_once(monkeypatch):
     assert [r.name for r in results].count("theta_der_naturality") == 4
     assert all(r.ok for r in results)
     # one theta(M, N) and one theta_der(M, N) for the four pairs (each was
-    # built once per pair and side, 8 times); theta_der itself calls theta
-    # twice, for (P, N) and for the truncated (M, N)
-    assert (len(thetas), len(derived), len(builds)) == (1 + 2, 1, 1)
+    # built once per pair and side, 8 times); theta_der stands on that
+    # theta(M, N), as the class tops are the window tops, and calls theta
+    # once more, for (P, N)
+    assert (len(thetas), len(derived), len(builds)) == (1 + 1, 1, 1)
     for log in (thetas, derived, builds):
         log.clear()
     results = suite.functoriality_pair_checks(inst, 7919, False)
@@ -283,6 +305,51 @@ def test_functoriality_builds_each_witness_once(monkeypatch):
     assert (len(thetas), len(derived), len(builds)) == (1, 0, 0)
     monkeypatch.undo()
     assert (suite.theta, suite.theta_der, resolve.semifree_resolve) == originals
+
+
+def test_the_derived_battery_stands_on_the_plain_theta_where_the_bounds_coincide():
+    # 87 of the first 100 published F_101 instances, the derived ones, have
+    # their class tops at their window tops, inst0000 among them; inst0013
+    # is the first that does not, and its derived battery builds its own
+    # theta(M, N) at the class tops
+    profile = CorpusProfile(field=Field.prime(101))
+    tops = [(resolve._top_class_degree(inst.m), resolve._top_class_degree(inst.n)) ==
+            (inst.m.window[1], inst.n.window[1]) for inst in generate_corpus(profile)[:100]]
+    assert (sum(tops), tops.index(False)) == (87, 13)
+    for idx, shared in ((0, True), (13, False)):
+        inst = generate_instance(profile, idx)
+        out = suite.run_batteries(inst, {"plain": (), "derived": ()})
+        assert all(r.ok for results, _, _ in out.values() for r in results), idx
+        plain, derived = out["plain"][2], out["derived"][2]
+        assert (derived.mn is plain) == shared, idx
+        assert (derived.mn.m, derived.mn.n) == (inst.m, inst.n)
+        assert (derived.mn.i0, derived.mn.j0) == (resolve._top_class_degree(inst.m),
+                                                  resolve._top_class_degree(inst.n))
+
+
+def test_a_shrink_candidate_builds_its_own_theta(monkeypatch):
+    # the derived battery always fails here, so its failure is shrunk; the
+    # candidates are handed the original plain witness, whose modules are
+    # not theirs, and each states theta_der on a theta(M, N) of its own
+    inst = generate_instance(CorpusProfile(field=Field.prime(101)), 1)
+    orig, calls = suite.theta_der, []
+
+    def broken(m, n, mn=None):
+        w = orig(m, n, mn)
+        calls.append((m, n, mn, w.mn))
+        return replace(w, evidence=w.evidence + [failed("injected")])
+
+    monkeypatch.setattr(suite, "theta_der", broken)
+    out = suite.run_batteries(inst, {"plain": (), "derived": ()})
+    plain = out["plain"][2]
+    first_failed = next(r for r in out["derived"][0] if not r.ok)
+    assert "shrunk_instance" in first_failed.counterexample
+    (m0, _, handed0, used0), *candidates = calls
+    assert m0 is inst.m and handed0 is plain and used0 is plain
+    assert candidates
+    for m, n, handed, used in candidates:
+        assert handed is plain and used is not plain
+        assert used.m is m and used.n is n
 
 
 def test_functoriality_checks_build_and_compare_no_module(monkeypatch):
@@ -343,7 +410,9 @@ def test_functoriality_reports_witness_failures_per_pair_and_side(monkeypatch):
 
 def test_suite_functoriality_records_match_the_battery_alone(monkeypatch):
     # the plain battery fails on the broken theta and gets a shrunk
-    # instance; the theta it shares with the functoriality squares must not
+    # instance; the derived battery stands on that theta and fails with it,
+    # but its shrink candidates build their own, unbroken theta and keep
+    # nothing failing; the witnesses the squares share carry no shrunk instance
     profile = CorpusProfile(field=F101, instance_count=1)
     inst = generate_corpus(profile)[0]
     orig = suite.theta
@@ -354,12 +423,14 @@ def test_suite_functoriality_records_match_the_battery_alone(monkeypatch):
 
     monkeypatch.setattr(suite, "theta", broken)
     report = suite.run_suite(profile, derived_count=1, functoriality_instances=1)
-    plain = [r for r in report.checks if r.name == "injected" and "pair" not in r.details]
-    assert len(plain) == 1 and "shrunk_instance" in plain[0].counterexample
+    # in report order: the plain battery's record, then the derived one's
+    plain, derived = [r for r in report.checks if r.name == "injected" and "pair" not in r.details]
+    assert "shrunk_instance" in plain.counterexample and derived.counterexample == {}
     fun = [r.as_json() for r in report.checks if "pair" in r.details]
     alone = suite.functoriality_pair_checks(inst, profile.seed + 7919, True)
     assert fun == [r.as_json() for r in alone]
-    assert len([r for r in alone if r.name == "injected"]) == 8
+    # both witnesses of both squares of each of the 4 pairs
+    assert len([r for r in alone if r.name == "injected"]) == 16
     assert not any("shrunk_instance" in (r.counterexample or {}) for r in alone)
 
 
@@ -367,8 +438,8 @@ def test_jobs_clamped_to_cpu_count(monkeypatch):
     sizes = []
 
     class FakePool:
-        def __init__(self, processes):
-            sizes.append(processes)
+        def __init__(self, max_workers, **kwargs):
+            sizes.append(max_workers)
 
         def __enter__(self):
             return self
@@ -379,7 +450,7 @@ def test_jobs_clamped_to_cpu_count(monkeypatch):
         def map(self, fn, items, chunksize=1):
             return [fn(x) for x in items]
 
-    monkeypatch.setattr(multiprocessing, "Pool", FakePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
     monkeypatch.setattr(suite.os, "cpu_count", lambda: 3)
     report = suite.run_suite(CorpusProfile(field=F101, instance_count=2),
                              derived_count=0, functoriality_instances=0, jobs=64)
