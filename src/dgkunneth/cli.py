@@ -1,10 +1,9 @@
 """Command-line surface: validate instances, run the verification suites, emit reports.
 
 Exit codes: 0 all checks pass, 1 at least one verification failure,
-2 structural or parse error, 3 a worker of `suite --jobs` died (killed, for
-example, when memory ran out) and no report was written.  Reports are
-canonical JSON (sorted keys); identical inputs and seeds give byte-identical
-reports apart from the `timing` subtree.
+2 structural or parse error, 3 a worker of `suite --jobs` died and no report
+was written.  Reports are canonical JSON (sorted keys); identical inputs and
+seeds give byte-identical reports apart from the `timing` subtree.
 """
 from __future__ import annotations
 
@@ -77,11 +76,10 @@ def write_atomic(path: str, text: str):
 
 
 def emit(report: Report, out: str | None) -> int:
-    for c in report.checks:
-        if not c.ok:
-            print(f"FAIL {c.name} {c.details.get('instance', '')}".rstrip())
-    n_fail = sum(1 for c in report.checks if not c.ok)
-    print(f"{report.command}: {len(report.checks)} checks, {n_fail} failures -> "
+    fails = [c for c in report.checks if not c.ok]
+    for c in fails:
+        print(f"FAIL {c.name} {c.details.get('instance', '')}".rstrip())
+    print(f"{report.command}: {len(report.checks)} checks, {len(fails)} failures -> "
           f"{'PASS' if report.ok else 'FAIL'}")
     if out:
         write_atomic(out, dumps_canonical(report.as_json()))
@@ -217,12 +215,9 @@ def main(argv=None) -> int:
     except (StructureError, GenerationError, ResourceCapError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (json.JSONDecodeError, OSError, ValueError, KeyError) as exc:
+    except (json.JSONDecodeError, OSError, ValueError, KeyError, BrokenExecutor) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
-    except BrokenExecutor as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 3
+        return 3 if isinstance(exc, BrokenExecutor) else 2
 
 
 if __name__ == "__main__":

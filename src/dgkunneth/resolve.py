@@ -328,11 +328,10 @@ class DerivedKunnethWitness:
 def theta_der(m: DGModule, n: DGModule,
               mn: KunnethWitness | None = None) -> DerivedKunnethWitness:
     """The derived top-degree isomorphism with its commuting-triangle
-    evidence: theta(M, N) at the top degrees with cohomology, dim H^i read
-    through the memo (`cohomology_space`), else the window tops, on a
-    resolution of its mG of depth `DEPTH`.  The transport and the triangle
-    of every resolution read that theta(M, N): `mn` where it is theta of
-    these very M and N at those degrees, else one built here."""
+    evidence, on a resolution of depth `DEPTH` of the mG of theta(M, N) at
+    the top degrees with cohomology (dim H^i read through the memo), else the
+    window tops: `mn` where it is that theta of these very M and N, else one
+    built here.  The transport and the triangle of every resolution read it."""
     i0, j0 = _top_class_degree(m), _top_class_degree(n)
     if mn is None or not (mn.m is m and mn.n is n and (mn.i0, mn.j0) == (i0, j0)):
         mn = theta(m, n, i0, j0)

@@ -109,11 +109,8 @@ def _attach_shrunk(results, inst: Instance, battery) -> list:
             ResourceCapError.__name__:
         return results
     name = fails[0].name
-
-    def still_failing(cand):
-        return any((not r.ok) and r.name == name for r in battery(cand))
-
-    small = shrink_instance(inst, still_failing)
+    small = shrink_instance(inst, lambda cand: any(not r.ok and r.name == name
+                                                   for r in battery(cand)))
     if small is not inst:
         ce = {**(fails[0].counterexample or {}), "shrunk_instance": instance_to_json(small)}
         results = [replace(r, counterexample=ce) if r is fails[0] else r for r in results]
@@ -226,8 +223,7 @@ def functoriality_pair_checks(inst: Instance, pair_seed: int, derived: bool) -> 
 
 
 def witness_checks(field) -> list:
-    w = noninjectivity_witness(field)
-    return w.checks
+    return noninjectivity_witness(field).checks
 
 
 def _instance_worker(args):
@@ -238,12 +234,14 @@ def _instance_worker(args):
             for name, (results, dt, _) in run_batteries(inst, batteries).items()}
 
 
-def _end_with_parent(parent: int):
-    """Pool initializer: a thread that ends this worker once `parent` has
-    ended, so that no worker outlives a command killed by a signal."""
+def _end_with_parent():
+    """Pool initializer: a thread that exits this worker when the command ends,
+    so none outlives a command killed by a signal.  It waits on the command,
+    not on the parent: under forkserver the fork server, which outlives it."""
+    from multiprocessing import parent_process
+
     def watch():
-        while os.getppid() == parent:
-            time.sleep(0.2)
+        parent_process().join()
         os._exit(1)
 
     threading.Thread(target=watch, daemon=True).start()
@@ -252,14 +250,11 @@ def _end_with_parent(parent: int):
 def _run_batch(worker, items, jobs):
     """`worker` over `items`, in order; a pool gets two contiguous chunks per
     worker, each one pickle, so a chunk's instances share one field with its
-    memo and family algebras (chunk sizes measured: `BENCH_27.json`).  A
-    worker that dies breaks the pool, and reading the results then raises
-    `BrokenExecutor`.  The pool's module is imported here alone, where a
-    pool starts."""
+    memo and family algebras (chunk sizes measured: `BENCH_27.json`).  A dead
+    worker raises `BrokenExecutor`.  The pool's module is imported here alone."""
     if jobs > 1 and len(items) > 1:
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(jobs, initializer=_end_with_parent,
-                                 initargs=(os.getpid(),)) as pool:
+        with ProcessPoolExecutor(jobs, initializer=_end_with_parent) as pool:
             return list(pool.map(worker, items, chunksize=-(-len(items) // (2 * jobs))))
     return [worker(x) for x in items]
 

@@ -314,12 +314,14 @@ def test_importing_the_cli_leaves_multiprocessing_out():
     assert out.stdout.split() == ["False"]
 
 
-# the suite with the worker that takes inst0003 killed by SIGKILL, as the
-# kernel's OOM killer does, while it runs that instance
-_KILLED_WORKER = """
-import os, signal, sys
-sys.path.insert(0, sys.argv[1])
-from dgkunneth import cli, suite
+# hooks for the suite's pool workers, imported from a module file so that a
+# worker started by any method finds them: `killed` SIGKILLs the worker that
+# takes inst0003 while it runs that instance, as the kernel's OOM killer does,
+# and `busy` keeps that worker a minute; both append the name of each
+# instance they take to taken.txt beside the module
+_HOOKS = """
+import os, signal, time
+from dgkunneth import suite
 worker = suite._instance_worker
 
 def killed(item):
@@ -327,81 +329,91 @@ def killed(item):
         os.kill(os.getpid(), signal.SIGKILL)
     return worker(item)
 
-suite._instance_worker = killed
-suite.os.cpu_count = lambda: 2
-sys.exit(cli.main(sys.argv[2:]))
-"""
-
-
-def test_a_killed_worker_ends_the_suite_with_exit_3_and_no_report(tmp_path):
-    # one interpreter and its two pool workers, in a session of their own
-    profile = tmp_path / "profile.json"
-    profile.write_text(dumps_canonical({"field": {"kind": "prime", "p": 101},
-                                        "instance_count": 4}))
-    out = tmp_path / "report.json"
-    src = pathlib.Path(cli.__file__).resolve().parents[1]
-    proc = subprocess.Popen([sys.executable, "-c", _KILLED_WORKER, str(src), "suite", "--profile",
-                             str(profile), "--jobs", "2", "--out", str(out)],
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
-                            start_new_session=True)
-    try:
-        _, err = proc.communicate(timeout=30)
-        # the pool is shut down: no process of the session is left
-        with pytest.raises(ProcessLookupError):
-            os.killpg(proc.pid, 0)
-    finally:
-        try:
-            os.killpg(proc.pid, signal.SIGKILL)
-        except ProcessLookupError:
-            pass
-        proc.wait()
-    assert proc.returncode == 3
-    (line,) = err.splitlines()
-    assert line.startswith("error: BrokenProcessPool: ")
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["profile.json"]
-
-
-# the suite with the worker that takes inst0003 busy for a minute; each
-# worker appends the name of each instance it takes to the file argv[2]
-_BUSY_WORKER = """
-import sys, time
-sys.path.insert(0, sys.argv[1])
-from dgkunneth import cli, suite
-worker = suite._instance_worker
-
 def busy(item):
-    with open(sys.argv[2], "a") as fh:
+    with open(os.path.join(os.path.dirname(__file__), "taken.txt"), "a") as fh:
         fh.write(item[0].name + "\\n")
     if item[0].name == "inst0003":
         time.sleep(60)
     return worker(item)
+"""
 
-suite._instance_worker = busy
+# the CLI with the suite's worker replaced by the hook argv[3] and its pool
+# started by the method argv[4]
+_HOOKED_CLI = """
+import multiprocessing, sys
+sys.path[:0] = sys.argv[1:3]
+import hooks
+from dgkunneth import cli, suite
+multiprocessing.set_start_method(sys.argv[4])
+suite._instance_worker = getattr(hooks, sys.argv[3])
 suite.os.cpu_count = lambda: 2
-sys.exit(cli.main(sys.argv[3:]))
+sys.exit(cli.main(sys.argv[5:]))
 """
 
 
-def _running(pgid: int) -> list:
-    """The processes of the process group `pgid` other than zombies."""
-    out = subprocess.run(["ps", "-A", "-o", "pgid=,stat="], check=True, capture_output=True,
-                         text=True, timeout=10).stdout
-    return [line for line in out.splitlines()
-            if line.split()[0] == str(pgid) and not line.split()[1].startswith("Z")]
-
-
-def test_no_worker_outlives_a_suite_killed_by_sigterm(tmp_path):
-    # one interpreter and its two pool workers, in a session of their own;
-    # SIGTERM ends the command at once, and each worker ends with it
+def _hooked_suite(tmp_path, hook: str, method: str, *args, **kwargs) -> subprocess.Popen:
+    """A 4-instance `suite --jobs 2` through `_HOOKED_CLI`, in a session of
+    its own: the command, its two pool workers and, with "forkserver", the
+    fork server."""
+    hooks = tmp_path / "hooks"
+    hooks.mkdir()
+    (hooks / "hooks.py").write_text(_HOOKS)
     profile = tmp_path / "profile.json"
     profile.write_text(dumps_canonical({"field": {"kind": "prime", "p": 101},
                                         "instance_count": 4}))
-    taken = tmp_path / "taken.txt"
     src = pathlib.Path(cli.__file__).resolve().parents[1]
-    proc = subprocess.Popen([sys.executable, "-c", _BUSY_WORKER, str(src), str(taken), "suite",
-                             "--profile", str(profile), "--jobs", "2"],
-                            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
-                            start_new_session=True)
+    return subprocess.Popen([sys.executable, "-c", _HOOKED_CLI, str(src), str(hooks), hook,
+                             method, "suite", "--profile", str(profile), "--jobs", "2", *args],
+                            start_new_session=True, **kwargs)
+
+
+def _session_ends(pgid: int, seconds: float) -> bool:
+    """Whether no process of the session `pgid`, zombies too, is left within
+    `seconds`."""
+    deadline = time.monotonic() + seconds
+    while True:
+        try:
+            os.killpg(pgid, 0)
+        except ProcessLookupError:
+            return True
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.05)
+
+
+def _end_session(proc: subprocess.Popen):
+    try:
+        os.killpg(proc.pid, signal.SIGKILL)
+    except ProcessLookupError:
+        pass
+    proc.wait()
+
+
+def test_a_killed_worker_ends_the_suite_with_exit_3_and_no_report(tmp_path):
+    out = tmp_path / "out"
+    out.mkdir()
+    proc = _hooked_suite(tmp_path, "killed", "fork", "--out", str(out / "report.json"),
+                         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    try:
+        _, err = proc.communicate(timeout=30)
+        # the pool is shut down: no process of the session is left
+        assert _session_ends(proc.pid, 5)
+    finally:
+        _end_session(proc)
+    assert proc.returncode == 3
+    (line,) = err.splitlines()
+    assert line.startswith("error: BrokenProcessPool: ")
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("method", ["fork", "forkserver"])
+def test_no_worker_outlives_a_suite_killed_by_sigterm(tmp_path, method):
+    # SIGTERM ends the command at once, and each worker ends with it, also
+    # one whose parent is the fork server; a worker that has ended counts
+    # until init reaps it
+    taken = tmp_path / "hooks" / "taken.txt"
+    proc = _hooked_suite(tmp_path, "busy", method,
+                         stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
     try:
         deadline = time.monotonic() + 30
         while "inst0003" not in (taken.read_text() if taken.exists() else ""):
@@ -409,16 +421,9 @@ def test_no_worker_outlives_a_suite_killed_by_sigterm(tmp_path):
             time.sleep(0.05)
         proc.send_signal(signal.SIGTERM)
         assert proc.wait(timeout=10) == -signal.SIGTERM
-        deadline = time.monotonic() + 10
-        while _running(proc.pid) and time.monotonic() < deadline:
-            time.sleep(0.1)
-        assert _running(proc.pid) == []
+        assert _session_ends(proc.pid, 10)
     finally:
-        try:
-            os.killpg(proc.pid, signal.SIGKILL)
-        except ProcessLookupError:
-            pass
-        proc.wait()
+        _end_session(proc)
 
 
 @pytest.mark.parametrize("key, value", [("instance_count", 10 ** 9),
